@@ -61,14 +61,16 @@ slo-check:
 	$(GO) run ./cmd/slocheck -baseline bench/baselines/BENCH_load_brownout.json \
 		-run BENCH_load_brownout.json -tolerance bench/baselines/tolerances-faulty.json
 
-# store-conformance runs the cross-backend storage suite under the race
-# detector: every backend (memstore, filestore, boltlike) against the
-# shared storetest contract — ordered replay, idempotent reopen,
-# concurrent append/replay, crash-recovery by injected truncation — plus
-# the sdpd replay/migration integration tests and a short run of the
-# record-codec fuzzer over its seed corpus.
+# store-conformance runs the durability suite under the race detector:
+# the one on-disk log (internal/framelog: crash-injection table,
+# failed-write rollback), then both store implementations (boltlike and
+# the memstore fake) against the shared storetest contract — ordered
+# replay, idempotent reopen, concurrent append/replay, crash-recovery by
+# injected truncation — plus the sdpd replay/import integration tests and
+# short runs of the frame-scan and record-codec fuzzers.
 store-conformance:
-	$(GO) test -race -count=1 ./internal/store/... ./cmd/sdpd/
+	$(GO) test -race -count=1 ./internal/framelog/ ./internal/store/... ./cmd/sdpd/
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/framelog/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/store/
 
 # metrics-smoke boots a real sdpd, scrapes GET /metrics, and fails on

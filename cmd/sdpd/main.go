@@ -204,9 +204,9 @@ func main() {
 	listen := flag.String("listen", ":7474", "UDP address to listen on")
 	httpAddr := flag.String("http", "", "also serve an HTTP gateway on this address (optional)")
 	state := flag.String("state", "", "store file for durable registrations (optional)")
-	storeKind := flag.String("store", "auto", "storage backend: auto, mem, jsonl or bolt (auto sniffs the -state file)")
+	storeKind := flag.String("store", "bolt", "storage engine: bolt (the durable log at -state) or mem (volatile, in memory)")
 	syncEvery := flag.Int("sync-every", 1, "fsync the store once every N appends (1 = per-entry, the safest)")
-	migrateTo := flag.String("migrate-store", "", "migrate the -state history into this path (backend from -store or the path's extension), then exit")
+	migrateTo := flag.String("migrate-store", "", "import the legacy JSON-lines journal at -state into a new store at this path, then exit")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the HTTP gateway")
 	federate := flag.String("federate", "", "socket address for directory backbone traffic; empty runs standalone")
@@ -251,8 +251,11 @@ func main() {
 		os.Exit(1)
 	}
 
+	if err := checkStoreKind(*storeKind); err != nil {
+		fatal("flags", err)
+	}
 	if *migrateTo != "" {
-		stats, err := migrateStore(*state, *migrateTo, *storeKind)
+		stats, err := migrateStore(*state, *migrateTo)
 		if err != nil {
 			fatal("store migration", err)
 		}
@@ -470,10 +473,10 @@ func main() {
 }
 
 // server is the directory node state. With both the UDP and HTTP front
-// ends funneling into handle, a mutex serializes request processing (the
-// code registry and the journal are not internally synchronized; the
-// per-request work is microseconds, so serialization is not a bottleneck
-// for this tool).
+// ends funneling into handle, a mutex serializes request processing: the
+// code registry, the backend and the advertisement ledger are not
+// internally synchronized. (The store is, which is what lets the
+// background compactor run outside this mutex.)
 type server struct {
 	mu sync.Mutex
 	// reg and backend are not internally synchronized; every request
@@ -481,7 +484,7 @@ type server struct {
 	reg     *codes.Registry            // guarded by mu
 	backend *discovery.SemanticBackend // guarded by mu
 	// store persists mutations when durability is enabled (-state); nil
-	// runs fully in-memory. Backends are interchangeable via -store.
+	// runs fully in-memory.
 	store store.Store // guarded by mu
 	// adverts is the advertisement version ledger: every version published
 	// under each name, live or withdrawn, behind GET /services.

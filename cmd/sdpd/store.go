@@ -2,12 +2,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
-	"strings"
 
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
-	"sariadne/internal/store/filestore"
 	"sariadne/internal/store/memstore"
 	"sariadne/internal/tenant"
 )
@@ -23,54 +22,33 @@ func advertOwner(name, hint string) string {
 	return owner
 }
 
-// openStore opens the storage backend selected by -store over the -state
-// path. "auto" sniffs the on-disk format so an upgraded daemon keeps
-// reading the store it finds — a v1 journal, a headered v2 JSON-lines
-// file, or a boltlike binary store.
+// checkStoreKind validates the -store flag.
+func checkStoreKind(kind string) error {
+	if kind != "bolt" && kind != "mem" {
+		return fmt.Errorf("unknown -store %q (want bolt or mem)", kind)
+	}
+	return nil
+}
+
+// openStore opens the store -store selects: the one durable engine over
+// the -state path, or the in-memory fake. A -state file that is not a
+// boltlike store (a JSON-lines journal from an earlier release, say) is
+// refused untouched with a store.CorruptError pointing at -migrate-store.
 func openStore(kind, path string, opts store.Options) (store.Store, error) {
-	k := store.Kind(kind)
-	if kind == "auto" {
-		detected, err := store.Detect(path)
-		if err != nil {
-			return nil, err
-		}
-		k = detected
+	if err := checkStoreKind(kind); err != nil {
+		return nil, err
 	}
-	switch k {
-	case store.KindMem:
+	if kind == "mem" {
 		return memstore.New(), nil
-	case store.KindJSONL:
-		return filestore.Open(path, opts)
-	case store.KindBolt:
-		return boltlike.Open(path, opts)
-	default:
-		return nil, fmt.Errorf("unknown -store kind %q (want auto, mem, jsonl or bolt)", kind)
 	}
+	return boltlike.Open(path, opts)
 }
 
-// destinationKind resolves the backend a migration writes. An explicit
-// -store wins; "auto" falls back to the destination path's extension so
-// `sdpd -migrate-store new.bolt` does the obvious thing.
-func destinationKind(kind, dst string) (string, error) {
-	switch kind {
-	case "jsonl", "bolt":
-		return kind, nil
-	case "auto":
-		if strings.HasSuffix(dst, ".bolt") {
-			return "bolt", nil
-		}
-		return "jsonl", nil
-	case "mem":
-		return "", fmt.Errorf("-migrate-store cannot target the mem backend")
-	default:
-		return "", fmt.Errorf("unknown -store kind %q (want auto, jsonl or bolt)", kind)
-	}
-}
-
-// migrateStore moves the history at src into a fresh store at dst,
-// folding it to canonical form: the journal→v2 upgrade path and the
-// cross-backend mover behind `sdpd -state src -migrate-store dst`.
-func migrateStore(src, dst, dstKindFlag string) (store.MigrateStats, error) {
+// migrateStore imports the legacy JSON-lines journal at src (a headerless
+// v1 journal or a headered v2 file) into a fresh boltlike store at dst,
+// folded to canonical form: the operator path behind
+// `sdpd -state old.jsonl -migrate-store new`. src is only read.
+func migrateStore(src, dst string) (store.MigrateStats, error) {
 	var stats store.MigrateStats
 	if src == "" {
 		return stats, fmt.Errorf("-migrate-store needs a source: set -state")
@@ -78,20 +56,16 @@ func migrateStore(src, dst, dstKindFlag string) (store.MigrateStats, error) {
 	if dst == "" || dst == src {
 		return stats, fmt.Errorf("-migrate-store needs a destination path different from -state")
 	}
-	kind, err := destinationKind(dstKindFlag, dst)
-	if err != nil {
-		return stats, err
-	}
-	from, err := openStore("auto", src, store.Options{})
+	from, err := os.Open(src)
 	if err != nil {
 		return stats, fmt.Errorf("opening source: %w", err)
 	}
-	defer func() { _ = from.Close() }() // read-only source
-	to, err := openStore(kind, dst, store.Options{})
+	defer from.Close()
+	to, err := boltlike.Open(dst, store.Options{})
 	if err != nil {
 		return stats, fmt.Errorf("opening destination: %w", err)
 	}
-	stats, err = store.Migrate(from, to)
+	stats, err = store.Import(from, to)
 	if err != nil {
 		_ = to.Close() // the migration failure is the diagnosis
 		return stats, err
@@ -102,10 +76,9 @@ func migrateStore(src, dst, dstKindFlag string) (store.MigrateStats, error) {
 	return stats, nil
 }
 
-// replayStore feeds every persisted mutation back into the server. The
-// old journal replay contract carries over: junk entries and records the
-// directory rejects are skipped with a count, a torn tail stops nothing,
-// and a missing file is an empty history.
+// replayStore feeds every persisted mutation back into the server:
+// records the directory rejects are skipped with a count, a torn tail
+// stops nothing, and a missing file is an empty history.
 func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, err error) {
 	// Replay happens before the front ends start, but applyLocked's
 	// contract is that the caller holds the server mutex, so hold it.

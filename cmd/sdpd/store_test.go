@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +33,7 @@ func openTestStore(t *testing.T, kind, path string) store.Store {
 // every backend sdpd can select: mutations from one server lifetime
 // recover into a second one.
 func TestStorePersistAndReplay(t *testing.T) {
-	for _, kind := range []string{"jsonl", "bolt", "mem"} {
+	for _, kind := range []string{"bolt", "mem"} {
 		t.Run(kind, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "state")
 			st := openTestStore(t, kind, path)
@@ -74,7 +77,7 @@ func TestStorePersistAndReplay(t *testing.T) {
 			if kind == "mem" {
 				return
 			}
-			st2 := openTestStore(t, "auto", path) // auto-detect must find the right backend
+			st2 := openTestStore(t, kind, path)
 			s2, err := newServer(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -112,37 +115,105 @@ func TestStorePersistAndReplay(t *testing.T) {
 	}
 }
 
-// TestStoreReplayTolerance carries the v1 journal contract forward:
-// junk lines and records the directory rejects are skipped with a
-// count, not fatal.
+// legacyJournal renders records as an old sdpd wrote them: one JSON
+// object per line, no header, no version marker.
+func legacyJournal(t *testing.T, recs ...store.Record) []byte {
+	t.Helper()
+	var out []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(struct {
+			Op   store.Op `json:"op"`
+			Doc  string   `json:"doc,omitempty"`
+			Name string   `json:"name,omitempty"`
+		}{rec.Op, rec.Doc, rec.Name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out
+}
+
+// TestStoreReplayTolerance carries the v1 journal contract forward onto
+// the import path: junk lines are skipped with a count, a torn final
+// line is reported, records the directory rejects are skipped at replay
+// — and the journal itself is never modified.
 func TestStoreReplayTolerance(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.jsonl")
 	content := `{"op":"add-ontology","doc":"<ontology uri=\"u\"><class name=\"A\"/></ontology>"}
 not json at all
 {"op":"register","doc":"garbage that will not parse"}
 {"op":"unknown-op"}
-`
+{"op":"register","doc":"<service name=\"torn`
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st := openTestStore(t, "auto", path)
+	dst := filepath.Join(dir, "state.bolt")
+	stats, err := migrateStore(path, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The nameless register folds away; the ontology and the unknown op
+	// are carried over.
+	if want := (store.MigrateStats{Replayed: 3, Skipped: 1, TornTail: true, Live: 2}); stats != want {
+		t.Fatalf("import stats = %+v, want %+v", stats, want)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != content {
+		t.Fatalf("import modified the journal: %q", after)
+	}
 	s, err := newServer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, skipped, _, err := replayStore(st, s)
+	applied, skipped, torn, err := replayStore(openTestStore(t, "bolt", dst), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 1 || skipped != 3 {
-		t.Fatalf("applied=%d skipped=%d, want 1/3", applied, skipped)
+	if applied != 1 || skipped != 1 || torn {
+		t.Fatalf("applied=%d skipped=%d torn=%v, want 1/1/false", applied, skipped, torn)
+	}
+}
+
+// TestOpenStoreRefusesLegacyJournal is the safety of dropping the
+// JSON-lines backend: a daemon pointed at an old journal must not start
+// over it, must say how to import it, and must leave it byte-for-byte
+// alone — no header rewrite, no truncation of a torn last line.
+func TestOpenStoreRefusesLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"v1.jsonl": string(legacyJournal(t, store.Record{Op: store.OpRegister, Doc: "<service name=\"a\"/>"})) + `{"op":"regis`,
+		"v2.jsonl": `{"format":"sdp-store","v":2}` + "\n" + `{"v":2,"op":"deregister","name":"x"}` + "\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openStore("bolt", path, store.Options{})
+		var corrupt *store.CorruptError
+		if !errors.As(err, &corrupt) || !strings.Contains(err.Error(), "-migrate-store") {
+			t.Fatalf("%s: openStore = %v, want a CorruptError naming -migrate-store", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != content {
+			t.Fatalf("%s: refused journal was modified: %q", name, after)
+		}
+	}
+	// The two values -store dropped fail validation, listing what is left.
+	for _, kind := range []string{"auto", "jsonl", "nope"} {
+		err := checkStoreKind(kind)
+		if err == nil || !strings.Contains(err.Error(), "bolt") || !strings.Contains(err.Error(), "mem") {
+			t.Fatalf("-store %s: %v, want a refusal listing bolt and mem", kind, err)
+		}
+		if _, err := openStore(kind, filepath.Join(dir, "x"), store.Options{}); err == nil {
+			t.Fatalf("openStore accepted kind %q", kind)
+		}
 	}
 }
 
 // TestStoreReplayMissingFile: a missing state file is an empty history,
 // not an error — first boot works.
 func TestStoreReplayMissingFile(t *testing.T) {
-	st := openTestStore(t, "auto", filepath.Join(t.TempDir(), "absent.jsonl"))
+	st := openTestStore(t, "bolt", filepath.Join(t.TempDir(), "absent.bolt"))
 	s, err := newServer(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,49 +304,34 @@ func TestListServicesPagination(t *testing.T) {
 }
 
 // TestMigrateStoreCommand is the operator path end to end: a v1 journal
-// written by the old daemon migrates to a bolt store, and a daemon
+// written by the old daemon imports into a bolt store, and a daemon
 // booting from the new store serves the same answers.
 func TestMigrateStoreCommand(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "v1.jsonl")
-
-	// Write a legacy journal through a live server (old persist path
-	// equivalent: same ops, same docs).
-	st := openTestStore(t, "jsonl", src)
-	s1, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.store = st
+	var recs []store.Record
 	for _, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
 		data, err := ontology.Marshal(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := s1.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
-			t.Fatalf("add-ontology: %s", resp.Error)
-		}
+		recs = append(recs, store.Record{Op: store.OpAddOntology, Doc: string(data)})
 	}
-	if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
-		t.Fatalf("register: %s", resp.Error)
-	}
-	if err := st.Close(); err != nil {
+	recs = append(recs, store.Record{Op: store.OpRegister, Doc: mustDoc(t, profile.WorkstationService())})
+	if err := os.WriteFile(src, legacyJournal(t, recs...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := filepath.Join(dir, "v2.bolt")
-	stats, err := migrateStore(src, dst, "auto") // .bolt extension selects the backend
+	stats, err := migrateStore(src, dst)
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	if stats.Replayed != 3 || stats.Live != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if kind, err := store.Detect(dst); err != nil || kind != store.KindBolt {
-		t.Fatalf("destination kind = %v, %v", kind, err)
-	}
 
-	st2 := openTestStore(t, "auto", dst)
+	st2 := openTestStore(t, "bolt", dst)
 	s2, err := newServer(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,35 +346,22 @@ func TestMigrateStoreCommand(t *testing.T) {
 	}
 
 	// Guard rails: migrating onto a non-empty destination refuses.
-	if _, err := migrateStore(src, dst, "auto"); err == nil {
-		t.Fatal("migration onto a non-empty destination succeeded")
+	if _, err := migrateStore(src, dst); !errors.Is(err, store.ErrDestinationNotEmpty) {
+		t.Fatalf("migration onto a non-empty destination = %v", err)
 	}
-	// And the mem backend is not a migration target.
-	if _, err := migrateStore(src, filepath.Join(dir, "x"), "mem"); err == nil {
-		t.Fatal("migration to mem succeeded")
+	// A store that is already framed is not an import source.
+	if _, err := migrateStore(dst, filepath.Join(dir, "again.bolt")); !errors.Is(err, store.ErrNotLegacy) {
+		t.Fatalf("migration from a bolt store = %v", err)
 	}
-}
-
-// TestOpenStoreAutoDetect pins the format sniffing behind -store auto.
-func TestOpenStoreAutoDetect(t *testing.T) {
-	dir := t.TempDir()
-
-	boltPath := filepath.Join(dir, "s.bolt")
-	st := openTestStore(t, "bolt", boltPath)
-	if err := st.Append(store.Record{Op: store.OpDeregister, Name: "x"}); err != nil {
-		t.Fatal(err)
+	// A missing source is an error, and creates neither file.
+	absent, out := filepath.Join(dir, "absent.jsonl"), filepath.Join(dir, "out.bolt")
+	if _, err := migrateStore(absent, out); err == nil {
+		t.Fatal("migration from a missing journal succeeded")
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openTestStore(t, "auto", boltPath)
-	stats, err := re.Replay(func(store.Record) error { return nil })
-	if err != nil || stats.Records != 1 {
-		t.Fatalf("auto-detected bolt replay: %+v, %v", stats, err)
-	}
-
-	if _, err := openStore("nope", filepath.Join(dir, "x"), store.Options{}); err == nil {
-		t.Fatal("unknown store kind accepted")
+	for _, path := range []string{absent, out} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("failed migration left %s behind", path)
+		}
 	}
 }
 

@@ -171,7 +171,7 @@ func TestAdmissionRateLimit(t *testing.T) {
 // daemon restart: a replayed store rebuilds them, so the max-live quota
 // binds immediately instead of resetting to zero.
 func TestAdmissionQuotaDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.jsonl")
+	path := filepath.Join(t.TempDir(), "state.bolt")
 	cfg := func() tenant.Config {
 		static, err := tenant.ParseStatic(strings.NewReader("ta alice\n"))
 		if err != nil {
@@ -180,7 +180,7 @@ func TestAdmissionQuotaDurable(t *testing.T) {
 		return tenant.Config{Auth: static, MaxLiveServices: 2}
 	}
 
-	st := openTestStore(t, "jsonl", path)
+	st := openTestStore(t, "bolt", path)
 	s1 := enforcingServer(t, cfg())
 	s1.store = st
 	for _, name := range []string{"alice/a", "alice/b"} {
@@ -196,7 +196,7 @@ func TestAdmissionQuotaDurable(t *testing.T) {
 	}
 
 	// Restart: the gate must exist before replay, exactly like main().
-	st2 := openTestStore(t, "auto", path)
+	st2 := openTestStore(t, "bolt", path)
 	s2 := newTestServer(t)
 	s2.gate = tenant.NewGatekeeper(cfg())
 	if _, _, _, err := replayStore(st2, s2); err != nil {

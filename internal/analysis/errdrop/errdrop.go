@@ -7,14 +7,15 @@
 // Scope — a call is in scope when its callee is
 //
 //   - a function or method of sariadne/internal/transport,
-//     sariadne/internal/store or sariadne/internal/telemetry (or any
-//     package under them), or
+//     sariadne/internal/store, sariadne/internal/framelog or
+//     sariadne/internal/telemetry (or any package under them), or
 //   - a method whose receiver type name contains "journal" or "store"
 //     (case-insensitive), wherever it is declared.
 //
-// The store path prefix covers the pluggable backends too
-// (internal/store/filestore, memstore, boltlike): a dropped Append error
-// there acknowledges a write the directory will not replay.
+// The store path prefix covers the implementations too
+// (internal/store/boltlike, memstore), and framelog is the durable log
+// under them and the telemetry journal: a dropped Append error there
+// acknowledges a write the directory will not replay.
 //
 // A finding is an in-scope call whose error result is discarded
 // *implicitly*: used as a bare expression statement, or launched with go
@@ -49,6 +50,7 @@ var Analyzer = &analysis.Analyzer{
 var guardedPathPrefixes = []string{
 	"sariadne/internal/transport",
 	"sariadne/internal/store",
+	"sariadne/internal/framelog",
 	// The telemetry journal is the soak record of truth: an append error
 	// dropped on the floor silently forfeits the history the drift
 	// watchdog and post-mortems read. The prefix covers the whole

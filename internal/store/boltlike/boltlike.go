@@ -1,214 +1,112 @@
-// Package boltlike is the embedded binary storage backend for
-// single-node production: a bitcask/bolt-inspired log-structured store in
-// one file. Records are length-prefixed, CRC-checksummed frames; an
-// in-memory keydir tracks the live advertisement set; compaction rewrites
-// the log copy-on-write and swaps it in with an atomic rename.
+// Package boltlike is the durable storage engine of a directory daemon: a
+// bitcask/bolt-inspired log-structured store in one file. Each record is
+// one frame of the shared durable log (internal/framelog, which owns the
+// frame layout, scan-stop crash recovery and the atomic rewrite); this
+// package adds the record codec, an in-memory keydir tracking the live
+// advertisement set, compaction to the canonical fold, the grouped-sync
+// policy and the store metrics.
 //
-// Layout:
-//
-//	header  : 8-byte magic "SDPBOLT\x01" + uint32 LE schema version
-//	record  : uint32 LE payload length + uint32 LE CRC-32 (IEEE) of the
-//	          payload + payload (one codec-encoded store record)
-//
-// Crash recovery is scan-stop: opening walks the frames and truncates
-// the file at the first incomplete or checksum-failing record — after a
-// crash everything durable before the tear is recovered and the tear
-// itself is dropped and counted. Only header damage refuses to open
-// (store.CorruptError): a file that is not ours should never be
-// silently overwritten.
+// The file header is the 8-byte magic "SDPBOLT\x01" followed by the
+// uint32 LE record schema version. A file with any other head is refused
+// untouched (store.CorruptError) — it is not ours to truncate — and a
+// header from a newer schema fails with store.VersionError.
 package boltlike
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"sariadne/internal/framelog"
 	"sariadne/internal/store"
 )
 
-const (
-	headerSize  = 12      // magic + version
-	frameHeader = 8       // length + crc
-	maxPayload  = 1 << 26 // 64 MiB sanity cap; larger lengths read as damage
-)
+// header opens every store file: magic + record schema version.
+var header = binary.LittleEndian.AppendUint32(append([]byte(nil), store.BoltMagic...), store.RecordVersion)
 
 // Store is a boltlike store over one file.
 type Store struct {
 	path      string
 	syncEvery int
+	log       *framelog.Log
 
-	mu       sync.Mutex
-	f        *os.File        // append handle, guarded by mu
-	size     int64           // bytes of validated frames (and header), guarded by mu
-	pending  int             // appends since the last fsync, guarded by mu
-	tornTail bool            // open truncated damaged frames, guarded by mu
-	live     map[string]bool // keydir: live service names, guarded by mu
-	closed   bool            // guarded by mu
+	// mu orders appends against compaction and guards the keydir; the log
+	// synchronizes itself, so replays run outside it.
+	mu      sync.Mutex
+	pending int             // appends since the last fsync, guarded by mu
+	live    map[string]bool // keydir: live service names, guarded by mu
 }
 
 // Open opens (creating if needed) the store at path, validating every
 // frame and truncating crash damage at the tail.
 func Open(path string, opts store.Options) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	live := make(map[string]bool)
+	log, err := framelog.Open(path, header, visitRecords(func(rec store.Record) error {
+		applyKeydir(live, rec)
+		return nil
+	}))
+	var hdr *framelog.HeaderError
+	if errors.As(err, &hdr) {
+		return nil, headerError(hdr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("boltlike: %w", err)
 	}
-	s := &Store{path: path, syncEvery: opts.Interval(), f: f, live: make(map[string]bool)}
-	s.mu.Lock()
-	err = s.recoverLocked()
-	s.mu.Unlock()
-	if err != nil {
-		_ = f.Close() // the recovery failure is the diagnosis
-		return nil, err
-	}
-	return s, nil
-}
-
-// writeHeaderLocked initializes an empty file.
-func (s *Store) writeHeaderLocked() error {
-	var hdr [headerSize]byte
-	copy(hdr[:], store.BoltMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(store.RecordVersion))
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	if _, err := s.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("boltlike: writing header: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	s.size = headerSize
-	return nil
-}
-
-// recoverLocked validates the header and scans frames, rebuilding the
-// keydir and truncating everything from the first damaged frame on.
-func (s *Store) recoverLocked() error {
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	if info.Size() == 0 {
-		return s.writeHeaderLocked()
-	}
-	hdr := make([]byte, headerSize)
-	n, err := s.f.ReadAt(hdr, 0)
-	if n < headerSize {
-		_ = err // the short read is the diagnosis
-		// A crash while creating the file can leave a truncated header;
-		// anything else this short that matches the magic prefix is ours.
-		if bytes.Equal(hdr[:n], store.BoltMagic[:min(n, len(store.BoltMagic))]) {
-			s.tornTail = true
-			store.CountTornTail()
-			if err := s.f.Truncate(0); err != nil {
-				return fmt.Errorf("boltlike: %w", err)
-			}
-			return s.writeHeaderLocked()
-		}
-		return &store.CorruptError{Path: s.path, Offset: 0, Reason: "not a boltlike store (short, unrecognized header)"}
-	}
-	if !bytes.Equal(hdr[:len(store.BoltMagic)], store.BoltMagic) {
-		return &store.CorruptError{Path: s.path, Offset: 0, Reason: "bad magic (not a boltlike store)"}
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v > store.RecordVersion {
-		return &store.VersionError{Got: int(v), Max: store.RecordVersion}
-	}
-
-	// Scan frames from the header on.
-	if _, err := s.f.Seek(headerSize, io.SeekStart); err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	r := bufio.NewReader(s.f)
-	offset := int64(headerSize)
-	for {
-		rec, frameLen, ok, err := readFrame(r)
-		if err != nil {
-			return fmt.Errorf("boltlike: scanning %s: %w", s.path, err)
-		}
-		if !ok {
-			break // clean EOF
-		}
-		if frameLen == 0 {
-			// Damaged frame: stop the scan and drop the rest.
-			s.tornTail = true
-			break
-		}
-		s.applyKeydirLocked(rec)
-		offset += frameLen
-	}
-	if s.tornTail {
+	if log.Torn() {
 		store.CountTornTail()
-		if err := s.f.Truncate(offset); err != nil {
-			return fmt.Errorf("boltlike: truncating torn tail: %w", err)
-		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("boltlike: %w", err)
-		}
 	}
-	s.size = offset
-	if _, err := s.f.Seek(offset, io.SeekStart); err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	return nil
+	return &Store{path: path, syncEvery: opts.Interval(), log: log, live: live}, nil
 }
 
-// readFrame reads one frame. Returns ok=false on clean EOF; a damaged
-// frame (incomplete, oversized, checksum or decode failure) returns
-// frameLen 0 with ok=true; err is reserved for I/O failures.
-func readFrame(r *bufio.Reader) (rec store.Record, frameLen int64, ok bool, err error) {
-	var head [frameHeader]byte
-	n, err := io.ReadFull(r, head[:])
-	if err == io.EOF && n == 0 {
-		return store.Record{}, 0, false, nil
-	}
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return store.Record{}, 0, true, nil // torn frame header
-	}
-	if err != nil {
-		return store.Record{}, 0, false, err
-	}
-	length := binary.LittleEndian.Uint32(head[:4])
-	sum := binary.LittleEndian.Uint32(head[4:])
-	if length == 0 || length > maxPayload {
-		return store.Record{}, 0, true, nil
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			return store.Record{}, 0, true, nil // torn payload
+// visitRecords adapts a record callback to a frame visitor. A checksummed
+// frame that fails to decode was written by code this binary does not
+// understand; scan-stop treats it like damage rather than guessing.
+func visitRecords(apply func(rec store.Record) error) func(payload []byte) error {
+	return func(payload []byte) error {
+		rec, err := store.DecodeRecord(payload)
+		if err != nil {
+			return framelog.ErrBadFrame
 		}
-		return store.Record{}, 0, false, err
+		return apply(rec)
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return store.Record{}, 0, true, nil
-	}
-	decoded, err := store.DecodeRecord(payload)
-	if err != nil {
-		// A checksummed frame that fails to decode was written by code
-		// this binary does not understand; scan-stop treats it like
-		// damage rather than guessing.
-		return store.Record{}, 0, true, nil
-	}
-	return decoded, frameHeader + int64(length), true, nil
 }
 
-// applyKeydirLocked folds one record into the live-name index.
-func (s *Store) applyKeydirLocked(rec store.Record) {
+// headerError types the refusal of a file that does not open with this
+// build's header.
+func headerError(e *framelog.HeaderError) error {
+	if len(e.Got) == len(header) && bytes.HasPrefix(e.Got, store.BoltMagic) {
+		if v := binary.LittleEndian.Uint32(e.Got[len(store.BoltMagic):]); v > store.RecordVersion {
+			return &store.VersionError{Got: int(v), Max: store.RecordVersion}
+		}
+	}
+	return &store.CorruptError{Path: e.Path, Offset: 0, Reason: "not a boltlike store (bad header); " +
+		"a legacy JSON-lines journal is imported with sdpd -state <journal> -migrate-store <new store>"}
+}
+
+// wrapErr maps the log's errors onto the store contract.
+func wrapErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, os.ErrClosed) {
+		return store.ErrClosed
+	}
+	return fmt.Errorf("boltlike: %w", err)
+}
+
+// applyKeydir folds one record into a live-name index.
+func applyKeydir(live map[string]bool, rec store.Record) {
 	switch rec.Op {
 	case store.OpRegister:
 		if rec.Name != "" {
-			s.live[rec.Name] = true
+			live[rec.Name] = true
 		}
 	case store.OpDeregister:
-		delete(s.live, rec.Name)
+		delete(live, rec.Name)
 	}
 }
 
@@ -227,25 +125,15 @@ func (s *Store) Append(rec store.Record) error {
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return store.ErrClosed
+	fsync := s.pending+1 >= s.syncEvery
+	if err := s.log.Append(payload, fsync); err != nil {
+		return wrapErr(err)
 	}
-	if _, err := s.f.Write(frame); err != nil {
-		return fmt.Errorf("boltlike: append: %w", err)
-	}
-	s.size += int64(len(frame))
-	s.applyKeydirLocked(rec)
+	applyKeydir(s.live, rec)
 	s.pending++
-	if s.pending >= s.syncEvery {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("boltlike: sync: %w", err)
-		}
+	if fsync {
 		s.pending = 0
 		store.CountSync()
 	}
@@ -253,50 +141,40 @@ func (s *Store) Append(rec store.Record) error {
 	return nil
 }
 
-// Replay implements store.Store, streaming a consistent prefix through
-// an independent read handle. Frames inside the validated prefix were
-// either checked at open or written by this process, so damage here is
-// reported as corruption rather than skipped.
+// Replay implements store.Store, streaming a consistent prefix while
+// appends continue.
 func (s *Store) Replay(apply func(rec store.Record) error) (store.ReplayStats, error) {
-	var stats store.ReplayStats
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return stats, store.ErrClosed
-	}
-	size := s.size
-	stats.TornTail = s.tornTail
-	s.mu.Unlock()
-
-	rf, err := os.Open(s.path)
-	if err != nil {
-		return stats, fmt.Errorf("boltlike: replay: %w", err)
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(headerSize, io.SeekStart); err != nil {
-		return stats, fmt.Errorf("boltlike: replay: %w", err)
-	}
-	r := bufio.NewReader(io.LimitReader(rf, size-headerSize))
-	offset := int64(headerSize)
-	for {
-		rec, frameLen, ok, err := readFrame(r)
-		if err != nil {
-			return stats, fmt.Errorf("boltlike: replay: %w", err)
-		}
-		if !ok {
-			break
-		}
-		if frameLen == 0 {
-			return stats, &store.CorruptError{Path: s.path, Offset: offset, Reason: "damaged frame inside validated prefix"}
-		}
-		if err := apply(rec); err != nil {
-			return stats, err
-		}
-		stats.Records++
-		offset += frameLen
+	stats := store.ReplayStats{TornTail: s.log.Torn()}
+	var err error
+	if stats.Records, err = s.scan(apply); err != nil {
+		return stats, err
 	}
 	store.CountReplayRecords(stats.Records)
 	return stats, nil
+}
+
+// scan decodes the log's validated prefix into apply and counts the
+// records delivered. Frames in that prefix were either checked at open
+// or written by this process, so damage here is reported as corruption
+// rather than skipped. An error from apply is returned verbatim.
+func (s *Store) scan(apply func(rec store.Record) error) (records int, err error) {
+	var applyErr error
+	good, torn, err := s.log.Scan(visitRecords(func(rec store.Record) error {
+		if applyErr = apply(rec); applyErr != nil {
+			return applyErr
+		}
+		records++
+		return nil
+	}))
+	switch {
+	case applyErr != nil:
+		return records, applyErr
+	case err != nil:
+		return records, wrapErr(err)
+	case torn:
+		return records, &store.CorruptError{Path: s.path, Offset: good, Reason: "damaged frame inside validated prefix"}
+	}
+	return records, nil
 }
 
 // Snapshot implements store.Store.
@@ -311,134 +189,38 @@ func (s *Store) Snapshot() ([]store.Record, error) {
 	return store.Fold(history), nil
 }
 
-// Compact implements store.Store: copy-on-write into a temporary file,
-// fsync, atomic rename. The lock is held throughout.
+// Compact implements store.Store: the canonical fold replaces the log
+// through the log's atomic rewrite. mu is held throughout, so no append
+// can land between reading the history and replacing it.
 func (s *Store) Compact() error {
 	return store.TimeCompact(func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.closed {
-			return store.ErrClosed
-		}
-		history, err := s.scanLocked()
-		if err != nil {
+		var history []store.Record
+		if _, err := s.scan(func(rec store.Record) error {
+			history = append(history, rec)
+			return nil
+		}); err != nil {
 			return err
 		}
-		tmpPath := s.path + ".compact"
-		tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		defer os.Remove(tmpPath) // no-op after the rename succeeds
-		var hdr [headerSize]byte
-		copy(hdr[:], store.BoltMagic)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(store.RecordVersion))
-		w := bufio.NewWriter(tmp)
-		size := int64(headerSize)
-		if _, err := w.Write(hdr[:]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		live := make(map[string]bool)
 		canonical := store.Fold(history)
-		for _, rec := range canonical {
+		payloads := make([][]byte, len(canonical))
+		live := make(map[string]bool)
+		for i, rec := range canonical {
 			payload, err := store.EncodeRecord(rec)
 			if err != nil {
-				tmp.Close()
 				return err
 			}
-			var fh [frameHeader]byte
-			binary.LittleEndian.PutUint32(fh[:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(fh[4:], crc32.ChecksumIEEE(payload))
-			if _, err := w.Write(fh[:]); err != nil {
-				tmp.Close()
-				return fmt.Errorf("boltlike: compact: %w", err)
-			}
-			if _, err := w.Write(payload); err != nil {
-				tmp.Close()
-				return fmt.Errorf("boltlike: compact: %w", err)
-			}
-			size += frameHeader + int64(len(payload))
-			if rec.Op == store.OpRegister && rec.Name != "" {
-				live[rec.Name] = true
-			}
+			payloads[i] = payload
+			applyKeydir(live, rec)
 		}
-		if err := w.Flush(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("boltlike: compact: %w", err)
+		if err := s.log.Rewrite(payloads); err != nil {
+			return wrapErr(err)
 		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		if err := os.Rename(tmpPath, s.path); err != nil {
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		if err := syncDir(s.path); err != nil {
-			return err
-		}
-		old := s.f
-		f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("boltlike: compact: reopening: %w", err)
-		}
-		if _, err := f.Seek(size, io.SeekStart); err != nil {
-			f.Close()
-			return fmt.Errorf("boltlike: compact: %w", err)
-		}
-		if err := old.Close(); err != nil {
-			f.Close()
-			return fmt.Errorf("boltlike: compact: closing old handle: %w", err)
-		}
-		s.f = f
-		s.size = size
 		s.pending = 0
-		s.tornTail = false
 		s.live = live
 		return nil
 	})
-}
-
-// scanLocked reads the current history (mu held) through an independent
-// handle.
-func (s *Store) scanLocked() ([]store.Record, error) {
-	rf, err := os.Open(s.path)
-	if err != nil {
-		return nil, fmt.Errorf("boltlike: %w", err)
-	}
-	defer rf.Close()
-	if _, err := rf.Seek(headerSize, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("boltlike: %w", err)
-	}
-	r := bufio.NewReader(io.LimitReader(rf, s.size-headerSize))
-	var history []store.Record
-	for {
-		rec, frameLen, ok, err := readFrame(r)
-		if err != nil {
-			return nil, fmt.Errorf("boltlike: %w", err)
-		}
-		if !ok || frameLen == 0 {
-			break
-		}
-		history = append(history, rec)
-	}
-	return history, nil
-}
-
-// syncDir fsyncs the directory containing path, making a rename durable.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("boltlike: syncing directory: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("boltlike: syncing directory: %w", err)
-	}
-	return nil
 }
 
 // Close implements store.Store: outstanding appends are synced, then the
@@ -446,18 +228,15 @@ func syncDir(path string) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
 	var syncErr error
 	if s.pending > 0 {
-		if syncErr = s.f.Sync(); syncErr == nil {
+		s.pending = 0
+		if syncErr = s.log.Sync(); syncErr == nil {
 			store.CountSync()
 		}
 	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("boltlike: close: %w", err)
+	if err := s.log.Close(); err != nil {
+		return wrapErr(err)
 	}
 	if syncErr != nil {
 		return fmt.Errorf("boltlike: close: %w", syncErr)
@@ -467,15 +246,7 @@ func (s *Store) Close() error {
 
 // Healthy implements store.Prober.
 func (s *Store) Healthy() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return store.ErrClosed
-	}
-	if _, err := s.f.Stat(); err != nil {
-		return fmt.Errorf("boltlike: %w", err)
-	}
-	return nil
+	return wrapErr(s.log.Healthy())
 }
 
 var _ store.Store = (*Store)(nil)

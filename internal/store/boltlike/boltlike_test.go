@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sariadne/internal/store"
@@ -100,16 +101,31 @@ func TestCRCCorruptionScanStop(t *testing.T) {
 }
 
 // TestBadMagicRefuses pins the refusal contract: a file that is not ours
-// must not be silently overwritten.
+// — a foreign binary, or a JSON-lines journal from an earlier release —
+// is refused with a CorruptError that names the import path, and is not
+// modified: no header rewrite, no truncation.
 func TestBadMagicRefuses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "other.bin")
-	if err := os.WriteFile(path, []byte("GIF89a...definitely not a store"), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	_, err := boltlike.Open(path, store.Options{})
-	var corrupt *store.CorruptError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("open = %v, want CorruptError", err)
+	for name, content := range map[string]string{
+		"other.bin":    "GIF89a...definitely not a store",
+		"legacy.jsonl": `{"op":"register","doc":"<service name=\"a\"/>"}` + "\n" + `{"op":"regi`,
+		"v2.jsonl":     `{"format":"sdp-store","v":2}` + "\n",
+		"short":        "hi",
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_, err := boltlike.Open(path, store.Options{})
+		var corrupt *store.CorruptError
+		if !errors.As(err, &corrupt) {
+			t.Fatalf("%s: open = %v, want CorruptError", name, err)
+		}
+		if !strings.Contains(err.Error(), "-migrate-store") {
+			t.Fatalf("%s: refusal does not name the import path: %v", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != content {
+			t.Fatalf("%s: refused file was modified: %q", name, after)
+		}
 	}
 }
 
@@ -165,5 +181,50 @@ func TestKeydir(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	if n := s.LiveServices(); n != 1 {
 		t.Fatalf("LiveServices after reopen = %d, want 1", n)
+	}
+}
+
+// TestGroupedSyncRegression pins the grouped-fsync contract: with
+// SyncEvery=N a clean close loses nothing, whatever was still pending.
+func TestGroupedSyncRegression(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grouped.bolt")
+	s, err := boltlike.Open(path, store.Options{SyncEvery: 4})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var want []store.Record
+	for i := 0; i < 10; i++ { // 10 appends: 2 full groups + 2 pending at close
+		rec := store.Record{Op: store.OpRegister, Name: strings.Repeat("x", i+1), Doc: "<service/>", Version: 1}
+		if err := s.Append(rec); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		want = append(want, rec)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	s, err = boltlike.Open(path, store.Options{SyncEvery: 4})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = s.Close() }()
+	var got []store.Record
+	stats, err := s.Replay(func(rec store.Record) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if stats.TornTail {
+		t.Fatal("clean close reported a torn tail")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("clean close lost records: replayed %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -83,8 +83,9 @@ func DecodeRecord(data []byte) (Record, error) {
 	return Record{Op: w.Op, Doc: w.Doc, Name: w.Name, Version: w.Ver, Tenant: w.Tenant}, nil
 }
 
-// fileHeader is the first line of a v2 JSON-lines store file. The format
-// tag keeps Detect honest; the version gates decoding.
+// fileHeader is the first line of a v2 JSON-lines store file, as earlier
+// releases wrote it: the format tag identifies the line, the version
+// gates decoding.
 type fileHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"v"`
@@ -92,17 +93,6 @@ type fileHeader struct {
 
 // FileFormat is the format tag in the JSON-lines store header.
 const FileFormat = "sdp-store"
-
-// EncodeFileHeader renders the header line (without trailing newline)
-// for a freshly created JSON-lines store.
-func EncodeFileHeader() []byte {
-	data, err := json.Marshal(fileHeader{Format: FileFormat, Version: RecordVersion})
-	if err != nil {
-		// Marshal of a two-field struct cannot fail.
-		panic(err)
-	}
-	return data
-}
 
 // DecodeFileHeader reports whether line is a store file header and, if
 // so, whether its version is supported.

@@ -1,29 +1,24 @@
 package store_test
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
-	"sariadne/internal/store/filestore"
 	"sariadne/internal/store/memstore"
 )
 
 // openAll returns one fresh store per backend, closed via t.Cleanup.
 func openAll(t *testing.T) map[string]store.Store {
 	t.Helper()
-	dir := t.TempDir()
-	fs, err := filestore.Open(filepath.Join(dir, "s.jsonl"), store.Options{})
-	if err != nil {
-		t.Fatalf("filestore: %v", err)
-	}
-	bs, err := boltlike.Open(filepath.Join(dir, "s.bolt"), store.Options{})
+	bs, err := boltlike.Open(filepath.Join(t.TempDir(), "s.bolt"), store.Options{})
 	if err != nil {
 		t.Fatalf("boltlike: %v", err)
 	}
-	all := map[string]store.Store{"mem": memstore.New(), "jsonl": fs, "bolt": bs}
+	all := map[string]store.Store{"mem": memstore.New(), "bolt": bs}
 	t.Cleanup(func() {
 		for _, s := range all {
 			_ = s.Close()
@@ -33,8 +28,9 @@ func openAll(t *testing.T) map[string]store.Store {
 }
 
 // TestCrossBackendReplayEquivalence is the interchangeability contract:
-// the same history appended to every backend replays and snapshots
-// identically, so `sdpd -store` is a pure deployment choice.
+// the same history appended to the durable engine and to the in-memory
+// fake replays and snapshots identically, so tests over memstore speak
+// for the daemon.
 func TestCrossBackendReplayEquivalence(t *testing.T) {
 	history := []store.Record{
 		{Op: store.OpAddOntology, Doc: `<ontology uri="u1"/>`},
@@ -79,9 +75,9 @@ func TestCrossBackendReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestMigrateBetweenBackends moves a history through every ordered pair
-// of backends: the destination must hold exactly the folded source
-// state.
+// TestMigrateBetweenBackends imports a headered v2 JSON-lines history
+// (the v1 dialect is the golden test's) into each backend: the
+// destination must hold exactly the folded source state.
 func TestMigrateBetweenBackends(t *testing.T) {
 	history := []store.Record{
 		{Op: store.OpAddOntology, Doc: `<ontology uri="u1"/>`},
@@ -90,51 +86,45 @@ func TestMigrateBetweenBackends(t *testing.T) {
 		{Op: store.OpDeregister, Name: "gone"},
 	}
 	want := store.Fold(history)
-	for _, srcKind := range []string{"mem", "jsonl", "bolt"} {
-		for _, dstKind := range []string{"mem", "jsonl", "bolt"} {
-			if srcKind == dstKind {
-				continue
-			}
-			t.Run(srcKind+"_to_"+dstKind, func(t *testing.T) {
-				all := openAll(t)
-				src, dst := all[srcKind], all[dstKind]
-				for i, rec := range history {
-					if err := src.Append(rec); err != nil {
-						t.Fatalf("append %d: %v", i, err)
-					}
-				}
-				stats, err := store.Migrate(src, dst)
-				if err != nil {
-					t.Fatalf("migrate: %v", err)
-				}
-				if stats.Replayed != len(history) || stats.Live != len(want) {
-					t.Fatalf("stats = %+v, want %d replayed / %d live", stats, len(history), len(want))
-				}
-				var got []store.Record
-				if _, err := dst.Replay(func(rec store.Record) error {
-					got = append(got, rec)
-					return nil
-				}); err != nil {
-					t.Fatalf("destination replay: %v", err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("destination holds %+v, want %+v", got, want)
-				}
-			})
+	journal := []byte(`{"format":"sdp-store","v":2}` + "\n")
+	for _, rec := range history {
+		line, err := store.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		journal = append(append(journal, line...), '\n')
+	}
+	for _, dstKind := range []string{"mem", "bolt"} {
+		t.Run("jsonl_to_"+dstKind, func(t *testing.T) {
+			dst := openAll(t)[dstKind]
+			stats, err := store.Import(bytes.NewReader(journal), dst)
+			if err != nil {
+				t.Fatalf("import: %v", err)
+			}
+			if stats.Replayed != len(history) || stats.Live != len(want) {
+				t.Fatalf("stats = %+v, want %d replayed / %d live", stats, len(history), len(want))
+			}
+			var got []store.Record
+			if _, err := dst.Replay(func(rec store.Record) error {
+				got = append(got, rec)
+				return nil
+			}); err != nil {
+				t.Fatalf("destination replay: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("destination holds %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 
 func TestMigrateRefusesNonEmptyDestination(t *testing.T) {
-	all := openAll(t)
-	src, dst := all["mem"], all["jsonl"]
-	if err := src.Append(store.Record{Op: store.OpRegister, Name: "a", Doc: `<service name="a"/>`, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
+	dst := openAll(t)["bolt"]
 	if err := dst.Append(store.Record{Op: store.OpRegister, Name: "b", Doc: `<service name="b"/>`, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Migrate(src, dst); err != store.ErrDestinationNotEmpty {
-		t.Fatalf("migrate into non-empty destination = %v, want ErrDestinationNotEmpty", err)
+	src := []byte(`{"op":"register","doc":"<service name=\"a\"/>"}` + "\n")
+	if _, err := store.Import(bytes.NewReader(src), dst); err != store.ErrDestinationNotEmpty {
+		t.Fatalf("import into non-empty destination = %v, want ErrDestinationNotEmpty", err)
 	}
 }

@@ -1,5 +1,5 @@
-// Package memstore is the in-memory storage backend: the same JSON-lines
-// log as filestore, kept in a byte buffer instead of a file. It exists
+// Package memstore is the in-memory storage backend: a JSON-lines log
+// (one codec-encoded record per line) kept in a byte buffer. It exists
 // for tests, sdpsim and ephemeral daemons (sdpd -store mem) — and because
 // it shares the real codec and a truncatable medium, it passes the full
 // conformance suite including the injected-truncation crash cases, so
@@ -65,8 +65,8 @@ func New() *Store {
 	return s
 }
 
-// Open starts a session over med, recovering from a torn tail the way
-// filestore does: the bytes after the last complete line are dropped.
+// Open starts a session over med, recovering from a torn tail: the bytes
+// after the last complete line are dropped.
 func Open(med *Medium) (*Store, error) {
 	s := &Store{med: med}
 	med.mu.Lock()
@@ -116,27 +116,16 @@ func (s *Store) snapshotBuf() ([]byte, error) {
 
 // Replay implements store.Store.
 func (s *Store) Replay(apply func(rec store.Record) error) (store.ReplayStats, error) {
-	var stats store.ReplayStats
 	buf, err := s.snapshotBuf()
 	if err != nil {
-		return stats, err
+		return store.ReplayStats{}, err
 	}
+	stats, err := store.ReadLines(bytes.NewReader(buf), apply)
 	s.mu.Lock()
 	stats.TornTail = s.tornTail
 	s.mu.Unlock()
-	for _, line := range bytes.Split(buf, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := store.DecodeRecord(line)
-		if err != nil {
-			stats.Skipped++
-			continue
-		}
-		if err := apply(rec); err != nil {
-			return stats, err
-		}
-		stats.Records++
+	if err != nil {
+		return stats, err
 	}
 	store.CountReplayRecords(stats.Records)
 	return stats, nil
@@ -167,15 +156,11 @@ func (s *Store) Compact() error {
 		s.med.mu.Lock()
 		defer s.med.mu.Unlock()
 		var history []store.Record
-		for _, line := range bytes.Split(s.med.buf, []byte{'\n'}) {
-			if len(line) == 0 {
-				continue
-			}
-			rec, err := store.DecodeRecord(line)
-			if err != nil {
-				continue // junk lines fold away
-			}
+		if _, err := store.ReadLines(bytes.NewReader(s.med.buf), func(rec store.Record) error {
 			history = append(history, rec)
+			return nil
+		}); err != nil {
+			return err
 		}
 		var buf []byte
 		for _, rec := range store.Fold(history) {

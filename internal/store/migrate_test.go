@@ -6,16 +6,16 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
-	"sariadne/internal/store/filestore"
 )
 
-var update = flag.Bool("update", false, "rewrite the migration golden files (and the v1 fixture)")
+var update = flag.Bool("update", false, "rewrite the migration golden file (and the v1 fixture)")
 
 // v1Entry reproduces the original journalEntry wire shape so the checked-
 // in fixture is byte-for-byte what an old sdpd wrote (including
@@ -115,27 +115,24 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// migrateFixture copies the v1 fixture to a scratch dir (opening mutates
-// the file: the torn tail is truncated), migrates it into dst, and
-// checks the migration stats.
+// migrateFixture imports the checked-in v1 fixture into dst and checks
+// the import stats. The source is only read: fixturePath already proved
+// the file matches its generator, and the import must leave it so.
 func migrateFixture(t *testing.T, dst store.Store) {
 	t.Helper()
-	data, err := os.ReadFile(fixturePath(t))
+	path := fixturePath(t)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcPath := filepath.Join(t.TempDir(), "v1.jsonl")
-	if err := os.WriteFile(srcPath, data, 0o644); err != nil {
+	src, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := filestore.Open(srcPath, store.Options{})
+	defer src.Close()
+	stats, err := store.Import(src, dst)
 	if err != nil {
-		t.Fatalf("opening v1 journal: %v", err)
-	}
-	defer func() { _ = src.Close() }()
-	stats, err := store.Migrate(src, dst)
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
+		t.Fatalf("import: %v", err)
 	}
 	// 5 good records, 1 junk line, 1 torn record; 2 ontologies + the one
 	// live service survive the fold.
@@ -143,15 +140,19 @@ func migrateFixture(t *testing.T, dst store.Store) {
 	if stats != want {
 		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("import modified its source (err %v)", err)
+	}
 }
 
-// TestMigrateV1GoldenJSONL is the journal→v2 upgrade path pinned to the
+// TestMigrateV1GoldenBolt is the journal→store upgrade path pinned to the
 // byte: the same v1 journal must always produce the identical canonical
-// v2 store.
-func TestMigrateV1GoldenJSONL(t *testing.T) {
+// store file — and the golden predates internal/framelog, so it also
+// pins that the rebuilt engine writes the format the old one did.
+func TestMigrateV1GoldenBolt(t *testing.T) {
 	run := func(t *testing.T) []byte {
-		dstPath := filepath.Join(t.TempDir(), "v2.jsonl")
-		dst, err := filestore.Open(dstPath, store.Options{})
+		dstPath := filepath.Join(t.TempDir(), "v2.bolt")
+		dst, err := boltlike.Open(dstPath, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,27 +167,62 @@ func TestMigrateV1GoldenJSONL(t *testing.T) {
 		return out
 	}
 	out := run(t)
-	checkGolden(t, "v2_migrated.golden.jsonl", out)
+	checkGolden(t, "v2_migrated.golden.bolt", out)
 	// Determinism: a second migration of the same journal is identical.
 	if again := run(t); !bytes.Equal(out, again) {
 		t.Fatal("two migrations of the same journal produced different bytes")
 	}
 }
 
-// TestMigrateV1GoldenBolt pins the same upgrade into the binary backend.
-func TestMigrateV1GoldenBolt(t *testing.T) {
-	dstPath := filepath.Join(t.TempDir(), "v2.bolt")
-	dst, err := boltlike.Open(dstPath, store.Options{})
+// collectLegacy reads a JSON-lines history into memory.
+func collectLegacy(t *testing.T, content string) ([]store.Record, store.ReplayStats) {
+	t.Helper()
+	var got []store.Record
+	stats, err := store.ReadLines(strings.NewReader(content), func(rec store.Record) error {
+		got = append(got, rec)
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ReadLines: %v", err)
 	}
-	migrateFixture(t, dst)
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
+	return got, stats
+}
+
+// TestTornTailPartialRecord pins the torn-tail behavior at the byte
+// level: a headered file ending in half a record reports the tear and
+// delivers only the complete records.
+func TestTornTailPartialRecord(t *testing.T) {
+	header := `{"format":"sdp-store","v":2}` + "\n"
+	whole := `{"v":2,"op":"register","doc":"<service name=\"a\"/>","name":"a","ver":1}` + "\n"
+	torn := `{"v":2,"op":"register","doc":"<service nam` // crash mid-write: no newline
+	got, stats := collectLegacy(t, header+whole+torn)
+	if !stats.TornTail {
+		t.Fatal("torn tail not reported")
 	}
-	out, err := os.ReadFile(dstPath)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 1 || got[0].Name != "a" || stats.Records != 1 || stats.Skipped != 0 {
+		t.Fatalf("read %v (%+v), want the one whole record", got, stats)
 	}
-	checkGolden(t, "v2_migrated.golden.bolt", out)
+}
+
+// TestLegacyJournalCompatibility proves a v1 journal (no header, HTML-
+// escaped docs, junk tolerated) still reads — the old journal_test
+// contract carried forward onto the import path.
+func TestLegacyJournalCompatibility(t *testing.T) {
+	lines := strings.Join([]string{
+		`{"op":"add-ontology","doc":"<ontology uri=\"u1\"/>"}`,
+		`not json at all`,
+		``,
+		`{"op":"register","doc":"<service name=\"legacy\"/>"}`,
+		`{"weird":"shape"}`, // decodes to no op: skipped
+	}, "\n") + "\n"
+	got, stats := collectLegacy(t, lines)
+	if stats.Records != 2 || stats.Skipped != 2 || stats.TornTail {
+		t.Fatalf("stats = %+v, want 2 records and 2 skipped", stats)
+	}
+	if got[0].Op != store.OpAddOntology || got[0].Doc != `<ontology uri="u1"/>` {
+		t.Fatalf("ontology record = %+v", got[0])
+	}
+	if got[1].Op != store.OpRegister || got[1].Doc != `<service name="legacy"/>` {
+		t.Fatalf("register record = %+v", got[1])
+	}
 }

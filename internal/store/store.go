@@ -1,22 +1,20 @@
-// Package store defines the pluggable persistence engine behind a
-// directory daemon: an append-only log of registry mutations that a
-// restarted sdpd replays to recover its advertisements, with snapshotting
-// and compaction so replay cost stops growing with history length.
+// Package store defines the persistence engine behind a directory
+// daemon: an append-only log of registry mutations that a restarted sdpd
+// replays to recover its advertisements, with snapshotting and
+// compaction so replay cost stops growing with history length.
 //
-// The contract is deliberately small — five methods — so backends stay
-// honest and interchangeable:
+// The contract is deliberately small — five methods — and has two
+// implementations:
 //
-//   - memstore: an in-memory byte log for tests, sdpsim and ephemeral
+//   - boltlike: the one durable engine (sdpd -state), an embedded
+//     log-structured store whose file format, crash recovery and atomic
+//     rewrite are internal/framelog's.
+//   - memstore: the in-memory fake for tests, sdpsim and ephemeral
 //     daemons (sdpd -store mem).
-//   - filestore: the JSON-lines journal, now with a schema-version
-//     header, torn-tail recovery and atomic compaction.
-//   - boltlike: an embedded log-structured binary store with per-record
-//     checksums for single-node production.
 //
-// Every backend must pass the same conformance suite
-// (internal/store/storetest), including crash recovery via injected
-// write truncation, so a future backend (SQL) is validated by
-// construction.
+// Both pass the same conformance suite (internal/store/storetest),
+// including crash recovery via injected write truncation. JSON-lines
+// journals written by earlier releases are import-only (jsonl.go).
 package store
 
 import (
@@ -57,8 +55,8 @@ type Record struct {
 type ReplayStats struct {
 	// Records is the number of decoded records delivered to the callback.
 	Records int
-	// Skipped counts complete but undecodable entries tolerated by
-	// lenient backends (legacy JSON-lines histories may contain junk).
+	// Skipped counts complete but undecodable entries tolerated by the
+	// lenient line readers (legacy JSON-lines histories may contain junk).
 	Skipped int
 	// TornTail reports that the history ended in an incomplete record — a
 	// crash mid-append — which the backend dropped on open. All complete
@@ -134,7 +132,7 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("store: record version %d newer than supported %d (migrate with a newer sdpd)", e.Got, e.Max)
 }
 
-// Options tunes durability behavior shared by the on-disk backends.
+// Options tunes the durability behavior of the on-disk engine.
 type Options struct {
 	// SyncEvery groups fsyncs: the file is synced once every N appends
 	// instead of on each one. 0 or 1 means per-entry sync (the default,

@@ -1,8 +1,8 @@
 package store_test
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -83,38 +83,41 @@ func TestOptionsInterval(t *testing.T) {
 	}
 }
 
+// TestDetect pins what the import reader makes of each kind of file an
+// operator can hand to -migrate-store: both JSON-lines dialects are
+// recognized (the v2 header is not a record), degenerate files are empty
+// histories, and a store that is already framed is refused.
 func TestDetect(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, data []byte) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
+	const v2Header = `{"format":"sdp-store","v":2}` + "\n"
+	const rec = `{"op":"register","doc":"x"}` + "\n"
 	cases := []struct {
-		name string
-		path string
-		want store.Kind
+		name    string
+		content []byte
+		want    store.ReplayStats
+		wantErr error
 	}{
-		{"missing file", filepath.Join(dir, "absent"), store.KindJSONL},
-		{"empty file", write("empty", nil), store.KindJSONL},
-		{"bolt store", write("bolt", append(append([]byte(nil), store.BoltMagic...), 0, 0, 0, 2)), store.KindBolt},
-		{"v2 jsonl", write("v2", append(store.EncodeFileHeader(), '\n')), store.KindJSONL},
-		{"v1 journal", write("v1", []byte(`{"op":"register","doc":"x"}`+"\n")), store.KindJSONL},
-		{"short non-magic", write("short", []byte("hi")), store.KindJSONL},
+		{"empty file", nil, store.ReplayStats{}, nil},
+		{"bolt store", append(append([]byte(nil), store.BoltMagic...), 0, 0, 0, 2), store.ReplayStats{}, store.ErrNotLegacy},
+		{"v2 jsonl", []byte(v2Header + rec), store.ReplayStats{Records: 1}, nil},
+		{"v1 journal", []byte(rec), store.ReplayStats{Records: 1}, nil},
+		{"short non-magic", []byte("hi"), store.ReplayStats{TornTail: true}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := store.Detect(tc.path)
-			if err != nil {
-				t.Fatalf("Detect: %v", err)
+			got, err := store.ReadLines(bytes.NewReader(tc.content), func(store.Record) error { return nil })
+			if err != tc.wantErr {
+				t.Fatalf("ReadLines error = %v, want %v", err, tc.wantErr)
 			}
 			if got != tc.want {
-				t.Fatalf("Detect = %q, want %q", got, tc.want)
+				t.Fatalf("ReadLines = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+	// A header from a newer schema is refused, not misread as a record.
+	_, err := store.ReadLines(bytes.NewReader([]byte(`{"format":"sdp-store","v":99}`+"\n"+rec)), func(store.Record) error { return nil })
+	var ver *store.VersionError
+	if !errors.As(err, &ver) {
+		t.Fatalf("future-version header = %v, want VersionError", err)
 	}
 }
 

@@ -4,13 +4,11 @@ package telemetry
 // so GET /timeseries serves hours of history that survives restarts
 // instead of a RAM ring that dies with the process.
 //
-// The format follows internal/store's framing discipline scaled down to
-// telemetry's needs: each segment file opens with a magic+version header
-// and then carries length-prefixed CRC32-framed records; a torn tail
-// (crash mid-write) is detected at open and truncated away rather than
-// poisoning reads; records carry their own version field so future
-// readers can skip shapes they do not understand. Unlike the service
-// store the journal is a ring at file granularity — when the active
+// Each segment file is one internal/framelog log — the same CRC-framed
+// format, torn-tail recovery and append path the service store runs on —
+// opened by a magic+version header; records carry their own version
+// field so future readers can skip shapes they do not understand. What
+// this file adds is the ring at file granularity: when the active
 // segment passes the size bound a new one starts, and the oldest segment
 // is deleted once the directory exceeds its segment budget. Losing the
 // oldest telemetry is the design, not a failure: the journal bounds disk
@@ -22,12 +20,9 @@ package telemetry
 // tools that want everything.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sariadne/internal/framelog"
 )
 
 // JournalVersion is the record version this code writes. Readers accept
@@ -44,7 +41,7 @@ const JournalVersion = 1
 // journalMagic opens every segment file: format name plus format
 // revision, so a foreign or corrupted file is rejected before any frame
 // is parsed.
-var journalMagic = [8]byte{'s', 'd', 'p', 't', 'j', 'n', 'l', 1}
+var journalMagic = []byte{'s', 'd', 'p', 't', 'j', 'n', 'l', 1}
 
 // journalSuffix names segment files: <seq>.tjseg with a fixed-width
 // decimal sequence so lexical order is creation order.
@@ -173,13 +170,13 @@ type Journal struct {
 	opts JournalOptions
 
 	mu       sync.Mutex
-	f        *os.File // active segment, opened for append
-	seq      uint64   // active segment sequence number
-	size     int64    // active segment size including header
-	segments []uint64 // existing segment sequences, ascending (incl. active)
-	cache    []JournalSample
-	tornTail bool
-	closed   bool
+	active   *framelog.Log   // newest segment, open for append, guarded by mu
+	seq      uint64          // active segment sequence number, guarded by mu
+	segments []uint64        // existing segment sequences, ascending (incl. active), guarded by mu
+	sealed   int64           // total bytes of the non-active segments, guarded by mu
+	cache    []JournalSample // guarded by mu
+	tornTail bool            // guarded by mu
+	closed   bool            // guarded by mu
 }
 
 // ErrJournalClosed is returned by appends after Close.
@@ -194,17 +191,20 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{dir: dir, opts: opts}
-	if err := j.recover(); err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.recoverLocked(); err != nil {
 		return nil, err
 	}
-	journalSegments.Set(int64(len(j.segments)))
-	journalSizeBytes.Set(j.diskSize())
+	j.publishSizeLocked()
 	return j, nil
 }
 
-// recover lists segments, replays them oldest-first into the cache, and
-// opens the newest for append after truncating any torn tail.
-func (j *Journal) recover() error {
+// recoverLocked lists segments, replays them oldest-first into the cache,
+// and opens the newest for append. Only that one is ever mid-write, so
+// only it is repaired; a torn older segment is counted and read up to
+// its tear, its bytes left as they are.
+func (j *Journal) recoverLocked() error {
 	ents, err := os.ReadDir(j.dir)
 	if err != nil {
 		return err
@@ -221,149 +221,138 @@ func (j *Journal) recover() error {
 		j.segments = append(j.segments, seq)
 	}
 	sort.Slice(j.segments, func(a, b int) bool { return j.segments[a] < j.segments[b] })
-
-	for i, seq := range j.segments {
-		last := i == len(j.segments)-1
-		samples, good, torn, err := scanSegment(j.segmentPath(seq))
-		if err != nil {
-			return err
-		}
-		if torn {
-			j.tornTail = true
-			journalTornTailsTotal.Inc()
-			if last {
-				// Only the active segment is ever mid-write; chop the
-				// torn frame so the next append lands on a clean edge.
-				if err := truncateSegment(j.segmentPath(seq), good); err != nil {
-					return err
-				}
-			}
-		}
-		for _, s := range samples {
-			j.cacheAdd(s)
-		}
-		if last {
-			j.seq, j.size = seq, good
-		}
-	}
-
 	if len(j.segments) == 0 {
-		return j.startSegment(1)
+		j.segments = []uint64{1}
 	}
-	if j.size < int64(len(journalMagic)) {
-		// The crash landed before the active segment's header sync;
-		// rewrite the header so appends land in a well-formed file.
-		f, err := os.OpenFile(j.segmentPath(j.seq), os.O_WRONLY|os.O_TRUNC, 0o644)
+
+	visit := visitSamples(func(s JournalSample) error {
+		j.cacheAddLocked(s)
+		return nil
+	})
+	last := len(j.segments) - 1
+	for _, seq := range j.segments[:last] {
+		_, torn, err := framelog.Scan(j.segmentPath(seq), journalMagic, visit)
+		if err != nil {
+			return journalErr(err)
+		}
+		fi, err := os.Stat(j.segmentPath(seq))
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(journalMagic[:]); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		j.f = f
-		j.size = int64(len(journalMagic))
-		return nil
+		j.sealed += fi.Size()
+		j.noteTornLocked(torn)
 	}
-	f, err := os.OpenFile(j.segmentPath(j.seq), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
+	j.seq = j.segments[last]
+	if j.active, err = framelog.Open(j.segmentPath(j.seq), journalMagic, visit); err != nil {
+		return journalErr(err)
 	}
-	j.f = f
+	j.noteTornLocked(j.active.Torn())
 	return nil
 }
 
-// startSegment creates and headers a fresh active segment.
-func (j *Journal) startSegment(seq uint64) error {
-	f, err := os.OpenFile(j.segmentPath(seq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
+// visitSamples adapts a sample callback to a frame visitor. A frame that
+// is intact but undecodable (newer version, malformed JSON) ends its
+// segment like a torn tail, so old readers degrade safely.
+func visitSamples(fn func(JournalSample) error) func(payload []byte) error {
+	return func(payload []byte) error {
+		s, err := DecodeJournalSample(payload)
+		if err != nil {
+			return framelog.ErrBadFrame
+		}
+		return fn(s)
 	}
-	if _, err := f.Write(journalMagic[:]); err != nil {
-		f.Close()
-		return err
+}
+
+// noteTornLocked records one recovered segment's torn tail.
+func (j *Journal) noteTornLocked(torn bool) {
+	if torn {
+		j.tornTail = true
+		journalTornTailsTotal.Inc()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+}
+
+// journalErr names the journal in a segment's refusal: a wrong-magic
+// file is a hard error, never truncated (it is not ours).
+func journalErr(err error) error {
+	var hdr *framelog.HeaderError
+	if errors.As(err, &hdr) {
+		return fmt.Errorf("telemetry journal: %s: bad segment magic", hdr.Path)
 	}
-	j.f = f
-	j.seq = seq
-	j.size = int64(len(journalMagic))
-	j.segments = append(j.segments, seq)
-	return nil
+	return err
+}
+
+// publishSizeLocked refreshes the segment-count and size gauges from the
+// running totals, so no append has to stat the directory.
+func (j *Journal) publishSizeLocked() {
+	journalSegments.Set(int64(len(j.segments)))
+	journalSizeBytes.Set(j.sealed + j.active.Size())
 }
 
 func (j *Journal) segmentPath(seq uint64) string {
 	return filepath.Join(j.dir, fmt.Sprintf("%012d%s", seq, journalSuffix))
 }
 
-// Append frames and persists one sample, rotating and pruning segments
-// as the size bounds require, and feeds the in-memory tail.
+// Append persists one sample (fsynced before returning), rotating and
+// pruning segments as the size bounds require, and feeds the in-memory
+// tail.
 func (j *Journal) Append(s JournalSample) error {
 	start := time.Now()
 	payload, err := EncodeJournalSample(s)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrJournalClosed
 	}
-	if j.size >= j.opts.MaxSegmentBytes {
+	if j.active.Size() >= j.opts.MaxSegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if err := j.active.Append(payload, true); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.size += int64(len(frame))
-	j.cacheAdd(s)
+	j.cacheAddLocked(s)
 	journalAppendsTotal.Inc()
 	journalAppendSeconds.ObserveSince(start)
-	journalSizeBytes.Set(j.diskSizeLocked())
+	j.publishSizeLocked()
 	return nil
 }
 
-// rotateLocked closes the active segment, starts the next one, and
-// prunes the oldest segments past the budget. Caller holds j.mu.
+// rotateLocked seals the active segment, starts the next one, and prunes
+// the oldest segments past the budget.
 func (j *Journal) rotateLocked() error {
-	if err := j.f.Close(); err != nil {
+	next, err := framelog.Open(j.segmentPath(j.seq+1), journalMagic, nil)
+	if err != nil {
 		return err
 	}
-	if err := j.startSegment(j.seq + 1); err != nil {
+	if err := j.active.Close(); err != nil {
+		_ = next.Close() // the failed seal is the diagnosis
 		return err
 	}
+	j.sealed += j.active.Size()
+	j.active = next
+	j.seq++
+	j.segments = append(j.segments, j.seq)
 	journalRotationsTotal.Inc()
 	for len(j.segments) > j.opts.MaxSegments {
-		oldest := j.segments[0]
-		if err := os.Remove(j.segmentPath(oldest)); err != nil && !os.IsNotExist(err) {
+		oldest := j.segmentPath(j.segments[0])
+		if fi, err := os.Stat(oldest); err == nil {
+			j.sealed -= fi.Size()
+		}
+		if err := os.Remove(oldest); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 		j.segments = j.segments[1:]
 		journalDroppedSegmentsTotal.Inc()
 	}
-	journalSegments.Set(int64(len(j.segments)))
 	return nil
 }
 
-// cacheAdd appends to the bounded in-memory tail. Caller holds j.mu (or
-// is single-threaded recovery).
-func (j *Journal) cacheAdd(s JournalSample) {
+// cacheAddLocked appends to the bounded in-memory tail.
+func (j *Journal) cacheAddLocked(s JournalSample) {
 	j.cache = append(j.cache, s)
 	if over := len(j.cache) - j.opts.CacheSamples; over > 0 {
 		j.cache = append(j.cache[:0], j.cache[over:]...)
@@ -403,14 +392,8 @@ func (j *Journal) Replay(fn func(JournalSample) error) error {
 	segs := append([]uint64(nil), j.segments...)
 	j.mu.Unlock()
 	for _, seq := range segs {
-		samples, _, _, err := scanSegment(j.segmentPath(seq))
-		if err != nil {
-			return err
-		}
-		for _, s := range samples {
-			if err := fn(s); err != nil {
-				return err
-			}
+		if _, _, err := framelog.Scan(j.segmentPath(seq), journalMagic, visitSamples(fn)); err != nil {
+			return journalErr(err)
 		}
 	}
 	return nil
@@ -425,99 +408,11 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
+	if err := j.active.Sync(); err != nil {
+		_ = j.active.Close() // the failed sync is the diagnosis
 		return err
 	}
-	return j.f.Close()
-}
-
-// diskSize sums segment sizes; diskSizeLocked is the under-lock variant.
-func (j *Journal) diskSize() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.diskSizeLocked()
-}
-
-func (j *Journal) diskSizeLocked() int64 {
-	var total int64
-	for _, seq := range j.segments {
-		if fi, err := os.Stat(j.segmentPath(seq)); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
-
-// scanSegment reads one segment, returning its decodable samples, the
-// byte offset of the last clean frame edge, and whether the file ends in
-// a torn or corrupt frame. A missing/short header counts as torn at
-// offset 0 with no samples; a wrong-magic header is a hard error (the
-// file is not ours to truncate).
-func scanSegment(path string) (samples []JournalSample, good int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	defer f.Close()
-
-	var hdr [8]byte
-	n, err := io.ReadFull(f, hdr[:])
-	if err != nil {
-		// Shorter than a header: a crash before the header sync landed.
-		return nil, 0, n > 0 || err != io.EOF, nil
-	}
-	if hdr != journalMagic {
-		return nil, 0, false, fmt.Errorf("telemetry journal: %s: bad segment magic", path)
-	}
-	good = int64(len(hdr))
-
-	var lenCrc [8]byte
-	for {
-		if _, err := io.ReadFull(f, lenCrc[:]); err != nil {
-			if err == io.EOF {
-				return samples, good, false, nil // clean end
-			}
-			return samples, good, true, nil // partial frame header
-		}
-		plen := binary.LittleEndian.Uint32(lenCrc[0:4])
-		want := binary.LittleEndian.Uint32(lenCrc[4:8])
-		if plen == 0 || plen > 64<<20 {
-			return samples, good, true, nil // garbage length
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return samples, good, true, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return samples, good, true, nil // bit rot or torn rewrite
-		}
-		s, err := DecodeJournalSample(payload)
-		if err != nil {
-			// Framed but undecodable (newer version, malformed JSON):
-			// stop here like a torn tail so old readers degrade safely.
-			return samples, good, true, nil
-		}
-		samples = append(samples, s)
-		good += int64(len(lenCrc)) + int64(plen)
-	}
-}
-
-// truncateSegment chops path to size and syncs, discarding a torn tail.
-func truncateSegment(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return j.active.Close()
 }
 
 // Journal instruments, registered at package init like every metric.

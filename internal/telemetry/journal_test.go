@@ -1,11 +1,12 @@
 package telemetry
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -104,14 +105,26 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestJournalTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
+// twoSegmentJournal writes three samples into each of two segments and
+// returns the closed journal's directory, segment paths and options.
+// (Frame-level damage — every truncation point, every bit flip — is
+// internal/framelog's crash table; the tests here cover what the journal
+// adds: which segment gets repaired, and what a tear costs in history.)
+func twoSegmentJournal(t *testing.T) (dir string, segs [2]string, opts JournalOptions, base time.Time) {
+	t.Helper()
+	dir = t.TempDir()
+	base = time.Now().Add(-time.Minute)
+	one, err := EncodeJournalSample(sampleAt(base, "x_total", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now().Add(-time.Minute)
-	for i := 0; i < 5; i++ {
+	// Rotate once the segment holds three frames.
+	opts = JournalOptions{MaxSegmentBytes: int64(len(journalMagic) + 3*(8+len(one)))}
+	j, err := OpenJournal(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
 		if err := j.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -119,94 +132,172 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	segs = [2]string{filepath.Join(dir, "000000000001.tjseg"), filepath.Join(dir, "000000000002.tjseg")}
+	for _, seg := range segs {
+		if _, err := os.Stat(seg); err != nil {
+			t.Fatalf("expected two segments: %v", err)
+		}
+	}
+	return dir, segs, opts, base
+}
 
-	// Crash simulation: append half a frame to the active segment.
-	seg := filepath.Join(dir, "000000000001.tjseg")
-	fi, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
+// TestJournalTruncatesTornTail: a crash leaves half a frame at the end of
+// both segments. Both tears are counted; only the active segment — the
+// one appends go to — is cut back, and it takes appends on the clean
+// edge. The older segment's bytes stay as they are.
+func TestJournalTruncatesTornTail(t *testing.T) {
+	dir, segs, opts, base := twoSegmentJournal(t)
+	var sizes [2]int64
+	for i, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = fi.Size()
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A frame header promising 500 payload bytes, then three of them.
+		if _, err := f.Write([]byte{0xf4, 0x01, 0, 0, 1, 2, 3, 4, 'x', 'y', 'z'}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var torn [12]byte
-	binary.LittleEndian.PutUint32(torn[0:4], 500) // promises 500 payload bytes
-	binary.LittleEndian.PutUint32(torn[4:8], crc32.ChecksumIEEE([]byte("x")))
-	if _, err := f.Write(torn[:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
-	j2, err := OpenJournal(dir, JournalOptions{})
+	tornBefore := journalTornTailsTotal.Value()
+	j2, err := OpenJournal(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = j2.Close() }()
 	if !j2.TornTail() {
-		t.Fatal("reopen over a half-written frame did not report a torn tail")
+		t.Fatal("reopen over half-written frames did not report a torn tail")
 	}
-	if got := len(j2.History()); got != 5 {
-		t.Fatalf("History after torn-tail recovery = %d samples, want 5", got)
+	if got := journalTornTailsTotal.Value() - tornBefore; got != 2 {
+		t.Fatalf("torn tails counted = %d, want one per damaged segment", got)
 	}
-	if fi2, err := os.Stat(seg); err != nil || fi2.Size() != fi.Size() {
-		t.Fatalf("segment size after truncation = %v (err %v), want %d", fi2.Size(), err, fi.Size())
+	if got := len(j2.History()); got != 6 {
+		t.Fatalf("History after torn-tail recovery = %d samples, want 6", got)
+	}
+	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != sizes[0]+11 {
+		t.Fatalf("non-active segment was modified: size %d, want %d", fi.Size(), sizes[0]+11)
+	}
+	if fi, err := os.Stat(segs[1]); err != nil || fi.Size() != sizes[1] {
+		t.Fatalf("active segment after truncation = %d bytes, want %d", fi.Size(), sizes[1])
 	}
 	// The journal must accept appends on the cleaned edge and read them
 	// back after another reopen.
-	if err := j2.Append(sampleAt(base.Add(time.Minute), "x_total", 5)); err != nil {
+	if err := j2.Append(sampleAt(base.Add(time.Minute), "x_total", 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j3, err := OpenJournal(dir, JournalOptions{})
+	j3, err := OpenJournal(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = j3.Close() }()
-	if got := len(j3.History()); got != 6 {
-		t.Fatalf("History after post-recovery append = %d samples, want 6", got)
+	if got := len(j3.History()); got != 7 {
+		t.Fatalf("History after post-recovery append = %d samples, want 7", got)
 	}
 }
 
+// TestJournalCorruptPayloadStopsSegment: bit rot in the middle of an
+// older segment costs that segment's remaining frames and nothing else —
+// the segments after it still load, and the damaged file is left alone.
 func TestJournalCorruptPayloadStopsSegment(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
+	dir, segs, opts, _ := twoSegmentJournal(t)
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now().Add(-time.Minute)
-	for i := 0; i < 3; i++ {
-		if err := j.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	frame := (len(data) - len(journalMagic)) / 3
+	data[len(journalMagic)+frame+8+2] ^= 0xFF // inside the second frame's payload
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Flip one payload byte of the last frame: CRC must catch it.
-	seg := filepath.Join(dir, "000000000001.tjseg")
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0xFF
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(dir, JournalOptions{})
+	j2, err := OpenJournal(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = j2.Close() }()
 	if !j2.TornTail() {
-		t.Fatal("bit flip in the tail frame went undetected")
+		t.Fatal("bit flip in an older segment went undetected")
 	}
-	if got := len(j2.History()); got != 2 {
-		t.Fatalf("History after corrupt tail = %d samples, want 2", got)
+	hist := j2.History()
+	var values []float64
+	for _, s := range hist {
+		m, _ := s.Metric("x_total")
+		values = append(values, m.Value)
+	}
+	if want := []float64{0, 3, 4, 5}; !reflect.DeepEqual(values, want) {
+		t.Fatalf("History after mid-segment corruption = %v, want %v", values, want)
+	}
+	if after, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(after, data) {
+		t.Fatal("the damaged non-active segment was rewritten")
+	}
+	// Replay reads disk the same way.
+	n := 0
+	if err := j2.Replay(func(JournalSample) error { n++; return nil }); err != nil || n != 4 {
+		t.Fatalf("Replay = %d samples (err %v), want 4", n, err)
+	}
+}
+
+// TestJournalForeignSegmentRefused: a .tjseg file that does not carry the
+// journal magic is a hard error and is never truncated.
+func TestJournalForeignSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "000000000001.tjseg")
+	content := []byte("not a telemetry journal segment")
+	if err := os.WriteFile(seg, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(dir, JournalOptions{}); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
+		t.Fatalf("OpenJournal over a foreign segment = %v", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, content) {
+		t.Fatal("foreign segment was modified")
+	}
+}
+
+// TestJournalOpensParentSegment opens a segment written by the commit
+// before the journal moved onto internal/framelog: the on-disk format is
+// unchanged, so its full history loads and new appends extend it.
+func TestJournalOpensParentSegment(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_000000000001.tjseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "000000000001.tjseg")
+	if err := os.WriteFile(seg, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Close() }()
+	hist := j.History()
+	if j.TornTail() || len(hist) != 3 {
+		t.Fatalf("fixture history = %d samples (torn %v), want 3", len(hist), j.TornTail())
+	}
+	for i, s := range hist {
+		x, _ := s.Metric("x_total")
+		h, ok := s.Metric("h_seconds")
+		if want := time.UnixMilli(1700000000000 + int64(i)*5000); !s.Time.Equal(want) || x.Value != float64(i) ||
+			!ok || h.Count != uint64(i+1) || len(h.Buckets) != 2 {
+			t.Fatalf("fixture sample %d = %+v", i, s)
+		}
+	}
+	if err := j.Append(sampleAt(time.Now(), "x_total", 3)); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil || !bytes.HasPrefix(after, fixture) || len(after) == len(fixture) {
+		t.Fatalf("append did not extend the parent's bytes in place (err %v)", err)
 	}
 }
 
@@ -230,6 +321,22 @@ func TestJournalRotatesAndPrunes(t *testing.T) {
 	}
 	if len(ents) > 3 {
 		t.Fatalf("segment files = %d, want <= 3 after pruning", len(ents))
+	}
+	// The size gauge is kept as a running total; it must agree with the
+	// directory after rotations and prunes.
+	var onDisk int64
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if got := journalSizeBytes.Value(); got != onDisk {
+		t.Fatalf("telemetry_journal_size_bytes = %d, segment files sum to %d", got, onDisk)
+	}
+	if got := journalSegments.Value(); got != int64(len(ents)) {
+		t.Fatalf("telemetry_journal_segments = %d, %d files on disk", got, len(ents))
 	}
 	// The in-memory tail still holds everything within its own bound.
 	if got := len(j.History()); got != 12 {

@@ -28,9 +28,6 @@ func TestSampleRuntimePopulatesGauges(t *testing.T) {
 }
 
 func TestSampleRuntimeSeesGoroutineGrowth(t *testing.T) {
-	SampleRuntime()
-	before := runtimeGoroutines.Value()
-
 	stop := make(chan struct{})
 	defer close(stop)
 	const n = 50
@@ -45,8 +42,11 @@ func TestSampleRuntimeSeesGoroutineGrowth(t *testing.T) {
 		<-started
 	}
 	SampleRuntime()
-	if got := runtimeGoroutines.Value(); got < before+n {
-		t.Fatalf("runtime_goroutines = %d after leaking %d, want >= %d", got, n, before+n)
+	// No before/after delta: goroutines left by earlier tests may still be
+	// exiting (under -race they often are), so a baseline can shrink. The n
+	// parked here plus this one must all be counted.
+	if got := runtimeGoroutines.Value(); got < n+1 {
+		t.Fatalf("runtime_goroutines = %d after leaking %d, want >= %d", got, n, n+1)
 	}
 }
 
