@@ -660,31 +660,35 @@ func (s *server) process(datagram []byte) response {
 	}
 	switch req.Op {
 	case "register":
-		// Admission runs on the cheaply pre-parsed name BEFORE the backend
-		// sees the advertisement: a denied publish never enters the
-		// capability DAG, so the Bloom summary pushed to federation peers
-		// cannot leak it.
-		name, err := s.backend.ServiceName([]byte(req.Doc))
+		// One parse serves admission and the insert. Admission runs on the
+		// prepared advertisement's name BEFORE the backend stores it: a
+		// denied publish never enters the capability DAG, so the Bloom
+		// summary pushed to federation peers cannot leak it.
+		ad, err := s.backend.Prepare([]byte(req.Doc))
 		if err != nil {
 			return response{Error: err.Error(), Code: codeBadRequest}
 		}
+		name := ad.Name()
 		prior := s.adverts[name]
 		newService := prior == nil || !prior.Live
 		if err := s.gate.AdmitPublish(id, name, newService); err != nil {
 			return denialResponse(err)
 		}
-		if _, err := s.backend.Register([]byte(req.Doc)); err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
-		}
 		// The directory assigns the advertisement version: re-publishing a
 		// name supersedes the old version, which stays listable in the
 		// ledger. The assigned version is persisted with the record and
-		// returned to the publisher.
-		version := s.recordAdvertLocked(name, req.Doc, 0)
+		// returned to the publisher. Persist comes before every in-memory
+		// change, so a failed append leaves directory, ledger, version
+		// sequence and tenant live count exactly as they were.
+		version := s.nextVersionLocked(name)
 		owner := advertOwner(name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name, Version: version, Tenant: owner}); err != nil {
 			return response{Error: err.Error(), Code: codeInternal}
 		}
+		if err := s.backend.Insert(ad); err != nil {
+			return response{Error: err.Error(), Code: codeInternal}
+		}
+		s.recordAdvertLocked(name, req.Doc, version)
 		if newService {
 			s.gate.ServiceLive(owner, +1)
 		}
@@ -695,14 +699,16 @@ func (s *server) process(datagram []byte) response {
 		if err := s.gate.AdmitDeregister(id, req.Name); err != nil {
 			return denialResponse(err)
 		}
-		if !s.backend.Deregister(req.Name) {
+		if !s.backend.Has(req.Name) {
 			return response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: codeNotFound}
 		}
-		s.dropAdvertLocked(req.Name)
+		// Persist first, as for register: a failed append withdraws nothing.
 		owner := advertOwner(req.Name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpDeregister, Name: req.Name, Tenant: owner}); err != nil {
 			return response{Error: err.Error(), Code: codeInternal}
 		}
+		s.backend.Deregister(req.Name)
+		s.dropAdvertLocked(req.Name)
 		s.gate.ServiceLive(owner, -1)
 		s.refreshLocked()
 		return response{OK: true}

@@ -106,10 +106,14 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 func (s *server) applyLocked(rec store.Record) response {
 	switch rec.Op {
 	case store.OpRegister:
-		name, err := s.backend.Register([]byte(rec.Doc))
+		ad, err := s.backend.Prepare([]byte(rec.Doc))
 		if err != nil {
 			return response{Error: err.Error()}
 		}
+		if err := s.backend.Insert(ad); err != nil {
+			return response{Error: err.Error()}
+		}
+		name := ad.Name()
 		prior := s.adverts[name]
 		fresh := prior == nil || !prior.Live
 		s.recordAdvertLocked(name, rec.Doc, rec.Version)
@@ -158,22 +162,30 @@ func (h *advertHistory) current() uint64 {
 	return h.Versions[len(h.Versions)-1].Version
 }
 
+// nextVersionLocked returns the version the next publication under name
+// will carry, without recording anything.
+func (s *server) nextVersionLocked(name string) uint64 {
+	if h := s.adverts[name]; h != nil {
+		return h.current() + 1
+	}
+	return 1
+}
+
 // recordAdvertLocked appends one published version to the ledger.
-// version 0 (a v1 record, or a fresh registration before assignment)
-// self-assigns the next number for the name, so replaying a v1 journal
-// reconstructs the same version sequence the server would have assigned.
-func (s *server) recordAdvertLocked(name, doc string, version uint64) uint64 {
+// version 0 (a v1 record) self-assigns the next number for the name, so
+// replaying a v1 journal reconstructs the same version sequence the
+// server would have assigned.
+func (s *server) recordAdvertLocked(name, doc string, version uint64) {
+	if version == 0 {
+		version = s.nextVersionLocked(name)
+	}
 	h := s.adverts[name]
 	if h == nil {
 		h = &advertHistory{Name: name}
 		s.adverts[name] = h
 	}
-	if version == 0 {
-		version = h.current() + 1
-	}
 	h.Versions = append(h.Versions, advertVersion{Version: version, Doc: doc})
 	h.Live = true
-	return version
 }
 
 // dropAdvertLocked marks a name withdrawn, keeping its versions listable.

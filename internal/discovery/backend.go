@@ -105,23 +105,66 @@ func NewSemanticBackend(reg *codes.Registry) *SemanticBackend {
 // Name implements Backend.
 func (b *SemanticBackend) Name() string { return "s-ariadne" }
 
-// Register implements Backend: parse the Amigo-S document, check embedded
-// code versions, classify the provided capabilities.
-func (b *SemanticBackend) Register(doc []byte) (string, error) {
+// Advert is an advertisement document that Prepare has parsed and
+// validated and Insert has yet to store. A caller that must decide
+// between the two — admit the publisher, persist the document — does so
+// on Name, without parsing the document a second time.
+type Advert struct {
+	doc []byte
+	svc *profile.Service
+}
+
+// Name returns the advertised service's name.
+func (a *Advert) Name() string { return a.svc.Name }
+
+// Prepare is the parse-and-validate half of a publication: parse the
+// Amigo-S document, check embedded code versions, validate the
+// description. It stores nothing.
+func (b *SemanticBackend) Prepare(doc []byte) (*Advert, error) {
 	svc, err := profile.Unmarshal(doc)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.matcher.CheckVersions(svc); err != nil {
+		return nil, err
+	}
+	if err := svc.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", registry.ErrInvalidCapability, err)
+	}
+	return &Advert{doc: doc, svc: svc}, nil
+}
+
+// Insert is the other half: classify a prepared advertisement's provided
+// capabilities into the directory and keep its document. It does not fail
+// on an advertisement Prepare returned.
+func (b *SemanticBackend) Insert(a *Advert) error {
+	if err := b.dir.Register(a.svc); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	b.docs[a.svc.Name] = append([]byte(nil), a.doc...)
+	b.mu.Unlock()
+	return nil
+}
+
+// Register implements Backend: Prepare, then Insert.
+func (b *SemanticBackend) Register(doc []byte) (string, error) {
+	a, err := b.Prepare(doc)
 	if err != nil {
 		return "", err
 	}
-	if err := b.matcher.CheckVersions(svc); err != nil {
+	if err := b.Insert(a); err != nil {
 		return "", err
 	}
-	if err := b.dir.Register(svc); err != nil {
-		return "", err
-	}
+	return a.Name(), nil
+}
+
+// Has reports whether an advertisement is stored under the service name.
+func (b *SemanticBackend) Has(service string) bool {
 	b.mu.Lock()
-	b.docs[svc.Name] = append([]byte(nil), doc...)
-	b.mu.Unlock()
-	return svc.Name, nil
+	defer b.mu.Unlock()
+	_, ok := b.docs[service]
+	return ok
 }
 
 // Deregister implements Backend.

@@ -12,7 +12,9 @@ package profile
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sariadne/internal/ontology"
 	"sariadne/internal/process"
@@ -95,18 +97,15 @@ func (c *Capability) PropertySet() []ontology.Ref {
 // capability. Directories index capability graphs by this set (Section
 // 3.3) and hash it into Bloom filters (Section 4).
 func (c *Capability) Ontologies() []string {
-	seen := make(map[string]bool)
-	for _, r := range c.refs() {
+	refs := c.refs()
+	out := make([]string, 0, len(refs))
+	for _, r := range refs {
 		if r.Ontology != "" {
-			seen[r.Ontology] = true
+			out = append(out, r.Ontology)
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RequiredOntologies returns the sorted set of ontology URIs a provider
@@ -138,15 +137,14 @@ func (c *Capability) RequiredOntologies() []string {
 // OntologyKey returns the canonical string form of Ontologies, suitable as
 // a map key or Bloom-filter hash input.
 func (c *Capability) OntologyKey() string {
-	uris := c.Ontologies()
-	key := ""
-	for i, u := range uris {
-		if i > 0 {
-			key += "\x00"
-		}
-		key += u
-	}
-	return key
+	return OntologySetKey(c.Ontologies())
+}
+
+// OntologySetKey is OntologyKey for a caller that already holds the
+// capability's Ontologies: the sorted URIs joined by NUL, which no URI
+// contains.
+func OntologySetKey(uris []string) string {
+	return strings.Join(uris, "\x00")
 }
 
 // Clone returns a deep copy of the capability.

@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +80,52 @@ func TestPropertySetIncludesCategory(t *testing.T) {
 	c.Properties = append(c.Properties, ontology.Ref{Ontology: "u", Name: "Fast"})
 	if got := c.PropertySet(); len(got) != 2 {
 		t.Fatalf("PropertySet = %v, want category + 1", got)
+	}
+}
+
+// TestOntologyKeyTable pins the ontology set and its key form: sorted,
+// de-duplicated, NUL-joined, whatever order and however often the
+// capability's references name a URI.
+func TestOntologyKeyTable(t *testing.T) {
+	ref := func(uri, name string) ontology.Ref { return ontology.Ref{Ontology: uri, Name: name} }
+	for _, tc := range []struct {
+		name string
+		cap  Capability
+		uris []string
+		key  string
+	}{
+		{name: "empty", cap: Capability{Name: "c"}, uris: []string{}, key: ""},
+		{name: "single", cap: Capability{Category: ref("u:a", "X")}, uris: []string{"u:a"}, key: "u:a"},
+		{
+			name: "repeated URI",
+			cap: Capability{Category: ref("u:a", "X"), Inputs: []ontology.Ref{ref("u:a", "Y"), ref("u:a", "Z")},
+				Outputs: []ontology.Ref{ref("u:a", "X")}},
+			uris: []string{"u:a"}, key: "u:a",
+		},
+		{
+			name: "unsorted across fields",
+			cap: Capability{Category: ref("u:c", "X"), Inputs: []ontology.Ref{ref("u:b", "Y")},
+				Outputs: []ontology.Ref{ref("u:a", "Z"), ref("u:c", "W")}, Properties: []ontology.Ref{ref("u:b", "P")}},
+			uris: []string{"u:a", "u:b", "u:c"}, key: "u:a\x00u:b\x00u:c",
+		},
+		{
+			name: "blank ontology skipped",
+			cap:  Capability{Category: ref("u:a", "X"), Inputs: []ontology.Ref{ref("", "Y")}},
+			uris: []string{"u:a"}, key: "u:a",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.cap.Ontologies()
+			if got == nil || !slices.Equal(got, tc.uris) {
+				t.Fatalf("Ontologies = %#v, want %#v", got, tc.uris)
+			}
+			if key := tc.cap.OntologyKey(); key != tc.key {
+				t.Fatalf("OntologyKey = %q, want %q", key, tc.key)
+			}
+			if key := OntologySetKey(got); key != tc.key {
+				t.Fatalf("OntologySetKey = %q, want %q", key, tc.key)
+			}
+		})
 	}
 }
 

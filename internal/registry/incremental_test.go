@@ -1,0 +1,404 @@
+package registry
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"sariadne/internal/codes"
+	"sariadne/internal/gen"
+	"sariadne/internal/match"
+	"sariadne/internal/profile"
+)
+
+// newScratchSnapshot is the whole-directory compile the publish path used
+// to run on every write, kept as the oracle the incremental publish is
+// checked against: it recompiles every graph and rebuilds every index
+// from the builder state, sharing nothing with any published snapshot.
+func newScratchSnapshot(d *Directory) *snapshot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := &snapshot{byOntology: make(map[string][]*snapGraph, len(d.byOntology))}
+	compiled := make(map[*graph]*snapGraph, len(d.graphs))
+	for _, g := range d.graphs {
+		sg := newSnapGraph(g)
+		compiled[g] = sg
+		s.graphs = append(s.graphs, sg)
+		s.tally = s.tally.plus(sg.tally)
+	}
+	for u, list := range d.byOntology {
+		for _, g := range list {
+			s.byOntology[u] = append(s.byOntology[u], compiled[g])
+		}
+	}
+	keySet := make(map[string]struct{})
+	for _, g := range d.graphs {
+		for v := range g.vertices {
+			for _, e := range v.entries {
+				keySet[e.Capability.OntologyKey()] = struct{}{}
+			}
+		}
+	}
+	s.ontologyKeys = slices.Sorted(maps.Keys(keySet))
+	return s
+}
+
+// graphPositions renders a candidate list as positions in the snapshot's
+// graph list, so lists of two snapshots compare by content; a pointer
+// the snapshot's own list does not hold renders as -1.
+func graphPositions(s *snapshot, list []*snapGraph) []int {
+	out := make([]int, len(list))
+	for i, g := range list {
+		out[i] = slices.Index(s.graphs, g)
+	}
+	return out
+}
+
+// checkAgainstScratch asserts that the directory's published snapshot is
+// indistinguishable, through every reader, from a from-scratch compile of
+// its builder state.
+func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capability) {
+	t.Helper()
+	want := newScratchSnapshot(d)
+	got := d.snap.Load()
+	if g, w := got.dump(), want.dump(); g != w {
+		t.Fatalf("Snapshot() differs from a from-scratch compile\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if g, w := d.Stats(), want.stats(); g != w {
+		t.Fatalf("Stats() = %+v, from scratch %+v", g, w)
+	}
+	if g, w := d.NumGraphs(), len(want.graphs); g != w {
+		t.Fatalf("NumGraphs() = %d, from scratch %d", g, w)
+	}
+	d.mu.Lock()
+	wantServices := slices.Sorted(maps.Keys(d.byService))
+	d.mu.Unlock()
+	if g := d.Services(); !slices.Equal(g, wantServices) {
+		t.Fatalf("Services() = %v, builder holds %v", g, wantServices)
+	}
+	if g, w := d.Ontologies(), want.ontologyURIs(); !slices.Equal(g, w) {
+		t.Fatalf("Ontologies() = %v, from scratch %v", g, w)
+	}
+	if g, w := d.OntologyKeys(), want.ontologyKeys; !slices.Equal(g, w) {
+		t.Fatalf("OntologyKeys() = %q, from scratch %q", g, w)
+	}
+	if len(got.byOntology) != len(want.byOntology) {
+		t.Fatalf("ontology index has %d URIs, from scratch %d", len(got.byOntology), len(want.byOntology))
+	}
+	for u, wl := range want.byOntology {
+		if g, w := graphPositions(got, got.byOntology[u]), graphPositions(want, wl); !slices.Equal(g, w) {
+			t.Fatalf("graphs listed under %s = %v, from scratch %v", u, g, w)
+		}
+	}
+	for _, c := range probes {
+		uris := c.RequiredOntologies()
+		if g, w := graphPositions(got, got.candidateGraphs(uris)), graphPositions(want, want.candidateGraphs(uris)); !slices.Equal(g, w) {
+			t.Fatalf("candidate graphs for %v = %v, from scratch %v", uris, g, w)
+		}
+	}
+	if err := d.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkSnapshotConsistent(got); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSnapshotConsistent verifies what a reader may assume of any single
+// snapshot it loads, without reference to the builder: the counters agree
+// with what the graphs enumerate, the key list is sorted and
+// duplicate-free, and the ontology index lists exactly the snapshot's own
+// graphs under exactly their URIs.
+func checkSnapshotConsistent(s *snapshot) error {
+	var sum tally
+	inList := make(map[*snapGraph]bool, len(s.graphs))
+	for _, g := range s.graphs {
+		inList[g] = true
+		sum.vertices += len(g.vertices)
+		for i := range g.vertices {
+			v := &g.vertices[i]
+			sum.entries += len(v.entries)
+			sum.edges += len(v.succs)
+			if v.root {
+				sum.roots++
+			}
+			if v.leaf {
+				sum.leaves++
+			}
+		}
+		for _, u := range g.ontologies {
+			if !slices.Contains(s.byOntology[u], g) {
+				return fmt.Errorf("graph using %s is not listed under it", u)
+			}
+		}
+	}
+	if sum != s.tally {
+		return fmt.Errorf("snapshot counters %+v, graphs enumerate %+v", s.tally, sum)
+	}
+	if st := s.stats(); st.Entries != sum.entries || st.Graphs != len(s.graphs) {
+		return fmt.Errorf("stats %+v, graphs enumerate %d entries in %d graphs", st, sum.entries, len(s.graphs))
+	}
+	for u, list := range s.byOntology {
+		if len(list) == 0 {
+			return fmt.Errorf("empty list under %s", u)
+		}
+		for _, g := range list {
+			if !inList[g] {
+				return fmt.Errorf("list under %s holds a graph the snapshot does not", u)
+			}
+			if _, ok := g.ontoSet[u]; !ok {
+				return fmt.Errorf("list under %s holds a graph that does not use it", u)
+			}
+		}
+	}
+	if !slices.IsSorted(s.ontologyKeys) || len(slices.Compact(slices.Clone(s.ontologyKeys))) != len(s.ontologyKeys) {
+		return fmt.Errorf("ontology keys not sorted and duplicate-free: %q", s.ontologyKeys)
+	}
+	return nil
+}
+
+// advertPool is the material of one random history: for every service
+// name, a few alternative advertisements a (re-)register picks from.
+type advertPool struct {
+	d        *Directory
+	variants [][]*profile.Service
+	probes   []*profile.Capability
+}
+
+// fixturePool draws advertisements over the Figure 1 ontologies: one to
+// three capabilities per service, exact duplicates of another service's
+// capability (a shared vertex), and capabilities that use the servers
+// ontology alone — so graphs gain a URI after they were created, and the
+// servers-only key has few holders that come and go.
+func fixturePool(t *testing.T, rng *rand.Rand) advertPool {
+	categories := []string{"Server", "DigitalServer", "StreamingServer", "VideoServer", "SoundServer", "GameServer"}
+	inputs := []string{"Resource", "DigitalResource", "VideoResource", "SoundResource", "GameResource", "Movie"}
+	outputs := []string{"Stream", "VideoStream", "AudioStream"}
+	pick := func(s []string) string { return s[rng.Intn(len(s))] }
+	d, _ := newFixtureDirectory(t)
+	p := advertPool{d: d}
+	var shapes [][3]string
+	for i := 0; i < 10; i++ {
+		var vs []*profile.Service
+		for v := 0; v < 3; v++ {
+			name := fmt.Sprintf("s%02d", i)
+			var caps []*profile.Capability
+			for c, n := 0, 1+rng.Intn(3); c < n; c++ {
+				shape := [3]string{pick(categories), pick(inputs), pick(outputs)}
+				switch rng.Intn(5) {
+				case 0:
+					shape[1], shape[2] = "", "" // servers ontology only
+				case 1:
+					if len(shapes) > 0 {
+						shape = shapes[rng.Intn(len(shapes))] // equivalent to an earlier one
+					}
+				}
+				shapes = append(shapes, shape)
+				caps = append(caps, capability(fmt.Sprintf("%s.v%d.c%d", name, v, c), shape[0], shape[1], shape[2]))
+			}
+			vs = append(vs, service(name, caps...))
+		}
+		p.variants = append(p.variants, vs)
+	}
+	for i := 0; i < 4; i++ {
+		p.probes = append(p.probes, capability("probe", pick(categories), pick(inputs), pick(outputs)))
+	}
+	p.probes = append(p.probes, capability("probe", "Server", "", ""))
+	return p
+}
+
+// generatedPool draws two-capability services over three small generated
+// ontologies, one ontology per capability: a handful of dense graphs per
+// URI, each key held by few services, graphs that empty while their URI
+// lives on in another.
+func generatedPool(t *testing.T, seed int64) advertPool {
+	const names = 16
+	w := gen.MustNewWorkload(gen.WorkloadConfig{
+		Ontologies: 3, ClassesPerOntology: 8, Services: 2 * names, CapabilitiesPerService: 2, Seed: seed,
+	})
+	reg, err := w.Registry(codes.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := advertPool{d: NewDirectory(match.NewCodeMatcher(reg))}
+	for i := 0; i < names; i++ {
+		var vs []*profile.Service
+		for v := 0; v < 2; v++ {
+			svc := w.Services[v*names+i].Clone()
+			svc.Name = fmt.Sprintf("g%02d", i)
+			for c, cp := range svc.Provided {
+				// Unique names keep the name-ordered dump free of ties.
+				cp.Name = fmt.Sprintf("%s.v%d.c%d", svc.Name, v, c)
+			}
+			vs = append(vs, svc)
+		}
+		p.variants = append(p.variants, vs)
+		p.probes = append(p.probes, w.Request(i, 1))
+	}
+	return p
+}
+
+// TestIncrementalSnapshotEqualsFromScratch replays seeded random
+// histories — register, re-register with changed capabilities,
+// deregister, multi-capability services, shared vertices, graphs emptied
+// and their URIs re-used, keys whose last holder leaves and returns — and
+// after every step requires the published snapshot, which was derived
+// from its predecessor, to equal a whole-directory compile.
+func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			pool := fixturePool(t, rng)
+			if seed%2 == 0 {
+				pool = generatedPool(t, seed)
+			}
+			d := pool.d
+			checkAgainstScratch(t, d, pool.probes)
+			emptied, keyFlips := 0, 0
+			for step := 0; step < 250; step++ {
+				i := rng.Intn(len(pool.variants))
+				graphsBefore, keysBefore := d.NumGraphs(), len(d.OntologyKeys())
+				// Deregistrations come in runs so the directory drains to
+				// nothing now and then and refills.
+				if rng.Intn(3) == 0 || (step/40)%3 == 2 && rng.Intn(2) == 0 {
+					d.Deregister(pool.variants[i][0].Name)
+				} else if err := d.Register(pool.variants[i][rng.Intn(len(pool.variants[i]))]); err != nil {
+					t.Fatal(err)
+				}
+				if d.NumGraphs() < graphsBefore {
+					emptied++
+				}
+				if len(d.OntologyKeys()) != keysBefore {
+					keyFlips++
+				}
+				checkAgainstScratch(t, d, pool.probes)
+			}
+			if emptied == 0 || keyFlips < 2 {
+				t.Fatalf("history too tame: %d graphs emptied, %d key-set changes", emptied, keyFlips)
+			}
+		})
+	}
+}
+
+// quadraticOrder is the vertex ordering newSnapGraph used before the
+// heap: rescan the name-sorted list for the first ready vertex, once per
+// placed vertex. It is kept here as the definition topoOrder must equal.
+func quadraticOrder(verts []*vertex) []*vertex {
+	remaining := make(map[*vertex]int, len(verts))
+	for _, v := range verts {
+		remaining[v] = len(v.preds)
+	}
+	order := make([]*vertex, 0, len(verts))
+	placed := make(map[*vertex]bool, len(verts))
+	for len(order) < len(verts) {
+		advanced := false
+		for _, v := range verts {
+			if placed[v] || remaining[v] != 0 {
+				continue
+			}
+			placed[v] = true
+			order = append(order, v)
+			for s := range v.succs {
+				remaining[s]--
+			}
+			advanced = true
+			break
+		}
+		if !advanced {
+			for _, v := range verts {
+				if !placed[v] {
+					placed[v] = true
+					order = append(order, v)
+				}
+			}
+		}
+	}
+	return order
+}
+
+// dagOf builds builder vertices named names, with an edge for every
+// [from, to] index pair, sorted by name as newSnapGraph hands them over.
+func dagOf(names []string, edges [][2]int) []*vertex {
+	verts := make([]*vertex, len(names))
+	for i, n := range names {
+		verts[i] = &vertex{rep: &profile.Capability{Name: n}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+	}
+	for _, e := range edges {
+		verts[e[0]].succs[verts[e[1]]] = struct{}{}
+		verts[e[1]].preds[verts[e[0]]] = struct{}{}
+	}
+	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Name, b.rep.Name) })
+	return verts
+}
+
+func TestTopoOrderEqualsQuadraticOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	shuffled := func(n int, format string) []string {
+		names := make([]string, n)
+		for i, p := range rng.Perm(n) {
+			names[i] = fmt.Sprintf(format, p)
+		}
+		return names
+	}
+	cases := map[string][]*vertex{
+		"empty":  dagOf(nil, nil),
+		"single": dagOf([]string{"only"}, nil),
+		// z is the root and a the sink, so name order and edge order pull
+		// opposite ways.
+		"diamond":          dagOf([]string{"z", "m", "n", "a"}, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}),
+		"stacked diamonds": dagOf([]string{"d", "b", "c", "a", "y", "z", "x"}, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}}),
+		"cycle":            dagOf([]string{"r", "a", "b", "c"}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}}),
+	}
+	{
+		names := shuffled(200, "leaf%03d")
+		var edges [][2]int
+		for i := 1; i < len(names); i++ {
+			edges = append(edges, [2]int{0, i})
+		}
+		cases["wide fan out"] = dagOf(names, edges)
+		for i := range edges {
+			edges[i] = [2]int{edges[i][1], 0}
+		}
+		cases["wide fan in"] = dagOf(names, edges)
+	}
+	{
+		names := shuffled(300, "link%d") // unpadded: link10 sorts before link2
+		var edges [][2]int
+		for i := 1; i < len(names); i++ {
+			edges = append(edges, [2]int{i - 1, i})
+		}
+		cases["long chain"] = dagOf(names, edges)
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(60)
+		names := make([]string, n)
+		for i := range names {
+			// Equal prefixes of varying length: Stream, StreamA, StreamAA…
+			names[i] = "Stream" + strings.Repeat("A", rng.Intn(4)) + fmt.Sprint(i)
+		}
+		var edges [][2]int
+		for from := 0; from < n; from++ {
+			for to := from + 1; to < n; to++ {
+				if rng.Intn(n) < 3 {
+					edges = append(edges, [2]int{from, to})
+				}
+			}
+		}
+		cases[fmt.Sprintf("random %d", trial)] = dagOf(names, edges)
+	}
+	for name, verts := range cases {
+		want := quadraticOrder(verts)
+		got := topoOrder(verts)
+		if len(got) != len(want) {
+			t.Fatalf("%s: ordered %d of %d vertices", name, len(got), len(want))
+		}
+		for i, r := range got {
+			if verts[r] != want[i] {
+				t.Fatalf("%s: position %d holds %s, the quadratic order puts %s there", name, i, verts[r].rep.Name, want[i].rep.Name)
+			}
+		}
+	}
+}

@@ -125,6 +125,13 @@ func TestParallelDiscoveryRace(t *testing.T) {
 				d.Query(reqs[(g+i)%len(reqs)])
 				d.Stats()
 				d.OntologyKeys()
+				// Every snapshot a reader can load mid-churn is whole: its
+				// counters equal what its graphs enumerate, its key list is
+				// sorted and duplicate-free, its index lists its own graphs.
+				if err := checkSnapshotConsistent(d.snap.Load()); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(g)
 	}

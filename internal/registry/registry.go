@@ -24,8 +24,9 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,9 @@ type vertex struct {
 	entries []*Entry
 	preds   map[*vertex]struct{}
 	succs   map[*vertex]struct{}
+	// rank is scratch of the graph compile (topoOrder): the vertex's
+	// position in the name-sorted list, valid only during it.
+	rank int32
 }
 
 // graph is one DAG of related capabilities plus its ontology index.
@@ -79,6 +83,11 @@ type graph struct {
 	vertices   map[*vertex]struct{}
 	roots      map[*vertex]struct{}
 	leaves     map[*vertex]struct{}
+	// compiled is the graph's immutable form in the published snapshot
+	// (nil until its first publish); dirty marks it stale, i.e. the graph
+	// is queued in Directory.dirty for the next publish.
+	compiled *snapGraph
+	dirty    bool
 }
 
 func newGraph() *graph {
@@ -120,14 +129,19 @@ type Directory struct {
 	// byOntology indexes graphs by the ontology URIs they contain, so
 	// query-time graph pre-selection does not scan every graph.
 	byOntology map[string][]*graph // guarded by mu
-	// byService tracks entries for deregistration.
+	// byService tracks entries for deregistration; where locates each
+	// entry's vertex, so withdrawing it does not search the directory.
 	byService map[string][]*Entry // guarded by mu
-	// compiled caches the immutable compiled form of each graph;
-	// dirty marks graphs whose cached form is stale, so a publish
-	// recompiles only what the write touched (copy-on-write at graph
-	// granularity).
-	compiled map[*graph]*snapGraph // guarded by mu
-	dirty    map[*graph]struct{}   // guarded by mu
+	where     map[*Entry]entryLoc // guarded by mu
+	// dirty lists, in first-touch order, the graphs written since the last
+	// publish — created, changed or emptied. The publish recompiles those
+	// and derives the next snapshot from the previous one and them alone.
+	dirty []*graph // guarded by mu
+	// keyRefs counts the stored entries under each ontology-set key;
+	// keysStale records that a key appeared or disappeared since the last
+	// publish, the only time the published key list is rebuilt.
+	keyRefs   map[string]int // guarded by mu
+	keysStale bool           // guarded by mu
 	// snap is the published immutable view served to readers.
 	snap atomic.Pointer[snapshot]
 	// matchOps counts capability-level match operations (monotonic).
@@ -140,35 +154,56 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 		matcher:    m,
 		byOntology: make(map[string][]*graph),
 		byService:  make(map[string][]*Entry),
-		compiled:   make(map[*graph]*snapGraph),
-		dirty:      make(map[*graph]struct{}),
+		where:      make(map[*Entry]entryLoc),
+		keyRefs:    make(map[string]int),
 	}
-	d.snap.Store(newSnapshot(d, d.compiled))
+	d.snap.Store(&snapshot{byOntology: map[string][]*snapGraph{}})
 	return d
 }
 
-// markDirtyLocked records that g's compiled form is stale.
-func (d *Directory) markDirtyLocked(g *graph) {
-	d.dirty[g] = struct{}{}
+// entryLoc is where a stored entry lives, and the ontology-set key it was
+// counted under (computed once, at insert).
+type entryLoc struct {
+	g   *graph
+	v   *vertex
+	key string
 }
 
-// publishLocked recompiles every dirty graph, reusing the cached compiled
-// form of clean ones, and atomically publishes the new snapshot. Writers
-// call it once per Register/Deregister, so a service advertising many
-// capabilities pays for one snapshot (and one ontology-key regeneration),
-// not one per capability.
-func (d *Directory) publishLocked() {
-	compiled := make(map[*graph]*snapGraph, len(d.graphs))
-	for _, g := range d.graphs {
-		sg, ok := d.compiled[g]
-		if _, stale := d.dirty[g]; stale || !ok {
-			sg = newSnapGraph(g)
-		}
-		compiled[g] = sg
+// markDirtyLocked queues g for recompilation at the next publish.
+func (d *Directory) markDirtyLocked(g *graph) {
+	if !g.dirty {
+		g.dirty = true
+		d.dirty = append(d.dirty, g)
 	}
-	d.compiled = compiled
-	d.dirty = make(map[*graph]struct{})
-	d.snap.Store(newSnapshot(d, compiled))
+}
+
+// publishLocked recompiles the graphs written since the last publish and
+// atomically publishes a snapshot derived from the previous one and
+// those graphs alone. Writers call it once per Register/Deregister, so a
+// service advertising many capabilities pays for one snapshot, not one
+// per capability.
+func (d *Directory) publishLocked() {
+	changes := make([]graphChange, 0, len(d.dirty))
+	for _, g := range d.dirty {
+		g.dirty = false
+		ch := graphChange{old: g.compiled}
+		if len(g.vertices) > 0 {
+			ch.new = newSnapGraph(g)
+		}
+		g.compiled = ch.new
+		if ch.old != nil || ch.new != nil { // else created and emptied by the same write
+			changes = append(changes, ch)
+		}
+	}
+	clear(d.dirty)
+	d.dirty = d.dirty[:0]
+	prev := d.snap.Load()
+	keys := prev.ontologyKeys
+	if d.keysStale {
+		keys = slices.Sorted(maps.Keys(d.keyRefs))
+		d.keysStale = false
+	}
+	d.snap.Store(newSnapshot(prev, changes, d.byOntology, keys))
 }
 
 // indexGraphLocked records g under every URI in uris not yet indexed for it.
@@ -247,12 +282,12 @@ func (d *Directory) NumGraphs() int {
 
 // NumCapabilities returns the number of stored advertisements (entries).
 func (d *Directory) NumCapabilities() int {
-	return d.snap.Load().stats.Entries
+	return d.snap.Load().tally.entries
 }
 
 // Services returns the sorted names of registered services.
 func (d *Directory) Services() []string {
-	return append([]string(nil), d.snap.Load().services...)
+	return d.snap.Load().services()
 }
 
 // Register classifies every provided capability of the service into the
@@ -267,16 +302,18 @@ func (d *Directory) Register(s *profile.Service) error {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if old, ok := d.byService[s.Name]; ok {
-		delete(d.byService, s.Name)
-		for _, e := range old {
-			d.removeEntryLocked(e)
-		}
+	old := d.byService[s.Name]
+	delete(d.byService, s.Name)
+	for _, e := range old {
+		d.removeEntryLocked(e)
 	}
-	for _, c := range s.Provided {
-		e := &Entry{Capability: c.Clone(), Service: s.Name, Provider: s.Provider}
-		d.insertLocked(e)
-		d.byService[s.Name] = append(d.byService[s.Name], e)
+	if len(s.Provided) > 0 {
+		entries := make([]*Entry, len(s.Provided))
+		for i, c := range s.Provided {
+			entries[i] = &Entry{Capability: c.Clone(), Service: s.Name, Provider: s.Provider}
+			d.insertLocked(entries[i])
+		}
+		d.byService[s.Name] = entries
 	}
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
@@ -289,31 +326,46 @@ func (d *Directory) Register(s *profile.Service) error {
 // capability relates to existing vertices receives it, otherwise a new
 // graph is created (capabilities unrelated to everything become singleton
 // graphs, preserving the "graphs contain related capabilities" invariant).
+//
+// The capability's ontology set is computed here, once, and handed to
+// every step that needs it; so is the key it is counted under.
 func (d *Directory) insertLocked(e *Entry) {
 	c := e.Capability
 	uris := c.Ontologies()
-	for _, g := range d.candidateGraphsLocked(uris) {
-		if d.insertIntoGraphLocked(g, e) {
-			return
+	var g *graph
+	var v *vertex
+	for _, cand := range d.candidateGraphsLocked(uris) {
+		if v = d.insertIntoGraphLocked(cand, e); v != nil {
+			g = cand
+			break
 		}
 	}
-	// No graph accepted the capability: start a new one.
-	g := newGraph()
-	v := &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
-	g.vertices[v] = struct{}{}
-	g.roots[v] = struct{}{}
-	g.leaves[v] = struct{}{}
-	d.graphs = append(d.graphs, g)
+	if g == nil {
+		// No graph accepted the capability: start a new one.
+		g = newGraph()
+		v = &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+		g.vertices[v] = struct{}{}
+		g.roots[v] = struct{}{}
+		g.leaves[v] = struct{}{}
+		d.graphs = append(d.graphs, g)
+		graphsGauge.Add(1)
+		verticesGauge.Add(1)
+		entriesGauge.Add(1)
+		insertDepth.ObserveInt(0)
+	}
 	d.indexGraphLocked(g, uris)
 	d.markDirtyLocked(g)
-	graphsGauge.Add(1)
-	verticesGauge.Add(1)
-	entriesGauge.Add(1)
-	insertDepth.ObserveInt(0)
+	key := profile.OntologySetKey(uris)
+	d.where[e] = entryLoc{g: g, v: v, key: key}
+	if d.keyRefs[key]++; d.keyRefs[key] == 1 {
+		d.keysStale = true
+	}
 }
 
-// insertIntoGraphLocked tries to place the entry inside g. It returns false when
-// the capability is unrelated to every vertex of g.
+// insertIntoGraphLocked tries to place the entry inside g and returns the
+// vertex that took it, or nil when the capability is unrelated to every
+// vertex of g. The caller indexes g under the capability's ontologies and
+// marks it dirty.
 //
 // The matching region M = {V : Match(V, C)} is explored top-down from the
 // matching roots (M is downward-closed along edges into it); the region
@@ -321,7 +373,7 @@ func (d *Directory) insertLocked(e *Entry) {
 // Parents of C are the minimal frontier of M, children the maximal
 // frontier of S — a robust completion of the paper's root/leaf probing
 // algorithm.
-func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
+func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) *vertex {
 	c := e.Capability
 
 	// M: vertices that subsume C (can substitute for C).
@@ -379,7 +431,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	}
 
 	if len(m) == 0 && len(sset) == 0 {
-		return false
+		return nil
 	}
 
 	// Mutual match: join the existing equivalence vertex. Transitivity
@@ -387,11 +439,9 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	for v := range m {
 		if _, both := sset[v]; both {
 			v.entries = append(v.entries, e)
-			d.indexGraphLocked(g, c.Ontologies())
-			d.markDirtyLocked(g)
 			entriesGauge.Add(1)
 			insertDepth.ObserveInt(int64(depth))
-			return true
+			return v
 		}
 	}
 
@@ -453,13 +503,11 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	if len(children) == 0 {
 		g.leaves[nv] = struct{}{}
 	}
-	d.indexGraphLocked(g, c.Ontologies())
-	d.markDirtyLocked(g)
 	verticesGauge.Add(1)
 	entriesGauge.Add(1)
 	edgesGauge.Add(int64(edgeDelta))
 	insertDepth.ObserveInt(int64(depth))
-	return true
+	return nv
 }
 
 // Deregister removes every capability advertised by the named service.
@@ -479,67 +527,61 @@ func (d *Directory) Deregister(service string) bool {
 	return true
 }
 
-// removeEntryLocked drops one entry; vertices left without entries are removed
-// and their predecessors reconnected to their successors.
+// removeEntryLocked drops one entry; a vertex left without entries is
+// removed and its predecessors reconnected to its successors.
 func (d *Directory) removeEntryLocked(e *Entry) {
-	for gi, g := range d.graphs {
-		for v := range g.vertices {
-			idx := -1
-			for i, ve := range v.entries {
-				if ve == e {
-					idx = i
-					break
-				}
+	loc := d.where[e]
+	delete(d.where, e)
+	if d.keyRefs[loc.key]--; d.keyRefs[loc.key] == 0 {
+		delete(d.keyRefs, loc.key)
+		d.keysStale = true
+	}
+	g, v := loc.g, loc.v
+	i := slices.Index(v.entries, e)
+	v.entries = slices.Delete(v.entries, i, i+1)
+	d.markDirtyLocked(g)
+	entriesGauge.Add(-1)
+	if len(v.entries) > 0 {
+		return
+	}
+	// Vertex emptied: splice it out.
+	delete(g.vertices, v)
+	delete(g.roots, v)
+	delete(g.leaves, v)
+	edgeDelta := -len(v.preds) - len(v.succs)
+	for p := range v.preds {
+		delete(p.succs, v)
+	}
+	for s := range v.succs {
+		delete(s.preds, v)
+	}
+	for p := range v.preds {
+		for s := range v.succs {
+			// Reconnect unless another path already implies it.
+			if _, ok := p.succs[s]; !ok {
+				p.succs[s] = struct{}{}
+				s.preds[p] = struct{}{}
+				edgeDelta++
 			}
-			if idx < 0 {
-				continue
-			}
-			v.entries = append(v.entries[:idx], v.entries[idx+1:]...)
-			d.markDirtyLocked(g)
-			entriesGauge.Add(-1)
-			if len(v.entries) > 0 {
-				return
-			}
-			// Vertex emptied: splice it out.
-			delete(g.vertices, v)
-			delete(g.roots, v)
-			delete(g.leaves, v)
-			edgeDelta := -len(v.preds) - len(v.succs)
-			for p := range v.preds {
-				delete(p.succs, v)
-			}
-			for s := range v.succs {
-				delete(s.preds, v)
-			}
-			for p := range v.preds {
-				for s := range v.succs {
-					// Reconnect unless another path already implies it.
-					if _, ok := p.succs[s]; !ok {
-						p.succs[s] = struct{}{}
-						s.preds[p] = struct{}{}
-						edgeDelta++
-					}
-				}
-			}
-			verticesGauge.Add(-1)
-			edgesGauge.Add(int64(edgeDelta))
-			for p := range v.preds {
-				if len(p.succs) == 0 {
-					g.leaves[p] = struct{}{}
-				}
-			}
-			for s := range v.succs {
-				if len(s.preds) == 0 {
-					g.roots[s] = struct{}{}
-				}
-			}
-			if len(g.vertices) == 0 {
-				d.graphs = append(d.graphs[:gi], d.graphs[gi+1:]...)
-				d.unindexGraphLocked(g)
-				graphsGauge.Add(-1)
-			}
-			return
 		}
+	}
+	verticesGauge.Add(-1)
+	edgesGauge.Add(int64(edgeDelta))
+	for p := range v.preds {
+		if len(p.succs) == 0 {
+			g.leaves[p] = struct{}{}
+		}
+	}
+	for s := range v.succs {
+		if len(s.preds) == 0 {
+			g.roots[s] = struct{}{}
+		}
+	}
+	if len(g.vertices) == 0 {
+		gi := slices.Index(d.graphs, g)
+		d.graphs = slices.Delete(d.graphs, gi, gi+1)
+		d.unindexGraphLocked(g)
+		graphsGauge.Add(-1)
 	}
 }
 
@@ -644,13 +686,14 @@ func (d *Directory) Best(req *profile.Capability) (Result, bool) {
 // Bloom summaries (Section 4) hash over capability ontology sets, which
 // this exposes for tests and diagnostics.
 func (d *Directory) Ontologies() []string {
-	return append([]string(nil), d.snap.Load().ontologies...)
+	return d.snap.Load().ontologyURIs()
 }
 
 // OntologyKeys returns the distinct capability ontology-set keys stored in
-// the directory, the unit hashed into Bloom filters by Section 4. The key
-// list is regenerated once per published snapshot (a batched write-side
-// cost), so summary rebuilds on the read side are a lock-free copy.
+// the directory, the unit hashed into Bloom filters by Section 4. The
+// writer keeps the list with the snapshot (rebuilding it only when a key
+// appears or disappears), so summary rebuilds on the read side are a
+// lock-free copy.
 func (d *Directory) OntologyKeys() []string {
 	return append([]string(nil), d.snap.Load().ontologyKeys...)
 }
@@ -659,39 +702,7 @@ func (d *Directory) OntologyKeys() []string {
 // for debugging and the examples. It renders the current published
 // snapshot, so it is safe to call concurrently with writers.
 func (d *Directory) Snapshot() string {
-	snap := d.snap.Load()
-	var b strings.Builder
-	for i, g := range snap.graphs {
-		fmt.Fprintf(&b, "graph %d (ontologies: %s)\n", i, strings.Join(g.ontologies, ", "))
-		order := make([]int, len(g.vertices))
-		for j := range order {
-			order[j] = j
-		}
-		sort.Slice(order, func(a, c int) bool {
-			return g.vertices[order[a]].rep.Name < g.vertices[order[c]].rep.Name
-		})
-		for _, j := range order {
-			v := &g.vertices[j]
-			names := make([]string, 0, len(v.entries))
-			for _, e := range v.entries {
-				names = append(names, e.String())
-			}
-			succs := make([]string, 0, len(v.succs))
-			for _, s := range v.succs {
-				succs = append(succs, g.vertices[s].rep.Name)
-			}
-			sort.Strings(succs)
-			marker := ""
-			if v.root {
-				marker += " [root]"
-			}
-			if v.leaf {
-				marker += " [leaf]"
-			}
-			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
-		}
-	}
-	return b.String()
+	return d.snap.Load().dump()
 }
 
 // checkInvariants verifies structural invariants; tests call it after
@@ -760,10 +771,16 @@ func (d *Directory) checkInvariants() error {
 	for _, entries := range d.byService {
 		wantEntries += len(entries)
 	}
-	if snap.stats.Entries != wantEntries {
-		return fmt.Errorf("snapshot has %d entries, builder %d", snap.stats.Entries, wantEntries)
+	if snap.tally.entries != wantEntries {
+		return fmt.Errorf("snapshot has %d entries, builder %d", snap.tally.entries, wantEntries)
+	}
+	if len(d.where) != wantEntries {
+		return fmt.Errorf("entry locator holds %d entries, builder %d", len(d.where), wantEntries)
 	}
 	for gi, sg := range snap.graphs {
+		if sg != d.graphs[gi].compiled {
+			return fmt.Errorf("snapshot graph %d is not the builder graph's compiled form", gi)
+		}
 		if len(sg.vertices) != len(d.graphs[gi].vertices) {
 			return fmt.Errorf("snapshot graph %d has %d vertices, builder %d", gi, len(sg.vertices), len(d.graphs[gi].vertices))
 		}
@@ -805,8 +822,8 @@ type Stats struct {
 }
 
 // Stats returns the structural counters of the current published
-// snapshot. The counters are precomputed at publish time, so this is a
-// lock-free pointer load.
+// snapshot, lock-free. The additive counters are kept with the snapshot;
+// Graphs and MaxGraphVertices are read off its graph list.
 func (d *Directory) Stats() Stats {
-	return d.snap.Load().stats
+	return d.snap.Load().stats()
 }

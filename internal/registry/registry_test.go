@@ -475,6 +475,11 @@ func TestConcurrentAccess(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d.Query(req)
 		d.NumCapabilities()
+		// Whatever snapshot the writer has published by now, it must be
+		// whole: counters, key list and ontology index all of one state.
+		if err := checkSnapshotConsistent(d.snap.Load()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	<-done
 	if err := d.checkInvariants(); err != nil {
