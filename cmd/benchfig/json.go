@@ -20,11 +20,15 @@ type benchPoint struct {
 	P95Nanos  int64   `json:"p95_ns"`
 	P99Nanos  int64   `json:"p99_ns"`
 	P999Nanos int64   `json:"p999_ns"`
+	// MatchOpsPerOp is the capability-level match operations one operation
+	// needed, where the figure counts them (figure 8's inserts).
+	MatchOpsPerOp float64 `json:"match_ops_per_op,omitempty"`
 }
 
-// fig9Points and fig10Points accumulate the series as the figures run;
-// main writes them out when -benchjson is set.
+// fig8Points, fig9Points and fig10Points accumulate the series as the
+// figures run; main writes them out when -benchjson is set.
 var (
+	fig8Points  []benchPoint
 	fig9Points  []benchPoint
 	fig10Points []benchPoint
 )

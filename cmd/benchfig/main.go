@@ -10,12 +10,13 @@
 //	benchfig -fig 9 -max 200 -step 20 -reps 50
 //	benchfig -fig 9 -benchjson   # also write BENCH_fig9.json
 //
-// With -benchjson, figures 9 and 10 additionally emit BENCH_fig9.json
-// and BENCH_fig10.json in the working directory: one array of points,
-// each carrying the directory size, series name (optimized /
-// non-optimized for figure 9, ariadne / s-ariadne for figure 10),
-// ops/sec, and p50/p95/p99/p999 latency in nanoseconds over the
-// per-point repetitions.
+// With -benchjson, figures 8, 9 and 10 additionally emit BENCH_fig8.json,
+// BENCH_fig9.json and BENCH_fig10.json in the working directory: one array
+// of points, each carrying the directory size, series name (sparse /
+// dense for figure 8, optimized / non-optimized for figure 9, ariadne /
+// s-ariadne for figure 10), ops/sec, and p50/p95/p99/p999 latency in
+// nanoseconds over the per-point repetitions; figure 8's points also
+// carry the match operations one insert needed.
 package main
 
 import (
@@ -48,7 +49,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0,
 		"trace every Nth query in -fig traffic (0 = discovery default of 64, negative disables; for overhead A/B runs)")
 	benchJSON := flag.Bool("benchjson", false,
-		"also write BENCH_fig9.json / BENCH_fig10.json (ops/sec + p50/p95/p99/p999 per size and series) for the figures that ran")
+		"also write BENCH_fig8.json / BENCH_fig9.json / BENCH_fig10.json (ops/sec + p50/p95/p99/p999 per size and series) for the figures that ran")
 	soakPipeline := flag.Bool("soak-pipeline", false,
 		"run the full soak-horizon pipeline (runtime collector sampler + drift watchdog) during the figures, for overhead A/B runs")
 	flag.Parse()
@@ -108,13 +109,14 @@ func main() {
 		os.Exit(2)
 	}
 	if *benchJSON {
-		if fig9Points != nil {
-			if err := writeBenchJSON("BENCH_fig9.json", fig9Points); err != nil {
-				log.Fatal(err)
+		for _, out := range []struct {
+			path   string
+			points []benchPoint
+		}{{"BENCH_fig8.json", fig8Points}, {"BENCH_fig9.json", fig9Points}, {"BENCH_fig10.json", fig10Points}} {
+			if out.points == nil {
+				continue // the figure did not run
 			}
-		}
-		if fig10Points != nil {
-			if err := writeBenchJSON("BENCH_fig10.json", fig10Points); err != nil {
+			if err := writeBenchJSON(out.path, out.points); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -246,13 +248,34 @@ func fig7(maxServices, step, reps int) {
 	}
 }
 
+// denseWorkload is the live benchmark's dense directory shape: two
+// ontologies of twelve concepts whatever the number of services, so that
+// most advertisements are related and the directory is a few large graphs
+// (workload() above is the sparse shape: graphs of a vertex or two).
+func denseWorkload(services int) (*gen.Workload, *codes.Registry) {
+	w := gen.MustNewWorkload(gen.WorkloadConfig{
+		Ontologies:         2,
+		ClassesPerOntology: 12,
+		Services:           services,
+		Seed:               42,
+	})
+	reg, err := w.Registry(codes.DefaultParams)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return w, reg
+}
+
 // fig8 prints the time to publish one new advertisement into an existing
-// directory: parse, insert, total — per directory size. After the stepped
-// series it goes on to 1000 and 2000 services, an order of magnitude past
-// the paper's largest directory: "insert is nearly constant" is a claim
-// about growth, and 100 services cannot tell constant from slowly linear.
+// directory: parse, insert, total, and the match operations the insert
+// needed — per directory size, once for each directory shape. After the
+// stepped series it goes on to 1000 and 2000 services, an order of
+// magnitude past the paper's largest directory: "insert is nearly
+// constant" is a claim about growth, and 100 services cannot tell
+// constant from slowly linear. The dense shape is where it is hardest to
+// keep: there an insert lands inside a graph that grows with the
+// directory.
 func fig8(maxServices, step, reps int) {
-	fmt.Printf("%-10s %12s %12s %12s\n", "services", "parse", "insert", "total")
 	var sizes []int
 	for n := step; n <= maxServices; n += step {
 		sizes = append(sizes, n)
@@ -262,34 +285,44 @@ func fig8(maxServices, step, reps int) {
 			sizes = append(sizes, n)
 		}
 	}
-	for _, n := range sizes {
-		w, reg := workload(n + 1)
-		newDoc := w.ServiceDocs[n]
-		parse := timeIt(reps, func() {
-			if _, err := profile.Unmarshal(newDoc); err != nil {
-				log.Fatal(err)
+	for _, shape := range []struct {
+		name     string
+		workload func(int) (*gen.Workload, *codes.Registry)
+	}{{"sparse", workload}, {"dense", denseWorkload}} {
+		fmt.Printf("%s directory\n%-10s %12s %12s %12s %16s\n", shape.name, "services", "parse", "insert", "total", "match ops/insert")
+		for _, n := range sizes {
+			// The advertisements published are the reps that follow the
+			// first n of the same workload: each is classified once, and
+			// the figures are means over different advertisements, related
+			// and unrelated to what the directory holds.
+			w, reg := shape.workload(n + reps)
+			i := n
+			parse := timeIt(reps, func() {
+				if _, err := profile.Unmarshal(w.ServiceDocs[i]); err != nil {
+					log.Fatal(err)
+				}
+				i++
+			})
+			dir := registry.NewDirectory(match.NewCodeMatcher(reg))
+			for _, svc := range w.Services[:n] {
+				if err := dir.Register(svc); err != nil {
+					log.Fatal(err)
+				}
 			}
-		})
-		dir := registry.NewDirectory(match.NewCodeMatcher(reg))
-		for _, svc := range w.Services[:n] {
-			if err := dir.Register(svc); err != nil {
-				log.Fatal(err)
-			}
+			i = n
+			opsBefore := dir.MatchOps()
+			samples := sampleIt(reps, func() {
+				if err := dir.Register(w.Services[i]); err != nil {
+					log.Fatal(err)
+				}
+				i++
+			})
+			pt := point(n, shape.name, samples)
+			pt.MatchOpsPerOp = float64(dir.MatchOps()-opsBefore) / float64(reps)
+			fig8Points = append(fig8Points, pt)
+			insert := mean(samples)
+			fmt.Printf("%-10d %12s %12s %12s %16.1f\n", n, parse, insert, parse+insert, pt.MatchOpsPerOp)
 		}
-		base, err := profile.Unmarshal(newDoc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		i := 0
-		insert := timeIt(reps, func() {
-			svc := base.Clone()
-			svc.Name = fmt.Sprintf("new%d", i)
-			i++
-			if err := dir.Register(svc); err != nil {
-				log.Fatal(err)
-			}
-		})
-		fmt.Printf("%-10d %12s %12s %12s\n", n, parse, insert, parse+insert)
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 )
 
 // sizedDirectory registers services advertisements of one of the live
-// benchmark's two directory shapes and returns the directory with one
-// further advertisement of the same shape, not registered. Sparse is one
+// benchmark's two directory shapes and returns the directory with a few
+// further advertisements of the same shape, not registered. Sparse is one
 // ontology of 40 concepts per ~90 services (lookup-sparse: nearly every
 // capability is unrelated to every other, so graphs are singletons and
 // the graph list grows with the directory); dense is two ontologies of 12
 // concepts whatever the size (lookup-dense: a few large graphs).
-func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, *profile.Service) {
+func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, []*profile.Service) {
 	tb.Helper()
-	cfg := gen.WorkloadConfig{Ontologies: max(1, services/90), Services: services + 1, Seed: 2006}
+	const spare = 8
+	cfg := gen.WorkloadConfig{Ontologies: max(1, services/90), Services: services + spare, Seed: 2006}
 	if dense {
 		cfg.Ontologies, cfg.ClassesPerOntology = 2, 12
 	}
@@ -35,7 +36,7 @@ func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, *profi
 			tb.Fatal(err)
 		}
 	}
-	return d, w.Services[services]
+	return d, w.Services[services:]
 }
 
 // publishPair is one publish and one withdrawal of a name the directory
@@ -49,42 +50,117 @@ func publishPair(tb testing.TB, d *Directory, fresh *profile.Service) {
 	}
 }
 
+// allocated returns the bytes f allocates.
+func allocated(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+var flatSink any
+
+// flatCopyBytes is what the linear-by-design part of publishing fresh and
+// withdrawing it again allocates (see snapshot.go): twice the snapshot's
+// graph pointer list and, for the graph the advertisement lands in, twice
+// its compiled vertex array. It is measured, not computed, so that it
+// includes the allocator's rounding.
+func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 {
+	if err := d.Register(fresh); err != nil {
+		tb.Fatal(err)
+	}
+	d.mu.Lock()
+	vertices := len(d.where[d.byService[fresh.Name][0]].g.slots)
+	d.mu.Unlock()
+	graphs := d.NumGraphs()
+	d.Deregister(fresh.Name)
+	if vertices == 1 {
+		vertices = 0 // a graph of its own: nothing copied, all of it is the change
+	}
+	return allocated(func() {
+		for range 2 {
+			flatSink = make([]*snapGraph, graphs)
+			flatSink = make([]snapVertex, vertices)
+		}
+	})
+}
+
 // TestRegisterCostIndependentOfSize is the guard on the publish path that
 // does not depend on how fast the host is: what one Register plus one
-// Deregister allocates must not grow with the directory. Ten times the
+// Deregister allocates must not grow with the directory, in either of the
+// live benchmark's shapes — many small graphs, where the write replaces a
+// graph, and a few large ones, where it patches one. Ten times the
 // services may cost at most half as much again — in allocations outright,
-// and in bytes once the one term that is linear by design is set aside,
-// the flat copy of the snapshot's graph pointer list (8 bytes per graph
-// per publish; see snapshot.go).
+// and in bytes once the terms that are linear by design are set aside,
+// the flat copies of the snapshot's graph pointer list and of the touched
+// graph's vertex array (see snapshot.go).
+//
+// On the dense shape it also reports the match operations one insert
+// needs, next to what the unbounded reference classifier needs for the
+// same insert into the same directory, and requires the bound on the
+// search for S to save a third of them at 2000 services.
 func TestRegisterCostIndependentOfSize(t *testing.T) {
-	type cost struct{ allocs, bytes, graphListBytes float64 }
-	measure := func(services int) cost {
-		d, fresh := sizedDirectory(t, services, false)
-		if st := d.Stats(); st.Graphs < services*9/10 {
+	type cost struct{ allocs, bytes, flatBytes, matchOps, referenceOps float64 }
+	measure := func(services int, dense bool) cost {
+		d, fresh := sizedDirectory(t, services, dense)
+		st := d.Stats()
+		if !dense && st.Graphs < services*9/10 {
 			t.Fatalf("%d services made %d graphs; the sparse shape should be nearly all singletons", services, st.Graphs)
 		}
-		const runs = 50
-		publishPair(t, d, fresh)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			publishPair(t, d, fresh)
+		if dense && st.MaxGraphVertices < services/10 {
+			t.Fatalf("%d services made no graph larger than %d vertices; the dense shape should have a large one", services, st.MaxGraphVertices)
 		}
-		runtime.ReadMemStats(&after)
-		return cost{
-			allocs:         testing.AllocsPerRun(runs, func() { publishPair(t, d, fresh) }),
-			bytes:          float64(after.TotalAlloc-before.TotalAlloc) / runs,
-			graphListBytes: 2 * 8 * float64(d.NumGraphs()),
+		pairs := func() {
+			for _, svc := range fresh {
+				publishPair(t, d, svc)
+			}
 		}
+		pairs()
+		var c cost
+		n := float64(len(fresh))
+		for _, svc := range fresh {
+			c.flatBytes += flatCopyBytes(t, d, svc) / n
+		}
+		const runs = 10
+		c.bytes = allocated(func() {
+			for range runs {
+				pairs()
+			}
+		}) / runs / n
+		c.allocs = testing.AllocsPerRun(runs, pairs) / n
+		ops := d.MatchOps()
+		pairs()
+		c.matchOps = float64(d.MatchOps()-ops) / n
+		ops = d.MatchOps()
+		d.classify = d.referenceClassify
+		pairs()
+		c.referenceOps = float64(d.MatchOps()-ops) / n
+		return c
 	}
-	small, large := measure(200), measure(2000)
-	t.Logf("200 services: %.0f allocs, %.0f B (graph list %.0f B); 2000 services: %.0f allocs, %.0f B (graph list %.0f B)",
-		small.allocs, small.bytes, small.graphListBytes, large.allocs, large.bytes, large.graphListBytes)
-	if large.allocs > 1.5*small.allocs {
-		t.Errorf("a publish pair allocates %.0f times at 2000 services, %.0f at 200: more than 1.5x", large.allocs, small.allocs)
-	}
-	if l, s := large.bytes-large.graphListBytes, small.bytes-small.graphListBytes; l > 1.5*s {
-		t.Errorf("beyond the graph pointer list a publish pair allocates %.0f B at 2000 services, %.0f B at 200: more than 1.5x", l, s)
+	for _, shape := range []string{"sparse", "dense"} {
+		t.Run(shape, func(t *testing.T) {
+			small, large := measure(200, shape == "dense"), measure(2000, shape == "dense")
+			for _, at := range []struct {
+				services int
+				c        cost
+			}{{200, small}, {2000, large}} {
+				t.Logf("%d services: a publish pair makes %.0f allocations of %.0f B (%.0f B of them flat copies) for %.0f match operations (reference classifier %.0f)",
+					at.services, at.c.allocs, at.c.bytes, at.c.flatBytes, at.c.matchOps, at.c.referenceOps)
+			}
+			if large.allocs > 1.5*small.allocs {
+				t.Errorf("a publish pair allocates %.0f times at 2000 services, %.0f at 200: more than 1.5x", large.allocs, small.allocs)
+			}
+			if l, s := large.bytes-large.flatBytes, small.bytes-small.flatBytes; l > 1.5*s {
+				t.Errorf("beyond the flat copies a publish pair allocates %.0f B at 2000 services, %.0f B at 200: more than 1.5x", l, s)
+			}
+			if small.matchOps > small.referenceOps || large.matchOps > large.referenceOps {
+				t.Errorf("an insert needs more match operations than with the reference classifier")
+			}
+			if shape == "dense" && 3*large.matchOps > 2*large.referenceOps {
+				t.Errorf("at 2000 services an insert needs %.0f match operations, more than two thirds of the reference classifier's %.0f", large.matchOps, large.referenceOps)
+			}
+		})
 	}
 }
 
@@ -101,7 +177,7 @@ func BenchmarkRegisterAtSize(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					publishPair(b, d, fresh)
+					publishPair(b, d, fresh[0])
 				}
 			})
 		}

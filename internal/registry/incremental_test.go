@@ -36,7 +36,7 @@ func newScratchSnapshot(d *Directory) *snapshot {
 	}
 	keySet := make(map[string]struct{})
 	for _, g := range d.graphs {
-		for v := range g.vertices {
+		for _, v := range g.slots {
 			for _, e := range v.entries {
 				keySet[e.Capability.OntologyKey()] = struct{}{}
 			}
@@ -44,6 +44,135 @@ func newScratchSnapshot(d *Directory) *snapshot {
 	}
 	s.ontologyKeys = slices.Sorted(maps.Keys(keySet))
 	return s
+}
+
+// rankHeap is a binary min-heap of vertex name ranks.
+type rankHeap []int32
+
+func (h *rankHeap) push(r int32) {
+	q := append(*h, r)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent] <= q[i] {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *rankHeap) pop() int32 {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if q[c] < q[least] {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
+
+// topoOrder returns a deterministic topological order of verts, which
+// the caller has sorted by representative name: Kahn's algorithm, always
+// taking the ready vertex that comes first in that name order. order[i]
+// is the name rank (index into verts) of the i-th vertex.
+func topoOrder(verts []*vertex) []int32 {
+	remaining := make([]int32, len(verts))
+	ready := make(rankHeap, 0, len(verts))
+	rank := make(map[*vertex]int32, len(verts))
+	for i, v := range verts {
+		rank[v] = int32(i)
+		remaining[i] = int32(len(v.preds))
+		if len(v.preds) == 0 {
+			ready = append(ready, int32(i)) // ascending, so already a heap
+		}
+	}
+	order := make([]int32, 0, len(verts))
+	for len(ready) > 0 {
+		r := ready.pop()
+		order = append(order, r)
+		remaining[r] = -1
+		for s := range verts[r].succs {
+			remaining[rank[s]]--
+			if remaining[rank[s]] == 0 {
+				ready.push(rank[s])
+			}
+		}
+	}
+	if len(order) < len(verts) {
+		// A cycle would violate the DAG invariant; degrade to name order
+		// for what is left (checkInvariants reports the cycle).
+		for i := range verts {
+			if remaining[i] >= 0 {
+				order = append(order, int32(i))
+			}
+		}
+	}
+	return order
+}
+
+// newSnapGraph compiles one builder graph from scratch, sharing nothing
+// with its patched compiled form and ignoring the builder's slots and
+// walk order: vertices are laid out in a deterministic topological order
+// (lexicographic by representative capability name among ready vertices),
+// so slot i is also the i-th vertex of the walk.
+func newSnapGraph(g *graph) *snapGraph {
+	verts := slices.Clone(g.slots)
+	edges, entries := 0, 0
+	for _, v := range verts {
+		edges += len(v.succs)
+		entries += len(v.entries)
+	}
+	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Name, b.rep.Name) })
+	order := topoOrder(verts)
+	// index maps a vertex to its compiled index.
+	index := make(map[*vertex]int32, len(verts))
+	for i, r := range order {
+		index[verts[r]] = int32(i)
+	}
+	sg := &snapGraph{
+		vertices:   make([]snapVertex, len(order)),
+		ontologies: slices.Sorted(maps.Keys(g.ontologies)),
+		ontoSet:    make(map[string]struct{}, len(g.ontologies)),
+		tally:      tally{vertices: len(order), edges: edges, entries: entries, roots: len(g.roots), leaves: len(g.leaves)},
+	}
+	for u := range g.ontologies {
+		sg.ontoSet[u] = struct{}{}
+	}
+	for i, r := range order {
+		v := verts[r]
+		sv := &sg.vertices[i]
+		sv.next = int32(i + 1)
+		if i+1 == len(order) {
+			sv.next = -1
+		}
+		sv.rep = v.rep
+		sv.root = len(v.preds) == 0
+		sv.leaf = len(v.succs) == 0
+		sv.entries = slices.Clone(v.entries)
+		for p := range v.preds {
+			sv.preds = append(sv.preds, index[p])
+		}
+		for s := range v.succs {
+			sv.succs = append(sv.succs, index[s])
+		}
+		slices.Sort(sv.preds)
+		slices.Sort(sv.succs)
+	}
+	return sg
 }
 
 // graphPositions renders a candidate list as positions in the snapshot's
@@ -241,45 +370,176 @@ func generatedPool(t *testing.T, seed int64) advertPool {
 	return p
 }
 
+// densePool draws services of one or two capabilities over one ontology
+// of eight concepts, so that nearly every capability is related to many
+// others: most of the directory is one graph that grows to a hundred
+// vertices and more, and a write lands inside a large graph instead of
+// beside it (the live benchmark's dense shape needs a thousand services to
+// get there).
+func densePool(t *testing.T, seed int64) advertPool {
+	const names = 120
+	w := gen.MustNewWorkload(gen.WorkloadConfig{
+		Ontologies: 1, ClassesPerOntology: 8, InputsPerCapability: 2, OutputsPerCapability: 1,
+		Services: 3 * names, CapabilitiesPerService: 2, Seed: seed,
+	})
+	reg, err := w.Registry(codes.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := advertPool{d: NewDirectory(match.NewCodeMatcher(reg))}
+	for i := 0; i < names; i++ {
+		var vs []*profile.Service
+		for v := 0; v < 3; v++ {
+			svc := w.Services[v*names+i].Clone()
+			svc.Name = fmt.Sprintf("d%03d", i)
+			svc.Provided = svc.Provided[:1+(i+v)%2]
+			for c, cp := range svc.Provided {
+				cp.Name = fmt.Sprintf("%s.v%d.c%d", svc.Name, v, c)
+			}
+			vs = append(vs, svc)
+		}
+		p.variants = append(p.variants, vs)
+	}
+	for i := 0; i < 8; i++ {
+		p.probes = append(p.probes, w.Request(i*names/8, 1))
+	}
+	return p
+}
+
+// layout is where the builder keeps every vertex: its graph and its slot.
+type layout map[*vertex]place
+
+type place struct {
+	g    *graph
+	slot int32
+}
+
+func layoutOf(d *Directory) layout {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l := make(layout)
+	for _, g := range d.graphs {
+		for _, v := range g.slots {
+			l[v] = place{g, v.slot}
+		}
+	}
+	return l
+}
+
+// writeShape is what one write did to the builder's layout, as far as the
+// patch of the compiled graphs cares.
+type writeShape struct {
+	// created and emptied count graphs; moved counts vertices a removal
+	// put into another slot; reused counts new vertices in a slot another
+	// vertex held before the write.
+	created, emptied, moved, reused int
+}
+
+func (before layout) shapeOf(after layout) writeShape {
+	graphs := func(l layout) (map[*graph]int, map[place]bool) {
+		sizes, held := make(map[*graph]int), make(map[place]bool)
+		for _, at := range l {
+			sizes[at.g]++
+			held[at] = true
+		}
+		return sizes, held
+	}
+	was, heldBefore := graphs(before)
+	is, _ := graphs(after)
+	var w writeShape
+	for g := range is {
+		if was[g] == 0 {
+			w.created++
+		}
+	}
+	for g := range was {
+		if is[g] == 0 {
+			w.emptied++
+		}
+	}
+	for v, at := range after {
+		switch old, existed := before[v]; {
+		case existed && old.slot != at.slot:
+			w.moved++
+		case !existed && heldBefore[at]:
+			w.reused++
+		}
+	}
+	return w
+}
+
 // TestIncrementalSnapshotEqualsFromScratch replays seeded random
 // histories — register, re-register with changed capabilities,
 // deregister, multi-capability services, shared vertices, graphs emptied
 // and their URIs re-used, keys whose last holder leaves and returns — and
 // after every step requires the published snapshot, which was derived
-// from its predecessor, to equal a whole-directory compile.
+// from its predecessor, to equal a whole-directory compile. Seeds past 6
+// run inside large graphs (densePool), where a write patches a compiled
+// graph instead of replacing a small one: vertices removed from the
+// middle of the slot table, their slots taken again by the same write,
+// graphs created by the write that empties another.
 func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	swaps := 0 // writes, over all histories, that created one graph and emptied another
+	for seed := int64(1); seed <= 9; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			pool := fixturePool(t, rng)
-			if seed%2 == 0 {
+			dense := seed > 6
+			var pool advertPool
+			switch {
+			case dense:
+				pool = densePool(t, seed)
+			case seed%2 == 0:
 				pool = generatedPool(t, seed)
+			default:
+				pool = fixturePool(t, rng)
 			}
 			d := pool.d
 			checkAgainstScratch(t, d, pool.probes)
-			emptied, keyFlips := 0, 0
+			if dense {
+				for _, vs := range pool.variants {
+					if err := d.Register(vs[0]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkAgainstScratch(t, d, pool.probes)
+			}
+			var total writeShape
+			keyFlips, largest := 0, 0
 			for step := 0; step < 250; step++ {
 				i := rng.Intn(len(pool.variants))
-				graphsBefore, keysBefore := d.NumGraphs(), len(d.OntologyKeys())
-				// Deregistrations come in runs so the directory drains to
-				// nothing now and then and refills.
-				if rng.Intn(3) == 0 || (step/40)%3 == 2 && rng.Intn(2) == 0 {
+				before, keysBefore := layoutOf(d), len(d.OntologyKeys())
+				// Deregistrations come in runs so the small directories drain
+				// to nothing now and then and refill; the dense one stays
+				// nearly full.
+				if rng.Intn(3) == 0 || !dense && (step/40)%3 == 2 && rng.Intn(2) == 0 {
 					d.Deregister(pool.variants[i][0].Name)
 				} else if err := d.Register(pool.variants[i][rng.Intn(len(pool.variants[i]))]); err != nil {
 					t.Fatal(err)
 				}
-				if d.NumGraphs() < graphsBefore {
-					emptied++
+				w := before.shapeOf(layoutOf(d))
+				total.created += w.created
+				total.emptied += w.emptied
+				total.moved += w.moved
+				total.reused += w.reused
+				if w.created > 0 && w.emptied > 0 {
+					swaps++
 				}
 				if len(d.OntologyKeys()) != keysBefore {
 					keyFlips++
 				}
+				largest = max(largest, d.Stats().MaxGraphVertices)
 				checkAgainstScratch(t, d, pool.probes)
 			}
-			if emptied == 0 || keyFlips < 2 {
-				t.Fatalf("history too tame: %d graphs emptied, %d key-set changes", emptied, keyFlips)
+			if total.emptied == 0 || !dense && keyFlips < 2 {
+				t.Fatalf("history too tame: %d graphs emptied, %d key-set changes", total.emptied, keyFlips)
+			}
+			if dense && (largest < 80 || total.moved < 10 || total.reused < 10) {
+				t.Fatalf("history too tame: largest graph %d vertices, %d vertices moved to a freed slot, %d slots reused", largest, total.moved, total.reused)
 			}
 		})
+	}
+	if swaps == 0 {
+		t.Fatal("histories too tame: no write created one graph and emptied another")
 	}
 }
 

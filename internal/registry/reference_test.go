@@ -1,0 +1,156 @@
+package registry
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sariadne/internal/profile"
+)
+
+// referenceClassify is the classifier the directory used before the
+// search for S was bounded, kept as the definition classifyLocked must
+// agree with: it probes every leaf of the graph, keeps no record of failed
+// probes (a non-matching vertex is probed again from every matching
+// neighbour), and works on maps, sharing no code or scratch with
+// classifyLocked.
+func (d *Directory) referenceClassify(g *graph, c *profile.Capability) (placement, bool) {
+	var pl placement
+	m := make(map[*vertex]struct{})
+	var frontier []*vertex
+	for r := range g.roots {
+		if d.matches(r.rep, c) {
+			m[r] = struct{}{}
+			frontier = append(frontier, r)
+		}
+	}
+	for len(frontier) > 0 {
+		var next []*vertex
+		for _, v := range frontier {
+			for s := range v.succs {
+				if _, seen := m[s]; seen {
+					continue
+				}
+				if d.matches(s.rep, c) {
+					m[s] = struct{}{}
+					next = append(next, s)
+				}
+			}
+		}
+		if len(next) > 0 {
+			pl.depth++
+		}
+		frontier = next
+	}
+	sset := make(map[*vertex]struct{})
+	for l := range g.leaves {
+		if d.matches(c, l.rep) {
+			sset[l] = struct{}{}
+			frontier = append(frontier, l)
+		}
+	}
+	for len(frontier) > 0 {
+		var next []*vertex
+		for _, v := range frontier {
+			for p := range v.preds {
+				if _, seen := sset[p]; seen {
+					continue
+				}
+				if d.matches(c, p.rep) {
+					sset[p] = struct{}{}
+					next = append(next, p)
+				}
+			}
+		}
+		frontier = next
+	}
+	if len(m) == 0 && len(sset) == 0 {
+		return pl, false
+	}
+	for v := range m {
+		if isIn(sset, v) {
+			pl.join = v
+			return pl, true
+		}
+	}
+	for v := range m {
+		minimal := true
+		for s := range v.succs {
+			if isIn(m, s) {
+				minimal = false
+				break
+			}
+		}
+		if minimal {
+			pl.parents = append(pl.parents, v)
+		}
+	}
+	for v := range sset {
+		maximal := true
+		for p := range v.preds {
+			if isIn(sset, p) {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			pl.children = append(pl.children, v)
+		}
+	}
+	return pl, true
+}
+
+// TestBoundedClassifierEqualsReference replays one history on two
+// directories, one classifying with classifyLocked and one with the
+// unbounded reference, and requires the same graphs after every step for
+// never more match operations. On the dense pool the bounded classifier
+// must need fewer; how many fewer grows with the graph (at a hundred
+// vertices a tenth to a fifth, at the live benchmark's six hundred a half:
+// TestRegisterCostIndependentOfSize measures it at size).
+func TestBoundedClassifierEqualsReference(t *testing.T) {
+	pools := map[string]func(seed int64) advertPool{
+		"figure1":   func(seed int64) advertPool { return fixturePool(t, rand.New(rand.NewSource(seed))) },
+		"generated": func(seed int64) advertPool { return generatedPool(t, seed) },
+		"dense":     func(seed int64) advertPool { return densePool(t, seed) },
+	}
+	for name, newPool := range pools {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				pool := newPool(seed)
+				d, ref := pool.d, NewDirectory(pool.d.matcher)
+				ref.classify = ref.referenceClassify
+				rng := rand.New(rand.NewSource(seed))
+				for step := 0; step < 400; step++ {
+					i := rng.Intn(len(pool.variants))
+					if rng.Intn(4) == 0 {
+						name := pool.variants[i][0].Name
+						if d.Deregister(name) != ref.Deregister(name) {
+							t.Fatalf("step %d: the directories disagree on whether %s was registered", step, name)
+						}
+					} else {
+						v := rng.Intn(len(pool.variants[i]))
+						if err := d.Register(pool.variants[i][v]); err != nil {
+							t.Fatal(err)
+						}
+						if err := ref.Register(pool.variants[i][v]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got, want := d.Snapshot(), ref.Snapshot(); got != want {
+						t.Fatalf("step %d: graphs differ from the reference classifier's\n got:\n%s\nwant:\n%s", step, got, want)
+					}
+					if got, want := d.MatchOps(), ref.MatchOps(); got > want {
+						t.Fatalf("step %d: %d match operations so far, the reference needed %d", step, got, want)
+					}
+				}
+				if err := d.checkInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d match operations, reference %d; largest graph %d vertices", d.MatchOps(), ref.MatchOps(), d.Stats().MaxGraphVertices)
+				if name == "dense" && 10*d.MatchOps() > 9*ref.MatchOps() {
+					t.Errorf("%d match operations, more than 90%% of the reference's %d", d.MatchOps(), ref.MatchOps())
+				}
+			})
+		}
+	}
+}

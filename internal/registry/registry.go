@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -71,18 +72,43 @@ type vertex struct {
 	entries []*Entry
 	preds   map[*vertex]struct{}
 	succs   map[*vertex]struct{}
-	// rank is scratch of the graph compile (topoOrder): the vertex's
-	// position in the name-sorted list, valid only during it.
-	rank int32
+	// slot is the vertex's index in the owning graph's slot table, and so
+	// in the compiled vertex array; -1 once the vertex has left the graph.
+	slot int32
+	// touched marks the vertex queued in graph.touched.
+	touched bool
+}
+
+func newVertex(e *Entry) *vertex {
+	return &vertex{rep: e.Capability, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
 }
 
 // graph is one DAG of related capabilities plus its ontology index.
 type graph struct {
-	// ontologies is the union of ontology URIs used by member capabilities.
-	ontologies map[string]struct{}
-	vertices   map[*vertex]struct{}
-	roots      map[*vertex]struct{}
-	leaves     map[*vertex]struct{}
+	// ontologies counts, per ontology URI, the member entries using it; a
+	// URI no entry uses any more is deleted, so the keys are the graph's
+	// ontology set. ontoStale records that the set changed since the graph
+	// was last compiled.
+	ontologies map[string]int
+	ontoStale  bool
+	// slots is the vertex table: slots[i].slot == i. A new vertex takes the
+	// next slot, a removed one hands its slot to the last (swap-delete), so
+	// the table stays dense and every other vertex keeps its slot.
+	slots []*vertex
+	// order is the walk order, a topological permutation of the slots
+	// (every predecessor of a vertex comes before it), and pos its inverse:
+	// order[pos[s]] == s. Both are edited in place as vertices come and go;
+	// a compiled graph has the order threaded through its vertex array.
+	order  []int32
+	pos    []int32
+	roots  map[*vertex]struct{}
+	leaves map[*vertex]struct{}
+	// edges and entries are running totals over the vertices.
+	edges, entries int
+	// touched lists the vertices whose compiled form is stale: created,
+	// moved to another slot, or changed in entries or adjacency since the
+	// last publish. The publish rebuilds those slots and no other.
+	touched []*vertex
 	// compiled is the graph's immutable form in the published snapshot
 	// (nil until its first publish); dirty marks it stale, i.e. the graph
 	// is queued in Directory.dirty for the next publish.
@@ -92,8 +118,7 @@ type graph struct {
 
 func newGraph() *graph {
 	return &graph{
-		ontologies: make(map[string]struct{}),
-		vertices:   make(map[*vertex]struct{}),
+		ontologies: make(map[string]int),
 		roots:      make(map[*vertex]struct{}),
 		leaves:     make(map[*vertex]struct{}),
 	}
@@ -110,10 +135,59 @@ func (g *graph) covers(uris []string) bool {
 	return true
 }
 
-func (g *graph) addOntologies(uris []string) {
-	for _, u := range uris {
-		g.ontologies[u] = struct{}{}
+// touch queues v for recompilation at the next publish.
+func (g *graph) touch(v *vertex) {
+	if !v.touched {
+		v.touched = true
+		g.touched = append(g.touched, v)
 	}
+}
+
+// renumber restores pos for the walk order from position at on, after a
+// splice there shifted it.
+func (g *graph) renumber(at int) {
+	for k := at; k < len(g.order); k++ {
+		g.pos[g.order[k]] = int32(k)
+	}
+}
+
+// addSlot gives v the next slot and splices it into the walk order at
+// position at. The caller picks at after every predecessor and before
+// every successor v is about to get.
+func (g *graph) addSlot(v *vertex, at int) {
+	v.slot = int32(len(g.slots))
+	g.slots = append(g.slots, v)
+	g.pos = append(g.pos, 0)
+	g.order = slices.Insert(g.order, at, v.slot)
+	g.renumber(at)
+	g.touch(v)
+}
+
+// dropSlot takes v, already detached from its neighbours, out of the walk
+// order and the slot table. The last vertex moves into the freed slot, so
+// it and the neighbours that name it by slot are touched.
+func (g *graph) dropSlot(v *vertex) {
+	at := int(g.pos[v.slot])
+	g.order = slices.Delete(g.order, at, at+1)
+	g.renumber(at)
+	last := int32(len(g.slots) - 1)
+	if moved := g.slots[last]; moved != v {
+		g.slots[v.slot] = moved
+		g.pos[v.slot] = g.pos[last]
+		g.order[g.pos[last]] = v.slot
+		moved.slot = v.slot
+		g.touch(moved)
+		for p := range moved.preds {
+			g.touch(p)
+		}
+		for s := range moved.succs {
+			g.touch(s)
+		}
+	}
+	g.slots[last] = nil
+	g.slots = g.slots[:last]
+	g.pos = g.pos[:last]
+	v.slot = -1
 }
 
 // Directory is a semantic service directory: it caches advertised
@@ -142,6 +216,11 @@ type Directory struct {
 	// publish, the only time the published key list is rebuilt.
 	keyRefs   map[string]int // guarded by mu
 	keysStale bool           // guarded by mu
+	// scratch is the classifier's working memory, reused across inserts.
+	scratch classifyScratch // guarded by mu
+	// classify places a capability in one graph: classifyLocked. Tests put
+	// the unbounded reference classifier here to compare the two.
+	classify func(*graph, *profile.Capability) (placement, bool)
 	// snap is the published immutable view served to readers.
 	snap atomic.Pointer[snapshot]
 	// matchOps counts capability-level match operations (monotonic).
@@ -157,6 +236,7 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 		where:      make(map[*Entry]entryLoc),
 		keyRefs:    make(map[string]int),
 	}
+	d.classify = d.classifyLocked
 	d.snap.Store(&snapshot{byOntology: map[string][]*snapGraph{}})
 	return d
 }
@@ -177,19 +257,25 @@ func (d *Directory) markDirtyLocked(g *graph) {
 	}
 }
 
-// publishLocked recompiles the graphs written since the last publish and
-// atomically publishes a snapshot derived from the previous one and
-// those graphs alone. Writers call it once per Register/Deregister, so a
-// service advertising many capabilities pays for one snapshot, not one
-// per capability.
+// publishLocked patches the compiled form of every graph written since
+// the last publish and atomically publishes a snapshot derived from the
+// previous one and those graphs alone. Writers call it once per
+// Register/Deregister, so a service advertising many capabilities pays
+// for one snapshot, not one per capability.
 func (d *Directory) publishLocked() {
 	changes := make([]graphChange, 0, len(d.dirty))
 	for _, g := range d.dirty {
 		g.dirty = false
 		ch := graphChange{old: g.compiled}
-		if len(g.vertices) > 0 {
-			ch.new = newSnapGraph(g)
+		if len(g.slots) > 0 {
+			ch.new = clonePatched(g.compiled, g)
 		}
+		for _, v := range g.touched {
+			v.touched = false
+		}
+		clear(g.touched)
+		g.touched = g.touched[:0]
+		g.ontoStale = false
 		g.compiled = ch.new
 		if ch.old != nil || ch.new != nil { // else created and emptied by the same write
 			changes = append(changes, ch)
@@ -206,30 +292,34 @@ func (d *Directory) publishLocked() {
 	d.snap.Store(newSnapshot(prev, changes, d.byOntology, keys))
 }
 
-// indexGraphLocked records g under every URI in uris not yet indexed for it.
+// indexGraphLocked counts one more member entry of g under each of uris,
+// and lists g under those it did not use before.
 func (d *Directory) indexGraphLocked(g *graph, uris []string) {
 	for _, u := range uris {
-		if _, ok := g.ontologies[u]; ok {
-			continue // already indexed when first added
+		if g.ontologies[u]++; g.ontologies[u] == 1 {
+			d.byOntology[u] = append(d.byOntology[u], g)
+			g.ontoStale = true
 		}
-		d.byOntology[u] = append(d.byOntology[u], g)
 	}
-	g.addOntologies(uris)
 }
 
-// unindexGraphLocked removes g from the ontology index.
-func (d *Directory) unindexGraphLocked(g *graph) {
-	for u := range g.ontologies {
+// unindexGraphLocked counts one member entry of g less under each of
+// uris, and unlists g under those its last user just left — so neither
+// queries nor inserts over such a URI are offered the graph any longer.
+func (d *Directory) unindexGraphLocked(g *graph, uris []string) {
+	for _, u := range uris {
+		if g.ontologies[u]--; g.ontologies[u] > 0 {
+			continue
+		}
+		delete(g.ontologies, u)
+		g.ontoStale = true
 		list := d.byOntology[u]
-		for i, gg := range list {
-			if gg == g {
-				d.byOntology[u] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(d.byOntology[u]) == 0 {
+		if len(list) == 1 {
 			delete(d.byOntology, u)
+			continue
 		}
+		i := slices.Index(list, g)
+		d.byOntology[u] = slices.Delete(list, i, i+1)
 	}
 }
 
@@ -335,23 +425,18 @@ func (d *Directory) insertLocked(e *Entry) {
 	var g *graph
 	var v *vertex
 	for _, cand := range d.candidateGraphsLocked(uris) {
-		if v = d.insertIntoGraphLocked(cand, e); v != nil {
-			g = cand
+		if pl, related := d.classify(cand, c); related {
+			g, v = cand, d.placeLocked(cand, e, pl)
 			break
 		}
 	}
 	if g == nil {
-		// No graph accepted the capability: start a new one.
+		// No graph accepted the capability: start a new one, in which it
+		// has neither parents nor children.
 		g = newGraph()
-		v = &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
-		g.vertices[v] = struct{}{}
-		g.roots[v] = struct{}{}
-		g.leaves[v] = struct{}{}
 		d.graphs = append(d.graphs, g)
 		graphsGauge.Add(1)
-		verticesGauge.Add(1)
-		entriesGauge.Add(1)
-		insertDepth.ObserveInt(0)
+		v = d.placeLocked(g, e, placement{})
 	}
 	d.indexGraphLocked(g, uris)
 	d.markDirtyLocked(g)
@@ -362,124 +447,243 @@ func (d *Directory) insertLocked(e *Entry) {
 	}
 }
 
-// insertIntoGraphLocked tries to place the entry inside g and returns the
-// vertex that took it, or nil when the capability is unrelated to every
-// vertex of g. The caller indexes g under the capability's ontologies and
-// marks it dirty.
+// placement is where classification puts a capability in one graph: in
+// the existing vertex join when one is equivalent to it, otherwise in a
+// new vertex below parents and above children. depth is the number of
+// levels below the roots the search for parents went.
+type placement struct {
+	join              *vertex
+	parents, children []*vertex
+	depth             int
+}
+
+// classifyScratch is the classifier's reusable working memory: one mark
+// byte per slot of the graph being searched, and the vertex lists it
+// builds. A placement's parents and children alias the lists, so it is
+// good until the next classification.
+type classifyScratch struct {
+	marks                                    []uint8
+	m, s, parents, children, leaves, pending []*vertex
+}
+
+// Marks of one classification. inM / inS record Match(V, C) / Match(C, V)
+// for the capability C being placed; notM / notS record a failed probe, so
+// that no vertex is probed twice for the same region however many
+// neighbours lead to it.
+const (
+	inM uint8 = 1 << iota
+	notM
+	inS
+	notS
+	// below marks the vertices the search for S is confined to.
+	below
+)
+
+// marksLocked returns n zeroed marks.
+func (d *Directory) marksLocked(n int) []uint8 {
+	if cap(d.scratch.marks) < n {
+		d.scratch.marks = make([]uint8, n+n/4)
+	}
+	marks := d.scratch.marks[:n]
+	clear(marks)
+	return marks
+}
+
+// classifyLocked finds the place of capability c in g, or reports that c
+// is unrelated to every vertex of g.
 //
 // The matching region M = {V : Match(V, C)} is explored top-down from the
 // matching roots (M is downward-closed along edges into it); the region
-// S = {V : Match(C, V)} is explored bottom-up from the matching leaves.
+// S = {V : Match(C, V)} is explored bottom-up from matching leaves.
 // Parents of C are the minimal frontier of M, children the maximal
 // frontier of S — a robust completion of the paper's root/leaf probing
-// algorithm.
-func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) *vertex {
-	c := e.Capability
+// algorithm. Two facts bound the work. Every vertex is probed at most
+// once per region. And once a parent P is known, S lies among P and its
+// descendants: Match(P, C) and Match(C, V) give Match(P, V) by
+// transitivity, and a graph holds a path between any two of its vertices
+// that match (insertion links a new vertex to the frontiers of both its
+// regions, removal reconnects around the vertex it takes out). So only
+// the leaves below P are probed, not every leaf of the graph, and the
+// climb from them never leaves P's descendants.
+func (d *Directory) classifyLocked(g *graph, c *profile.Capability) (placement, bool) {
+	sc := &d.scratch
+	marks := d.marksLocked(len(g.slots))
+	var pl placement
 
-	// M: vertices that subsume C (can substitute for C).
-	m := make(map[*vertex]struct{})
-	var frontier []*vertex
+	// M: vertices that subsume C (can substitute for C), level by level.
+	m := sc.m[:0]
 	for r := range g.roots {
 		if d.matches(r.rep, c) {
-			m[r] = struct{}{}
-			frontier = append(frontier, r)
+			marks[r.slot] |= inM
+			m = append(m, r)
 		}
 	}
-	depth := 0
-	for len(frontier) > 0 {
-		var next []*vertex
-		for _, v := range frontier {
+	for lo := 0; lo < len(m); {
+		hi := len(m)
+		for _, v := range m[lo:hi] {
 			for s := range v.succs {
-				if _, seen := m[s]; seen {
-					continue
-				}
-				if d.matches(s.rep, c) {
-					m[s] = struct{}{}
-					next = append(next, s)
+				switch {
+				case marks[s.slot]&(inM|notM) != 0:
+				case d.matches(s.rep, c):
+					marks[s.slot] |= inM
+					m = append(m, s)
+				default:
+					marks[s.slot] |= notM
 				}
 			}
 		}
-		if len(next) > 0 {
-			depth++
+		if len(m) > hi {
+			pl.depth++
 		}
-		frontier = next
+		lo = hi
 	}
+	sc.m = m
+	// Parents: minimal frontier of M (no successor also in M).
+	pl.parents = frontier(sc.parents[:0], m, marks, inM, func(v *vertex) map[*vertex]struct{} { return v.succs })
+	sc.parents = pl.parents
 
-	// S: vertices that C subsumes.
-	sset := make(map[*vertex]struct{})
-	frontier = frontier[:0]
-	for l := range g.leaves {
-		if d.matches(c, l.rep) {
-			sset[l] = struct{}{}
-			frontier = append(frontier, l)
+	// S: vertices that C subsumes, climbing from the leaves that are.
+	sset := sc.s[:0]
+	probe := func(v *vertex) {
+		switch {
+		case marks[v.slot]&(inS|notS) != 0:
+		case d.matches(c, v.rep):
+			marks[v.slot] |= inS
+			sset = append(sset, v)
+		default:
+			marks[v.slot] |= notS
 		}
 	}
-	for len(frontier) > 0 {
-		var next []*vertex
-		for _, v := range frontier {
-			for p := range v.preds {
-				if _, seen := sset[p]; seen {
-					continue
-				}
-				if d.matches(c, p.rep) {
-					sset[p] = struct{}{}
-					next = append(next, p)
-				}
+	if len(pl.parents) == 0 {
+		for l := range g.leaves {
+			probe(l)
+		}
+	} else {
+		// Of several parents take the one latest in the walk order, which
+		// is likely to have the fewest descendants.
+		top := pl.parents[0]
+		for _, p := range pl.parents[1:] {
+			if g.pos[p.slot] > g.pos[top.slot] {
+				top = p
 			}
 		}
-		frontier = next
+		leaves := d.markBelowLocked(g, top, marks, below, math.MaxInt32)
+		if marks[top.slot] |= below; len(top.succs) == 0 {
+			leaves = append(leaves, top)
+		}
+		// A vertex equivalent to C would be C's only parent, and all below
+		// it would be in S: asking the parent first settles such a join
+		// with one probe instead of one per descendant. The probe is spent
+		// only where the bound has already saved one (a leaf elsewhere in
+		// the graph), so that a classification never needs more probes
+		// than the unbounded search.
+		if len(pl.parents) == 1 && len(leaves) < len(g.leaves) {
+			if probe(top); marks[top.slot]&inS != 0 {
+				pl.join = top
+				return pl, true
+			}
+		}
+		for _, l := range leaves {
+			probe(l)
+		}
 	}
+	for i := 0; i < len(sset); i++ {
+		for p := range sset[i].preds {
+			if len(pl.parents) == 0 || marks[p.slot]&below != 0 {
+				probe(p)
+			}
+		}
+	}
+	sc.s = sset
 
 	if len(m) == 0 && len(sset) == 0 {
-		return nil
+		return pl, false
 	}
-
 	// Mutual match: join the existing equivalence vertex. Transitivity
 	// guarantees at most one vertex sits in both regions.
-	for v := range m {
-		if _, both := sset[v]; both {
-			v.entries = append(v.entries, e)
-			entriesGauge.Add(1)
-			insertDepth.ObserveInt(int64(depth))
-			return v
-		}
-	}
-
-	// Parents: minimal frontier of M (no successor also in M).
-	parents := make([]*vertex, 0, len(m))
-	for v := range m {
-		minimal := true
-		for s := range v.succs {
-			if _, ok := m[s]; ok {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			parents = append(parents, v)
+	for _, v := range sset {
+		if marks[v.slot]&inM != 0 {
+			pl.join = v
+			return pl, true
 		}
 	}
 	// Children: maximal frontier of S (no predecessor also in S).
-	children := make([]*vertex, 0, len(sset))
-	for v := range sset {
-		maximal := true
-		for p := range v.preds {
-			if _, ok := sset[p]; ok {
-				maximal = false
+	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v *vertex) map[*vertex]struct{} { return v.preds })
+	sc.children = pl.children
+	return pl, true
+}
+
+// frontier appends to dst the vertices of region that have no neighbour
+// marked in on the side next gives.
+func frontier(dst, region []*vertex, marks []uint8, in uint8, next func(*vertex) map[*vertex]struct{}) []*vertex {
+	for _, v := range region {
+		edge := true
+		for n := range next(v) {
+			if marks[n.slot]&in != 0 {
+				edge = false
 				break
 			}
 		}
-		if maximal {
-			children = append(children, v)
+		if edge {
+			dst = append(dst, v)
 		}
 	}
+	return dst
+}
 
-	nv := &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
-	g.vertices[nv] = struct{}{}
+// markBelowLocked sets bit in the marks of the descendants of from that
+// sit at walk-order positions up to limit, and returns the leaves among
+// them (good until the next call). Descendants come later in the walk
+// order than their ancestors, so nothing past limit leads back before it
+// and the search stops there.
+func (d *Directory) markBelowLocked(g *graph, from *vertex, marks []uint8, bit uint8, limit int32) []*vertex {
+	leaves := d.scratch.leaves[:0]
+	pending := append(d.scratch.pending[:0], from)
+	for len(pending) > 0 {
+		v := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		for s := range v.succs {
+			if marks[s.slot]&bit != 0 || g.pos[s.slot] > limit {
+				continue
+			}
+			marks[s.slot] |= bit
+			if len(s.succs) == 0 {
+				leaves = append(leaves, s)
+			} else {
+				pending = append(pending, s)
+			}
+		}
+	}
+	d.scratch.leaves, d.scratch.pending = leaves, pending
+	return leaves
+}
+
+// placeLocked puts the entry where classification said and returns the
+// vertex that holds it. The caller indexes g under the capability's
+// ontologies and marks it dirty.
+func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) *vertex {
+	g.entries++
+	entriesGauge.Add(1)
+	insertDepth.ObserveInt(int64(pl.depth))
+	if v := pl.join; v != nil {
+		v.entries = append(v.entries, e)
+		g.touch(v)
+		return v
+	}
+	// The new vertex goes into the walk order just ahead of its first
+	// child, or at the end when it has none. That is after every parent:
+	// a parent matches every child through the new vertex, so the graph
+	// already holds a path from it to each and the order has it first.
+	nv := newVertex(e)
+	at := len(g.order)
+	for _, ch := range pl.children {
+		at = min(at, int(g.pos[ch.slot]))
+	}
+	g.addSlot(nv, at)
 	edgeDelta := 0
-	for _, p := range parents {
+	for _, p := range pl.parents {
 		// Drop direct edges p→child that the new vertex now mediates.
-		for _, ch := range children {
+		for _, ch := range pl.children {
 			if _, ok := p.succs[ch]; ok {
 				delete(p.succs, ch)
 				delete(ch.preds, p)
@@ -490,23 +694,24 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) *vertex {
 		nv.preds[p] = struct{}{}
 		edgeDelta++
 		delete(g.leaves, p)
+		g.touch(p)
 	}
-	for _, ch := range children {
+	for _, ch := range pl.children {
 		nv.succs[ch] = struct{}{}
 		ch.preds[nv] = struct{}{}
 		edgeDelta++
 		delete(g.roots, ch)
+		g.touch(ch)
 	}
-	if len(parents) == 0 {
+	if len(pl.parents) == 0 {
 		g.roots[nv] = struct{}{}
 	}
-	if len(children) == 0 {
+	if len(pl.children) == 0 {
 		g.leaves[nv] = struct{}{}
 	}
+	g.edges += edgeDelta
 	verticesGauge.Add(1)
-	entriesGauge.Add(1)
 	edgesGauge.Add(int64(edgeDelta))
-	insertDepth.ObserveInt(int64(depth))
 	return nv
 }
 
@@ -539,35 +744,41 @@ func (d *Directory) removeEntryLocked(e *Entry) {
 	g, v := loc.g, loc.v
 	i := slices.Index(v.entries, e)
 	v.entries = slices.Delete(v.entries, i, i+1)
+	g.entries--
+	g.touch(v)
+	d.unindexGraphLocked(g, e.Capability.Ontologies())
 	d.markDirtyLocked(g)
 	entriesGauge.Add(-1)
 	if len(v.entries) > 0 {
 		return
 	}
 	// Vertex emptied: splice it out.
-	delete(g.vertices, v)
 	delete(g.roots, v)
 	delete(g.leaves, v)
 	edgeDelta := -len(v.preds) - len(v.succs)
+	limit := int32(-1) // the latest walk-order position among v's successors
+	for s := range v.succs {
+		delete(s.preds, v)
+		limit = max(limit, g.pos[s.slot])
+		g.touch(s)
+	}
 	for p := range v.preds {
 		delete(p.succs, v)
 	}
-	for s := range v.succs {
-		delete(s.preds, v)
-	}
 	for p := range v.preds {
+		g.touch(p)
+		// Reconnect p to the successors it no longer reaches. An edge to one
+		// it still reaches through another of its successors would be
+		// redundant: the graph stays a transitive reduction.
+		reached := d.marksLocked(len(g.slots))
+		d.markBelowLocked(g, p, reached, below, limit)
 		for s := range v.succs {
-			// Reconnect unless another path already implies it.
-			if _, ok := p.succs[s]; !ok {
+			if reached[s.slot] == 0 {
 				p.succs[s] = struct{}{}
 				s.preds[p] = struct{}{}
 				edgeDelta++
 			}
 		}
-	}
-	verticesGauge.Add(-1)
-	edgesGauge.Add(int64(edgeDelta))
-	for p := range v.preds {
 		if len(p.succs) == 0 {
 			g.leaves[p] = struct{}{}
 		}
@@ -577,10 +788,13 @@ func (d *Directory) removeEntryLocked(e *Entry) {
 			g.roots[s] = struct{}{}
 		}
 	}
-	if len(g.vertices) == 0 {
+	g.dropSlot(v)
+	g.edges += edgeDelta
+	verticesGauge.Add(-1)
+	edgesGauge.Add(int64(edgeDelta))
+	if len(g.slots) == 0 {
 		gi := slices.Index(d.graphs, g)
 		d.graphs = slices.Delete(d.graphs, gi, gi+1)
-		d.unindexGraphLocked(g)
 		graphsGauge.Add(-1)
 	}
 }
@@ -644,8 +858,8 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 }
 
 // walkGraph marks the vertices of g matching req in the caller-supplied
-// scratch bitmap and returns the number of root probes. Because the
-// compiled vertex slice is topologically ordered, one forward scan
+// scratch bitmap (indexed by slot) and returns the number of root probes.
+// Because the compiled walk order is topological, one pass along it
 // visits parents before children: a non-root vertex is probed exactly
 // when some predecessor matched, which performs the same match
 // operations as the paper's frontier expansion without allocating
@@ -654,7 +868,7 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 //sdp:hotpath
 func (d *Directory) walkGraph(g *snapGraph, req *profile.Capability, matched []bool) int {
 	rootProbes := 0
-	for i := range g.vertices {
+	for i := g.first; i >= 0; i = g.vertices[i].next {
 		v := &g.vertices[i]
 		probe := v.root
 		if probe {
@@ -703,108 +917,6 @@ func (d *Directory) OntologyKeys() []string {
 // snapshot, so it is safe to call concurrently with writers.
 func (d *Directory) Snapshot() string {
 	return d.snap.Load().dump()
-}
-
-// checkInvariants verifies structural invariants; tests call it after
-// mutation sequences. It returns a description of the first violation.
-func (d *Directory) checkInvariants() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for gi, g := range d.graphs {
-		// Roots/leaves bookkeeping.
-		for v := range g.vertices {
-			if (len(v.preds) == 0) != isIn(g.roots, v) {
-				return fmt.Errorf("graph %d: root bookkeeping wrong for %s", gi, v.rep.Name)
-			}
-			if (len(v.succs) == 0) != isIn(g.leaves, v) {
-				return fmt.Errorf("graph %d: leaf bookkeeping wrong for %s", gi, v.rep.Name)
-			}
-			for s := range v.succs {
-				if _, ok := s.preds[v]; !ok {
-					return fmt.Errorf("graph %d: asymmetric edge %s -> %s", gi, v.rep.Name, s.rep.Name)
-				}
-			}
-			if len(v.entries) == 0 {
-				return fmt.Errorf("graph %d: empty vertex %s", gi, v.rep.Name)
-			}
-		}
-		// Acyclicity via DFS coloring.
-		color := make(map[*vertex]int)
-		var cyc func(v *vertex) bool
-		cyc = func(v *vertex) bool {
-			color[v] = 1
-			for s := range v.succs {
-				switch color[s] {
-				case 1:
-					return true
-				case 0:
-					if cyc(s) {
-						return true
-					}
-				}
-			}
-			color[v] = 2
-			return false
-		}
-		for v := range g.vertices {
-			if color[v] == 0 && cyc(v) {
-				return fmt.Errorf("graph %d: cycle detected", gi)
-			}
-		}
-		// Edges respect Match.
-		for v := range g.vertices {
-			for s := range v.succs {
-				if !match.Match(d.matcher, v.rep, s.rep) {
-					return fmt.Errorf("graph %d: edge %s -> %s violates Match", gi, v.rep.Name, s.rep.Name)
-				}
-			}
-		}
-	}
-	// The published snapshot must agree with the builder state: same
-	// graph count and entry total, and every compiled graph genuinely
-	// topologically ordered with consistent root/leaf flags.
-	snap := d.snap.Load()
-	if len(snap.graphs) != len(d.graphs) {
-		return fmt.Errorf("snapshot has %d graphs, builder %d", len(snap.graphs), len(d.graphs))
-	}
-	wantEntries := 0
-	for _, entries := range d.byService {
-		wantEntries += len(entries)
-	}
-	if snap.tally.entries != wantEntries {
-		return fmt.Errorf("snapshot has %d entries, builder %d", snap.tally.entries, wantEntries)
-	}
-	if len(d.where) != wantEntries {
-		return fmt.Errorf("entry locator holds %d entries, builder %d", len(d.where), wantEntries)
-	}
-	for gi, sg := range snap.graphs {
-		if sg != d.graphs[gi].compiled {
-			return fmt.Errorf("snapshot graph %d is not the builder graph's compiled form", gi)
-		}
-		if len(sg.vertices) != len(d.graphs[gi].vertices) {
-			return fmt.Errorf("snapshot graph %d has %d vertices, builder %d", gi, len(sg.vertices), len(d.graphs[gi].vertices))
-		}
-		for i := range sg.vertices {
-			v := &sg.vertices[i]
-			if v.root != (len(v.preds) == 0) {
-				return fmt.Errorf("snapshot graph %d: root flag wrong for %s", gi, v.rep.Name)
-			}
-			if v.leaf != (len(v.succs) == 0) {
-				return fmt.Errorf("snapshot graph %d: leaf flag wrong for %s", gi, v.rep.Name)
-			}
-			for _, p := range v.preds {
-				if int(p) >= i {
-					return fmt.Errorf("snapshot graph %d: vertex %d not topologically after pred %d", gi, i, p)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func isIn(set map[*vertex]struct{}, v *vertex) bool {
-	_, ok := set[v]
-	return ok
 }
 
 // Stats summarizes the directory's graph structure for diagnostics and

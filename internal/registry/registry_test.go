@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -510,4 +511,55 @@ func TestDirectoryStats(t *testing.T) {
 	if s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
+}
+
+// TestGraphUnlistedWhenOntologyWithdrawn: a graph is listed under an
+// ontology only while one of its members uses it. Once the last such
+// member is withdrawn, queries and inserts over that ontology are no
+// longer offered the graph and Ontologies() stops reporting it.
+func TestGraphUnlistedWhenOntologyWithdrawn(t *testing.T) {
+	d, _ := newFixtureDirectory(t)
+	plain := service("plain", capability("Serve", "Server", "", ""))        // servers ontology only
+	media := service("media", capability("Stream", "Server", "", "Stream")) // servers and media; can stand in for Serve
+	// The wider capability first: a graph is offered a capability only if
+	// it already covers every ontology the capability uses.
+	for _, s := range []*profile.Service{media, plain} {
+		if err := d.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.NumGraphs() != 1 {
+		t.Fatalf("the two capabilities should share a graph:\n%s", d.Snapshot())
+	}
+	mediaRequest := capability("Req", "Server", "", "Stream")
+	listed := func() bool {
+		return len(d.snap.Load().candidateGraphs([]string{profile.MediaOntologyURI})) > 0
+	}
+	if !listed() || len(d.Ontologies()) != 2 || len(d.Query(mediaRequest)) != 1 {
+		t.Fatalf("with both members: listed under media %v, Ontologies %v, hits %v", listed(), d.Ontologies(), d.Query(mediaRequest))
+	}
+
+	d.Deregister("media")
+	if got := d.Ontologies(); !slices.Equal(got, []string{profile.ServersOntologyURI}) {
+		t.Fatalf("Ontologies() = %v after the media member left, want the servers ontology alone", got)
+	}
+	before := d.MatchOps()
+	if hits := d.Query(mediaRequest); len(hits) != 0 || d.MatchOps() != before {
+		t.Fatalf("a media query got %v for %d match operations; the graph should not have been offered", hits, d.MatchOps()-before)
+	}
+	if listed() {
+		t.Fatal("graph still listed under the media ontology")
+	}
+	checkAgainstScratch(t, d, []*profile.Capability{mediaRequest})
+
+	// Back again, the media capability is classified as it would be in a
+	// directory that had never held it: no graph covers its ontologies, so
+	// it starts one, and that one is listed.
+	if err := d.Register(media); err != nil {
+		t.Fatal(err)
+	}
+	if !listed() || d.NumGraphs() != 2 || len(d.Ontologies()) != 2 || len(d.Query(mediaRequest)) != 1 {
+		t.Fatalf("after the media member returned: listed %v, %d graphs, Ontologies %v, hits %v", listed(), d.NumGraphs(), d.Ontologies(), d.Query(mediaRequest))
+	}
+	checkAgainstScratch(t, d, []*profile.Capability{mediaRequest})
 }

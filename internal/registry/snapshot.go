@@ -1,15 +1,26 @@
 // Snapshot read path: the directory publishes an immutable, compiled
 // view of its graphs through an atomic pointer, so queries never take a
 // lock. Writers (Register/Deregister) serialize on Directory.mu, mutate
-// the builder-side graph structures, recompile the graphs they touched
-// and publish a snapshot derived from the previous one: untouched
-// compiled graphs, ontology-index lists and the ontology-key list are
-// shared with it, and the structural counters are adjusted by the
-// touched graphs' difference. A publish therefore costs what the write
-// changed, plus two terms that stay linear and cheap: a flat copy of the
-// graph pointer list (8 bytes per graph, one memmove) and a copy of the
-// ontology index's map header (one slot per ontology URI). Nothing is
-// walked per service, per entry or per vertex of an untouched graph.
+// the builder-side graph structures, patch the compiled form of the
+// graphs they touched and publish a snapshot derived from the previous
+// one: untouched compiled graphs, ontology-index lists and the
+// ontology-key list are shared with it, and the structural counters are
+// adjusted by the touched graphs' difference. Inside a touched graph the
+// same holds one level down: a vertex keeps its slot in the compiled
+// vertex array, the walk order is a permutation threaded through that
+// array instead of being its layout, and the next compiled form is the
+// previous one with only the touched vertices (the one written, its
+// parents and children, a vertex a removal moved and its neighbours)
+// compiled afresh. A publish therefore costs what the write changed, plus
+// three terms that stay linear and cheap: a flat copy of the graph
+// pointer list (8 bytes per graph, one memmove), a copy of the ontology
+// index's map header (one slot per ontology URI), and, per touched graph,
+// a flat copy of its vertex array (one snapVertex per vertex, one
+// memmove) with the walk order threaded through it again (one 4-byte
+// store per vertex; the builder also shifts its own order and positions
+// past the splice point, 8 bytes per vertex). Nothing is sorted, looked up
+// in a map or allocated per service, per entry, per untouched graph or
+// per untouched vertex.
 //
 // The publish invariant: every object reachable from a published
 // *snapshot is never written again — in particular a slice a snapshot
@@ -32,20 +43,19 @@ import (
 )
 
 // snapVertex is the compiled form of one graph vertex. Predecessors and
-// successors are indices into the owning snapGraph's vertex slice.
+// successors are slots: indices into the owning snapGraph's vertex slice.
 //
 //sdp:immutable
 type snapVertex struct {
 	rep     *profile.Capability
 	entries []*Entry
-	// preds indices are all smaller than this vertex's own index: the
-	// owning snapGraph stores vertices in topological order, which is
-	// what lets the query walk visit parents before children in one
-	// forward scan.
-	preds []int32
-	succs []int32
-	root  bool
-	leaf  bool
+	preds   []int32
+	succs   []int32
+	root    bool
+	leaf    bool
+	// next is the slot that follows this one in the walk order, -1 at its
+	// end.
+	next int32
 }
 
 // tally is the additive part of Stats: the counters a snapshot can
@@ -67,9 +77,16 @@ func (t tally) minus(o tally) tally {
 //
 //sdp:immutable
 type snapGraph struct {
-	// vertices is topologically ordered: every predecessor of
-	// vertices[i] has an index < i.
+	// vertices is indexed by slot: a vertex keeps its slot from one
+	// compiled form of the graph to the next (unless a removal moved it
+	// into the slot it freed), so the next form is this array copied flat
+	// with the touched slots rebuilt.
 	vertices []snapVertex
+	// first is where the walk order starts. The order is threaded through
+	// the vertices (snapVertex.next) and visits every slot once, every
+	// predecessor of a vertex before it, which is what lets the query walk
+	// see parents before children in one pass.
+	first int32
 	// ontologies is the sorted union of ontology URIs used by member
 	// capabilities; ontoSet is the same set keyed for covers().
 	ontologies []string
@@ -203,150 +220,64 @@ func (s *snapshot) dump() string {
 	return b.String()
 }
 
-// rankHeap is a binary min-heap of vertex name ranks.
-type rankHeap []int32
-
-func (h *rankHeap) push(r int32) {
-	q := append(*h, r)
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if q[parent] <= q[i] {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
+// newSnapVertex compiles one builder vertex. Entries are copied: the
+// builder edits its entry list in place, and a published snapshot must
+// not share a backing array with anything the builder will mutate. Both
+// adjacency lists are windows of one array, sorted by slot.
+func newSnapVertex(v *vertex) snapVertex {
+	adjacent := make([]int32, 0, len(v.preds)+len(v.succs))
+	for p := range v.preds {
+		adjacent = append(adjacent, p.slot)
 	}
-	*h = q
+	n := len(adjacent)
+	for s := range v.succs {
+		adjacent = append(adjacent, s.slot)
+	}
+	slices.Sort(adjacent[:n])
+	slices.Sort(adjacent[n:])
+	return snapVertex{
+		rep:     v.rep,
+		entries: slices.Clone(v.entries),
+		preds:   adjacent[:n:n],
+		succs:   adjacent[n:],
+		root:    len(v.preds) == 0,
+		leaf:    len(v.succs) == 0,
+	}
 }
 
-func (h *rankHeap) pop() int32 {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	for i := 0; ; {
-		least := i
-		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
-			if q[c] < q[least] {
-				least = c
-			}
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	*h = q
-	return top
-}
-
-// topoOrder returns a deterministic topological order of verts, which
-// the caller has sorted by representative name: Kahn's algorithm, always
-// taking the ready vertex that comes first in that name order. order[i]
-// is the name rank (index into verts) of the i-th vertex. It runs in
-// O((V+E) log V) over slice-indexed state; each vertex's rank field is
-// the scratch that maps an edge's endpoint back to its slot.
-func topoOrder(verts []*vertex) []int32 {
-	remaining := make([]int32, len(verts))
-	ready := make(rankHeap, 0, len(verts))
-	for i, v := range verts {
-		v.rank = int32(i)
-		remaining[i] = int32(len(v.preds))
-		if len(v.preds) == 0 {
-			ready = append(ready, int32(i)) // ascending, so already a heap
-		}
-	}
-	order := make([]int32, 0, len(verts))
-	for len(ready) > 0 {
-		r := ready.pop()
-		order = append(order, r)
-		remaining[r] = -1
-		for s := range verts[r].succs {
-			remaining[s.rank]--
-			if remaining[s.rank] == 0 {
-				ready.push(s.rank)
-			}
-		}
-	}
-	if len(order) < len(verts) {
-		// A cycle would violate the DAG invariant; degrade to name order
-		// for what is left (checkInvariants reports the cycle).
-		for i := range verts {
-			if remaining[i] >= 0 {
-				order = append(order, int32(i))
-			}
-		}
-	}
-	return order
-}
-
-// newSnapGraph compiles one builder graph into its immutable form. The
-// vertex order is a deterministic topological sort (lexicographic by
-// representative capability name among ready vertices), so snapshots of
-// the same graph are structurally identical across publishes.
-func newSnapGraph(g *graph) *snapGraph {
-	verts := make([]*vertex, 0, len(g.vertices))
-	edges, entries := 0, 0
-	for v := range g.vertices {
-		verts = append(verts, v)
-		edges += len(v.succs)
-		entries += len(v.entries)
-	}
-	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Name, b.rep.Name) })
-	order := topoOrder(verts)
-	// pos maps a vertex's name rank to its compiled index.
-	pos := make([]int32, len(verts))
-	for i, r := range order {
-		pos[r] = int32(i)
-	}
-
+// clonePatched returns the compiled form of builder graph g: a flat copy
+// of prev, its previous compiled form, in which only the slots of the
+// vertices the write touched are compiled afresh, threaded in g's walk
+// order. prev is nil for a graph the write created, all of whose vertices
+// are touched. Every slot whose occupant or content differs from prev's
+// holds a touched vertex (see graph.touched), so the copy is right
+// everywhere else.
+func clonePatched(prev *snapGraph, g *graph) *snapGraph {
 	sg := &snapGraph{
-		vertices:   make([]snapVertex, len(order)),
-		ontologies: make([]string, 0, len(g.ontologies)),
-		ontoSet:    make(map[string]struct{}, len(g.ontologies)),
-		tally:      tally{vertices: len(order), edges: edges, entries: entries, roots: len(g.roots), leaves: len(g.leaves)},
+		vertices: make([]snapVertex, len(g.slots)),
+		first:    g.order[0],
+		tally:    tally{vertices: len(g.slots), edges: g.edges, entries: g.entries, roots: len(g.roots), leaves: len(g.leaves)},
 	}
-	for u := range g.ontologies {
-		sg.ontologies = append(sg.ontologies, u)
-		sg.ontoSet[u] = struct{}{}
+	if prev != nil {
+		copy(sg.vertices, prev.vertices)
+		sg.ontologies, sg.ontoSet = prev.ontologies, prev.ontoSet
 	}
-	sort.Strings(sg.ontologies)
-	// Every vertex's adjacency and entry list is a window of one backing
-	// array per graph: two allocations instead of three per vertex.
-	adjacent := make([]int32, 0, 2*edges)
-	stored := make([]*Entry, 0, entries)
-	window := func(from int) []int32 {
-		if from == len(adjacent) {
-			return nil
+	if g.ontoStale {
+		sg.ontologies = slices.Sorted(maps.Keys(g.ontologies))
+		sg.ontoSet = make(map[string]struct{}, len(sg.ontologies))
+		for _, u := range sg.ontologies {
+			sg.ontoSet[u] = struct{}{}
 		}
-		w := adjacent[from:len(adjacent):len(adjacent)]
-		slices.Sort(w)
-		return w
 	}
-	for i, r := range order {
-		v := verts[r]
-		sv := &sg.vertices[i]
-		sv.rep = v.rep
-		sv.root = len(v.preds) == 0
-		sv.leaf = len(v.succs) == 0
-		// Entries are copied: the builder removes entries in place, and a
-		// published snapshot must not share a backing array with anything
-		// the builder will mutate.
-		from := len(stored)
-		stored = append(stored, v.entries...)
-		sv.entries = stored[from:len(stored):len(stored)]
-		from = len(adjacent)
-		for p := range v.preds {
-			adjacent = append(adjacent, pos[p.rank])
+	for _, v := range g.touched {
+		if v.slot >= 0 {
+			sg.vertices[v.slot] = newSnapVertex(v)
 		}
-		sv.preds = window(from)
-		from = len(adjacent)
-		for s := range v.succs {
-			adjacent = append(adjacent, pos[s.rank])
-		}
-		sv.succs = window(from)
+	}
+	last := int32(-1)
+	for k := len(g.order) - 1; k >= 0; k-- {
+		sg.vertices[g.order[k]].next = last
+		last = g.order[k]
 	}
 	return sg
 }
