@@ -2,8 +2,14 @@
 // it builds sdpd, boots three daemons federated over loopback UDP,
 // registers a service advertisement on one, resolves a semantic query
 // from another, and fails unless the hit comes back across the backbone.
-// It also scrapes GET /metrics on a federated daemon and requires the
-// transport byte counters to be nonzero, proving real datagrams moved.
+//
+// One scrape of GET /metrics on a federated daemon must be well-formed
+// Prometheus text exposition — content type text/plain, every line a
+// HELP/TYPE comment or a `name[{le="..."}] value` sample — carrying the
+// acceptance metrics of every layer (request counter, ontology phase
+// timers, registry histograms, discovery counters, the Bloom
+// false-positive-rate gauge, the match-ops counter), with both transport
+// byte counters nonzero, proving real datagrams moved.
 //
 // The observability surfaces ride the same boot: a traced query from C
 // must return spans naming the cross-daemon hop to B, the origin daemon
@@ -26,26 +32,18 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
-	"strconv"
+	"strings"
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
+	"sariadne/internal/smoke"
 	"sariadne/internal/tenant"
 )
 
 const smokeDeadline = 60 * time.Second
-
-var ontologies = []string{
-	"internal/profile/testdata/media-ontology.xml",
-	"internal/profile/testdata/servers-ontology.xml",
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -55,148 +53,68 @@ func main() {
 	fmt.Println("fedsmoke: ok")
 }
 
-// request and response mirror the sdpd client protocol: one JSON
-// datagram each way.
-type request struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Token string `json:"token,omitempty"`
-	Trace bool   `json:"trace,omitempty"`
-}
-
-type response struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Code    string `json:"code,omitempty"`
-	Partial bool   `json:"partial,omitempty"`
-	Hits    []struct {
-		Service    string `json:"service"`
-		Capability string `json:"capability"`
-		Provider   string `json:"provider"`
-	} `json:"hits,omitempty"`
-	Peers []struct {
-		Addr       string `json:"addr"`
-		Entries    int    `json:"entries"`
-		HasSummary bool   `json:"has_summary"`
-	} `json:"peers,omitempty"`
-	TraceID uint64 `json:"trace_id,omitempty"`
-	Spans   []struct {
-		Node  string `json:"node"`
-		Event string `json:"event"`
-		Peer  string `json:"peer,omitempty"`
-	} `json:"spans,omitempty"`
-}
-
-// daemon is one booted sdpd process.
-type daemon struct {
-	name       string
-	clientAddr string
-	fedAddr    string
-	httpAddr   string
-	cmd        *exec.Cmd
-}
-
 func run() error {
 	tmp, err := os.MkdirTemp("", "fedsmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "sdpd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sdpd")
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build sdpd: %w", err)
+	bin, err := smoke.Build(tmp, "sdpd")
+	if err != nil {
+		return err
 	}
+	doc, err := os.ReadFile(smoke.MediaCenterDoc)
+	if err != nil {
+		return err
+	}
+	if err := checkOpen(bin, doc); err != nil {
+		return err
+	}
+	// The open federation is down before the admission one boots, so six
+	// daemons never run at once.
+	return checkAdmission(bin, doc)
+}
 
+// checkOpen drives the federation without admission: the cross-backbone
+// hit, the traced query, health, and the /metrics page.
+func checkOpen(bin string, doc []byte) error {
 	deadline := time.Now().Add(smokeDeadline)
+	fed, err := smoke.BootFederation(bin, deadline, func(string) []string { return nil })
+	if err != nil {
+		return err
+	}
+	defer fed.Stop()
+	a, b, c := fed[0], fed[1], fed[2]
 
-	// Three daemons on loopback: A is the seed, B and C peer with it (C
-	// also with B, so summaries and queries travel every edge we assert).
-	a, err := boot(bin, "a", true, nil)
+	resp, err := fed.PublishAndResolve(deadline, string(doc), "")
 	if err != nil {
 		return err
-	}
-	defer a.stop()
-	b, err := boot(bin, "b", true, nil, a.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer b.stop()
-	c, err := boot(bin, "c", true, nil, a.fedAddr, b.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer c.stop()
-	for _, d := range []*daemon{a, b, c} {
-		if err := d.awaitUp(deadline); err != nil {
-			return err
-		}
-	}
-
-	// Register the media center on B, then wait until C's view of the
-	// backbone shows B's directory carrying entries.
-	doc, err := os.ReadFile("internal/profile/testdata/media-center.xml")
-	if err != nil {
-		return err
-	}
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(doc)})
-	if err != nil {
-		return fmt.Errorf("register on %s: %w", b.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("register on %s: %s", b.name, resp.Error)
-	}
-	if err := c.awaitSummary(deadline, 1); err != nil {
-		return err
-	}
-
-	// Resolve the tablet's requirement from C: the only VideoServer that
-	// can serve it lives in B's directory, across the backbone.
-	req, err := os.ReadFile("internal/profile/testdata/tablet-request.xml")
-	if err != nil {
-		return err
-	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
-	if err != nil {
-		return fmt.Errorf("query on %s: %w", c.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("query on %s: %s", c.name, resp.Error)
 	}
 	if resp.Partial {
-		return fmt.Errorf("query on %s came back partial with all daemons alive", c.name)
+		return fmt.Errorf("query on %s came back partial with all daemons alive", c.Name)
 	}
-	found := false
-	for _, h := range resp.Hits {
-		if h.Service == "HomeMediaCenter" {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("query on %s: HomeMediaCenter not among %d hit(s)", c.name, len(resp.Hits))
-	}
-
-	if err := checkTracedQuery(b, c, string(req)); err != nil {
+	if err := expectHit(resp, "HomeMediaCenter"); err != nil {
 		return err
 	}
-	for _, d := range []*daemon{a, b, c} {
-		if err := d.awaitHealthy(deadline); err != nil {
+	if err := checkTracedQuery(b, c); err != nil {
+		return err
+	}
+	for _, d := range fed {
+		if err := d.AwaitHealthy(deadline); err != nil {
 			return err
 		}
 	}
-	if err := checkTransportCounters("http://" + a.httpAddr + "/metrics"); err != nil {
-		return err
-	}
+	return checkMetrics(a)
+}
 
-	// Tear the open federation down before booting the admission one so
-	// six daemons never run at once.
-	a.stop()
-	b.stop()
-	c.stop()
-	return checkAdmission(bin)
+// expectHit requires the named service among a query reply's hits.
+func expectHit(resp *sdpapi.Response, service string) error {
+	for _, h := range resp.Hits {
+		if h.Service == service {
+			return nil
+		}
+	}
+	return fmt.Errorf("query across the backbone: %s not among %d hit(s)", service, len(resp.Hits))
 }
 
 // admissionSecret is the shared HMAC secret every admission daemon and
@@ -210,43 +128,24 @@ const admissionSecret = "fedsmoke-shared-admission-secret"
 // tenant-qualified publish resolves across the backbone, the tenant's
 // token bucket runs dry into rate_limited, and the tenant_* series are
 // live on /metrics.
-func checkAdmission(bin string) error {
+func checkAdmission(bin string, doc []byte) error {
 	deadline := time.Now().Add(smokeDeadline)
 	flags := []string{
 		"-auth-secret", admissionSecret,
+		// -anon-reads keeps the harness's token-less stats poll serving.
 		"-anon-reads",
 		// A near-zero refill makes the test deterministic: only the burst
 		// is ever spendable, however slowly the smoke machine runs.
 		"-tenant-rate", "1e-9",
 		"-tenant-burst", "8",
 	}
-	a, err := boot(bin, "auth-a", true, flags)
+	fed, err := smoke.BootFederation(bin, deadline, func(string) []string { return flags })
 	if err != nil {
 		return err
 	}
-	defer a.stop()
-	b, err := boot(bin, "auth-b", true, flags, a.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer b.stop()
-	c, err := boot(bin, "auth-c", true, flags, a.fedAddr, b.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer c.stop()
-	all := []*daemon{a, b, c}
-	for _, d := range all {
-		// -anon-reads keeps the token-less stats poll serving.
-		if err := d.awaitUp(deadline); err != nil {
-			return err
-		}
-	}
+	defer fed.Stop()
+	b := fed[1]
 
-	doc, err := os.ReadFile("internal/profile/testdata/media-center.xml")
-	if err != nil {
-		return err
-	}
 	qualified, err := qualifyService(doc, "alice")
 	if err != nil {
 		return err
@@ -264,66 +163,45 @@ func checkAdmission(bin string) error {
 	// (unauthenticated), a token-less caller — the anonymous read-only
 	// tenant under -anon-reads — and a valid tenant writing outside its
 	// namespace (both forbidden). None may regenerate a summary.
-	for _, d := range all {
-		if err := expectDenied(d, request{Op: "register", Doc: string(doc), Token: "sdp1.forged.token"}, "unauthenticated"); err != nil {
-			return err
-		}
-		if err := expectDenied(d, request{Op: "register", Doc: string(doc)}, "forbidden"); err != nil {
-			return err
-		}
-		if err := expectDenied(d, request{Op: "register", Doc: string(qualified), Token: malloryTok}, "forbidden"); err != nil {
-			return err
+	for _, d := range fed {
+		for _, deny := range []struct{ doc, token, code string }{
+			{string(doc), "sdp1.forged.token", tenant.CodeUnauthenticated},
+			{string(doc), "", tenant.CodeForbidden},
+			{qualified, malloryTok, tenant.CodeForbidden},
+		} {
+			resp, err := d.Client.Do(sdpapi.Request{Op: sdpapi.OpRegister, Doc: deny.doc, Token: deny.token})
+			if err != nil {
+				return fmt.Errorf("denied-publish probe on %s: %w", d.Name, err)
+			}
+			if resp.OK || resp.Code != deny.code {
+				return fmt.Errorf("daemon %s answered a publish that should be %s with ok=%v code=%q",
+					d.Name, deny.code, resp.OK, resp.Code)
+			}
 		}
 	}
 
 	// The authorized tenant-qualified publish lands on B and resolves
-	// from C across the backbone.
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(qualified), Token: aliceTok})
-	if err != nil {
-		return fmt.Errorf("authorized register on %s: %w", b.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("authorized register on %s denied: %s (%s)", b.name, resp.Error, resp.Code)
-	}
-	if err := c.awaitSummary(deadline, 1); err != nil {
-		return err
-	}
-	req, err := os.ReadFile("internal/profile/testdata/tablet-request.xml")
+	// anonymously from C across the backbone.
+	resp, err := fed.PublishAndResolve(deadline, qualified, aliceTok)
 	if err != nil {
 		return err
 	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
-	if err != nil {
-		return fmt.Errorf("anonymous query on %s: %w", c.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("anonymous query on %s: %s (%s)", c.name, resp.Error, resp.Code)
-	}
-	found := false
-	for _, h := range resp.Hits {
-		if h.Service == "alice/HomeMediaCenter" {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("query on %s: alice/HomeMediaCenter not among %d hit(s)", c.name, len(resp.Hits))
+	if err := expectHit(resp, "alice/HomeMediaCenter"); err != nil {
+		return err
 	}
 
 	// No denied publish may have leaked into a directory: B is the only
 	// daemon holding an advertisement, so every summary any daemon holds
 	// for A or C must still be empty.
-	for _, d := range all {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
+	for _, d := range fed {
+		resp, err := d.Do(sdpapi.Request{Op: sdpapi.OpPeers})
 		if err != nil {
-			return fmt.Errorf("peers on %s: %w", d.name, err)
-		}
-		if !resp.OK {
-			return fmt.Errorf("peers on %s: %s", d.name, resp.Error)
+			return err
 		}
 		for _, p := range resp.Peers {
-			if p.Addr != b.fedAddr && p.HasSummary && p.Entries != 0 {
+			if string(p.Addr) != b.Federate && p.HasSummary && p.Entries != 0 {
 				return fmt.Errorf("daemon %s sees %d summary entries from %s; denied publishes leaked into a Bloom summary",
-					d.name, p.Entries, p.Addr)
+					d.Name, p.Entries, p.Addr)
 			}
 		}
 	}
@@ -331,294 +209,152 @@ func checkAdmission(bin string) error {
 	// Drive alice's token bucket dry on B: with a 1e-9 refill only the
 	// burst of 8 is spendable, one of which the register above consumed.
 	limited := false
-	for i := 0; i < 12; i++ {
-		resp, err := send(b.clientAddr, request{Op: "register", Doc: string(qualified), Token: aliceTok})
+	for i := 0; i < 12 && !limited; i++ {
+		resp, err := b.Client.Do(sdpapi.Request{Op: sdpapi.OpRegister, Doc: qualified, Token: aliceTok})
 		if err != nil {
-			return fmt.Errorf("burst register %d on %s: %w", i, b.name, err)
+			return fmt.Errorf("burst register %d on %s: %w", i, b.Name, err)
 		}
-		if !resp.OK {
-			if resp.Code != "rate_limited" {
-				return fmt.Errorf("burst register %d on %s: code %q, want rate_limited", i, b.name, resp.Code)
-			}
-			limited = true
-			break
+		if !resp.OK && resp.Code != tenant.CodeRateLimited {
+			return fmt.Errorf("burst register %d on %s: code %q, want rate_limited", i, b.Name, resp.Code)
 		}
+		limited = !resp.OK
 	}
 	if !limited {
-		return fmt.Errorf("alice was never rate limited on %s after exhausting the burst", b.name)
+		return fmt.Errorf("alice was never rate limited on %s after exhausting the burst", b.Name)
 	}
-	return checkTenantCounters("http://" + b.httpAddr + "/metrics")
-}
 
-// expectDenied sends a mutating request that must bounce with the given
-// typed admission code.
-func expectDenied(d *daemon, req request, wantCode string) error {
-	resp, err := send(d.clientAddr, req)
+	// The daemon that enforced the decisions must show the tenant series
+	// live: the throttle counter nonzero, alice's labeled gauge at 1.
+	metrics, _, err := b.Get("/metrics")
 	if err != nil {
-		return fmt.Errorf("denied-publish probe on %s: %w", d.name, err)
+		return err
 	}
-	if resp.OK {
-		return fmt.Errorf("daemon %s admitted a publish that should be %s", d.name, wantCode)
+	if v, _ := smoke.Sample(metrics, "tenant_rate_limited_total"); v <= 0 {
+		return fmt.Errorf("tenant_rate_limited_total is %v on %s; expected nonzero after the burst test", v, b.Name)
 	}
-	if resp.Code != wantCode {
-		return fmt.Errorf("daemon %s denied with code %q, want %q", d.name, resp.Code, wantCode)
+	if !regexp.MustCompile(`(?m)^tenant_live_services\{tenant="alice"\} 1$`).Match(metrics) {
+		return fmt.Errorf(`tenant_live_services{tenant="alice"} 1 missing from /metrics`)
 	}
 	return nil
 }
 
 // qualifyService rewrites an advertisement under a tenant namespace the
 // same way sdpctl publish does.
-func qualifyService(doc []byte, tn string) ([]byte, error) {
+func qualifyService(doc []byte, tn string) (string, error) {
 	svc, err := profile.Unmarshal(doc)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	svc.Name = tenant.Qualify(tn, svc.Name)
-	return profile.Marshal(svc)
+	out, err := profile.Marshal(svc)
+	return string(out), err
 }
 
-// checkTenantCounters scrapes /metrics on the daemon that enforced the
-// admission decisions and requires the tenant series to be live: the
-// throttle counter nonzero and alice's labeled live-services gauge at 1.
-func checkTenantCounters(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return fmt.Errorf("scrape metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
+// checkTracedQuery resolves the tablet's request from C with tracing on:
+// the inline spans must name the cross-backbone hop into B's directory,
+// the origin daemon must serve the trace back on GET /traces/{id}, and a
+// trace minted by B's process must not share C's entropy word (the
+// collision-proofing the random high word buys).
+func checkTracedQuery(b, c *smoke.Daemon) error {
+	req, err := os.ReadFile(smoke.TabletRequestDoc)
 	if err != nil {
 		return err
 	}
-	text := string(body)
-	rateLimited := regexp.MustCompile(`(?m)^tenant_rate_limited_total ([0-9.eE+]+)$`).FindStringSubmatch(text)
-	if rateLimited == nil {
-		return fmt.Errorf("tenant_rate_limited_total missing from /metrics")
-	}
-	if v, err := strconv.ParseFloat(rateLimited[1], 64); err != nil || v <= 0 {
-		return fmt.Errorf("tenant_rate_limited_total is %q; expected nonzero after the burst test", rateLimited[1])
-	}
-	if !regexp.MustCompile(`(?m)^tenant_live_services\{tenant="alice"\} 1$`).MatchString(text) {
-		return fmt.Errorf(`tenant_live_services{tenant="alice"} 1 missing from /metrics`)
-	}
-	return nil
-}
-
-// checkTracedQuery resolves the same request from C with tracing on: the
-// inline spans must name the cross-backbone hop into B's directory, the
-// origin daemon must serve the trace back on GET /traces/{id}, and a
-// trace minted by B's process must not share C's entropy word (the
-// collision-proofing the random high word buys).
-func checkTracedQuery(b, c *daemon, req string) error {
-	resp, err := send(c.clientAddr, request{Op: "query", Doc: req, Trace: true})
+	traced := sdpapi.Request{Op: sdpapi.OpQuery, Doc: string(req), Trace: true}
+	resp, err := c.Do(traced)
 	if err != nil {
-		return fmt.Errorf("traced query on %s: %w", c.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("traced query on %s: %s", c.name, resp.Error)
+		return err
 	}
 	if resp.TraceID == 0 || len(resp.Spans) == 0 {
-		return fmt.Errorf("traced query on %s returned no trace (id=%d, %d spans)", c.name, resp.TraceID, len(resp.Spans))
+		return fmt.Errorf("traced query on %s returned no trace (id=%d, %d spans)", c.Name, resp.TraceID, len(resp.Spans))
 	}
 	nodes := map[string]bool{}
 	for _, s := range resp.Spans {
 		nodes[s.Node] = true
 	}
-	if !nodes[c.fedAddr] || !nodes[b.fedAddr] {
+	if !nodes[c.Federate] || !nodes[b.Federate] {
 		return fmt.Errorf("trace spans cover %v; want both the origin %s and the answering directory %s",
-			nodes, c.fedAddr, b.fedAddr)
+			nodes, c.Federate, b.Federate)
 	}
 
+	path := fmt.Sprintf("/traces/%d", resp.TraceID)
+	body, _, err := c.Get(path)
+	if err != nil {
+		return err
+	}
 	var rec struct {
 		ID    uint64 `json:"id"`
 		Spans []struct {
 			Node string `json:"node"`
 		} `json:"spans"`
 	}
-	url := fmt.Sprintf("http://%s/traces/%d", c.httpAddr, resp.TraceID)
-	hresp, err := http.Get(url)
-	if err != nil {
-		return fmt.Errorf("GET %s: %w", url, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, hresp.StatusCode)
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(&rec); err != nil {
-		return fmt.Errorf("GET %s: %w", url, err)
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return fmt.Errorf("GET %s on %s: %w", path, c.Name, err)
 	}
 	if rec.ID != resp.TraceID || len(rec.Spans) != len(resp.Spans) {
 		return fmt.Errorf("retained trace mismatch: id=%d spans=%d, query returned id=%d spans=%d",
 			rec.ID, len(rec.Spans), resp.TraceID, len(resp.Spans))
 	}
 
-	bresp, err := send(b.clientAddr, request{Op: "query", Doc: req, Trace: true})
+	bresp, err := b.Do(traced)
 	if err != nil {
-		return fmt.Errorf("traced query on %s: %w", b.name, err)
+		return err
 	}
-	if !bresp.OK || bresp.TraceID == 0 {
-		return fmt.Errorf("traced query on %s returned no trace ID", b.name)
+	if bresp.TraceID == 0 {
+		return fmt.Errorf("traced query on %s returned no trace ID", b.Name)
 	}
 	if bresp.TraceID>>32 == resp.TraceID>>32 {
 		return fmt.Errorf("daemons %s and %s share trace entropy word %#x; cross-process IDs would collide",
-			b.name, c.name, resp.TraceID>>32)
+			b.Name, c.Name, resp.TraceID>>32)
 	}
 	return nil
 }
 
-// boot starts one daemon; withHTTP additionally exposes the gateway for
-// the metrics assertion, and extra appends daemon flags (the admission
-// federation passes -auth-secret and rate-limit knobs through it).
-func boot(bin, name string, withHTTP bool, extra []string, peers ...string) (*daemon, error) {
-	d := &daemon{name: name}
-	var err error
-	if d.clientAddr, err = freePort(); err != nil {
-		return nil, err
-	}
-	if d.fedAddr, err = freePort(); err != nil {
-		return nil, err
-	}
-	args := []string{"-listen", d.clientAddr, "-federate", d.fedAddr}
-	if withHTTP {
-		if d.httpAddr, err = freePort(); err != nil {
-			return nil, err
-		}
-		args = append(args, "-http", d.httpAddr)
-	}
-	for _, o := range ontologies {
-		args = append(args, "-ontology", o)
-	}
-	args = append(args, extra...)
-	for _, p := range peers {
-		args = append(args, "-peer", p)
-	}
-	d.cmd = exec.Command(bin, args...)
-	d.cmd.Stdout, d.cmd.Stderr = os.Stderr, os.Stderr
-	if err := d.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start sdpd %s: %w", name, err)
-	}
-	return d, nil
+// expositionLine accepts Prometheus text format 0.0.4: HELP/TYPE comments
+// and `name[{le="..."}] value` samples.
+var expositionLine = regexp.MustCompile(
+	`^(# (HELP|TYPE) [a-z][a-z0-9_]* .+|[a-z][a-z0-9_]*(\{le="[^"]+"\})? -?[0-9.eE+-]+)$`)
+
+// requiredMetrics is the acceptance surface: every layer's instruments
+// must show up on one scrape.
+var requiredMetrics = []string{
+	"sdpd_requests_total",
+	"ontology_parse_seconds",
+	"ontology_classify_seconds",
+	"registry_insert_seconds",
+	"registry_query_seconds",
+	"discovery_forwards_sent_total",
+	"discovery_bloom_false_positive_rate",
+	"match_encoded_ops_total",
 }
 
-func (d *daemon) stop() {
-	_ = d.cmd.Process.Kill()
-	_ = d.cmd.Wait()
-}
-
-// awaitUp polls the client port until the daemon answers a stats op.
-func (d *daemon) awaitUp(deadline time.Time) error {
-	for {
-		if resp, err := send(d.clientAddr, request{Op: "stats"}); err == nil && resp.OK {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never answered on %s", d.name, d.clientAddr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// awaitHealthy polls GET /healthz until the daemon reports 200: every
-// component probe (store, gateway, backbone transport) green.
-func (d *daemon) awaitHealthy(deadline time.Time) error {
-	url := "http://" + d.httpAddr + "/healthz"
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("daemon %s never served %s: %v", d.name, url, err)
-			}
-			return fmt.Errorf("daemon %s still unhealthy at the deadline (status %d)", d.name, resp.StatusCode)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// awaitSummary polls the peers op until some backbone peer advertises at
-// least want entries, i.e. a remote directory's summary has arrived.
-func (d *daemon) awaitSummary(deadline time.Time, want int) error {
-	for {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
-		if err == nil && resp.OK {
-			for _, p := range resp.Peers {
-				if p.HasSummary && p.Entries >= want {
-					return nil
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never saw a peer summary with >=%d entries", d.name, want)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func send(server string, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
-}
-
-var counterLine = regexp.MustCompile(`^(transport_bytes_(?:sent|received)_total) ([0-9.eE+]+)$`)
-
-// checkTransportCounters scrapes /metrics and requires both transport
-// byte counters to be present and nonzero.
-func checkTransportCounters(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return fmt.Errorf("scrape metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
+// checkMetrics scrapes a federated daemon's /metrics once and requires
+// well-formed exposition, the acceptance metrics, and nonzero transport
+// byte counters.
+func checkMetrics(d *smoke.Daemon) error {
+	body, header, err := d.Get("/metrics")
 	if err != nil {
 		return err
 	}
-	seen := map[string]float64{}
-	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(body), -1) {
-		if m := counterLine.FindStringSubmatch(line); m != nil {
-			v, err := strconv.ParseFloat(m[2], 64)
-			if err != nil {
-				return fmt.Errorf("unparseable sample %q: %w", line, err)
-			}
-			seen[m[1]] = v
+	if ct := header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		return fmt.Errorf("GET /metrics: content type %q", ct)
+	}
+	text := string(body)
+	if strings.TrimSpace(text) == "" {
+		return fmt.Errorf("empty exposition")
+	}
+	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if !expositionLine.MatchString(line) {
+			return fmt.Errorf("malformed exposition line %d: %q", i+1, line)
+		}
+	}
+	for _, name := range requiredMetrics {
+		if !strings.Contains(text, name) {
+			return fmt.Errorf("required metric %s missing from /metrics", name)
 		}
 	}
 	for _, name := range []string{"transport_bytes_sent_total", "transport_bytes_received_total"} {
-		v, ok := seen[name]
+		v, ok := smoke.Sample(body, name)
 		if !ok {
 			return fmt.Errorf("%s missing from /metrics", name)
 		}
@@ -627,16 +363,4 @@ func checkTransportCounters(url string) error {
 		}
 	}
 	return nil
-}
-
-// freePort reserves a loopback port by binding and releasing it; the
-// daemon rebinds the same address (UDP and TCP port spaces are disjoint,
-// but loopback reuse races are vanishingly rare for a smoke).
-func freePort() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	defer l.Close()
-	return l.Addr().String(), nil
 }

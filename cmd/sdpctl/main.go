@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -54,71 +53,11 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
+	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
+	"sariadne/internal/transport"
 )
-
-type request struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Token string `json:"token,omitempty"`
-	Trace bool   `json:"trace,omitempty"`
-}
-
-type hit struct {
-	Service    string `json:"Service"`
-	Capability string `json:"Capability"`
-	Provider   string `json:"Provider"`
-	Distance   int    `json:"Distance"`
-	Directory  string `json:"Directory"`
-}
-
-type response struct {
-	OK          bool     `json:"ok"`
-	Error       string   `json:"error,omitempty"`
-	Code        string   `json:"code,omitempty"`
-	Hits        []hit    `json:"hits,omitempty"`
-	Partial     bool     `json:"partial,omitempty"`
-	Unreachable []string `json:"unreachable,omitempty"`
-	Stats       *struct {
-		Capabilities int      `json:"capabilities"`
-		Ontologies   []string `json:"ontologies"`
-	} `json:"stats,omitempty"`
-	Peers   []peer          `json:"peers,omitempty"`
-	Table   json.RawMessage `json:"table,omitempty"`
-	TraceID uint64          `json:"trace_id,omitempty"`
-	Spans   []span          `json:"spans,omitempty"`
-}
-
-// span mirrors telemetry.Span: one hop-level event recorded by a
-// directory while the traced query crossed the backbone.
-type span struct {
-	Trace  uint64        `json:"trace"`
-	Node   string        `json:"node"`
-	Event  string        `json:"event"`
-	Peer   string        `json:"peer,omitempty"`
-	Hits   int           `json:"hits,omitempty"`
-	Dur    time.Duration `json:"dur,omitempty"`
-	Seq    uint64        `json:"seq"`
-	Time   time.Time     `json:"time,omitzero"`
-	Reason string        `json:"reason,omitempty"`
-}
-
-// peer mirrors sdpd's peerEntry: the daemon's protocol-level view of one
-// backbone peer, with socket stats when the transport tracks them.
-type peer struct {
-	Addr         string    `json:"addr"`
-	LastAnnounce time.Time `json:"last_announce"`
-	Failures     int       `json:"failures"`
-	HasSummary   bool      `json:"has_summary"`
-	Entries      int       `json:"entries"`
-	Transport    *struct {
-		FramesSent     uint64 `json:"frames_sent"`
-		FramesReceived uint64 `json:"frames_received"`
-		BytesSent      uint64 `json:"bytes_sent"`
-		BytesReceived  uint64 `json:"bytes_received"`
-	} `json:"transport,omitempty"`
-}
 
 func main() {
 	server := flag.String("server", "localhost:7474", "sdpd address")
@@ -232,13 +171,13 @@ func main() {
 		if svcFlags.NArg() != 1 {
 			usage()
 		}
-		if err := runServices(os.Stdout, svcFlags.Arg(0), *name, *limit, *timeout); err != nil {
+		if err := runServices(os.Stdout, svcFlags.Arg(0), *name, *token, *limit, *timeout); err != nil {
 			fatal("services listing failed", "addr", svcFlags.Arg(0), "err", err)
 		}
 		return
 	}
 
-	var req request
+	var req sdpapi.Request
 	switch args[0] {
 	case "register", "publish", "query", "ontology", "trace":
 		if len(args) != 2 {
@@ -250,9 +189,9 @@ func main() {
 		}
 		switch args[0] {
 		case "ontology":
-			req = request{Op: "add-ontology", Doc: string(doc)}
+			req = sdpapi.Request{Op: sdpapi.OpAddOntology, Doc: string(doc)}
 		case "trace":
-			req = request{Op: "query", Doc: string(doc), Trace: true}
+			req = sdpapi.Request{Op: sdpapi.OpQuery, Doc: string(doc), Trace: true}
 		case "publish":
 			// publish = register with the advertisement name qualified by
 			// the token's tenant namespace, read from the self-describing
@@ -261,30 +200,29 @@ func main() {
 			if err != nil {
 				fatal("publish", "err", err)
 			}
-			req = request{Op: "register", Doc: qualified}
+			req = sdpapi.Request{Op: sdpapi.OpRegister, Doc: qualified}
 		default:
-			req = request{Op: args[0], Doc: string(doc)}
+			req = sdpapi.Request{Op: args[0], Doc: string(doc)}
 		}
 	case "deregister":
 		if len(args) != 2 {
 			usage()
 		}
-		req = request{Op: "deregister", Name: args[1]}
+		req = sdpapi.Request{Op: sdpapi.OpDeregister, Name: args[1]}
 	case "table":
 		if len(args) != 2 {
 			usage()
 		}
-		req = request{Op: "get-table", Name: args[1]}
+		req = sdpapi.Request{Op: sdpapi.OpGetTable, Name: args[1]}
 	case "stats":
-		req = request{Op: "stats"}
+		req = sdpapi.Request{Op: sdpapi.OpStats}
 	case "peers":
-		req = request{Op: "peers"}
+		req = sdpapi.Request{Op: sdpapi.OpPeers}
 	default:
 		usage()
 	}
-	req.Token = *token
 
-	resp, err := send(*server, *timeout, req)
+	resp, err := sdpapi.Client{Addr: *server, Timeout: *timeout, Token: *token}.Do(req)
 	if err != nil {
 		fatal("request failed", "server", *server, "err", err)
 	}
@@ -307,14 +245,23 @@ func main() {
 	case "peers":
 		renderPeers(os.Stdout, resp)
 	default:
-		fmt.Println("ok")
+		fmt.Println(renderOK(resp))
 	}
+}
+
+// renderOK is the one-line acknowledgement of a mutation. A register or
+// publish reports the advertisement version the directory assigned.
+func renderOK(resp *sdpapi.Response) string {
+	if resp.Version != 0 {
+		return fmt.Sprintf("ok version=%d", resp.Version)
+	}
+	return "ok"
 }
 
 // renderPeers prints the daemon's live backbone view: who it federates
 // with, how fresh their announcements are, whether their content
 // summaries are held, and how many forwards to them were abandoned.
-func renderPeers(w io.Writer, resp *response) {
+func renderPeers(w io.Writer, resp *sdpapi.Response) {
 	if len(resp.Peers) == 0 {
 		fmt.Fprintln(w, "no backbone peers")
 		return
@@ -341,11 +288,11 @@ func renderPeers(w io.Writer, resp *response) {
 // marker: a partial result is still shown (graceful degradation), but
 // the user is told which backbone directories never answered so they can
 // retry once the network heals.
-func renderQuery(w io.Writer, resp *response) {
+func renderQuery(w io.Writer, resp *sdpapi.Response) {
 	if len(resp.Hits) == 0 {
 		if resp.Partial {
 			fmt.Fprintf(w, "no matching service (partial result: %s unreachable — retry may find more)\n",
-				strings.Join(resp.Unreachable, ", "))
+				joinAddrs(resp.Unreachable))
 			return
 		}
 		fmt.Fprintln(w, "no matching service")
@@ -357,20 +304,29 @@ func renderQuery(w io.Writer, resp *response) {
 	}
 	if resp.Partial {
 		fmt.Fprintf(w, "partial result: %s unreachable — more services may exist\n",
-			strings.Join(resp.Unreachable, ", "))
+			joinAddrs(resp.Unreachable))
 	}
+}
+
+// joinAddrs lists the directories a partial result never heard from.
+func joinAddrs(addrs []transport.Addr) string {
+	names := make([]string, len(addrs))
+	for i, a := range addrs {
+		names[i] = string(a)
+	}
+	return strings.Join(names, ", ")
 }
 
 // renderTrace prints the hop tree of a traced query: spans in recorded
 // order, indented by forwarding depth so the cross-daemon fan-out reads
 // like a call tree. The origin daemon sits at depth zero; every forward
 // or hedge span pushes its target one level deeper.
-func renderTrace(w io.Writer, resp *response) {
+func renderTrace(w io.Writer, resp *sdpapi.Response) {
 	if resp.TraceID == 0 || len(resp.Spans) == 0 {
 		fmt.Fprintln(w, "no trace returned (daemon predates tracing?)")
 		return
 	}
-	spans := make([]span, len(resp.Spans))
+	spans := make([]telemetry.Span, len(resp.Spans))
 	copy(spans, resp.Spans)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
 
@@ -380,7 +336,7 @@ func renderTrace(w io.Writer, resp *response) {
 	// misfile them at the root. The root is the node no one forwarded to.
 	forwarded := map[string]bool{}
 	for _, s := range spans {
-		if s.Event == "forward" || s.Event == "hedge" {
+		if s.Event == telemetry.EventForward || s.Event == telemetry.EventHedge {
 			forwarded[s.Peer] = true
 		}
 	}
@@ -395,7 +351,7 @@ func renderTrace(w io.Writer, resp *response) {
 	for changed := true; changed; {
 		changed = false
 		for _, s := range spans {
-			if s.Event != "forward" && s.Event != "hedge" {
+			if s.Event != telemetry.EventForward && s.Event != telemetry.EventHedge {
 				continue
 			}
 			d, ok := depth[s.Node]
@@ -418,7 +374,7 @@ func renderTrace(w io.Writer, resp *response) {
 		if s.Peer != "" {
 			line += " peer=" + s.Peer
 		}
-		if s.Event == "local-match" || s.Event == "reply" {
+		if s.Event == telemetry.EventLocalMatch || s.Event == telemetry.EventReply {
 			line += fmt.Sprintf(" hits=%d", s.Hits)
 		}
 		if s.Reason != "" {
@@ -431,25 +387,41 @@ func renderTrace(w io.Writer, resp *response) {
 	}
 }
 
+// getJSON fetches one gateway path, presenting token as the bearer
+// credential when there is one, and decodes the 200 reply into v.
+func getJSON(addr, path, token string, timeout time.Duration, v any) error {
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
+	if err != nil {
+		return err
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := httpClient(timeout).Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s: %s", req.URL.Path, resp.Status, strings.TrimSpace(string(body)))
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("malformed reply: %w", err)
+	}
+	return nil
+}
+
 // runServices lists a daemon's live advertisements through the HTTP
 // gateway's paginated GET /services, following next_cursor until the
 // listing is complete; with -name it fetches one advertisement's version
-// ledger instead (withdrawn versions included).
-func runServices(w io.Writer, addr, name string, limit int, timeout time.Duration) error {
-	client := httpClient(timeout)
+// ledger instead (withdrawn versions included). Both endpoints
+// authenticate on an enforcing daemon, so the token rides along.
+func runServices(w io.Writer, addr, name, token string, limit int, timeout time.Duration) error {
 	if name != "" {
-		resp, err := client.Get("http://" + addr + "/services/" + name)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET /services/%s: %s: %s", name, resp.Status, strings.TrimSpace(string(body)))
-		}
 		var hist struct {
 			Name     string `json:"name"`
 			Live     bool   `json:"live"`
@@ -457,8 +429,8 @@ func runServices(w io.Writer, addr, name string, limit int, timeout time.Duratio
 				Version uint64 `json:"version"`
 			} `json:"versions"`
 		}
-		if err := json.Unmarshal(body, &hist); err != nil {
-			return fmt.Errorf("malformed reply: %w", err)
+		if err := getJSON(addr, "/services/"+name, token, timeout, &hist); err != nil {
+			return err
 		}
 		state := "live"
 		if !hist.Live {
@@ -483,29 +455,17 @@ func runServices(w io.Writer, addr, name string, limit int, timeout time.Duratio
 	total := 0
 	cursor := ""
 	for {
-		u := fmt.Sprintf("http://%s/services?limit=%d", addr, limit)
+		path := fmt.Sprintf("/services?limit=%d", limit)
 		if cursor != "" {
-			u += "&cursor=" + url.QueryEscape(cursor)
-		}
-		resp, err := client.Get(u)
-		if err != nil {
-			return err
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET /services: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+			path += "&cursor=" + url.QueryEscape(cursor)
 		}
 		var page struct {
 			Services   []entry `json:"services"`
 			NextCursor string  `json:"next_cursor"`
 			Total      int     `json:"total"`
 		}
-		if err := json.Unmarshal(body, &page); err != nil {
-			return fmt.Errorf("malformed reply: %w", err)
+		if err := getJSON(addr, path, token, timeout, &page); err != nil {
+			return err
 		}
 		entries = append(entries, page.Services...)
 		total = page.Total
@@ -703,59 +663,19 @@ func qualifyDoc(doc []byte, token string) (string, error) {
 	return string(out), nil
 }
 
-// tenantsTable mirrors sdpd's tenantsBody: the admission table behind
-// GET /tenants and the "tenants" op.
-type tenantsTable struct {
-	Enforcing bool   `json:"enforcing"`
-	Auth      string `json:"auth"`
-	Limits    struct {
-		RatePerSec            float64 `json:"rate_per_sec"`
-		Burst                 int     `json:"burst"`
-		MaxLiveServices       int     `json:"max_live_services"`
-		MaxPublishesPerMinute int     `json:"max_publishes_per_minute"`
-	} `json:"limits"`
-	Tenants []struct {
-		Tenant              string  `json:"tenant"`
-		LiveServices        int     `json:"live_services"`
-		PublishesTotal      uint64  `json:"publishes_total"`
-		PublishesThisMinute int     `json:"publishes_this_minute"`
-		RateLimitedTotal    uint64  `json:"rate_limited_total"`
-		DeniedTotal         uint64  `json:"denied_total"`
-		RateTokens          float64 `json:"rate_tokens"`
-	} `json:"tenants"`
-}
-
 // runTenants fetches the admission table from a daemon's HTTP gateway
 // (GET /tenants, admin-only) and renders one row per tenant.
 func runTenants(w io.Writer, addr, token string, timeout time.Duration) error {
-	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/tenants", nil)
-	if err != nil {
+	// The gateway serves the protocol's reply; the admission table sits
+	// under its "tenants" key.
+	var resp sdpapi.Response
+	if err := getJSON(addr, "/tenants", token, timeout, &resp); err != nil {
 		return err
 	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
+	if resp.Tenants == nil {
+		return fmt.Errorf("malformed reply: no admission table")
 	}
-	resp, err := httpClient(timeout).Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /tenants: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	// The gateway wraps every reply in the protocol envelope; the
-	// admission table sits under its "tenants" key.
-	var envelope struct {
-		Tenants tenantsTable `json:"tenants"`
-	}
-	if err := json.Unmarshal(body, &envelope); err != nil {
-		return fmt.Errorf("malformed reply: %w", err)
-	}
-	table := envelope.Tenants
+	table := resp.Tenants
 	mode := "open (no admission)"
 	if table.Enforcing {
 		mode = "enforcing via " + table.Auth
@@ -784,34 +704,6 @@ func runTenants(w io.Writer, addr, token string, timeout time.Duration) error {
 			t.Tenant, t.LiveServices, t.PublishesTotal, t.PublishesThisMinute, t.RateLimitedTotal, t.DeniedTotal)
 	}
 	return nil
-}
-
-func send(server string, timeout time.Duration, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 64*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
 }
 
 func usage() {

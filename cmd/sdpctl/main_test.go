@@ -6,11 +6,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sariadne/internal/discovery"
+	"sariadne/internal/sdpapi"
+	"sariadne/internal/telemetry"
+	"sariadne/internal/transport"
 )
 
 func TestRenderQueryComplete(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true, Hits: []hit{
+	renderQuery(&b, &sdpapi.Response{OK: true, Hits: []discovery.Hit{
 		{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3},
 	}})
 	out := b.String()
@@ -24,11 +29,11 @@ func TestRenderQueryComplete(t *testing.T) {
 
 func TestRenderQueryPartialWithHits(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{
+	renderQuery(&b, &sdpapi.Response{
 		OK:          true,
-		Hits:        []hit{{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3}},
+		Hits:        []discovery.Hit{{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3}},
 		Partial:     true,
-		Unreachable: []string{"n4", "n9"},
+		Unreachable: []transport.Addr{"n4", "n9"},
 	})
 	out := b.String()
 	if !strings.Contains(out, "partial result: n4, n9 unreachable") {
@@ -41,7 +46,7 @@ func TestRenderQueryPartialWithHits(t *testing.T) {
 
 func TestRenderQueryPartialEmpty(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true, Partial: true, Unreachable: []string{"n2"}})
+	renderQuery(&b, &sdpapi.Response{OK: true, Partial: true, Unreachable: []transport.Addr{"n2"}})
 	out := b.String()
 	if !strings.Contains(out, "no matching service") || !strings.Contains(out, "n2 unreachable") {
 		t.Fatalf("empty partial result must say both 'nothing found' and 'coverage was incomplete':\n%s", out)
@@ -50,7 +55,7 @@ func TestRenderQueryPartialEmpty(t *testing.T) {
 
 func TestRenderQueryEmptyComplete(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true})
+	renderQuery(&b, &sdpapi.Response{OK: true})
 	if got := b.String(); got != "no matching service\n" {
 		t.Fatalf("output = %q", got)
 	}
@@ -58,9 +63,9 @@ func TestRenderQueryEmptyComplete(t *testing.T) {
 
 func TestRenderPeers(t *testing.T) {
 	var b strings.Builder
-	renderPeers(&b, &response{OK: true, Peers: []peer{
-		{Addr: "127.0.0.1:8475", LastAnnounce: time.Now().Add(-time.Second), HasSummary: true, Entries: 2, Failures: 1},
-		{Addr: "127.0.0.1:8476"},
+	renderPeers(&b, &sdpapi.Response{OK: true, Peers: []sdpapi.Peer{
+		{PeerInfo: discovery.PeerInfo{Addr: "127.0.0.1:8475", LastAnnounce: time.Now().Add(-time.Second), HasSummary: true, Entries: 2, Failures: 1}},
+		{PeerInfo: discovery.PeerInfo{Addr: "127.0.0.1:8476"}},
 	}})
 	out := b.String()
 	if !strings.Contains(out, "127.0.0.1:8475") || !strings.Contains(out, "127.0.0.1:8476") {
@@ -73,7 +78,7 @@ func TestRenderPeers(t *testing.T) {
 
 func TestRenderPeersEmpty(t *testing.T) {
 	var b strings.Builder
-	renderPeers(&b, &response{OK: true})
+	renderPeers(&b, &sdpapi.Response{OK: true})
 	if !strings.Contains(b.String(), "no backbone peers") {
 		t.Fatalf("output = %q", b.String())
 	}
@@ -83,7 +88,7 @@ func TestRenderPeersEmpty(t *testing.T) {
 // spans render in Seq order, and give-up reasons survive to the output.
 func TestRenderTraceHopTree(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true, TraceID: 0xabc100000001, Spans: []span{
+	renderTrace(&b, &sdpapi.Response{OK: true, TraceID: 0xabc100000001, Spans: []telemetry.Span{
 		// Deliberately shuffled: renderTrace must sort by Seq.
 		{Node: "n2", Event: "received", Peer: "n1", Seq: 4},
 		{Node: "n1", Event: "received", Seq: 1},
@@ -118,7 +123,7 @@ func TestRenderTraceHopTree(t *testing.T) {
 // from encounter order.
 func TestRenderTraceInterleavedSeq(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true, TraceID: 0x5100000001, Spans: []span{
+	renderTrace(&b, &sdpapi.Response{OK: true, TraceID: 0x5100000001, Spans: []telemetry.Span{
 		{Node: "origin", Event: "received", Seq: 10},
 		{Node: "remote", Event: "received", Peer: "origin", Seq: 2}, // remote's own counter is younger
 		{Node: "origin", Event: "forward", Peer: "remote", Seq: 11},
@@ -135,7 +140,7 @@ func TestRenderTraceInterleavedSeq(t *testing.T) {
 
 func TestRenderTraceEmpty(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true})
+	renderTrace(&b, &sdpapi.Response{OK: true})
 	if !strings.Contains(b.String(), "no trace returned") {
 		t.Fatalf("output = %q", b.String())
 	}
@@ -229,9 +234,14 @@ func TestRunTop(t *testing.T) {
 }
 
 // TestRunServices drives the paginated listing against a fake gateway
-// that forces two pages, then the -name history view, then a 404.
+// that forces two pages, then the -name history view, then a 404. The
+// gateway is an enforcing one: every request must carry the bearer token.
 func TestRunServices(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Authorization") != "Bearer tok123" {
+			http.Error(w, "missing bearer token", http.StatusUnauthorized)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		switch {
 		case r.URL.Path == "/services" && r.URL.Query().Get("cursor") == "":
@@ -248,7 +258,7 @@ func TestRunServices(t *testing.T) {
 	addr := ts.Listener.Addr().String()
 
 	var b strings.Builder
-	if err := runServices(&b, addr, "", 2, time.Second); err != nil {
+	if err := runServices(&b, addr, "", "tok123", 2, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -259,7 +269,7 @@ func TestRunServices(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := runServices(&b, addr, "MediaWorkstation", 0, time.Second); err != nil {
+	if err := runServices(&b, addr, "MediaWorkstation", "tok123", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	out = b.String()
@@ -267,8 +277,23 @@ func TestRunServices(t *testing.T) {
 		t.Fatalf("history view wrong:\n%s", out)
 	}
 
-	if err := runServices(&b, addr, "NoSuchService", 0, time.Second); err == nil {
-		t.Fatal("missing service should error")
+	if err := runServices(&b, addr, "NoSuchService", "tok123", 0, time.Second); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("missing service: err = %v, want a 404", err)
+	}
+	if err := runServices(&b, addr, "", "", 2, time.Second); err == nil || !strings.Contains(err.Error(), "401") {
+		t.Fatalf("token-less listing: err = %v, want the gateway's 401", err)
+	}
+}
+
+// TestRenderOK: a register or publish acknowledgement reports the version
+// the directory assigned; every other mutation is a bare ok. Both start
+// with "ok", which scripts match on.
+func TestRenderOK(t *testing.T) {
+	if got := renderOK(&sdpapi.Response{OK: true, Version: 3}); got != "ok version=3" {
+		t.Fatalf("register ack = %q", got)
+	}
+	if got := renderOK(&sdpapi.Response{OK: true}); got != "ok" {
+		t.Fatalf("deregister ack = %q", got)
 	}
 }
 

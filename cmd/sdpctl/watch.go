@@ -315,25 +315,13 @@ type alertRow struct {
 // alerts) so main can exit non-zero for soak scripts, mirroring
 // `sdpctl health`; a daemon without a watchdog counts as quiet.
 func runAlerts(w io.Writer, addr string, timeout time.Duration) (bool, error) {
-	resp, err := httpClient(timeout).Get("http://" + addr + "/alerts")
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("GET /alerts: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
 	var view struct {
 		Watching bool       `json:"watching"`
 		Active   []alertRow `json:"active"`
 		Fired    []alertRow `json:"fired"`
 	}
-	if err := json.Unmarshal(body, &view); err != nil {
-		return false, fmt.Errorf("malformed reply: %w", err)
+	if err := getJSON(addr, "/alerts", "", timeout, &view); err != nil {
+		return false, err
 	}
 	if !view.Watching {
 		fmt.Fprintf(w, "%s: no drift watchdog (daemon runs without -watch-every)\n", addr)

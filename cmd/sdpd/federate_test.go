@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/testutil"
 )
 
@@ -40,13 +41,13 @@ func TestFederatedDaemons(t *testing.T) {
 				return len(fa.node.Peers()) == 1
 			}, "backbone handshake")
 
-			if resp := sa.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+			if resp := sa.handle(sdpapi.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}); !resp.OK {
 				t.Fatalf("register on A: %s", resp.Error)
 			}
 			// B's view of A reflects the registration once the refreshed
 			// summary lands.
 			testutil.WaitFor(t, 5*time.Second, func() bool {
-				resp := sb.handle(mustJSON(t, request{Op: "peers"}))
+				resp := sb.handle(sdpapi.Request{Op: "peers"})
 				if !resp.OK || len(resp.Peers) != 1 {
 					return false
 				}
@@ -54,7 +55,7 @@ func TestFederatedDaemons(t *testing.T) {
 				return p.Addr == fa.node.ID() && p.HasSummary && p.Entries == 2 && !p.LastAnnounce.IsZero()
 			}, "A's summary never reached B")
 
-			resp := sb.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+			resp := sb.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 			if !resp.OK || len(resp.Hits) != 1 {
 				t.Fatalf("federated query: %+v", resp)
 			}
@@ -66,7 +67,7 @@ func TestFederatedDaemons(t *testing.T) {
 			}
 
 			// The transport join shows socket-level traffic for the peer.
-			resp = sa.handle(mustJSON(t, request{Op: "peers"}))
+			resp = sa.handle(sdpapi.Request{Op: "peers"})
 			if !resp.OK || len(resp.Peers) != 1 || resp.Peers[0].Transport == nil {
 				t.Fatalf("peers on A: %+v", resp)
 			}
@@ -81,8 +82,8 @@ func TestFederatedDaemons(t *testing.T) {
 // fails loudly instead of returning a misleading empty backbone.
 func TestPeersOpRequiresFederation(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "peers"}))
-	if resp.OK || resp.Code != codeBadRequest {
+	resp := s.handle(sdpapi.Request{Op: "peers"})
+	if resp.OK || resp.Code != sdpapi.CodeBadRequest {
 		t.Fatalf("peers on standalone daemon: %+v", resp)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
 )
@@ -29,11 +30,6 @@ import (
 //	GET  /stats                                      -> 200 {"capabilities":..,"ontologies":[..]}
 //	GET  /peers                                      -> 200 {"peers":[...]} (federated daemons)
 //	GET  /tenants                                    -> 200 admission table: limits + per-tenant usage (admin)
-//
-// On a daemon with admission enabled (-auth-tokens / -auth-secret) every
-// endpoint reads the bearer credential from the Authorization header;
-// denials map onto 401 (unauthenticated), 403 (forbidden) and 429 (rate
-// limited or over quota).
 //	GET  /traces                                     -> 200 {"traces":[...]} flight-recorder listing, newest first
 //	GET  /traces/{id}                                -> 200 one retained trace with its span tree
 //	GET  /events                                     -> 200 {"events":[...]} protocol events, newest first
@@ -45,8 +41,15 @@ import (
 //	GET  /debug/vars                                 -> 200 expvar-style JSON snapshot
 //	GET  /debug/pprof/*     (only with -pprof)       -> net/http/pprof
 //
-// The handler funnels every mutation through the same server.handle path
-// as the UDP front end, so journaling and validation behave identically.
+// On a daemon with admission enabled (-auth-tokens / -auth-secret) every
+// endpoint reads the bearer credential from the Authorization header;
+// denials map onto 401 (unauthenticated), 403 (forbidden) and 429 (rate
+// limited or over quota).
+//
+// Every op endpoint builds the same sdpapi.Request a datagram would decode
+// to and calls server.handle with it, so admission, journaling and
+// validation behave identically on both front ends; the success body is
+// the sdpapi.Response.
 type httpGateway struct {
 	srv *server
 	log *slog.Logger
@@ -90,10 +93,12 @@ func newHTTPGateway(srv *server, withPprof bool) http.Handler {
 // httpStatus maps a response error code to an HTTP status.
 func httpStatus(code string) int {
 	switch code {
-	case codeNotFound:
+	case sdpapi.CodeNotFound:
 		return http.StatusNotFound
-	case codeInternal:
+	case sdpapi.CodeInternal:
 		return http.StatusInternalServerError
+	case sdpapi.CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
 	case tenant.CodeUnauthenticated:
 		return http.StatusUnauthorized
 	case tenant.CodeForbidden:
@@ -106,7 +111,7 @@ func httpStatus(code string) int {
 }
 
 // bearerToken extracts the credential from an Authorization: Bearer
-// header ("" when absent), feeding request.Token on every dispatched op.
+// header ("" when absent), feeding Request.Token on every dispatched op.
 func bearerToken(r *http.Request) string {
 	auth := r.Header.Get("Authorization")
 	if tok, ok := strings.CutPrefix(auth, "Bearer "); ok {
@@ -129,22 +134,13 @@ func (g *httpGateway) authorize(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // dispatch runs a request through the shared handler and writes the reply.
-func (g *httpGateway) dispatch(w http.ResponseWriter, req request, okStatus int) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	resp := g.srv.handle(data)
+func (g *httpGateway) dispatch(w http.ResponseWriter, req sdpapi.Request, okStatus int) {
+	resp := g.srv.handle(req)
 	if !resp.OK {
 		http.Error(w, resp.Error, httpStatus(resp.Code))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(okStatus)
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		g.log.Error("encode reply", "err", err)
-	}
+	g.writeJSON(w, okStatus, resp)
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
@@ -165,7 +161,7 @@ func (g *httpGateway) postServices(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g.dispatch(w, request{Op: "register", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpRegister, Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
 }
 
 // getServices pages through the live advertisements: GET
@@ -215,7 +211,7 @@ func (g *httpGateway) deleteService(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing service name", http.StatusBadRequest)
 		return
 	}
-	g.dispatch(w, request{Op: "deregister", Name: name, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpDeregister, Name: name, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) postQuery(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +222,7 @@ func (g *httpGateway) postQuery(w http.ResponseWriter, r *http.Request) {
 	// The body is the raw XML document, so the trace switch rides the
 	// query string: POST /query?trace=1.
 	traced := r.URL.Query().Get("trace") == "1"
-	g.dispatch(w, request{Op: "query", Doc: doc, Trace: traced, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpQuery, Doc: doc, Trace: traced, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) postOntologies(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +230,7 @@ func (g *httpGateway) postOntologies(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g.dispatch(w, request{Op: "add-ontology", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpAddOntology, Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
 }
 
 // getTable takes the ontology URI as a query parameter (URIs contain
@@ -245,22 +241,22 @@ func (g *httpGateway) getTable(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing uri query parameter", http.StatusBadRequest)
 		return
 	}
-	g.dispatch(w, request{Op: "get-table", Name: uri, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpGetTable, Name: uri, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) getStats(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "stats", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpStats, Token: bearerToken(r)}, http.StatusOK)
 }
 
 // getPeers serves the live backbone view of a federated daemon.
 func (g *httpGateway) getPeers(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "peers", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpPeers, Token: bearerToken(r)}, http.StatusOK)
 }
 
 // getTenants serves the admission table: enforcement mode, configured
 // limits, per-tenant usage. Admin role required on an enforcing daemon.
 func (g *httpGateway) getTenants(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "tenants", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpTenants, Token: bearerToken(r)}, http.StatusOK)
 }
 
 // writeJSON encodes v with the canonical content type.

@@ -14,6 +14,7 @@ import (
 	"sariadne/internal/codes"
 	"sariadne/internal/discovery"
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/testutil"
 )
@@ -56,7 +57,7 @@ func TestHTTPGatewayLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query = %d: %s", resp.StatusCode, body)
 	}
-	var qr response
+	var qr sdpapi.Response
 	if err := json.Unmarshal([]byte(body), &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestHTTPGatewayLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /tables = %d: %s", resp.StatusCode, body)
 	}
-	var tr response
+	var tr sdpapi.Response
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestHTTPGatewayPartialQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query = %d: %s", resp.StatusCode, body)
 	}
-	var qr response
+	var qr sdpapi.Response
 	if err := json.Unmarshal([]byte(body), &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestHTTPServicesListing(t *testing.T) {
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("POST /services %d = %d: %s", i, resp.StatusCode, body)
 		}
-		var rr response
+		var rr sdpapi.Response
 		if err := json.Unmarshal([]byte(body), &rr); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestHTTPServicesListing(t *testing.T) {
 	svc := profile.WorkstationService()
 	svc.Name = "svc-02"
 	_, body := do(t, "POST", ts.URL+"/services", mustDoc(t, svc))
-	var rr response
+	var rr sdpapi.Response
 	if err := json.Unmarshal([]byte(body), &rr); err != nil {
 		t.Fatal(err)
 	}

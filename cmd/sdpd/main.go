@@ -18,27 +18,10 @@
 //	sdpd -listen :7474 -federate :8474
 //	sdpd -listen :7475 -federate :8475 -peer 127.0.0.1:8474
 //
-// Protocol (one JSON object per datagram):
-//
-//	{"op":"register", "doc":"<service .../>"}
-//	{"op":"deregister", "name":"MediaWorkstation"}
-//	{"op":"query", "doc":"<service ...><required .../></service>"}
-//	{"op":"add-ontology", "doc":"<ontology .../>"}
-//	{"op":"get-table", "name":"<ontology uri>"}
-//	{"op":"stats"}
-//	{"op":"peers"}
-//	{"op":"tenants"}
-//
-// With admission enabled (-auth-tokens and/or -auth-secret) every request
-// additionally carries {"token":"..."}; denials come back with code
-// "unauthenticated", "forbidden" or "rate_limited".
-//
-// Every reply is {"ok":bool, "error":string, "code":string, "hits":[...],
-// "stats":{...}}; failed requests carry a machine-readable code alongside
-// the human-readable error text. Query replies additionally carry a
-// completeness marker: {"partial":true, "unreachable":["n4"]} means the
-// answer is usable but some backbone directories never responded, so a
-// better answer may exist (the paper's graceful-degradation contract).
+// The client protocol — request and reply formats, op names, error codes —
+// is defined once in internal/sdpapi; both front ends (the UDP loop here
+// and the HTTP gateway in http.go) hand a decoded sdpapi.Request to
+// server.handle.
 package main
 
 import (
@@ -58,93 +41,19 @@ import (
 	"sariadne/internal/codes"
 	"sariadne/internal/discovery"
 	"sariadne/internal/ontology"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/store"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
-	"sariadne/internal/transport"
-)
-
-// request is the wire format of client commands.
-type request struct {
-	Op   string `json:"op"`
-	Doc  string `json:"doc,omitempty"`
-	Name string `json:"name,omitempty"`
-	// Token is the caller's bearer credential, consulted when the daemon
-	// runs with admission enabled (-auth-tokens / -auth-secret). The HTTP
-	// gateway fills it from the Authorization header.
-	Token string `json:"token,omitempty"`
-	// Trace asks for a hop-level trace of a query op: the reply carries
-	// the span tree inline and the trace is retained in the flight
-	// recorder for later retrieval via GET /traces/{id}.
-	Trace bool `json:"trace,omitempty"`
-}
-
-// Machine-readable error codes carried in failed responses. The HTTP
-// gateway maps them to status codes; UDP clients can branch on them
-// without parsing English. Admission refusals reuse the tenant package's
-// codes (tenant.CodeUnauthenticated / CodeForbidden / CodeRateLimited),
-// which the gateway maps to 401 / 403 / 429.
-const (
-	codeBadRequest = "bad_request" // malformed or semantically invalid input
-	codeNotFound   = "not_found"   // named service/ontology does not exist
-	codeInternal   = "internal"    // server-side failure (journal, encoding)
 )
 
 // denialResponse renders an admission refusal (or an authenticator's
 // internal fault) as a wire response.
-func denialResponse(err error) response {
+func denialResponse(err error) sdpapi.Response {
 	if d, ok := tenant.Denied(err); ok {
-		return response{Error: d.Reason, Code: d.Code}
+		return sdpapi.Response{Error: d.Reason, Code: d.Code}
 	}
-	return response{Error: err.Error(), Code: codeInternal}
-}
-
-// response is the wire format of server replies. Partial and Unreachable
-// mirror discovery.Result: when the resolver could not reach every
-// backbone directory the hits are still served, flagged as a lower bound.
-type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-	// Version is the advertisement version the directory assigned to a
-	// successful register: re-publishing a name supersedes the previous
-	// version, which stays listable via GET /services/{name}.
-	Version     uint64           `json:"version,omitempty"`
-	Hits        []discovery.Hit  `json:"hits,omitempty"`
-	Partial     bool             `json:"partial,omitempty"`
-	Unreachable []transport.Addr `json:"unreachable,omitempty"`
-	// TraceID names the query's retained trace (explicitly requested or
-	// picked up by the sampler); fetch it later from GET /traces/{id}.
-	TraceID uint64 `json:"trace_id,omitempty"`
-	// Spans is the hop-level trace, inline — only when the request asked
-	// for tracing (sampled queries just carry the ID).
-	Spans []telemetry.Span `json:"spans,omitempty"`
-	Peers   []peerEntry     `json:"peers,omitempty"`
-	Stats   *statsBody      `json:"stats,omitempty"`
-	Table   json.RawMessage `json:"table,omitempty"`
-	Tenants *tenantsBody    `json:"tenants,omitempty"`
-}
-
-// tenantsBody is the admission table behind GET /tenants and the
-// "tenants" op: enforcement mode, configured limits, one row per tenant.
-type tenantsBody struct {
-	Enforcing bool            `json:"enforcing"`
-	Auth      string          `json:"auth"`
-	Limits    tenant.Limits   `json:"limits"`
-	Tenants   []tenant.Status `json:"tenants"`
-}
-
-// peerEntry is one backbone peer in a "peers" reply: the discovery
-// layer's protocol view (summary freshness, give-up count) joined with
-// the transport layer's socket stats when the substrate tracks them.
-type peerEntry struct {
-	discovery.PeerInfo
-	Transport *transport.Peer `json:"transport,omitempty"`
-}
-
-type statsBody struct {
-	Capabilities int      `json:"capabilities"`
-	Ontologies   []string `json:"ontologies"`
+	return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 }
 
 // stringList collects repeated string flags (-ontology, -peer).
@@ -472,8 +381,8 @@ func main() {
 	}
 }
 
-// server is the directory node state. With both the UDP and HTTP front
-// ends funneling into handle, a mutex serializes request processing: the
+// server is the directory node state. Both front ends call handle with a
+// decoded sdpapi.Request, and a mutex serializes request processing: the
 // code registry, the backend and the advertisement ledger are not
 // internally synchronized. (The store is, which is what lets the
 // background compactor run outside this mutex.)
@@ -611,17 +520,17 @@ func (s *server) addOntologyLocked(r interface{ Read([]byte) (int, error) }) err
 	return nil
 }
 
+// serve is the UDP front end: one datagram in, one datagram out.
 func (s *server) serve(conn *net.UDPConn) {
 	udpLog := slog.With("component", "udp")
-	buf := make([]byte, 64*1024)
+	buf := make([]byte, sdpapi.MaxDatagram)
 	for {
 		n, peer, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			udpLog.Error("read", "err", err)
 			return
 		}
-		resp := s.handle(buf[:n])
-		data, err := json.Marshal(resp)
+		data, err := encodeReply(s.handleDatagram(buf[:n]))
 		if err != nil {
 			udpLog.Error("marshal reply", "err", err)
 			continue
@@ -632,10 +541,42 @@ func (s *server) serve(conn *net.UDPConn) {
 	}
 }
 
-// handle times and counts one request, then runs it through process.
-func (s *server) handle(datagram []byte) response {
+// encodeReply renders a reply as one datagram. A reply too long to send
+// becomes a typed refusal naming the way out, so the client gets an
+// answer instead of waiting out its deadline on a datagram the socket
+// would have rejected.
+func encodeReply(resp sdpapi.Response) ([]byte, error) {
+	data, err := json.Marshal(resp)
+	if err != nil || len(data) <= sdpapi.MaxDatagram {
+		return data, err
+	}
+	requestErrorsTotal.Inc()
+	return json.Marshal(sdpapi.Response{Code: sdpapi.CodeTooLarge, Error: fmt.Sprintf(
+		"reply of %d bytes exceeds the %d-byte datagram limit; use the HTTP gateway", len(data), sdpapi.MaxDatagram)})
+}
+
+// handleDatagram decodes one datagram (outside mu) and handles it. A
+// datagram that does not decode is a request like any other: timed,
+// counted, and answered with bad_request.
+func (s *server) handleDatagram(datagram []byte) sdpapi.Response {
 	start := time.Now()
-	resp := s.process(datagram)
+	var req sdpapi.Request
+	if err := json.Unmarshal(datagram, &req); err != nil {
+		return account(start, sdpapi.Response{Error: "malformed request: " + err.Error(), Code: sdpapi.CodeBadRequest})
+	}
+	return account(start, s.process(req))
+}
+
+// handle times and counts one request, then runs it through process. It
+// is the one entry both front ends share: the gateway calls it directly,
+// the UDP loop via handleDatagram.
+func (s *server) handle(req sdpapi.Request) sdpapi.Response {
+	start := time.Now()
+	return account(start, s.process(req))
+}
+
+// account records one handled request in the front-end instruments.
+func account(start time.Time, resp sdpapi.Response) sdpapi.Response {
 	requestsTotal.Inc()
 	if !resp.OK {
 		requestErrorsTotal.Inc()
@@ -644,13 +585,9 @@ func (s *server) handle(datagram []byte) response {
 	return resp
 }
 
-func (s *server) process(datagram []byte) response {
+func (s *server) process(req sdpapi.Request) sdpapi.Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var req request
-	if err := json.Unmarshal(datagram, &req); err != nil {
-		return response{Error: "malformed request: " + err.Error(), Code: codeBadRequest}
-	}
 	// Every op authenticates first. An open-mode daemon gets the wildcard
 	// identity back at zero cost; an enforcing daemon turns a missing or
 	// bad token into a 401 here, before any work happens.
@@ -659,14 +596,14 @@ func (s *server) process(datagram []byte) response {
 		return denialResponse(err)
 	}
 	switch req.Op {
-	case "register":
+	case sdpapi.OpRegister:
 		// One parse serves admission and the insert. Admission runs on the
 		// prepared advertisement's name BEFORE the backend stores it: a
 		// denied publish never enters the capability DAG, so the Bloom
 		// summary pushed to federation peers cannot leak it.
 		ad, err := s.backend.Prepare([]byte(req.Doc))
 		if err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		name := ad.Name()
 		prior := s.adverts[name]
@@ -683,10 +620,10 @@ func (s *server) process(datagram []byte) response {
 		version := s.nextVersionLocked(name)
 		owner := advertOwner(name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name, Version: version, Tenant: owner}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
 		if err := s.backend.Insert(ad); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
 		s.recordAdvertLocked(name, req.Doc, version)
 		if newService {
@@ -694,85 +631,85 @@ func (s *server) process(datagram []byte) response {
 		}
 		s.refreshLocked()
 		s.log.Info("registered service", "name", name, "version", version, "capabilities", s.backend.Len())
-		return response{OK: true, Version: version}
-	case "deregister":
+		return sdpapi.Response{OK: true, Version: version}
+	case sdpapi.OpDeregister:
 		if err := s.gate.AdmitDeregister(id, req.Name); err != nil {
 			return denialResponse(err)
 		}
 		if !s.backend.Has(req.Name) {
-			return response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: codeNotFound}
+			return sdpapi.Response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: sdpapi.CodeNotFound}
 		}
 		// Persist first, as for register: a failed append withdraws nothing.
 		owner := advertOwner(req.Name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpDeregister, Name: req.Name, Tenant: owner}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
 		s.backend.Deregister(req.Name)
 		s.dropAdvertLocked(req.Name)
 		s.gate.ServiceLive(owner, -1)
 		s.refreshLocked()
-		return response{OK: true}
-	case "query":
+		return sdpapi.Response{OK: true}
+	case sdpapi.OpQuery:
 		res, err := s.resolve([]byte(req.Doc), req.Trace)
 		if err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		if res.Partial() {
 			partialRepliesTotal.Inc()
 			s.log.Warn("serving partial query result",
 				"hits", len(res.Hits), "unreachable", len(res.Unreachable))
 		}
-		resp := response{OK: true, Hits: res.Hits, Partial: res.Partial(),
+		resp := sdpapi.Response{OK: true, Hits: res.Hits, Partial: res.Partial(),
 			Unreachable: res.Unreachable, TraceID: res.Trace}
 		if req.Trace {
 			resp.Spans = res.Spans
 		}
 		return resp
-	case "add-ontology":
+	case sdpapi.OpAddOntology:
 		if err := s.gate.AdmitOntology(id); err != nil {
 			return denialResponse(err)
 		}
 		if err := s.addOntologyTextLocked(req.Doc); err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		if err := s.persistLocked(store.Record{Op: store.OpAddOntology, Doc: req.Doc}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
-		return response{OK: true}
-	case "get-table":
+		return sdpapi.Response{OK: true}
+	case sdpapi.OpGetTable:
 		// Thin clients fetch encoded code tables instead of running a
 		// reasoner themselves (Section 3.2's code distribution).
 		table, ok := s.reg.Resolve(req.Name)
 		if !ok {
-			return response{Error: fmt.Sprintf("no table for ontology %q", req.Name), Code: codeNotFound}
+			return sdpapi.Response{Error: fmt.Sprintf("no table for ontology %q", req.Name), Code: sdpapi.CodeNotFound}
 		}
 		data, err := codes.MarshalTable(table)
 		if err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
-		return response{OK: true, Table: data}
-	case "stats":
-		return response{OK: true, Stats: &statsBody{
+		return sdpapi.Response{OK: true, Table: data}
+	case sdpapi.OpStats:
+		return sdpapi.Response{OK: true, Stats: &sdpapi.Stats{
 			Capabilities: s.backend.Len(),
 			Ontologies:   s.reg.URIs(),
 		}}
-	case "peers":
+	case sdpapi.OpPeers:
 		if s.fed == nil {
-			return response{Error: "daemon is not federated (run with -federate)", Code: codeBadRequest}
+			return sdpapi.Response{Error: "daemon is not federated (run with -federate)", Code: sdpapi.CodeBadRequest}
 		}
-		return response{OK: true, Peers: s.fed.peers()}
-	case "tenants":
+		return sdpapi.Response{OK: true, Peers: s.fed.peers()}
+	case sdpapi.OpTenants:
 		if err := s.gate.AdmitAdmin(id); err != nil {
 			return denialResponse(err)
 		}
-		return response{OK: true, Tenants: &tenantsBody{
+		return sdpapi.Response{OK: true, Tenants: &sdpapi.Tenants{
 			Enforcing: s.gate.Enforcing(),
 			Auth:      s.gate.AuthName(),
 			Limits:    s.gate.Limits(),
 			Tenants:   s.gate.Tenants(),
 		}}
 	default:
-		return response{Error: fmt.Sprintf("unknown op %q", req.Op), Code: codeBadRequest}
+		return sdpapi.Response{Error: fmt.Sprintf("unknown op %q", req.Op), Code: sdpapi.CodeBadRequest}
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 	"sariadne/internal/discovery"
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 )
 
-func newTestServer(t *testing.T) *server {
+func newTestServer(t testing.TB) *server {
 	t.Helper()
 	s, err := newServer(nil)
 	if err != nil {
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T) *server {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := s.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)}))
+		resp := s.handle(sdpapi.Request{Op: "add-ontology", Doc: string(data)})
 		if !resp.OK {
 			t.Fatalf("add-ontology: %s", resp.Error)
 		}
@@ -32,16 +33,7 @@ func newTestServer(t *testing.T) *server {
 	return s
 }
 
-func mustJSON(t *testing.T, req request) []byte {
-	t.Helper()
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func mustDoc(t *testing.T, svc *profile.Service) string {
+func mustDoc(t testing.TB, svc *profile.Service) string {
 	t.Helper()
 	doc, err := profile.Marshal(svc)
 	if err != nil {
@@ -53,30 +45,30 @@ func mustDoc(t *testing.T, svc *profile.Service) string {
 func TestHandleRegisterQueryDeregister(t *testing.T) {
 	s := newTestServer(t)
 
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
+	resp := s.handle(sdpapi.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})
 	if !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Distance != 3 {
 		t.Fatalf("query: %+v", resp)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "stats"}))
+	resp = s.handle(sdpapi.Request{Op: "stats"})
 	if !resp.OK || resp.Stats.Capabilities != 2 || len(resp.Stats.Ontologies) != 2 {
 		t.Fatalf("stats: %+v", resp)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"}))
+	resp = s.handle(sdpapi.Request{Op: "deregister", Name: "MediaWorkstation"})
 	if !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"}))
+	resp = s.handle(sdpapi.Request{Op: "deregister", Name: "MediaWorkstation"})
 	if resp.OK {
 		t.Fatal("double deregister succeeded")
 	}
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 	if !resp.OK || len(resp.Hits) != 0 {
 		t.Fatalf("query after deregister: %+v", resp)
 	}
@@ -87,7 +79,7 @@ func TestHandleRegisterQueryDeregister(t *testing.T) {
 // alongside the usable hits instead of hiding the gap.
 func TestHandleQueryPartialMarker(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
+	resp := s.handle(sdpapi.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})
 	if !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
@@ -98,7 +90,7 @@ func TestHandleQueryPartialMarker(t *testing.T) {
 		return res, err
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 	if !resp.OK || len(resp.Hits) != 1 {
 		t.Fatalf("query: %+v", resp)
 	}
@@ -118,14 +110,16 @@ func TestHandleQueryPartialMarker(t *testing.T) {
 
 func TestHandleErrors(t *testing.T) {
 	s := newTestServer(t)
-	for name, datagram := range map[string][]byte{
-		"malformed json":   []byte("{nope"),
-		"unknown op":       mustJSON(t, request{Op: "fly"}),
-		"bad register doc": mustJSON(t, request{Op: "register", Doc: "junk"}),
-		"bad query doc":    mustJSON(t, request{Op: "query", Doc: "junk"}),
-		"bad ontology":     mustJSON(t, request{Op: "add-ontology", Doc: "junk"}),
+	if resp := s.handleDatagram([]byte("{nope")); resp.OK {
+		t.Error("malformed json accepted")
+	}
+	for name, req := range map[string]sdpapi.Request{
+		"unknown op":       {Op: "fly"},
+		"bad register doc": {Op: "register", Doc: "junk"},
+		"bad query doc":    {Op: "query", Doc: "junk"},
+		"bad ontology":     {Op: "add-ontology", Doc: "junk"},
 	} {
-		if resp := s.handle(datagram); resp.OK {
+		if resp := s.handle(req); resp.OK {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -137,33 +131,27 @@ func TestNewServerBadFile(t *testing.T) {
 	}
 }
 
-func TestServeOverUDP(t *testing.T) {
-	s := newTestServer(t)
+// serveUDP runs the UDP front end on a loopback socket and returns a
+// client for it.
+func serveUDP(t *testing.T, s *server) sdpapi.Client {
+	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	go s.serve(conn)
+	return sdpapi.Client{Addr: conn.LocalAddr().String(), Timeout: 2 * time.Second}
+}
 
-	client, err := net.Dial("udp", conn.LocalAddr().String())
+func TestServeOverUDP(t *testing.T) {
+	client := serveUDP(t, newTestServer(t))
+	resp, err := client.Do(sdpapi.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	if err := client.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Write(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64*1024)
-	n, err := client.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(buf[:n]), `"ok":true`) {
-		t.Fatalf("reply = %s", buf[:n])
+	if !resp.OK || resp.Version != 1 {
+		t.Fatalf("reply = %+v", resp)
 	}
 }
 
@@ -182,7 +170,7 @@ func TestStringListFlag(t *testing.T) {
 
 func TestHandleGetTable(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "get-table", Name: profile.MediaOntologyURI}))
+	resp := s.handle(sdpapi.Request{Op: "get-table", Name: profile.MediaOntologyURI})
 	if !resp.OK || len(resp.Table) == 0 {
 		t.Fatalf("get-table: %+v", resp)
 	}
@@ -193,7 +181,7 @@ func TestHandleGetTable(t *testing.T) {
 	if !table.Subsumes("Resource", "Movie") {
 		t.Fatal("shipped table lost subsumption")
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "get-table", Name: "http://nope"})); resp.OK {
+	if resp := s.handle(sdpapi.Request{Op: "get-table", Name: "http://nope"}); resp.OK {
 		t.Fatal("get-table for unknown ontology succeeded")
 	}
 }

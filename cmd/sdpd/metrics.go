@@ -3,7 +3,7 @@ package main
 import "sariadne/internal/telemetry"
 
 // Front-end instruments: one request = one datagram or one gateway call,
-// both funneled through server.handle. Layer-level timers (parse,
+// both accounted by server.handle. Layer-level timers (parse,
 // classify, match, registry insert) live in the internal packages and
 // show up on the same /metrics page.
 var (

@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 )
 
 // expositionLine matches the Prometheus text format 0.0.4: comments or
-// `name{labels} value` samples. The same shape `make metrics-smoke`
+// `name{labels} value` samples. The same shape `make federation-smoke`
 // enforces against a live sdpd.
 var expositionLine = regexp.MustCompile(
 	`^(# (HELP|TYPE) [a-z][a-z0-9_]* .+|[a-z][a-z0-9_]*(\{le="[^"]+"\})? [0-9.eE+-]+|[a-z][a-z0-9_]*(\{le="\+Inf"\}) [0-9]+)$`)
@@ -103,25 +104,27 @@ func TestPprofGatedByFlag(t *testing.T) {
 // mapping relies on.
 func TestResponseCodes(t *testing.T) {
 	s := newTestServer(t)
+	if resp := s.handleDatagram([]byte("{nope")); resp.OK || resp.Code != sdpapi.CodeBadRequest {
+		t.Errorf("malformed json: ok=%v code=%q, want code %q", resp.OK, resp.Code, sdpapi.CodeBadRequest)
+	}
 	cases := []struct {
-		name     string
-		datagram []byte
-		want     string
+		name string
+		req  sdpapi.Request
+		want string
 	}{
-		{"malformed json", []byte("{nope"), codeBadRequest},
-		{"unknown op", mustJSON(t, request{Op: "fly"}), codeBadRequest},
-		{"bad register doc", mustJSON(t, request{Op: "register", Doc: "junk"}), codeBadRequest},
-		{"bad query doc", mustJSON(t, request{Op: "query", Doc: "junk"}), codeBadRequest},
-		{"missing service", mustJSON(t, request{Op: "deregister", Name: "Nope"}), codeNotFound},
-		{"missing table", mustJSON(t, request{Op: "get-table", Name: "http://nope"}), codeNotFound},
+		{"unknown op", sdpapi.Request{Op: "fly"}, sdpapi.CodeBadRequest},
+		{"bad register doc", sdpapi.Request{Op: "register", Doc: "junk"}, sdpapi.CodeBadRequest},
+		{"bad query doc", sdpapi.Request{Op: "query", Doc: "junk"}, sdpapi.CodeBadRequest},
+		{"missing service", sdpapi.Request{Op: "deregister", Name: "Nope"}, sdpapi.CodeNotFound},
+		{"missing table", sdpapi.Request{Op: "get-table", Name: "http://nope"}, sdpapi.CodeNotFound},
 	}
 	for _, c := range cases {
-		resp := s.handle(c.datagram)
+		resp := s.handle(c.req)
 		if resp.OK || resp.Code != c.want {
 			t.Errorf("%s: ok=%v code=%q, want code %q", c.name, resp.OK, resp.Code, c.want)
 		}
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "stats"})); !resp.OK || resp.Code != "" {
+	if resp := s.handle(sdpapi.Request{Op: "stats"}); !resp.OK || resp.Code != "" {
 		t.Errorf("stats: ok=%v code=%q, want success without code", resp.OK, resp.Code)
 	}
 }

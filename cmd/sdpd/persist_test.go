@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/store"
 	"sariadne/internal/store/memstore"
 	"sariadne/internal/tenant"
@@ -54,7 +55,7 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 	}
 	observe := func() state {
 		t.Helper()
-		q := s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Token: "ta"}))
+		q := s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Token: "ta"})
 		if !q.OK {
 			t.Fatalf("query: %+v", q)
 		}
@@ -83,11 +84,11 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		}
 		return state{Hits: len(q.Hits), Listing: string(listing), History: h, Live: live}
 	}
-	register := func() response {
-		return s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"}))
+	register := func() sdpapi.Response {
+		return s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"})
 	}
-	deregister := func() response {
-		return s.handle(mustJSON(t, request{Op: "deregister", Name: "alice/ws", Token: "ta"}))
+	deregister := func() sdpapi.Response {
+		return s.handle(sdpapi.Request{Op: "deregister", Name: "alice/ws", Token: "ta"})
 	}
 	unchanged := func(what string, before state) {
 		t.Helper()
@@ -102,7 +103,7 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		t.Fatalf("fresh daemon: %+v", empty)
 	}
 	st.fail = true
-	if resp := register(); resp.OK || resp.Code != codeInternal || !strings.Contains(resp.Error, errDiskFull.Error()) {
+	if resp := register(); resp.OK || resp.Code != sdpapi.CodeInternal || !strings.Contains(resp.Error, errDiskFull.Error()) {
 		t.Fatalf("register with a failing store: %+v", resp)
 	}
 	unchanged("a failed first publish", empty)
@@ -120,11 +121,11 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 	// A superseding publish and a withdrawal that cannot be persisted both
 	// leave version 1 live.
 	st.fail = true
-	if resp := register(); resp.OK || resp.Code != codeInternal {
+	if resp := register(); resp.OK || resp.Code != sdpapi.CodeInternal {
 		t.Fatalf("superseding register with a failing store: %+v", resp)
 	}
 	unchanged("a failed superseding publish", published)
-	if resp := deregister(); resp.OK || resp.Code != codeInternal {
+	if resp := deregister(); resp.OK || resp.Code != sdpapi.CodeInternal {
 		t.Fatalf("deregister with a failing store: %+v", resp)
 	}
 	unchanged("a failed withdrawal", published)

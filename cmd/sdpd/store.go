@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -85,7 +86,7 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stats, err := st.Replay(func(rec store.Record) error {
-		if resp := s.applyLocked(rec); !resp.OK {
+		if err := s.applyLocked(rec); err != nil {
 			skipped++
 			return nil
 		}
@@ -103,15 +104,15 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 // re-persisting it, rebuilding the advertisement version ledger and the
 // per-tenant live-service counts as it goes — replay is what makes
 // tenant quotas durable across daemon restarts.
-func (s *server) applyLocked(rec store.Record) response {
+func (s *server) applyLocked(rec store.Record) error {
 	switch rec.Op {
 	case store.OpRegister:
 		ad, err := s.backend.Prepare([]byte(rec.Doc))
 		if err != nil {
-			return response{Error: err.Error()}
+			return err
 		}
 		if err := s.backend.Insert(ad); err != nil {
-			return response{Error: err.Error()}
+			return err
 		}
 		name := ad.Name()
 		prior := s.adverts[name]
@@ -120,21 +121,21 @@ func (s *server) applyLocked(rec store.Record) response {
 		if fresh {
 			s.gate.ServiceLive(advertOwner(name, rec.Tenant), +1)
 		}
-		return response{OK: true}
+		return nil
 	case store.OpDeregister:
 		if !s.backend.Deregister(rec.Name) {
-			return response{Error: "not registered"}
+			return errors.New("not registered")
 		}
 		s.dropAdvertLocked(rec.Name)
 		s.gate.ServiceLive(advertOwner(rec.Name, rec.Tenant), -1)
-		return response{OK: true}
+		return nil
 	case store.OpAddOntology:
 		if err := s.addOntologyTextLocked(rec.Doc); err != nil {
-			return response{Error: err.Error()}
+			return err
 		}
-		return response{OK: true}
+		return nil
 	default:
-		return response{Error: "unknown store op " + string(rec.Op)}
+		return errors.New("unknown store op " + string(rec.Op))
 	}
 }
 

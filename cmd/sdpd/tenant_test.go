@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/tenant"
 )
 
@@ -42,22 +43,22 @@ func TestAdmissionUDP(t *testing.T) {
 
 	// No token, unknown token: 401-class denials before any work.
 	for _, token := range []string{"", "bogus"} {
-		resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: token}))
+		resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: token})
 		if resp.OK || resp.Code != tenant.CodeUnauthenticated {
 			t.Fatalf("token %q: %+v", token, resp)
 		}
 	}
 	// Reads need a credential too on a strict daemon.
-	if resp := s.handle(mustJSON(t, request{Op: "stats"})); resp.OK || resp.Code != tenant.CodeUnauthenticated {
+	if resp := s.handle(sdpapi.Request{Op: "stats"}); resp.OK || resp.Code != tenant.CodeUnauthenticated {
 		t.Fatalf("anonymous stats on strict daemon: %+v", resp)
 	}
 
 	// Un-namespaced and cross-tenant publishes are forbidden.
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "ws"), Token: "ta"}))
+	resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "ws"), Token: "ta"})
 	if resp.OK || resp.Code != tenant.CodeForbidden || !strings.Contains(resp.Error, "alice/ws") {
 		t.Fatalf("un-namespaced publish: %+v", resp)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "bob/ws"), Token: "ta"}))
+	resp = s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "bob/ws"), Token: "ta"})
 	if resp.OK || resp.Code != tenant.CodeForbidden {
 		t.Fatalf("cross-tenant publish: %+v", resp)
 	}
@@ -69,26 +70,26 @@ func TestAdmissionUDP(t *testing.T) {
 	}
 
 	// The happy path: a namespaced publish under the owner's token.
-	resp = s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"}))
+	resp = s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"})
 	if !resp.OK || resp.Version != 1 {
 		t.Fatalf("admitted publish: %+v", resp)
 	}
 	// Readers can query but not mutate.
-	if resp := s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Token: "tb"})); !resp.OK || len(resp.Hits) != 1 {
+	if resp := s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Token: "tb"}); !resp.OK || len(resp.Hits) != 1 {
 		t.Fatalf("reader query: %+v", resp)
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "deregister", Name: "alice/ws", Token: "tb"})); resp.OK || resp.Code != tenant.CodeForbidden {
+	if resp := s.handle(sdpapi.Request{Op: "deregister", Name: "alice/ws", Token: "tb"}); resp.OK || resp.Code != tenant.CodeForbidden {
 		t.Fatalf("reader deregister: %+v", resp)
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "add-ontology", Doc: "x", Token: "tb"})); resp.OK || resp.Code != tenant.CodeForbidden {
+	if resp := s.handle(sdpapi.Request{Op: "add-ontology", Doc: "x", Token: "tb"}); resp.OK || resp.Code != tenant.CodeForbidden {
 		t.Fatalf("reader ontology upload: %+v", resp)
 	}
 
 	// The admission table is admin-only and reflects the bookkeeping.
-	if resp := s.handle(mustJSON(t, request{Op: "tenants", Token: "ta"})); resp.OK || resp.Code != tenant.CodeForbidden {
+	if resp := s.handle(sdpapi.Request{Op: "tenants", Token: "ta"}); resp.OK || resp.Code != tenant.CodeForbidden {
 		t.Fatalf("publisher read /tenants: %+v", resp)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "tenants", Token: "tr"}))
+	resp = s.handle(sdpapi.Request{Op: "tenants", Token: "tr"})
 	if !resp.OK || resp.Tenants == nil || !resp.Tenants.Enforcing || resp.Tenants.Auth != "static" {
 		t.Fatalf("admin tenants: %+v", resp)
 	}
@@ -105,10 +106,10 @@ func TestAdmissionUDP(t *testing.T) {
 	}
 
 	// Deregister under the owner frees the live slot.
-	if resp := s.handle(mustJSON(t, request{Op: "deregister", Name: "alice/ws", Token: "ta"})); !resp.OK {
+	if resp := s.handle(sdpapi.Request{Op: "deregister", Name: "alice/ws", Token: "ta"}); !resp.OK {
 		t.Fatalf("owner deregister: %+v", resp)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "tenants", Token: "tr"}))
+	resp = s.handle(sdpapi.Request{Op: "tenants", Token: "tr"})
 	for _, row := range resp.Tenants.Tenants {
 		if row.Tenant == "alice" && row.LiveServices != 0 {
 			t.Fatalf("live count after withdraw = %d", row.LiveServices)
@@ -125,11 +126,11 @@ func TestAdmissionHMACAndAnonymousReads(t *testing.T) {
 	s := enforcingServer(t, tenant.Config{Auth: h, AnonymousReads: true})
 
 	// Token-less reads are served as the anonymous tenant...
-	if resp := s.handle(mustJSON(t, request{Op: "stats"})); !resp.OK {
+	if resp := s.handle(sdpapi.Request{Op: "stats"}); !resp.OK {
 		t.Fatalf("anonymous stats: %+v", resp)
 	}
 	// ...but token-less mutations are still refused.
-	if resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws")})); resp.OK || resp.Code != tenant.CodeForbidden {
+	if resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws")}); resp.OK || resp.Code != tenant.CodeForbidden {
 		t.Fatalf("anonymous publish: %+v", resp)
 	}
 
@@ -138,7 +139,7 @@ func TestAdmissionHMACAndAnonymousReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: tok})); !resp.OK {
+	if resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: tok}); !resp.OK {
 		t.Fatalf("minted-token publish: %+v", resp)
 	}
 }
@@ -150,11 +151,11 @@ func TestAdmissionRateLimit(t *testing.T) {
 	// between requests: only the burst is spendable during the test.
 	s := enforcingServer(t, tenant.Config{Rate: 1e-9, Burst: 3})
 	for i := 0; i < 3; i++ {
-		if resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"})); !resp.OK {
+		if resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"}); !resp.OK {
 			t.Fatalf("burst publish %d: %+v", i, resp)
 		}
 	}
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"}))
+	resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"})
 	if resp.OK || resp.Code != tenant.CodeRateLimited {
 		t.Fatalf("drained bucket: %+v", resp)
 	}
@@ -184,11 +185,11 @@ func TestAdmissionQuotaDurable(t *testing.T) {
 	s1 := enforcingServer(t, cfg())
 	s1.store = st
 	for _, name := range []string{"alice/a", "alice/b"} {
-		if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, name), Token: "ta"})); !resp.OK {
+		if resp := s1.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, name), Token: "ta"}); !resp.OK {
 			t.Fatalf("register %s: %+v", name, resp)
 		}
 	}
-	if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"})); resp.OK || resp.Code != tenant.CodeRateLimited {
+	if resp := s1.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"}); resp.OK || resp.Code != tenant.CodeRateLimited {
 		t.Fatalf("over-quota publish: %+v", resp)
 	}
 	if err := st.Close(); err != nil {
@@ -203,15 +204,15 @@ func TestAdmissionQuotaDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.store = st2
-	resp := s2.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"}))
+	resp := s2.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"})
 	if resp.OK || resp.Code != tenant.CodeRateLimited {
 		t.Fatalf("quota not rebuilt by replay: %+v", resp)
 	}
 	// Withdrawing a replayed service frees a durable slot.
-	if resp := s2.handle(mustJSON(t, request{Op: "deregister", Name: "alice/a", Token: "ta"})); !resp.OK {
+	if resp := s2.handle(sdpapi.Request{Op: "deregister", Name: "alice/a", Token: "ta"}); !resp.OK {
 		t.Fatalf("deregister after replay: %+v", resp)
 	}
-	if resp := s2.handle(mustJSON(t, request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"})); !resp.OK {
+	if resp := s2.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"}); !resp.OK {
 		t.Fatalf("register into freed slot: %+v", resp)
 	}
 }
@@ -274,7 +275,7 @@ func TestAdmissionHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admin GET /tenants = %d: %s", resp.StatusCode, body)
 	}
-	var table response
+	var table sdpapi.Response
 	if err := json.Unmarshal([]byte(body), &table); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"sort"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"sariadne/internal/discovery"
 	"sariadne/internal/election"
 	"sariadne/internal/gen"
+	"sariadne/internal/sdpapi"
 	"sariadne/internal/simnet"
 )
 
@@ -161,74 +160,37 @@ func (c *cluster) close() {
 	c.net.Close()
 }
 
-// liveCluster drives real sdpd daemons over their UDP client protocol
-// (the sdpctl wire format): each op dials its own ephemeral socket so
+// liveCluster drives real sdpd daemons over their UDP client protocol:
+// one sdpapi.Client per target, each op on its own ephemeral socket so
 // concurrent workers cannot cross replies.
 type liveCluster struct {
-	targets []string
-	timeout time.Duration
-	token   string // bearer token for daemons with tenant admission
+	targets []sdpapi.Client
 }
 
 func newLiveCluster(targets []string, timeout time.Duration, token string) *liveCluster {
 	sort.Strings(targets)
-	return &liveCluster{targets: targets, timeout: timeout, token: token}
+	l := &liveCluster{}
+	for _, addr := range targets {
+		l.targets = append(l.targets, sdpapi.Client{Addr: addr, Timeout: timeout, Token: token})
+	}
+	return l
 }
 
-// clientRequest/clientResponse mirror sdpd's datagram protocol.
-type clientRequest struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Token string `json:"token,omitempty"`
-}
-
-type clientResponse struct {
-	OK          bool     `json:"ok"`
-	Error       string   `json:"error,omitempty"`
-	Hits        []any    `json:"hits,omitempty"`
-	Unreachable []string `json:"unreachable,omitempty"`
-}
-
-func (l *liveCluster) send(node int, req clientRequest) (*clientResponse, error) {
-	req.Token = l.token
-	addr := l.targets[node%len(l.targets)]
-	conn, err := net.Dial("udp", addr)
+func (l *liveCluster) send(node int, req sdpapi.Request) (*sdpapi.Response, error) {
+	resp, err := l.targets[node%len(l.targets)].Do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 64*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, err
-	}
-	var resp clientResponse
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("server error: %s", resp.Error)
-	}
-	return &resp, nil
+	return resp, resp.Err()
 }
 
 func (l *liveCluster) publish(_ context.Context, node int, doc []byte) error {
-	_, err := l.send(node, clientRequest{Op: "register", Doc: string(doc)})
+	_, err := l.send(node, sdpapi.Request{Op: sdpapi.OpRegister, Doc: string(doc)})
 	return err
 }
 
 func (l *liveCluster) query(_ context.Context, node int, doc []byte) (int, int, error) {
-	resp, err := l.send(node, clientRequest{Op: "query", Doc: string(doc)})
+	resp, err := l.send(node, sdpapi.Request{Op: sdpapi.OpQuery, Doc: string(doc)})
 	if err != nil {
 		return 0, 0, err
 	}

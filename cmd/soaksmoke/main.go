@@ -30,15 +30,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"time"
+
+	"sariadne/internal/smoke"
 )
 
 const smokeDeadline = 85 * time.Second
@@ -46,11 +44,6 @@ const smokeDeadline = 85 * time.Second
 // leakPerSec is the injected goroutine leak: 150/s = 9000/min, fifteen
 // times the smoke's growth threshold, so detection is never marginal.
 const leakPerSec = 150
-
-var ontologies = []string{
-	"internal/profile/testdata/media-ontology.xml",
-	"internal/profile/testdata/servers-ontology.xml",
-}
 
 // soakFlags tune every daemon for a compressed soak: fast sampling, a
 // short watch window so the leak dominates it quickly, and thresholds
@@ -73,25 +66,6 @@ func main() {
 	fmt.Println("soaksmoke: ok")
 }
 
-// request and response mirror the sdpd client protocol: one JSON
-// datagram each way.
-type request struct {
-	Op  string `json:"op"`
-	Doc string `json:"doc,omitempty"`
-}
-
-type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Hits  []struct {
-		Service string `json:"service"`
-	} `json:"hits,omitempty"`
-	Peers []struct {
-		Entries    int  `json:"entries"`
-		HasSummary bool `json:"has_summary"`
-	} `json:"peers,omitempty"`
-}
-
 // alertsView mirrors sdpd's GET /alerts reply.
 type alertsView struct {
 	Watching bool        `json:"watching"`
@@ -111,95 +85,54 @@ type timeseriesView struct {
 	Source  string `json:"source"`
 }
 
-// daemon is one booted sdpd process; args are kept so a restart rebinds
-// the same addresses and journal directory.
-type daemon struct {
-	name       string
-	clientAddr string
-	fedAddr    string
-	httpAddr   string
-	bin        string
-	args       []string
-	cmd        *exec.Cmd
-}
-
 func run() error {
 	tmp, err := os.MkdirTemp("", "soaksmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-
-	sdpd := filepath.Join(tmp, "sdpd")
-	sdpctl := filepath.Join(tmp, "sdpctl")
-	for bin, pkg := range map[string]string{sdpd: "./cmd/sdpd", sdpctl: "./cmd/sdpctl"} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Stdout, build.Stderr = os.Stderr, os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("build %s: %w", pkg, err)
-		}
+	sdpd, err := smoke.Build(tmp, "sdpd")
+	if err != nil {
+		return err
+	}
+	sdpctl, err := smoke.Build(tmp, "sdpctl")
+	if err != nil {
+		return err
 	}
 
 	deadline := time.Now().Add(smokeDeadline)
 
 	// Three daemons on loopback, each with its own durable journal.
-	a, err := boot(sdpd, tmp, "a")
+	fed, err := smoke.BootFederation(sdpd, deadline, func(name string) []string {
+		return append([]string{"-telemetry-journal", filepath.Join(tmp, "tj-"+name)}, soakFlags...)
+	})
 	if err != nil {
 		return err
 	}
-	defer a.stop()
-	b, err := boot(sdpd, tmp, "b", a.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer b.stop()
-	c, err := boot(sdpd, tmp, "c", a.fedAddr, b.fedAddr)
-	if err != nil {
-		return err
-	}
-	defer c.stop()
-	all := []*daemon{a, b, c}
-	for _, d := range all {
-		if err := d.awaitUp(deadline); err != nil {
-			return err
-		}
-	}
+	defer fed.Stop()
+	a, b, c := fed[0], fed[1], fed[2]
 
 	// Real traffic so the watchdog sweeps a live system, not an idle
 	// one: register on B, resolve from C across the backbone.
-	doc, err := os.ReadFile("internal/profile/testdata/media-center.xml")
+	doc, err := os.ReadFile(smoke.MediaCenterDoc)
 	if err != nil {
 		return err
 	}
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(doc)})
-	if err != nil {
-		return fmt.Errorf("register on %s: %w", b.name, err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("register on %s: %s", b.name, resp.Error)
-	}
-	if err := c.awaitSummary(deadline); err != nil {
-		return err
-	}
-	req, err := os.ReadFile("internal/profile/testdata/tablet-request.xml")
+	resp, err := fed.PublishAndResolve(deadline, string(doc), "")
 	if err != nil {
 		return err
 	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
-	if err != nil {
-		return fmt.Errorf("query on %s: %w", c.name, err)
-	}
-	if !resp.OK || len(resp.Hits) == 0 {
-		return fmt.Errorf("query on %s returned no hits (%s)", c.name, resp.Error)
+	if len(resp.Hits) == 0 {
+		return fmt.Errorf("query on %s returned no hits", c.Name)
 	}
 
 	// Healthy phase: every watchdog must have swept several times and
 	// found nothing — fault-free soak minutes stay silent.
-	for _, d := range all {
-		if err := d.awaitSweeps(deadline, 5); err != nil {
+	for _, d := range fed {
+		if err := awaitSweeps(d, deadline, 5); err != nil {
 			return err
 		}
-		if err := d.expectSilent(); err != nil {
+		if err := expectSilent(d); err != nil {
 			return err
 		}
 	}
@@ -210,240 +143,108 @@ func run() error {
 	// Durable history: remember how much B has journaled, kill it, and
 	// reboot it on the same addresses and journal directory — with the
 	// goroutine leak injected. The pre-restart samples must still serve.
-	pre, err := b.timeseries()
-	if err != nil {
+	var pre, post timeseriesView
+	if err := getJSON(b, "/timeseries", &pre); err != nil {
 		return err
 	}
 	if pre.Source != "journal" || pre.Samples < 4 {
 		return fmt.Errorf("daemon %s journaled %d samples from %q before restart; want >=4 from the journal",
-			b.name, pre.Samples, pre.Source)
+			b.Name, pre.Samples, pre.Source)
 	}
-	b.stop()
-	if err := b.start("-chaos-leak-goroutines", strconv.Itoa(leakPerSec)); err != nil {
+	if err := b.Restart("-chaos-leak-goroutines", strconv.Itoa(leakPerSec)); err != nil {
 		return err
 	}
-	if err := b.awaitUp(deadline); err != nil {
+	if err := b.AwaitUp(deadline); err != nil {
 		return err
 	}
-	post, err := b.timeseries()
-	if err != nil {
+	if err := getJSON(b, "/timeseries", &post); err != nil {
 		return err
 	}
 	if post.Source != "journal" || post.Samples < pre.Samples {
 		return fmt.Errorf("daemon %s serves %d samples from %q after restart; want >=%d from the journal (history lost)",
-			b.name, post.Samples, post.Source, pre.Samples)
+			b.Name, post.Samples, post.Source, pre.Samples)
 	}
 
 	// Injected drift: the leak must fire goroutine_growth on B while the
 	// healthy daemons stay silent.
-	if err := b.awaitAlert(deadline, "goroutine_growth"); err != nil {
+	if err := awaitAlert(b, deadline, "goroutine_growth"); err != nil {
 		return err
 	}
 	if err := runSdpctlAlerts(sdpctl, b, 1, "goroutine_growth"); err != nil {
 		return err
 	}
-	for _, d := range []*daemon{a, c} {
-		if err := d.expectSilent(); err != nil {
-			return fmt.Errorf("healthy daemon alarmed by %s's leak: %w", b.name, err)
+	for _, d := range []*smoke.Daemon{a, c} {
+		if err := expectSilent(d); err != nil {
+			return fmt.Errorf("healthy daemon alarmed by %s's leak: %w", b.Name, err)
 		}
 	}
 	return nil
 }
 
-// boot assembles one daemon's full flag set and starts it.
-func boot(bin, tmp, name string, peers ...string) (*daemon, error) {
-	d := &daemon{name: name, bin: bin}
-	var err error
-	if d.clientAddr, err = freePort(); err != nil {
-		return nil, err
-	}
-	if d.fedAddr, err = freePort(); err != nil {
-		return nil, err
-	}
-	if d.httpAddr, err = freePort(); err != nil {
-		return nil, err
-	}
-	d.args = []string{
-		"-listen", d.clientAddr,
-		"-federate", d.fedAddr,
-		"-http", d.httpAddr,
-		"-telemetry-journal", filepath.Join(tmp, "tj-"+name),
-	}
-	d.args = append(d.args, soakFlags...)
-	for _, o := range ontologies {
-		d.args = append(d.args, "-ontology", o)
-	}
-	for _, p := range peers {
-		d.args = append(d.args, "-peer", p)
-	}
-	if err := d.start(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// start launches (or relaunches) the daemon; extra appends one-off flags
-// such as the restart's fault injection.
-func (d *daemon) start(extra ...string) error {
-	d.cmd = exec.Command(d.bin, append(append([]string(nil), d.args...), extra...)...)
-	d.cmd.Stdout, d.cmd.Stderr = os.Stderr, os.Stderr
-	if err := d.cmd.Start(); err != nil {
-		return fmt.Errorf("start sdpd %s: %w", d.name, err)
-	}
-	return nil
-}
-
-func (d *daemon) stop() {
-	_ = d.cmd.Process.Kill()
-	_ = d.cmd.Wait()
-}
-
-// awaitUp polls the client port until the daemon answers a stats op.
-func (d *daemon) awaitUp(deadline time.Time) error {
-	for {
-		if resp, err := send(d.clientAddr, request{Op: "stats"}); err == nil && resp.OK {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never answered on %s", d.name, d.clientAddr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// awaitSummary polls the peers op until some backbone peer advertises a
-// summary with entries.
-func (d *daemon) awaitSummary(deadline time.Time) error {
-	for {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
-		if err == nil && resp.OK {
-			for _, p := range resp.Peers {
-				if p.HasSummary && p.Entries > 0 {
-					return nil
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never saw a peer summary", d.name)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-var sweepLine = regexp.MustCompile(`(?m)^alert_watchdog_sweeps_total ([0-9.eE+]+)$`)
-
-// awaitSweeps polls /metrics until the watchdog has swept at least n
-// times: silence only counts after the detectors actually looked.
-func (d *daemon) awaitSweeps(deadline time.Time, n float64) error {
-	for {
-		body, err := d.get("/metrics")
-		if err == nil {
-			if m := sweepLine.FindStringSubmatch(string(body)); m != nil {
-				if v, err := strconv.ParseFloat(m[1], 64); err == nil && v >= n {
-					return nil
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never reached %v watchdog sweeps", d.name, n)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// alerts fetches and decodes GET /alerts.
-func (d *daemon) alerts() (alertsView, error) {
-	var v alertsView
-	body, err := d.get("/alerts")
-	if err != nil {
-		return v, err
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return v, fmt.Errorf("daemon %s: malformed /alerts: %w", d.name, err)
-	}
-	return v, nil
-}
-
-// expectSilent fails unless the daemon is watching and has never fired.
-func (d *daemon) expectSilent() error {
-	v, err := d.alerts()
+// getJSON fetches one gateway path and decodes the reply into v.
+func getJSON(d *smoke.Daemon, path string, v any) error {
+	body, _, err := d.Get(path)
 	if err != nil {
 		return err
 	}
-	if !v.Watching {
-		return fmt.Errorf("daemon %s reports no watchdog", d.name)
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("daemon %s: malformed %s: %w", d.Name, path, err)
 	}
-	if len(v.Active) > 0 || len(v.Fired) > 0 {
+	return nil
+}
+
+// awaitSweeps polls /metrics until the watchdog has swept at least n
+// times: silence only counts after the detectors actually looked.
+func awaitSweeps(d *smoke.Daemon, deadline time.Time, n float64) error {
+	return d.Await(deadline, fmt.Sprintf("reached %v watchdog sweeps", n), func() error {
+		body, _, err := d.Get("/metrics")
+		if err != nil {
+			return err
+		}
+		if v, _ := smoke.Sample(body, "alert_watchdog_sweeps_total"); v < n {
+			return fmt.Errorf("alert_watchdog_sweeps_total is %v", v)
+		}
+		return nil
+	})
+}
+
+// expectSilent fails unless the daemon is watching and has never fired.
+func expectSilent(d *smoke.Daemon) error {
+	var v alertsView
+	if err := getJSON(d, "/alerts", &v); err != nil {
+		return err
+	}
+	if !v.Watching {
+		return fmt.Errorf("daemon %s reports no watchdog", d.Name)
+	}
+	if all := append(v.Active, v.Fired...); len(all) > 0 {
 		return fmt.Errorf("daemon %s is not silent: %d active, %d fired (first: %+v)",
-			d.name, len(v.Active), len(v.Fired), firstAlert(v))
+			d.Name, len(v.Active), len(v.Fired), all[0])
 	}
 	return nil
 }
 
 // awaitAlert polls /alerts until code shows up active or fired.
-func (d *daemon) awaitAlert(deadline time.Time, code string) error {
-	for {
-		v, err := d.alerts()
-		if err == nil {
-			for _, a := range append(v.Active, v.Fired...) {
-				if a.Code == code {
-					return nil
-				}
+func awaitAlert(d *smoke.Daemon, deadline time.Time, code string) error {
+	return d.Await(deadline, "fired "+code, func() error {
+		var v alertsView
+		if err := getJSON(d, "/alerts", &v); err != nil {
+			return err
+		}
+		for _, a := range append(v.Active, v.Fired...) {
+			if a.Code == code {
+				return nil
 			}
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon %s never fired %s (last view: %d active, %d fired)",
-				d.name, code, len(v.Active), len(v.Fired))
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-func firstAlert(v alertsView) alertLine {
-	if len(v.Active) > 0 {
-		return v.Active[0]
-	}
-	if len(v.Fired) > 0 {
-		return v.Fired[0]
-	}
-	return alertLine{}
-}
-
-// timeseries fetches the sample count and source behind GET /timeseries.
-func (d *daemon) timeseries() (timeseriesView, error) {
-	var v timeseriesView
-	body, err := d.get("/timeseries")
-	if err != nil {
-		return v, err
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return v, fmt.Errorf("daemon %s: malformed /timeseries: %w", d.name, err)
-	}
-	return v, nil
-}
-
-// get fetches one gateway path, insisting on a 200.
-func (d *daemon) get(path string) ([]byte, error) {
-	resp, err := http.Get("http://" + d.httpAddr + path)
-	if err != nil {
-		return nil, fmt.Errorf("daemon %s: GET %s: %w", d.name, path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("daemon %s: GET %s: status %d", d.name, path, resp.StatusCode)
-	}
-	return body, nil
+		return fmt.Errorf("last view: %d active, %d fired", len(v.Active), len(v.Fired))
+	})
 }
 
 // runSdpctlAlerts runs `sdpctl alerts` against a daemon and checks both
 // the exit code (0 silent, 1 alerting — script semantics) and that the
 // output mentions want.
-func runSdpctlAlerts(bin string, d *daemon, wantExit int, want string) error {
-	cmd := exec.Command(bin, "alerts", d.httpAddr)
+func runSdpctlAlerts(bin string, d *smoke.Daemon, wantExit int, want string) error {
+	cmd := exec.Command(bin, "alerts", d.HTTP)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	err := cmd.Run()
@@ -451,51 +252,13 @@ func runSdpctlAlerts(bin string, d *daemon, wantExit int, want string) error {
 	if ee, ok := err.(*exec.ExitError); ok {
 		exit = ee.ExitCode()
 	} else if err != nil {
-		return fmt.Errorf("sdpctl alerts %s: %w", d.name, err)
+		return fmt.Errorf("sdpctl alerts %s: %w", d.Name, err)
 	}
 	if exit != wantExit {
-		return fmt.Errorf("sdpctl alerts on %s exited %d, want %d; output:\n%s", d.name, exit, wantExit, out.String())
+		return fmt.Errorf("sdpctl alerts on %s exited %d, want %d; output:\n%s", d.Name, exit, wantExit, out.String())
 	}
 	if !bytes.Contains(out.Bytes(), []byte(want)) {
-		return fmt.Errorf("sdpctl alerts on %s did not mention %q; output:\n%s", d.name, want, out.String())
+		return fmt.Errorf("sdpctl alerts on %s did not mention %q; output:\n%s", d.Name, want, out.String())
 	}
 	return nil
-}
-
-func send(server string, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
-}
-
-// freePort reserves a loopback port by binding and releasing it.
-func freePort() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	defer l.Close()
-	return l.Addr().String(), nil
 }

@@ -1,7 +1,7 @@
 // Package metricnames enforces the repo's telemetry conventions.
 //
 // Metric names form a process-wide flat namespace that dashboards and the
-// metrics-smoke CI check scrape by name, so three rules keep it auditable:
+// federation-smoke CI check scrape by name, so three rules keep it auditable:
 // names are snake_case with a subsystem prefix (`registry_insert_seconds`,
 // not `insertSeconds` or `latency`); metrics register once at package
 // initialization, never on request paths where a typo'd or unbounded name

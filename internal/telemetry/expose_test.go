@@ -46,7 +46,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 // checkExposition validates the Prometheus text format line by line —
-// the same check the metrics-smoke CI target applies to a live sdpd.
+// the same check the federation-smoke CI target applies to a live sdpd.
 func checkExposition(t *testing.T, out string) {
 	t.Helper()
 	sample := regexp.MustCompile(`^[a-z][a-z0-9_]*(\{le="[^"]+"\})? -?[0-9][0-9eE.+-]*$|^[a-z][a-z0-9_]*(\{le="[^"]+"\})? \+Inf$`)
