@@ -56,23 +56,18 @@ func main() {
 	trafficTraceSample = *traceSample
 
 	if *soakPipeline {
-		// The same cadences sdpd's soak defaults use, feeding a MemLog so
-		// the watchdog sweeps real windows; the delta against a plain run
-		// is the pipeline's whole cost on the measured paths.
-		ml := telemetry.NewMemLog(720)
-		sampler := telemetry.StartSamplerConfig(telemetry.Default(), 500*time.Millisecond, 720,
-			telemetry.SamplerConfig{
-				Collect: telemetry.SampleRuntime,
-				OnSample: func(s telemetry.Sample) {
-					ml.Append(telemetry.JournalSample{Time: time.Now(), Metrics: s.Metrics})
-				},
-			})
-		defer sampler.Stop()
+		// The same cadences sdpd's soak defaults use, so the watchdog
+		// sweeps real windows; the delta against a plain run is the
+		// pipeline's whole cost on the measured paths.
+		const sampleEvery = 500 * time.Millisecond
+		hist := telemetry.NewHistory(720)
+		defer telemetry.StartSampler(telemetry.Default(), sampleEvery, hist,
+			telemetry.SamplerConfig{Collect: telemetry.SampleRuntime}).Stop()
 		wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-			Log:       ml,
+			History:   hist,
 			Detectors: telemetry.StandardDetectors(telemetry.Thresholds{}),
 			Interval:  time.Second,
-		})
+		}, sampleEvery)
 		wd.Start()
 		defer wd.Stop()
 	}

@@ -239,19 +239,6 @@ func parseMetricSnapshots(r io.Reader) (map[string]telemetry.MetricSnapshot, err
 	return out, sc.Err()
 }
 
-// curvePoint mirrors sdpd's timeseriesPoint wire layout: one persisted
-// observation window of a *_seconds histogram.
-type curvePoint struct {
-	ElapsedMs int64   `json:"elapsed_ms"`
-	WindowMs  int64   `json:"window_ms"`
-	Count     uint64  `json:"count"`
-	RatePerS  float64 `json:"rate_per_sec"`
-	P50Nanos  int64   `json:"p50_ns"`
-	P95Nanos  int64   `json:"p95_ns"`
-	P99Nanos  int64   `json:"p99_ns"`
-	P999Nanos int64   `json:"p999_ns"`
-}
-
 // runWatchHistory prints the daemon's persisted windows for one metric
 // before live streaming starts: GET /timeseries?since= serves the
 // telemetry journal on a daemon running with -telemetry-journal, so the
@@ -268,11 +255,7 @@ func runWatchHistory(w io.Writer, addr, metric string, timeout, since time.Durat
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("GET /timeseries: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	var ts struct {
-		Samples int                     `json:"samples"`
-		Source  string                  `json:"source"`
-		Series  map[string][]curvePoint `json:"series"`
-	}
+	var ts telemetry.Timeseries
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&ts); err != nil {
 		return fmt.Errorf("malformed reply: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -108,6 +110,39 @@ func TestRunWatchWindows(t *testing.T) {
 	}
 	if strings.Contains(last, "1024") {
 		t.Fatalf("cumulative bucket leaked into the window:\n%s", out)
+	}
+}
+
+// TestRunWatchHistory renders the daemon's own pinned GET /timeseries
+// reply (cmd/sdpd's golden file): sdpctl decodes the one curve-point wire
+// form, so a field the daemon renames cannot silently print as zeros.
+func TestRunWatchHistory(t *testing.T) {
+	reply, err := os.ReadFile(filepath.Join("..", "sdpd", "testdata", "timeseries.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var query string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		query = r.URL.RawQuery
+		_, _ = w.Write(reply)
+	}))
+	t.Cleanup(ts.Close)
+
+	var b strings.Builder
+	addr := ts.Listener.Addr().String()
+	if err := runWatchHistory(&b, addr, "sdpd_request_seconds", time.Second, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if query != "metric=sdpd_request_seconds&since=10m0s" {
+		t.Fatalf("asked the daemon for %q", query)
+	}
+	want := "history: last 10m0s of sdpd_request_seconds from " + addr + " (3 windows, source ring)\n" +
+		"ELAPSED       COUNT     RATE/S        P50        P95        P99       P999\n" +
+		"5s               10        2.0        1ms        1ms        1ms        1ms\n" +
+		"10.5s            10        1.8        1ms        1ms        1ms        1ms\n" +
+		"15.5s             0        0.0          -          -          -          -\n"
+	if b.String() != want {
+		t.Fatalf("history table:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

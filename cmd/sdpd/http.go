@@ -334,71 +334,30 @@ func (g *httpGateway) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// timeseriesPoint is one observation window of a histogram series on
-// the wire: the slo.CurvePoint field layout so load-run curves and live
-// daemon curves read identically.
-type timeseriesPoint struct {
-	ElapsedMs int64   `json:"elapsed_ms"`
-	WindowMs  int64   `json:"window_ms"`
-	Count     uint64  `json:"count"`
-	RatePerS  float64 `json:"rate_per_sec"`
-	P50Nanos  int64   `json:"p50_ns"`
-	P95Nanos  int64   `json:"p95_ns"`
-	P99Nanos  int64   `json:"p99_ns"`
-	P999Nanos int64   `json:"p999_ns"`
-}
-
 // getTimeseries serves windowed quantile curves from the daemon's
-// telemetry history: one series per histogram metric (or just ?metric=),
-// each point the latency distribution between two consecutive samples,
-// optionally restricted to the last ?since={duration}. A journal-backed
-// daemon (-telemetry-journal) serves history that survives restarts —
-// DeltaSnapshot clamps across the counter reset at the restart boundary
-// — while a plain daemon serves the in-memory sampling ring, which a
-// restart loses.
+// telemetry history: one series per *_seconds histogram (or just
+// ?metric=), each point the latency distribution between two consecutive
+// samples, optionally restricted to the last ?since={duration} measured
+// back from now. History a journal refilled spans restarts —
+// DeltaSnapshot clamps across the counter reset at the restart boundary.
 func (g *httpGateway) getTimeseries(w http.ResponseWriter, r *http.Request) {
-	var since time.Duration
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad since (want a positive duration like 10m)", http.StatusBadRequest)
-			return
-		}
-		since = d
-	}
-	var samples []telemetry.Sample
-	source := "ring"
-	switch {
-	case g.srv.journal != nil:
-		source = "journal"
-		hist := g.srv.journal.History()
-		if since > 0 {
-			hist = g.srv.journal.Recent(since)
-		}
-		if len(hist) > 0 {
-			// Journal samples carry absolute times; re-base them so the
-			// curve's elapsed axis starts at the oldest retained sample.
-			t0 := hist[0].Time
-			for _, s := range hist {
-				samples = append(samples, telemetry.Sample{Elapsed: s.Time.Sub(t0), Metrics: s.Metrics})
-			}
-		}
-	case g.srv.sampler != nil:
-		samples = g.srv.sampler.Ring().Samples()
-		if since > 0 && len(samples) > 0 {
-			cut := samples[len(samples)-1].Elapsed - since
-			i := 0
-			for i < len(samples) && samples[i].Elapsed <= cut {
-				i++
-			}
-			samples = samples[i:]
-		}
-	default:
+	hist := g.srv.history
+	if hist == nil {
 		http.Error(w, "time-series sampling disabled (-sample-every 0)", http.StatusNotFound)
 		return
 	}
+	var samples []telemetry.Sample
+	if raw := r.URL.Query().Get("since"); raw == "" {
+		samples = hist.Samples()
+	} else if since, err := time.ParseDuration(raw); err == nil && since > 0 {
+		samples = hist.Recent(since)
+	} else {
+		http.Error(w, "bad since (want a positive duration like 10m)", http.StatusBadRequest)
+		return
+	}
 	only := r.URL.Query().Get("metric")
-	series := make(map[string][]timeseriesPoint)
+	reply := telemetry.Timeseries{Samples: len(samples), Source: g.srv.historySource,
+		Series: make(map[string][]telemetry.CurvePoint)}
 	if len(samples) > 0 {
 		for _, m := range samples[len(samples)-1].Metrics {
 			// Only *_seconds histograms: the point fields are nanoseconds,
@@ -409,29 +368,12 @@ func (g *httpGateway) getTimeseries(w http.ResponseWriter, r *http.Request) {
 			if only != "" && m.Name != only {
 				continue
 			}
-			var pts []timeseriesPoint
-			for _, p := range telemetry.QuantileCurve(samples, m.Name, 0) {
-				pts = append(pts, timeseriesPoint{
-					ElapsedMs: p.Elapsed.Milliseconds(),
-					WindowMs:  p.Window.Milliseconds(),
-					Count:     p.Count,
-					RatePerS:  p.Rate,
-					P50Nanos:  int64(p.P50 * 1e9),
-					P95Nanos:  int64(p.P95 * 1e9),
-					P99Nanos:  int64(p.P99 * 1e9),
-					P999Nanos: int64(p.P999 * 1e9),
-				})
-			}
-			if pts != nil {
-				series[m.Name] = pts
+			if pts := telemetry.QuantileCurve(samples, m.Name, 0); pts != nil {
+				reply.Series[m.Name] = pts
 			}
 		}
 	}
-	g.writeJSON(w, http.StatusOK, map[string]any{
-		"samples": len(samples),
-		"source":  source,
-		"series":  series,
-	})
+	g.writeJSON(w, http.StatusOK, reply)
 }
 
 // getAlerts serves the drift watchdog's view: alerts firing right now,

@@ -272,7 +272,7 @@ func TestHTTPGatewayOntologyUpload(t *testing.T) {
 	}
 }
 
-// TestGetTimeseries exercises the sampling ring end to end: requests
+// TestGetTimeseries exercises the sampled history end to end: requests
 // flow through the gateway, the sampler snapshots the registry, and
 // GET /timeseries returns windowed quantile curves for the latency
 // histograms — plus 404 when sampling is off.
@@ -285,17 +285,17 @@ func TestGetTimeseries(t *testing.T) {
 		t.Fatalf("disabled sampling: status %d body %q", resp.StatusCode, body)
 	}
 
-	sampler := telemetry.StartSampler(telemetry.Default(), 10*time.Millisecond, 64)
+	srv.history, srv.historySource = telemetry.NewHistory(64), "ring"
+	sampler := telemetry.StartSampler(telemetry.Default(), 10*time.Millisecond, srv.history, telemetry.SamplerConfig{})
 	t.Cleanup(sampler.Stop)
-	srv.sampler = sampler
 
 	// Drive real requests through the front end so sdpd_request_seconds
-	// accumulates observations for the ring to window.
+	// accumulates observations for the history to window.
 	for i := 0; i < 5; i++ {
 		do(t, "GET", ts.URL+"/stats", "")
 	}
 	testutil.WaitFor(t, 5*time.Second, func() bool {
-		return sampler.Ring().Len() >= 3
+		return srv.history.Len() >= 3
 	}, "sampler never accumulated windows")
 
 	resp, body = do(t, "GET", ts.URL+"/timeseries", "")

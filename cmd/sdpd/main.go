@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -127,7 +128,7 @@ func main() {
 	sampleEvery := flag.Duration("sample-every", 5*time.Second, "telemetry time-series sampling cadence behind GET /timeseries (0 disables)")
 	telemetryJournal := flag.String("telemetry-journal", "", "directory for the durable telemetry journal: sampler ticks persist across restarts behind GET /timeseries (optional)")
 	watchEvery := flag.Duration("watch-every", 0, "drift-watchdog sweep cadence over the telemetry history (0 disables)")
-	watchWindow := flag.Duration("watch-window", 0, "sample window each watchdog sweep examines (default 10x -watch-every)")
+	watchWindow := flag.Duration("watch-window", 0, "sample window each watchdog sweep examines (default 10x -watch-every, or 5x -sample-every when that is longer)")
 	watchGoroutines := flag.Float64("watch-goroutine-growth", 0, "goroutine_growth threshold in goroutines/min (0 = default 30, negative disables)")
 	watchHeap := flag.Float64("watch-heap-growth-bytes", 0, "memory_growth threshold in heap bytes/min (0 = default 8MiB, negative disables)")
 	watchStale := flag.Duration("watch-summary-stale", 0, "summary_stale bound on summary-push stalls (0 = default 5m, negative disables)")
@@ -246,57 +247,45 @@ func main() {
 	srv.httpOn.Store(*httpAddr != "")
 	hc := startHealthChecker(srv, *healthInterval, 0)
 	defer hc.close()
-	// The soak pipeline: runtime collector -> sampler -> sample log
-	// (durable journal or bounded memory) -> drift watchdog.
-	var sampleLog telemetry.SampleLog
-	var logSample func(telemetry.JournalSample)
+	// The soak pipeline: optional journal -> history -> sampler -> drift
+	// watchdog. The journal refills the history with what earlier
+	// processes sampled and then takes each new tick from the sampler.
+	sampling := telemetry.SamplerConfig{Collect: telemetry.SampleRuntime}
 	if *telemetryJournal != "" {
 		tjLog := logger.With("component", "telemetry")
-		jl, err := telemetry.OpenJournal(*telemetryJournal, telemetry.JournalOptions{})
+		srv.history, srv.historySource = telemetry.NewHistory(journalHistorySamples), "journal"
+		journal, err := telemetry.OpenJournal(*telemetryJournal, telemetry.JournalOptions{}, srv.history)
 		if err != nil {
 			fatal("telemetry journal", err)
 		}
 		defer func() {
-			if err := jl.Close(); err != nil {
+			if err := journal.Close(); err != nil {
 				tjLog.Error("journal close", "err", err)
 			}
 		}()
-		if jl.TornTail() {
+		if journal.TornTail() {
 			tjLog.Warn("telemetry journal recovered from a torn tail", "dir", *telemetryJournal)
 		}
-		tjLog.Info("telemetry journal open", "dir", *telemetryJournal, "history", len(jl.History()))
-		srv.journal = jl
-		sampleLog = jl
-		logSample = func(s telemetry.JournalSample) {
-			if err := jl.Append(s); err != nil {
+		tjLog.Info("telemetry journal open", "dir", *telemetryJournal, "history", srv.history.Len())
+		sampling.OnSample = func(s telemetry.Sample) {
+			if err := journal.Append(s); err != nil {
 				tjLog.Error("journal append", "err", err)
 			}
 		}
-	} else if *watchEvery > 0 {
-		// Watching without durability: a bounded in-memory log feeds the
-		// detectors and is lost on restart.
-		ml := telemetry.NewMemLog(720)
-		sampleLog = ml
-		logSample = ml.Append
+	} else if *sampleEvery > 0 {
+		srv.history, srv.historySource = telemetry.NewHistory(memoryHistorySamples), "ring"
 	}
 	if *sampleEvery > 0 {
-		// 720 samples at the default 5s cadence keeps an hour of windowed
-		// quantile history at constant memory.
-		sampler := telemetry.StartSamplerConfig(telemetry.Default(), *sampleEvery, 720, telemetry.SamplerConfig{
-			Collect: telemetry.SampleRuntime,
-			OnSample: func(s telemetry.Sample) {
-				if logSample != nil {
-					logSample(telemetry.JournalSample{Time: time.Now(), Metrics: s.Metrics})
-				}
-			},
-		})
-		defer sampler.Stop()
-		srv.sampler = sampler
-	} else if sampleLog != nil {
-		logger.Warn("-telemetry-journal/-watch-every have nothing to read without -sample-every > 0")
+		defer telemetry.StartSampler(telemetry.Default(), *sampleEvery, srv.history, sampling).Stop()
+	} else if srv.history != nil || *watchEvery > 0 {
+		logger.Warn("-telemetry-journal/-watch-every have nothing new to read without -sample-every > 0")
 	}
-	if *watchEvery > 0 {
+	if *watchEvery > 0 && srv.history != nil {
 		wdLog := logger.With("component", "watchdog")
+		if min := telemetry.MinWindow(*sampleEvery); *watchWindow > 0 && *watchWindow < min {
+			wdLog.Warn("-watch-window holds too few samples for the growth, step and spike detectors to ever fire",
+				"window", *watchWindow, "sample_every", *sampleEvery, "want_at_least", min)
+		}
 		detectors := telemetry.StandardDetectors(telemetry.Thresholds{
 			GoroutinesPerMin:  *watchGoroutines,
 			HeapBytesPerMin:   *watchHeap,
@@ -307,7 +296,7 @@ func main() {
 		})
 		var heapProfileOnce sync.Once
 		wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-			Log:       sampleLog,
+			History:   srv.history,
 			Detectors: detectors,
 			Interval:  *watchEvery,
 			Window:    *watchWindow,
@@ -333,7 +322,7 @@ func main() {
 					})
 				}
 			},
-		})
+		}, *sampleEvery)
 		wd.Start()
 		defer wd.Stop()
 		srv.watchdog = wd
@@ -419,18 +408,17 @@ type server struct {
 	sampleCount uint64 // guarded by mu
 	// health is the daemon's component prober; nil until started.
 	health *healthChecker // guarded by mu
-	// sampler feeds the telemetry time-series ring behind GET
-	// /timeseries; nil when -sample-every is 0. Set before the front
-	// ends start, read-only afterwards.
-	sampler *telemetry.Sampler
-	// journal is the durable telemetry journal (-telemetry-journal):
-	// sampler ticks persisted across restarts, preferred over the ring by
-	// GET /timeseries. Nil without the flag. Set before the front ends
-	// start, read-only afterwards.
-	journal *telemetry.Journal
-	// watchdog sweeps drift detectors over the sample history behind GET
-	// /alerts; nil when -watch-every is 0. Set before the front ends
-	// start, read-only afterwards.
+	// history is the daemon's one telemetry time series: the sampler
+	// writes it, GET /timeseries and the watchdog read it; nil with neither
+	// -telemetry-journal nor -sample-every. historySource is its name on
+	// the wire: "journal" when a journal refilled it at start-up and takes
+	// every tick, "ring" when it lives in memory only. Set before the
+	// front ends start, read-only afterwards.
+	history       *telemetry.History
+	historySource string
+	// watchdog sweeps drift detectors over history behind GET /alerts; nil
+	// when -watch-every is 0. Set before the front ends start, read-only
+	// afterwards.
 	watchdog *telemetry.Watchdog
 	// httpOn records that an HTTP gateway was configured; httpLive that it
 	// is currently bound and serving. Health probes compare the two.
@@ -438,6 +426,13 @@ type server struct {
 	httpLive atomic.Bool
 	log      *slog.Logger
 }
+
+// Samples of history retained: about 5.5 hours at the default 5 s cadence
+// when a journal can refill them after a restart, an hour in memory only.
+const (
+	journalHistorySamples = 4096
+	memoryHistorySamples  = 720
+)
 
 // localNode names the standalone daemon in spans it synthesizes itself;
 // federated daemons use their backbone transport address instead.
@@ -490,34 +485,29 @@ func newServer(ontologyFiles []string) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = s.addOntologyLocked(f)
+		table, err := encodeOntology(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("ontology %s: %w", path, err)
 		}
+		s.reg.Register(table)
 	}
 	return s, nil
 }
 
-func (s *server) addOntologyTextLocked(doc string) error {
-	return s.addOntologyLocked(strings.NewReader(doc))
-}
-
-func (s *server) addOntologyLocked(r interface{ Read([]byte) (int, error) }) error {
+// encodeOntology turns one ontology document into its code table. It
+// touches no server state: an upload passes it before anything is
+// persisted or registered.
+func encodeOntology(r io.Reader) (*codes.Table, error) {
 	o, err := ontology.Decode(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cl, err := ontology.Classify(o)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	table, err := codes.Encode(cl, codes.DefaultParams)
-	if err != nil {
-		return err
-	}
-	s.reg.Register(table)
-	return nil
+	return codes.Encode(cl, codes.DefaultParams)
 }
 
 // serve is the UDP front end: one datagram in, one datagram out.
@@ -606,32 +596,20 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		name := ad.Name()
-		prior := s.adverts[name]
-		newService := prior == nil || !prior.Live
-		if err := s.gate.AdmitPublish(id, name, newService); err != nil {
+		if err := s.gate.AdmitPublish(id, name, !s.liveLocked(name)); err != nil {
 			return denialResponse(err)
 		}
 		// The directory assigns the advertisement version: re-publishing a
 		// name supersedes the old version, which stays listable in the
 		// ledger. The assigned version is persisted with the record and
-		// returned to the publisher. Persist comes before every in-memory
-		// change, so a failed append leaves directory, ledger, version
-		// sequence and tenant live count exactly as they were.
-		version := s.nextVersionLocked(name)
-		owner := advertOwner(name, "")
-		if err := s.persistLocked(store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name, Version: version, Tenant: owner}); err != nil {
-			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
+		// returned to the publisher.
+		rec := store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name,
+			Version: s.nextVersionLocked(name), Tenant: advertOwner(name, "")}
+		if resp := s.commitLocked(rec, ad); !resp.OK {
+			return resp
 		}
-		if err := s.backend.Insert(ad); err != nil {
-			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
-		}
-		s.recordAdvertLocked(name, req.Doc, version)
-		if newService {
-			s.gate.ServiceLive(owner, +1)
-		}
-		s.refreshLocked()
-		s.log.Info("registered service", "name", name, "version", version, "capabilities", s.backend.Len())
-		return sdpapi.Response{OK: true, Version: version}
+		s.log.Info("registered service", "name", name, "version", rec.Version, "capabilities", s.backend.Len())
+		return sdpapi.Response{OK: true, Version: rec.Version}
 	case sdpapi.OpDeregister:
 		if err := s.gate.AdmitDeregister(id, req.Name); err != nil {
 			return denialResponse(err)
@@ -639,16 +617,7 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 		if !s.backend.Has(req.Name) {
 			return sdpapi.Response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: sdpapi.CodeNotFound}
 		}
-		// Persist first, as for register: a failed append withdraws nothing.
-		owner := advertOwner(req.Name, "")
-		if err := s.persistLocked(store.Record{Op: store.OpDeregister, Name: req.Name, Tenant: owner}); err != nil {
-			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
-		}
-		s.backend.Deregister(req.Name)
-		s.dropAdvertLocked(req.Name)
-		s.gate.ServiceLive(owner, -1)
-		s.refreshLocked()
-		return sdpapi.Response{OK: true}
+		return s.commitLocked(store.Record{Op: store.OpDeregister, Name: req.Name, Tenant: advertOwner(req.Name, "")}, nil)
 	case sdpapi.OpQuery:
 		res, err := s.resolve([]byte(req.Doc), req.Trace)
 		if err != nil {
@@ -669,12 +638,17 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 		if err := s.gate.AdmitOntology(id); err != nil {
 			return denialResponse(err)
 		}
-		if err := s.addOntologyTextLocked(req.Doc); err != nil {
+		// Encoding the table is the validation. Durable before visible, like
+		// every mutation: a failed append must not leave a table that later
+		// publishes are accepted against and the next replay will not have.
+		table, err := encodeOntology(strings.NewReader(req.Doc))
+		if err != nil {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		if err := s.persistLocked(store.Record{Op: store.OpAddOntology, Doc: req.Doc}); err != nil {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
+		s.reg.Register(table)
 		return sdpapi.Response{OK: true}
 	case sdpapi.OpGetTable:
 		// Thin clients fetch encoded code tables instead of running a
@@ -721,7 +695,23 @@ func (s *server) refreshLocked() {
 	}
 }
 
-// persistLocked appends a successful mutation to the store when
+// commitLocked makes one admitted publish or withdrawal durable, then
+// applies it the way replay will. Persist comes before every in-memory
+// change: a failed append leaves directory, ledger, version sequence and
+// tenant live count exactly as they were. ad is the advertisement already
+// prepared from rec.Doc (nil for a withdrawal): a publish stays one parse.
+func (s *server) commitLocked(rec store.Record, ad *discovery.Advert) sdpapi.Response {
+	if err := s.persistLocked(rec); err != nil {
+		return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
+	}
+	if err := s.applyLocked(rec, ad); err != nil {
+		return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
+	}
+	s.refreshLocked()
+	return sdpapi.Response{OK: true}
+}
+
+// persistLocked appends an admitted mutation to the store when
 // durability is enabled.
 func (s *server) persistLocked(rec store.Record) error {
 	if s.store == nil {

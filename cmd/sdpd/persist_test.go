@@ -33,10 +33,11 @@ func (f *failingStore) Append(rec store.Record) error {
 }
 
 // TestFailedAppendChangesNothing: the daemon persists a mutation before
-// it applies it, so a publish or a withdrawal whose append fails reports
-// `internal` and leaves memory where disk is — the directory, the
-// listing, the version ledger and the tenant's live count all unchanged,
-// and the version number not consumed.
+// it applies it, so a publish, a withdrawal or an ontology upload whose
+// append fails reports `internal` and leaves memory where disk is — the
+// directory, the listing, the version ledger, the tenant's live count and
+// the set of encoded ontologies all unchanged, and the version number not
+// consumed.
 func TestFailedAppendChangesNothing(t *testing.T) {
 	st := &failingStore{Store: memstore.New()}
 	t.Cleanup(func() { _ = st.Close() })
@@ -48,10 +49,11 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 	// state is everything a client or an operator can observe of the
 	// directory's content.
 	type state struct {
-		Hits    int
-		Listing string
-		History *advertHistory
-		Live    int
+		Hits       int
+		Listing    string
+		History    *advertHistory
+		Live       int
+		Ontologies []string
 	}
 	observe := func() state {
 		t.Helper()
@@ -82,7 +84,11 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 				live = row.LiveServices
 			}
 		}
-		return state{Hits: len(q.Hits), Listing: string(listing), History: h, Live: live}
+		stats := s.handle(sdpapi.Request{Op: "stats", Token: "ta"})
+		if !stats.OK {
+			t.Fatalf("stats: %+v", stats)
+		}
+		return state{Hits: len(q.Hits), Listing: string(listing), History: h, Live: live, Ontologies: stats.Stats.Ontologies}
 	}
 	register := func() sdpapi.Response {
 		return s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/ws"), Token: "ta"})
@@ -108,8 +114,29 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 	}
 	unchanged("a failed first publish", empty)
 
+	// An ontology upload that cannot be persisted registers no table: were
+	// it registered, publishes against it would be accepted and persisted,
+	// and the next replay — which has no ontology record — would drop them.
+	const newOntology = `<ontology uri="http://new.example/ont" version="1"><class name="Thing"/></ontology>`
+	upload := func() sdpapi.Response {
+		return s.handle(sdpapi.Request{Op: "add-ontology", Doc: newOntology, Token: "ta"})
+	}
+	if resp := upload(); resp.OK || resp.Code != sdpapi.CodeInternal {
+		t.Fatalf("add-ontology with a failing store: %+v", resp)
+	}
+	unchanged("a failed ontology upload", empty)
+	if _, ok := s.reg.Resolve("http://new.example/ont"); ok {
+		t.Fatal("a failed ontology upload left its table registered")
+	}
+
 	// The next successful publish gets the version the failed one would have.
 	st.fail = false
+	if resp := upload(); !resp.OK {
+		t.Fatalf("add-ontology after the failure: %+v", resp)
+	}
+	if got := observe(); len(got.Ontologies) != len(empty.Ontologies)+1 {
+		t.Fatalf("ontologies after one upload: %v (before: %v)", got.Ontologies, empty.Ontologies)
+	}
 	if resp := register(); !resp.OK || resp.Version != 1 {
 		t.Fatalf("register after the failure: %+v", resp)
 	}
@@ -141,19 +168,82 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		t.Fatalf("after withdrawal: %+v", got)
 	}
 
-	// What the store holds replays into the same state: two publishes, one
-	// withdrawal, nothing of the three failed operations.
+	// What the store holds replays into the same state: one upload, two
+	// publishes, one withdrawal, nothing of the four failed operations.
 	var ops []string
 	if _, err := st.Replay(func(rec store.Record) error {
-		if rec.Op != store.OpAddOntology {
-			b, _ := json.Marshal([]any{rec.Op, rec.Name, rec.Version})
-			ops = append(ops, string(b))
-		}
+		b, _ := json.Marshal([]any{rec.Op, rec.Name, rec.Version})
+		ops = append(ops, string(b))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{`["register","alice/ws",1]`, `["register","alice/ws",2]`, `["deregister","alice/ws",0]`}; !reflect.DeepEqual(ops, want) {
+	if want := []string{`["add-ontology","",0]`, `["register","alice/ws",1]`, `["register","alice/ws",2]`, `["deregister","alice/ws",0]`}; !reflect.DeepEqual(ops, want) {
 		t.Fatalf("store holds %v, want %v", ops, want)
+	}
+}
+
+// TestLiveAndReplayAgree: a mutation reaches memory through one function
+// whether it arrives from a client or from the store, so a history applied
+// live and the same history replayed from the resulting store leave the
+// same version ledger, the same number of capabilities and the same
+// per-tenant live counts.
+func TestLiveAndReplayAgree(t *testing.T) {
+	st := memstore.New()
+	t.Cleanup(func() { _ = st.Close() })
+	live := enforcingServer(t, tenant.Config{})
+	live.store = st
+
+	for i, step := range []struct {
+		op, name, token string
+		version         uint64
+	}{
+		{"register", "alice/a", "ta", 1},
+		{"register", "alice/a", "ta", 2}, // supersede
+		{"register", "alice/b", "ta", 1},
+		{"register", "alice/c", "tr", 1}, // an admin publishing into alice's namespace
+		{"register", "root/d", "tr", 1},
+		{"deregister", "alice/a", "ta", 0},
+		{"register", "alice/a", "ta", 3}, // re-publish a withdrawn name
+		{"deregister", "alice/b", "tr", 0},
+		{"deregister", "root/d", "tr", 0},
+	} {
+		req := sdpapi.Request{Op: step.op, Name: step.name, Token: step.token}
+		if step.op == "register" {
+			req.Doc = namedDoc(t, step.name)
+		}
+		if resp := live.handle(req); !resp.OK || resp.Version != step.version {
+			t.Fatalf("step %d %s %s: %+v, want version %d", i, step.op, step.name, resp, step.version)
+		}
+	}
+
+	replayed := enforcingServer(t, tenant.Config{})
+	if applied, skipped, _, err := replayStore(st, replayed); err != nil || applied != 9 || skipped != 0 {
+		t.Fatalf("replay applied %d, skipped %d, err %v; want all 9 applied", applied, skipped, err)
+	}
+
+	liveCounts := func(s *server) map[string]int {
+		out := make(map[string]int)
+		for _, row := range s.gate.Tenants() {
+			if row.LiveServices != 0 {
+				out[row.Tenant] = row.LiveServices
+			}
+		}
+		return out
+	}
+	if want := map[string]int{"alice": 2}; !reflect.DeepEqual(liveCounts(live), want) {
+		t.Fatalf("live tenant counts = %v, want %v", liveCounts(live), want)
+	}
+	if got, want := liveCounts(replayed), liveCounts(live); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tenant live counts: replayed %v, live %v", got, want)
+	}
+	if got, want := replayed.backend.Len(), live.backend.Len(); got != want || want == 0 {
+		t.Fatalf("capabilities: replayed %d, live %d", got, want)
+	}
+	if !reflect.DeepEqual(replayed.adverts, live.adverts) {
+		t.Fatalf("ledgers differ:\n replayed %+v\n live     %+v", replayed.adverts, live.adverts)
+	}
+	if h := live.adverts["alice/a"]; !h.Live || len(h.Versions) != 3 || live.adverts["alice/b"].Live {
+		t.Fatalf("ledger after the script: %+v", live.adverts)
 	}
 }

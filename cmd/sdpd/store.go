@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
+	"sariadne/internal/discovery"
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
 	"sariadne/internal/store/memstore"
@@ -86,7 +88,7 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	stats, err := st.Replay(func(rec store.Record) error {
-		if err := s.applyLocked(rec); err != nil {
+		if err := s.applyLocked(rec, nil); err != nil {
 			skipped++
 			return nil
 		}
@@ -100,23 +102,26 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 	return applied, skipped, stats.TornTail, nil
 }
 
-// applyLocked executes a persisted record against the directory without
-// re-persisting it, rebuilding the advertisement version ledger and the
-// per-tenant live-service counts as it goes — replay is what makes
-// tenant quotas durable across daemon restarts.
-func (s *server) applyLocked(rec store.Record) error {
+// applyLocked executes a persisted record against the backend, the
+// advertisement version ledger and the per-tenant live-service counts. It
+// is the one way a publish or withdrawal reaches memory: the live path
+// calls it right after the append (with the advertisement it already
+// prepared from rec.Doc), replay with ad nil for every record the store
+// holds — which is what makes tenant quotas durable across restarts.
+func (s *server) applyLocked(rec store.Record, ad *discovery.Advert) error {
 	switch rec.Op {
 	case store.OpRegister:
-		ad, err := s.backend.Prepare([]byte(rec.Doc))
-		if err != nil {
-			return err
+		if ad == nil {
+			var err error
+			if ad, err = s.backend.Prepare([]byte(rec.Doc)); err != nil {
+				return err
+			}
 		}
 		if err := s.backend.Insert(ad); err != nil {
 			return err
 		}
 		name := ad.Name()
-		prior := s.adverts[name]
-		fresh := prior == nil || !prior.Live
+		fresh := !s.liveLocked(name)
 		s.recordAdvertLocked(name, rec.Doc, rec.Version)
 		if fresh {
 			s.gate.ServiceLive(advertOwner(name, rec.Tenant), +1)
@@ -130,9 +135,11 @@ func (s *server) applyLocked(rec store.Record) error {
 		s.gate.ServiceLive(advertOwner(rec.Name, rec.Tenant), -1)
 		return nil
 	case store.OpAddOntology:
-		if err := s.addOntologyTextLocked(rec.Doc); err != nil {
+		table, err := encodeOntology(strings.NewReader(rec.Doc))
+		if err != nil {
 			return err
 		}
+		s.reg.Register(table)
 		return nil
 	default:
 		return errors.New("unknown store op " + string(rec.Op))
@@ -161,6 +168,12 @@ func (h *advertHistory) current() uint64 {
 		return 0
 	}
 	return h.Versions[len(h.Versions)-1].Version
+}
+
+// liveLocked reports whether name is currently advertised.
+func (s *server) liveLocked(name string) bool {
+	h := s.adverts[name]
+	return h != nil && h.Live
 }
 
 // nextVersionLocked returns the version the next publication under name

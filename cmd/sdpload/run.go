@@ -126,7 +126,8 @@ func runLoad(cfg runConfig) (*slo.Report, error) {
 	// Reset clears accumulated preload/settle observations so every ring
 	// window holds only load-generated traffic.
 	telemetry.Default().Reset()
-	sampler := telemetry.StartSampler(telemetry.Default(), cfg.sample, 4096)
+	hist := telemetry.NewHistory(4096)
+	sampler := telemetry.StartSampler(telemetry.Default(), cfg.sample, hist, telemetry.SamplerConfig{})
 	started := time.Now()
 	e.measureStart = started
 
@@ -150,21 +151,10 @@ func runLoad(cfg runConfig) (*slo.Report, error) {
 		{"query", "loadgen_query_seconds"},
 		{"publish", "loadgen_publish_seconds"},
 	} {
-		for _, p := range telemetry.QuantileCurve(sampler.Ring().Samples(), series.metric, warmup) {
-			if p.Count == 0 {
-				continue
+		for _, p := range telemetry.QuantileCurve(hist.Samples(), series.metric, warmup) {
+			if p.Count > 0 {
+				rep.Curve = append(rep.Curve, slo.CurvePoint{Series: series.name, CurvePoint: p})
 			}
-			rep.Curve = append(rep.Curve, slo.CurvePoint{
-				Series:    series.name,
-				ElapsedMs: p.Elapsed.Milliseconds(),
-				WindowMs:  p.Window.Milliseconds(),
-				Count:     p.Count,
-				RatePerS:  p.Rate,
-				P50Nanos:  int64(p.P50 * 1e9),
-				P95Nanos:  int64(p.P95 * 1e9),
-				P99Nanos:  int64(p.P99 * 1e9),
-				P999Nanos: int64(p.P999 * 1e9),
-			})
 		}
 	}
 	return rep, nil

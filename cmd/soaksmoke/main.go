@@ -9,8 +9,10 @@
 //     /alerts stays silent on all three daemons (no active, no fired),
 //     and `sdpctl alerts` exits 0;
 //   - durable history: one daemon restarts onto the same journal
-//     directory and GET /timeseries still serves the pre-restart
-//     samples (source "journal");
+//     directory and GET /timeseries (source "journal") still serves every
+//     pre-restart window, then windows from after the restart beside
+//     them — the journal refilled the history the new process samples
+//     into;
 //   - injected drift: the restarted daemon comes back with
 //     -chaos-leak-goroutines, and goroutine_growth must fire on GET
 //     /alerts and flip `sdpctl alerts` to exit 1 while the two healthy
@@ -37,6 +39,7 @@ import (
 	"time"
 
 	"sariadne/internal/smoke"
+	"sariadne/internal/telemetry"
 )
 
 const smokeDeadline = 85 * time.Second
@@ -45,12 +48,20 @@ const smokeDeadline = 85 * time.Second
 // times the smoke's growth threshold, so detection is never marginal.
 const leakPerSec = 150
 
+// samplePeriod is the smoke's telemetry cadence; requestHistory asks a
+// daemon for everything it retains of its request-latency curve.
+const (
+	samplePeriod   = 500 * time.Millisecond
+	requestMetric  = "sdpd_request_seconds"
+	requestHistory = "/timeseries?metric=" + requestMetric + "&since=1h"
+)
+
 // soakFlags tune every daemon for a compressed soak: fast sampling, a
 // short watch window so the leak dominates it quickly, and thresholds
 // above boot transients (a daemon gains a dozen goroutines and doubles
 // a tiny heap while starting up; neither is drift).
 var soakFlags = []string{
-	"-sample-every", "500ms",
+	"-sample-every", samplePeriod.String(),
 	"-watch-every", "1s",
 	"-watch-window", "20s",
 	"-watch-goroutine-growth", "600", // 10/s; the injected leak is 150/s
@@ -77,12 +88,6 @@ type alertLine struct {
 	Code     string `json:"code"`
 	Severity string `json:"severity"`
 	Evidence string `json:"evidence"`
-}
-
-// timeseriesView is the slice of GET /timeseries the smoke reads.
-type timeseriesView struct {
-	Samples int    `json:"samples"`
-	Source  string `json:"source"`
 }
 
 func run() error {
@@ -140,29 +145,57 @@ func run() error {
 		return err
 	}
 
-	// Durable history: remember how much B has journaled, kill it, and
+	// Durable history: remember the curve B has journaled, kill it, and
 	// reboot it on the same addresses and journal directory — with the
-	// goroutine leak injected. The pre-restart samples must still serve.
-	var pre, post timeseriesView
-	if err := getJSON(b, "/timeseries", &pre); err != nil {
+	// goroutine leak injected. Every pre-restart window must still serve,
+	// and windows sampled by the new process must join them.
+	var pre telemetry.Timeseries
+	fetched := time.Now()
+	if err := getJSON(b, requestHistory, &pre); err != nil {
 		return err
 	}
-	if pre.Source != "journal" || pre.Samples < 4 {
-		return fmt.Errorf("daemon %s journaled %d samples from %q before restart; want >=4 from the journal",
-			b.Name, pre.Samples, pre.Source)
+	preWindows := pre.Series[requestMetric]
+	if pre.Source != "journal" || pre.Samples < 4 || len(preWindows) == 0 {
+		return fmt.Errorf("daemon %s journaled %d samples (%d windows) from %q before restart; want >=4 from the journal",
+			b.Name, pre.Samples, len(preWindows), pre.Source)
 	}
+	// Both replies measure elapsed_ms from the same oldest sample (an hour
+	// reaches past the smoke's start). The last window fetched closed no
+	// later than the fetch, so a window closing more than the time since
+	// then plus a sampling period after it was sampled by the new process.
+	lastPre := preWindows[len(preWindows)-1].ElapsedMs
+	afterRestart := lastPre + (time.Since(fetched) + samplePeriod).Milliseconds()
 	if err := b.Restart("-chaos-leak-goroutines", strconv.Itoa(leakPerSec)); err != nil {
 		return err
 	}
 	if err := b.AwaitUp(deadline); err != nil {
 		return err
 	}
-	if err := getJSON(b, "/timeseries", &post); err != nil {
+	if err := b.Await(deadline, "served windows from both sides of its restart", func() error {
+		var post telemetry.Timeseries
+		if err := getJSON(b, requestHistory, &post); err != nil {
+			return err
+		}
+		if post.Source != "journal" || post.Samples < pre.Samples {
+			return fmt.Errorf("%d samples from %q after restart; want >=%d from the journal (history lost)",
+				post.Samples, post.Source, pre.Samples)
+		}
+		before, after := 0, 0
+		for _, p := range post.Series[requestMetric] {
+			switch {
+			case p.ElapsedMs <= lastPre+1: // journal stamps are whole milliseconds
+				before++
+			case p.ElapsedMs > afterRestart:
+				after++
+			}
+		}
+		if before < len(preWindows) || after == 0 {
+			return fmt.Errorf("%d windows from before the restart (want %d), %d from after (want >=1)",
+				before, len(preWindows), after)
+		}
+		return nil
+	}); err != nil {
 		return err
-	}
-	if post.Source != "journal" || post.Samples < pre.Samples {
-		return fmt.Errorf("daemon %s serves %d samples from %q after restart; want >=%d from the journal (history lost)",
-			b.Name, post.Samples, post.Source, pre.Samples)
 	}
 
 	// Injected drift: the leak must fire goroutine_growth on B while the

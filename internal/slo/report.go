@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"sariadne/internal/telemetry"
 )
 
 // Schema is the format tag emitted into every report.
@@ -101,17 +103,12 @@ type Point struct {
 }
 
 // CurvePoint is one warmup-trimmed observation window of a series: the
-// latency distribution over time, not just at the end.
+// latency distribution over time, not just at the end. The window is
+// telemetry's one curve-point form, so load-run curves and a live
+// daemon's GET /timeseries read identically.
 type CurvePoint struct {
-	Series    string  `json:"series"`
-	ElapsedMs int64   `json:"elapsed_ms"`
-	WindowMs  int64   `json:"window_ms"`
-	Count     uint64  `json:"count"`
-	RatePerS  float64 `json:"rate_per_sec"`
-	P50Nanos  int64   `json:"p50_ns"`
-	P95Nanos  int64   `json:"p95_ns"`
-	P99Nanos  int64   `json:"p99_ns"`
-	P999Nanos int64   `json:"p999_ns"`
+	Series string `json:"series"`
+	telemetry.CurvePoint
 }
 
 // Wall stamps the run with wall-clock context.

@@ -1,11 +1,14 @@
 package slo
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"sariadne/internal/telemetry"
 )
 
 func sampleReport() *Report {
@@ -19,8 +22,9 @@ func sampleReport() *Report {
 		Points: []Point{
 			{Services: 60, Series: "query", Reps: 400, OpsPerSec: 5000, P50Nanos: 100_000, P95Nanos: 400_000, P99Nanos: 900_000, P999Nanos: 2_000_000},
 		},
-		Curve: []CurvePoint{{Series: "query", ElapsedMs: 1000, WindowMs: 250, Count: 100, RatePerS: 400, P99Nanos: 900_000}},
-		Wall:  Wall{StartedAt: time.Now(), DurationMs: 1234},
+		Curve: []CurvePoint{{Series: "query", CurvePoint: telemetry.CurvePoint{
+			ElapsedMs: 1000, WindowMs: 250, Count: 100, RatePerS: 400, P99Nanos: 900_000}}},
+		Wall: Wall{StartedAt: time.Now(), DurationMs: 1234},
 	}
 }
 
@@ -151,6 +155,32 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadReport(badPath); err == nil {
 		t.Fatal("schema mismatch accepted")
+	}
+}
+
+// TestCurvePointWireLayout: a report's curve point is the series name
+// plus telemetry's one curve-point form, flattened, in the field order the
+// checked-in baselines were written with — and a checked-in baseline still
+// decodes into it.
+func TestCurvePointWireLayout(t *testing.T) {
+	got, err := json.Marshal(sampleReport().Curve[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"series":"query","elapsed_ms":1000,"window_ms":250,"count":100,"rate_per_sec":400,` +
+		`"p50_ns":0,"p95_ns":0,"p99_ns":900000,"p999_ns":0}`
+	if string(got) != want {
+		t.Fatalf("curve point encodes as\n%s\nwant\n%s", got, want)
+	}
+	base, err := LoadReport(filepath.Join("..", "..", "bench", "baselines", "BENCH_load_flash-crowd.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Curve) == 0 {
+		t.Fatal("baseline has no curve")
+	}
+	if p := base.Curve[0]; p.Series != "query" || p.WindowMs <= 0 || p.Count == 0 || p.P99Nanos < p.P50Nanos || p.P50Nanos <= 0 {
+		t.Fatalf("baseline curve point decoded as %+v", p)
 	}
 }
 

@@ -1,8 +1,14 @@
 package telemetry
 
 // Telemetry journal: a size-bounded on-disk segment log of sampler ticks,
-// so GET /timeseries serves hours of history that survives restarts
-// instead of a RAM ring that dies with the process.
+// so the History behind GET /timeseries and the watchdog survives
+// restarts instead of dying with the process. The journal is a sink and
+// an open-time source, nothing more: Append makes a sample durable, and
+// OpenJournal hands every sample it recovers to the History it is given
+// (which keeps the newest up to its capacity) in the one scan that also
+// validates the segments. It holds no samples itself, so steady-state
+// reads never touch it; Replay streams the full on-disk history for tools
+// that want everything.
 //
 // Each segment file is one internal/framelog log — the same CRC-framed
 // format, torn-tail recovery and append path the service store runs on —
@@ -12,12 +18,7 @@ package telemetry
 // segment passes the size bound a new one starts, and the oldest segment
 // is deleted once the directory exceeds its segment budget. Losing the
 // oldest telemetry is the design, not a failure: the journal bounds disk
-// like the Ring bounds memory.
-//
-// A bounded in-memory tail (rebuilt from disk at open) backs the
-// watchdog's window reads and /timeseries, so steady-state reads never
-// touch the filesystem; Replay streams the full on-disk history for
-// tools that want everything.
+// like the History bounds memory.
 
 import (
 	"encoding/json"
@@ -46,24 +47,6 @@ var journalMagic = []byte{'s', 'd', 'p', 't', 'j', 'n', 'l', 1}
 // journalSuffix names segment files: <seq>.tjseg with a fixed-width
 // decimal sequence so lexical order is creation order.
 const journalSuffix = ".tjseg"
-
-// JournalSample is one persisted sampler tick: a wall-clock stamp plus
-// the full registry snapshot taken then. Wall-clock (not elapsed) time is
-// what makes history stitch across restarts.
-type JournalSample struct {
-	Time    time.Time
-	Metrics []MetricSnapshot
-}
-
-// Metric finds a snapshot by name.
-func (s JournalSample) Metric(name string) (MetricSnapshot, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MetricSnapshot{}, false
-}
 
 // JournalVersionError reports a record written by a newer format
 // revision than this reader understands.
@@ -103,7 +86,7 @@ type journalBucket struct {
 
 // EncodeJournalSample serializes one sample to its framed payload bytes
 // (version field included, frame header excluded).
-func EncodeJournalSample(s JournalSample) ([]byte, error) {
+func EncodeJournalSample(s Sample) ([]byte, error) {
 	w := journalWire{V: JournalVersion, T: s.Time.UnixMilli(), M: make([]journalMetric, 0, len(s.Metrics))}
 	for _, m := range s.Metrics {
 		jm := journalMetric{N: m.Name, K: m.Kind, L: m.Label, LV: m.LabelValue,
@@ -118,15 +101,15 @@ func EncodeJournalSample(s JournalSample) ([]byte, error) {
 
 // DecodeJournalSample parses payload bytes produced by
 // EncodeJournalSample, failing typed on newer-versioned records.
-func DecodeJournalSample(payload []byte) (JournalSample, error) {
+func DecodeJournalSample(payload []byte) (Sample, error) {
 	var w journalWire
 	if err := json.Unmarshal(payload, &w); err != nil {
-		return JournalSample{}, err
+		return Sample{}, err
 	}
 	if w.V > JournalVersion {
-		return JournalSample{}, &JournalVersionError{Version: w.V}
+		return Sample{}, &JournalVersionError{Version: w.V}
 	}
-	s := JournalSample{Time: time.UnixMilli(w.T), Metrics: make([]MetricSnapshot, 0, len(w.M))}
+	s := Sample{Time: time.UnixMilli(w.T), Metrics: make([]MetricSnapshot, 0, len(w.M))}
 	for _, jm := range w.M {
 		m := MetricSnapshot{Name: jm.N, Kind: jm.K, Label: jm.L, LabelValue: jm.LV,
 			Value: jm.F, Count: jm.C, Sum: jm.S}
@@ -146,9 +129,6 @@ type JournalOptions struct {
 	// MaxSegments caps the directory; the oldest segment is deleted when
 	// a rotation would exceed it (default 8).
 	MaxSegments int
-	// CacheSamples bounds the in-memory tail serving Recent/History
-	// (default 4096 — about 5.5 hours at a 5 s cadence).
-	CacheSamples int
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
@@ -157,9 +137,6 @@ func (o JournalOptions) withDefaults() JournalOptions {
 	}
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 8
-	}
-	if o.CacheSamples <= 0 {
-		o.CacheSamples = 4096
 	}
 	return o
 }
@@ -170,22 +147,21 @@ type Journal struct {
 	opts JournalOptions
 
 	mu       sync.Mutex
-	active   *framelog.Log   // newest segment, open for append, guarded by mu
-	seq      uint64          // active segment sequence number, guarded by mu
-	segments []uint64        // existing segment sequences, ascending (incl. active), guarded by mu
-	sealed   int64           // total bytes of the non-active segments, guarded by mu
-	cache    []JournalSample // guarded by mu
-	tornTail bool            // guarded by mu
-	closed   bool            // guarded by mu
+	active   *framelog.Log // newest segment, open for append, guarded by mu
+	seq      uint64        // active segment sequence number, guarded by mu
+	segments []uint64      // existing segment sequences, ascending (incl. active), guarded by mu
+	sealed   int64         // total bytes of the non-active segments, guarded by mu
+	tornTail bool          // guarded by mu
+	closed   bool          // guarded by mu
 }
 
 // ErrJournalClosed is returned by appends after Close.
 var ErrJournalClosed = errors.New("telemetry journal: closed")
 
-// OpenJournal opens (creating if needed) the journal in dir, recovers
-// its history into the in-memory tail, and truncates any torn tail left
-// by a crash mid-append.
-func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
+// OpenJournal opens (creating if needed) the journal in dir, adds every
+// sample it recovers to into, oldest first, and truncates any torn tail
+// left by a crash mid-append.
+func OpenJournal(dir string, opts JournalOptions, into *History) (*Journal, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -193,18 +169,18 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	j := &Journal{dir: dir, opts: opts}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.recoverLocked(); err != nil {
+	if err := j.recoverLocked(into); err != nil {
 		return nil, err
 	}
 	j.publishSizeLocked()
 	return j, nil
 }
 
-// recoverLocked lists segments, replays them oldest-first into the cache,
-// and opens the newest for append. Only that one is ever mid-write, so
-// only it is repaired; a torn older segment is counted and read up to
-// its tear, its bytes left as they are.
-func (j *Journal) recoverLocked() error {
+// recoverLocked lists segments, replays them oldest-first into the
+// history, and opens the newest for append. Only that one is ever
+// mid-write, so only it is repaired; a torn older segment is counted and
+// read up to its tear, its bytes left as they are.
+func (j *Journal) recoverLocked(into *History) error {
 	ents, err := os.ReadDir(j.dir)
 	if err != nil {
 		return err
@@ -225,8 +201,8 @@ func (j *Journal) recoverLocked() error {
 		j.segments = []uint64{1}
 	}
 
-	visit := visitSamples(func(s JournalSample) error {
-		j.cacheAddLocked(s)
+	visit := visitSamples(func(s Sample) error {
+		into.Add(s)
 		return nil
 	})
 	last := len(j.segments) - 1
@@ -253,7 +229,7 @@ func (j *Journal) recoverLocked() error {
 // visitSamples adapts a sample callback to a frame visitor. A frame that
 // is intact but undecodable (newer version, malformed JSON) ends its
 // segment like a torn tail, so old readers degrade safely.
-func visitSamples(fn func(JournalSample) error) func(payload []byte) error {
+func visitSamples(fn func(Sample) error) func(payload []byte) error {
 	return func(payload []byte) error {
 		s, err := DecodeJournalSample(payload)
 		if err != nil {
@@ -293,9 +269,8 @@ func (j *Journal) segmentPath(seq uint64) string {
 }
 
 // Append persists one sample (fsynced before returning), rotating and
-// pruning segments as the size bounds require, and feeds the in-memory
-// tail.
-func (j *Journal) Append(s JournalSample) error {
+// pruning segments as the size bounds require.
+func (j *Journal) Append(s Sample) error {
 	start := time.Now()
 	payload, err := EncodeJournalSample(s)
 	if err != nil {
@@ -314,7 +289,6 @@ func (j *Journal) Append(s JournalSample) error {
 	if err := j.active.Append(payload, true); err != nil {
 		return err
 	}
-	j.cacheAddLocked(s)
 	journalAppendsTotal.Inc()
 	journalAppendSeconds.ObserveSince(start)
 	j.publishSizeLocked()
@@ -351,32 +325,6 @@ func (j *Journal) rotateLocked() error {
 	return nil
 }
 
-// cacheAddLocked appends to the bounded in-memory tail.
-func (j *Journal) cacheAddLocked(s JournalSample) {
-	j.cache = append(j.cache, s)
-	if over := len(j.cache) - j.opts.CacheSamples; over > 0 {
-		j.cache = append(j.cache[:0], j.cache[over:]...)
-	}
-}
-
-// Recent returns cached samples newer than now-window, oldest first —
-// the watchdog's detector feed. Purely in-memory.
-func (j *Journal) Recent(window time.Duration) []JournalSample {
-	cutoff := time.Now().Add(-window)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	i := sort.Search(len(j.cache), func(i int) bool { return j.cache[i].Time.After(cutoff) })
-	return append([]JournalSample(nil), j.cache[i:]...)
-}
-
-// History returns every cached sample oldest first (bounded by
-// CacheSamples; Replay streams the full disk history).
-func (j *Journal) History() []JournalSample {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]JournalSample(nil), j.cache...)
-}
-
 // TornTail reports whether open-time recovery truncated a torn frame.
 func (j *Journal) TornTail() bool {
 	j.mu.Lock()
@@ -387,7 +335,7 @@ func (j *Journal) TornTail() bool {
 // Replay streams every decodable on-disk sample oldest first. Damaged or
 // newer-versioned frames end the segment they sit in (matching open-time
 // recovery) without failing the replay.
-func (j *Journal) Replay(fn func(JournalSample) error) error {
+func (j *Journal) Replay(fn func(Sample) error) error {
 	j.mu.Lock()
 	segs := append([]uint64(nil), j.segments...)
 	j.mu.Unlock()

@@ -11,15 +11,27 @@ import (
 	"time"
 )
 
-// sampleAt builds a synthetic journal sample with one counter reading.
-func sampleAt(t time.Time, counter string, v float64) JournalSample {
-	return JournalSample{Time: t, Metrics: []MetricSnapshot{
+// sampleAt builds a synthetic sample with one counter reading.
+func sampleAt(t time.Time, counter string, v float64) Sample {
+	return Sample{Time: t, Metrics: []MetricSnapshot{
 		{Name: counter, Kind: KindCounter, Value: v},
 	}}
 }
 
+// openJournal opens dir the way a daemon does: recovering into a fresh
+// history of the journal-backed capacity.
+func openJournal(t *testing.T, dir string, opts JournalOptions) (*Journal, *History) {
+	t.Helper()
+	h := NewHistory(4096)
+	j, err := OpenJournal(dir, opts, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, h
+}
+
 func TestJournalRoundTrip(t *testing.T) {
-	in := JournalSample{
+	in := Sample{
 		Time: time.UnixMilli(1700000000123),
 		Metrics: []MetricSnapshot{
 			{Name: "a_total", Kind: KindCounter, Value: 42},
@@ -67,28 +79,25 @@ func TestJournalRejectsNewerVersion(t *testing.T) {
 
 func TestJournalPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, first := openJournal(t, dir, JournalOptions{})
 	base := time.Now().Add(-time.Minute)
 	for i := 0; i < 10; i++ {
 		if err := j.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The journal is a sink: the sampler, not Append, feeds the history.
+	if first.Len() != 0 {
+		t.Fatalf("Append put %d samples into the open-time history", first.Len())
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	hist := j2.History()
+	j2, h2 := openJournal(t, dir, JournalOptions{})
+	hist := h2.Samples()
 	if len(hist) != 10 {
-		t.Fatalf("History after reopen = %d samples, want 10", len(hist))
+		t.Fatalf("history after reopen = %d samples, want 10", len(hist))
 	}
 	if m, ok := hist[9].Metric("x_total"); !ok || m.Value != 9 {
 		t.Fatalf("last sample = %+v, want x_total=9", hist[9])
@@ -100,8 +109,13 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if err := j2.Append(sampleAt(base.Add(time.Minute), "x_total", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(j2.History()); got != 11 {
-		t.Fatalf("History after continued append = %d, want 11", got)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, h3 := openJournal(t, dir, JournalOptions{})
+	defer func() { _ = j3.Close() }()
+	if got := h3.Len(); got != 11 {
+		t.Fatalf("history after a continued append = %d samples, want 11", got)
 	}
 }
 
@@ -120,10 +134,7 @@ func twoSegmentJournal(t *testing.T) (dir string, segs [2]string, opts JournalOp
 	}
 	// Rotate once the segment holds three frames.
 	opts = JournalOptions{MaxSegmentBytes: int64(len(journalMagic) + 3*(8+len(one)))}
-	j, err := OpenJournal(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openJournal(t, dir, opts)
 	for i := 0; i < 6; i++ {
 		if err := j.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i))); err != nil {
 			t.Fatal(err)
@@ -166,18 +177,15 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	}
 
 	tornBefore := journalTornTailsTotal.Value()
-	j2, err := OpenJournal(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2, h2 := openJournal(t, dir, opts)
 	if !j2.TornTail() {
 		t.Fatal("reopen over half-written frames did not report a torn tail")
 	}
 	if got := journalTornTailsTotal.Value() - tornBefore; got != 2 {
 		t.Fatalf("torn tails counted = %d, want one per damaged segment", got)
 	}
-	if got := len(j2.History()); got != 6 {
-		t.Fatalf("History after torn-tail recovery = %d samples, want 6", got)
+	if got := h2.Len(); got != 6 {
+		t.Fatalf("history after torn-tail recovery = %d samples, want 6", got)
 	}
 	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != sizes[0]+11 {
 		t.Fatalf("non-active segment was modified: size %d, want %d", fi.Size(), sizes[0]+11)
@@ -193,13 +201,10 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j3, err := OpenJournal(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j3, h3 := openJournal(t, dir, opts)
 	defer func() { _ = j3.Close() }()
-	if got := len(j3.History()); got != 7 {
-		t.Fatalf("History after post-recovery append = %d samples, want 7", got)
+	if got := h3.Len(); got != 7 {
+		t.Fatalf("history after post-recovery append = %d samples, want 7", got)
 	}
 }
 
@@ -218,15 +223,12 @@ func TestJournalCorruptPayloadStopsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2, h2 := openJournal(t, dir, opts)
 	defer func() { _ = j2.Close() }()
 	if !j2.TornTail() {
 		t.Fatal("bit flip in an older segment went undetected")
 	}
-	hist := j2.History()
+	hist := h2.Samples()
 	var values []float64
 	for _, s := range hist {
 		m, _ := s.Metric("x_total")
@@ -240,7 +242,7 @@ func TestJournalCorruptPayloadStopsSegment(t *testing.T) {
 	}
 	// Replay reads disk the same way.
 	n := 0
-	if err := j2.Replay(func(JournalSample) error { n++; return nil }); err != nil || n != 4 {
+	if err := j2.Replay(func(Sample) error { n++; return nil }); err != nil || n != 4 {
 		t.Fatalf("Replay = %d samples (err %v), want 4", n, err)
 	}
 }
@@ -254,7 +256,7 @@ func TestJournalForeignSegmentRefused(t *testing.T) {
 	if err := os.WriteFile(seg, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(dir, JournalOptions{}); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
+	if _, err := OpenJournal(dir, JournalOptions{}, NewHistory(4)); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
 		t.Fatalf("OpenJournal over a foreign segment = %v", err)
 	}
 	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, content) {
@@ -275,12 +277,9 @@ func TestJournalOpensParentSegment(t *testing.T) {
 	if err := os.WriteFile(seg, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, h := openJournal(t, dir, JournalOptions{})
 	defer func() { _ = j.Close() }()
-	hist := j.History()
+	hist := h.Samples()
 	if j.TornTail() || len(hist) != 3 {
 		t.Fatalf("fixture history = %d samples (torn %v), want 3", len(hist), j.TornTail())
 	}
@@ -304,10 +303,7 @@ func TestJournalOpensParentSegment(t *testing.T) {
 func TestJournalRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force a rotation roughly every append.
-	j, err := OpenJournal(dir, JournalOptions{MaxSegmentBytes: 64, MaxSegments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openJournal(t, dir, JournalOptions{MaxSegmentBytes: 64, MaxSegments: 3})
 	defer func() { _ = j.Close() }()
 	base := time.Now().Add(-time.Minute)
 	for i := 0; i < 12; i++ {
@@ -338,13 +334,9 @@ func TestJournalRotatesAndPrunes(t *testing.T) {
 	if got := journalSegments.Value(); got != int64(len(ents)) {
 		t.Fatalf("telemetry_journal_segments = %d, %d files on disk", got, len(ents))
 	}
-	// The in-memory tail still holds everything within its own bound.
-	if got := len(j.History()); got != 12 {
-		t.Fatalf("History = %d samples, want 12", got)
-	}
 	// Replay only sees what disk retained, newest segments, oldest first.
-	var replayed []JournalSample
-	if err := j.Replay(func(s JournalSample) error { replayed = append(replayed, s); return nil }); err != nil {
+	var replayed []Sample
+	if err := j.Replay(func(s Sample) error { replayed = append(replayed, s); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(replayed) == 0 || len(replayed) >= 12 {
@@ -357,54 +349,97 @@ func TestJournalRotatesAndPrunes(t *testing.T) {
 	}
 }
 
+// TestJournalRecentWindow: a history refilled from disk answers window
+// reads like one the sampler filled — Recent cuts on the samples' own
+// wall-clock stamps, which is what lets a window reach back past a
+// restart.
 func TestJournalRecentWindow(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j.Close() }()
+	j, _ := openJournal(t, dir, JournalOptions{})
 	now := time.Now()
 	for _, off := range []time.Duration{-10 * time.Minute, -5 * time.Minute, -30 * time.Second, -time.Second} {
 		if err := j.Append(sampleAt(now.Add(off), "x_total", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := len(j.Recent(time.Minute)); got != 2 {
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, h := openJournal(t, dir, JournalOptions{})
+	defer func() { _ = j2.Close() }()
+	if got := len(h.Recent(time.Minute)); got != 2 {
 		t.Fatalf("Recent(1m) = %d samples, want 2", got)
 	}
-	if got := len(j.Recent(time.Hour)); got != 4 {
+	if got := len(h.Recent(time.Hour)); got != 4 {
 		t.Fatalf("Recent(1h) = %d samples, want 4", got)
 	}
 }
 
-func TestJournalCacheBound(t *testing.T) {
+// TestJournalPreloadKeepsNewest: a journal holding more samples than the
+// history's capacity refills it with the newest, oldest first, across
+// segment boundaries; and a window that spans the restart inside that
+// history has its counter reset clamped by DeltaSnapshot, not negative.
+func TestJournalPreloadKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{CacheSamples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j.Close() }()
+	opts := JournalOptions{MaxSegmentBytes: 512} // a few samples per segment
+	j, _ := openJournal(t, dir, opts)
 	base := time.Now().Add(-time.Minute)
+	tick := func(i int, count uint64) Sample {
+		return Sample{Time: base.Add(time.Duration(i) * time.Second), Metrics: []MetricSnapshot{
+			{Name: "x_total", Kind: KindCounter, Value: float64(i)},
+			{Name: "h_seconds", Kind: KindHistogram, Count: count, Sum: float64(count),
+				Buckets: []BucketCount{{UpperBound: 1, Count: count}}},
+		}}
+	}
+	// The first process observed 100 per tick; the one after the restart
+	// starts its cumulative histogram again from zero.
 	for i := 0; i < 10; i++ {
-		if err := j.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i))); err != nil {
+		count := uint64(100 * (i + 1))
+		if i >= 8 {
+			count = uint64(7 * (i - 7))
+		}
+		if err := j.Append(tick(i, count)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hist := j.History()
-	if len(hist) != 4 {
-		t.Fatalf("History = %d samples, want cache bound 4", len(hist))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if m, _ := hist[0].Metric("x_total"); m.Value != 6 {
-		t.Fatalf("oldest cached sample = %v, want x_total=6", m.Value)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) < 2 {
+		t.Fatalf("want the samples spread over several segments, got %d (err %v)", len(ents), err)
+	}
+
+	h := NewHistory(4)
+	j2, err := OpenJournal(dir, opts, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j2.Close() }()
+	var values []float64
+	for _, s := range h.Samples() {
+		m, _ := s.Metric("x_total")
+		values = append(values, m.Value)
+	}
+	if want := []float64{6, 7, 8, 9}; !reflect.DeepEqual(values, want) {
+		t.Fatalf("preloaded history = %v, want the newest %v oldest first", values, want)
+	}
+	curve := QuantileCurve(h.Samples(), "h_seconds", 0)
+	var counts []uint64
+	for _, p := range curve {
+		counts = append(counts, p.Count)
+	}
+	// 700->800, then 800->7 across the restart (clamped to the 7 observed
+	// since), then 7->14.
+	if want := []uint64{100, 7, 7}; !reflect.DeepEqual(counts, want) {
+		t.Fatalf("curve counts across the restart = %v, want %v", counts, want)
+	}
+	if p := curve[1]; p.RatePerS != 7 || p.P99Nanos != 1e9 {
+		t.Fatalf("restart-spanning window = %+v, want 7/s with p99 at the 1 s bucket", p)
 	}
 }
 
 func TestJournalAppendAfterClose(t *testing.T) {
-	j, err := OpenJournal(t.TempDir(), JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openJournal(t, t.TempDir(), JournalOptions{})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestSamplerHooksRun(t *testing.T) {
 	var mu sync.Mutex
 	collects := 0
 	var samples []Sample
-	s := StartSamplerConfig(reg, 5*time.Millisecond, 16, SamplerConfig{
+	s := StartSampler(reg, 5*time.Millisecond, NewHistory(16), SamplerConfig{
 		Collect: func() {
 			mu.Lock()
 			defer mu.Unlock()

@@ -1,26 +1,34 @@
 package telemetry
 
-// Time-series sampling: a fixed-capacity ring of registry snapshots taken
-// at a cadence, so a run reports latency *distributions over time* —
-// p50/p95/p99/p999 curves windowed between consecutive samples — instead
-// of a single end-of-run aggregate that averages a flash crowd away.
+// Time-series sampling: the one place a process's telemetry history
+// lives. A Sampler snapshots a registry at a cadence, stamps each Sample
+// once with the wall clock, and adds it to a History — a bounded buffer
+// that drops the oldest sample. Every reader reads that buffer: the drift
+// watchdog takes Recent windows from it, sdpd serves it on GET
+// /timeseries, a load run turns it into its report's curve. A Journal
+// (journal.go) makes it durable — refills it at open, takes each new
+// sample from the sampler's OnSample hook — and holds no samples itself.
+// A new reader attaches by being handed the *History; a new signal is a
+// metric in the sampled registry and reaches every reader the next tick.
 //
-// The ring stores full MetricSnapshot slices. Histogram snapshots are
-// cumulative since process start (or the last Reset), so the windowed view
-// between two samples is recovered by bucket-wise subtraction
-// (DeltaSnapshot); QuantileCurve composes the two into the curve a load
-// run emits and sdpd serves on GET /timeseries.
+// Histogram snapshots are cumulative since process start (or the last
+// Reset), so the windowed view between two samples is recovered by
+// bucket-wise subtraction (DeltaSnapshot); QuantileCurve composes the two
+// into latency *distributions over time* — p50/p95/p99/p999 per window —
+// instead of one end-of-run aggregate that averages a flash crowd away.
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
 
-// Sample is one cadence snapshot of a registry.
+// Sample is one sampler tick: the full registry snapshot and the wall
+// clock it was taken at. Wall-clock (not elapsed) time is what makes
+// history stitch across restarts; consecutive samples define half-open
+// observation windows (prev.Time, Time].
 type Sample struct {
-	// Elapsed is the offset from the ring's creation; consecutive samples
-	// define half-open observation windows (prev.Elapsed, Elapsed].
-	Elapsed time.Duration
+	Time time.Time
 	// Metrics is the full registry snapshot in registration order.
 	Metrics []MetricSnapshot
 }
@@ -35,71 +43,63 @@ func (s Sample) Metric(name string) (MetricSnapshot, bool) {
 	return MetricSnapshot{}, false
 }
 
-// Ring is a bounded time-series of samples: once capacity is reached the
-// oldest sample is overwritten, so a long-running daemon keeps a sliding
-// window of recent history at constant memory.
-type Ring struct {
-	mu    sync.Mutex
-	start time.Time
-	buf   []Sample
-	next  int
-	full  bool
+// History is the bounded in-memory time series of samples, oldest
+// evicted first. All methods are goroutine-safe.
+type History struct {
+	mu  sync.Mutex
+	buf []Sample // guarded by mu; oldest first, never longer than cap
+	cap int
 }
 
-// NewRing returns a ring holding up to capacity samples (minimum 2: one
-// window needs two edges).
-func NewRing(capacity int) *Ring {
+// NewHistory returns a history holding up to capacity samples (minimum 2:
+// one window needs two edges).
+func NewHistory(capacity int) *History {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &Ring{start: time.Now(), buf: make([]Sample, capacity)}
+	return &History{cap: capacity}
 }
 
-// Sample snapshots reg now, appends it, and returns it.
-func (r *Ring) Sample(reg *Registry) Sample {
-	s := Sample{Elapsed: time.Since(r.start), Metrics: reg.Snapshot()}
-	r.Add(s)
-	return s
-}
-
-// Add appends a pre-built sample (tests and offline replays).
-func (r *Ring) Add(s Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
+// Add appends one sample, dropping the oldest past capacity. Samples must
+// arrive in time order.
+func (h *History) Add(s Sample) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.buf) == h.cap {
+		h.buf = h.buf[:copy(h.buf, h.buf[1:])]
 	}
+	h.buf = append(h.buf, s)
 }
 
 // Len reports how many samples are held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+func (h *History) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.buf)
 }
 
-// Samples returns the held samples oldest first.
-func (r *Ring) Samples() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Sample
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	return append(out, r.buf[:r.next]...)
+// Samples returns a copy of the held samples, oldest first.
+func (h *History) Samples() []Sample { return h.after(time.Time{}) }
+
+// Recent returns the samples newer than now-window, oldest first: the
+// window is measured back from the wall clock, not from the last sample,
+// so a stalled sampler yields an emptying window instead of a stale one.
+func (h *History) Recent(window time.Duration) []Sample {
+	return h.after(time.Now().Add(-window))
 }
 
-// Sampler drives a Ring at a fixed cadence from its own goroutine. Stop
-// joins the goroutine, so callers can rely on the ring being quiescent
+func (h *History) after(cutoff time.Time) []Sample {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	i := sort.Search(len(h.buf), func(i int) bool { return h.buf[i].Time.After(cutoff) })
+	return append([]Sample(nil), h.buf[i:]...)
+}
+
+// Sampler drives a History at a fixed cadence from its own goroutine. Stop
+// joins the goroutine, so callers can rely on the history being quiescent
 // (and holding a final sample) when Stop returns.
 type Sampler struct {
-	ring *Ring
+	hist *History
 	reg  *Registry
 	cfg  SamplerConfig
 	stop chan struct{}
@@ -116,21 +116,15 @@ type SamplerConfig struct {
 	// here so every sample carries current readings.
 	Collect func()
 	// OnSample, when set, receives each sample after it lands in the
-	// ring — the telemetry journal appends from here.
+	// history — the telemetry journal appends from here.
 	OnSample func(Sample)
 }
 
-// StartSampler samples reg every interval into a fresh ring of the given
-// capacity. An immediate first sample anchors the first window.
-func StartSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
-	return StartSamplerConfig(reg, interval, capacity, SamplerConfig{})
-}
-
-// StartSamplerConfig is StartSampler with collection and per-sample
-// hooks attached.
-func StartSamplerConfig(reg *Registry, interval time.Duration, capacity int, cfg SamplerConfig) *Sampler {
+// StartSampler samples reg every interval into hist. An immediate first
+// sample anchors the first window.
+func StartSampler(reg *Registry, interval time.Duration, hist *History, cfg SamplerConfig) *Sampler {
 	s := &Sampler{
-		ring: NewRing(capacity),
+		hist: hist,
 		reg:  reg,
 		cfg:  cfg,
 		stop: make(chan struct{}),
@@ -141,13 +135,15 @@ func StartSamplerConfig(reg *Registry, interval time.Duration, capacity int, cfg
 	return s
 }
 
-// take runs one full sampling round: collect, snapshot into the ring,
-// then hand the sample to the journal hook.
+// take runs one full sampling round: collect, snapshot and stamp, add to
+// the history, then hand the sample to the journal hook. This is the only
+// place a sample gets its time.
 func (s *Sampler) take() {
 	if s.cfg.Collect != nil {
 		s.cfg.Collect()
 	}
-	sample := s.ring.Sample(s.reg)
+	sample := Sample{Time: time.Now(), Metrics: s.reg.Snapshot()}
+	s.hist.Add(sample)
 	if s.cfg.OnSample != nil {
 		s.cfg.OnSample(sample)
 	}
@@ -166,9 +162,6 @@ func (s *Sampler) loop(interval time.Duration) {
 		}
 	}
 }
-
-// Ring returns the sampler's ring; safe to read while sampling continues.
-func (s *Sampler) Ring() *Ring { return s.ring }
 
 // Stop halts sampling, takes one final sample so the last partial window
 // is closed, and joins the goroutine. Idempotent.
@@ -229,29 +222,47 @@ func DeltaSnapshot(prev, cur MetricSnapshot) MetricSnapshot {
 	return out
 }
 
-// CurvePoint is one observation window of a histogram time-series.
+// CurvePoint is one observation window of a *_seconds histogram series,
+// in the one form it is served (GET /timeseries), decoded (sdpctl watch)
+// and stored (a load report's curve): integer milliseconds on the time
+// axis, integer nanoseconds for the quantile upper bounds.
 type CurvePoint struct {
-	// Elapsed is the window's closing edge (the later sample's offset).
-	Elapsed time.Duration
-	// Window is the span between the two samples.
-	Window time.Duration
-	// Count is the number of observations inside the window; Rate is
+	// ElapsedMs is the window's closing edge, measured from the oldest
+	// sample handed to QuantileCurve; WindowMs is the span between the
+	// window's two samples.
+	ElapsedMs int64 `json:"elapsed_ms"`
+	WindowMs  int64 `json:"window_ms"`
+	// Count is the number of observations inside the window; RatePerS is
 	// Count per second of window.
-	Count uint64
-	Rate  float64
-	// Quantile upper bounds in exposition units (seconds for *_seconds
-	// histograms). Zero when the window saw no observations.
-	P50, P95, P99, P999 float64
+	Count    uint64  `json:"count"`
+	RatePerS float64 `json:"rate_per_sec"`
+	// Quantile upper bounds; zero when the window saw no observations.
+	P50Nanos  int64 `json:"p50_ns"`
+	P95Nanos  int64 `json:"p95_ns"`
+	P99Nanos  int64 `json:"p99_ns"`
+	P999Nanos int64 `json:"p999_ns"`
+}
+
+// Timeseries is the GET /timeseries reply: how many samples the curves
+// were cut from, where the daemon's history comes from ("journal" when a
+// telemetry journal refills it across restarts, "ring" when it lives in
+// memory only), and one curve per histogram metric.
+type Timeseries struct {
+	Samples int                     `json:"samples"`
+	Series  map[string][]CurvePoint `json:"series"`
+	Source  string                  `json:"source"`
 }
 
 // QuantileCurve derives the windowed quantile curve of one histogram
-// metric from consecutive ring samples, dropping windows that close at or
-// before the warmup offset (cold-start load/classify costs would
-// otherwise dominate the first windows of every run).
+// metric from consecutive samples, dropping windows that close at or
+// before the warmup offset from the first sample (cold-start
+// load/classify costs would otherwise dominate the first windows of
+// every run).
 func QuantileCurve(samples []Sample, metric string, warmup time.Duration) []CurvePoint {
 	var out []CurvePoint
 	for i := 1; i < len(samples); i++ {
-		if samples[i].Elapsed <= warmup {
+		elapsed := samples[i].Time.Sub(samples[0].Time)
+		if elapsed <= warmup {
 			continue
 		}
 		prev, okPrev := samples[i-1].Metric(metric)
@@ -260,19 +271,18 @@ func QuantileCurve(samples []Sample, metric string, warmup time.Duration) []Curv
 			continue
 		}
 		d := DeltaSnapshot(prev, cur)
+		window := samples[i].Time.Sub(samples[i-1].Time)
 		p := CurvePoint{
-			Elapsed: samples[i].Elapsed,
-			Window:  samples[i].Elapsed - samples[i-1].Elapsed,
-			Count:   d.Count,
+			ElapsedMs: elapsed.Milliseconds(),
+			WindowMs:  window.Milliseconds(),
+			Count:     d.Count,
 		}
-		if p.Window > 0 {
-			p.Rate = float64(p.Count) / p.Window.Seconds()
+		if window > 0 {
+			p.RatePerS = float64(p.Count) / window.Seconds()
 		}
 		if d.Count > 0 {
-			p.P50 = d.Quantile(0.50)
-			p.P95 = d.Quantile(0.95)
-			p.P99 = d.Quantile(0.99)
-			p.P999 = d.Quantile(0.999)
+			nanos := func(q float64) int64 { return int64(d.Quantile(q) * 1e9) }
+			p.P50Nanos, p.P95Nanos, p.P99Nanos, p.P999Nanos = nanos(0.50), nanos(0.95), nanos(0.99), nanos(0.999)
 		}
 		out = append(out, p)
 	}

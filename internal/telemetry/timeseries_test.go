@@ -1,33 +1,52 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"sariadne/internal/testutil"
 )
 
+// The TestRing* cases are the eviction and ordering contract the History
+// took over from the Ring it replaced (and keep its name). epoch anchors
+// their synthetic sample times; at(i) is i seconds after it.
+var epoch = time.Unix(1700000000, 0)
+
+func at(i int) time.Time { return epoch.Add(time.Duration(i) * time.Second) }
+
+// seconds lists samples' times as whole seconds after epoch.
+func seconds(samples []Sample) []int {
+	out := make([]int, len(samples))
+	for i, s := range samples {
+		out[i] = int(s.Time.Sub(epoch) / time.Second)
+	}
+	return out
+}
+
 func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(3)
+	h := NewHistory(3)
+	if h.Len() != 0 || len(h.Samples()) != 0 || len(h.Recent(time.Hour)) != 0 {
+		t.Fatal("fresh history is not empty")
+	}
 	for i := 1; i <= 5; i++ {
-		r.Add(Sample{Elapsed: time.Duration(i)})
+		h.Add(Sample{Time: at(i)})
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if h.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", h.Len())
 	}
-	got := r.Samples()
-	if len(got) != 3 || got[0].Elapsed != 3 || got[2].Elapsed != 5 {
-		t.Fatalf("Samples = %v, want elapsed 3,4,5", got)
+	if got := seconds(h.Samples()); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+		t.Fatalf("Samples = %v, want 3,4,5", got)
 	}
 }
 
 func TestRingMinimumCapacity(t *testing.T) {
-	r := NewRing(0)
-	r.Add(Sample{Elapsed: 1})
-	r.Add(Sample{Elapsed: 2})
-	r.Add(Sample{Elapsed: 3})
-	if got := r.Samples(); len(got) != 2 || got[0].Elapsed != 2 {
-		t.Fatalf("Samples = %v, want elapsed 2,3", got)
+	h := NewHistory(0)
+	for i := 1; i <= 3; i++ {
+		h.Add(Sample{Time: at(i)})
+	}
+	if got := seconds(h.Samples()); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Fatalf("Samples = %v, want 2,3", got)
 	}
 }
 
@@ -95,9 +114,11 @@ func TestQuantileCurveWindowsAndWarmup(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.NewSizeHistogram("test_curve_units", "")
 
+	// The first sample sits on an arbitrary wall-clock time: elapsed,
+	// window and the warm-up trim all come from Time differences.
 	var samples []Sample
-	snap := func(at time.Duration) {
-		samples = append(samples, Sample{Elapsed: at, Metrics: reg.Snapshot()})
+	snap := func(offset time.Duration) {
+		samples = append(samples, Sample{Time: epoch.Add(offset), Metrics: reg.Snapshot()})
 	}
 	snap(0)
 	// Warmup window: slow ops that the trim must discard.
@@ -118,14 +139,16 @@ func TestQuantileCurveWindowsAndWarmup(t *testing.T) {
 		t.Fatalf("curve has %d points, want 2 (warmup window trimmed): %+v", len(curve), curve)
 	}
 	steady := curve[0]
-	if steady.Count != 100 || steady.Rate != 100 {
-		t.Fatalf("steady window count=%d rate=%v, want 100/100", steady.Count, steady.Rate)
+	if steady.Count != 100 || steady.RatePerS != 100 || steady.ElapsedMs != 2000 || steady.WindowMs != 1000 {
+		t.Fatalf("steady window = %+v, want count 100 at 100/s closing at 2000ms over 1000ms", steady)
 	}
-	if steady.P99 != 16 {
-		t.Fatalf("steady p99 = %v, want 16 (all observations were 10); warmup leaked in", steady.P99)
+	// The curve point is the wire form of a *_seconds series: a bucket
+	// bound of 16 (units) reads as 16e9 ns.
+	if steady.P99Nanos != 16e9 {
+		t.Fatalf("steady p99 = %v, want 16e9 (all observations were 10); warmup leaked in", steady.P99Nanos)
 	}
 	idle := curve[1]
-	if idle.Count != 0 || idle.P50 != 0 {
+	if idle.Count != 0 || idle.P50Nanos != 0 || idle.ElapsedMs != 3000 {
 		t.Fatalf("idle window not empty: %+v", idle)
 	}
 }
@@ -133,40 +156,79 @@ func TestQuantileCurveWindowsAndWarmup(t *testing.T) {
 func TestSamplerCadenceAndStop(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("test_sampler_total", "")
-	s := StartSampler(reg, 2*time.Millisecond, 64)
+	h := NewHistory(64)
+	before := time.Now()
+	s := StartSampler(reg, 2*time.Millisecond, h, SamplerConfig{})
 	c.Inc()
-	testutil.WaitFor(t, time.Second, func() bool { return s.Ring().Len() >= 3 })
+	testutil.WaitFor(t, time.Second, func() bool { return h.Len() >= 3 })
 	s.Stop()
 	s.Stop() // idempotent
-	n := s.Ring().Len()
-	if n < 3 {
-		t.Fatalf("ring has %d samples, want >= 3", n)
+	got := h.Samples()
+	if len(got) < 3 {
+		t.Fatalf("history has %d samples, want >= 3", len(got))
 	}
-	last := s.Ring().Samples()[n-1]
+	last := got[len(got)-1]
 	m, ok := last.Metric("test_sampler_total")
 	if !ok || m.Value != 1 {
 		t.Fatalf("final sample lost the counter: %+v", last.Metrics)
 	}
+	// The sampler stamps each sample once, in order, with the wall clock.
+	for i, sm := range got {
+		if sm.Time.Before(before) || sm.Time.After(time.Now()) || (i > 0 && sm.Time.Before(got[i-1].Time)) {
+			t.Fatalf("sample %d stamped %v (previous %v)", i, sm.Time, got[max(i-1, 0)].Time)
+		}
+	}
 }
 
-// TestRingWraparoundPreservesWindowOrder drives a ring far past its
+// TestRingWraparoundPreservesWindowOrder drives a history far past its
 // capacity and checks the surviving samples stay a contiguous,
-// oldest-first suffix — the property QuantileCurve's windowing relies on
-// during soak runs, where the ring wraps thousands of times.
+// oldest-first suffix at every step — the property QuantileCurve's
+// windowing and Recent's binary search rely on during soak runs, where
+// the history turns over thousands of times.
 func TestRingWraparoundPreservesWindowOrder(t *testing.T) {
-	r := NewRing(4)
+	h := NewHistory(4)
 	for i := 1; i <= 103; i++ {
-		r.Add(Sample{Elapsed: time.Duration(i) * time.Second})
-	}
-	got := r.Samples()
-	if len(got) != 4 {
-		t.Fatalf("Samples = %d, want capacity 4", len(got))
-	}
-	for i, s := range got {
-		want := time.Duration(100+i) * time.Second
-		if s.Elapsed != want {
-			t.Fatalf("sample %d elapsed = %v, want %v (contiguous newest suffix)", i, s.Elapsed, want)
+		h.Add(Sample{Time: at(i)})
+		var want []int
+		for j := max(1, i-3); j <= i; j++ {
+			want = append(want, j)
 		}
+		if got := seconds(h.Samples()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d adds Samples = %v, want %v (contiguous newest suffix)", i, got, want)
+		}
+	}
+}
+
+// TestHistoryBoundAndWindow: Recent cuts back from the wall clock — not
+// from the newest sample — however often the history has turned over,
+// hands out a copy, and a history gone quiet yields an empty window, not a stale one.
+func TestHistoryBoundAndWindow(t *testing.T) {
+	h := NewHistory(4)
+	now := time.Now()
+	// Sample i is 10-i minutes old.
+	for i := 0; i < 10; i++ {
+		h.Add(sampleAt(now.Add(time.Duration(i-10)*time.Minute), "x_total", float64(i)))
+		if got, want := len(h.Recent(time.Hour)), min(i+1, 4); got != want {
+			t.Fatalf("after %d adds Recent(1h) = %d samples, want %d (bounded by capacity)", i+1, got, want)
+		}
+		if got := len(h.Recent(30 * time.Second)); got != 0 {
+			t.Fatalf("after %d adds Recent(30s) = %d samples, want 0: the newest is minutes old", i+1, got)
+		}
+		// A window reaching back past sample i-1 but not i-2.
+		got := h.Recent(time.Duration(11-i)*time.Minute + 30*time.Second)
+		if len(got) != min(i+1, 2) {
+			t.Fatalf("after %d adds the two-sample window holds %d", i+1, len(got))
+		}
+		for k, s := range got {
+			if m, _ := s.Metric("x_total"); m.Value != float64(i-len(got)+1+k) {
+				t.Fatalf("after %d adds window sample %d = x_total %v (want oldest first, newest last)", i+1, k, m.Value)
+			}
+		}
+	}
+	got := h.Samples()
+	got[0] = Sample{}
+	if m, ok := h.Samples()[0].Metric("x_total"); !ok || m.Value != 6 {
+		t.Fatal("Samples handed out the history's own storage")
 	}
 }
 
@@ -253,14 +315,14 @@ func TestDeltaSnapshotPartialBucketRegression(t *testing.T) {
 func TestQuantileCurveAcrossReset(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.NewSizeHistogram("test_curve_reset_units", "")
-	r := NewRing(8)
+	r := NewHistory(8)
 
 	h.ObserveInt(10)
 	h.ObserveInt(10)
-	r.Add(Sample{Elapsed: 1 * time.Second, Metrics: reg.Snapshot()})
+	r.Add(Sample{Time: at(1), Metrics: reg.Snapshot()})
 	reg.Reset()
 	h.ObserveInt(10)
-	r.Add(Sample{Elapsed: 2 * time.Second, Metrics: reg.Snapshot()})
+	r.Add(Sample{Time: at(2), Metrics: reg.Snapshot()})
 
 	curve := QuantileCurve(r.Samples(), "test_curve_reset_units", 0)
 	if len(curve) != 1 {

@@ -1,9 +1,10 @@
 package telemetry
 
-// Drift watchdog: pluggable detectors sweep a window of journal samples
-// at a cadence and raise typed alerts for the slow failure modes a soak
-// run exists to catch — goroutine/heap creep, summary staleness,
-// election flapping, append-latency steps, tenant-denial spikes.
+// Drift watchdog: pluggable detectors sweep the most recent window of the
+// daemon's sample History at a cadence and raise typed alerts for the
+// slow failure modes a soak run exists to catch — goroutine/heap creep,
+// summary staleness, election flapping, append-latency steps,
+// tenant-denial spikes.
 //
 // Detector contract: Examine sees the window's samples oldest first and
 // answers (alert, firing). Detectors are pure functions of the window —
@@ -66,55 +67,26 @@ type Detector interface {
 	Code() string
 	// Examine inspects the window and returns the alert to raise when
 	// firing. The watchdog stamps At and Window on the result.
-	Examine(samples []JournalSample) (Alert, bool)
+	Examine(samples []Sample) (Alert, bool)
 }
 
-// SampleLog is the watchdog's read surface: the Journal when telemetry
-// is durable, a MemLog when it is not.
-type SampleLog interface {
-	Recent(window time.Duration) []JournalSample
-}
+// MinDetectorSamples is the fewest samples any stock detector needs
+// before it gives a verdict: the half-window detectors compare two
+// halves of two edges each, and a fitted slope over fewer points is noise.
+const MinDetectorSamples = 4
 
-// MemLog is a bounded in-memory SampleLog for daemons running without a
-// telemetry journal: same window reads, no durability.
-type MemLog struct {
-	mu      sync.Mutex
-	cap     int
-	samples []JournalSample
-}
-
-// NewMemLog returns a log retaining up to capacity samples (minimum 2).
-func NewMemLog(capacity int) *MemLog {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &MemLog{cap: capacity}
-}
-
-// Append adds one sample, evicting the oldest past capacity.
-func (l *MemLog) Append(s JournalSample) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.samples = append(l.samples, s)
-	if over := len(l.samples) - l.cap; over > 0 {
-		l.samples = append(l.samples[:0], l.samples[over:]...)
-	}
-}
-
-// Recent returns samples newer than now-window, oldest first.
-func (l *MemLog) Recent(window time.Duration) []JournalSample {
-	cutoff := time.Now().Add(-window)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := sort.Search(len(l.samples), func(i int) bool { return l.samples[i].Time.After(cutoff) })
-	return append([]JournalSample(nil), l.samples[i:]...)
+// MinWindow is the shortest watchdog window sure to hold
+// MinDetectorSamples at the given sampling cadence; the spare period
+// absorbs the phase between a sampler tick and a sweep.
+func MinWindow(sampleEvery time.Duration) time.Duration {
+	return (MinDetectorSamples + 1) * sampleEvery
 }
 
 // --- detectors ---
 
 // series extracts (seconds-since-first-sample, value) points for one
 // counter/gauge metric across the window.
-func series(samples []JournalSample, metric string) (xs, ys []float64) {
+func series(samples []Sample, metric string) (xs, ys []float64) {
 	var t0 time.Time
 	for _, s := range samples {
 		m, ok := s.Metric(metric)
@@ -160,22 +132,21 @@ type GrowthDetector struct {
 	metric      string
 	slopePerMin float64 // fire at or above this fitted growth rate
 	minFrac     float64 // and only if (last-first)/max(first,1) reaches this
-	minSamples  int
 }
 
 // NewGrowthDetector builds a growth detector over one gauge metric.
 func NewGrowthDetector(code, severity, metric string, slopePerMin, minFrac float64) *GrowthDetector {
 	return &GrowthDetector{code: code, severity: severity, metric: metric,
-		slopePerMin: slopePerMin, minFrac: minFrac, minSamples: 4}
+		slopePerMin: slopePerMin, minFrac: minFrac}
 }
 
 // Code implements Detector.
 func (d *GrowthDetector) Code() string { return d.code }
 
 // Examine implements Detector.
-func (d *GrowthDetector) Examine(samples []JournalSample) (Alert, bool) {
+func (d *GrowthDetector) Examine(samples []Sample) (Alert, bool) {
 	xs, ys := series(samples, d.metric)
-	if len(xs) < d.minSamples {
+	if len(xs) < MinDetectorSamples {
 		return Alert{}, false
 	}
 	perMin := slope(xs, ys) * 60
@@ -218,7 +189,7 @@ func NewStalenessDetector(code, severity, counter string, maxAge time.Duration) 
 func (d *StalenessDetector) Code() string { return d.code }
 
 // Examine implements Detector.
-func (d *StalenessDetector) Examine(samples []JournalSample) (Alert, bool) {
+func (d *StalenessDetector) Examine(samples []Sample) (Alert, bool) {
 	if len(samples) < 2 {
 		return Alert{}, false
 	}
@@ -281,7 +252,7 @@ func NewRateDetector(code, severity, counter string, maxPerMin float64) *RateDet
 func (d *RateDetector) Code() string { return d.code }
 
 // Examine implements Detector.
-func (d *RateDetector) Examine(samples []JournalSample) (Alert, bool) {
+func (d *RateDetector) Examine(samples []Sample) (Alert, bool) {
 	xs, ys := series(samples, d.counter)
 	if len(xs) < 2 {
 		return Alert{}, false
@@ -337,8 +308,8 @@ func NewQuantileStepDetector(code, severity, metric string, q, factor float64, m
 func (d *QuantileStepDetector) Code() string { return d.code }
 
 // Examine implements Detector.
-func (d *QuantileStepDetector) Examine(samples []JournalSample) (Alert, bool) {
-	if len(samples) < 4 {
+func (d *QuantileStepDetector) Examine(samples []Sample) (Alert, bool) {
+	if len(samples) < MinDetectorSamples {
 		return Alert{}, false
 	}
 	mid := len(samples) / 2
@@ -392,9 +363,9 @@ func NewSpikeDetector(code, severity, counter string, factor, minPerMin float64)
 func (d *SpikeDetector) Code() string { return d.code }
 
 // Examine implements Detector.
-func (d *SpikeDetector) Examine(samples []JournalSample) (Alert, bool) {
+func (d *SpikeDetector) Examine(samples []Sample) (Alert, bool) {
 	xs, ys := series(samples, d.counter)
-	if len(xs) < 4 {
+	if len(xs) < MinDetectorSamples {
 		return Alert{}, false
 	}
 	mid := len(xs) / 2
@@ -514,16 +485,16 @@ func StandardDetectors(t Thresholds) []Detector {
 	return out
 }
 
-// WatchdogConfig wires a watchdog. Log and Detectors are required.
+// WatchdogConfig wires a watchdog. History and Detectors are required.
 type WatchdogConfig struct {
-	// Log supplies detector windows (Journal or MemLog).
-	Log SampleLog
+	// History supplies detector windows: the one the sampler writes.
+	History *History
 	// Detectors run each sweep; one alert lifecycle per Code.
 	Detectors []Detector
 	// Interval is the sweep cadence (default 30s).
 	Interval time.Duration
 	// Window is the sample span each sweep examines (default 10x
-	// Interval).
+	// Interval, or MinWindow of the sampling cadence when that is longer).
 	Window time.Duration
 	// ResolveAfter is how many consecutive quiet sweeps retire an
 	// active alert (default 2).
@@ -553,13 +524,17 @@ type activeAlert struct {
 	quiet int // consecutive non-firing sweeps
 }
 
-// NewWatchdog builds (but does not start) a watchdog.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
+// NewWatchdog builds (but does not start) a watchdog over a history
+// sampled every sampleEvery. The default window depends on both cadences:
+// ten sweeps of history, and never fewer samples than the detectors need
+// — a fast sweep over a slow sampler would otherwise examine two-sample
+// windows forever and report "watching" with nothing able to fire.
+func NewWatchdog(cfg WatchdogConfig, sampleEvery time.Duration) *Watchdog {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * time.Second
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 10 * cfg.Interval
+		cfg.Window = max(10*cfg.Interval, MinWindow(sampleEvery))
 	}
 	if cfg.ResolveAfter <= 0 {
 		cfg.ResolveAfter = 2
@@ -604,7 +579,7 @@ func (w *Watchdog) Stop() {
 // (i.e. newly transitioned to active) during it. Exported so tests and
 // one-shot tools can drive the watchdog without its goroutine.
 func (w *Watchdog) RunOnce() []Alert {
-	samples := w.cfg.Log.Recent(w.cfg.Window)
+	samples := w.cfg.History.Recent(w.cfg.Window)
 	now := time.Now()
 	var fired []Alert
 

@@ -9,11 +9,11 @@ import (
 
 // syntheticWindow builds n samples one second apart ending now, with
 // per-sample metric values supplied by gen(i).
-func syntheticWindow(n int, gen func(i int) []MetricSnapshot) []JournalSample {
+func syntheticWindow(n int, gen func(i int) []MetricSnapshot) []Sample {
 	base := time.Now().Add(-time.Duration(n) * time.Second)
-	out := make([]JournalSample, 0, n)
+	out := make([]Sample, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, JournalSample{Time: base.Add(time.Duration(i) * time.Second), Metrics: gen(i)})
+		out = append(out, Sample{Time: base.Add(time.Duration(i) * time.Second), Metrics: gen(i)})
 	}
 	return out
 }
@@ -229,16 +229,16 @@ func TestSpikeDetectorDenials(t *testing.T) {
 }
 
 func TestWatchdogLifecycle(t *testing.T) {
-	log := NewMemLog(64)
+	log := NewHistory(64)
 	rec := NewRecorder(4, 4)
 	wd := NewWatchdog(WatchdogConfig{
-		Log:          log,
+		History:      log,
 		Detectors:    []Detector{NewGrowthDetector(AlertGoroutineGrowth, SeverityCritical, "runtime_goroutines", 30, 0.5)},
 		Interval:     time.Hour, // driven manually via RunOnce
 		Window:       time.Hour,
 		ResolveAfter: 2,
 		Recorder:     rec,
-	})
+	}, time.Second)
 
 	var hooked []Alert
 	wd.cfg.OnAlert = func(a Alert) { hooked = append(hooked, a) }
@@ -247,7 +247,7 @@ func TestWatchdogLifecycle(t *testing.T) {
 	for _, s := range syntheticWindow(10, func(i int) []MetricSnapshot {
 		return gaugeAt("runtime_goroutines", 100)
 	}) {
-		log.Append(s)
+		log.Add(s)
 	}
 	if fired := wd.RunOnce(); len(fired) != 0 || len(wd.Active()) != 0 {
 		t.Fatalf("healthy sweep fired %v", fired)
@@ -257,7 +257,7 @@ func TestWatchdogLifecycle(t *testing.T) {
 	for _, s := range syntheticWindow(20, func(i int) []MetricSnapshot {
 		return gaugeAt("runtime_goroutines", float64(100+50*i))
 	}) {
-		log.Append(s)
+		log.Add(s)
 	}
 	fired := wd.RunOnce()
 	if len(fired) != 1 || fired[0].Code != AlertGoroutineGrowth {
@@ -277,13 +277,13 @@ func TestWatchdogLifecycle(t *testing.T) {
 	}
 
 	// Recovery: after ResolveAfter quiet sweeps the alert retires.
-	log2 := NewMemLog(64)
+	log2 := NewHistory(64)
 	for _, s := range syntheticWindow(10, func(i int) []MetricSnapshot {
 		return gaugeAt("runtime_goroutines", 100)
 	}) {
-		log2.Append(s)
+		log2.Add(s)
 	}
-	wd.cfg.Log = log2
+	wd.cfg.History = log2
 	wd.RunOnce()
 	if len(wd.Active()) != 1 {
 		t.Fatal("alert resolved after a single quiet sweep (ResolveAfter=2)")
@@ -293,19 +293,18 @@ func TestWatchdogLifecycle(t *testing.T) {
 		t.Fatal("alert still active after ResolveAfter quiet sweeps")
 	}
 	// A recurrence fires fresh.
-	wd.cfg.Log = log
+	wd.cfg.History = log
 	if fired := wd.RunOnce(); len(fired) != 1 {
 		t.Fatalf("recurrence fired %v", fired)
 	}
 }
 
 func TestWatchdogStartStop(t *testing.T) {
-	log := NewMemLog(8)
 	wd := NewWatchdog(WatchdogConfig{
-		Log:       log,
+		History:   NewHistory(8),
 		Detectors: StandardDetectors(Thresholds{}),
 		Interval:  time.Millisecond,
-	})
+	}, time.Second)
 	before := watchdogSweepsTotal.Value()
 	wd.Start()
 	testutil.WaitFor(t, time.Second, func() bool {
@@ -334,16 +333,45 @@ func TestStandardDetectorsCoverage(t *testing.T) {
 	}
 }
 
-func TestMemLogBoundAndWindow(t *testing.T) {
-	l := NewMemLog(4)
-	base := time.Now().Add(-time.Minute)
-	for i := 0; i < 10; i++ {
-		l.Append(sampleAt(base.Add(time.Duration(i)*time.Second), "x_total", float64(i)))
+// TestWatchdogDefaultWindowHoldsEnoughSamples: a 1 s sweep over a 5 s
+// sampler. Ten sweep intervals are two or three samples — below every
+// slope, step and spike detector's minimum — so the default window must
+// also be worked out from the sampling cadence, or the watchdog reports
+// "watching" while nothing can ever fire.
+func TestWatchdogDefaultWindowHoldsEnoughSamples(t *testing.T) {
+	const sampleEvery, sweepEvery = 5 * time.Second, time.Second
+	h := NewHistory(64)
+	wd := NewWatchdog(WatchdogConfig{
+		History:   h,
+		Detectors: StandardDetectors(Thresholds{}),
+		Interval:  sweepEvery,
+	}, sampleEvery)
+	if wd.cfg.Window < MinWindow(sampleEvery) || wd.cfg.Window < 10*sweepEvery {
+		t.Fatalf("default window %v; want >= 10 sweeps (%v) and >= %v", wd.cfg.Window, 10*sweepEvery, MinWindow(sampleEvery))
 	}
-	if got := len(l.Recent(time.Hour)); got != 4 {
-		t.Fatalf("Recent over full window = %d samples, want cap 4", got)
+	// A minute of a 150/s goroutine leak, sampled every 5 s up to a moment
+	// ago (the sweep lands anywhere inside a sampling period).
+	newest := time.Now().Add(-sampleEvery / 2)
+	for i := 0; i < 12; i++ {
+		h.Add(Sample{Time: newest.Add(time.Duration(i-11) * sampleEvery),
+			Metrics: gaugeAt("runtime_goroutines", float64(20+150*5*i))})
 	}
-	if got := len(l.Recent(time.Millisecond)); got != 0 {
-		t.Fatalf("Recent over empty window = %d samples, want 0", got)
+	if got := len(h.Recent(wd.cfg.Window)); got < MinDetectorSamples {
+		t.Fatalf("default window %v holds %d samples at a %v cadence, detectors need %d",
+			wd.cfg.Window, got, sampleEvery, MinDetectorSamples)
+	}
+	fired := wd.RunOnce()
+	if len(fired) != 1 || fired[0].Code != AlertGoroutineGrowth {
+		t.Fatalf("a 150/s goroutine ramp fired %v, want %s", fired, AlertGoroutineGrowth)
+	}
+	// A slow sweep keeps its ten intervals.
+	slow := NewWatchdog(WatchdogConfig{History: h, Interval: time.Minute}, sampleEvery)
+	if slow.cfg.Window != 10*time.Minute {
+		t.Fatalf("default window over a 1m sweep = %v, want 10m", slow.cfg.Window)
+	}
+	// An explicit window is the operator's.
+	explicit := NewWatchdog(WatchdogConfig{History: h, Interval: sweepEvery, Window: 7 * time.Second}, sampleEvery)
+	if explicit.cfg.Window != 7*time.Second {
+		t.Fatalf("explicit window overridden to %v", explicit.cfg.Window)
 	}
 }
