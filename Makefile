@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance check clean
+.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance match-fuzz check clean
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,12 @@ store-conformance:
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/framelog/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/store/
 
+# match-fuzz is a short run of the differential fuzzer that holds the
+# directory's match operation — over capabilities encoded once — to the
+# by-name SemanticDistance it replaced there.
+match-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzEncodedDistance -fuzztime 10s ./internal/match/
+
 # federation-smoke boots three sdpd processes federated over loopback
 # UDP, registers a service on one daemon, resolves it from another, and
 # scrapes /metrics: malformed Prometheus exposition, a missing acceptance
@@ -92,7 +98,7 @@ soak-smoke:
 	$(GO) run ./cmd/soaksmoke
 
 # check is the full CI gate.
-check: build lint test race store-conformance federation-smoke soak-smoke slo-check
+check: build lint test race store-conformance match-fuzz federation-smoke soak-smoke slo-check
 
 clean:
 	$(GO) clean ./...

@@ -21,7 +21,8 @@ type benchPoint struct {
 	P99Nanos  int64   `json:"p99_ns"`
 	P999Nanos int64   `json:"p999_ns"`
 	// MatchOpsPerOp is the capability-level match operations one operation
-	// needed, where the figure counts them (figure 8's inserts).
+	// needed, where the figure counts them (figure 8's inserts, figure 9's
+	// queries in both directories).
 	MatchOpsPerOp float64 `json:"match_ops_per_op,omitempty"`
 }
 

@@ -490,7 +490,7 @@ func newServer(ontologyFiles []string) (*server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ontology %s: %w", path, err)
 		}
-		s.reg.Register(table)
+		s.backend.AddTable(table)
 	}
 	return s, nil
 }
@@ -608,7 +608,7 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 		if resp := s.commitLocked(rec, ad); !resp.OK {
 			return resp
 		}
-		s.log.Info("registered service", "name", name, "version", rec.Version, "capabilities", s.backend.Len())
+		s.log.Debug("registered service", "name", name, "version", rec.Version, "capabilities", s.backend.Len())
 		return sdpapi.Response{OK: true, Version: rec.Version}
 	case sdpapi.OpDeregister:
 		if err := s.gate.AdmitDeregister(id, req.Name); err != nil {
@@ -648,7 +648,7 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 		if err := s.persistLocked(store.Record{Op: store.OpAddOntology, Doc: req.Doc}); err != nil {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 		}
-		s.reg.Register(table)
+		s.backend.AddTable(table)
 		return sdpapi.Response{OK: true}
 	case sdpapi.OpGetTable:
 		// Thin clients fetch encoded code tables instead of running a

@@ -139,7 +139,7 @@ func (s *server) applyLocked(rec store.Record, ad *discovery.Advert) error {
 		if err != nil {
 			return err
 		}
-		s.reg.Register(table)
+		s.backend.AddTable(table)
 		return nil
 	default:
 		return errors.New("unknown store op " + string(rec.Op))

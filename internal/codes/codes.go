@@ -35,9 +35,13 @@ package codes
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sariadne/internal/ontology"
 )
@@ -369,6 +373,18 @@ func (t *Table) Code(name string) (Code, bool) {
 	return t.codes[i], true
 }
 
+// Index returns the concept index of the named class: the one name
+// resolution of the table. Every member name of an equivalence class
+// resolves to the same index. Indices are private to this table — one taken
+// from another table, even another version of the same ontology, names a
+// different concept or none.
+//
+//sdp:hotpath
+func (t *Table) Index(name string) (int, bool) {
+	i, ok := t.names[name]
+	return i, ok
+}
+
 // Subsumes reports whether class a subsumes class b, by numeric interval
 // comparison only. Unknown names never subsume anything.
 //
@@ -390,9 +406,8 @@ func (t *Table) Subsumes(a, b string) bool {
 
 // Distance implements the paper's d(a, b): the number of hierarchy levels
 // separating a from b when a subsumes b (0 if equivalent), with ok=false
-// (the paper's NULL) otherwise. Subsumption itself is established by the
-// numeric codes; the level count is read from the table precomputed at
-// encoding time, so no reasoner runs at match time.
+// (the paper's NULL) otherwise. It resolves the two names and asks
+// DistanceAt.
 //
 //sdp:hotpath
 func (t *Table) Distance(a, b string) (int, bool) {
@@ -402,6 +417,20 @@ func (t *Table) Distance(a, b string) (int, bool) {
 	}
 	bi, ok := t.names[b]
 	if !ok {
+		return 0, false
+	}
+	return t.DistanceAt(ai, bi)
+}
+
+// DistanceAt is d(a, b) over concept indices of this table (see Index), the
+// form matching runs on once names are resolved: subsumption is established
+// by the numeric codes, the level count is read from the table precomputed
+// at encoding time, so neither a reasoner nor a string is touched at match
+// time. An index outside the table matches nothing.
+//
+//sdp:hotpath
+func (t *Table) DistanceAt(ai, bi int) (int, bool) {
+	if uint(ai) >= uint(len(t.codes)) || uint(bi) >= uint(len(t.codes)) {
 		return 0, false
 	}
 	if ai == bi {
@@ -451,32 +480,91 @@ func (t *Table) Stats() Stats {
 
 // Registry resolves ontology URIs to code tables and enforces the version
 // consistency rule: a lookup with a version other than the registered
-// table's fails with ErrVersionMismatch. Registries are populated during
-// directory bootstrap (offline) and read concurrently afterwards; Register
-// must not race with Resolve.
+// table's fails with ErrVersionMismatch. It is safe for concurrent use and
+// copy-on-write: readers load the current immutable Tables without taking a
+// lock, Register publishes a copy with the table added.
 type Registry struct {
-	tables map[string]*Table
+	mu    sync.Mutex // serializes Register
+	state atomic.Pointer[Tables]
+}
+
+// Tables is one immutable state of a Registry. A reader that resolves
+// several names, or compares indices it resolved earlier, does so against
+// one Tables value so that the answers belong together.
+//
+// Every registered table has a number, unique in its registry for all
+// time: Register hands out the next one, also to a table that replaces
+// another of the same URI, whose number is retired with it. Concept
+// indices resolved against a table are therefore only ever compared under
+// the number they were resolved with — after a replacement the old indices
+// find no table, they do not address the new one (Section 3.2: stale codes
+// are refreshed, never compared). Number 0 is never assigned: it stands
+// for "no table".
+//
+//sdp:immutable
+type Tables struct {
+	numbers map[string]uint32 // ontology URI -> number of its current table
+	tables  []*Table          // by number; nil at 0 and at retired numbers
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tables: make(map[string]*Table)}
+	r := &Registry{}
+	r.state.Store(&Tables{numbers: map[string]uint32{}, tables: []*Table{nil}})
+	return r
 }
 
-// Register adds or replaces the table for its ontology URI.
-func (r *Registry) Register(t *Table) {
-	r.tables[t.uri] = t
+// cloneWith returns the tables with t added under the next number, in
+// place of any table of the same URI.
+func (ts *Tables) cloneWith(t *Table) *Tables {
+	next := &Tables{numbers: maps.Clone(ts.numbers), tables: slices.Clone(ts.tables)}
+	if old, ok := next.numbers[t.uri]; ok {
+		next.tables[old] = nil
+	}
+	next.numbers[t.uri] = uint32(len(next.tables))
+	next.tables = append(next.tables, t)
+	return next
 }
+
+// Resolve returns the table for an ontology URI and its number.
+func (ts *Tables) Resolve(uri string) (t *Table, number uint32, ok bool) {
+	number, ok = ts.numbers[uri]
+	return ts.tables[number], number, ok
+}
+
+// Numbered returns the table registered under number, nil when there is
+// none: number 0, a retired number, or one this state has not reached.
+//
+//sdp:hotpath
+func (ts *Tables) Numbered(number uint32) *Table {
+	if int(number) >= len(ts.tables) {
+		return nil
+	}
+	return ts.tables[number]
+}
+
+// Register adds or replaces the table for its ontology URI. Whoever keeps
+// indices resolved against a replaced table re-resolves them (see Tables).
+func (r *Registry) Register(t *Table) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.state.Store(r.state.Load().cloneWith(t))
+}
+
+// Tables returns the registry's current state.
+//
+//sdp:hotpath
+func (r *Registry) Tables() *Tables { return r.state.Load() }
 
 // Resolve returns the table for an ontology URI.
 func (r *Registry) Resolve(uri string) (*Table, bool) {
-	t, ok := r.tables[uri]
+	t, _, ok := r.state.Load().Resolve(uri)
 	return t, ok
 }
 
 // ResolveVersion returns the table for the URI only if its version matches.
 func (r *Registry) ResolveVersion(uri, version string) (*Table, error) {
-	t, ok := r.tables[uri]
+	t, ok := r.Resolve(uri)
 	if !ok {
 		return nil, fmt.Errorf("%w: no table for ontology %q", ErrUnknownConcept, uri)
 	}
@@ -488,13 +576,8 @@ func (r *Registry) ResolveVersion(uri, version string) (*Table, error) {
 
 // URIs returns the registered ontology URIs in sorted order.
 func (r *Registry) URIs() []string {
-	out := make([]string, 0, len(r.tables))
-	for u := range r.tables {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(r.state.Load().numbers))
 }
 
 // Len returns the number of registered tables.
-func (r *Registry) Len() int { return len(r.tables) }
+func (r *Registry) Len() int { return len(r.state.Load().numbers) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +222,86 @@ func TestRegistry(t *testing.T) {
 	if len(uris) != 1 || uris[0] != tbl.URI() {
 		t.Fatalf("URIs = %v", uris)
 	}
+}
+
+// TestRegistryNumbersTables: every registered table gets a number of its
+// own, a replacement included, whose predecessor's number is retired, so
+// that an index resolved against one table can never address another.
+func TestRegistryNumbersTables(t *testing.T) {
+	r := NewRegistry()
+	v1 := MustEncode(mediaClassified(t), DefaultParams)
+	r.Register(v1)
+	before := r.Tables()
+	got, n1, ok := before.Resolve(v1.URI())
+	if !ok || got != v1 || n1 == 0 || before.Numbered(n1) != v1 {
+		t.Fatalf("Resolve = (%p, %d, %v), Numbered(%d) = %p; want table %p under a nonzero number", got, n1, ok, n1, before.Numbered(n1), v1)
+	}
+	if _, n, ok := before.Resolve("other"); ok || n != 0 || before.Numbered(0) != nil {
+		t.Fatalf("an unregistered URI resolved to number %d (%v); number 0 must stand for no table", n, ok)
+	}
+	v2 := MustEncode(mediaClassified(t), DefaultParams)
+	r.Register(v2)
+	after := r.Tables()
+	got, n2, _ := after.Resolve(v1.URI())
+	if got != v2 || n2 == n1 || after.Numbered(n2) != v2 {
+		t.Fatalf("after the replacement Resolve = (%p, %d); want the new table under a new number (old %d)", got, n2, n1)
+	}
+	if after.Numbered(n1) != nil {
+		t.Fatal("the replaced table is still reachable under its retired number")
+	}
+	if before.Numbered(n1) != v1 || before.Numbered(n2) != nil || r.Len() != 1 {
+		t.Fatal("Register changed a Tables value a reader already held")
+	}
+	if i, ok := v2.Index("Film"); !ok {
+		t.Fatal("Index does not resolve a member name")
+	} else if j, _ := v2.Index("Movie"); i != j {
+		t.Fatalf("equivalent classes resolve to indices %d and %d", i, j)
+	}
+	if _, ok := v2.DistanceAt(0, v2.NumConcepts()); ok {
+		t.Fatal("DistanceAt matched an index outside the table")
+	}
+}
+
+// TestRegistryConcurrentRegisterResolve runs readers against a writer that
+// keeps replacing a table; under -race it is the check that Register no
+// longer needs to be kept away from Resolve by the caller.
+func TestRegistryConcurrentRegisterResolve(t *testing.T) {
+	r := NewRegistry()
+	tables := []*Table{MustEncode(mediaClassified(t), DefaultParams), MustEncode(mediaClassified(t), DefaultParams)}
+	r.Register(tables[0])
+	uri := tables[0].URI()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ts := r.Tables()
+				tbl, n, ok := ts.Resolve(uri)
+				if !ok || tbl == nil || ts.Numbered(n) != tbl {
+					t.Errorf("Resolve = (%p, %d, %v), Numbered = %p: one state disagrees with itself", tbl, n, ok, ts.Numbered(n))
+					return
+				}
+				if d, ok := tbl.Distance("DigitalResource", "Film"); !ok || d != 2 {
+					t.Errorf("Distance(DigitalResource, Film) = (%d, %v)", d, ok)
+					return
+				}
+				r.URIs()
+				r.Len()
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		r.Register(tables[i%2])
+	}
+	close(stop)
+	readers.Wait()
 }
 
 // randomHierarchy builds a random DAG ontology with n classes: class i picks

@@ -85,6 +85,7 @@ var ErrNoRequiredCapability = errors.New("discovery: request has no required cap
 // parsed at publication time, capabilities classified into the DAG
 // registry, matching over encoded ontologies.
 type SemanticBackend struct {
+	tables  *codes.Registry
 	dir     *registry.Directory
 	matcher *match.CodeMatcher
 
@@ -96,6 +97,7 @@ type SemanticBackend struct {
 func NewSemanticBackend(reg *codes.Registry) *SemanticBackend {
 	m := match.NewCodeMatcher(reg)
 	return &SemanticBackend{
+		tables:  reg,
 		dir:     registry.NewDirectory(m),
 		matcher: m,
 		docs:    make(map[string][]byte),
@@ -104,6 +106,16 @@ func NewSemanticBackend(reg *codes.Registry) *SemanticBackend {
 
 // Name implements Backend.
 func (b *SemanticBackend) Name() string { return "s-ariadne" }
+
+// AddTable registers a code table with the backend's registry, new or in
+// place of the one its ontology had, and has the directory encode and
+// classify again the stored advertisements that refer to that ontology:
+// they were matched through the table before, or through none. A directory
+// that already holds advertisements takes its tables this way.
+func (b *SemanticBackend) AddTable(t *codes.Table) {
+	b.tables.Register(t)
+	b.dir.Reclassify(t.URI())
+}
 
 // Advert is an advertisement document that Prepare has parsed and
 // validated and Insert has yet to store. A caller that must decide

@@ -115,23 +115,19 @@ func (c *Capability) Ontologies() []string {
 // every input the requester can supply — which makes this the sound
 // graph-index filter for directory queries.
 func (c *Capability) RequiredOntologies() []string {
-	seen := make(map[string]bool)
-	for _, r := range c.Outputs {
-		if r.Ontology != "" {
-			seen[r.Ontology] = true
+	out := make([]string, 0, 1+len(c.Properties)+len(c.Outputs))
+	if c.Category.Ontology != "" {
+		out = append(out, c.Category.Ontology)
+	}
+	for _, refs := range [][]ontology.Ref{c.Properties, c.Outputs} {
+		for _, r := range refs {
+			if r.Ontology != "" {
+				out = append(out, r.Ontology)
+			}
 		}
 	}
-	for _, r := range c.PropertySet() {
-		if r.Ontology != "" {
-			seen[r.Ontology] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // OntologyKey returns the canonical string form of Ontologies, suitable as

@@ -8,6 +8,7 @@ import (
 	"sariadne/internal/codes"
 	"sariadne/internal/gen"
 	"sariadne/internal/match"
+	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
 )
 
@@ -20,6 +21,13 @@ import (
 // concepts whatever the size (lookup-dense: a few large graphs).
 func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, []*profile.Service) {
 	tb.Helper()
+	return sizedDirectoryOver(tb, services, dense, func(m *match.CodeMatcher) match.ConceptMatcher { return m })
+}
+
+// sizedDirectoryOver is sizedDirectory with the directory's matcher made
+// by over from the code matcher of the generated ontologies.
+func sizedDirectoryOver(tb testing.TB, services int, dense bool, over func(*match.CodeMatcher) match.ConceptMatcher) (*Directory, []*profile.Service) {
+	tb.Helper()
 	const spare = 8
 	cfg := gen.WorkloadConfig{Ontologies: max(1, services/90), Services: services + spare, Seed: 2006}
 	if dense {
@@ -30,7 +38,7 @@ func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, []*pro
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d := NewDirectory(match.NewCodeMatcher(reg))
+	d := NewDirectory(over(match.NewCodeMatcher(reg)))
 	for _, svc := range w.Services[:services] {
 		if err := d.Register(svc); err != nil {
 			tb.Fatal(err)
@@ -159,6 +167,90 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 			}
 			if shape == "dense" && 3*large.matchOps > 2*large.referenceOps {
 				t.Errorf("at 2000 services an insert needs %.0f match operations, more than two thirds of the reference classifier's %.0f", large.matchOps, large.referenceOps)
+			}
+		})
+	}
+}
+
+// countingMatcher is a code matcher that counts the name lookups made
+// through it: two per concept pair matched by name, one per reference of a
+// capability it encodes. The encoded distance itself is the code matcher's.
+type countingMatcher struct {
+	*match.CodeMatcher
+	byName, encoded int
+}
+
+func (m *countingMatcher) Distance(a, b ontology.Ref) (int, bool) {
+	m.byName += 2
+	return m.CodeMatcher.Distance(a, b)
+}
+
+func (m *countingMatcher) Encode(c *profile.Capability) *match.Encoded {
+	e := m.CodeMatcher.Encode(c)
+	m.encoded += e.NumRefs()
+	return e
+}
+
+func numRefs(c *profile.Capability) int {
+	return 1 + len(c.Properties) + len(c.Inputs) + len(c.Outputs)
+}
+
+// TestNameLookupsIndependentOfSize is the guard on the match operation
+// that does not depend on how fast the host is: a Register looks up as
+// many names as its advertisement has concept references, a Query as many
+// as its request has, whatever the size of the directory and however many
+// match operations the insert or the walk performs — and a match operation
+// allocates nothing.
+func TestNameLookupsIndependentOfSize(t *testing.T) {
+	for _, services := range []int{200, 2000} {
+		t.Run(fmt.Sprintf("services=%d", services), func(t *testing.T) {
+			var m *countingMatcher
+			d, fresh := sizedDirectoryOver(t, services, true, func(cm *match.CodeMatcher) match.ConceptMatcher {
+				m = &countingMatcher{CodeMatcher: cm}
+				return m
+			})
+			var registerOps, queryOps uint64
+			for _, svc := range fresh {
+				want := 0
+				for _, c := range svc.Provided {
+					want += numRefs(c)
+				}
+				m.encoded, m.byName = 0, 0
+				ops := d.MatchOps()
+				if err := d.Register(svc); err != nil {
+					t.Fatal(err)
+				}
+				registerOps += d.MatchOps() - ops
+				if m.encoded != want || m.byName != 0 {
+					t.Fatalf("Register(%s) looked up %d names encoding and %d matching by name; the advertisement has %d references", svc.Name, m.encoded, m.byName, want)
+				}
+				req := svc.Provided[0]
+				m.encoded, m.byName = 0, 0
+				ops = d.MatchOps()
+				if len(d.Query(req)) == 0 {
+					t.Fatalf("a query for %s's own capability finds nothing", svc.Name)
+				}
+				queryOps += d.MatchOps() - ops
+				if m.encoded != numRefs(req) || m.byName != 0 {
+					t.Fatalf("Query looked up %d names encoding and %d matching by name; the request has %d references", m.encoded, m.byName, numRefs(req))
+				}
+			}
+			n := uint64(len(fresh))
+			t.Logf("%d services: %d match operations per register, %d per query", services, registerOps/n, queryOps/n)
+			if registerOps/n < 10 || queryOps/n < 10 {
+				t.Errorf("%d match operations per register and %d per query: too few to tell name lookups per operation from name lookups per match", registerOps/n, queryOps/n)
+			}
+
+			a, b := d.enc.Encode(fresh[0].Provided[0]), d.enc.Encode(fresh[1].Provided[0])
+			if _, ok := d.distance(a, a); !ok {
+				t.Fatal("a capability does not match itself")
+			}
+			if allocs := testing.AllocsPerRun(1000, func() {
+				d.distance(a, a)
+				d.distance(a, b)
+				d.distance(b, a)
+			}); allocs != 0 {
+				t.Errorf("three match operations allocate %.1f times", allocs)
 			}
 		})
 	}

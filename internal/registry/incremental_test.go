@@ -136,7 +136,7 @@ func newSnapGraph(g *graph) *snapGraph {
 		edges += len(v.succs)
 		entries += len(v.entries)
 	}
-	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Name, b.rep.Name) })
+	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Capability().Name, b.rep.Capability().Name) })
 	order := topoOrder(verts)
 	// index maps a vertex to its compiled index.
 	index := make(map[*vertex]int32, len(verts))
@@ -583,14 +583,15 @@ func quadraticOrder(verts []*vertex) []*vertex {
 // [from, to] index pair, sorted by name as newSnapGraph hands them over.
 func dagOf(names []string, edges [][2]int) []*vertex {
 	verts := make([]*vertex, len(names))
+	enc := match.EncoderFor(match.NewHierarchyMatcher())
 	for i, n := range names {
-		verts[i] = &vertex{rep: &profile.Capability{Name: n}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+		verts[i] = &vertex{rep: enc.Encode(&profile.Capability{Name: n}), preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
 	}
 	for _, e := range edges {
 		verts[e[0]].succs[verts[e[1]]] = struct{}{}
 		verts[e[1]].preds[verts[e[0]]] = struct{}{}
 	}
-	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Name, b.rep.Name) })
+	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Capability().Name, b.rep.Capability().Name) })
 	return verts
 }
 
@@ -657,7 +658,7 @@ func TestTopoOrderEqualsQuadraticOrder(t *testing.T) {
 		}
 		for i, r := range got {
 			if verts[r] != want[i] {
-				t.Fatalf("%s: position %d holds %s, the quadratic order puts %s there", name, i, verts[r].rep.Name, want[i].rep.Name)
+				t.Fatalf("%s: position %d holds %s, the quadratic order puts %s there", name, i, verts[r].rep.Capability().Name, want[i].rep.Capability().Name)
 			}
 		}
 	}

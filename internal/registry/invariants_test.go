@@ -70,7 +70,7 @@ func (d *Directory) checkInvariants() error {
 			got, want := &sg.vertices[i], newSnapVertex(v)
 			if got.rep != want.rep || got.root != want.root || got.leaf != want.leaf || !slices.Equal(got.entries, want.entries) ||
 				!slices.Equal(got.preds, want.preds) || !slices.Equal(got.succs, want.succs) {
-				return fmt.Errorf("snapshot graph %d: slot %d is stale for %s", gi, i, v.rep.Name)
+				return fmt.Errorf("snapshot graph %d: slot %d is stale for %s", gi, i, v.rep.Capability().Name)
 			}
 		}
 	}
@@ -94,19 +94,19 @@ func (g *graph) check(m match.ConceptMatcher) error {
 	uses := make(map[string]int)
 	for i, v := range g.slots {
 		if int(v.slot) != i || v.touched {
-			return fmt.Errorf("slot %d holds %s, which has slot %d, touched %v", i, v.rep.Name, v.slot, v.touched)
+			return fmt.Errorf("slot %d holds %s, which has slot %d, touched %v", i, v.rep.Capability().Name, v.slot, v.touched)
 		}
 		if g.order[g.pos[i]] != int32(i) {
 			return fmt.Errorf("walk order and positions disagree on slot %d", i)
 		}
 		if (len(v.preds) == 0) != isIn(g.roots, v) {
-			return fmt.Errorf("root bookkeeping wrong for %s", v.rep.Name)
+			return fmt.Errorf("root bookkeeping wrong for %s", v.rep.Capability().Name)
 		}
 		if (len(v.succs) == 0) != isIn(g.leaves, v) {
-			return fmt.Errorf("leaf bookkeeping wrong for %s", v.rep.Name)
+			return fmt.Errorf("leaf bookkeeping wrong for %s", v.rep.Capability().Name)
 		}
 		if len(v.entries) == 0 {
-			return fmt.Errorf("empty vertex %s", v.rep.Name)
+			return fmt.Errorf("empty vertex %s", v.rep.Capability().Name)
 		}
 		for _, e := range v.entries {
 			for _, u := range e.Capability.Ontologies() {
@@ -117,22 +117,22 @@ func (g *graph) check(m match.ConceptMatcher) error {
 		// acyclic.
 		for s := range v.succs {
 			if !member(s) || !isIn(s.preds, v) {
-				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", v.rep.Name, s.rep.Name)
+				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", v.rep.Capability().Name, s.rep.Capability().Name)
 			}
 			if g.pos[v.slot] >= g.pos[s.slot] {
-				return fmt.Errorf("walk order visits %s before its predecessor %s", s.rep.Name, v.rep.Name)
+				return fmt.Errorf("walk order visits %s before its predecessor %s", s.rep.Capability().Name, v.rep.Capability().Name)
 			}
-			if !match.Match(m, v.rep, s.rep) {
-				return fmt.Errorf("edge %s -> %s violates Match", v.rep.Name, s.rep.Name)
+			if !match.Match(m, v.rep.Capability(), s.rep.Capability()) {
+				return fmt.Errorf("edge %s -> %s violates Match", v.rep.Capability().Name, s.rep.Capability().Name)
 			}
 		}
 		for p := range v.preds {
 			if !member(p) || !isIn(p.succs, v) {
-				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", p.rep.Name, v.rep.Name)
+				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", p.rep.Capability().Name, v.rep.Capability().Name)
 			}
 		}
 		if s := g.redundantSucc(v); s != nil {
-			return fmt.Errorf("edge %s -> %s is implied by a longer path", v.rep.Name, s.rep.Name)
+			return fmt.Errorf("edge %s -> %s is implied by a longer path", v.rep.Capability().Name, s.rep.Capability().Name)
 		}
 		edges += len(v.succs)
 		entries += len(v.entries)

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"sariadne/internal/profile"
+	"sariadne/internal/match"
 )
 
 // referenceClassify is the classifier the directory used before the
@@ -14,7 +14,7 @@ import (
 // probes (a non-matching vertex is probed again from every matching
 // neighbour), and works on maps, sharing no code or scratch with
 // classifyLocked.
-func (d *Directory) referenceClassify(g *graph, c *profile.Capability) (placement, bool) {
+func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bool) {
 	var pl placement
 	m := make(map[*vertex]struct{})
 	var frontier []*vertex

@@ -22,12 +22,13 @@
 package registry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,11 @@ type Entry struct {
 	// Service and Provider identify the advertisement's origin.
 	Service  string
 	Provider string
+	// enc is Capability as the directory's matcher encoded it when the
+	// entry was made. Entries are reachable from published snapshots, so it
+	// is never filled in or refreshed later: a capability that needs
+	// encoding again gets a new Entry (see Directory.Reclassify).
+	enc *match.Encoded
 }
 
 // String renders the entry as service/capability.
@@ -66,9 +72,9 @@ type Result struct {
 
 // vertex is an equivalence class of capabilities in one graph.
 type vertex struct {
-	// rep is the representative capability used for graph navigation; all
-	// entries in the vertex match rep mutually.
-	rep     *profile.Capability
+	// rep is the representative capability used for graph navigation, in
+	// encoded form; all entries in the vertex match rep mutually.
+	rep     *match.Encoded
 	entries []*Entry
 	preds   map[*vertex]struct{}
 	succs   map[*vertex]struct{}
@@ -80,7 +86,7 @@ type vertex struct {
 }
 
 func newVertex(e *Entry) *vertex {
-	return &vertex{rep: e.Capability, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+	return &vertex{rep: e.enc, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
 }
 
 // graph is one DAG of related capabilities plus its ontology index.
@@ -199,7 +205,13 @@ type Directory struct {
 	// mu serializes writers only; the read path never takes it.
 	mu      sync.Mutex
 	matcher match.ConceptMatcher
-	graphs  []*graph // guarded by mu
+	// enc is the one way the directory matches: capabilities are encoded
+	// when they arrive (an advertisement in Register, a request at the top
+	// of Query) and every match operation compares two encoded forms. Over
+	// code tables that resolves no name; over any other matcher the encoded
+	// form is the capability and enc matches it by name through matcher.
+	enc    match.EncodedMatcher
+	graphs []*graph // guarded by mu
 	// byOntology indexes graphs by the ontology URIs they contain, so
 	// query-time graph pre-selection does not scan every graph.
 	byOntology map[string][]*graph // guarded by mu
@@ -220,7 +232,7 @@ type Directory struct {
 	scratch classifyScratch // guarded by mu
 	// classify places a capability in one graph: classifyLocked. Tests put
 	// the unbounded reference classifier here to compare the two.
-	classify func(*graph, *profile.Capability) (placement, bool)
+	classify func(*graph, *match.Encoded) (placement, bool)
 	// snap is the published immutable view served to readers.
 	snap atomic.Pointer[snapshot]
 	// matchOps counts capability-level match operations (monotonic).
@@ -231,6 +243,7 @@ type Directory struct {
 func NewDirectory(m match.ConceptMatcher) *Directory {
 	d := &Directory{
 		matcher:    m,
+		enc:        match.EncoderFor(m),
 		byOntology: make(map[string][]*graph),
 		byService:  make(map[string][]*Entry),
 		where:      make(map[*Entry]entryLoc),
@@ -349,14 +362,15 @@ func (d *Directory) candidateGraphsLocked(uris []string) []*graph {
 	return out
 }
 
-// distance wraps match.SemanticDistance and counts match operations, the
-// quantity the paper's directory optimization minimizes.
-func (d *Directory) distance(c1, c2 *profile.Capability) (int, bool) {
+// distance is the directory's match operation, SemanticDistance(c1, c2)
+// over encoded capabilities; it counts them, the quantity the paper's
+// directory optimization minimizes.
+func (d *Directory) distance(c1, c2 *match.Encoded) (int, bool) {
 	d.matchOps.Add(1)
-	return match.SemanticDistance(d.matcher, c1, c2)
+	return d.enc.EncodedDistance(c1, c2)
 }
 
-func (d *Directory) matches(c1, c2 *profile.Capability) bool {
+func (d *Directory) matches(c1, c2 *match.Encoded) bool {
 	_, ok := d.distance(c1, c2)
 	return ok
 }
@@ -392,23 +406,80 @@ func (d *Directory) Register(s *profile.Service) error {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old := d.byService[s.Name]
-	delete(d.byService, s.Name)
-	for _, e := range old {
-		d.removeEntryLocked(e)
+	caps := make([]*profile.Capability, len(s.Provided))
+	for i, c := range s.Provided {
+		caps[i] = c.Clone()
 	}
-	if len(s.Provided) > 0 {
-		entries := make([]*Entry, len(s.Provided))
-		for i, c := range s.Provided {
-			entries[i] = &Entry{Capability: c.Clone(), Service: s.Name, Provider: s.Provider}
-			d.insertLocked(entries[i])
-		}
-		d.byService[s.Name] = entries
-	}
+	d.storeLocked(s.Name, s.Provider, caps)
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
 	insertSeconds.ObserveSince(start)
 	return nil
+}
+
+// storeLocked makes caps, which the directory owns, the advertisement of
+// the named service in place of whatever it advertised before. Each
+// capability is encoded here, under mu: a writer that re-encodes after a
+// code table changed (Reclassify) can then never be overtaken by an
+// insert that resolved its names against the table before.
+func (d *Directory) storeLocked(service, provider string, caps []*profile.Capability) {
+	old := d.byService[service]
+	delete(d.byService, service)
+	for _, e := range old {
+		d.removeEntryLocked(e)
+	}
+	if len(caps) == 0 {
+		return
+	}
+	entries := make([]*Entry, len(caps))
+	for i, c := range caps {
+		entries[i] = &Entry{Capability: c, Service: service, Provider: provider, enc: d.enc.Encode(c)}
+		d.insertLocked(entries[i])
+	}
+	d.byService[service] = entries
+}
+
+// Reclassify brings the directory up to date with a code table that was
+// registered, for the first time or in place of another, for ontology uri:
+// every stored capability that refers to uri is encoded against the current
+// tables and classified again, and the result is published as one
+// snapshot. Whoever registers the table calls it afterwards. Until then
+// those capabilities carry references resolved against the table before,
+// which match nothing — neither each other's nor a request's, resolved
+// against the new one (Section 3.2: stale codes are refreshed, never
+// compared) — so the directory answers short on uri, never wrong. The cost
+// is that of registering the affected services again; the return value is
+// their number.
+func (d *Directory) Reclassify(uri string) int {
+	opsBefore := d.matchOps.Load()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var names []string
+	for _, g := range d.byOntology[uri] {
+		for _, v := range g.slots {
+			for _, e := range v.entries {
+				if slices.Contains(e.Capability.Ontologies(), uri) {
+					names = append(names, e.Service)
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		return 0
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	for _, name := range names {
+		old := d.byService[name]
+		caps := make([]*profile.Capability, len(old))
+		for i, e := range old {
+			caps[i] = e.Capability
+		}
+		d.storeLocked(name, old[0].Provider, caps)
+	}
+	d.publishLocked()
+	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
+	return len(names)
 }
 
 // insert classifies one entry. Candidate graphs are those whose ontology
@@ -420,12 +491,11 @@ func (d *Directory) Register(s *profile.Service) error {
 // The capability's ontology set is computed here, once, and handed to
 // every step that needs it; so is the key it is counted under.
 func (d *Directory) insertLocked(e *Entry) {
-	c := e.Capability
-	uris := c.Ontologies()
+	uris := e.Capability.Ontologies()
 	var g *graph
 	var v *vertex
 	for _, cand := range d.candidateGraphsLocked(uris) {
-		if pl, related := d.classify(cand, c); related {
+		if pl, related := d.classify(cand, e.enc); related {
 			g, v = cand, d.placeLocked(cand, e, pl)
 			break
 		}
@@ -505,7 +575,7 @@ func (d *Directory) marksLocked(n int) []uint8 {
 // regions, removal reconnects around the vertex it takes out). So only
 // the leaves below P are probed, not every leaf of the graph, and the
 // climb from them never leaves P's descendants.
-func (d *Directory) classifyLocked(g *graph, c *profile.Capability) (placement, bool) {
+func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool) {
 	sc := &d.scratch
 	marks := d.marksLocked(len(g.slots))
 	var pl placement
@@ -813,6 +883,9 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 	opsBefore := d.matchOps.Load()
 	rootProbes := 0
 	snap := d.snap.Load()
+	// The request's names are resolved here, once; the walk and the ranking
+	// below compare the result with what Register stored.
+	enc := d.enc.Encode(req)
 	// Filter graphs by the ontologies a matching provider must use (the
 	// request's outputs and properties); the request's offered inputs may
 	// go unused by a provider, so their ontologies must not prune.
@@ -821,13 +894,13 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 	for _, g := range snap.candidateGraphs(uris) {
 		sp := scratchFor(len(g.vertices))
 		matched := *sp
-		rootProbes += d.walkGraph(g, req, matched)
+		rootProbes += d.walkGraph(g, enc, matched)
 		for i := range g.vertices {
 			if !matched[i] {
 				continue
 			}
 			for _, e := range g.vertices[i].entries {
-				dist, ok := d.distance(e.Capability, req)
+				dist, ok := d.distance(e.enc, enc)
 				if !ok {
 					continue
 				}
@@ -842,14 +915,12 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 		}
 		matchScratch.Put(sp)
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Distance != results[j].Distance {
-			return results[i].Distance < results[j].Distance
-		}
-		if results[i].Entry.Service != results[j].Entry.Service {
-			return results[i].Entry.Service < results[j].Entry.Service
-		}
-		return results[i].Entry.Capability.Name < results[j].Entry.Capability.Name
+	slices.SortFunc(results, func(a, b Result) int {
+		return cmp.Or(
+			cmp.Compare(a.Distance, b.Distance),
+			strings.Compare(a.Entry.Service, b.Entry.Service),
+			strings.Compare(a.Entry.Capability.Name, b.Entry.Capability.Name),
+		)
 	})
 	rootProbesTotal.Add(uint64(rootProbes))
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
@@ -866,7 +937,7 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 // traversal state.
 //
 //sdp:hotpath
-func (d *Directory) walkGraph(g *snapGraph, req *profile.Capability, matched []bool) int {
+func (d *Directory) walkGraph(g *snapGraph, req *match.Encoded, matched []bool) int {
 	rootProbes := 0
 	for i := g.first; i >= 0; i = g.vertices[i].next {
 		v := &g.vertices[i]

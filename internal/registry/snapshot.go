@@ -39,7 +39,7 @@ import (
 	"strings"
 	"sync"
 
-	"sariadne/internal/profile"
+	"sariadne/internal/match"
 )
 
 // snapVertex is the compiled form of one graph vertex. Predecessors and
@@ -47,7 +47,7 @@ import (
 //
 //sdp:immutable
 type snapVertex struct {
-	rep     *profile.Capability
+	rep     *match.Encoded
 	entries []*Entry
 	preds   []int32
 	succs   []int32
@@ -194,7 +194,7 @@ func (s *snapshot) dump() string {
 			order[j] = j
 		}
 		sort.Slice(order, func(a, c int) bool {
-			return g.vertices[order[a]].rep.Name < g.vertices[order[c]].rep.Name
+			return g.vertices[order[a]].rep.Capability().Name < g.vertices[order[c]].rep.Capability().Name
 		})
 		for _, j := range order {
 			v := &g.vertices[j]
@@ -204,7 +204,7 @@ func (s *snapshot) dump() string {
 			}
 			succs := make([]string, 0, len(v.succs))
 			for _, s := range v.succs {
-				succs = append(succs, g.vertices[s].rep.Name)
+				succs = append(succs, g.vertices[s].rep.Capability().Name)
 			}
 			sort.Strings(succs)
 			marker := ""
@@ -214,7 +214,7 @@ func (s *snapshot) dump() string {
 			if v.leaf {
 				marker += " [leaf]"
 			}
-			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
+			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Capability().Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
 		}
 	}
 	return b.String()

@@ -99,7 +99,11 @@ func MarshalService(s *Service) ([]byte, error) { return profile.Marshal(s) }
 // System holds the ontology knowledge of a deployment: classified,
 // interval-encoded ontologies shared by matchers, directories and
 // protocol nodes. Populate it during bootstrap (AddOntology*) before
-// creating directories; the paper performs all encoding offline.
+// creating directories; the paper performs all encoding offline. A
+// directory resolves an advertisement's concept names against the encoded
+// ontologies when the advertisement is registered: what it stored before a
+// later AddOntology of an ontology it uses goes unmatched on that ontology
+// until it is registered again.
 type System struct {
 	params codes.Params
 	reg    *codes.Registry
