@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance match-fuzz check clean
+.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance match-fuzz profile-fuzz check clean
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,12 @@ store-conformance:
 match-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEncodedDistance -fuzztime 10s ./internal/match/
 
+# profile-fuzz is a short run of the differential fuzzer that holds the
+# Amigo-S scanner to encoding/xml: whatever it does not decline it reads
+# exactly as the generic decoder does.
+profile-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalEqualsGeneric -fuzztime 10s ./internal/profile/
+
 # federation-smoke boots three sdpd processes federated over loopback
 # UDP, registers a service on one daemon, resolves it from another, and
 # scrapes /metrics: malformed Prometheus exposition, a missing acceptance
@@ -98,7 +104,7 @@ soak-smoke:
 	$(GO) run ./cmd/soaksmoke
 
 # check is the full CI gate.
-check: build lint test race store-conformance match-fuzz federation-smoke soak-smoke slo-check
+check: build lint test race store-conformance match-fuzz profile-fuzz federation-smoke soak-smoke slo-check
 
 clean:
 	$(GO) clean ./...

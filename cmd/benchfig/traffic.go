@@ -48,7 +48,6 @@ func traffic(maxServices, step, reps int) {
 		cfg := discovery.Config{
 			QueryTimeout:     500 * time.Millisecond,
 			TickInterval:     2 * time.Millisecond,
-			SummaryPushEvery: 1,
 			AnnounceInterval: 50 * time.Millisecond,
 			TraceSampleEvery: trafficTraceSample,
 			Election: election.Config{

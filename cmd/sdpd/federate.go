@@ -46,8 +46,8 @@ type federation struct {
 // startFederation boots the backbone side of a daemon and rewires the
 // server: queries resolve through the federated node (forwarding to
 // peers whose Bloom summaries match, degrading to partial results when
-// peers die), and client-side mutations push summary refreshes so remote
-// views keep up.
+// peers die), and client-side mutations tell the node so remote views
+// keep up.
 func startFederation(srv *server, opts federationOptions, logger *slog.Logger) (*federation, error) {
 	var (
 		tr  transport.Transport
@@ -82,9 +82,6 @@ func startFederation(srv *server, opts federationOptions, logger *slog.Logger) (
 		sampleEvery = -1
 	}
 	node := discovery.NewNode(tr, srv.backend, discovery.Config{
-		// Client front ends register one service per request; push the
-		// updated summary immediately rather than batching.
-		SummaryPushEvery: 1,
 		// Daemons never self-elect: the backbone is static infrastructure
 		// and election payloads are not wire-encodable anyway.
 		Election:           election.Config{ElectionTimeout: 24 * time.Hour},
@@ -123,7 +120,10 @@ func (f *federation) resolveFederated(doc []byte, traced bool) (discovery.Result
 }
 
 // refresh propagates an out-of-band backend mutation (client register or
-// deregister) to the backbone: recompute the Bloom summary and push it.
+// deregister) to the backbone. When it returns, every peer has been sent
+// whatever the mutation changed in the Bloom summary's bits, so the
+// client's reply never precedes its discoverability; a mutation that
+// moved only the advertisement count is pushed by the node's next tick.
 func (f *federation) refresh() {
 	f.node.RefreshSummary()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"log/slog"
 	"testing"
 	"time"
@@ -75,6 +76,55 @@ func TestFederatedDaemons(t *testing.T) {
 				t.Fatalf("transport stats empty: %+v", tp)
 			}
 		})
+	}
+}
+
+// TestPublishBurstAcrossThreeDaemons drives the summary path from the
+// client front end: the burst's first publish adds an ontology-set key
+// and is discoverable through another daemon on the strength of that
+// publish alone, and the 499 that only move the count leave every peer's
+// entry count right once the burst is over, with no publish after it.
+func TestPublishBurstAcrossThreeDaemons(t *testing.T) {
+	const burst = 500
+	sa, fa := newFederatedServer(t, "udp")
+	sb, fb := newFederatedServer(t, "udp", string(fa.node.ID()))
+	sc, fc := newFederatedServer(t, "udp", string(fa.node.ID()), string(fb.node.ID()))
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return len(fa.node.Peers()) == 2 && len(fb.node.Peers()) == 2 && len(fc.node.Peers()) == 2
+	}, "backbone handshake")
+
+	for i := 0; i < burst; i++ {
+		svc := profile.WorkstationService()
+		svc.Name = fmt.Sprintf("ws%03d", i)
+		if resp := sa.handle(sdpapi.Request{Op: "register", Doc: mustDoc(t, svc)}); !resp.OK {
+			t.Fatalf("register %s on A: %s", svc.Name, resp.Error)
+		}
+		if i > 0 {
+			continue
+		}
+		// The summary left A before the reply did; B needs only to have
+		// read its socket.
+		testutil.WaitFor(t, 5*time.Second, func() bool {
+			resp := sb.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
+			return resp.OK && len(resp.Hits) == 1 && resp.Hits[0].Service == "ws000" &&
+				resp.Hits[0].Directory == string(fa.node.ID())
+		}, "first publish of the burst not discoverable through B")
+	}
+
+	want := sa.backend.Len()
+	if want != 2*burst {
+		t.Fatalf("A holds %d capabilities, want %d", want, 2*burst)
+	}
+	for name, s := range map[string]*server{"B": sb, "C": sc} {
+		testutil.WaitFor(t, 5*time.Second, func() bool {
+			resp := s.handle(sdpapi.Request{Op: "peers"})
+			for _, p := range resp.Peers {
+				if p.Addr == fa.node.ID() {
+					return p.HasSummary && p.Entries == want
+				}
+			}
+			return false
+		}, "%s's view of A never reached %d entries", name, want)
 	}
 }
 

@@ -687,8 +687,8 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 	}
 }
 
-// refreshLocked pushes the post-mutation Bloom summary to backbone peers
-// when federated; standalone daemons have nobody to tell.
+// refreshLocked tells the backbone node the backend changed, when
+// federated; standalone daemons have nobody to tell.
 func (s *server) refreshLocked() {
 	if s.fed != nil {
 		s.fed.refresh()

@@ -60,7 +60,6 @@ func buildCluster(w *gen.Workload, reg *codes.Registry, rows, cols int, seed int
 	cfg := discovery.Config{
 		QueryTimeout:     time.Second,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 50 * time.Millisecond,
 		// Unbounded forwarding keeps hit sets independent of which nodes
 		// won their elections, so fault-free runs are reproducible.

@@ -143,7 +143,6 @@ func runScenario(sc *scenario, faults *faultsSpec, timescale float64, w io.Write
 	cfg := discovery.Config{
 		QueryTimeout:     time.Second,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 50 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: ms(sc.Election.AdvertiseIntervalMs, 20),

@@ -54,7 +54,6 @@ func main() {
 	// example converges quickly.
 	net := sys.NewNetwork(sariadne.NetworkConfig{
 		QueryTimeout:     time.Second,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 100 * time.Millisecond,
 		Election: sariadne.ElectionConfig{
 			AdvertiseInterval: 20 * time.Millisecond,

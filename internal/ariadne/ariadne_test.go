@@ -131,9 +131,8 @@ func TestAriadneOverProtocolShell(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := discovery.Config{
-		QueryTimeout:     500 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 500 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 15 * time.Millisecond,
 			AdvertiseTTL:      3,

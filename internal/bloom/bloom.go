@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrBadShape is returned for invalid (m, k) parameters.
@@ -151,6 +152,13 @@ func (f *Filter) Union(other *Filter) error {
 		f.additions = other.additions
 	}
 	return nil
+}
+
+// Equal reports whether the two filters have the same shape and the same
+// bits set, and so answer every Test alike. The count of additions is
+// not compared: a key whose positions were all set already adds no bit.
+func (f *Filter) Equal(other *Filter) bool {
+	return f.m == other.m && f.k == other.k && slices.Equal(f.bits, other.bits)
 }
 
 // Clone returns an independent copy.

@@ -203,10 +203,27 @@ type Table struct {
 	version string
 	params  Params
 
-	names     map[string]int // class name -> concept index
-	codes     []Code
-	depth     []int
-	ancestors []map[int]int // strict ancestor -> min hops
+	names map[string]int // class name -> concept index
+	codes []Code
+	depth []int
+	// ancestors[i] lists concept i's strict ancestors by ascending index,
+	// each with the fewest hierarchy levels between the two: the level
+	// count of a subsuming pair is a search in a short sorted row, with
+	// nothing to hash inside a match operation.
+	ancestors [][]ancestorLevels
+}
+
+type ancestorLevels struct{ ancestor, levels int }
+
+// sortedAncestors lays a concept's ancestor closure out as a row of
+// Table.ancestors.
+func sortedAncestors(closure map[int]int) []ancestorLevels {
+	row := make([]ancestorLevels, 0, len(closure))
+	for a, d := range closure {
+		row = append(row, ancestorLevels{ancestor: a, levels: d})
+	}
+	sort.Slice(row, func(i, j int) bool { return row[i].ancestor < row[j].ancestor })
+	return row
 }
 
 // Encode derives the code table from a classified hierarchy. The spanning
@@ -224,7 +241,7 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 		names:     make(map[string]int),
 		codes:     make([]Code, n),
 		depth:     make([]int, n),
-		ancestors: make([]map[int]int, n),
+		ancestors: make([][]ancestorLevels, n),
 	}
 
 	// Assign primary intervals by BFS over the spanning tree. The virtual
@@ -239,7 +256,7 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 			treeParent[i] = parents[0]
 		}
 		t.depth[i] = cl.Depth(i)
-		t.ancestors[i] = cl.AncestorsIndex(i)
+		t.ancestors[i] = sortedAncestors(cl.AncestorsIndex(i))
 		for _, name := range cl.Members(i) {
 			t.names[name] = i
 		}
@@ -309,8 +326,8 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 	// another. Descendant sets come from the ancestor closure.
 	desc := make([][]int, n)
 	for i := 0; i < n; i++ {
-		for a := range t.ancestors[i] {
-			desc[a] = append(desc[a], i)
+		for _, a := range t.ancestors[i] {
+			desc[a.ancestor] = append(desc[a.ancestor], i)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -439,13 +456,21 @@ func (t *Table) DistanceAt(ai, bi int) (int, bool) {
 	if !t.codes[ai].Subsumes(t.codes[bi]) {
 		return 0, false
 	}
-	d, ok := t.ancestors[bi][ai]
-	if !ok {
+	row := t.ancestors[bi]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); row[mid].ancestor < ai {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(row) || row[lo].ancestor != ai {
 		// The codes said subsumption holds but the closure disagrees; this
 		// indicates table corruption and must not silently report a match.
 		return 0, false
 	}
-	return d, true
+	return row[lo].levels, true
 }
 
 // Stats summarizes encoding health: how deep the hierarchy goes and how

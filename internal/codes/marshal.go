@@ -53,12 +53,10 @@ func MarshalTable(t *Table) ([]byte, error) {
 		for _, iv := range c.Covers {
 			dto.Covers[i] = append(dto.Covers[i], [2]float64{iv.Lo, iv.Hi})
 		}
-		pairs := make([][2]int, 0, len(t.ancestors[i]))
-		for a, d := range t.ancestors[i] {
-			pairs = append(pairs, [2]int{a, d})
+		dto.Ancestors[i] = make([][2]int, 0, len(t.ancestors[i]))
+		for _, a := range t.ancestors[i] {
+			dto.Ancestors[i] = append(dto.Ancestors[i], [2]int{a.ancestor, a.levels})
 		}
-		sort.Slice(pairs, func(x, y int) bool { return pairs[x][0] < pairs[y][0] })
-		dto.Ancestors[i] = pairs
 	}
 	return json.Marshal(dto)
 }
@@ -85,7 +83,7 @@ func UnmarshalTable(data []byte) (*Table, error) {
 		names:     make(map[string]int),
 		codes:     make([]Code, n),
 		depth:     append([]int(nil), dto.Depth...),
-		ancestors: make([]map[int]int, n),
+		ancestors: make([][]ancestorLevels, n),
 	}
 	for i := 0; i < n; i++ {
 		if len(dto.Members[i]) == 0 {
@@ -107,13 +105,14 @@ func UnmarshalTable(data []byte) (*Table, error) {
 		if len(t.codes[i].Covers) == 0 {
 			return nil, fmt.Errorf("codes: concept %d has no covers", i)
 		}
-		t.ancestors[i] = make(map[int]int, len(dto.Ancestors[i]))
+		closure := make(map[int]int, len(dto.Ancestors[i]))
 		for _, pair := range dto.Ancestors[i] {
 			if pair[0] < 0 || pair[0] >= n {
 				return nil, fmt.Errorf("codes: concept %d has ancestor index %d out of range", i, pair[0])
 			}
-			t.ancestors[i][pair[0]] = pair[1]
+			closure[pair[0]] = pair[1]
 		}
+		t.ancestors[i] = sortedAncestors(closure)
 	}
 	return t, nil
 }

@@ -49,7 +49,6 @@ func chaosCluster(t *testing.T, seed int64, retries int, queryTimeout time.Durat
 	cfg := Config{
 		QueryTimeout:     queryTimeout,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 100 * time.Millisecond,
 		ForwardRetries:   retries,
 		RetryBackoff:     3 * time.Millisecond,
@@ -256,9 +255,8 @@ func TestChaosDirectoryCrashMidQuery(t *testing.T) {
 		}
 	}
 	cfg := Config{
-		QueryTimeout:     200 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 200 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 20 * time.Millisecond,
 			AdvertiseTTL:      2,
@@ -336,7 +334,7 @@ func TestChaosRepublishSolicitRestoresCrashedStore(t *testing.T) {
 	for name := range nodes[1].Backend().Snapshot() {
 		nodes[1].Backend().Deregister(name)
 	}
-	nodes[1].rebuildFilter()
+	nodes[1].RefreshSummary()
 	if hits, err := nodes[0].Discover(ctx, pdaRequestDoc(t)); err != nil || len(hits) != 0 {
 		t.Fatalf("wiped directory still answers: hits=%v err=%v", hits, err)
 	}

@@ -23,9 +23,8 @@ func TestDiscoveryOverLossyNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     100 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 100 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 10 * time.Millisecond,
 			AdvertiseTTL:      3,

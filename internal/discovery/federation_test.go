@@ -38,7 +38,6 @@ func newFedNode(t *testing.T, seeds ...string) *fedNode {
 	n := NewNode(tr, NewSemanticBackend(fixtureRegistry(t)), Config{
 		QueryTimeout:     time.Second,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 50 * time.Millisecond,
 		Election: election.Config{
 			// Directories are promoted explicitly; election traffic is not

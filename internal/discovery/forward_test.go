@@ -130,14 +130,13 @@ func drainSilently(t *testing.T, ep *simnet.Endpoint, react func(simnet.Message)
 
 func hedgeConfig() Config {
 	return Config{
-		QueryTimeout:     300 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
-		MaxForwardPeers:  2,
-		HedgeSpares:      1,
-		ForwardRetries:   2,
-		RetryBackoff:     10 * time.Millisecond,
-		RetryBackoffMax:  40 * time.Millisecond,
+		QueryTimeout:    300 * time.Millisecond,
+		TickInterval:    2 * time.Millisecond,
+		MaxForwardPeers: 2,
+		HedgeSpares:     1,
+		ForwardRetries:  2,
+		RetryBackoff:    10 * time.Millisecond,
+		RetryBackoffMax: 40 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 20 * time.Millisecond,
 			AdvertiseTTL:      2,

@@ -62,9 +62,8 @@ func TestBloomFPRGaugeTracksEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     500 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 500 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		// Small filter so the false-positive rate is large enough to
 		// observe in a couple hundred probes (~0.1 at k=2, n=48, m=256).
 		BloomBits:   256,
@@ -107,7 +106,7 @@ func TestBloomFPRGaugeTracksEstimate(t *testing.T) {
 			t.Fatalf("Publish %d: %v", i, err)
 		}
 	}
-	// SummaryPushEvery=1: n1 eventually holds n3's full 48-key summary.
+	// n1 eventually holds n3's full 48-key summary.
 	waitUntil(t, 2*time.Second, "full summary at n1", func() bool {
 		nodes[1].mu.Lock()
 		defer nodes[1].mu.Unlock()

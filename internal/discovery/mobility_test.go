@@ -24,7 +24,6 @@ func TestMobilityChurn(t *testing.T) {
 	cfg := Config{
 		QueryTimeout:     200 * time.Millisecond,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 40 * time.Millisecond,
 		// Periodic re-publication repairs any registration lost while the
 		// publisher's directory view flapped during churn.

@@ -40,9 +40,6 @@ type Config struct {
 	// BloomBits and BloomHashes shape content summaries. Defaults: 1024, 4.
 	BloomBits   int
 	BloomHashes int
-	// SummaryPushEvery pushes the updated summary to peers after this many
-	// registrations. Defaults to 4.
-	SummaryPushEvery int
 	// AnnounceInterval re-broadcasts a directory's backbone announcement,
 	// repairing handshakes missed during concurrent elections. Defaults to
 	// 500ms.
@@ -118,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.BloomHashes <= 0 {
 		c.BloomHashes = 4
 	}
-	if c.SummaryPushEvery <= 0 {
-		c.SummaryPushEvery = 4
-	}
 	if c.AnnounceInterval <= 0 {
 		c.AnnounceInterval = 500 * time.Millisecond
 	}
@@ -188,9 +182,16 @@ type Node struct {
 	backend Backend
 	cfg     Config
 
-	mu          sync.Mutex
-	elect       *election.Machine             // guarded by mu
-	filter      *bloom.Filter                 // guarded by mu
+	mu    sync.Mutex
+	elect *election.Machine // guarded by mu
+	// filter summarizes the backend's keys as of its last mutation. Its
+	// bits are always what every peer has been sent: summaryChanged pushes
+	// before it returns whenever they move.
+	filter *bloom.Filter // guarded by mu
+	// sentCount is the advertisement count the last push to every peer
+	// carried. When the backend's has moved away from it under unchanged
+	// bits, the next tick pushes once for all such mutations since.
+	sentCount   int                           // guarded by mu
 	peers       map[transport.Addr]*peerState // guarded by mu
 	published   map[string][]byte             // guarded by mu
 	publishedAt transport.Addr                // guarded by mu
@@ -201,7 +202,6 @@ type Node struct {
 	// leases tracks, per registered service, when its advertisement was
 	// last (re)registered; stale ones are swept when LeaseTTL is set.
 	leases       map[string]time.Time // guarded by mu
-	regSince     int                  // guarded by mu
 	lastAnnounce time.Time            // guarded by mu
 	lastRefresh  time.Time            // guarded by mu
 	stats        Stats                // guarded by mu
@@ -388,14 +388,12 @@ func (n *Node) PeerInfos() []PeerInfo {
 	return out
 }
 
-// RefreshSummary recomputes the Bloom summary from the backend and
-// pushes it to every known peer. Embedders that register services
-// directly on the backend — sdpd's client front ends do — call this so
-// remote directories' views keep up with out-of-band registrations.
-func (n *Node) RefreshSummary() {
-	n.rebuildFilter()
-	n.pushSummary()
-}
+// RefreshSummary tells the node that the backend changed behind its
+// back. Embedders that register services directly on the backend —
+// sdpd's client front ends do — call this after every mutation so remote
+// directories' views keep up; see summaryChanged for what reaches the
+// peers before it returns.
+func (n *Node) RefreshSummary() { n.summaryChanged() }
 
 // Start launches the protocol loop.
 func (n *Node) Start(ctx context.Context) {
@@ -466,8 +464,12 @@ func (n *Node) tick() {
 		announce = true
 	}
 	resends, finished := n.maintainAggregationsLocked(now)
+	pushCount := n.backend.Len() != n.sentCount
 	n.mu.Unlock()
 
+	if pushCount {
+		n.pushSummary()
+	}
 	if announce {
 		_, _ = n.ep.Broadcast(n.cfg.AnnounceTTL, DirectoryAnnounce{From: n.ID()})
 	}
@@ -505,7 +507,7 @@ func (n *Node) sweepLeases(now time.Time) {
 	for _, svc := range stale {
 		n.backend.Deregister(svc)
 	}
-	n.rebuildFilter()
+	n.summaryChanged()
 }
 
 // refreshOwnLeases re-publishes this node's services so their leases stay
@@ -555,7 +557,7 @@ func (n *Node) handleMessage(msg transport.Message) {
 		n.mu.Lock()
 		delete(n.leases, p.Service)
 		n.mu.Unlock()
-		n.rebuildFilter()
+		n.summaryChanged()
 		errStr := ""
 		if !found {
 			errStr = fmt.Sprintf("service %q not registered", p.Service)
@@ -582,12 +584,7 @@ func (n *Node) handleMessage(msg transport.Message) {
 	case SummaryPush:
 		n.onSummary(p, msg.Hops)
 	case SummaryRequest:
-		n.mu.Lock()
-		data := n.filter.Marshal()
-		count := n.backend.Len()
-		n.mu.Unlock()
-		summaryPushesTotal.Inc()
-		_ = n.ep.Send(msg.From, SummaryPush{From: n.ID(), Filter: data, Count: count})
+		n.sendSummary(msg.From)
 	default:
 		// Election traffic.
 		n.mu.Lock()
@@ -686,45 +683,65 @@ func (n *Node) onRegister(from transport.Addr, req RegisterRequest) {
 		n.leases[name] = time.Now()
 		n.stats.Registrations++
 		registrationsTotal.Inc()
-		n.regSince++
-		push := n.regSince >= n.cfg.SummaryPushEvery
-		if push {
-			n.regSince = 0
-		}
 		n.mu.Unlock()
-		n.rebuildFilter()
-		if push {
-			n.pushSummary()
-		}
+		n.summaryChanged()
 	}
 	_ = n.ep.Send(from, RegisterReply{ID: req.ID, Err: errStr})
 }
 
-// rebuildFilter recomputes the Bloom summary from the backend's keys.
-func (n *Node) rebuildFilter() {
+// summaryChanged is the one path from a backend mutation — a publish or
+// withdrawal at the embedder's front end, a backbone registration or
+// deregistration, a lease sweep, a handover — to the peers' view of this
+// directory. It recomputes the Bloom summary from the backend's keys. If
+// its bits moved, every peer is sent the new summary before
+// summaryChanged returns, so whoever is then told the mutation succeeded
+// can be found through any peer at once. If they did not — the set of
+// ontology-set keys changes a handful of times in a directory's life, the
+// advertisement count with every new publish — only the count peers show
+// for diagnostics is stale, and the next tick sends it once for however
+// many mutations came in between. A mutation that moves neither, such as
+// a lease refresh, sends nothing.
+func (n *Node) summaryChanged() {
 	f := bloom.MustNew(n.cfg.BloomBits, n.cfg.BloomHashes)
+	n.mu.Lock()
+	// Under mu, so that of two concurrent mutations the later one's keys
+	// are what stays in n.filter.
 	for _, k := range n.backend.Keys() {
 		f.Add(k)
 	}
-	summaryFPRGauge.Set(f.EstimateFPR())
-	n.mu.Lock()
+	moved := !f.Equal(n.filter)
 	n.filter = f
 	n.mu.Unlock()
+	summaryFPRGauge.Set(f.EstimateFPR())
+	if moved {
+		n.pushSummary()
+	}
 }
 
-// pushSummary sends the current filter to every known peer.
+// pushSummary sends the current summary to every known peer.
 func (n *Node) pushSummary() {
 	n.mu.Lock()
-	data := n.filter.Marshal()
-	count := n.backend.Len()
+	n.sentCount = n.backend.Len()
 	peers := make([]transport.Addr, 0, len(n.peers))
 	for id := range n.peers {
 		peers = append(peers, id)
 	}
 	n.mu.Unlock()
-	summaryPushesTotal.Add(uint64(len(peers)))
-	for _, id := range peers {
-		_ = n.ep.Send(id, SummaryPush{From: n.ID(), Filter: data, Count: count})
+	n.sendSummary(peers...)
+}
+
+// sendSummary sends the current filter and advertisement count to the
+// given directories.
+func (n *Node) sendSummary(to ...transport.Addr) {
+	if len(to) == 0 {
+		return
+	}
+	n.mu.Lock()
+	push := SummaryPush{From: n.ID(), Filter: n.filter.Marshal(), Count: n.backend.Len()}
+	n.mu.Unlock()
+	summaryPushesTotal.Add(uint64(len(to)))
+	for _, id := range to {
+		_ = n.ep.Send(id, push)
 	}
 }
 
@@ -740,15 +757,12 @@ func (n *Node) onAnnounce(a DirectoryAnnounce) {
 			n.cfg.Recorder.RecordEvent(string(n.ID()), telemetry.ProtoPeerUp, string(a.From), "announce")
 		}
 		ps.lastAnnounce = time.Now()
-	}
-	data := n.filter.Marshal()
-	count := n.backend.Len()
-	n.mu.Unlock()
-	if isDir && a.From != n.ID() {
 		// Introduce ourselves with our summary; the peer records us.
-		summaryPushesTotal.Inc()
-		_ = n.ep.Send(a.From, SummaryPush{From: n.ID(), Filter: data, Count: count})
+		n.mu.Unlock()
+		n.sendSummary(a.From)
+		return
 	}
+	n.mu.Unlock()
 }
 
 // onSummary records a peer directory's filter and observed distance.
@@ -770,14 +784,11 @@ func (n *Node) onSummary(s SummaryPush, hops int) {
 	ps.lastAnnounce = time.Now()
 	// A fresh summary resets the staleness counters.
 	ps.forwards, ps.empties = 0, 0
-	data := n.filter.Marshal()
-	count := n.backend.Len()
 	n.mu.Unlock()
 	if !known {
 		// First contact from an unknown peer: send our summary back so
 		// the relationship is symmetric.
-		summaryPushesTotal.Inc()
-		_ = n.ep.Send(s.From, SummaryPush{From: n.ID(), Filter: data, Count: count})
+		n.sendSummary(s.From)
 	}
 }
 
@@ -1306,7 +1317,7 @@ func (n *Node) StepDown(successor transport.Addr) error {
 	n.peers = make(map[transport.Addr]*peerState)
 	n.leases = make(map[string]time.Time)
 	n.mu.Unlock()
-	n.rebuildFilter()
+	n.summaryChanged()
 	n.runElectionActions(actions)
 	return nil
 }

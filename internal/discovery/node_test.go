@@ -24,9 +24,8 @@ func testCluster(t *testing.T, count int) (*simnet.Network, []*Node) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     500 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 500 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 20 * time.Millisecond,
 			// Vicinity of 2 hops: on the 5-node line, n1 covers n0..n3 and
@@ -160,7 +159,7 @@ func TestGlobalDiscoveryForwarding(t *testing.T) {
 		d, ok := nodes[0].DirectoryID()
 		return ok && d == "n1"
 	})
-	// Wait for n3's summary to have reached n1 (SummaryPushEvery=1).
+	// Wait for n3's summary to have reached n1.
 	waitUntil(t, 2*time.Second, "summary propagation", func() bool {
 		for _, st := range []Stats{nodes[1].Stats()} {
 			_ = st
@@ -258,9 +257,8 @@ func TestElectedDirectoryIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     500 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 500 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 15 * time.Millisecond,
 			AdvertiseTTL:      4,

@@ -32,7 +32,6 @@ func TestPropertyChaosEventualDiscovery(t *testing.T) {
 		cfg := Config{
 			QueryTimeout:     200 * time.Millisecond,
 			TickInterval:     2 * time.Millisecond,
-			SummaryPushEvery: 1,
 			AnnounceInterval: 50 * time.Millisecond,
 			ForwardRetries:   6,
 			RetryBackoff:     3 * time.Millisecond,

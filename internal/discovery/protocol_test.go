@@ -126,10 +126,9 @@ func TestMaxForwardPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     300 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
-		MaxForwardPeers:  1,
+		QueryTimeout:    300 * time.Millisecond,
+		TickInterval:    2 * time.Millisecond,
+		MaxForwardPeers: 1,
 		Election: election.Config{
 			AdvertiseInterval: 15 * time.Millisecond,
 			AdvertiseTTL:      1,
@@ -201,11 +200,10 @@ func TestLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     300 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
-		LeaseTTL:         120 * time.Millisecond,
-		RefreshInterval:  30 * time.Millisecond,
+		QueryTimeout:    300 * time.Millisecond,
+		TickInterval:    2 * time.Millisecond,
+		LeaseTTL:        120 * time.Millisecond,
+		RefreshInterval: 30 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 15 * time.Millisecond,
 			AdvertiseTTL:      3,

@@ -41,7 +41,6 @@ func TestLargeNetworkIntegration(t *testing.T) {
 	cfg := Config{
 		QueryTimeout:     time.Second,
 		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
 		AnnounceInterval: 50 * time.Millisecond,
 		// The 7x7 grid has diameter 12; the default AnnounceTTL of 8 would
 		// leave far-corner directory pairs permanently unaware of each

@@ -155,9 +155,8 @@ func samplerCluster(t *testing.T, mutate func(*Config)) []*Node {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		QueryTimeout:     500 * time.Millisecond,
-		TickInterval:     2 * time.Millisecond,
-		SummaryPushEvery: 1,
+		QueryTimeout: 500 * time.Millisecond,
+		TickInterval: 2 * time.Millisecond,
 		Election: election.Config{
 			AdvertiseInterval: 20 * time.Millisecond,
 			AdvertiseTTL:      2,

@@ -2,12 +2,14 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sariadne/internal/codes"
 	"sariadne/internal/match"
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/telemetry"
 	"sariadne/internal/wsdl"
 )
 
@@ -182,5 +184,46 @@ func TestFig2Fixtures(t *testing.T) {
 	m := match.NewCodeMatcher(reg)
 	if !match.Match(m, provided, requested) {
 		t.Fatal("Figure 2 capability pair must match")
+	}
+}
+
+// TestGeneratedDocumentsArePlain: what a workload serializes is what the
+// directories' decoder reads on its own — none of it goes to the generic
+// XML decoder — and both decoders read it alike.
+func TestGeneratedDocumentsArePlain(t *testing.T) {
+	genericParses := func() float64 {
+		for _, m := range telemetry.Default().Snapshot() {
+			if m.Name == "profile_parse_generic_total" {
+				return m.Value
+			}
+		}
+		t.Fatal("profile_parse_generic_total is not registered")
+		return 0
+	}
+	w := MustNewWorkload(WorkloadConfig{Services: 40, Seed: 3})
+	docs := append([][]byte(nil), w.ServiceDocs...)
+	for i := range w.Services {
+		doc, err := profile.Marshal(&profile.Service{Name: "request", Required: []*profile.Capability{w.Request(i, 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc)
+	}
+	before := genericParses()
+	for _, doc := range docs {
+		got, err := profile.Unmarshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := profile.UnmarshalGeneric(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoders disagree on\n%s\n%+v\n%+v", doc, got, want)
+		}
+	}
+	if n := genericParses() - before; n != 0 {
+		t.Errorf("%v of %d generated documents went to the generic decoder", n, len(docs))
 	}
 }

@@ -24,9 +24,6 @@ type NetworkConfig struct {
 	Election ElectionConfig
 	// QueryTimeout bounds cross-directory query forwarding.
 	QueryTimeout time.Duration
-	// SummaryPushEvery pushes a directory's Bloom summary to its peers
-	// after this many registrations (default 4).
-	SummaryPushEvery int
 	// AnnounceInterval re-broadcasts directory backbone announcements
 	// (default 500ms).
 	AnnounceInterval time.Duration
@@ -79,7 +76,6 @@ func (n *Network) AddNode(id NodeID) (*Node, error) {
 	cfg := discovery.Config{
 		Election:         n.cfg.Election,
 		QueryTimeout:     n.cfg.QueryTimeout,
-		SummaryPushEvery: n.cfg.SummaryPushEvery,
 		AnnounceInterval: n.cfg.AnnounceInterval,
 		MaxForwardPeers:  n.cfg.MaxForwardPeers,
 		LeaseTTL:         n.cfg.LeaseTTL,
