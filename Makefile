@@ -35,12 +35,15 @@ lint-json:
 # publish-at-size benchmark once each under the race detector (a cheap
 # gate that the lock-free snapshot read path stays publication-safe, and
 # that the incremental publish is compiled and exercised at 200 to 8000
-# services in both directory shapes), then regenerates the Fig. 8 insert
+# services in both directory shapes), prints what a preloaded
+# advertisement leaves on the daemon's heap (B/advert, allocs/advert, both
+# shapes), then regenerates the Fig. 8 insert
 # series (both shapes, with match operations per insert) and the Fig. 9/10
 # latency series as BENCH_fig8.json / BENCH_fig9.json / BENCH_fig10.json —
 # CI uploads them as artifacts so every run leaves a comparable trace.
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkParallelDiscovery|BenchmarkRegisterAtSize' -benchtime=1x -benchmem ./internal/registry/
+	$(GO) test -run '^$$' -bench BenchmarkPreloadResident -benchtime=1x ./cmd/sdpd/
 	$(GO) run ./cmd/benchfig -fig 8 -max 60 -step 30 -reps 25 -benchjson
 	$(GO) run ./cmd/benchfig -fig 9 -max 60 -step 30 -reps 25 -benchjson
 	$(GO) run ./cmd/benchfig -fig 10 -max 60 -step 30 -reps 25 -benchjson

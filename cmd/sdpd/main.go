@@ -371,22 +371,28 @@ func main() {
 }
 
 // server is the directory node state. Both front ends call handle with a
-// decoded sdpapi.Request, and a mutex serializes request processing: the
-// code registry, the backend and the advertisement ledger are not
-// internally synchronized. (The store is, which is what lets the
-// background compactor run outside this mutex.)
+// decoded sdpapi.Request, and one mutex serializes request processing. The
+// parts are each safe for concurrent use on their own — the code registry
+// is copy-on-write, the backend's directory serves reads from an immutable
+// snapshot and serializes its writers, the gatekeeper and the store lock
+// internally (which is what lets the background compactor run outside this
+// mutex). What mu adds is the advertisement ledger and the sampling
+// counter, which nothing else guards, and the order of a mutation — admit,
+// persist, apply, refresh — so that store, ledger, version sequence and
+// backend never disagree. Queries take it as well; they need not.
 type server struct {
 	mu sync.Mutex
-	// reg and backend are not internally synchronized; every request
-	// handler mutates or reads them under mu.
+	// reg and backend are used under mu like everything else here, though
+	// each is safe for concurrent use.
 	reg     *codes.Registry            // guarded by mu
 	backend *discovery.SemanticBackend // guarded by mu
 	// store persists mutations when durability is enabled (-state); nil
 	// runs fully in-memory.
 	store store.Store // guarded by mu
-	// adverts is the advertisement version ledger: every version published
-	// under each name, live or withdrawn, behind GET /services.
-	adverts map[string]*advertHistory // guarded by mu
+	// adverts is the advertisement version ledger: every version number
+	// published under each name, live or withdrawn, and the live names'
+	// current documents, behind GET /services.
+	adverts map[string]*advertLedger // guarded by mu
 	// gate is the tenant admission layer: every request authenticates
 	// through it, every mutation is admitted by it before touching the
 	// backend. newServer installs an open (non-enforcing) gate; main
@@ -443,7 +449,7 @@ func newServer(ontologyFiles []string) (*server, error) {
 	s := &server{
 		reg:         reg,
 		backend:     discovery.NewSemanticBackend(reg),
-		adverts:     make(map[string]*advertHistory),
+		adverts:     make(map[string]*advertLedger),
 		gate:        tenant.NewGatekeeper(tenant.Config{}),
 		sampleEvery: 64,
 		log:         slog.With("component", "directory"),
@@ -591,11 +597,16 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 		// prepared advertisement's name BEFORE the backend stores it: a
 		// denied publish never enters the capability DAG, so the Bloom
 		// summary pushed to federation peers cannot leak it.
-		ad, err := s.backend.Prepare([]byte(req.Doc))
+		ad, err := s.backend.Prepare(req.Doc)
 		if err != nil {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
-		name := ad.Name()
+		// The name leaves the request here — for the record, and through it
+		// the store's key directory, the ledger and the gate's tables, all
+		// of which outlive this version of the document — so it leaves in
+		// a string of its own: ad.Name() is a piece of req.Doc, and a table
+		// keyed by it would hold that document for as long as the key.
+		name := s.ownNameLocked(ad.Name())
 		if err := s.gate.AdmitPublish(id, name, !s.liveLocked(name)); err != nil {
 			return denialResponse(err)
 		}

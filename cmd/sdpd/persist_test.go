@@ -3,12 +3,15 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sariadne/internal/profile"
 	"sariadne/internal/sdpapi"
@@ -243,7 +246,106 @@ func TestLiveAndReplayAgree(t *testing.T) {
 	if !reflect.DeepEqual(replayed.adverts, live.adverts) {
 		t.Fatalf("ledgers differ:\n replayed %+v\n live     %+v", replayed.adverts, live.adverts)
 	}
-	if h := live.adverts["alice/a"]; !h.Live || len(h.Versions) != 3 || live.adverts["alice/b"].Live {
+	if l := live.adverts["alice/a"]; !l.live || len(l.versions) != 3 || live.adverts["alice/b"].live {
 		t.Fatalf("ledger after the script: %+v", live.adverts)
+	}
+}
+
+// ledgerOf renders a server's whole ledger as GET /services/{name} would
+// serve it, name by name.
+func ledgerOf(s *server) map[string]advertHistory {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]advertHistory, len(s.adverts))
+	for name := range s.adverts {
+		out[name] = *s.serviceHistoryLocked(name)
+	}
+	return out
+}
+
+// TestLedgerKeepsNumbersNotDocuments: the ledger lists every version
+// number of a name and holds the document of the current version of a live
+// name, and no other — superseding or withdrawing a name lets the old
+// document go. The live ledger and the one replayed from the store agree
+// on all of that; after a compaction the store itself holds only the
+// current versions (store.Fold), and what it replays is the live ledger's
+// live names with their current number and document.
+func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	st := openTestStore(t, "bolt", path)
+	live := newTestServer(t)
+	live.store = st
+
+	// Every publication is a different document, so a kept one would show.
+	docOf := func(name string, rev int) string {
+		svc := profile.WorkstationService()
+		svc.Name, svc.Provider = name, fmt.Sprintf("host-rev%d", rev)
+		return mustDoc(t, svc)
+	}
+	for i, step := range []struct {
+		op, name string
+	}{
+		{"register", "a"}, {"register", "a"}, {"register", "a"}, // superseded twice
+		{"register", "b"}, {"deregister", "b"}, // withdrawn
+		{"register", "c"}, {"deregister", "c"}, {"register", "c"}, // withdrawn and back
+	} {
+		req := sdpapi.Request{Op: step.op, Name: step.name}
+		if step.op == "register" {
+			req.Doc = docOf(step.name, i)
+		}
+		if resp := live.handle(req); !resp.OK {
+			t.Fatalf("step %d %s %s: %+v", i, step.op, step.name, resp)
+		}
+	}
+	want := map[string]advertHistory{
+		"a": {Name: "a", Live: true, Versions: []advertVersion{{Version: 1}, {Version: 2}, {Version: 3, Doc: docOf("a", 2)}}},
+		"b": {Name: "b", Live: false, Versions: []advertVersion{{Version: 1}}},
+		"c": {Name: "c", Live: true, Versions: []advertVersion{{Version: 1}, {Version: 2, Doc: docOf("c", 7)}}},
+	}
+	if got := ledgerOf(live); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live ledger:\n got  %+v\n want %+v", got, want)
+	}
+	// The held document is the one the backend stores, not a second copy.
+	live.mu.Lock()
+	held, stored := live.adverts["a"].doc, live.backend.Documents()["a"]
+	live.mu.Unlock()
+	if held == "" || unsafe.StringData(held) != unsafe.StringData(stored) {
+		t.Fatal("the ledger and the backend hold separate copies of the current document")
+	}
+
+	restart := func(st store.Store) *server {
+		t.Helper()
+		s := newTestServer(t)
+		if _, skipped, torn, err := replayStore(st, s); err != nil || skipped != 0 || torn {
+			t.Fatalf("replay: skipped %d, torn %v, err %v", skipped, torn, err)
+		}
+		return s
+	}
+	if got := ledgerOf(restart(st)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed ledger:\n got  %+v\n want %+v", got, want)
+	}
+
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := ledgerOf(restart(openTestStore(t, "bolt", path)))
+	for name, h := range want {
+		got, ok := compacted[name]
+		if !h.Live {
+			if ok {
+				t.Errorf("%s: withdrawn, yet the compacted store replays %+v", name, got)
+			}
+			continue
+		}
+		current := h.Versions[len(h.Versions)-1]
+		if !got.Live || !reflect.DeepEqual(got.Versions, []advertVersion{current}) {
+			t.Errorf("%s: the compacted store replays %+v, want only the current version %d with its document", name, got, current.Version)
+		}
+	}
+	if len(compacted) != 2 {
+		t.Errorf("the compacted store replays %d names, want the 2 live ones", len(compacted))
 	}
 }

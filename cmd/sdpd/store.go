@@ -113,14 +113,20 @@ func (s *server) applyLocked(rec store.Record, ad *discovery.Advert) error {
 	case store.OpRegister:
 		if ad == nil {
 			var err error
-			if ad, err = s.backend.Prepare([]byte(rec.Doc)); err != nil {
+			if ad, err = s.backend.Prepare(rec.Doc); err != nil {
 				return err
 			}
 		}
 		if err := s.backend.Insert(ad); err != nil {
 			return err
 		}
-		name := ad.Name()
+		// The record names the advertisement in a string of its own (the
+		// live path makes it so, a store decodes it so); records of early
+		// releases carry no name, and ad.Name() is a piece of the document.
+		name := rec.Name
+		if name != ad.Name() {
+			name = s.ownNameLocked(ad.Name())
+		}
 		fresh := !s.liveLocked(name)
 		s.recordAdvertLocked(name, rec.Doc, rec.Version)
 		if fresh {
@@ -146,66 +152,79 @@ func (s *server) applyLocked(rec store.Record, ad *discovery.Advert) error {
 	}
 }
 
-// advertVersion is one published version of an advertisement.
-type advertVersion struct {
-	Version uint64 `json:"version"`
-	Doc     string `json:"doc,omitempty"`
-}
-
-// advertHistory is the version ledger of one advertised name: every
-// version ever published (oldest first) and whether the newest is live.
-// Superseding a name bumps the version; deregistering keeps the history
-// listable but marks it withdrawn.
-type advertHistory struct {
-	Name     string          `json:"name"`
-	Live     bool            `json:"live"`
-	Versions []advertVersion `json:"versions"`
+// advertLedger is the version ledger of one advertised name: the number
+// of every version ever published (oldest first), whether the newest is
+// live, and the document of that one while it is. Superseding a name bumps
+// the version and releases the superseded document; deregistering keeps
+// the numbers listable, marks the name withdrawn and releases the last
+// document. That is what the store keeps of a name after a compaction
+// (store.Fold: the latest document and version), so a name costs one
+// document however often it was published. The document is the string the
+// backend parsed and stores — the ledger adds a reference, not a copy.
+type advertLedger struct {
+	name     string
+	live     bool
+	versions []uint64
+	doc      string
 }
 
 // current returns the newest published version number (0 if none).
-func (h *advertHistory) current() uint64 {
-	if len(h.Versions) == 0 {
+func (l *advertLedger) current() uint64 {
+	if len(l.versions) == 0 {
 		return 0
 	}
-	return h.Versions[len(h.Versions)-1].Version
+	return l.versions[len(l.versions)-1]
 }
 
 // liveLocked reports whether name is currently advertised.
 func (s *server) liveLocked(name string) bool {
-	h := s.adverts[name]
-	return h != nil && h.Live
+	l := s.adverts[name]
+	return l != nil && l.live
 }
 
 // nextVersionLocked returns the version the next publication under name
 // will carry, without recording anything.
 func (s *server) nextVersionLocked(name string) uint64 {
-	if h := s.adverts[name]; h != nil {
-		return h.current() + 1
+	if l := s.adverts[name]; l != nil {
+		return l.current() + 1
 	}
 	return 1
 }
 
-// recordAdvertLocked appends one published version to the ledger.
-// version 0 (a v1 record) self-assigns the next number for the name, so
-// replaying a v1 journal reconstructs the same version sequence the
-// server would have assigned.
+// ownNameLocked returns an advertisement's name, as parsed out of its
+// document, in a string that does not hold the document in memory: the
+// ledger's, if the name was published before, or a copy.
+func (s *server) ownNameLocked(name string) string {
+	if l := s.adverts[name]; l != nil {
+		return l.name
+	}
+	return strings.Clone(name)
+}
+
+// recordAdvertLocked appends one published version to the ledger, whose
+// document takes the place of the one it supersedes. The ledger outlives
+// the documents it lists and keeps name, which must not be a piece of doc
+// (see ownNameLocked). version 0 (a v1 record) self-assigns the next
+// number for the name, so replaying a v1 journal reconstructs the same
+// version sequence the server would have assigned.
 func (s *server) recordAdvertLocked(name, doc string, version uint64) {
 	if version == 0 {
 		version = s.nextVersionLocked(name)
 	}
-	h := s.adverts[name]
-	if h == nil {
-		h = &advertHistory{Name: name}
-		s.adverts[name] = h
+	l := s.adverts[name]
+	if l == nil {
+		l = &advertLedger{name: name}
+		s.adverts[name] = l
 	}
-	h.Versions = append(h.Versions, advertVersion{Version: version, Doc: doc})
-	h.Live = true
+	l.versions = append(l.versions, version)
+	l.live, l.doc = true, doc
 }
 
-// dropAdvertLocked marks a name withdrawn, keeping its versions listable.
+// dropAdvertLocked marks a name withdrawn, keeping its version numbers
+// listable and releasing its document.
 func (s *server) dropAdvertLocked(name string) {
-	if h := s.adverts[name]; h != nil {
-		h.Live = false
+	if l := s.adverts[name]; l != nil {
+		l.live, l.doc = false, ""
 	}
 }
 
@@ -229,8 +248,8 @@ type servicesPage struct {
 // cursor is the last name of the previous page ("" starts from the top).
 func (s *server) listServicesLocked(limit int, cursor string) servicesPage {
 	names := make([]string, 0, len(s.adverts))
-	for name, h := range s.adverts {
-		if h.Live {
+	for name, l := range s.adverts {
+		if l.live {
 			names = append(names, name)
 		}
 	}
@@ -262,13 +281,35 @@ func (s *server) listServicesLocked(limit int, cursor string) servicesPage {
 	return page
 }
 
+// advertVersion is one published version of an advertisement.
+type advertVersion struct {
+	Version uint64 `json:"version"`
+	Doc     string `json:"doc,omitempty"`
+}
+
+// advertHistory is one name's ledger as GET /services/{name} serves it:
+// every version number, with the document on the current version of a live
+// name and on no other.
+type advertHistory struct {
+	Name     string          `json:"name"`
+	Live     bool            `json:"live"`
+	Versions []advertVersion `json:"versions"`
+}
+
 // serviceHistoryLocked returns the version ledger of one name, or nil.
-// The returned copy is safe to serialize outside the lock.
+// The result shares nothing the server will write, so it is safe to
+// serialize outside the lock.
 func (s *server) serviceHistoryLocked(name string) *advertHistory {
-	h := s.adverts[name]
-	if h == nil {
+	l := s.adverts[name]
+	if l == nil {
 		return nil
 	}
-	cp := &advertHistory{Name: h.Name, Live: h.Live, Versions: append([]advertVersion(nil), h.Versions...)}
-	return cp
+	h := &advertHistory{Name: l.name, Live: l.live, Versions: make([]advertVersion, len(l.versions))}
+	for i, v := range l.versions {
+		h.Versions[i].Version = v
+	}
+	if l.live {
+		h.Versions[len(h.Versions)-1].Doc = l.doc
+	}
+	return h
 }

@@ -106,7 +106,7 @@ func TestStorePersistAndReplay(t *testing.T) {
 			ws := s2.serviceHistoryLocked("MediaWorkstation")
 			tr := s2.serviceHistoryLocked("Transient")
 			s2.mu.Unlock()
-			if ws == nil || !ws.Live || ws.current() != 1 {
+			if ws == nil || !ws.Live || len(ws.Versions) != 1 || ws.Versions[0].Version != 1 {
 				t.Fatalf("workstation ledger after recovery: %+v", ws)
 			}
 			if tr == nil || tr.Live || len(tr.Versions) != 1 {

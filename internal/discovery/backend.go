@@ -16,6 +16,7 @@ package discovery
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"sariadne/internal/codes"
@@ -89,8 +90,11 @@ type SemanticBackend struct {
 	dir     *registry.Directory
 	matcher *match.CodeMatcher
 
-	mu   sync.Mutex
-	docs map[string][]byte
+	mu sync.Mutex
+	// docs holds each stored advertisement's document under its service
+	// name: the string Prepare parsed, of which the name and everything the
+	// directory keeps of the advertisement are substrings.
+	docs map[string]string // guarded by mu
 }
 
 // NewSemanticBackend builds the backend over encoded code tables.
@@ -100,7 +104,7 @@ func NewSemanticBackend(reg *codes.Registry) *SemanticBackend {
 		tables:  reg,
 		dir:     registry.NewDirectory(m),
 		matcher: m,
-		docs:    make(map[string][]byte),
+		docs:    make(map[string]string),
 	}
 }
 
@@ -122,7 +126,7 @@ func (b *SemanticBackend) AddTable(t *codes.Table) {
 // between the two — admit the publisher, persist the document — does so
 // on Name, without parsing the document a second time.
 type Advert struct {
-	doc []byte
+	doc string
 	svc *profile.Service
 }
 
@@ -131,9 +135,11 @@ func (a *Advert) Name() string { return a.svc.Name }
 
 // Prepare is the parse-and-validate half of a publication: parse the
 // Amigo-S document, check embedded code versions, validate the
-// description. It stores nothing.
-func (b *SemanticBackend) Prepare(doc []byte) (*Advert, error) {
-	svc, err := profile.Unmarshal(doc)
+// description. It stores nothing and copies nothing: the advertisement's
+// names are substrings of doc, and Insert keeps doc itself, so a caller
+// that also keeps doc holds the document's bytes once.
+func (b *SemanticBackend) Prepare(doc string) (*Advert, error) {
+	svc, err := profile.UnmarshalString(doc)
 	if err != nil {
 		return nil, err
 	}
@@ -147,21 +153,26 @@ func (b *SemanticBackend) Prepare(doc []byte) (*Advert, error) {
 }
 
 // Insert is the other half: classify a prepared advertisement's provided
-// capabilities into the directory and keep its document. It does not fail
-// on an advertisement Prepare returned.
+// capabilities into the directory and keep its document. The directory
+// adopts the parsed service, so the advertisement is spent. It does not
+// fail on an advertisement Prepare returned.
 func (b *SemanticBackend) Insert(a *Advert) error {
-	if err := b.dir.Register(a.svc); err != nil {
+	if err := b.dir.Adopt(a.svc); err != nil {
 		return err
 	}
 	b.mu.Lock()
-	b.docs[a.svc.Name] = append([]byte(nil), a.doc...)
+	// Assigning over a name already stored would keep the old key, a
+	// substring of the document being replaced.
+	delete(b.docs, a.svc.Name)
+	b.docs[a.svc.Name] = a.doc
 	b.mu.Unlock()
 	return nil
 }
 
-// Register implements Backend: Prepare, then Insert.
+// Register implements Backend: Prepare on a copy of doc, which the caller
+// may reuse, then Insert.
 func (b *SemanticBackend) Register(doc []byte) (string, error) {
-	a, err := b.Prepare(doc)
+	a, err := b.Prepare(string(doc))
 	if err != nil {
 		return "", err
 	}
@@ -187,13 +198,23 @@ func (b *SemanticBackend) Deregister(service string) bool {
 	return b.dir.Deregister(service)
 }
 
-// Snapshot implements Backend.
-func (b *SemanticBackend) Snapshot() map[string][]byte {
+// Documents returns the stored advertisement documents by service name.
+// The strings are the stored ones, not copies: taking the listing costs
+// one map of headers under the lock, and a caller that needs bytes
+// converts each document when it uses it.
+func (b *SemanticBackend) Documents() map[string]string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[string][]byte, len(b.docs))
-	for name, doc := range b.docs {
-		out[name] = append([]byte(nil), doc...)
+	return maps.Clone(b.docs)
+}
+
+// Snapshot implements Backend: Documents, as the byte slices the interface
+// asks for, converted outside the lock.
+func (b *SemanticBackend) Snapshot() map[string][]byte {
+	docs := b.Documents()
+	out := make(map[string][]byte, len(docs))
+	for name, doc := range docs {
+		out[name] = []byte(doc)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package discovery
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sariadne/internal/codes"
 	"sariadne/internal/ontology"
@@ -113,6 +114,62 @@ func TestSemanticBackendDeregister(t *testing.T) {
 	}
 	if len(hits) != 0 {
 		t.Fatalf("hits after deregister = %v", hits)
+	}
+}
+
+// TestSemanticBackendHoldsOneDocument: an advertisement inserted from a
+// string is stored as that string, not a copy, under a name that is part of
+// it; bytes handed to Register are copied once on the way in, so the caller
+// may reuse them; and the read side lends the stored strings (Documents) or
+// converts them (Snapshot) without the two ever sharing bytes a caller
+// could write.
+func TestSemanticBackendHoldsOneDocument(t *testing.T) {
+	b := NewSemanticBackend(fixtureRegistry(t))
+	want := string(workstationDoc(t))
+	doc := strings.Clone(want)
+	ad, err := b.Prepare(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert(ad); err != nil {
+		t.Fatal(err)
+	}
+	for name, stored := range b.Documents() {
+		if unsafe.StringData(stored) != unsafe.StringData(doc) {
+			t.Error("Insert stored a copy of the document Prepare parsed")
+		}
+		if at := strings.Index(doc, name); unsafe.StringData(name) != unsafe.StringData(doc[at:]) {
+			t.Error("the stored name is not a piece of the stored document")
+		}
+	}
+
+	// Publishing the name again replaces document and key together.
+	raw := []byte(want)
+	if _, err := b.Register(raw); err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 'x'
+	}
+	docs := b.Documents()
+	if len(docs) != 1 || docs["MediaWorkstation"] != want {
+		t.Fatalf("after the caller overwrote its bytes the backend holds %q", docs)
+	}
+	for name, stored := range docs {
+		if unsafe.StringData(stored) == unsafe.StringData(doc) {
+			t.Error("the superseded document is still the stored one")
+		}
+		if at := strings.Index(stored, name); unsafe.StringData(name) != unsafe.StringData(stored[at:]) {
+			t.Error("the name of a superseded advertisement still keys the new one")
+		}
+	}
+	snap := b.Snapshot()
+	if len(snap) != 1 || string(snap["MediaWorkstation"]) != want {
+		t.Fatalf("Snapshot = %q", snap)
+	}
+	snap["MediaWorkstation"][0] = 'x'
+	if b.Documents()["MediaWorkstation"] != want {
+		t.Fatal("writing to Snapshot's bytes changed the stored document")
 	}
 }
 

@@ -84,18 +84,29 @@ func Decode(r io.Reader) (*Service, error) {
 	return Unmarshal(data)
 }
 
-// Unmarshal parses and validates a service document. A plain document —
-// scan.go says which are — is read by the scanner; any other, and every
-// document in error, by UnmarshalGeneric. What they return for a document
-// both accept is the same.
+// Unmarshal parses and validates a service document held in bytes the
+// caller may go on to change: it copies them into a string once and
+// parses that with UnmarshalString, so the result shares nothing with
+// data.
 func Unmarshal(data []byte) (*Service, error) {
+	return UnmarshalString(string(data))
+}
+
+// UnmarshalString parses and validates a service document without copying
+// it. A plain document — scan.go says which are — is read by the scanner,
+// and every name and concept reference of the result is then a substring
+// of doc: the result keeps doc alive, and a caller that stores both holds
+// the document's bytes once. Any other document, and every document in
+// error, goes to UnmarshalGeneric. What the two return for a document both
+// accept is the same.
+func UnmarshalString(doc string) (*Service, error) {
 	start := time.Now()
 	defer parseSeconds.ObserveSince(start)
-	if svc, ok := scanService(string(data)); ok {
+	if svc, ok := scanService(doc); ok {
 		return svc, nil
 	}
 	parseGenericTotal.Inc()
-	return UnmarshalGeneric(data)
+	return UnmarshalGeneric([]byte(doc))
 }
 
 // UnmarshalGeneric is Unmarshal through encoding/xml alone: the decoder

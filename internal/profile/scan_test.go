@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sariadne/internal/ontology"
 )
@@ -225,6 +226,47 @@ func TestDeclinedDocumentsStillDecode(t *testing.T) {
 	}
 	if n := parseGenericTotal.Value() - before; n != 0 {
 		t.Errorf("a plain document moved profile_parse_generic_total by %d", n)
+	}
+}
+
+// TestUnmarshalStringSharesTheDocument holds the two entry points to one
+// reading and to their ownership contracts: UnmarshalString answers what
+// Unmarshal answers on every document at hand, error text included; the
+// fields UnmarshalString returns for a plain document point into it, so
+// holding both costs the bytes once; and what Unmarshal returns survives
+// the caller overwriting the bytes it passed.
+func TestUnmarshalStringSharesTheDocument(t *testing.T) {
+	plain, other := corpus(t)
+	for _, data := range append(plain, other...) {
+		doc := string(data)
+		want, wantErr := Unmarshal(data)
+		got, err := UnmarshalString(doc)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("UnmarshalString error %v, Unmarshal's %v\n%q", err, wantErr, doc)
+		}
+		if err != nil {
+			continue
+		}
+		agree := func(when string) {
+			t.Helper()
+			if !reflect.DeepEqual(floats(got), floats(want)) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: UnmarshalString and Unmarshal disagree\nstring: %+v\nbytes:  %+v\n%q", when, got, want, doc)
+			}
+		}
+		agree("as parsed")
+		for i := range data {
+			data[i] = 'x'
+		}
+		agree("after the caller overwrote its bytes")
+	}
+	// One plain document, by address: the name is the document's own bytes.
+	doc := string(plainRequest(t))
+	svc, err := UnmarshalString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := strings.Index(doc, svc.Name); unsafe.StringData(svc.Name) != unsafe.StringData(doc[at:]) {
+		t.Error("UnmarshalString copied the service name out of the document")
 	}
 }
 

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 
@@ -71,24 +72,27 @@ var flatSink any
 
 // flatCopyBytes is what the linear-by-design part of publishing fresh and
 // withdrawing it again allocates (see snapshot.go): twice the snapshot's
-// graph pointer list and, for the graph the advertisement lands in, twice
-// its compiled vertex array. It is measured, not computed, so that it
+// graph pointer list, twice the ontology index's map header (one slot per
+// ontology URI) and, for the graph the advertisement lands in, twice its
+// compiled vertex array. It is measured, not computed, so that it
 // includes the allocator's rounding.
 func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 {
 	if err := d.Register(fresh); err != nil {
 		tb.Fatal(err)
 	}
 	d.mu.Lock()
-	vertices := len(d.where[d.byService[fresh.Name][0]].g.slots)
+	vertices := len(d.byService[fresh.Name][0].g.slots)
 	d.mu.Unlock()
 	graphs := d.NumGraphs()
 	d.Deregister(fresh.Name)
+	index := d.snap.Load().byOntology
 	if vertices == 1 {
 		vertices = 0 // a graph of its own: nothing copied, all of it is the change
 	}
 	return allocated(func() {
 		for range 2 {
 			flatSink = make([]*snapGraph, graphs)
+			flatSink = maps.Clone(index)
 			flatSink = make([]snapVertex, vertices)
 		}
 	})
@@ -101,8 +105,9 @@ func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 
 // graph, and a few large ones, where it patches one. Ten times the
 // services may cost at most half as much again — in allocations outright,
 // and in bytes once the terms that are linear by design are set aside,
-// the flat copies of the snapshot's graph pointer list and of the touched
-// graph's vertex array (see snapshot.go).
+// the flat copies of the snapshot's graph pointer list, of the ontology
+// index's map header and of the touched graph's vertex array (see
+// snapshot.go).
 //
 // On the dense shape it also reports the match operations one insert
 // needs, next to what the unbounded reference classifier needs for the
@@ -261,6 +266,14 @@ func TestNameLookupsIndependentOfSize(t *testing.T) {
 // flat down the sparse column (Fig. 8's "insert is nearly constant",
 // far past the sizes the paper measured) and grow only with the size of
 // the one graph touched down the dense one.
+//
+// The hub rows are the shape the adjacency slices could be slow on, which
+// internal/gen never makes: one vertex with fanout successors. leaf
+// publishes one more successor of the hub, middle a vertex between the
+// hub and half its successors (fanout/2 edges re-parented, and put back),
+// top withdraws and publishes the hub itself. Each needs about two match
+// operations per successor, so time linear in the fan-out is the
+// classifier's; anything steeper would be the slices'.
 func BenchmarkRegisterAtSize(b *testing.B) {
 	for _, shape := range []string{"sparse", "dense"} {
 		for _, services := range []int{200, 2000, 8000} {
@@ -274,4 +287,84 @@ func BenchmarkRegisterAtSize(b *testing.B) {
 			})
 		}
 	}
+	for _, write := range []string{"leaf", "middle", "top"} {
+		for _, fanout := range []int{200, 2000} { // building the hub is quadratic in match operations
+			b.Run(fmt.Sprintf("hub-%s/fanout=%d", write, fanout), func(b *testing.B) {
+				d, hub := hubDirectory(b, fanout)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					switch write {
+					case "leaf":
+						publishPair(b, d, hub.service("Spare"))
+					case "middle":
+						publishPair(b, d, hub.service("Middle"))
+					case "top":
+						d.Deregister("Any")
+						if err := d.Register(hub.service("Any")); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				if err := d.checkInvariants(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// hubOntology is the vocabulary of hubDirectory.
+type hubOntology struct{ uri string }
+
+// service advertises one capability of the named category and nothing
+// else, so that one service matches another exactly when its category
+// subsumes the other's.
+func (h hubOntology) service(category string) *profile.Service {
+	return &profile.Service{Name: category, Provider: "hub-host", Provided: []*profile.Capability{
+		{Name: "Offer" + category, Category: ontology.Ref{Ontology: h.uri, Name: category}},
+	}}
+}
+
+// hubDirectory is a directory of one graph in which the vertex of service
+// Any has fanout successors and they have none: concept Any subsumes
+// Middle, Spare and the second half of the concepts K0 … K<fanout-1>
+// directly, and Middle subsumes the first half, whose services are
+// registered while Middle's is not.
+func hubDirectory(tb testing.TB, fanout int) (*Directory, hubOntology) {
+	tb.Helper()
+	h := hubOntology{uri: "http://example.org/hub"}
+	o := ontology.New(h.uri, "1")
+	classes := []ontology.Class{{Name: "Any"}, {Name: "Middle", SubClassOf: []string{"Any"}}, {Name: "Spare", SubClassOf: []string{"Any"}}}
+	for i := range fanout {
+		super := "Any"
+		if i < fanout/2 {
+			super = "Middle"
+		}
+		classes = append(classes, ontology.Class{Name: fmt.Sprintf("K%d", i), SubClassOf: []string{super}})
+	}
+	for _, c := range classes {
+		if err := o.AddClass(c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	reg := codes.NewRegistry()
+	reg.Register(codes.MustEncode(ontology.MustClassify(o), codes.DefaultParams))
+	d := NewDirectory(match.NewCodeMatcher(reg))
+	for _, c := range classes {
+		if c.Name == "Middle" || c.Name == "Spare" {
+			continue
+		}
+		if err := d.Register(h.service(c.Name)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d.mu.Lock()
+	g := d.byService["Any"][0]
+	d.mu.Unlock()
+	if len(d.graphs) != 1 || len(g.v.succs) != fanout || len(g.g.leaves) != fanout {
+		tb.Fatalf("hub has %d successors in %d graphs, want %d in one", len(g.v.succs), len(d.graphs), fanout)
+	}
+	return d, h
 }

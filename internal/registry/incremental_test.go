@@ -29,8 +29,8 @@ func newScratchSnapshot(d *Directory) *snapshot {
 		s.graphs = append(s.graphs, sg)
 		s.tally = s.tally.plus(sg.tally)
 	}
-	for u, list := range d.byOntology {
-		for _, g := range list {
+	for u, idx := range d.byOntology {
+		for _, g := range idx.graphs {
 			s.byOntology[u] = append(s.byOntology[u], compiled[g])
 		}
 	}
@@ -105,7 +105,7 @@ func topoOrder(verts []*vertex) []int32 {
 		r := ready.pop()
 		order = append(order, r)
 		remaining[r] = -1
-		for s := range verts[r].succs {
+		for _, s := range verts[r].succs {
 			remaining[rank[s]]--
 			if remaining[rank[s]] == 0 {
 				ready.push(rank[s])
@@ -144,14 +144,13 @@ func newSnapGraph(g *graph) *snapGraph {
 		index[verts[r]] = int32(i)
 	}
 	sg := &snapGraph{
-		vertices:   make([]snapVertex, len(order)),
-		ontologies: slices.Sorted(maps.Keys(g.ontologies)),
-		ontoSet:    make(map[string]struct{}, len(g.ontologies)),
-		tally:      tally{vertices: len(order), edges: edges, entries: entries, roots: len(g.roots), leaves: len(g.leaves)},
+		vertices: make([]snapVertex, len(order)),
+		tally:    tally{vertices: len(order), edges: edges, entries: entries, roots: len(g.roots), leaves: len(g.leaves)},
 	}
-	for u := range g.ontologies {
-		sg.ontoSet[u] = struct{}{}
+	for _, o := range g.ontologies {
+		sg.ontologies = append(sg.ontologies, o.uri)
 	}
+	slices.Sort(sg.ontologies)
 	for i, r := range order {
 		v := verts[r]
 		sv := &sg.vertices[i]
@@ -163,10 +162,10 @@ func newSnapGraph(g *graph) *snapGraph {
 		sv.root = len(v.preds) == 0
 		sv.leaf = len(v.succs) == 0
 		sv.entries = slices.Clone(v.entries)
-		for p := range v.preds {
+		for _, p := range v.preds {
 			sv.preds = append(sv.preds, index[p])
 		}
-		for s := range v.succs {
+		for _, s := range v.succs {
 			sv.succs = append(sv.succs, index[s])
 		}
 		slices.Sort(sv.preds)
@@ -278,7 +277,7 @@ func checkSnapshotConsistent(s *snapshot) error {
 			if !inList[g] {
 				return fmt.Errorf("list under %s holds a graph the snapshot does not", u)
 			}
-			if _, ok := g.ontoSet[u]; !ok {
+			if !slices.Contains(g.ontologies, u) || !g.covers([]string{u}) {
 				return fmt.Errorf("list under %s holds a graph that does not use it", u)
 			}
 		}
@@ -561,7 +560,7 @@ func quadraticOrder(verts []*vertex) []*vertex {
 			}
 			placed[v] = true
 			order = append(order, v)
-			for s := range v.succs {
+			for _, s := range v.succs {
 				remaining[s]--
 			}
 			advanced = true
@@ -585,11 +584,12 @@ func dagOf(names []string, edges [][2]int) []*vertex {
 	verts := make([]*vertex, len(names))
 	enc := match.EncoderFor(match.NewHierarchyMatcher())
 	for i, n := range names {
-		verts[i] = &vertex{rep: enc.Encode(&profile.Capability{Name: n}), preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+		verts[i] = &vertex{rep: enc.Encode(&profile.Capability{Name: n})}
 	}
 	for _, e := range edges {
-		verts[e[0]].succs[verts[e[1]]] = struct{}{}
-		verts[e[1]].preds[verts[e[0]]] = struct{}{}
+		from, to := verts[e[0]], verts[e[1]]
+		from.succs = append(from.succs, to)
+		to.preds = append(to.preds, from)
 	}
 	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Capability().Name, b.rep.Capability().Name) })
 	return verts

@@ -18,15 +18,18 @@ func (d *Directory) checkInvariants() error {
 		if err := g.check(d.matcher); err != nil {
 			return fmt.Errorf("graph %d: %w", gi, err)
 		}
-		for u := range g.ontologies {
-			if !slices.Contains(d.byOntology[u], g) {
-				return fmt.Errorf("graph %d uses %s but is not listed under it", gi, u)
+		for _, o := range g.ontologies {
+			if idx := d.byOntology[o.uri]; idx == nil || !slices.Contains(idx.graphs, g) {
+				return fmt.Errorf("graph %d uses %s but is not listed under it", gi, o.uri)
 			}
 		}
 	}
-	for u, list := range d.byOntology {
-		for i, g := range list {
-			if _, ok := g.ontologies[u]; !ok || !slices.Contains(d.graphs, g) || slices.Contains(list[:i], g) {
+	for u, idx := range d.byOntology {
+		if idx.uri != u || len(idx.graphs) == 0 {
+			return fmt.Errorf("index entry under %s is for %q and lists %d graphs", u, idx.uri, len(idx.graphs))
+		}
+		for i, g := range idx.graphs {
+			if _, ok := g.ontology(u); !ok || !slices.Contains(d.graphs, g) || slices.Contains(idx.graphs[:i], g) {
 				return fmt.Errorf("list under %s holds a graph twice, a dead graph or one that does not use it", u)
 			}
 		}
@@ -45,8 +48,20 @@ func (d *Directory) checkInvariants() error {
 	if snap.tally.entries != wantEntries {
 		return fmt.Errorf("snapshot has %d entries, builder %d", snap.tally.entries, wantEntries)
 	}
-	if len(d.where) != wantEntries {
-		return fmt.Errorf("entry locator holds %d entries, builder %d", len(d.where), wantEntries)
+	for name, entries := range d.byService {
+		for _, e := range entries {
+			if !slices.Contains(d.graphs, e.g) || int(e.v.slot) >= len(e.g.slots) || e.v.slot < 0 || e.g.slots[e.v.slot] != e.v || !slices.Contains(e.v.entries, e.Entry) {
+				return fmt.Errorf("entry %s of %s is not in the vertex and graph it names", e, name)
+			}
+		}
+	}
+	// Between writes the classifier's scratch names no vertex, so that one
+	// a write took out of its graph is garbage.
+	sc := &d.scratch
+	for _, l := range [][]*vertex{sc.m, sc.s, sc.parents, sc.children, sc.leaves, sc.pending} {
+		if slices.ContainsFunc(l[:cap(l)], func(v *vertex) bool { return v != nil }) {
+			return errors.New("the classifier's scratch still names a vertex after the write")
+		}
 	}
 	for gi, sg := range snap.graphs {
 		g := d.graphs[gi]
@@ -63,8 +78,13 @@ func (d *Directory) checkInvariants() error {
 		if want := (tally{len(g.slots), g.edges, g.entries, len(g.roots), len(g.leaves)}); sg.tally != want {
 			return fmt.Errorf("snapshot graph %d counts %+v, builder %+v", gi, sg.tally, want)
 		}
-		if want := slices.Sorted(maps.Keys(g.ontologies)); !slices.Equal(sg.ontologies, want) || len(sg.ontoSet) != len(want) || !sg.covers(want) {
-			return fmt.Errorf("snapshot graph %d lists ontologies %v (set of %d), builder %v", gi, sg.ontologies, len(sg.ontoSet), want)
+		want := make([]string, len(g.ontologies))
+		for i, o := range g.ontologies {
+			want[i] = o.uri
+		}
+		if !slices.Equal(sg.ontologies, want) || !sg.covers(want) || !g.covers(want) ||
+			sg.covers([]string{"http://no.such/ontology"}) || g.covers([]string{"http://no.such/ontology"}) {
+			return fmt.Errorf("snapshot graph %d lists ontologies %v, builder %v, or one of them does not cover exactly those", gi, sg.ontologies, want)
 		}
 		for i, v := range g.slots {
 			got, want := &sg.vertices[i], newSnapVertex(v)
@@ -99,11 +119,16 @@ func (g *graph) check(m match.ConceptMatcher) error {
 		if g.order[g.pos[i]] != int32(i) {
 			return fmt.Errorf("walk order and positions disagree on slot %d", i)
 		}
-		if (len(v.preds) == 0) != isIn(g.roots, v) {
+		if (len(v.preds) == 0) != slices.Contains(g.roots, v) {
 			return fmt.Errorf("root bookkeeping wrong for %s", v.rep.Capability().Name)
 		}
-		if (len(v.succs) == 0) != isIn(g.leaves, v) {
+		if (len(v.succs) == 0) != slices.Contains(g.leaves, v) {
 			return fmt.Errorf("leaf bookkeeping wrong for %s", v.rep.Capability().Name)
+		}
+		for _, set := range [][]*vertex{v.preds, v.succs} {
+			if dup := duplicate(set); dup != nil {
+				return fmt.Errorf("adjacency of %s holds %s twice", v.rep.Capability().Name, dup.rep.Capability().Name)
+			}
 		}
 		if len(v.entries) == 0 {
 			return fmt.Errorf("empty vertex %s", v.rep.Capability().Name)
@@ -115,8 +140,8 @@ func (g *graph) check(m match.ConceptMatcher) error {
 		}
 		// With every edge running forward in the walk order the graph is
 		// acyclic.
-		for s := range v.succs {
-			if !member(s) || !isIn(s.preds, v) {
+		for _, s := range v.succs {
+			if !member(s) || !slices.Contains(s.preds, v) {
 				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", v.rep.Capability().Name, s.rep.Capability().Name)
 			}
 			if g.pos[v.slot] >= g.pos[s.slot] {
@@ -126,8 +151,8 @@ func (g *graph) check(m match.ConceptMatcher) error {
 				return fmt.Errorf("edge %s -> %s violates Match", v.rep.Capability().Name, s.rep.Capability().Name)
 			}
 		}
-		for p := range v.preds {
-			if !member(p) || !isIn(p.succs, v) {
+		for _, p := range v.preds {
+			if !member(p) || !slices.Contains(p.succs, v) {
 				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", p.rep.Capability().Name, v.rep.Capability().Name)
 			}
 		}
@@ -147,8 +172,39 @@ func (g *graph) check(m match.ConceptMatcher) error {
 		return fmt.Errorf("counts %d edges, %d entries, %d roots, %d leaves; vertices enumerate %d, %d, %d, %d",
 			g.edges, g.entries, len(g.roots), len(g.leaves), edges, entries, roots, leaves)
 	}
-	if !maps.Equal(uses, g.ontologies) {
+	// The root and leaf sets hold members only, once each: with the counts
+	// above and the per-vertex checks they are exactly the roots and leaves.
+	for _, set := range [][]*vertex{g.roots, g.leaves} {
+		if dup := duplicate(set); dup != nil {
+			return fmt.Errorf("root or leaf set holds %s twice", dup.rep.Capability().Name)
+		}
+		for _, v := range set {
+			if !member(v) {
+				return fmt.Errorf("root or leaf set holds %s, which left the graph", v.rep.Capability().Name)
+			}
+		}
+	}
+	// The ontology list: sorted by URI without duplicates, and counting what
+	// the entries enumerate.
+	listed := make(map[string]int, len(g.ontologies))
+	for i, o := range g.ontologies {
+		if i > 0 && g.ontologies[i-1].uri >= o.uri {
+			return fmt.Errorf("ontology list %v is not sorted and duplicate-free", g.ontologies)
+		}
+		listed[o.uri] = o.count
+	}
+	if !maps.Equal(uses, listed) {
 		return fmt.Errorf("ontology use counts %v, entries enumerate %v", g.ontologies, uses)
+	}
+	return nil
+}
+
+// duplicate returns a vertex the set holds more than once, or nil.
+func duplicate(set []*vertex) *vertex {
+	for i, v := range set {
+		if slices.Contains(set[:i], v) {
+			return v
+		}
 	}
 	return nil
 }
@@ -158,19 +214,16 @@ func (g *graph) check(m match.ConceptMatcher) error {
 // has one. The search stays ahead of v's last successor in the walk order.
 func (g *graph) redundantSucc(v *vertex) *vertex {
 	limit := int32(-1)
-	for s := range v.succs {
+	for _, s := range v.succs {
 		limit = max(limit, g.pos[s.slot])
 	}
 	seen := make(map[*vertex]bool)
-	var pending []*vertex
-	for s := range v.succs {
-		pending = append(pending, s)
-	}
+	pending := slices.Clone(v.succs)
 	for len(pending) > 0 {
 		x := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		for s := range x.succs {
-			if isIn(v.succs, s) {
+		for _, s := range x.succs {
+			if slices.Contains(v.succs, s) {
 				return s
 			}
 			if !seen[s] && g.pos[s.slot] < limit {

@@ -12,13 +12,13 @@ import (
 // search for S was bounded, kept as the definition classifyLocked must
 // agree with: it probes every leaf of the graph, keeps no record of failed
 // probes (a non-matching vertex is probed again from every matching
-// neighbour), and works on maps, sharing no code or scratch with
-// classifyLocked.
+// neighbour), and keeps its regions in maps, sharing no code or scratch
+// with classifyLocked.
 func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bool) {
 	var pl placement
 	m := make(map[*vertex]struct{})
 	var frontier []*vertex
-	for r := range g.roots {
+	for _, r := range g.roots {
 		if d.matches(r.rep, c) {
 			m[r] = struct{}{}
 			frontier = append(frontier, r)
@@ -27,7 +27,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	for len(frontier) > 0 {
 		var next []*vertex
 		for _, v := range frontier {
-			for s := range v.succs {
+			for _, s := range v.succs {
 				if _, seen := m[s]; seen {
 					continue
 				}
@@ -43,7 +43,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 		frontier = next
 	}
 	sset := make(map[*vertex]struct{})
-	for l := range g.leaves {
+	for _, l := range g.leaves {
 		if d.matches(c, l.rep) {
 			sset[l] = struct{}{}
 			frontier = append(frontier, l)
@@ -52,7 +52,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	for len(frontier) > 0 {
 		var next []*vertex
 		for _, v := range frontier {
-			for p := range v.preds {
+			for _, p := range v.preds {
 				if _, seen := sset[p]; seen {
 					continue
 				}
@@ -75,7 +75,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	}
 	for v := range m {
 		minimal := true
-		for s := range v.succs {
+		for _, s := range v.succs {
 			if isIn(m, s) {
 				minimal = false
 				break
@@ -87,7 +87,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	}
 	for v := range sset {
 		maximal := true
-		for p := range v.preds {
+		for _, p := range v.preds {
 			if isIn(sset, p) {
 				maximal = false
 				break

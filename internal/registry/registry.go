@@ -58,6 +58,15 @@ type Entry struct {
 	enc *match.Encoded
 }
 
+// placed is a stored entry and where the builder put it, so that
+// withdrawing it does not search the directory. The place is the builder's
+// and stays off the Entry, which snapshots and query results share.
+type placed struct {
+	*Entry
+	g *graph
+	v *vertex
+}
+
 // String renders the entry as service/capability.
 func (e *Entry) String() string {
 	return e.Service + "/" + e.Capability.Name
@@ -76,8 +85,11 @@ type vertex struct {
 	// encoded form; all entries in the vertex match rep mutually.
 	rep     *match.Encoded
 	entries []*Entry
-	preds   map[*vertex]struct{}
-	succs   map[*vertex]struct{}
+	// preds and succs are the adjacency sets, as unordered slices without
+	// duplicates: most vertices have a handful of neighbours or none, which
+	// a slice holds in 8 bytes each and a nil slice in none.
+	preds []*vertex
+	succs []*vertex
 	// slot is the vertex's index in the owning graph's slot table, and so
 	// in the compiled vertex array; -1 once the vertex has left the graph.
 	slot int32
@@ -86,16 +98,31 @@ type vertex struct {
 }
 
 func newVertex(e *Entry) *vertex {
-	return &vertex{rep: e.enc, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+	return &vertex{rep: e.enc, entries: []*Entry{e}}
+}
+
+// drop removes v, which the set holds, from an unordered vertex set: the
+// last element takes its place.
+func drop(set []*vertex, v *vertex) []*vertex {
+	i, last := slices.Index(set, v), len(set)-1
+	set[i], set[last] = set[last], nil
+	return set[:last]
+}
+
+// ontoUse counts the member entries of a graph that use one ontology.
+type ontoUse struct {
+	uri   string
+	count int
 }
 
 // graph is one DAG of related capabilities plus its ontology index.
 type graph struct {
-	// ontologies counts, per ontology URI, the member entries using it; a
-	// URI no entry uses any more is deleted, so the keys are the graph's
-	// ontology set. ontoStale records that the set changed since the graph
-	// was last compiled.
-	ontologies map[string]int
+	// ontologies counts, per ontology URI, the member entries using it,
+	// sorted by URI; a URI no entry uses any more is deleted, so the URIs
+	// are the graph's ontology set. Each URI is the directory's own copy
+	// (ontoIndex.uri), not a piece of some advertisement. ontoStale records
+	// that the set changed since the graph was last compiled.
+	ontologies []ontoUse
 	ontoStale  bool
 	// slots is the vertex table: slots[i].slot == i. A new vertex takes the
 	// next slot, a removed one hands its slot to the last (swap-delete), so
@@ -105,10 +132,12 @@ type graph struct {
 	// (every predecessor of a vertex comes before it), and pos its inverse:
 	// order[pos[s]] == s. Both are edited in place as vertices come and go;
 	// a compiled graph has the order threaded through its vertex array.
-	order  []int32
-	pos    []int32
-	roots  map[*vertex]struct{}
-	leaves map[*vertex]struct{}
+	order []int32
+	pos   []int32
+	// roots and leaves are the vertices without predecessors and without
+	// successors, as unordered sets like the adjacency.
+	roots  []*vertex
+	leaves []*vertex
 	// edges and entries are running totals over the vertices.
 	edges, entries int
 	// touched lists the vertices whose compiled form is stale: created,
@@ -122,19 +151,16 @@ type graph struct {
 	dirty    bool
 }
 
-func newGraph() *graph {
-	return &graph{
-		ontologies: make(map[string]int),
-		roots:      make(map[*vertex]struct{}),
-		leaves:     make(map[*vertex]struct{}),
-	}
+// ontology returns where uri stands, or would stand, in g.ontologies.
+func (g *graph) ontology(uri string) (int, bool) {
+	return slices.BinarySearchFunc(g.ontologies, uri, func(o ontoUse, uri string) int { return strings.Compare(o.uri, uri) })
 }
 
 // covers reports whether the graph's ontology set contains every URI the
 // capability uses — the paper's graph pre-selection index.
 func (g *graph) covers(uris []string) bool {
 	for _, u := range uris {
-		if _, ok := g.ontologies[u]; !ok {
+		if _, ok := g.ontology(u); !ok {
 			return false
 		}
 	}
@@ -183,10 +209,10 @@ func (g *graph) dropSlot(v *vertex) {
 		g.order[g.pos[last]] = v.slot
 		moved.slot = v.slot
 		g.touch(moved)
-		for p := range moved.preds {
+		for _, p := range moved.preds {
 			g.touch(p)
 		}
-		for s := range moved.succs {
+		for _, s := range moved.succs {
 			g.touch(s)
 		}
 	}
@@ -214,11 +240,9 @@ type Directory struct {
 	graphs []*graph // guarded by mu
 	// byOntology indexes graphs by the ontology URIs they contain, so
 	// query-time graph pre-selection does not scan every graph.
-	byOntology map[string][]*graph // guarded by mu
-	// byService tracks entries for deregistration; where locates each
-	// entry's vertex, so withdrawing it does not search the directory.
-	byService map[string][]*Entry // guarded by mu
-	where     map[*Entry]entryLoc // guarded by mu
+	byOntology map[string]*ontoIndex // guarded by mu
+	// byService tracks entries for deregistration.
+	byService map[string][]placed // guarded by mu
 	// dirty lists, in first-touch order, the graphs written since the last
 	// publish — created, changed or emptied. The publish recompiles those
 	// and derives the next snapshot from the previous one and them alone.
@@ -244,9 +268,8 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 	d := &Directory{
 		matcher:    m,
 		enc:        match.EncoderFor(m),
-		byOntology: make(map[string][]*graph),
-		byService:  make(map[string][]*Entry),
-		where:      make(map[*Entry]entryLoc),
+		byOntology: make(map[string]*ontoIndex),
+		byService:  make(map[string][]placed),
 		keyRefs:    make(map[string]int),
 	}
 	d.classify = d.classifyLocked
@@ -254,12 +277,13 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 	return d
 }
 
-// entryLoc is where a stored entry lives, and the ontology-set key it was
-// counted under (computed once, at insert).
-type entryLoc struct {
-	g   *graph
-	v   *vertex
-	key string
+// ontoIndex is the index entry of one ontology URI: the graphs that use
+// it, in the order they came to, under the directory's own copy of the URI.
+// Graphs name the ontology by that copy, so neither they nor the index pin
+// the document of whichever advertisement brought the URI first.
+type ontoIndex struct {
+	uri    string
+	graphs []*graph
 }
 
 // markDirtyLocked queues g for recompilation at the next publish.
@@ -296,6 +320,7 @@ func (d *Directory) publishLocked() {
 	}
 	clear(d.dirty)
 	d.dirty = d.dirty[:0]
+	d.scratch.release()
 	prev := d.snap.Load()
 	keys := prev.ontologyKeys
 	if d.keysStale {
@@ -309,10 +334,19 @@ func (d *Directory) publishLocked() {
 // and lists g under those it did not use before.
 func (d *Directory) indexGraphLocked(g *graph, uris []string) {
 	for _, u := range uris {
-		if g.ontologies[u]++; g.ontologies[u] == 1 {
-			d.byOntology[u] = append(d.byOntology[u], g)
-			g.ontoStale = true
+		i, ok := g.ontology(u)
+		if ok {
+			g.ontologies[i].count++
+			continue
 		}
+		idx := d.byOntology[u]
+		if idx == nil {
+			idx = &ontoIndex{uri: strings.Clone(u)}
+			d.byOntology[idx.uri] = idx
+		}
+		idx.graphs = append(idx.graphs, g)
+		g.ontologies = slices.Insert(g.ontologies, i, ontoUse{uri: idx.uri, count: 1})
+		g.ontoStale = true
 	}
 }
 
@@ -321,18 +355,19 @@ func (d *Directory) indexGraphLocked(g *graph, uris []string) {
 // queries nor inserts over such a URI are offered the graph any longer.
 func (d *Directory) unindexGraphLocked(g *graph, uris []string) {
 	for _, u := range uris {
-		if g.ontologies[u]--; g.ontologies[u] > 0 {
+		i, _ := g.ontology(u)
+		if g.ontologies[i].count--; g.ontologies[i].count > 0 {
 			continue
 		}
-		delete(g.ontologies, u)
+		g.ontologies = slices.Delete(g.ontologies, i, i+1)
 		g.ontoStale = true
-		list := d.byOntology[u]
-		if len(list) == 1 {
+		idx := d.byOntology[u]
+		if len(idx.graphs) == 1 {
 			delete(d.byOntology, u)
 			continue
 		}
-		i := slices.Index(list, g)
-		d.byOntology[u] = slices.Delete(list, i, i+1)
+		at := slices.Index(idx.graphs, g)
+		idx.graphs = slices.Delete(idx.graphs, at, at+1)
 	}
 }
 
@@ -345,12 +380,12 @@ func (d *Directory) candidateGraphsLocked(uris []string) []*graph {
 	}
 	var smallest []*graph
 	for i, u := range uris {
-		list, ok := d.byOntology[u]
-		if !ok {
+		idx := d.byOntology[u]
+		if idx == nil {
 			return nil
 		}
-		if i == 0 || len(list) < len(smallest) {
-			smallest = list
+		if i == 0 || len(idx.graphs) < len(smallest) {
+			smallest = idx.graphs
 		}
 	}
 	out := make([]*graph, 0, len(smallest))
@@ -398,7 +433,23 @@ func (d *Directory) Services() []string {
 // directory's graphs (the paper's "adding a new service advertisement").
 // Re-registering a service name replaces its previous advertisement, so
 // periodic re-publication after directory churn stays idempotent.
+//
+// The directory copies what it keeps, so the caller may go on using s.
 func (d *Directory) Register(s *profile.Service) error {
+	owned := *s
+	owned.Provided = make([]*profile.Capability, len(s.Provided))
+	for i, c := range s.Provided {
+		owned.Provided[i] = c.Clone()
+	}
+	return d.Adopt(&owned)
+}
+
+// Adopt is Register for a caller that hands s over: the directory keeps
+// s's provided capabilities themselves, with every string they hold, and
+// the caller must not change them afterwards. A directory fed parsed
+// documents stores each advertisement's names this way as the substrings
+// of the document profile.UnmarshalString made them, and nothing twice.
+func (d *Directory) Adopt(s *profile.Service) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidCapability, err)
 	}
@@ -406,11 +457,7 @@ func (d *Directory) Register(s *profile.Service) error {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	caps := make([]*profile.Capability, len(s.Provided))
-	for i, c := range s.Provided {
-		caps[i] = c.Clone()
-	}
-	d.storeLocked(s.Name, s.Provider, caps)
+	d.storeLocked(s.Name, s.Provider, s.Provided)
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
 	insertSeconds.ObserveSince(start)
@@ -431,10 +478,9 @@ func (d *Directory) storeLocked(service, provider string, caps []*profile.Capabi
 	if len(caps) == 0 {
 		return
 	}
-	entries := make([]*Entry, len(caps))
+	entries := make([]placed, len(caps))
 	for i, c := range caps {
-		entries[i] = &Entry{Capability: c, Service: service, Provider: provider, enc: d.enc.Encode(c)}
-		d.insertLocked(entries[i])
+		entries[i] = d.insertLocked(&Entry{Capability: c, Service: service, Provider: provider, enc: d.enc.Encode(c)})
 	}
 	d.byService[service] = entries
 }
@@ -454,8 +500,12 @@ func (d *Directory) Reclassify(uri string) int {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	idx := d.byOntology[uri]
+	if idx == nil {
+		return 0
+	}
 	var names []string
-	for _, g := range d.byOntology[uri] {
+	for _, g := range idx.graphs {
 		for _, v := range g.slots {
 			for _, e := range v.entries {
 				if slices.Contains(e.Capability.Ontologies(), uri) {
@@ -489,8 +539,8 @@ func (d *Directory) Reclassify(uri string) int {
 // graphs, preserving the "graphs contain related capabilities" invariant).
 //
 // The capability's ontology set is computed here, once, and handed to
-// every step that needs it; so is the key it is counted under.
-func (d *Directory) insertLocked(e *Entry) {
+// every step that needs it.
+func (d *Directory) insertLocked(e *Entry) placed {
 	uris := e.Capability.Ontologies()
 	var g *graph
 	var v *vertex
@@ -503,7 +553,7 @@ func (d *Directory) insertLocked(e *Entry) {
 	if g == nil {
 		// No graph accepted the capability: start a new one, in which it
 		// has neither parents nor children.
-		g = newGraph()
+		g = &graph{}
 		d.graphs = append(d.graphs, g)
 		graphsGauge.Add(1)
 		v = d.placeLocked(g, e, placement{})
@@ -511,10 +561,15 @@ func (d *Directory) insertLocked(e *Entry) {
 	d.indexGraphLocked(g, uris)
 	d.markDirtyLocked(g)
 	key := profile.OntologySetKey(uris)
-	d.where[e] = entryLoc{g: g, v: v, key: key}
-	if d.keyRefs[key]++; d.keyRefs[key] == 1 {
+	if n := d.keyRefs[key]; n > 0 {
+		d.keyRefs[key] = n + 1
+	} else {
+		// The key of a single ontology is that URI as the advertisement
+		// spells it; the table keeps its own copy.
+		d.keyRefs[strings.Clone(key)] = 1
 		d.keysStale = true
 	}
+	return placed{Entry: e, g: g, v: v}
 }
 
 // placement is where classification puts a capability in one graph: in
@@ -534,6 +589,16 @@ type placement struct {
 type classifyScratch struct {
 	marks                                    []uint8
 	m, s, parents, children, leaves, pending []*vertex
+}
+
+// release forgets the vertices the lists name, over their whole capacity,
+// once the write that filled them is over: a vertex taken out of its
+// graph, with the advertisement behind it, is garbage at once and not
+// when a later write happens to overwrite the slot.
+func (sc *classifyScratch) release() {
+	for _, l := range [...][]*vertex{sc.m, sc.s, sc.parents, sc.children, sc.leaves, sc.pending} {
+		clear(l[:cap(l)])
+	}
 }
 
 // Marks of one classification. inM / inS record Match(V, C) / Match(C, V)
@@ -582,7 +647,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 
 	// M: vertices that subsume C (can substitute for C), level by level.
 	m := sc.m[:0]
-	for r := range g.roots {
+	for _, r := range g.roots {
 		if d.matches(r.rep, c) {
 			marks[r.slot] |= inM
 			m = append(m, r)
@@ -591,7 +656,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 	for lo := 0; lo < len(m); {
 		hi := len(m)
 		for _, v := range m[lo:hi] {
-			for s := range v.succs {
+			for _, s := range v.succs {
 				switch {
 				case marks[s.slot]&(inM|notM) != 0:
 				case d.matches(s.rep, c):
@@ -609,7 +674,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 	}
 	sc.m = m
 	// Parents: minimal frontier of M (no successor also in M).
-	pl.parents = frontier(sc.parents[:0], m, marks, inM, func(v *vertex) map[*vertex]struct{} { return v.succs })
+	pl.parents = frontier(sc.parents[:0], m, marks, inM, func(v *vertex) []*vertex { return v.succs })
 	sc.parents = pl.parents
 
 	// S: vertices that C subsumes, climbing from the leaves that are.
@@ -625,7 +690,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 		}
 	}
 	if len(pl.parents) == 0 {
-		for l := range g.leaves {
+		for _, l := range g.leaves {
 			probe(l)
 		}
 	} else {
@@ -658,7 +723,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 		}
 	}
 	for i := 0; i < len(sset); i++ {
-		for p := range sset[i].preds {
+		for _, p := range sset[i].preds {
 			if len(pl.parents) == 0 || marks[p.slot]&below != 0 {
 				probe(p)
 			}
@@ -678,17 +743,17 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 		}
 	}
 	// Children: maximal frontier of S (no predecessor also in S).
-	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v *vertex) map[*vertex]struct{} { return v.preds })
+	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v *vertex) []*vertex { return v.preds })
 	sc.children = pl.children
 	return pl, true
 }
 
 // frontier appends to dst the vertices of region that have no neighbour
 // marked in on the side next gives.
-func frontier(dst, region []*vertex, marks []uint8, in uint8, next func(*vertex) map[*vertex]struct{}) []*vertex {
+func frontier(dst, region []*vertex, marks []uint8, in uint8, next func(*vertex) []*vertex) []*vertex {
 	for _, v := range region {
 		edge := true
-		for n := range next(v) {
+		for _, n := range next(v) {
 			if marks[n.slot]&in != 0 {
 				edge = false
 				break
@@ -712,7 +777,7 @@ func (d *Directory) markBelowLocked(g *graph, from *vertex, marks []uint8, bit u
 	for len(pending) > 0 {
 		v := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		for s := range v.succs {
+		for _, s := range v.succs {
 			if marks[s.slot]&bit != 0 || g.pos[s.slot] > limit {
 				continue
 			}
@@ -750,34 +815,58 @@ func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) *vertex {
 		at = min(at, int(g.pos[ch.slot]))
 	}
 	g.addSlot(nv, at)
+	// A parent that is a leaf and a child that is a root are about to stop
+	// being so.
+	leafParents, rootChildren := 0, 0
+	for _, ch := range pl.children {
+		if len(ch.preds) == 0 {
+			rootChildren++
+		}
+	}
 	edgeDelta := 0
 	for _, p := range pl.parents {
-		// Drop direct edges p→child that the new vertex now mediates.
+		if len(p.succs) == 0 {
+			leafParents++
+		}
+		// Drop direct edges p→child that the new vertex now mediates: each
+		// such child forgets p, then p forgets them all in one pass over its
+		// successors, so that a parent of many pays for its degree once and
+		// not once per child.
+		mediated := 0
 		for _, ch := range pl.children {
-			if _, ok := p.succs[ch]; ok {
-				delete(p.succs, ch)
-				delete(ch.preds, p)
-				edgeDelta--
+			if slices.Contains(ch.preds, p) {
+				ch.preds = drop(ch.preds, p)
+				mediated++
 			}
 		}
-		p.succs[nv] = struct{}{}
-		nv.preds[p] = struct{}{}
+		if mediated > 0 {
+			p.succs = slices.DeleteFunc(p.succs, func(s *vertex) bool { return !slices.Contains(s.preds, p) })
+			edgeDelta -= mediated
+		}
+		p.succs = append(p.succs, nv)
+		nv.preds = append(nv.preds, p)
 		edgeDelta++
-		delete(g.leaves, p)
 		g.touch(p)
 	}
 	for _, ch := range pl.children {
-		nv.succs[ch] = struct{}{}
-		ch.preds[nv] = struct{}{}
+		nv.succs = append(nv.succs, ch)
+		ch.preds = append(ch.preds, nv)
 		edgeDelta++
-		delete(g.roots, ch)
 		g.touch(ch)
 	}
+	// Those leave the leaf and root sets in one pass over each, like the
+	// one over a parent's successors.
+	if leafParents > 0 {
+		g.leaves = slices.DeleteFunc(g.leaves, func(l *vertex) bool { return len(l.succs) > 0 })
+	}
+	if rootChildren > 0 {
+		g.roots = slices.DeleteFunc(g.roots, func(r *vertex) bool { return len(r.preds) > 0 })
+	}
 	if len(pl.parents) == 0 {
-		g.roots[nv] = struct{}{}
+		g.roots = append(g.roots, nv)
 	}
 	if len(pl.children) == 0 {
-		g.leaves[nv] = struct{}{}
+		g.leaves = append(g.leaves, nv)
 	}
 	g.edges += edgeDelta
 	verticesGauge.Add(1)
@@ -804,58 +893,65 @@ func (d *Directory) Deregister(service string) bool {
 
 // removeEntryLocked drops one entry; a vertex left without entries is
 // removed and its predecessors reconnected to its successors.
-func (d *Directory) removeEntryLocked(e *Entry) {
-	loc := d.where[e]
-	delete(d.where, e)
-	if d.keyRefs[loc.key]--; d.keyRefs[loc.key] == 0 {
-		delete(d.keyRefs, loc.key)
+func (d *Directory) removeEntryLocked(e placed) {
+	uris := e.Capability.Ontologies()
+	key := profile.OntologySetKey(uris)
+	if d.keyRefs[key]--; d.keyRefs[key] == 0 {
+		delete(d.keyRefs, key)
 		d.keysStale = true
 	}
-	g, v := loc.g, loc.v
-	i := slices.Index(v.entries, e)
+	g, v := e.g, e.v
+	i := slices.Index(v.entries, e.Entry)
 	v.entries = slices.Delete(v.entries, i, i+1)
 	g.entries--
 	g.touch(v)
-	d.unindexGraphLocked(g, e.Capability.Ontologies())
+	d.unindexGraphLocked(g, uris)
 	d.markDirtyLocked(g)
 	entriesGauge.Add(-1)
 	if len(v.entries) > 0 {
 		return
 	}
-	// Vertex emptied: splice it out.
-	delete(g.roots, v)
-	delete(g.leaves, v)
-	edgeDelta := -len(v.preds) - len(v.succs)
+	// Vertex emptied: splice it out. Its own adjacency goes with it, whole;
+	// only its neighbours search their lists for it.
+	preds, succs := v.preds, v.succs
+	v.preds, v.succs = nil, nil
+	if len(preds) == 0 {
+		g.roots = drop(g.roots, v)
+	}
+	if len(succs) == 0 {
+		g.leaves = drop(g.leaves, v)
+	}
+	edgeDelta := -len(preds) - len(succs)
 	limit := int32(-1) // the latest walk-order position among v's successors
-	for s := range v.succs {
-		delete(s.preds, v)
+	for _, s := range succs {
+		s.preds = drop(s.preds, v)
 		limit = max(limit, g.pos[s.slot])
 		g.touch(s)
 	}
-	for p := range v.preds {
-		delete(p.succs, v)
+	for _, p := range preds {
+		p.succs = drop(p.succs, v)
 	}
-	for p := range v.preds {
+	for _, p := range preds {
 		g.touch(p)
 		// Reconnect p to the successors it no longer reaches. An edge to one
 		// it still reaches through another of its successors would be
 		// redundant: the graph stays a transitive reduction.
 		reached := d.marksLocked(len(g.slots))
 		d.markBelowLocked(g, p, reached, below, limit)
-		for s := range v.succs {
+		for _, s := range succs {
 			if reached[s.slot] == 0 {
-				p.succs[s] = struct{}{}
-				s.preds[p] = struct{}{}
+				p.succs = append(p.succs, s)
+				s.preds = append(s.preds, p)
 				edgeDelta++
 			}
 		}
 		if len(p.succs) == 0 {
-			g.leaves[p] = struct{}{}
+			g.leaves = append(g.leaves, p)
 		}
 	}
-	for s := range v.succs {
+	for _, s := range succs {
 		if len(s.preds) == 0 {
-			g.roots[s] = struct{}{}
+			g.roots = append(g.roots, s)
 		}
 	}
 	g.dropSlot(v)

@@ -20,7 +20,10 @@
 // store per vertex; the builder also shifts its own order and positions
 // past the splice point, 8 bytes per vertex). Nothing is sorted, looked up
 // in a map or allocated per service, per entry, per untouched graph or
-// per untouched vertex.
+// per untouched vertex: the only maps are the two ontology indexes, keyed
+// by URI and consulted once per URI of a touched graph; a graph's own
+// ontology set, compiled or not, is a short sorted slice that covers
+// searches, and the builder's adjacency, root and leaf sets are slices too.
 //
 // The publish invariant: every object reachable from a published
 // *snapshot is never written again — in particular a slice a snapshot
@@ -88,9 +91,8 @@ type snapGraph struct {
 	// see parents before children in one pass.
 	first int32
 	// ontologies is the sorted union of ontology URIs used by member
-	// capabilities; ontoSet is the same set keyed for covers().
+	// capabilities, which covers searches.
 	ontologies []string
-	ontoSet    map[string]struct{}
 	tally      tally
 }
 
@@ -98,7 +100,7 @@ type snapGraph struct {
 // capability uses — the paper's graph pre-selection index.
 func (g *snapGraph) covers(uris []string) bool {
 	for _, u := range uris {
-		if _, ok := g.ontoSet[u]; !ok {
+		if _, ok := slices.BinarySearch(g.ontologies, u); !ok {
 			return false
 		}
 	}
@@ -226,11 +228,11 @@ func (s *snapshot) dump() string {
 // adjacency lists are windows of one array, sorted by slot.
 func newSnapVertex(v *vertex) snapVertex {
 	adjacent := make([]int32, 0, len(v.preds)+len(v.succs))
-	for p := range v.preds {
+	for _, p := range v.preds {
 		adjacent = append(adjacent, p.slot)
 	}
 	n := len(adjacent)
-	for s := range v.succs {
+	for _, s := range v.succs {
 		adjacent = append(adjacent, s.slot)
 	}
 	slices.Sort(adjacent[:n])
@@ -260,13 +262,12 @@ func clonePatched(prev *snapGraph, g *graph) *snapGraph {
 	}
 	if prev != nil {
 		copy(sg.vertices, prev.vertices)
-		sg.ontologies, sg.ontoSet = prev.ontologies, prev.ontoSet
+		sg.ontologies = prev.ontologies
 	}
 	if g.ontoStale {
-		sg.ontologies = slices.Sorted(maps.Keys(g.ontologies))
-		sg.ontoSet = make(map[string]struct{}, len(sg.ontologies))
-		for _, u := range sg.ontologies {
-			sg.ontoSet[u] = struct{}{}
+		sg.ontologies = make([]string, len(g.ontologies))
+		for i, o := range g.ontologies {
+			sg.ontologies[i] = o.uri
 		}
 	}
 	for _, v := range g.touched {
@@ -295,7 +296,7 @@ type graphChange struct {
 // graph list, as in the builder's); index is the builder's ontology
 // index, whose graphs already carry their new compiled form; keys is the
 // ontology-key list to publish. Caller holds d.mu.
-func newSnapshot(prev *snapshot, changes []graphChange, index map[string][]*graph, keys []string) *snapshot {
+func newSnapshot(prev *snapshot, changes []graphChange, index map[string]*ontoIndex, keys []string) *snapshot {
 	s := &snapshot{
 		graphs:       make([]*snapGraph, len(prev.graphs), len(prev.graphs)+len(changes)),
 		byOntology:   maps.Clone(prev.byOntology),
@@ -327,16 +328,16 @@ func newSnapshot(prev *snapshot, changes []graphChange, index map[string][]*grap
 	// graph's URIs; the other lists hold only pointers that did not move.
 	slices.Sort(touched)
 	for _, u := range slices.Compact(touched) {
-		list := index[u]
-		if len(list) == 0 {
+		idx := index[u]
+		if idx == nil {
 			delete(s.byOntology, u)
 			continue
 		}
-		sl := make([]*snapGraph, len(list))
-		for i, g := range list {
+		sl := make([]*snapGraph, len(idx.graphs))
+		for i, g := range idx.graphs {
 			sl[i] = g.compiled
 		}
-		s.byOntology[u] = sl
+		s.byOntology[idx.uri] = sl
 	}
 	return s
 }
