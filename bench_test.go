@@ -332,7 +332,7 @@ func BenchmarkFig10AriadneVsSAriadne(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, err := backend.Query(reqDoc)
+				hits, _, _, err := backend.Resolve(reqDoc)
 				if err != nil || len(hits) == 0 {
 					b.Fatalf("hits=%v err=%v", hits, err)
 				}

@@ -436,7 +436,7 @@ func fig10(maxServices, step, reps int) {
 		}
 
 		ariadneSamples := sampleIt(reps, func() {
-			hits, err := syntactic.Query(wsdlReq)
+			hits, _, _, err := syntactic.Resolve(wsdlReq)
 			if err != nil || len(hits) == 0 {
 				log.Fatalf("ariadne query: hits=%v err=%v", hits, err)
 			}

@@ -11,6 +11,10 @@
 // false-positive-rate gauge, the match-ops counter), with both transport
 // byte counters nonzero, proving real datagrams moved.
 //
+// A second query from C is bracketed by scrapes of profile_parse_seconds
+// on C and B: each must have parsed exactly one document, the request —
+// once where it entered the backbone, once where it was answered.
+//
 // The observability surfaces ride the same boot: a traced query from C
 // must return spans naming the cross-daemon hop to B, the origin daemon
 // must serve that trace back on GET /traces/{id}, trace IDs minted by
@@ -96,6 +100,9 @@ func checkOpen(bin string, doc []byte) error {
 	if err := expectHit(resp, "HomeMediaCenter"); err != nil {
 		return err
 	}
+	if err := checkParsesPerQuery(b, c); err != nil {
+		return err
+	}
 	if err := checkTracedQuery(b, c); err != nil {
 		return err
 	}
@@ -115,6 +122,68 @@ func expectHit(resp *sdpapi.Response, service string) error {
 		}
 	}
 	return fmt.Errorf("query across the backbone: %s not among %d hit(s)", service, len(resp.Hits))
+}
+
+// checkParsesPerQuery resolves the tablet's request from C once more, with
+// the parse count of C and of B read off /metrics on either side: a request
+// is read once at the directory it enters and once at the one that answers
+// it. A forward C had to retransmit, which B reads again, excuses B.
+func checkParsesPerQuery(b, c *smoke.Daemon) error {
+	req, err := os.ReadFile(smoke.TabletRequestDoc)
+	if err != nil {
+		return err
+	}
+	const parses, retries = "profile_parse_seconds_count", "discovery_forward_retries_total"
+	read := func() (origin, retried, peer float64, err error) {
+		atC, err := samples(c, parses, retries)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		atB, err := samples(b, parses)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return atC[0], atC[1], atB[0], nil
+	}
+	origin0, retried0, peer0, err := read()
+	if err != nil {
+		return err
+	}
+	resp, err := c.Do(sdpapi.Request{Op: sdpapi.OpQuery, Doc: string(req)})
+	if err != nil {
+		return err
+	}
+	if err := expectHit(resp, "HomeMediaCenter"); err != nil {
+		return err
+	}
+	origin, retried, peer, err := read()
+	if err != nil {
+		return err
+	}
+	if got := origin - origin0; got != 1 {
+		return fmt.Errorf("origin %s parsed %v documents for one forwarded query, want 1", c.Name, got)
+	}
+	if got := peer - peer0; got != 1 && retried == retried0 {
+		return fmt.Errorf("answering directory %s parsed %v documents for one forward with no retransmission, want 1", b.Name, got)
+	}
+	return nil
+}
+
+// samples reads the named label-free series off one scrape of d's /metrics.
+func samples(d *smoke.Daemon, names ...string) ([]float64, error) {
+	page, _, err := d.Get("/metrics")
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(names))
+	for i, name := range names {
+		v, ok := smoke.Sample(page, name)
+		if !ok {
+			return nil, fmt.Errorf("%s missing from /metrics on %s", name, d.Name)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // admissionSecret is the shared HMAC secret every admission daemon and

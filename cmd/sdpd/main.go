@@ -123,7 +123,7 @@ func main() {
 	fedTransport := flag.String("federate-transport", "udp", "backbone substrate: udp or tcp")
 	advertise := flag.String("advertise", "", "backbone address announced to peers (defaults to the bound -federate address)")
 	traceSample := flag.Int("trace-sample", 64, "trace every Nth query into the flight recorder (0 disables sampling)")
-	slowQuery := flag.Duration("slow-query", 0, "retain queries at least this slow in the flight recorder (0 = half the query timeout)")
+	slowQuery := flag.Duration("slow-query", 0, "with -federate, retain queries at least this slow in the flight recorder (0 = half the query timeout); a standalone daemon retains none")
 	healthInterval := flag.Duration("health-interval", time.Second, "component health probe interval behind /healthz and /readyz")
 	sampleEvery := flag.Duration("sample-every", 5*time.Second, "telemetry time-series sampling cadence behind GET /timeseries (0 disables)")
 	telemetryJournal := flag.String("telemetry-journal", "", "directory for the durable telemetry journal: sampler ticks persist across restarts behind GET /timeseries (optional)")
@@ -241,8 +241,8 @@ func main() {
 			fatal("federation", err)
 		}
 		defer fed.close()
-	} else if len(peers) > 0 || *advertise != "" {
-		logger.Warn("-peer/-advertise have no effect without -federate")
+	} else if len(peers) > 0 || *advertise != "" || *slowQuery != 0 {
+		logger.Warn("-peer/-advertise/-slow-query have no effect without -federate")
 	}
 	srv.httpOn.Store(*httpAddr != "")
 	hc := startHealthChecker(srv, *healthInterval, 0)

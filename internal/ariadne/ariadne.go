@@ -78,18 +78,20 @@ func (b *Backend) Deregister(service string) bool {
 	return false
 }
 
-// Query implements discovery.Backend: parse the required interface, then
+// Resolve implements discovery.Backend: parse the required interface, then
 // process every cached WSDL description and compare it syntactically —
 // the per-advertisement document handling whose linear growth Figure 10
-// shows.
-func (b *Backend) Query(doc []byte) ([]discovery.Hit, error) {
+// shows. A WSDL request asks for its port types as a unit (Satisfies is
+// all-or-nothing), so what is left for other directories is the whole
+// request or nothing, probed by the identifier Keys hashes: the first port
+// type's name.
+func (b *Backend) Resolve(doc []byte) (hits []discovery.Hit, rest []byte, keys []string, err error) {
 	req, err := wsdl.Unmarshal(doc)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var hits []discovery.Hit
 	for _, stored := range b.defs {
 		d, err := wsdl.Unmarshal(stored.doc)
 		if err != nil {
@@ -108,8 +110,15 @@ func (b *Backend) Query(doc []byte) ([]discovery.Hit, error) {
 			})
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].Service < hits[j].Service })
-	return hits, nil
+	if len(hits) > 0 {
+		sort.Slice(hits, func(i, j int) bool { return hits[i].Service < hits[j].Service })
+		return hits, nil, nil, nil
+	}
+	key := req.Name
+	if len(req.PortTypes) > 0 {
+		key = req.PortTypes[0].Name
+	}
+	return nil, doc, []string{key}, nil
 }
 
 // Keys implements discovery.Backend: Ariadne summarizes directory content
@@ -132,38 +141,6 @@ func (b *Backend) Keys() []string {
 	return out
 }
 
-// RequestKey implements discovery.Backend.
-func (b *Backend) RequestKey(doc []byte) (string, error) {
-	req, err := wsdl.Unmarshal(doc)
-	if err != nil {
-		return "", err
-	}
-	if len(req.PortTypes) == 0 {
-		return req.Name, nil
-	}
-	return req.PortTypes[0].Name, nil
-}
-
-// RequiredNames implements discovery.Backend: a WSDL request asks for its
-// port types as a unit (Satisfies is all-or-nothing), so the request
-// itself is the single "required capability".
-func (b *Backend) RequiredNames(doc []byte) ([]string, error) {
-	req, err := wsdl.Unmarshal(doc)
-	if err != nil {
-		return nil, err
-	}
-	return []string{req.Name}, nil
-}
-
-// Subset implements discovery.Backend; with a single syntactic unit the
-// subset is the request itself.
-func (b *Backend) Subset(doc []byte, _ []string) ([]byte, error) {
-	if _, err := wsdl.Unmarshal(doc); err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
 // Len implements discovery.Backend.
 func (b *Backend) Len() int {
 	b.mu.RLock()
@@ -180,15 +157,6 @@ func (b *Backend) Snapshot() map[string][]byte {
 		out[stored.name] = append([]byte(nil), stored.doc...)
 	}
 	return out
-}
-
-// ServiceName lets the protocol shell name documents without registering.
-func (b *Backend) ServiceName(doc []byte) (string, error) {
-	d, err := wsdl.Unmarshal(doc)
-	if err != nil {
-		return "", err
-	}
-	return d.Name, nil
 }
 
 var _ discovery.Backend = (*Backend)(nil)

@@ -2,6 +2,8 @@ package ariadne
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -52,23 +54,30 @@ func TestBackendRegisterQuery(t *testing.T) {
 		t.Fatalf("Len = %d", b.Len())
 	}
 
-	hits, err := b.Query(mustMarshal(t, sampleDef("request")))
+	hits, rest, keys, err := b.Resolve(mustMarshal(t, sampleDef("request")))
 	if err != nil || len(hits) != 1 || hits[0].Service != "svc1" {
 		t.Fatalf("hits = %v, err = %v", hits, err)
 	}
 	if hits[0].Distance != 0 {
 		t.Fatalf("syntactic hit distance = %d, want 0", hits[0].Distance)
 	}
-	if _, err := b.Query([]byte("junk")); err == nil {
+	if rest != nil || keys != nil {
+		t.Fatalf("an answered request left rest %q, keys %q", rest, keys)
+	}
+	if _, _, _, err := b.Resolve([]byte("junk")); err == nil {
 		t.Fatal("queried junk")
 	}
 
 	// Renamed operation: syntactic match fails.
 	renamed := sampleDef("request2")
 	renamed.PortTypes[0].Operations[0].Name = "Other"
-	hits, err = b.Query(mustMarshal(t, renamed))
+	doc := mustMarshal(t, renamed)
+	hits, rest, keys, err = b.Resolve(doc)
 	if err != nil || len(hits) != 0 {
 		t.Fatalf("renamed hits = %v, err = %v", hits, err)
+	}
+	if &rest[0] != &doc[0] || len(rest) != len(doc) || len(keys) != 1 || keys[0] != "Port" {
+		t.Fatalf("an unanswered request left rest %q, keys %q; want the request itself, probed by its port type", rest, keys)
 	}
 }
 
@@ -104,19 +113,85 @@ func TestBackendKeys(t *testing.T) {
 	if len(keys) != 1 || keys[0] != "Port" {
 		t.Fatalf("Keys = %v", keys)
 	}
-	k, err := b.RequestKey(mustMarshal(t, sampleDef("req")))
-	if err != nil || k != "Port" {
-		t.Fatalf("RequestKey = %q, %v", k, err)
+	// A directory without the description probes its peers with that key;
+	// a request with no port type falls back to its own name.
+	_, _, probe, err := NewBackend().Resolve(mustMarshal(t, sampleDef("req")))
+	if err != nil || len(probe) != 1 || probe[0] != "Port" {
+		t.Fatalf("probe keys = %q, %v", probe, err)
 	}
-	if _, err := b.RequestKey([]byte("junk")); err == nil {
-		t.Fatal("RequestKey accepted junk")
+	bare := sampleDef("req")
+	bare.PortTypes = nil
+	_, _, probe, err = NewBackend().Resolve(mustMarshal(t, bare))
+	if err != nil || len(probe) != 1 || probe[0] != "req" {
+		t.Fatalf("probe keys of a request without port types = %q, %v", probe, err)
 	}
-	name, err := b.ServiceName(mustMarshal(t, sampleDef("svc9")))
-	if err != nil || name != "svc9" {
-		t.Fatalf("ServiceName = %q, %v", name, err)
-	}
-	if _, err := b.ServiceName([]byte("junk")); err == nil {
-		t.Fatal("ServiceName accepted junk")
+}
+
+// TestResolveEqualsQueryPlusSubset is the semantic backend's table of the
+// same name for the syntactic one: against directories holding none, some
+// and all of a generated pool, Resolve's hits are the stored descriptions
+// that satisfy the required interface, by name; a request is answered whole
+// or not at all, so what is left is nothing or the caller's own bytes,
+// probed by the request's port type.
+func TestResolveEqualsQueryPlusSubset(t *testing.T) {
+	w := gen.MustNewWorkload(gen.WorkloadConfig{Ontologies: 3, Services: 8, Seed: 23})
+	for _, dir := range []struct {
+		name   string
+		stored []*wsdl.Definition
+	}{
+		{"none", nil},
+		{"some", w.Definitions[:4]},
+		{"all", w.Definitions},
+	} {
+		b := NewBackend()
+		for _, d := range dir.stored {
+			if _, err := b.Register(mustMarshal(t, d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		answered := 0
+		for i := range w.Definitions {
+			req := w.WSDLRequest(i)
+			var want []string
+			for _, d := range dir.stored {
+				if wsdl.Satisfies(d, req) {
+					want = append(want, d.Name)
+				}
+			}
+			sort.Strings(want)
+
+			doc := mustMarshal(t, req)
+			hits, rest, keys, err := b.Resolve(doc)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", dir.name, i, err)
+			}
+			var got []string
+			for _, h := range hits {
+				if h.For != req.Name || h.Distance != 0 {
+					t.Errorf("%s/%d: hit %+v, want one for %s at distance 0", dir.name, i, h, req.Name)
+				}
+				got = append(got, h.Service)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/%d: hits = %v, want %v", dir.name, i, got, want)
+			}
+			if len(want) > 0 {
+				answered++
+				if rest != nil || keys != nil {
+					t.Errorf("%s/%d: an answered request left rest %q, keys %q", dir.name, i, rest, keys)
+				}
+				continue
+			}
+			if len(rest) != len(doc) || &rest[0] != &doc[0] {
+				t.Errorf("%s/%d: an unanswered request's rest is not the caller's document", dir.name, i)
+			}
+			if !slices.Equal(keys, []string{req.PortTypes[0].Name}) {
+				t.Errorf("%s/%d: keys = %q, want the port type %q", dir.name, i, keys, req.PortTypes[0].Name)
+			}
+		}
+		if wantAnswered := len(dir.stored); answered < wantAnswered {
+			t.Errorf("%s: %d requests answered, want at least the %d whose service is stored", dir.name, answered, wantAnswered)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"sariadne/internal/codes"
@@ -35,21 +36,19 @@ type Backend interface {
 	Register(doc []byte) (string, error)
 	// Deregister removes a previously registered service by name.
 	Deregister(service string) bool
-	// Query parses a request document and returns matching hits, best
-	// first.
-	Query(doc []byte) ([]Hit, error)
+	// Resolve is the one place a request document is read: it parses doc
+	// once, answers every required capability the stored content can —
+	// hits, best first per capability — and says what is left for other
+	// directories (Figure 6, step 3). rest is the request restricted to
+	// the required capabilities no hit answered: nil when all were, doc
+	// itself (the caller's bytes, not a copy) when none were. keys are the
+	// distinct Bloom probe keys of rest, sorted, at least one whenever
+	// rest is not nil: a peer may hold an answer only if its summary
+	// passes one of them.
+	Resolve(doc []byte) (hits []Hit, rest []byte, keys []string, err error)
 	// Keys returns the summary keys of the stored content — the unit
 	// hashed into the directory's Bloom filter.
 	Keys() []string
-	// RequestKey derives the Bloom probe key for a request document.
-	RequestKey(doc []byte) (string, error)
-	// RequiredNames lists the required capabilities of a request document,
-	// so the protocol can detect partially answered queries.
-	RequiredNames(doc []byte) ([]string, error)
-	// Subset rebuilds a request document keeping only the named required
-	// capabilities (used when forwarding just the unresolved part of a
-	// query, Figure 6 step 3).
-	Subset(doc []byte, names []string) ([]byte, error)
 	// Snapshot returns the original advertisement documents by service
 	// name, for directory handover (a departing directory transfers its
 	// cache to a peer so the vicinity keeps its advertisements).
@@ -219,21 +218,24 @@ func (b *SemanticBackend) Snapshot() map[string][]byte {
 	return out
 }
 
-// Query implements Backend: every required capability of the request
-// document is resolved against the classified directory; hits are the
-// union, best-first per capability.
-func (b *SemanticBackend) Query(doc []byte) ([]Hit, error) {
-	svc, err := profile.Unmarshal(doc)
+// answer is the one read of a request document: parse it, resolve every
+// required capability against the classified directory — hits are the
+// union, best first per capability — and collect the capabilities that got
+// no hit, in request order.
+func (b *SemanticBackend) answer(doc []byte) (svc *profile.Service, hits []Hit, open []*profile.Capability, err error) {
+	svc, err = profile.Unmarshal(doc)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	reqs := svc.Required
-	if len(reqs) == 0 {
-		return nil, ErrNoRequiredCapability
+	if len(svc.Required) == 0 {
+		return nil, nil, nil, ErrNoRequiredCapability
 	}
-	var hits []Hit
-	for _, req := range reqs {
-		for _, r := range b.dir.Query(req) {
+	for _, req := range svc.Required {
+		results := b.dir.Query(req)
+		if len(results) == 0 {
+			open = append(open, req)
+		}
+		for _, r := range results {
 			hits = append(hits, Hit{
 				Service:    r.Entry.Service,
 				Capability: r.Entry.Capability.Name,
@@ -243,79 +245,46 @@ func (b *SemanticBackend) Query(doc []byte) ([]Hit, error) {
 			})
 		}
 	}
-	return hits, nil
+	return svc, hits, open, nil
 }
 
-// RequiredNames implements Backend.
-func (b *SemanticBackend) RequiredNames(doc []byte) ([]string, error) {
-	svc, err := profile.Unmarshal(doc)
-	if err != nil {
-		return nil, err
-	}
-	if len(svc.Required) == 0 {
-		return nil, ErrNoRequiredCapability
-	}
-	names := make([]string, 0, len(svc.Required))
-	for _, c := range svc.Required {
-		names = append(names, c.Name)
-	}
-	return names, nil
+// Query returns the hits of Resolve, for callers with no peer to ask for
+// the rest.
+func (b *SemanticBackend) Query(doc []byte) ([]Hit, error) {
+	_, hits, _, err := b.answer(doc)
+	return hits, err
 }
 
-// Subset implements Backend: the request document restricted to the named
-// required capabilities.
-func (b *SemanticBackend) Subset(doc []byte, names []string) ([]byte, error) {
-	svc, err := profile.Unmarshal(doc)
-	if err != nil {
-		return nil, err
+// Resolve implements Backend. A request is re-encoded only when some of
+// its required capabilities were answered and some were not; keys are the
+// ontology-set keys of the unanswered ones (Section 4 hashes O(C) per
+// capability).
+func (b *SemanticBackend) Resolve(doc []byte) (hits []Hit, rest []byte, keys []string, err error) {
+	svc, hits, open, err := b.answer(doc)
+	if err != nil || len(open) == 0 {
+		return hits, nil, nil, err
 	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	kept := svc.Required[:0]
-	for _, c := range svc.Required {
-		if want[c.Name] {
-			kept = append(kept, c)
+	rest = doc
+	if len(open) < len(svc.Required) {
+		svc.Required = open
+		if rest, err = profile.Marshal(svc); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	svc.Required = kept
-	if len(svc.Required) == 0 {
-		return nil, ErrNoRequiredCapability
+	keys = make([]string, 0, len(open))
+	for _, c := range open {
+		keys = append(keys, c.OntologyKey())
 	}
-	return profile.Marshal(svc)
+	slices.Sort(keys)
+	return hits, rest, slices.Compact(keys), nil
 }
 
 // Keys implements Backend: the distinct ontology-set keys of stored
 // capabilities (Section 4 hashes O(C) per capability).
 func (b *SemanticBackend) Keys() []string { return b.dir.OntologyKeys() }
 
-// RequestKey implements Backend: the ontology-set key of the first
-// required capability.
-func (b *SemanticBackend) RequestKey(doc []byte) (string, error) {
-	svc, err := profile.Unmarshal(doc)
-	if err != nil {
-		return "", err
-	}
-	if len(svc.Required) == 0 {
-		return "", ErrNoRequiredCapability
-	}
-	return svc.Required[0].OntologyKey(), nil
-}
-
 // Len implements Backend.
 func (b *SemanticBackend) Len() int { return b.dir.NumCapabilities() }
-
-// ServiceName parses just enough of a document to name the service; the
-// protocol uses it to track a node's own publications across directory
-// churn.
-func (b *SemanticBackend) ServiceName(doc []byte) (string, error) {
-	svc, err := profile.Unmarshal(doc)
-	if err != nil {
-		return "", err
-	}
-	return svc.Name, nil
-}
 
 // Directory exposes the underlying classified directory for diagnostics
 // and benchmarks.

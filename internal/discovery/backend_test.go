@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"unsafe"
@@ -36,6 +37,21 @@ func pdaRequestDoc(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// probeKey returns the one Bloom probe key of a request that nothing stored
+// at b answers — what a directory tests its peers' summaries with before
+// forwarding the request.
+func probeKey(t testing.TB, b Backend, doc []byte) string {
+	t.Helper()
+	hits, rest, keys, err := b.Resolve(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 0 || rest == nil || len(keys) != 1 {
+		t.Fatalf("Resolve = %d hits, rest %q, keys %q; want an unanswered request with one key", len(hits), rest, keys)
+	}
+	return keys[0]
 }
 
 func TestSemanticBackendRegisterQuery(t *testing.T) {
@@ -82,8 +98,8 @@ func TestSemanticBackendRejects(t *testing.T) {
 	if _, err := b.Query(doc); err == nil {
 		t.Fatal("accepted request without required capabilities")
 	}
-	if _, err := b.RequestKey(doc); err == nil {
-		t.Fatal("RequestKey accepted request without required capabilities")
+	if _, _, _, err := b.Resolve(doc); !errors.Is(err, ErrNoRequiredCapability) {
+		t.Fatalf("Resolve of a request without required capabilities: %v", err)
 	}
 	// Stale code versions are refused at publication (Section 3.2).
 	svc := profile.WorkstationService()
@@ -182,18 +198,9 @@ func TestSemanticBackendKeys(t *testing.T) {
 	if len(keys) != 1 {
 		t.Fatalf("Keys = %v", keys)
 	}
-	reqKey, err := b.RequestKey(pdaRequestDoc(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reqKey != keys[0] {
+	// A directory that does not hold the workstation probes its peers with
+	// the key the one that does has hashed.
+	if reqKey := probeKey(t, NewSemanticBackend(fixtureRegistry(t)), pdaRequestDoc(t)); reqKey != keys[0] {
 		t.Fatalf("request key %q != stored key %q", reqKey, keys[0])
-	}
-	name, err := b.ServiceName(workstationDoc(t))
-	if err != nil || name != "MediaWorkstation" {
-		t.Fatalf("ServiceName = %q, %v", name, err)
-	}
-	if _, err := b.ServiceName([]byte("zz")); err == nil {
-		t.Fatal("ServiceName accepted garbage")
 	}
 }

@@ -84,10 +84,7 @@ func chaosCluster(t *testing.T, seed int64, retries int, queryTimeout time.Durat
 	}
 	// n0 must see summaries that admit the request, or it would prune the
 	// very peers holding the answer.
-	key, err := nodes[0].backend.RequestKey(pdaRequestDoc(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := probeKey(t, nodes[0].backend, pdaRequestDoc(t))
 	waitUntil(t, 3*time.Second, "content summaries at n0", func() bool {
 		nodes[0].mu.Lock()
 		defer nodes[0].mu.Unlock()

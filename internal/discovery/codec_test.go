@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func wireFixtures() []any {
 	return []any{
 		RegisterRequest{ID: 7, Doc: []byte("<service/>")},
-		RegisterReply{ID: 7, Err: "duplicate"},
+		RegisterReply{ID: 7, Err: "duplicate", Service: "printer"},
 		DeregisterRequest{ID: 9, Service: "printer"},
 		QueryRequest{ID: 3, Origin: "n0", Forwarded: true, Trace: 42, Doc: []byte("<request/>")},
 		QueryReply{
@@ -44,6 +45,31 @@ func TestCodecRoundTripsEveryMessage(t *testing.T) {
 		if !reflect.DeepEqual(msg, back) {
 			t.Fatalf("round trip changed %T:\n in: %#v\nout: %#v", msg, msg, back)
 		}
+	}
+}
+
+// oldRegisterReplyFrame is an acknowledgement as a build from before
+// RegisterReply.Service existed writes it.
+var oldRegisterReplyFrame = append([]byte{WireVersion, tagRegisterReply}, `{"ID":7,"Err":""}`...)
+
+// TestRegisterReplyServiceIsOptionalOnTheWire: the name a directory stored
+// an advertisement under rides in the acknowledgement without moving
+// WireVersion — a body without it still decodes, and a reply with none to
+// give is the body an older build writes and reads.
+func TestRegisterReplyServiceIsOptionalOnTheWire(t *testing.T) {
+	got, err := DecodeMessage(oldRegisterReplyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (RegisterReply{ID: 7}); got != want {
+		t.Fatalf("decoded %#v, want %#v", got, want)
+	}
+	frame, err := EncodeMessage(RegisterReply{ID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, oldRegisterReplyFrame) {
+		t.Fatalf("a reply without a name encodes as %q, want %q", frame, oldRegisterReplyFrame)
 	}
 }
 

@@ -28,11 +28,11 @@ func TestSelectForwardTargetsDeterministic(t *testing.T) {
 	}
 	node.mu.Unlock()
 
-	doc := pdaRequestDoc(t)
+	keys := []string{probeKey(t, node.backend, pdaRequestDoc(t))}
 	wantTargets := []simnet.NodeID{"pa", "pc"}
 	wantSpares := []simnet.NodeID{"pm", "pq", "pz"}
 	for run := 0; run < 25; run++ {
-		targets, spares, pruned := node.selectForwardTargets(doc)
+		targets, spares, pruned := node.selectForwardTargets(keys)
 		if len(pruned) != 0 {
 			t.Fatalf("run %d: pruned %v with no filters set", run, pruned)
 		}
@@ -80,10 +80,7 @@ func hedgeHarness(t *testing.T, cfg Config) (*simnet.Network, *simnet.Endpoint, 
 	}
 	// The fake peer n1 introduces itself with a summary that admits the
 	// request key, so n0 ranks it as a viable target.
-	key, err := nodes[0].backend.RequestKey(pdaRequestDoc(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := probeKey(t, nodes[0].backend, pdaRequestDoc(t))
 	fake := bloom.MustNew(64, 2)
 	fake.Add(key)
 	if err := eps[1].Send("n0", SummaryPush{From: "n1", Filter: fake.Marshal(), Count: 1}); err != nil {

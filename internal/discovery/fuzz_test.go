@@ -28,6 +28,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(wrapped)
 		}
 	}
+	f.Add(oldRegisterReplyFrame)
 	f.Add([]byte{})
 	f.Add([]byte{tagQueryRequest, '{', '}'})
 	f.Add([]byte{255, 0, 1, 2})

@@ -16,10 +16,15 @@ type RegisterRequest struct {
 	Doc []byte
 }
 
-// RegisterReply acknowledges a registration.
+// RegisterReply acknowledges a registration or a withdrawal.
 type RegisterReply struct {
 	ID  uint64
 	Err string
+	// Service is the name the directory stored the advertisement under: it
+	// parsed the document, so the publisher need not. Empty on a rejection,
+	// on a withdrawal's reply and from a build that predates the field,
+	// whose body — like this build's when it is empty — does not carry it.
+	Service string `json:",omitempty"`
 }
 
 // DeregisterRequest withdraws a service by name.

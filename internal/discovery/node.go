@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -251,7 +252,7 @@ type aggregation struct {
 	origin   transport.Addr
 	originID uint64
 	trace    uint64
-	doc      []byte // forwarded subset document, kept for retransmissions
+	doc      []byte // the forwarded remainder, kept for retransmissions
 	deadline time.Time
 	forwards map[transport.Addr]*forwardState
 	// spares are ranked peers MaxForwardPeers cut off, available for
@@ -475,9 +476,7 @@ func (n *Node) tick() {
 	}
 
 	n.runElectionActions(electionActions)
-	for _, m := range resends {
-		_ = n.ep.Send(m.to, m.payload)
-	}
+	n.send(resends)
 	for _, agg := range finished {
 		n.finishAggregation(agg)
 	}
@@ -527,15 +526,27 @@ func (n *Node) refreshOwnLeases(now time.Time) {
 		n.mu.Unlock()
 		return
 	}
-	docs := make([][]byte, 0, len(n.published))
-	for _, doc := range n.published {
-		docs = append(docs, doc)
-	}
-	n.nextID++
-	id := n.nextID
+	msgs := n.republishLocked(dir)
 	n.mu.Unlock()
-	for _, doc := range docs {
-		_ = n.ep.Send(dir, RegisterRequest{ID: id, Doc: doc})
+	n.send(msgs)
+}
+
+// republishLocked stages one RegisterRequest per document this node has
+// published, addressed to dir. The caller decides under the same lock
+// whether dir is due one, and sends what is staged after releasing it.
+func (n *Node) republishLocked(dir transport.Addr) []outMsg {
+	msgs := make([]outMsg, 0, len(n.published))
+	for _, doc := range n.published {
+		n.nextID++
+		msgs = append(msgs, outMsg{to: dir, payload: RegisterRequest{ID: n.nextID, Doc: doc}})
+	}
+	return msgs
+}
+
+// send puts staged messages on the wire, best effort.
+func (n *Node) send(msgs []outMsg) {
+	for _, m := range msgs {
+		_ = n.ep.Send(m.to, m.payload)
 	}
 }
 
@@ -631,15 +642,9 @@ func (n *Node) republishIfMoved() {
 		return
 	}
 	n.publishedAt = dir
-	docs := make([][]byte, 0, len(n.published))
-	for _, doc := range n.published {
-		docs = append(docs, doc)
-	}
+	msgs := n.republishLocked(dir)
 	n.mu.Unlock()
-	for _, doc := range docs {
-		id := n.allocID()
-		_ = n.ep.Send(dir, RegisterRequest{ID: id, Doc: doc})
-	}
+	n.send(msgs)
 }
 
 // onSolicit re-registers this node's published services at a freshly
@@ -655,15 +660,9 @@ func (n *Node) onSolicit(s RepublishSolicit) {
 		return
 	}
 	n.publishedAt = dir
-	docs := make([][]byte, 0, len(n.published))
-	for _, doc := range n.published {
-		docs = append(docs, doc)
-	}
+	msgs := n.republishLocked(dir)
 	n.mu.Unlock()
-	for _, doc := range docs {
-		id := n.allocID()
-		_ = n.ep.Send(dir, RegisterRequest{ID: id, Doc: doc})
-	}
+	n.send(msgs)
 }
 
 func (n *Node) allocID() uint64 {
@@ -675,10 +674,11 @@ func (n *Node) allocID() uint64 {
 
 // onRegister stores an advertisement (directory side).
 func (n *Node) onRegister(from transport.Addr, req RegisterRequest) {
-	var errStr string
+	rep := RegisterReply{ID: req.ID}
 	if name, err := n.backend.Register(req.Doc); err != nil {
-		errStr = err.Error()
+		rep.Err = err.Error()
 	} else {
+		rep.Service = name
 		n.mu.Lock()
 		n.leases[name] = time.Now()
 		n.stats.Registrations++
@@ -686,7 +686,7 @@ func (n *Node) onRegister(from transport.Addr, req RegisterRequest) {
 		n.mu.Unlock()
 		n.summaryChanged()
 	}
-	_ = n.ep.Send(from, RegisterReply{ID: req.ID, Err: errStr})
+	_ = n.ep.Send(from, rep)
 }
 
 // summaryChanged is the one path from a backend mutation — a publish or
@@ -792,9 +792,10 @@ func (n *Node) onSummary(s SummaryPush, hops int) {
 	}
 }
 
-// onQuery is the directory-side request path: local discovery first; an
-// origin query with no local hits fans out to the peers whose Bloom
-// summaries pass (Section 4, Figure 6).
+// onQuery is the directory-side request path: local discovery first; what
+// of an origin query the local store left unanswered fans out to the peers
+// whose Bloom summaries pass (Section 4, Figure 6). The backend reads the
+// document, once; this shell only routes what it returns.
 func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	var spans []telemetry.Span
 	if q.Trace != 0 {
@@ -822,7 +823,7 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	}
 
 	matchStart := time.Now()
-	hits, err := n.backend.Query(q.Doc)
+	hits, rest, keys, err := n.backend.Resolve(q.Doc)
 	matchDur := time.Since(matchStart)
 	localMatchSeconds.Observe(matchDur)
 	if err != nil {
@@ -853,22 +854,14 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 		_ = n.ep.Send(from, QueryReply{ID: q.ID, From: n.ID(), Partial: true, Hits: hits, Spans: spans})
 		return
 	}
-
-	// Figure 6, step 3: forward only the required capabilities the local
-	// store could not answer.
-	missing := n.missingRequirements(q.Doc, hits)
-	if len(missing) == 0 {
-		n.replyQuery(q, q.Origin, hits, "", spans)
-		return
-	}
-	fwdDoc, err := n.backend.Subset(q.Doc, missing)
-	if err != nil {
-		// Cannot build the partial request; answer with what we have.
+	if rest == nil {
 		n.replyQuery(q, q.Origin, hits, "", spans)
 		return
 	}
 
-	targets, spares, pruned := n.selectForwardTargets(fwdDoc)
+	// Figure 6, step 3: forward what the local store could not answer to
+	// the peers whose summaries may hold it.
+	targets, spares, pruned := n.selectForwardTargets(keys)
 	updateBloomFPR()
 	if q.Trace != 0 {
 		for _, id := range pruned {
@@ -894,7 +887,7 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 		origin:   q.Origin,
 		originID: q.ID,
 		trace:    q.Trace,
-		doc:      fwdDoc,
+		doc:      rest,
 		deadline: now.Add(n.cfg.QueryTimeout),
 		forwards: make(map[transport.Addr]*forwardState, len(targets)),
 		spares:   spares,
@@ -916,41 +909,22 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	forwardsSentTotal.Add(uint64(len(targets)))
 
 	for _, id := range targets {
-		_ = n.ep.Send(id, QueryRequest{ID: fwdID, Origin: n.ID(), Forwarded: true, Trace: q.Trace, Doc: fwdDoc})
+		_ = n.ep.Send(id, QueryRequest{ID: fwdID, Origin: n.ID(), Forwarded: true, Trace: q.Trace, Doc: rest})
 	}
-}
-
-// missingRequirements returns the request's required capabilities that no
-// local hit answers.
-func (n *Node) missingRequirements(doc []byte, hits []Hit) []string {
-	names, err := n.backend.RequiredNames(doc)
-	if err != nil {
-		return nil
-	}
-	answered := make(map[string]bool, len(hits))
-	for _, h := range hits {
-		answered[h.For] = true
-	}
-	var missing []string
-	for _, name := range names {
-		if !answered[name] {
-			missing = append(missing, name)
-		}
-	}
-	return missing
 }
 
 // selectForwardTargets picks peer directories for an unresolved query:
-// Bloom-filtered first (peers whose summary cannot contain the request are
-// pruned and counted), then ranked nearest-first and truncated to
+// Bloom-filtered first, then ranked nearest-first and truncated to
 // MaxForwardPeers — the paper's "Bloom filters and additional parameters
-// such as ... the distance between the respective directories". The
-// ranking breaks hop-count ties by NodeID so the order is deterministic
-// regardless of map iteration, which retries, hedging, and seeded tests
-// all depend on. Candidates the bound cut off come back as spares, in
-// rank order, for hedged re-dispatch.
-func (n *Node) selectForwardTargets(doc []byte) (targets, spares, pruned []transport.Addr) {
-	key, keyErr := n.backend.RequestKey(doc)
+// such as ... the distance between the respective directories". keys are
+// the probe keys of what is unresolved, one per distinct ontology set: a
+// peer whose summary passes none of them cannot hold an answer and is
+// pruned and counted; one whose summary passes any, or that has sent no
+// summary yet, is a candidate. The ranking breaks hop-count ties by NodeID
+// so the order is deterministic regardless of map iteration, which retries,
+// hedging, and seeded tests all depend on. Candidates the bound cut off
+// come back as spares, in rank order, for hedged re-dispatch.
+func (n *Node) selectForwardTargets(keys []string) (targets, spares, pruned []transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	type cand struct {
@@ -959,7 +933,7 @@ func (n *Node) selectForwardTargets(doc []byte) (targets, spares, pruned []trans
 	}
 	var cands []cand
 	for id, ps := range n.peers {
-		if keyErr == nil && ps.filter != nil && !ps.filter.Test(key) {
+		if ps.filter != nil && !slices.ContainsFunc(keys, ps.filter.Test) {
 			n.stats.ForwardsPruned++
 			forwardsPrunedTotal.Inc()
 			pruned = append(pruned, id)
@@ -1257,10 +1231,12 @@ func (n *Node) Publish(ctx context.Context, doc []byte) error {
 		if rep.Err != "" {
 			return fmt.Errorf("discovery: publish rejected: %s", rep.Err)
 		}
-		// Remember the doc for re-publication after directory churn.
-		if name, err := n.backendServiceName(doc); err == nil {
+		// Remember the doc for re-publication after directory churn, under
+		// the name the directory stored it by. What a directory too old to
+		// say the name loses cannot be repaired from here.
+		if rep.Service != "" {
 			n.mu.Lock()
-			n.published[name] = doc
+			n.published[rep.Service] = doc
 			n.publishedAt = dir
 			n.mu.Unlock()
 		}
@@ -1271,22 +1247,6 @@ func (n *Node) Publish(ctx context.Context, doc []byte) error {
 		n.mu.Unlock()
 		return ctx.Err()
 	}
-}
-
-// backendServiceName extracts the service name from a document without
-// registering it, by asking the backend to parse it into a request key...
-// backends know their own formats, so delegate: Register is not suitable,
-// and parsing twice is acceptable at publication time.
-func (n *Node) backendServiceName(doc []byte) (string, error) {
-	type namer interface {
-		ServiceName(doc []byte) (string, error)
-	}
-	if b, ok := n.backend.(namer); ok {
-		return b.ServiceName(doc)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return fmt.Sprintf("doc-%d", len(n.published)), nil
 }
 
 // StepDown gracefully retires this node's directory role: its cached

@@ -126,6 +126,64 @@ func TestPublishRejectedDocument(t *testing.T) {
 	}
 }
 
+// TestPublishFilesUnderTheDirectorysName: a publisher does not read its own
+// document. It keeps it for re-publication under the name the directory's
+// acknowledgement carries, and keeps nothing when the acknowledgement — from
+// a directory older than the field — carries none.
+func TestPublishFilesUnderTheDirectorysName(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	t.Cleanup(net.Close)
+	eps, err := simnet.BuildLine(net, "n", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// n1 is a directory only in that it acknowledges: the first
+	// registration as an old build would, later ones under a name no
+	// parse of the document could yield.
+	acks := 0
+	drainSilently(t, eps[1], func(msg simnet.Message) {
+		if req, ok := msg.Payload.(RegisterRequest); ok {
+			rep := RegisterReply{ID: req.ID}
+			if acks++; acks > 1 {
+				rep.Service = "as-the-directory-says"
+			}
+			_ = eps[1].Send(msg.From, rep)
+		}
+	})
+	node := NewNode(eps[0], NewSemanticBackend(fixtureRegistry(t)), Config{
+		StaticDirectory: "n1",
+		TickInterval:    2 * time.Millisecond,
+		Election:        election.Config{ElectionTimeout: time.Hour},
+	})
+	node.Start(context.Background())
+	t.Cleanup(node.Stop)
+	published := func() map[string]string {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		out := make(map[string]string, len(node.published))
+		for name, doc := range node.published {
+			out[name] = string(doc)
+		}
+		return out
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	doc := []byte("not a document this node could name")
+	if err := node.Publish(ctx, doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := published(); len(got) != 0 {
+		t.Fatalf("published = %q after an acknowledgement without a name", got)
+	}
+	if err := node.Publish(ctx, doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := published(); len(got) != 1 || got["as-the-directory-says"] != string(doc) {
+		t.Fatalf("published = %q, want the document under the acknowledged name", got)
+	}
+}
+
 // TestGlobalDiscoveryForwarding is the Figure 6 walk-through: the query
 // reaches directory A, which has no local match, consults its peers'
 // Bloom filters, forwards to directory B, and relays B's hits back to the

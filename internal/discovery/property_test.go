@@ -77,10 +77,7 @@ func TestPropertyChaosEventualDiscovery(t *testing.T) {
 			t.Logf("seed=%d: publish: %v", seed, err)
 			return false
 		}
-		key, err := nodes[0].backend.RequestKey(pdaRequestDoc(t))
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := probeKey(t, nodes[0].backend, pdaRequestDoc(t))
 		if deadlineReached(func() bool {
 			nodes[0].mu.Lock()
 			defer nodes[0].mu.Unlock()

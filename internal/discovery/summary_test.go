@@ -16,13 +16,15 @@ import (
 )
 
 // pushRecorder is the first directory's endpoint, noting every summary
-// the node hands it. The backbone's opening handshake is still in flight
-// when a test starts, so the process-wide push counter cannot tell a
-// test's pushes from it; what one node sent, and with which bits, can.
+// and every forwarded request the node hands it. The backbone's opening
+// handshake is still in flight when a test starts, so the process-wide
+// push counter cannot tell a test's pushes from it; what one node sent,
+// and with which bits, can.
 type pushRecorder struct {
 	transport.Endpoint
-	mu     sync.Mutex
-	pushes []recordedPush // guarded by mu
+	mu       sync.Mutex
+	pushes   []recordedPush // guarded by mu
+	forwards [][]byte       // guarded by mu
 }
 
 type recordedPush struct {
@@ -31,10 +33,17 @@ type recordedPush struct {
 }
 
 func (r *pushRecorder) Send(to transport.Addr, payload any) error {
-	if p, ok := payload.(SummaryPush); ok {
+	switch p := payload.(type) {
+	case SummaryPush:
 		r.mu.Lock()
 		r.pushes = append(r.pushes, recordedPush{to, p})
 		r.mu.Unlock()
+	case QueryRequest:
+		if p.Forwarded {
+			r.mu.Lock()
+			r.forwards = append(r.forwards, p.Doc)
+			r.mu.Unlock()
+		}
 	}
 	return r.Endpoint.Send(to, payload)
 }
@@ -43,6 +52,14 @@ func (r *pushRecorder) sent() []recordedPush {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]recordedPush(nil), r.pushes...)
+}
+
+// forwarded returns the documents of the requests the node forwarded, as
+// the slices it handed to the transport.
+func (r *pushRecorder) forwarded() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]byte(nil), r.forwards...)
 }
 
 // backbone starts a line of directories that all know each other and

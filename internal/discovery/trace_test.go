@@ -50,10 +50,7 @@ func TestDiscoverTraceRecordsForwardingHops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	key, err := nodes[1].backend.RequestKey(pdaRequestDoc(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := probeKey(t, nodes[1].backend, pdaRequestDoc(t))
 	waitUntil(t, 2*time.Second, "summaries at n1", func() bool {
 		nodes[1].mu.Lock()
 		defer nodes[1].mu.Unlock()
