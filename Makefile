@@ -37,13 +37,17 @@ lint-json:
 # that the incremental publish is compiled and exercised at 200 to 8000
 # services in both directory shapes), prints what a preloaded
 # advertisement leaves on the daemon's heap (B/advert, allocs/advert, both
-# shapes), then regenerates the Fig. 8 insert
+# shapes), replays one publish and one query datagram of each shape
+# through the daemon's front end in process (BenchmarkHandleDatagram, the
+# benchmark to profile for what share of a publish is classification),
+# then regenerates the Fig. 8 insert
 # series (both shapes, with match operations per insert) and the Fig. 9/10
 # latency series as BENCH_fig8.json / BENCH_fig9.json / BENCH_fig10.json —
 # CI uploads them as artifacts so every run leaves a comparable trace.
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkParallelDiscovery|BenchmarkRegisterAtSize' -benchtime=1x -benchmem ./internal/registry/
 	$(GO) test -run '^$$' -bench BenchmarkPreloadResident -benchtime=1x ./cmd/sdpd/
+	$(GO) test -run '^$$' -bench BenchmarkHandleDatagram -benchtime=1x -benchmem ./cmd/sdpd/
 	$(GO) run ./cmd/benchfig -fig 8 -max 60 -step 30 -reps 25 -benchjson
 	$(GO) run ./cmd/benchfig -fig 9 -max 60 -step 30 -reps 25 -benchjson
 	$(GO) run ./cmd/benchfig -fig 10 -max 60 -step 30 -reps 25 -benchjson

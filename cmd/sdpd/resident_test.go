@@ -3,7 +3,6 @@ package main
 import (
 	"path/filepath"
 	"runtime"
-	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"sariadne/internal/sdpapi"
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
+	"sariadne/internal/testutil"
 )
 
 // The two directory shapes of the live benchmark (bench/e2e): sparse is
@@ -21,20 +21,12 @@ import (
 var residentShapes = []struct {
 	name                string
 	ontologies, classes int
+	// live is the shape's directory size in the live benchmark and depth how
+	// far its requests specialize an advertisement's concepts.
+	live, depth int
 }{
-	{"sparse", 22, 40},
-	{"dense", 2, 12},
-}
-
-// liveHeapBytes is what the heap holds once the collector has run: the
-// bytes of objects still reachable, which is what a stored advertisement
-// costs a directory to hold.
-func liveHeapBytes() int64 {
-	runtime.GC()
-	runtime.GC() // the first run may leave finalizers and pool victims behind
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(sample)
-	return int64(sample[0].Value.Uint64())
+	{"sparse", 22, 40, 2000, 1},
+	{"dense", 2, 12, 1400, 2},
 }
 
 // residentFixture is an empty server with a shape's ontologies loaded, and
@@ -43,6 +35,7 @@ func liveHeapBytes() int64 {
 // decoding a request does, so what the server keeps shows in the heap.
 type residentFixture struct {
 	srv   *server
+	w     *gen.Workload
 	names []string
 	docs  []string
 }
@@ -53,7 +46,7 @@ func newResidentFixture(tb testing.TB, ontologies, classes, n int) *residentFixt
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := &residentFixture{}
+	f := &residentFixture{w: w}
 	if f.srv, err = newServer(nil); err != nil {
 		tb.Fatal(err)
 	}
@@ -102,26 +95,25 @@ func (f *residentFixture) versionBytes() (total int64) {
 
 // residentOverhead is what a stored advertisement may cost on the heap
 // beyond its own document, per shape: the largest figure this tree measures
-// (sparse 1511 B, dense 1219 B; the race detector's build adds about 30)
-// plus 10 %. internal/gen's documents are 424 bytes, so an advertisement
-// costs 1.9 KB and 1.6 KB. The tree before an advertisement was made to
-// live once measured 3380 and 2608 B of overhead on the same documents —
-// 3.8 KB and 3.0 KB each; on the live benchmark's 704-byte documents
-// 4.4 KB — in three copies of the document, a clone of the capability and a
-// Go map per graph, vertex and adjacency set to hold one element each, and
-// it kept every superseded document: publishing each name five times more
-// took it to 6.6 KB.
-var residentOverhead = map[string]int64{"sparse": 1660, "dense": 1340, "durable": 1760}
+// (sparse 1179 B, dense 974 B, durable 1238 B, all under the race detector,
+// whose build adds about 30) plus 10 %. internal/gen's documents are 424
+// bytes, so an advertisement costs 1.55 KB and 1.36 KB. The tree that held
+// every capability DAG twice — the writer's vertices and a compiled copy —
+// and indexed the service name once for the document and once for the
+// entries measured 1511, 1220 and 1570 B; the one before an advertisement
+// was made to live once 3380 and 2608 B (3.8 KB and 3.0 KB each; on the
+// live benchmark's 704-byte documents 4.4 KB), and it kept every superseded
+// document: publishing each name five times more took it to 6.6 KB.
+var residentOverhead = map[string]int64{"sparse": 1300, "dense": 1070, "durable": 1360}
 
 // residentWithdrawn is what a withdrawn name may leave on the heap: the
-// largest figure measured (481 B, with a store and the race detector;
-// 387-423 B without a store) plus 10 %. About 200 B of it is the ledger's
-// record of the name — its own copy of the name, six version numbers, a
-// slot in the adverts map — and the rest the slots the name held in the
-// backend's document table, the directory's service table and the store's
+// largest figure measured (421 B, with a store; 334-374 B without) plus
+// 10 %. About 200 B of it is the ledger's record of the name — its own copy
+// of the name, six version numbers, a slot in the adverts map — and the rest
+// the slots the name held in the directory's service table and the store's
 // key directory, which Go maps keep when they empty and the next
 // advertisements reuse. None of it scales with the document.
-const residentWithdrawn = 530
+const residentWithdrawn = 465
 
 // TestResidentBytesPerAdvert is the directory's byte budget, counted on the
 // heap and so independent of the host: what a published advertisement adds
@@ -164,9 +156,9 @@ func TestResidentBytesPerAdvert(t *testing.T) {
 func (f *residentFixture) checkResident(t *testing.T, overhead int64) (perAdvert int64) {
 	t.Helper()
 	n := int64(len(f.docs))
-	empty := liveHeapBytes()
+	empty := testutil.LiveHeapBytes()
 	f.publishAll(t)
-	once, numbers := liveHeapBytes()-empty, f.versionBytes()
+	once, numbers := testutil.LiveHeapBytes()-empty, f.versionBytes()
 	perAdvert = once / n
 	doc := int64(f.docBytes()) / n
 	t.Logf("%d adverts: %d B each on the heap, of which the document %d B, overhead %d B",
@@ -180,7 +172,7 @@ func (f *residentFixture) checkResident(t *testing.T, overhead int64) (perAdvert
 		f.publishAll(t)
 	}
 	numbers = f.versionBytes() - numbers
-	again := liveHeapBytes() - empty - numbers
+	again := testutil.LiveHeapBytes() - empty - numbers
 	t.Logf("%d adverts: %d B each after publishing every name 5 times more (%+.1f %%), and %d B of version numbers",
 		n, again/n, 100*float64(again-once)/float64(once), numbers/n)
 	if again > once+once/20 {
@@ -193,7 +185,7 @@ func (f *residentFixture) checkResident(t *testing.T, overhead int64) (perAdvert
 			t.Fatalf("deregister %s: %s", name, resp.Error)
 		}
 	}
-	left := (liveHeapBytes() - empty) / n
+	left := (testutil.LiveHeapBytes() - empty) / n
 	t.Logf("%d adverts: %d B left per withdrawn name", n, left)
 	if left > residentWithdrawn {
 		t.Errorf("%d adverts: withdrawing everything leaves %d B per name, want at most %d", n, left, residentWithdrawn)
@@ -214,14 +206,14 @@ func BenchmarkPreloadResident(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				f := newResidentFixture(b, shape.ontologies, shape.classes, n)
-				empty := liveHeapBytes()
+				empty := testutil.LiveHeapBytes()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
 				f.publishAll(b)
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
-				resident += liveHeapBytes() - empty
+				resident += testutil.LiveHeapBytes() - empty
 				mallocs += after.Mallocs - before.Mallocs
 				runtime.KeepAlive(f)
 			}

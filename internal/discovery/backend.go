@@ -16,9 +16,7 @@ package discovery
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
-	"sync"
 
 	"sariadne/internal/codes"
 	"sariadne/internal/match"
@@ -85,15 +83,14 @@ var ErrNoRequiredCapability = errors.New("discovery: request has no required cap
 // parsed at publication time, capabilities classified into the DAG
 // registry, matching over encoded ontologies.
 type SemanticBackend struct {
-	tables  *codes.Registry
+	tables *codes.Registry
+	// dir holds the advertisements, each with its document — the string
+	// Prepare parsed, of which the name and everything else the directory
+	// keeps of the advertisement are substrings — in one table under its
+	// writer lock, so an advertisement is in Snapshot exactly while queries
+	// can return it.
 	dir     *registry.Directory
 	matcher *match.CodeMatcher
-
-	mu sync.Mutex
-	// docs holds each stored advertisement's document under its service
-	// name: the string Prepare parsed, of which the name and everything the
-	// directory keeps of the advertisement are substrings.
-	docs map[string]string // guarded by mu
 }
 
 // NewSemanticBackend builds the backend over encoded code tables.
@@ -103,7 +100,6 @@ func NewSemanticBackend(reg *codes.Registry) *SemanticBackend {
 		tables:  reg,
 		dir:     registry.NewDirectory(m),
 		matcher: m,
-		docs:    make(map[string]string),
 	}
 }
 
@@ -156,16 +152,7 @@ func (b *SemanticBackend) Prepare(doc string) (*Advert, error) {
 // adopts the parsed service, so the advertisement is spent. It does not
 // fail on an advertisement Prepare returned.
 func (b *SemanticBackend) Insert(a *Advert) error {
-	if err := b.dir.Adopt(a.svc); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	// Assigning over a name already stored would keep the old key, a
-	// substring of the document being replaced.
-	delete(b.docs, a.svc.Name)
-	b.docs[a.svc.Name] = a.doc
-	b.mu.Unlock()
-	return nil
+	return b.dir.Adopt(a.svc, a.doc)
 }
 
 // Register implements Backend: Prepare on a copy of doc, which the caller
@@ -182,33 +169,18 @@ func (b *SemanticBackend) Register(doc []byte) (string, error) {
 }
 
 // Has reports whether an advertisement is stored under the service name.
-func (b *SemanticBackend) Has(service string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.docs[service]
-	return ok
-}
+func (b *SemanticBackend) Has(service string) bool { return b.dir.Has(service) }
 
 // Deregister implements Backend.
-func (b *SemanticBackend) Deregister(service string) bool {
-	b.mu.Lock()
-	delete(b.docs, service)
-	b.mu.Unlock()
-	return b.dir.Deregister(service)
-}
+func (b *SemanticBackend) Deregister(service string) bool { return b.dir.Deregister(service) }
 
 // Documents returns the stored advertisement documents by service name.
-// The strings are the stored ones, not copies: taking the listing costs
-// one map of headers under the lock, and a caller that needs bytes
+// The strings are the stored ones, not copies: a caller that needs bytes
 // converts each document when it uses it.
-func (b *SemanticBackend) Documents() map[string]string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return maps.Clone(b.docs)
-}
+func (b *SemanticBackend) Documents() map[string]string { return b.dir.Documents() }
 
 // Snapshot implements Backend: Documents, as the byte slices the interface
-// asks for, converted outside the lock.
+// asks for, converted outside the directory's lock.
 func (b *SemanticBackend) Snapshot() map[string][]byte {
 	docs := b.Documents()
 	out := make(map[string][]byte, len(docs))

@@ -3,6 +3,8 @@ package discovery
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -203,4 +205,67 @@ func TestSemanticBackendKeys(t *testing.T) {
 	if reqKey := probeKey(t, NewSemanticBackend(fixtureRegistry(t)), pdaRequestDoc(t)); reqKey != keys[0] {
 		t.Fatalf("request key %q != stored key %q", reqKey, keys[0])
 	}
+}
+
+// TestSnapshotHoldsWhatQueriesReturn is for the race detector and for the
+// handover: one goroutine publishes and withdraws an advertisement while
+// others query and take Snapshot, as Node.StepDown does off the daemon's
+// lock. A service a query returned must be in a snapshot taken afterwards,
+// unless a withdrawal was under way at some point in between: the
+// advertisement and its document are stored in one step, so a handover
+// never omits an advertisement the directory already serves.
+func TestSnapshotHoldsWhatQueriesReturn(t *testing.T) {
+	b := NewSemanticBackend(fixtureRegistry(t))
+	advert, request := workstationDoc(t), pdaRequestDoc(t)
+	const cycles = 2000
+	var begun, finished atomic.Int64 // withdrawals; finished <= begun at all times
+	var readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				// finished first: if it equals begun, read later, none was
+				// under way when begun was read.
+				quiet := finished.Load()
+				if begun.Load() != quiet {
+					continue
+				}
+				hits, err := b.Query(request)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				snap := b.Snapshot()
+				if begun.Load() != quiet {
+					continue
+				}
+				for _, h := range hits {
+					if _, ok := snap[h.Service]; !ok {
+						t.Errorf("a query returned %s, no withdrawal was under way since, and Snapshot does not hold it", h.Service)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < cycles && !t.Failed(); i++ {
+		name, err := b.Register(advert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		begun.Add(1)
+		if !b.Deregister(name) {
+			t.Fatalf("cycle %d: %s was not registered", i, name)
+		}
+		finished.Add(1)
+	}
+	close(done)
+	readers.Wait()
 }

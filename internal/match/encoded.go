@@ -62,9 +62,10 @@ type Encoded struct {
 	// handles holds the capability's resolved references in one array:
 	// category and properties (the property set of the matching relation),
 	// then inputs from inputsAt, then outputs from outputsAt. Nil when the
-	// matcher works by name.
+	// matcher works by name. The two offsets are 32-bit so that an Encoded is
+	// 40 bytes, and a directory entry that embeds one 80.
 	handles             []handle
-	inputsAt, outputsAt int
+	inputsAt, outputsAt int32
 }
 
 // Capability returns the capability e was made from.
@@ -88,8 +89,8 @@ func newEncoded(ts *codes.Tables, c *profile.Capability) *Encoded {
 	e := &Encoded{
 		cap:       c,
 		handles:   make([]handle, 0, 1+len(c.Properties)+len(c.Inputs)+len(c.Outputs)),
-		inputsAt:  1 + len(c.Properties),
-		outputsAt: 1 + len(c.Properties) + len(c.Inputs),
+		inputsAt:  int32(1 + len(c.Properties)),
+		outputsAt: int32(1 + len(c.Properties) + len(c.Inputs)),
 	}
 	// Consecutive references mostly share an ontology: its table is looked
 	// up when the URI changes, not per reference.

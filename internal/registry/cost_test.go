@@ -11,6 +11,7 @@ import (
 	"sariadne/internal/match"
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/testutil"
 )
 
 // sizedDirectory registers services advertisements of one of the live
@@ -73,29 +74,35 @@ var flatSink any
 // flatCopyBytes is what the linear-by-design part of publishing fresh and
 // withdrawing it again allocates (see snapshot.go): twice the snapshot's
 // graph pointer list, twice the ontology index's map header (one slot per
-// ontology URI) and, for the graph the advertisement lands in, twice its
-// compiled vertex array. It is measured, not computed, so that it
-// includes the allocator's rounding.
-func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 {
+// ontology URI), twice the index's list of graphs under each URI of the
+// graph the advertisement lands in and, for that graph, twice the draft of
+// its next version — the copies of its slot table and walk order. It is
+// measured, not computed, so that it includes the allocator's rounding; the
+// draft is the directory's own newDraft. The second result is the draft's
+// share, once, and the third the number of nodes it copies.
+func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) (total, draft float64, nodes int) {
 	if err := d.Register(fresh); err != nil {
 		tb.Fatal(err)
 	}
 	d.mu.Lock()
-	vertices := len(d.byService[fresh.Name][0].g.slots)
+	cur := d.byService[fresh.Name].entries[0].g.cur
 	d.mu.Unlock()
 	graphs := d.NumGraphs()
-	d.Deregister(fresh.Name)
 	index := d.snap.Load().byOntology
-	if vertices == 1 {
-		vertices = 0 // a graph of its own: nothing copied, all of it is the change
-	}
-	return allocated(func() {
-		for range 2 {
-			flatSink = make([]*snapGraph, graphs)
-			flatSink = maps.Clone(index)
-			flatSink = make([]snapVertex, vertices)
+	d.Deregister(fresh.Name)
+	lists := func() {
+		flatSink = make([]*snapGraph, graphs)
+		flatSink = maps.Clone(index)
+		for _, u := range cur.ontologies {
+			flatSink = make([]*snapGraph, len(index[u]))
 		}
-	})
+	}
+	if len(cur.nodes) == 1 {
+		// A graph of its own: nothing copied, all of it is the change.
+		return allocated(func() { lists(); lists() }), 0, 0
+	}
+	draft = allocated(func() { flatSink = newDraft(cur) })
+	return allocated(func() { lists(); lists() }) + 2*draft, draft, len(cur.nodes)
 }
 
 // TestRegisterCostIndependentOfSize is the guard on the publish path that
@@ -106,8 +113,11 @@ func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 
 // services may cost at most half as much again — in allocations outright,
 // and in bytes once the terms that are linear by design are set aside,
 // the flat copies of the snapshot's graph pointer list, of the ontology
-// index's map header and of the touched graph's vertex array (see
-// snapshot.go).
+// index's map header, of the index's lists under the touched graph's URIs
+// and of the touched graph's slot table and walk order (see snapshot.go).
+// That last copy, the draft of the graph's next version, is held to 16
+// bytes per node — 8 for the slot, 4 for the walk order, 4 for its inverse
+// — plus the allocator's rounding of three arrays and the draft itself.
 //
 // On the dense shape it also reports the match operations one insert
 // needs, next to what the unbounded reference classifier needs for the
@@ -115,6 +125,7 @@ func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) float64 
 // search for S to save a third of them at 2000 services.
 func TestRegisterCostIndependentOfSize(t *testing.T) {
 	type cost struct{ allocs, bytes, flatBytes, matchOps, referenceOps float64 }
+	const perNode, rounding, fixed = 16, 1.2, 256 // the budget of a draft; size classes near 8 KB are 18 % apart
 	measure := func(services int, dense bool) cost {
 		d, fresh := sizedDirectory(t, services, dense)
 		st := d.Stats()
@@ -133,7 +144,11 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 		var c cost
 		n := float64(len(fresh))
 		for _, svc := range fresh {
-			c.flatBytes += flatCopyBytes(t, d, svc) / n
+			flat, draft, nodes := flatCopyBytes(t, d, svc)
+			c.flatBytes += flat / n
+			if budget := perNode*rounding*float64(nodes+1) + fixed; nodes > 0 && draft > budget {
+				t.Errorf("%d services: the draft of a graph of %d nodes takes %.0f B, over %d B per node (%.0f B with rounding)", services, nodes, draft, perNode, budget)
+			}
 		}
 		const runs = 10
 		c.bytes = allocated(func() {
@@ -174,6 +189,46 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 				t.Errorf("at 2000 services an insert needs %.0f match operations, more than two thirds of the reference classifier's %.0f", large.matchOps, large.referenceOps)
 			}
 		})
+	}
+}
+
+// TestSingletonGraphBytes is the byte budget of the lookup-sparse shape,
+// where nearly every capability is a graph of its own: such a graph — the
+// writer's graph object, the published version with its slot table, walk
+// order and ontology list, the node and its entry list, and the graph's
+// place in the directory's, the index's and the snapshot's lists — may cost
+// 360 bytes. It is what 2000 mutually unrelated capabilities leave on the
+// heap beyond what 2000 equivalent ones do, which share one node of one
+// graph and so cost the entry, the service record and 8 bytes of that
+// node's entry list each. The tree that held a graph in two forms measured
+// 622 B here.
+func TestSingletonGraphBytes(t *testing.T) {
+	const n, budget = 2000, 360
+	resident := func(category func(i int) string) int64 {
+		d, h, _ := hubWorld(t, n)
+		var services []*profile.Service
+		for i := range n {
+			svc := h.service(category(i))
+			svc.Name = fmt.Sprintf("svc%04d", i)
+			services = append(services, svc)
+		}
+		before := testutil.LiveHeapBytes()
+		for _, svc := range services {
+			if err := d.Register(svc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := testutil.LiveHeapBytes()
+		if err := d.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return (after - before) / n
+	}
+	apart := resident(func(i int) string { return fmt.Sprintf("K%d", i) })
+	together := resident(func(int) string { return "K0" })
+	t.Logf("an advertisement costs %d B as a graph of its own and %d B in a node it shares: a singleton graph is %d B", apart, together, apart-together)
+	if apart-together > budget {
+		t.Errorf("a singleton graph costs %d B, over the budget of %d", apart-together, budget)
 	}
 }
 
@@ -327,12 +382,11 @@ func (h hubOntology) service(category string) *profile.Service {
 	}}
 }
 
-// hubDirectory is a directory of one graph in which the vertex of service
-// Any has fanout successors and they have none: concept Any subsumes
-// Middle, Spare and the second half of the concepts K0 … K<fanout-1>
-// directly, and Middle subsumes the first half, whose services are
-// registered while Middle's is not.
-func hubDirectory(tb testing.TB, fanout int) (*Directory, hubOntology) {
+// hubWorld is an empty directory over the hub vocabulary: concept Any
+// subsumes Middle, Spare and the second half of the concepts K0 …
+// K<fanout-1> directly, and Middle subsumes the first half. It returns the
+// concepts' names with the directory.
+func hubWorld(tb testing.TB, fanout int) (*Directory, hubOntology, []string) {
 	tb.Helper()
 	h := hubOntology{uri: "http://example.org/hub"}
 	o := ontology.New(h.uri, "1")
@@ -344,27 +398,37 @@ func hubDirectory(tb testing.TB, fanout int) (*Directory, hubOntology) {
 		}
 		classes = append(classes, ontology.Class{Name: fmt.Sprintf("K%d", i), SubClassOf: []string{super}})
 	}
+	var names []string
 	for _, c := range classes {
 		if err := o.AddClass(c); err != nil {
 			tb.Fatal(err)
 		}
+		names = append(names, c.Name)
 	}
 	reg := codes.NewRegistry()
 	reg.Register(codes.MustEncode(ontology.MustClassify(o), codes.DefaultParams))
-	d := NewDirectory(match.NewCodeMatcher(reg))
-	for _, c := range classes {
-		if c.Name == "Middle" || c.Name == "Spare" {
+	return NewDirectory(match.NewCodeMatcher(reg)), h, names
+}
+
+// hubDirectory is a directory of one graph in which the node of service
+// Any has fanout successors and they have none: every concept of hubWorld
+// has its service registered but Middle and Spare.
+func hubDirectory(tb testing.TB, fanout int) (*Directory, hubOntology) {
+	tb.Helper()
+	d, h, names := hubWorld(tb, fanout)
+	for _, name := range names {
+		if name == "Middle" || name == "Spare" {
 			continue
 		}
-		if err := d.Register(h.service(c.Name)); err != nil {
+		if err := d.Register(h.service(name)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	d.mu.Lock()
-	g := d.byService["Any"][0]
+	at := d.byService["Any"].entries[0]
 	d.mu.Unlock()
-	if len(d.graphs) != 1 || len(g.v.succs) != fanout || len(g.g.leaves) != fanout {
-		tb.Fatalf("hub has %d successors in %d graphs, want %d in one", len(g.v.succs), len(d.graphs), fanout)
+	if succs := at.g.cur.nodes[at.slot].succs; len(d.graphs) != 1 || len(succs) != fanout || int(at.g.cur.tally.leaves) != fanout {
+		tb.Fatalf("hub has %d successors in %d graphs, want %d in one", len(succs), len(d.graphs), fanout)
 	}
 	return d, h
 }

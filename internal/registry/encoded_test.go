@@ -151,6 +151,71 @@ func TestHistoryWithTableReplacementEqualsLinearScan(t *testing.T) {
 	}
 }
 
+// TestHubHistoryEqualsLinearScan is the same history check on the shape
+// internal/gen never makes: one node with two thousand successors
+// (hubDirectory). Withdrawing a successor hands its slot to the node in the
+// last one, which the hub names by slot among its two thousand, and
+// publishing it again takes the slot that node left; publishing Middle
+// re-parents half of them and withdrawing it puts them back; withdrawing
+// Any makes every one of them a root. After every step the
+// directory must answer as the linear scan does and keep the graph
+// invariants; the from-scratch rebuild, quadratic in the graph, is compared
+// every twentieth step.
+func TestHubHistoryEqualsLinearScan(t *testing.T) {
+	const fanout = 2000
+	d, h := hubDirectory(t, fanout)
+	w := &tableWorld{d: d, lin: NewLinearDirectory(d.matcher)}
+	for _, name := range d.Services() {
+		if err := w.lin.Register(h.service(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, category := range []string{"K3", "K1500", "Middle", "Spare", "Any"} {
+		w.probes = append(w.probes, h.service(category).Provided[0])
+	}
+	rng := rand.New(rand.NewSource(24))
+	before := layoutOf(d)
+	var total writeShape
+	for step := 0; step < 40; step++ {
+		name := fmt.Sprintf("K%d", rng.Intn(fanout))
+		switch step % 10 {
+		case 3, 8:
+			name = "Middle"
+		case 5:
+			name = "Any"
+		case 6:
+			name = "Spare"
+		}
+		// A name that is registered is withdrawn or, as often, published
+		// again: the write frees its slot, moves the last node there and
+		// puts the new node in the slot that one held.
+		what := "register " + name
+		if d.Has(name) && rng.Intn(2) == 0 {
+			what = "deregister " + name
+			d.Deregister(name)
+			w.lin.Deregister(name)
+		} else {
+			w.register(t, h.service(name))
+		}
+		after := layoutOf(d)
+		shape := before.shapeOf(after)
+		total.moved += shape.moved
+		total.reused += shape.reused
+		before = after
+		if w.checkEqualsLinearScan(t, fmt.Sprintf("step %d (%s)", step, what)) == 0 {
+			t.Fatalf("step %d (%s): no probe hits anything", step, what)
+		}
+		if step%20 == 19 {
+			checkAgainstScratch(t, d, w.probes)
+		} else if err := d.checkInvariants(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+	}
+	if total.moved < 5 || total.reused < 5 {
+		t.Fatalf("history too tame: %d nodes moved to a freed slot, %d slots reused", total.moved, total.reused)
+	}
+}
+
 // TestStaleUntilReclassified pins the window down: between registering a
 // replacement table and Reclassify the directory answers short on that
 // ontology — it never compares codes of the two tables — and Reclassify
@@ -251,8 +316,8 @@ func TestQueryDuringRegisterAndTableReplacement(t *testing.T) {
 	}
 	w.d.mu.Lock()
 	for name := range live {
-		svc := &profile.Service{Name: name, Provider: w.d.byService[name][0].Provider}
-		for _, e := range w.d.byService[name] {
+		svc := &profile.Service{Name: name, Provider: w.d.byService[name].entries[0].Provider}
+		for _, e := range w.d.byService[name].entries {
 			svc.Provided = append(svc.Provided, e.Capability)
 		}
 		if err := w.lin.Register(svc); err != nil {

@@ -14,36 +14,72 @@ import (
 	"sariadne/internal/profile"
 )
 
-// newScratchSnapshot is the whole-directory compile the publish path used
-// to run on every write, kept as the oracle the incremental publish is
-// checked against: it recompiles every graph and rebuilds every index
-// from the builder state, sharing nothing with any published snapshot.
-func newScratchSnapshot(d *Directory) *snapshot {
+// vertex is the from-scratch oracle's own form of a graph vertex, with
+// pointers for adjacency: the directory's form names neighbours by slot,
+// and the oracle shares neither its slots nor its walk order.
+type vertex struct {
+	rep          *match.Encoded
+	entries      []*Entry
+	preds, succs []*vertex
+}
+
+// newScratchSnapshot is the oracle the incremental publish is checked
+// against: a snapshot rebuilt from what the directory was told, sharing
+// nothing with any published one and reading no node's adjacency, no slot
+// table's layout and no walk order. Which entry sits in which graph and
+// node it takes from the service table; the edges it derives from the
+// match relation itself (scratchGraph).
+func newScratchSnapshot(d *Directory) (*snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := &snapshot{byOntology: make(map[string][]*snapGraph, len(d.byOntology))}
-	compiled := make(map[*graph]*snapGraph, len(d.graphs))
-	for _, g := range d.graphs {
-		sg := newSnapGraph(g)
-		compiled[g] = sg
+	type place struct {
+		g    *graph
+		slot int32
+	}
+	members := make(map[place][]*Entry)
+	keySet := make(map[string]struct{})
+	for _, ad := range d.byService {
+		for _, e := range ad.entries {
+			members[place{e.g, e.slot}] = append(members[place{e.g, e.slot}], e.Entry)
+			keySet[e.Capability.OntologyKey()] = struct{}{}
+		}
+	}
+	s := &snapshot{byOntology: make(map[string][]*snapGraph, len(d.byOntology)), ontologyKeys: slices.Sorted(maps.Keys(keySet))}
+	rebuilt := make(map[*graph]*snapGraph, len(d.graphs))
+	for gi, g := range d.graphs {
+		var verts []*vertex
+		for slot, n := range g.cur.nodes {
+			// The entries of a vertex are a set to the oracle; it lists them
+			// in the published node's order so that dumps compare.
+			got := members[place{g, int32(slot)}]
+			delete(members, place{g, int32(slot)})
+			if len(got) != len(n.entries) {
+				return nil, fmt.Errorf("graph %d slot %d lists %d entries, the service table places %d there", gi, slot, len(n.entries), len(got))
+			}
+			for _, e := range got {
+				if !slices.Contains(n.entries, e) {
+					return nil, fmt.Errorf("graph %d slot %d does not list %s, which the service table places there", gi, slot, e)
+				}
+			}
+			verts = append(verts, &vertex{rep: n.rep, entries: n.entries})
+		}
+		sg, err := scratchGraph(d.enc, verts)
+		if err != nil {
+			return nil, fmt.Errorf("graph %d: %w", gi, err)
+		}
+		rebuilt[g] = sg
 		s.graphs = append(s.graphs, sg)
 		s.tally = s.tally.plus(sg.tally)
 	}
+	if len(members) > 0 {
+		return nil, fmt.Errorf("the service table places entries in %d nodes no graph has", len(members))
+	}
 	for u, idx := range d.byOntology {
 		for _, g := range idx.graphs {
-			s.byOntology[u] = append(s.byOntology[u], compiled[g])
+			s.byOntology[u] = append(s.byOntology[u], rebuilt[g])
 		}
 	}
-	keySet := make(map[string]struct{})
-	for _, g := range d.graphs {
-		for _, v := range g.slots {
-			for _, e := range v.entries {
-				keySet[e.Capability.OntologyKey()] = struct{}{}
-			}
-		}
-	}
-	s.ontologyKeys = slices.Sorted(maps.Keys(keySet))
-	return s
+	return s, nil
 }
 
 // rankHeap is a binary min-heap of vertex name ranks.
@@ -124,54 +160,75 @@ func topoOrder(verts []*vertex) []int32 {
 	return order
 }
 
-// newSnapGraph compiles one builder graph from scratch, sharing nothing
-// with its patched compiled form and ignoring the builder's slots and
-// walk order: vertices are laid out in a deterministic topological order
-// (lexicographic by representative capability name among ready vertices),
-// so slot i is also the i-th vertex of the walk.
-func newSnapGraph(g *graph) *snapGraph {
-	verts := slices.Clone(g.slots)
-	edges, entries := 0, 0
-	for _, v := range verts {
-		edges += len(v.succs)
-		entries += len(v.entries)
+// scratchGraph builds one graph version from its vertices alone. The
+// edges are the transitive reduction of the match relation over the
+// vertices' representatives — V subsumes W directly when Match(V, W) and no
+// third vertex lies between — which is what the paper's graph is and what
+// insertion and removal are meant to maintain; two distinct vertices that
+// match both ways should have been one. Vertices are laid out in a
+// deterministic topological order (lexicographic by representative
+// capability name among ready vertices), so slot i is also the i-th of the
+// walk.
+func scratchGraph(enc match.EncodedMatcher, verts []*vertex) (*snapGraph, error) {
+	below := make([][]*vertex, len(verts)) // below[i]: the vertices verts[i] subsumes
+	index := make(map[*vertex]int, len(verts))
+	for i, v := range verts {
+		index[v] = i
+		for _, w := range verts {
+			if _, ok := enc.EncodedDistance(v.rep, w.rep); ok && w != v {
+				below[i] = append(below[i], w)
+			}
+		}
+	}
+	for i, v := range verts {
+		for _, w := range below[i] {
+			if slices.Contains(below[index[w]], v) {
+				return nil, fmt.Errorf("%s and %s match both ways and are two vertices", v.rep.Capability().Name, w.rep.Capability().Name)
+			}
+			direct := !slices.ContainsFunc(below[i], func(x *vertex) bool { return slices.Contains(below[index[x]], w) })
+			if direct {
+				v.succs = append(v.succs, w)
+				w.preds = append(w.preds, v)
+			}
+		}
 	}
 	slices.SortFunc(verts, func(a, b *vertex) int { return strings.Compare(a.rep.Capability().Name, b.rep.Capability().Name) })
 	order := topoOrder(verts)
-	// index maps a vertex to its compiled index.
-	index := make(map[*vertex]int32, len(verts))
+	// slotOf maps a vertex to its slot.
+	slotOf := make(map[*vertex]int32, len(verts))
 	for i, r := range order {
-		index[verts[r]] = int32(i)
+		slotOf[verts[r]] = int32(i)
 	}
-	sg := &snapGraph{
-		vertices: make([]snapVertex, len(order)),
-		tally:    tally{vertices: len(order), edges: edges, entries: entries, roots: len(g.roots), leaves: len(g.leaves)},
+	slots := func(vs []*vertex) []int32 {
+		out := make([]int32, len(vs))
+		for i, v := range vs {
+			out[i] = slotOf[v]
+		}
+		return out
 	}
-	for _, o := range g.ontologies {
-		sg.ontologies = append(sg.ontologies, o.uri)
-	}
-	slices.Sort(sg.ontologies)
+	dr := &draft{}
+	uris := make(map[string]struct{})
+	roots := 0
 	for i, r := range order {
 		v := verts[r]
-		sv := &sg.vertices[i]
-		sv.next = int32(i + 1)
-		if i+1 == len(order) {
-			sv.next = -1
+		dr.nodes = append(dr.nodes, newNode(v.rep, v.entries, slots(v.preds), slots(v.succs)))
+		dr.order = append(dr.order, int32(i))
+		dr.tally.edges += int32(len(v.succs))
+		dr.tally.entries += int32(len(v.entries))
+		if len(v.preds) == 0 {
+			roots++
 		}
-		sv.rep = v.rep
-		sv.root = len(v.preds) == 0
-		sv.leaf = len(v.succs) == 0
-		sv.entries = slices.Clone(v.entries)
-		for _, p := range v.preds {
-			sv.preds = append(sv.preds, index[p])
+		if len(v.succs) == 0 {
+			dr.tally.leaves++
 		}
-		for _, s := range v.succs {
-			sv.succs = append(sv.succs, index[s])
+		for _, e := range v.entries {
+			for _, u := range e.Capability.Ontologies() {
+				uris[u] = struct{}{}
+			}
 		}
-		slices.Sort(sv.preds)
-		slices.Sort(sv.succs)
 	}
-	return sg
+	dr.ontologies = slices.Sorted(maps.Keys(uris))
+	return newSnapGraph(dr, roots), nil
 }
 
 // graphPositions renders a candidate list as positions in the snapshot's
@@ -186,14 +243,17 @@ func graphPositions(s *snapshot, list []*snapGraph) []int {
 }
 
 // checkAgainstScratch asserts that the directory's published snapshot is
-// indistinguishable, through every reader, from a from-scratch compile of
-// its builder state.
+// indistinguishable, through every reader, from a from-scratch rebuild of
+// what it holds.
 func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capability) {
 	t.Helper()
-	want := newScratchSnapshot(d)
+	want, err := newScratchSnapshot(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := d.snap.Load()
 	if g, w := got.dump(), want.dump(); g != w {
-		t.Fatalf("Snapshot() differs from a from-scratch compile\n got:\n%s\nwant:\n%s", g, w)
+		t.Fatalf("Snapshot() differs from a from-scratch rebuild\n got:\n%s\nwant:\n%s", g, w)
 	}
 	if g, w := d.Stats(), want.stats(); g != w {
 		t.Fatalf("Stats() = %+v, from scratch %+v", g, w)
@@ -205,7 +265,7 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 	wantServices := slices.Sorted(maps.Keys(d.byService))
 	d.mu.Unlock()
 	if g := d.Services(); !slices.Equal(g, wantServices) {
-		t.Fatalf("Services() = %v, builder holds %v", g, wantServices)
+		t.Fatalf("Services() = %v, the service table holds %v", g, wantServices)
 	}
 	if g, w := d.Ontologies(), want.ontologyURIs(); !slices.Equal(g, w) {
 		t.Fatalf("Ontologies() = %v, from scratch %v", g, w)
@@ -236,8 +296,9 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 }
 
 // checkSnapshotConsistent verifies what a reader may assume of any single
-// snapshot it loads, without reference to the builder: the counters agree
-// with what the graphs enumerate, the key list is sorted and
+// snapshot it loads, without reference to the writer: the counters agree
+// with what the graphs enumerate, every walk order visits each slot once
+// and a node's predecessors before it, the key list is sorted and
 // duplicate-free, and the ontology index lists exactly the snapshot's own
 // graphs under exactly their URIs.
 func checkSnapshotConsistent(s *snapshot) error {
@@ -245,16 +306,24 @@ func checkSnapshotConsistent(s *snapshot) error {
 	inList := make(map[*snapGraph]bool, len(s.graphs))
 	for _, g := range s.graphs {
 		inList[g] = true
-		sum.vertices += len(g.vertices)
-		for i := range g.vertices {
-			v := &g.vertices[i]
-			sum.entries += len(v.entries)
-			sum.edges += len(v.succs)
-			if v.root {
+		pos, err := positions(&g.tables)
+		if err != nil {
+			return err
+		}
+		sum.vertices += int32(len(g.nodes))
+		for i, v := range g.nodes {
+			sum.entries += int32(len(v.entries))
+			sum.edges += int32(len(v.succs))
+			if len(v.preds) == 0 {
 				sum.roots++
 			}
-			if v.leaf {
+			if len(v.succs) == 0 {
 				sum.leaves++
+			}
+			for _, p := range v.preds {
+				if pos[p] >= pos[i] {
+					return fmt.Errorf("walk order visits slot %d before its predecessor %d", i, p)
+				}
 			}
 		}
 		for _, u := range g.ontologies {
@@ -266,7 +335,7 @@ func checkSnapshotConsistent(s *snapshot) error {
 	if sum != s.tally {
 		return fmt.Errorf("snapshot counters %+v, graphs enumerate %+v", s.tally, sum)
 	}
-	if st := s.stats(); st.Entries != sum.entries || st.Graphs != len(s.graphs) {
+	if st := s.stats(); st.Entries != int(sum.entries) || st.Graphs != len(s.graphs) {
 		return fmt.Errorf("stats %+v, graphs enumerate %d entries in %d graphs", st, sum.entries, len(s.graphs))
 	}
 	for u, list := range s.byOntology {
@@ -405,8 +474,10 @@ func densePool(t *testing.T, seed int64) advertPool {
 	return p
 }
 
-// layout is where the builder keeps every vertex: its graph and its slot.
-type layout map[*vertex]place
+// layout is where the directory keeps every vertex: its graph and its
+// slot. A write replaces the nodes it changes, so what identifies a vertex
+// from one version to the next is its representative, which it keeps.
+type layout map[*match.Encoded]place
 
 type place struct {
 	g    *graph
@@ -418,15 +489,15 @@ func layoutOf(d *Directory) layout {
 	defer d.mu.Unlock()
 	l := make(layout)
 	for _, g := range d.graphs {
-		for _, v := range g.slots {
-			l[v] = place{g, v.slot}
+		for slot, n := range g.cur.nodes {
+			l[n.rep] = place{g, int32(slot)}
 		}
 	}
 	return l
 }
 
-// writeShape is what one write did to the builder's layout, as far as the
-// patch of the compiled graphs cares.
+// writeShape is what one write did to the layout, as far as the slot
+// tables care.
 type writeShape struct {
 	// created and emptied count graphs; moved counts vertices a removal
 	// put into another slot; reused counts new vertices in a slot another
@@ -472,9 +543,9 @@ func (before layout) shapeOf(after layout) writeShape {
 // deregister, multi-capability services, shared vertices, graphs emptied
 // and their URIs re-used, keys whose last holder leaves and returns — and
 // after every step requires the published snapshot, which was derived
-// from its predecessor, to equal a whole-directory compile. Seeds past 6
-// run inside large graphs (densePool), where a write patches a compiled
-// graph instead of replacing a small one: vertices removed from the
+// from its predecessor, to equal a whole-directory rebuild. Seeds past 6
+// run inside large graphs (densePool), where a write replaces a few nodes
+// of a large graph instead of a small graph whole: vertices removed from the
 // middle of the slot table, their slots taken again by the same write,
 // graphs created by the write that empties another.
 func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
@@ -542,8 +613,8 @@ func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
 	}
 }
 
-// quadraticOrder is the vertex ordering newSnapGraph used before the
-// heap: rescan the name-sorted list for the first ready vertex, once per
+// quadraticOrder is the vertex ordering the from-scratch rebuild used
+// before the heap: rescan the name-sorted list for the first ready vertex, once per
 // placed vertex. It is kept here as the definition topoOrder must equal.
 func quadraticOrder(verts []*vertex) []*vertex {
 	remaining := make(map[*vertex]int, len(verts))
@@ -578,8 +649,8 @@ func quadraticOrder(verts []*vertex) []*vertex {
 	return order
 }
 
-// dagOf builds builder vertices named names, with an edge for every
-// [from, to] index pair, sorted by name as newSnapGraph hands them over.
+// dagOf builds vertices named names, with an edge for every [from, to]
+// index pair, sorted by name as scratchGraph hands them over.
 func dagOf(names []string, edges [][2]int) []*vertex {
 	verts := make([]*vertex, len(names))
 	enc := match.EncoderFor(match.NewHierarchyMatcher())

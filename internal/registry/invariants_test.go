@@ -14,14 +14,26 @@ import (
 func (d *Directory) checkInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// Between writes no graph has a draft, and the snapshot lists exactly
+	// the writer's graphs, each by its published version.
+	snap := d.snap.Load()
+	if len(d.dirty) > 0 || len(snap.graphs) != len(d.graphs) {
+		return fmt.Errorf("%d graphs queued for publishing; snapshot has %d graphs, the writer %d", len(d.dirty), len(snap.graphs), len(d.graphs))
+	}
 	for gi, g := range d.graphs {
+		if g.draft != nil || g.cur == nil || g.cur != snap.graphs[gi] {
+			return fmt.Errorf("graph %d: unpublished changes, or the snapshot holds another version", gi)
+		}
 		if err := g.check(d.matcher); err != nil {
 			return fmt.Errorf("graph %d: %w", gi, err)
 		}
-		for _, o := range g.ontologies {
-			if idx := d.byOntology[o.uri]; idx == nil || !slices.Contains(idx.graphs, g) {
-				return fmt.Errorf("graph %d uses %s but is not listed under it", gi, o.uri)
+		for _, u := range g.cur.ontologies {
+			if idx := d.byOntology[u]; idx == nil || !slices.Contains(idx.graphs, g) {
+				return fmt.Errorf("graph %d uses %s but is not listed under it", gi, u)
 			}
+		}
+		if !g.cur.covers(g.cur.ontologies) || g.cur.covers([]string{"http://no.such/ontology"}) {
+			return fmt.Errorf("graph %d lists ontologies %v but does not cover exactly those", gi, g.cur.ontologies)
 		}
 	}
 	for u, idx := range d.byOntology {
@@ -29,111 +41,64 @@ func (d *Directory) checkInvariants() error {
 			return fmt.Errorf("index entry under %s is for %q and lists %d graphs", u, idx.uri, len(idx.graphs))
 		}
 		for i, g := range idx.graphs {
-			if _, ok := g.ontology(u); !ok || !slices.Contains(d.graphs, g) || slices.Contains(idx.graphs[:i], g) {
+			if !slices.Contains(d.graphs, g) || !g.cur.covers([]string{u}) || slices.Contains(idx.graphs[:i], g) {
 				return fmt.Errorf("list under %s holds a graph twice, a dead graph or one that does not use it", u)
 			}
 		}
 	}
-	// The published snapshot must agree with the builder state: same
-	// graphs, same entry total, and every compiled graph slot for slot
-	// what compiling the builder's vertices gives.
-	snap := d.snap.Load()
-	if len(snap.graphs) != len(d.graphs) {
-		return fmt.Errorf("snapshot has %d graphs, builder %d", len(snap.graphs), len(d.graphs))
-	}
+	// The service table places every entry where a published node lists
+	// it, and the snapshot counts as many entries as the table holds.
 	wantEntries := 0
-	for _, entries := range d.byService {
-		wantEntries += len(entries)
-	}
-	if snap.tally.entries != wantEntries {
-		return fmt.Errorf("snapshot has %d entries, builder %d", snap.tally.entries, wantEntries)
-	}
-	for name, entries := range d.byService {
-		for _, e := range entries {
-			if !slices.Contains(d.graphs, e.g) || int(e.v.slot) >= len(e.g.slots) || e.v.slot < 0 || e.g.slots[e.v.slot] != e.v || !slices.Contains(e.v.entries, e.Entry) {
-				return fmt.Errorf("entry %s of %s is not in the vertex and graph it names", e, name)
+	for name, ad := range d.byService {
+		wantEntries += len(ad.entries)
+		for _, e := range ad.entries {
+			if !slices.Contains(d.graphs, e.g) || e.slot < 0 || int(e.slot) >= len(e.g.cur.nodes) || !slices.Contains(e.g.cur.nodes[e.slot].entries, e.Entry) {
+				return fmt.Errorf("entry %s of %s is not in the node and graph it names", e, name)
 			}
 		}
 	}
-	// Between writes the classifier's scratch names no vertex, so that one
-	// a write took out of its graph is garbage.
-	sc := &d.scratch
-	for _, l := range [][]*vertex{sc.m, sc.s, sc.parents, sc.children, sc.leaves, sc.pending} {
-		if slices.ContainsFunc(l[:cap(l)], func(v *vertex) bool { return v != nil }) {
-			return errors.New("the classifier's scratch still names a vertex after the write")
-		}
-	}
-	for gi, sg := range snap.graphs {
-		g := d.graphs[gi]
-		if sg != g.compiled {
-			return fmt.Errorf("snapshot graph %d is not the builder graph's compiled form", gi)
-		}
-		var walk []int32
-		for i := sg.first; i >= 0 && len(walk) <= len(sg.vertices); i = sg.vertices[i].next {
-			walk = append(walk, i)
-		}
-		if len(sg.vertices) != len(g.slots) || !slices.Equal(walk, g.order) {
-			return fmt.Errorf("snapshot graph %d: %d vertices walked in order %v, builder %d in %v", gi, len(sg.vertices), walk, len(g.slots), g.order)
-		}
-		if want := (tally{len(g.slots), g.edges, g.entries, len(g.roots), len(g.leaves)}); sg.tally != want {
-			return fmt.Errorf("snapshot graph %d counts %+v, builder %+v", gi, sg.tally, want)
-		}
-		want := make([]string, len(g.ontologies))
-		for i, o := range g.ontologies {
-			want[i] = o.uri
-		}
-		if !slices.Equal(sg.ontologies, want) || !sg.covers(want) || !g.covers(want) ||
-			sg.covers([]string{"http://no.such/ontology"}) || g.covers([]string{"http://no.such/ontology"}) {
-			return fmt.Errorf("snapshot graph %d lists ontologies %v, builder %v, or one of them does not cover exactly those", gi, sg.ontologies, want)
-		}
-		for i, v := range g.slots {
-			got, want := &sg.vertices[i], newSnapVertex(v)
-			if got.rep != want.rep || got.root != want.root || got.leaf != want.leaf || !slices.Equal(got.entries, want.entries) ||
-				!slices.Equal(got.preds, want.preds) || !slices.Equal(got.succs, want.succs) {
-				return fmt.Errorf("snapshot graph %d: slot %d is stale for %s", gi, i, v.rep.Capability().Name)
-			}
-		}
+	if int(snap.tally.entries) != wantEntries {
+		return fmt.Errorf("snapshot has %d entries, the service table %d", snap.tally.entries, wantEntries)
 	}
 	return nil
 }
 
-// check verifies one builder graph between writes: slot, walk-order,
-// root/leaf and counter bookkeeping, edges that respect Match, and no edge
-// that another path already implies.
+// check verifies one graph between writes: the published tables (slots,
+// walk order, counters, clipped so that nothing appends to them in place),
+// the writer's root list and ontology use counts against them, edges that
+// respect Match, and no edge that another path already implies.
 func (g *graph) check(m match.ConceptMatcher) error {
-	if g.dirty || g.ontoStale || len(g.touched) > 0 {
-		return errors.New("unpublished changes")
+	t := &g.cur.tables
+	if len(t.order) != len(t.nodes) || cap(t.nodes) != len(t.nodes) || cap(t.order) != len(t.order) {
+		return fmt.Errorf("%d slots (cap %d), %d in the walk order (cap %d)", len(t.nodes), cap(t.nodes), len(t.order), cap(t.order))
 	}
-	if len(g.order) != len(g.slots) || len(g.pos) != len(g.slots) {
-		return fmt.Errorf("%d slots, %d in the walk order, %d positions", len(g.slots), len(g.order), len(g.pos))
+	pos, err := positions(t)
+	if err != nil {
+		return err
 	}
-	member := func(v *vertex) bool {
-		return v.slot >= 0 && int(v.slot) < len(g.slots) && g.slots[v.slot] == v
-	}
-	edges, entries, roots, leaves := 0, 0, 0, 0
-	uses := make(map[string]int)
-	for i, v := range g.slots {
-		if int(v.slot) != i || v.touched {
-			return fmt.Errorf("slot %d holds %s, which has slot %d, touched %v", i, v.rep.Capability().Name, v.slot, v.touched)
+	name := func(s int32) string { return t.nodes[s].rep.Capability().Name }
+	member := func(s int32) bool { return s >= 0 && int(s) < len(t.nodes) }
+	var sum tally
+	uses := make(map[string]int32)
+	for i, v := range t.nodes {
+		slot := int32(i)
+		if (len(v.preds) == 0) != slices.Contains(g.roots, slot) {
+			return fmt.Errorf("root bookkeeping wrong for %s", name(slot))
 		}
-		if g.order[g.pos[i]] != int32(i) {
-			return fmt.Errorf("walk order and positions disagree on slot %d", i)
-		}
-		if (len(v.preds) == 0) != slices.Contains(g.roots, v) {
-			return fmt.Errorf("root bookkeeping wrong for %s", v.rep.Capability().Name)
-		}
-		if (len(v.succs) == 0) != slices.Contains(g.leaves, v) {
-			return fmt.Errorf("leaf bookkeeping wrong for %s", v.rep.Capability().Name)
-		}
-		for _, set := range [][]*vertex{v.preds, v.succs} {
-			if dup := duplicate(set); dup != nil {
-				return fmt.Errorf("adjacency of %s holds %s twice", v.rep.Capability().Name, dup.rep.Capability().Name)
+		for _, set := range [][]int32{v.preds, v.succs} {
+			if dup := duplicate(set); dup >= 0 {
+				return fmt.Errorf("adjacency of %s holds %s twice", name(slot), name(dup))
 			}
 		}
 		if len(v.entries) == 0 {
-			return fmt.Errorf("empty vertex %s", v.rep.Capability().Name)
+			return fmt.Errorf("empty node %s", name(slot))
 		}
 		for _, e := range v.entries {
+			// (A capability over an ontology without a code table matches
+			// nothing, itself included, and sits alone.)
+			if c := v.rep.Capability(); c != e.Capability && !(match.Match(m, c, e.Capability) && match.Match(m, e.Capability, c)) {
+				return fmt.Errorf("entry %s is not equivalent to its node's representative %s", e, c.Name)
+			}
 			for _, u := range e.Capability.Ontologies() {
 				uses[u]++
 			}
@@ -141,101 +106,109 @@ func (g *graph) check(m match.ConceptMatcher) error {
 		// With every edge running forward in the walk order the graph is
 		// acyclic.
 		for _, s := range v.succs {
-			if !member(s) || !slices.Contains(s.preds, v) {
-				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", v.rep.Capability().Name, s.rep.Capability().Name)
+			if !member(s) || !slices.Contains(t.nodes[s].preds, slot) {
+				return fmt.Errorf("edge %s -> slot %d is asymmetric or leaves the graph", name(slot), s)
 			}
-			if g.pos[v.slot] >= g.pos[s.slot] {
-				return fmt.Errorf("walk order visits %s before its predecessor %s", s.rep.Capability().Name, v.rep.Capability().Name)
+			if pos[slot] >= pos[s] {
+				return fmt.Errorf("walk order visits %s before its predecessor %s", name(s), name(slot))
 			}
-			if !match.Match(m, v.rep.Capability(), s.rep.Capability()) {
-				return fmt.Errorf("edge %s -> %s violates Match", v.rep.Capability().Name, s.rep.Capability().Name)
+			if !match.Match(m, v.rep.Capability(), t.nodes[s].rep.Capability()) {
+				return fmt.Errorf("edge %s -> %s violates Match", name(slot), name(s))
 			}
 		}
 		for _, p := range v.preds {
-			if !member(p) || !slices.Contains(p.succs, v) {
-				return fmt.Errorf("edge %s -> %s is asymmetric or leaves the graph", p.rep.Capability().Name, v.rep.Capability().Name)
+			if !member(p) || !slices.Contains(t.nodes[p].succs, slot) {
+				return fmt.Errorf("edge slot %d -> %s is asymmetric or leaves the graph", p, name(slot))
 			}
 		}
-		if s := g.redundantSucc(v); s != nil {
-			return fmt.Errorf("edge %s -> %s is implied by a longer path", v.rep.Capability().Name, s.rep.Capability().Name)
+		if s := redundantSucc(t, pos, slot); s >= 0 {
+			return fmt.Errorf("edge %s -> %s is implied by a longer path", name(slot), name(s))
 		}
-		edges += len(v.succs)
-		entries += len(v.entries)
+		sum.vertices++
+		sum.edges += int32(len(v.succs))
+		sum.entries += int32(len(v.entries))
 		if len(v.preds) == 0 {
-			roots++
+			sum.roots++
 		}
 		if len(v.succs) == 0 {
-			leaves++
+			sum.leaves++
 		}
 	}
-	if edges != g.edges || entries != g.entries || roots != len(g.roots) || leaves != len(g.leaves) {
-		return fmt.Errorf("counts %d edges, %d entries, %d roots, %d leaves; vertices enumerate %d, %d, %d, %d",
-			g.edges, g.entries, len(g.roots), len(g.leaves), edges, entries, roots, leaves)
+	// The root list holds members only, once each: with its length and the
+	// per-node checks above it is exactly the roots.
+	if sum != t.tally || int(sum.roots) != len(g.roots) || duplicate(g.roots) >= 0 {
+		return fmt.Errorf("counts %+v and %d listed roots; nodes enumerate %+v", t.tally, len(g.roots), sum)
 	}
-	// The root and leaf sets hold members only, once each: with the counts
-	// above and the per-vertex checks they are exactly the roots and leaves.
-	for _, set := range [][]*vertex{g.roots, g.leaves} {
-		if dup := duplicate(set); dup != nil {
-			return fmt.Errorf("root or leaf set holds %s twice", dup.rep.Capability().Name)
-		}
-		for _, v := range set {
-			if !member(v) {
-				return fmt.Errorf("root or leaf set holds %s, which left the graph", v.rep.Capability().Name)
-			}
-		}
+	// The ontology list: sorted by URI without duplicates, and the use
+	// counts beside it counting what the entries enumerate.
+	if len(g.uses) != len(t.ontologies) {
+		return fmt.Errorf("%d ontologies, %d use counts", len(t.ontologies), len(g.uses))
 	}
-	// The ontology list: sorted by URI without duplicates, and counting what
-	// the entries enumerate.
-	listed := make(map[string]int, len(g.ontologies))
-	for i, o := range g.ontologies {
-		if i > 0 && g.ontologies[i-1].uri >= o.uri {
-			return fmt.Errorf("ontology list %v is not sorted and duplicate-free", g.ontologies)
+	listed := make(map[string]int32, len(t.ontologies))
+	for i, u := range t.ontologies {
+		if i > 0 && t.ontologies[i-1] >= u {
+			return fmt.Errorf("ontology list %v is not sorted and duplicate-free", t.ontologies)
 		}
-		listed[o.uri] = o.count
+		listed[u] = g.uses[i]
 	}
 	if !maps.Equal(uses, listed) {
-		return fmt.Errorf("ontology use counts %v, entries enumerate %v", g.ontologies, uses)
+		return fmt.Errorf("ontology use counts %v over %v, entries enumerate %v", g.uses, t.ontologies, uses)
 	}
 	return nil
 }
 
-// duplicate returns a vertex the set holds more than once, or nil.
-func duplicate(set []*vertex) *vertex {
+// positions inverts a version's walk order, which must visit every slot
+// once.
+func positions(t *tables) ([]int32, error) {
+	pos := make([]int32, len(t.nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for k, s := range t.order {
+		if s < 0 || int(s) >= len(pos) || pos[s] >= 0 {
+			return nil, fmt.Errorf("walk order %v is not a permutation of %d slots", t.order, len(t.nodes))
+		}
+		pos[s] = int32(k)
+	}
+	if slices.Contains(pos, -1) {
+		return nil, errors.New("walk order misses a slot")
+	}
+	return pos, nil
+}
+
+// duplicate returns a slot the set holds more than once, or -1.
+func duplicate(set []int32) int32 {
 	for i, v := range set {
 		if slices.Contains(set[:i], v) {
 			return v
 		}
 	}
-	return nil
+	return -1
 }
 
 // redundantSucc returns a successor of v that some other successor of v
-// also reaches, or nil: the graph is a transitive reduction when no vertex
+// also reaches, or -1: the graph is a transitive reduction when no node
 // has one. The search stays ahead of v's last successor in the walk order.
-func (g *graph) redundantSucc(v *vertex) *vertex {
+func redundantSucc(t *tables, pos []int32, v int32) int32 {
+	succs := t.nodes[v].succs
 	limit := int32(-1)
-	for _, s := range v.succs {
-		limit = max(limit, g.pos[s.slot])
+	for _, s := range succs {
+		limit = max(limit, pos[s])
 	}
-	seen := make(map[*vertex]bool)
-	pending := slices.Clone(v.succs)
+	seen := make(map[int32]bool)
+	pending := slices.Clone(succs)
 	for len(pending) > 0 {
 		x := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		for _, s := range x.succs {
-			if slices.Contains(v.succs, s) {
+		for _, s := range t.nodes[x].succs {
+			if slices.Contains(succs, s) {
 				return s
 			}
-			if !seen[s] && g.pos[s.slot] < limit {
+			if !seen[s] && pos[s] < limit {
 				seen[s] = true
 				pending = append(pending, s)
 			}
 		}
 	}
-	return nil
-}
-
-func isIn(set map[*vertex]struct{}, v *vertex) bool {
-	_, ok := set[v]
-	return ok
+	return -1
 }

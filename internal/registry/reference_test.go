@@ -15,23 +15,24 @@ import (
 // neighbour), and keeps its regions in maps, sharing no code or scratch
 // with classifyLocked.
 func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bool) {
-	var pl placement
-	m := make(map[*vertex]struct{})
-	var frontier []*vertex
+	pl := placement{join: -1}
+	nodes := g.view().nodes
+	m := make(map[int32]struct{})
+	var frontier []int32
 	for _, r := range g.roots {
-		if d.matches(r.rep, c) {
+		if d.matches(nodes[r].rep, c) {
 			m[r] = struct{}{}
 			frontier = append(frontier, r)
 		}
 	}
 	for len(frontier) > 0 {
-		var next []*vertex
+		var next []int32
 		for _, v := range frontier {
-			for _, s := range v.succs {
+			for _, s := range nodes[v].succs {
 				if _, seen := m[s]; seen {
 					continue
 				}
-				if d.matches(s.rep, c) {
+				if d.matches(nodes[s].rep, c) {
 					m[s] = struct{}{}
 					next = append(next, s)
 				}
@@ -42,21 +43,21 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 		}
 		frontier = next
 	}
-	sset := make(map[*vertex]struct{})
-	for _, l := range g.leaves {
-		if d.matches(c, l.rep) {
-			sset[l] = struct{}{}
-			frontier = append(frontier, l)
+	sset := make(map[int32]struct{})
+	for l, n := range nodes {
+		if len(n.succs) == 0 && d.matches(c, n.rep) {
+			sset[int32(l)] = struct{}{}
+			frontier = append(frontier, int32(l))
 		}
 	}
 	for len(frontier) > 0 {
-		var next []*vertex
+		var next []int32
 		for _, v := range frontier {
-			for _, p := range v.preds {
+			for _, p := range nodes[v].preds {
 				if _, seen := sset[p]; seen {
 					continue
 				}
-				if d.matches(c, p.rep) {
+				if d.matches(c, nodes[p].rep) {
 					sset[p] = struct{}{}
 					next = append(next, p)
 				}
@@ -75,7 +76,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	}
 	for v := range m {
 		minimal := true
-		for _, s := range v.succs {
+		for _, s := range nodes[v].succs {
 			if isIn(m, s) {
 				minimal = false
 				break
@@ -87,7 +88,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 	}
 	for v := range sset {
 		maximal := true
-		for _, p := range v.preds {
+		for _, p := range nodes[v].preds {
 			if isIn(sset, p) {
 				maximal = false
 				break
@@ -98,6 +99,11 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 		}
 	}
 	return pl, true
+}
+
+func isIn(set map[int32]struct{}, v int32) bool {
+	_, ok := set[v]
+	return ok
 }
 
 // TestBoundedClassifierEqualsReference replays one history on two

@@ -55,16 +55,23 @@ type Entry struct {
 	// entry was made. Entries are reachable from published snapshots, so it
 	// is never filled in or refreshed later: a capability that needs
 	// encoding again gets a new Entry (see Directory.Reclassify).
-	enc *match.Encoded
+	enc match.Encoded
 }
 
-// placed is a stored entry and where the builder put it, so that
-// withdrawing it does not search the directory. The place is the builder's
-// and stays off the Entry, which snapshots and query results share.
+// placed is a stored entry and where the writer put it — the graph and the
+// slot of the node that lists it — so that withdrawing it searches nothing.
+// The place stays off the Entry, which snapshots and query results share.
 type placed struct {
 	*Entry
-	g *graph
-	v *vertex
+	g    *graph
+	slot int32
+}
+
+// advert is what the directory keeps under a service name: the document it
+// arrived as (empty when it arrived parsed) and its classified capabilities.
+type advert struct {
+	doc     string
+	entries []placed
 }
 
 // String renders the entry as service/capability.
@@ -79,147 +86,103 @@ type Result struct {
 	Distance int
 }
 
-// vertex is an equivalence class of capabilities in one graph.
-type vertex struct {
-	// rep is the representative capability used for graph navigation, in
-	// encoded form; all entries in the vertex match rep mutually.
-	rep     *match.Encoded
-	entries []*Entry
-	// preds and succs are the adjacency sets, as unordered slices without
-	// duplicates: most vertices have a handful of neighbours or none, which
-	// a slice holds in 8 bytes each and a nil slice in none.
-	preds []*vertex
-	succs []*vertex
-	// slot is the vertex's index in the owning graph's slot table, and so
-	// in the compiled vertex array; -1 once the vertex has left the graph.
-	slot int32
-	// touched marks the vertex queued in graph.touched.
-	touched bool
-}
-
-func newVertex(e *Entry) *vertex {
-	return &vertex{rep: e.enc, entries: []*Entry{e}}
-}
-
-// drop removes v, which the set holds, from an unordered vertex set: the
-// last element takes its place.
-func drop(set []*vertex, v *vertex) []*vertex {
-	i, last := slices.Index(set, v), len(set)-1
-	set[i], set[last] = set[last], nil
-	return set[:last]
-}
-
-// ontoUse counts the member entries of a graph that use one ontology.
-type ontoUse struct {
-	uri   string
-	count int
-}
-
-// graph is one DAG of related capabilities plus its ontology index.
+// graph is the writer's side of one capability DAG. The DAG itself — nodes,
+// walk order, ontology set, counters — exists once, as the version the
+// snapshot holds; the writer classifies over those same nodes and keeps
+// here only what readers have no use for.
 type graph struct {
-	// ontologies counts, per ontology URI, the member entries using it,
-	// sorted by URI; a URI no entry uses any more is deleted, so the URIs
-	// are the graph's ontology set. Each URI is the directory's own copy
-	// (ontoIndex.uri), not a piece of some advertisement. ontoStale records
-	// that the set changed since the graph was last compiled.
-	ontologies []ontoUse
-	ontoStale  bool
-	// slots is the vertex table: slots[i].slot == i. A new vertex takes the
-	// next slot, a removed one hands its slot to the last (swap-delete), so
-	// the table stays dense and every other vertex keeps its slot.
-	slots []*vertex
-	// order is the walk order, a topological permutation of the slots
-	// (every predecessor of a vertex comes before it), and pos its inverse:
-	// order[pos[s]] == s. Both are edited in place as vertices come and go;
-	// a compiled graph has the order threaded through its vertex array.
-	order []int32
-	pos   []int32
-	// roots and leaves are the vertices without predecessors and without
-	// successors, as unordered sets like the adjacency.
-	roots  []*vertex
-	leaves []*vertex
-	// edges and entries are running totals over the vertices.
-	edges, entries int
-	// touched lists the vertices whose compiled form is stale: created,
-	// moved to another slot, or changed in entries or adjacency since the
-	// last publish. The publish rebuilds those slots and no other.
-	touched []*vertex
-	// compiled is the graph's immutable form in the published snapshot
-	// (nil until its first publish); dirty marks it stale, i.e. the graph
-	// is queued in Directory.dirty for the next publish.
-	compiled *snapGraph
-	dirty    bool
+	// cur is the published version, nil for a graph the write in progress
+	// made. draft is the version that write is building, nil between writes
+	// (so a graph is queued in Directory.dirty exactly while it has one).
+	cur   *snapGraph
+	draft *draft
+	// uses[i] counts the member entries that use the i-th URI of the
+	// graph's ontology list; a URI no entry uses any more leaves the list.
+	uses []int32
+	// roots holds the slots of the nodes without predecessors, unordered:
+	// where classification starts.
+	roots []int32
 }
 
-// ontology returns where uri stands, or would stand, in g.ontologies.
-func (g *graph) ontology(uri string) (int, bool) {
-	return slices.BinarySearchFunc(g.ontologies, uri, func(o ontoUse, uri string) int { return strings.Compare(o.uri, uri) })
+// draft is the next version of a graph while a write builds it: copies of
+// the published version's two tables, made on the write's first touch of
+// the graph, in which the write replaces the nodes it changes — a published
+// node is never edited — and moves slots and walk positions as nodes come
+// and go. The ontology list is the published one until the set changes, and
+// then a new slice. Publishing wraps the tables as they are (newSnapGraph).
+type draft struct {
+	tables
+	// pos is the inverse of the walk order: order[pos[s]] == s.
+	pos []int32
 }
 
-// covers reports whether the graph's ontology set contains every URI the
-// capability uses — the paper's graph pre-selection index.
-func (g *graph) covers(uris []string) bool {
-	for _, u := range uris {
-		if _, ok := g.ontology(u); !ok {
-			return false
-		}
+func newDraft(cur *snapGraph) *draft {
+	if cur == nil {
+		return &draft{}
 	}
-	return true
+	n := len(cur.nodes)
+	dr := &draft{tables: cur.tables, pos: make([]int32, n, n+1)}
+	dr.nodes = append(make([]*node, 0, n+1), cur.nodes...)
+	dr.order = append(make([]int32, 0, n+1), cur.order...)
+	for k, s := range dr.order {
+		dr.pos[s] = int32(k)
+	}
+	return dr
 }
 
-// touch queues v for recompilation at the next publish.
-func (g *graph) touch(v *vertex) {
-	if !v.touched {
-		v.touched = true
-		g.touched = append(g.touched, v)
+// view returns the graph's content as the writer sees it: the draft's
+// during a write that touched the graph, otherwise the published version's.
+func (g *graph) view() *tables {
+	if g.draft != nil {
+		return &g.draft.tables
 	}
+	return &g.cur.tables
+}
+
+// setEntries, setPreds and setSuccs replace the node at slot by one that
+// differs in its entry list, which it keeps as it is, or in its
+// predecessors or successors, which it copies.
+func (dr *draft) setEntries(slot int32, entries []*Entry) {
+	n := dr.nodes[slot]
+	dr.nodes[slot] = newNode(n.rep, entries, n.preds, n.succs)
+}
+
+func (dr *draft) setPreds(slot int32, preds []int32) {
+	n := dr.nodes[slot]
+	dr.nodes[slot] = newNode(n.rep, n.entries, preds, n.succs)
+}
+
+func (dr *draft) setSuccs(slot int32, succs []int32) {
+	n := dr.nodes[slot]
+	dr.nodes[slot] = newNode(n.rep, n.entries, n.preds, succs)
 }
 
 // renumber restores pos for the walk order from position at on, after a
 // splice there shifted it.
-func (g *graph) renumber(at int) {
-	for k := at; k < len(g.order); k++ {
-		g.pos[g.order[k]] = int32(k)
+func (dr *draft) renumber(at int) {
+	for k := at; k < len(dr.order); k++ {
+		dr.pos[dr.order[k]] = int32(k)
 	}
 }
 
-// addSlot gives v the next slot and splices it into the walk order at
+// addSlot gives n the next slot and splices it into the walk order at
 // position at. The caller picks at after every predecessor and before
-// every successor v is about to get.
-func (g *graph) addSlot(v *vertex, at int) {
-	v.slot = int32(len(g.slots))
-	g.slots = append(g.slots, v)
-	g.pos = append(g.pos, 0)
-	g.order = slices.Insert(g.order, at, v.slot)
-	g.renumber(at)
-	g.touch(v)
+// every successor of n.
+func (dr *draft) addSlot(n *node, at int) int32 {
+	slot := int32(len(dr.nodes))
+	dr.nodes = append(dr.nodes, n)
+	dr.pos = append(dr.pos, 0)
+	dr.order = slices.Insert(dr.order, at, slot)
+	dr.renumber(at)
+	return slot
 }
 
-// dropSlot takes v, already detached from its neighbours, out of the walk
-// order and the slot table. The last vertex moves into the freed slot, so
-// it and the neighbours that name it by slot are touched.
-func (g *graph) dropSlot(v *vertex) {
-	at := int(g.pos[v.slot])
-	g.order = slices.Delete(g.order, at, at+1)
-	g.renumber(at)
-	last := int32(len(g.slots) - 1)
-	if moved := g.slots[last]; moved != v {
-		g.slots[v.slot] = moved
-		g.pos[v.slot] = g.pos[last]
-		g.order[g.pos[last]] = v.slot
-		moved.slot = v.slot
-		g.touch(moved)
-		for _, p := range moved.preds {
-			g.touch(p)
-		}
-		for _, s := range moved.succs {
-			g.touch(s)
-		}
-	}
-	g.slots[last] = nil
-	g.slots = g.slots[:last]
-	g.pos = g.pos[:last]
-	v.slot = -1
+// drop removes slot x, which the set holds, from an unordered slot set:
+// the last element takes its place.
+func drop(set []int32, x int32) []int32 {
+	i, last := slices.Index(set, x), len(set)-1
+	set[i] = set[last]
+	return set[:last]
 }
 
 // Directory is a semantic service directory: it caches advertised
@@ -241,18 +204,19 @@ type Directory struct {
 	// byOntology indexes graphs by the ontology URIs they contain, so
 	// query-time graph pre-selection does not scan every graph.
 	byOntology map[string]*ontoIndex // guarded by mu
-	// byService tracks entries for deregistration.
-	byService map[string][]placed // guarded by mu
+	// byService is the one table keyed by service name: each stored
+	// advertisement's document and where its capabilities were placed.
+	byService map[string]advert // guarded by mu
 	// dirty lists, in first-touch order, the graphs written since the last
-	// publish — created, changed or emptied. The publish recompiles those
-	// and derives the next snapshot from the previous one and them alone.
+	// publish — created, changed or emptied: those with a draft. The publish
+	// derives the next snapshot from the previous one and them alone.
 	dirty []*graph // guarded by mu
 	// keyRefs counts the stored entries under each ontology-set key;
 	// keysStale records that a key appeared or disappeared since the last
 	// publish, the only time the published key list is rebuilt.
 	keyRefs   map[string]int // guarded by mu
 	keysStale bool           // guarded by mu
-	// scratch is the classifier's working memory, reused across inserts.
+	// scratch is the writer's working memory, reused across writes.
 	scratch classifyScratch // guarded by mu
 	// classify places a capability in one graph: classifyLocked. Tests put
 	// the unbounded reference classifier here to compare the two.
@@ -269,7 +233,7 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 		matcher:    m,
 		enc:        match.EncoderFor(m),
 		byOntology: make(map[string]*ontoIndex),
-		byService:  make(map[string][]placed),
+		byService:  make(map[string]advert),
 		keyRefs:    make(map[string]int),
 	}
 	d.classify = d.classifyLocked
@@ -286,41 +250,35 @@ type ontoIndex struct {
 	graphs []*graph
 }
 
-// markDirtyLocked queues g for recompilation at the next publish.
-func (d *Directory) markDirtyLocked(g *graph) {
-	if !g.dirty {
-		g.dirty = true
+// openLocked returns the draft of g's next version, starting it on the
+// write's first touch of g.
+func (d *Directory) openLocked(g *graph) *draft {
+	if g.draft == nil {
+		g.draft = newDraft(g.cur)
 		d.dirty = append(d.dirty, g)
 	}
+	return g.draft
 }
 
-// publishLocked patches the compiled form of every graph written since
-// the last publish and atomically publishes a snapshot derived from the
-// previous one and those graphs alone. Writers call it once per
+// publishLocked makes the draft of every graph written since the last
+// publish its published version and atomically publishes a snapshot derived
+// from the previous one and those graphs alone. Writers call it once per
 // Register/Deregister, so a service advertising many capabilities pays
 // for one snapshot, not one per capability.
 func (d *Directory) publishLocked() {
 	changes := make([]graphChange, 0, len(d.dirty))
 	for _, g := range d.dirty {
-		g.dirty = false
-		ch := graphChange{old: g.compiled}
-		if len(g.slots) > 0 {
-			ch.new = clonePatched(g.compiled, g)
+		ch := graphChange{old: g.cur}
+		if len(g.draft.nodes) > 0 {
+			ch.new = newSnapGraph(g.draft, len(g.roots))
 		}
-		for _, v := range g.touched {
-			v.touched = false
-		}
-		clear(g.touched)
-		g.touched = g.touched[:0]
-		g.ontoStale = false
-		g.compiled = ch.new
+		g.cur, g.draft = ch.new, nil
 		if ch.old != nil || ch.new != nil { // else created and emptied by the same write
 			changes = append(changes, ch)
 		}
 	}
 	clear(d.dirty)
 	d.dirty = d.dirty[:0]
-	d.scratch.release()
 	prev := d.snap.Load()
 	keys := prev.ontologyKeys
 	if d.keysStale {
@@ -330,13 +288,14 @@ func (d *Directory) publishLocked() {
 	d.snap.Store(newSnapshot(prev, changes, d.byOntology, keys))
 }
 
-// indexGraphLocked counts one more member entry of g under each of uris,
-// and lists g under those it did not use before.
+// indexGraphLocked counts one more member entry of g, which the write has
+// open, under each of uris, and lists g under those it did not use before.
 func (d *Directory) indexGraphLocked(g *graph, uris []string) {
+	dr := g.draft
 	for _, u := range uris {
-		i, ok := g.ontology(u)
+		i, ok := slices.BinarySearch(dr.ontologies, u)
 		if ok {
-			g.ontologies[i].count++
+			g.uses[i]++
 			continue
 		}
 		idx := d.byOntology[u]
@@ -345,8 +304,10 @@ func (d *Directory) indexGraphLocked(g *graph, uris []string) {
 			d.byOntology[idx.uri] = idx
 		}
 		idx.graphs = append(idx.graphs, g)
-		g.ontologies = slices.Insert(g.ontologies, i, ontoUse{uri: idx.uri, count: 1})
-		g.ontoStale = true
+		// The list may be the published version's: clipped, the insert makes
+		// a new one.
+		dr.ontologies = slices.Insert(slices.Clip(dr.ontologies), i, idx.uri)
+		g.uses = slices.Insert(g.uses, i, 1)
 	}
 }
 
@@ -354,13 +315,14 @@ func (d *Directory) indexGraphLocked(g *graph, uris []string) {
 // uris, and unlists g under those its last user just left — so neither
 // queries nor inserts over such a URI are offered the graph any longer.
 func (d *Directory) unindexGraphLocked(g *graph, uris []string) {
+	dr := g.draft
 	for _, u := range uris {
-		i, _ := g.ontology(u)
-		if g.ontologies[i].count--; g.ontologies[i].count > 0 {
+		i, _ := slices.BinarySearch(dr.ontologies, u)
+		if g.uses[i]--; g.uses[i] > 0 {
 			continue
 		}
-		g.ontologies = slices.Delete(g.ontologies, i, i+1)
-		g.ontoStale = true
+		dr.ontologies = slices.Delete(slices.Clone(dr.ontologies), i, i+1)
+		g.uses = slices.Delete(g.uses, i, i+1)
 		idx := d.byOntology[u]
 		if len(idx.graphs) == 1 {
 			delete(d.byOntology, u)
@@ -390,7 +352,7 @@ func (d *Directory) candidateGraphsLocked(uris []string) []*graph {
 	}
 	out := make([]*graph, 0, len(smallest))
 	for _, g := range smallest {
-		if g.covers(uris) {
+		if g.view().covers(uris) {
 			out = append(out, g)
 		}
 	}
@@ -421,7 +383,7 @@ func (d *Directory) NumGraphs() int {
 
 // NumCapabilities returns the number of stored advertisements (entries).
 func (d *Directory) NumCapabilities() int {
-	return d.snap.Load().tally.entries
+	return int(d.snap.Load().tally.entries)
 }
 
 // Services returns the sorted names of registered services.
@@ -441,15 +403,17 @@ func (d *Directory) Register(s *profile.Service) error {
 	for i, c := range s.Provided {
 		owned.Provided[i] = c.Clone()
 	}
-	return d.Adopt(&owned)
+	return d.Adopt(&owned, "")
 }
 
-// Adopt is Register for a caller that hands s over: the directory keeps
-// s's provided capabilities themselves, with every string they hold, and
-// the caller must not change them afterwards. A directory fed parsed
-// documents stores each advertisement's names this way as the substrings
-// of the document profile.UnmarshalString made them, and nothing twice.
-func (d *Directory) Adopt(s *profile.Service) error {
+// Adopt is Register for a caller that hands s over, with the document it
+// was parsed from: the directory keeps s's provided capabilities
+// themselves, with every string they hold, and the caller must not change
+// them afterwards. A directory fed parsed documents stores each
+// advertisement's names this way as the substrings of doc that
+// profile.UnmarshalString made them, and doc beside them in the one table
+// keyed by service name: what queries can return, Has and Documents report.
+func (d *Directory) Adopt(s *profile.Service, doc string) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidCapability, err)
 	}
@@ -457,7 +421,7 @@ func (d *Directory) Adopt(s *profile.Service) error {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.storeLocked(s.Name, s.Provider, s.Provided)
+	d.storeLocked(s.Name, s.Provider, doc, s.Provided)
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
 	insertSeconds.ObserveSince(start)
@@ -469,20 +433,31 @@ func (d *Directory) Adopt(s *profile.Service) error {
 // capability is encoded here, under mu: a writer that re-encodes after a
 // code table changed (Reclassify) can then never be overtaken by an
 // insert that resolved its names against the table before.
-func (d *Directory) storeLocked(service, provider string, caps []*profile.Capability) {
-	old := d.byService[service]
-	delete(d.byService, service)
-	for _, e := range old {
-		d.removeEntryLocked(e)
-	}
-	if len(caps) == 0 {
-		return
-	}
+func (d *Directory) storeLocked(service, provider, doc string, caps []*profile.Capability) {
+	// The old record goes first, key and all: assigning over it would keep
+	// its key, a substring of the document being replaced.
+	d.withdrawLocked(service)
 	entries := make([]placed, len(caps))
 	for i, c := range caps {
-		entries[i] = d.insertLocked(&Entry{Capability: c, Service: service, Provider: provider, enc: d.enc.Encode(c)})
+		entries[i] = d.insertLocked(&Entry{Capability: c, Service: service, Provider: provider, enc: *d.enc.Encode(c)})
 	}
-	d.byService[service] = entries
+	d.byService[service] = advert{doc: doc, entries: entries}
+}
+
+// withdrawLocked takes the named service's advertisement out of the graphs
+// and the service table, and reports whether there was one.
+func (d *Directory) withdrawLocked(service string) bool {
+	ad, ok := d.byService[service]
+	if !ok {
+		return false
+	}
+	// By index, with the record still in the table: a removal that moves a
+	// node to another slot corrects the places of the entries yet to go.
+	for i := range ad.entries {
+		d.removeEntryLocked(ad.entries[i])
+	}
+	delete(d.byService, service)
+	return true
 }
 
 // Reclassify brings the directory up to date with a code table that was
@@ -506,8 +481,8 @@ func (d *Directory) Reclassify(uri string) int {
 	}
 	var names []string
 	for _, g := range idx.graphs {
-		for _, v := range g.slots {
-			for _, e := range v.entries {
+		for _, n := range g.cur.nodes {
+			for _, e := range n.entries {
 				if slices.Contains(e.Capability.Ontologies(), uri) {
 					names = append(names, e.Service)
 				}
@@ -521,20 +496,41 @@ func (d *Directory) Reclassify(uri string) int {
 	names = slices.Compact(names)
 	for _, name := range names {
 		old := d.byService[name]
-		caps := make([]*profile.Capability, len(old))
-		for i, e := range old {
+		caps := make([]*profile.Capability, len(old.entries))
+		for i, e := range old.entries {
 			caps[i] = e.Capability
 		}
-		d.storeLocked(name, old[0].Provider, caps)
+		d.storeLocked(name, old.entries[0].Provider, old.doc, caps)
 	}
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
 	return len(names)
 }
 
+// Has reports whether an advertisement is stored under the service name.
+func (d *Directory) Has(service string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.byService[service]
+	return ok
+}
+
+// Documents returns the documents the stored advertisements were adopted
+// with, by service name: the stored strings, not copies, listed under the
+// writer lock, in which no advertisement is half stored or half withdrawn.
+func (d *Directory) Documents() map[string]string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	docs := make(map[string]string, len(d.byService))
+	for name, ad := range d.byService {
+		docs[name] = ad.doc
+	}
+	return docs
+}
+
 // insert classifies one entry. Candidate graphs are those whose ontology
 // index covers the capability's ontologies; the first graph where the
-// capability relates to existing vertices receives it, otherwise a new
+// capability relates to existing nodes receives it, otherwise a new
 // graph is created (capabilities unrelated to everything become singleton
 // graphs, preserving the "graphs contain related capabilities" invariant).
 //
@@ -543,10 +539,10 @@ func (d *Directory) Reclassify(uri string) int {
 func (d *Directory) insertLocked(e *Entry) placed {
 	uris := e.Capability.Ontologies()
 	var g *graph
-	var v *vertex
+	var slot int32
 	for _, cand := range d.candidateGraphsLocked(uris) {
-		if pl, related := d.classify(cand, e.enc); related {
-			g, v = cand, d.placeLocked(cand, e, pl)
+		if pl, related := d.classify(cand, &e.enc); related {
+			g, slot = cand, d.placeLocked(cand, e, pl)
 			break
 		}
 	}
@@ -556,10 +552,9 @@ func (d *Directory) insertLocked(e *Entry) placed {
 		g = &graph{}
 		d.graphs = append(d.graphs, g)
 		graphsGauge.Add(1)
-		v = d.placeLocked(g, e, placement{})
+		slot = d.placeLocked(g, e, placement{join: -1})
 	}
 	d.indexGraphLocked(g, uris)
-	d.markDirtyLocked(g)
 	key := profile.OntologySetKey(uris)
 	if n := d.keyRefs[key]; n > 0 {
 		d.keyRefs[key] = n + 1
@@ -569,48 +564,55 @@ func (d *Directory) insertLocked(e *Entry) placed {
 		d.keyRefs[strings.Clone(key)] = 1
 		d.keysStale = true
 	}
-	return placed{Entry: e, g: g, v: v}
+	return placed{Entry: e, g: g, slot: slot}
 }
 
-// placement is where classification puts a capability in one graph: in
-// the existing vertex join when one is equivalent to it, otherwise in a
-// new vertex below parents and above children. depth is the number of
-// levels below the roots the search for parents went.
+// placement is where classification puts a capability in one graph, in
+// slots: in the existing node join when one is equivalent to it (-1 when
+// none is), otherwise in a new node below parents and above children. depth
+// is the number of levels below the roots the search for parents went.
 type placement struct {
-	join              *vertex
-	parents, children []*vertex
+	join              int32
+	parents, children []int32
 	depth             int
 }
 
-// classifyScratch is the classifier's reusable working memory: one mark
-// byte per slot of the graph being searched, and the vertex lists it
-// builds. A placement's parents and children alias the lists, so it is
-// good until the next classification.
+// classifyScratch is the writer's reusable working memory: one mark byte
+// per slot of the graph being searched, and the slot lists it builds. A
+// placement's parents and children alias the lists, so it is good until
+// the next classification.
 type classifyScratch struct {
-	marks                                    []uint8
-	m, s, parents, children, leaves, pending []*vertex
+	marks                                         []uint8
+	m, s, parents, children, leaves, pending, adj []int32
+	// added holds the edges a removal reconnects, child slot in the high
+	// half and parent slot in the low one, so that sorting groups them by
+	// child.
+	added []uint64
 }
 
-// release forgets the vertices the lists name, over their whole capacity,
-// once the write that filled them is over: a vertex taken out of its
-// graph, with the advertisement behind it, is garbage at once and not
-// when a later write happens to overwrite the slot.
-func (sc *classifyScratch) release() {
-	for _, l := range [...][]*vertex{sc.m, sc.s, sc.parents, sc.children, sc.leaves, sc.pending} {
-		clear(l[:cap(l)])
+// without copies list into the adjacency scratch less the slots skip
+// accepts; the caller appends what the list gains and stores the result
+// back, so the scratch keeps what it grew to.
+func (sc *classifyScratch) without(list []int32, skip func(int32) bool) []int32 {
+	adj := sc.adj[:0]
+	for _, x := range list {
+		if !skip(x) {
+			adj = append(adj, x)
+		}
 	}
+	return adj
 }
 
 // Marks of one classification. inM / inS record Match(V, C) / Match(C, V)
 // for the capability C being placed; notM / notS record a failed probe, so
-// that no vertex is probed twice for the same region however many
+// that no node is probed twice for the same region however many
 // neighbours lead to it.
 const (
 	inM uint8 = 1 << iota
 	notM
 	inS
 	notS
-	// below marks the vertices the search for S is confined to.
+	// below marks the nodes the search for S is confined to.
 	below
 )
 
@@ -625,45 +627,46 @@ func (d *Directory) marksLocked(n int) []uint8 {
 }
 
 // classifyLocked finds the place of capability c in g, or reports that c
-// is unrelated to every vertex of g.
+// is unrelated to every node of g.
 //
 // The matching region M = {V : Match(V, C)} is explored top-down from the
 // matching roots (M is downward-closed along edges into it); the region
 // S = {V : Match(C, V)} is explored bottom-up from matching leaves.
 // Parents of C are the minimal frontier of M, children the maximal
 // frontier of S — a robust completion of the paper's root/leaf probing
-// algorithm. Two facts bound the work. Every vertex is probed at most
+// algorithm. Two facts bound the work. Every node is probed at most
 // once per region. And once a parent P is known, S lies among P and its
 // descendants: Match(P, C) and Match(C, V) give Match(P, V) by
-// transitivity, and a graph holds a path between any two of its vertices
-// that match (insertion links a new vertex to the frontiers of both its
-// regions, removal reconnects around the vertex it takes out). So only
+// transitivity, and a graph holds a path between any two of its nodes
+// that match (insertion links a new node to the frontiers of both its
+// regions, removal reconnects around the node it takes out). So only
 // the leaves below P are probed, not every leaf of the graph, and the
 // climb from them never leaves P's descendants.
 func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool) {
 	sc := &d.scratch
-	marks := d.marksLocked(len(g.slots))
-	var pl placement
+	nodes := g.view().nodes
+	marks := d.marksLocked(len(nodes))
+	pl := placement{join: -1}
 
-	// M: vertices that subsume C (can substitute for C), level by level.
+	// M: nodes that subsume C (can substitute for C), level by level.
 	m := sc.m[:0]
 	for _, r := range g.roots {
-		if d.matches(r.rep, c) {
-			marks[r.slot] |= inM
+		if d.matches(nodes[r].rep, c) {
+			marks[r] |= inM
 			m = append(m, r)
 		}
 	}
 	for lo := 0; lo < len(m); {
 		hi := len(m)
 		for _, v := range m[lo:hi] {
-			for _, s := range v.succs {
+			for _, s := range nodes[v].succs {
 				switch {
-				case marks[s.slot]&(inM|notM) != 0:
-				case d.matches(s.rep, c):
-					marks[s.slot] |= inM
+				case marks[s]&(inM|notM) != 0:
+				case d.matches(nodes[s].rep, c):
+					marks[s] |= inM
 					m = append(m, s)
 				default:
-					marks[s.slot] |= notM
+					marks[s] |= notM
 				}
 			}
 		}
@@ -674,46 +677,51 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 	}
 	sc.m = m
 	// Parents: minimal frontier of M (no successor also in M).
-	pl.parents = frontier(sc.parents[:0], m, marks, inM, func(v *vertex) []*vertex { return v.succs })
+	pl.parents = frontier(sc.parents[:0], m, marks, inM, func(v int32) []int32 { return nodes[v].succs })
 	sc.parents = pl.parents
 
-	// S: vertices that C subsumes, climbing from the leaves that are.
+	// S: nodes that C subsumes, climbing from the leaves that are.
 	sset := sc.s[:0]
-	probe := func(v *vertex) {
+	probe := func(v int32) {
 		switch {
-		case marks[v.slot]&(inS|notS) != 0:
-		case d.matches(c, v.rep):
-			marks[v.slot] |= inS
+		case marks[v]&(inS|notS) != 0:
+		case d.matches(c, nodes[v].rep):
+			marks[v] |= inS
 			sset = append(sset, v)
 		default:
-			marks[v.slot] |= notS
+			marks[v] |= notS
 		}
 	}
 	if len(pl.parents) == 0 {
-		for _, l := range g.leaves {
-			probe(l)
+		for v, n := range nodes {
+			if len(n.succs) == 0 {
+				probe(int32(v))
+			}
 		}
 	} else {
-		// Of several parents take the one latest in the walk order, which
-		// is likely to have the fewest descendants.
+		// A capability with parents is related to g, so the write is about
+		// to open g anyway; the walk positions are the draft's. Of several
+		// parents take the one latest in the walk order, which is likely to
+		// have the fewest descendants.
+		dr := d.openLocked(g)
 		top := pl.parents[0]
 		for _, p := range pl.parents[1:] {
-			if g.pos[p.slot] > g.pos[top.slot] {
+			if dr.pos[p] > dr.pos[top] {
 				top = p
 			}
 		}
-		leaves := d.markBelowLocked(g, top, marks, below, math.MaxInt32)
-		if marks[top.slot] |= below; len(top.succs) == 0 {
+		leaves := d.markBelowLocked(dr, top, marks, below, math.MaxInt32)
+		if marks[top] |= below; len(nodes[top].succs) == 0 {
 			leaves = append(leaves, top)
 		}
-		// A vertex equivalent to C would be C's only parent, and all below
+		// A node equivalent to C would be C's only parent, and all below
 		// it would be in S: asking the parent first settles such a join
 		// with one probe instead of one per descendant. The probe is spent
 		// only where the bound has already saved one (a leaf elsewhere in
 		// the graph), so that a classification never needs more probes
 		// than the unbounded search.
-		if len(pl.parents) == 1 && len(leaves) < len(g.leaves) {
-			if probe(top); marks[top.slot]&inS != 0 {
+		if len(pl.parents) == 1 && len(leaves) < int(dr.tally.leaves) {
+			if probe(top); marks[top]&inS != 0 {
 				pl.join = top
 				return pl, true
 			}
@@ -723,8 +731,8 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 		}
 	}
 	for i := 0; i < len(sset); i++ {
-		for _, p := range sset[i].preds {
-			if len(pl.parents) == 0 || marks[p.slot]&below != 0 {
+		for _, p := range nodes[sset[i]].preds {
+			if len(pl.parents) == 0 || marks[p]&below != 0 {
 				probe(p)
 			}
 		}
@@ -734,27 +742,27 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 	if len(m) == 0 && len(sset) == 0 {
 		return pl, false
 	}
-	// Mutual match: join the existing equivalence vertex. Transitivity
-	// guarantees at most one vertex sits in both regions.
+	// Mutual match: join the existing equivalence node. Transitivity
+	// guarantees at most one node sits in both regions.
 	for _, v := range sset {
-		if marks[v.slot]&inM != 0 {
+		if marks[v]&inM != 0 {
 			pl.join = v
 			return pl, true
 		}
 	}
 	// Children: maximal frontier of S (no predecessor also in S).
-	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v *vertex) []*vertex { return v.preds })
+	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v int32) []int32 { return nodes[v].preds })
 	sc.children = pl.children
 	return pl, true
 }
 
-// frontier appends to dst the vertices of region that have no neighbour
+// frontier appends to dst the slots of region that have no neighbour
 // marked in on the side next gives.
-func frontier(dst, region []*vertex, marks []uint8, in uint8, next func(*vertex) []*vertex) []*vertex {
+func frontier(dst, region []int32, marks []uint8, in uint8, next func(int32) []int32) []int32 {
 	for _, v := range region {
 		edge := true
 		for _, n := range next(v) {
-			if marks[n.slot]&in != 0 {
+			if marks[n]&in != 0 {
 				edge = false
 				break
 			}
@@ -770,19 +778,20 @@ func frontier(dst, region []*vertex, marks []uint8, in uint8, next func(*vertex)
 // sit at walk-order positions up to limit, and returns the leaves among
 // them (good until the next call). Descendants come later in the walk
 // order than their ancestors, so nothing past limit leads back before it
-// and the search stops there.
-func (d *Directory) markBelowLocked(g *graph, from *vertex, marks []uint8, bit uint8, limit int32) []*vertex {
+// and the search stops there. A slot whose mark already has bit is taken
+// for visited.
+func (d *Directory) markBelowLocked(dr *draft, from int32, marks []uint8, bit uint8, limit int32) []int32 {
 	leaves := d.scratch.leaves[:0]
 	pending := append(d.scratch.pending[:0], from)
 	for len(pending) > 0 {
 		v := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		for _, s := range v.succs {
-			if marks[s.slot]&bit != 0 || g.pos[s.slot] > limit {
+		for _, s := range dr.nodes[v].succs {
+			if marks[s]&bit != 0 || dr.pos[s] > limit {
 				continue
 			}
-			marks[s.slot] |= bit
-			if len(s.succs) == 0 {
+			marks[s] |= bit
+			if len(dr.nodes[s].succs) == 0 {
 				leaves = append(leaves, s)
 			} else {
 				pending = append(pending, s)
@@ -794,84 +803,71 @@ func (d *Directory) markBelowLocked(g *graph, from *vertex, marks []uint8, bit u
 }
 
 // placeLocked puts the entry where classification said and returns the
-// vertex that holds it. The caller indexes g under the capability's
-// ontologies and marks it dirty.
-func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) *vertex {
-	g.entries++
+// slot of the node that holds it. The caller indexes g under the
+// capability's ontologies.
+func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) int32 {
+	dr := d.openLocked(g)
+	dr.tally.entries++
 	entriesGauge.Add(1)
 	insertDepth.ObserveInt(int64(pl.depth))
-	if v := pl.join; v != nil {
-		v.entries = append(v.entries, e)
-		g.touch(v)
-		return v
+	if pl.join >= 0 {
+		dr.setEntries(pl.join, append(slices.Clip(dr.nodes[pl.join].entries), e))
+		return pl.join
 	}
-	// The new vertex goes into the walk order just ahead of its first
+	// The new node goes into the walk order just ahead of its first
 	// child, or at the end when it has none. That is after every parent:
-	// a parent matches every child through the new vertex, so the graph
+	// a parent matches every child through the new node, so the graph
 	// already holds a path from it to each and the order has it first.
-	nv := newVertex(e)
-	at := len(g.order)
+	at := len(dr.order)
 	for _, ch := range pl.children {
-		at = min(at, int(g.pos[ch.slot]))
+		at = min(at, int(dr.pos[ch]))
 	}
-	g.addSlot(nv, at)
-	// A parent that is a leaf and a child that is a root are about to stop
-	// being so.
-	leafParents, rootChildren := 0, 0
-	for _, ch := range pl.children {
-		if len(ch.preds) == 0 {
-			rootChildren++
-		}
-	}
-	edgeDelta := 0
+	slot := dr.addSlot(newNode(&e.enc, []*Entry{e}, pl.parents, pl.children), at)
+	// A direct edge from a parent to a child is one the new node now
+	// mediates: the parent forgets every child among its successors and the
+	// child every parent among its predecessors, each in one pass over its
+	// own list, so that a parent of many pays for its degree once and not
+	// once per child. The marks that tell parents (inM) and children (inS)
+	// apart are set here: the classification may have been the reference's.
+	marks := d.marksLocked(len(dr.nodes))
 	for _, p := range pl.parents {
-		if len(p.succs) == 0 {
-			leafParents++
-		}
-		// Drop direct edges p→child that the new vertex now mediates: each
-		// such child forgets p, then p forgets them all in one pass over its
-		// successors, so that a parent of many pays for its degree once and
-		// not once per child.
-		mediated := 0
-		for _, ch := range pl.children {
-			if slices.Contains(ch.preds, p) {
-				ch.preds = drop(ch.preds, p)
-				mediated++
-			}
-		}
-		if mediated > 0 {
-			p.succs = slices.DeleteFunc(p.succs, func(s *vertex) bool { return !slices.Contains(s.preds, p) })
-			edgeDelta -= mediated
-		}
-		p.succs = append(p.succs, nv)
-		nv.preds = append(nv.preds, p)
-		edgeDelta++
-		g.touch(p)
+		marks[p] = inM
 	}
 	for _, ch := range pl.children {
-		nv.succs = append(nv.succs, ch)
-		ch.preds = append(ch.preds, nv)
-		edgeDelta++
-		g.touch(ch)
+		marks[ch] = inS
 	}
-	// Those leave the leaf and root sets in one pass over each, like the
-	// one over a parent's successors.
-	if leafParents > 0 {
-		g.leaves = slices.DeleteFunc(g.leaves, func(l *vertex) bool { return len(l.succs) > 0 })
+	edgeDelta := len(pl.parents) + len(pl.children)
+	for _, p := range pl.parents {
+		succs := dr.nodes[p].succs
+		if len(succs) == 0 {
+			dr.tally.leaves-- // p stops being a leaf
+		}
+		adj := d.scratch.without(succs, func(s int32) bool { return marks[s]&inS != 0 })
+		edgeDelta -= len(succs) - len(adj)
+		d.scratch.adj = append(adj, slot)
+		dr.setSuccs(p, d.scratch.adj)
 	}
-	if rootChildren > 0 {
-		g.roots = slices.DeleteFunc(g.roots, func(r *vertex) bool { return len(r.preds) > 0 })
+	rootChildren := false
+	for _, ch := range pl.children {
+		preds := dr.nodes[ch].preds
+		rootChildren = rootChildren || len(preds) == 0
+		adj := d.scratch.without(preds, func(p int32) bool { return marks[p]&inM != 0 })
+		d.scratch.adj = append(adj, slot)
+		dr.setPreds(ch, d.scratch.adj)
+	}
+	if rootChildren {
+		g.roots = slices.DeleteFunc(g.roots, func(r int32) bool { return marks[r]&inS != 0 })
 	}
 	if len(pl.parents) == 0 {
-		g.roots = append(g.roots, nv)
+		g.roots = append(g.roots, slot)
 	}
 	if len(pl.children) == 0 {
-		g.leaves = append(g.leaves, nv)
+		dr.tally.leaves++
 	}
-	g.edges += edgeDelta
+	dr.tally.edges += int32(edgeDelta)
 	verticesGauge.Add(1)
 	edgesGauge.Add(int64(edgeDelta))
-	return nv
+	return slot
 }
 
 // Deregister removes every capability advertised by the named service.
@@ -879,19 +875,14 @@ func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) *vertex {
 func (d *Directory) Deregister(service string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	entries, ok := d.byService[service]
-	if !ok {
+	if !d.withdrawLocked(service) {
 		return false
-	}
-	delete(d.byService, service)
-	for _, e := range entries {
-		d.removeEntryLocked(e)
 	}
 	d.publishLocked()
 	return true
 }
 
-// removeEntryLocked drops one entry; a vertex left without entries is
+// removeEntryLocked drops one entry; a node left without entries is
 // removed and its predecessors reconnected to its successors.
 func (d *Directory) removeEntryLocked(e placed) {
 	uris := e.Capability.Ontologies()
@@ -900,69 +891,117 @@ func (d *Directory) removeEntryLocked(e placed) {
 		delete(d.keyRefs, key)
 		d.keysStale = true
 	}
-	g, v := e.g, e.v
-	i := slices.Index(v.entries, e.Entry)
-	v.entries = slices.Delete(v.entries, i, i+1)
-	g.entries--
-	g.touch(v)
+	g, v := e.g, e.slot
+	dr := d.openLocked(g)
+	n := dr.nodes[v]
+	dr.tally.entries--
 	d.unindexGraphLocked(g, uris)
-	d.markDirtyLocked(g)
 	entriesGauge.Add(-1)
-	if len(v.entries) > 0 {
+	if len(n.entries) > 1 {
+		i := slices.Index(n.entries, e.Entry)
+		dr.setEntries(v, slices.Delete(slices.Clone(n.entries), i, i+1))
 		return
 	}
-	// Vertex emptied: splice it out. Its own adjacency goes with it, whole;
-	// only its neighbours search their lists for it.
-	preds, succs := v.preds, v.succs
-	v.preds, v.succs = nil, nil
-	if len(preds) == 0 {
+	// Node emptied: splice it out. Every predecessor forgets it and is
+	// reconnected to the successors it no longer reaches; an edge to one it
+	// still reaches through another of its successors would be redundant,
+	// and the graph stays a transitive reduction. Every successor forgets it
+	// and learns of those predecessors. Each neighbour is replaced once.
+	sc := &d.scratch
+	if len(n.preds) == 0 {
 		g.roots = drop(g.roots, v)
 	}
-	if len(succs) == 0 {
-		g.leaves = drop(g.leaves, v)
+	if len(n.succs) == 0 {
+		dr.tally.leaves--
 	}
-	edgeDelta := -len(preds) - len(succs)
+	edgeDelta := -len(n.preds) - len(n.succs)
 	limit := int32(-1) // the latest walk-order position among v's successors
-	for _, s := range succs {
-		s.preds = drop(s.preds, v)
-		limit = max(limit, g.pos[s.slot])
-		g.touch(s)
+	for _, s := range n.succs {
+		limit = max(limit, dr.pos[s])
 	}
-	for _, p := range preds {
-		p.succs = drop(p.succs, v)
-	}
-	for _, p := range preds {
-		g.touch(p)
-		// Reconnect p to the successors it no longer reaches. An edge to one
-		// it still reaches through another of its successors would be
-		// redundant: the graph stays a transitive reduction.
-		reached := d.marksLocked(len(g.slots))
-		d.markBelowLocked(g, p, reached, below, limit)
-		for _, s := range succs {
-			if reached[s.slot] == 0 {
-				p.succs = append(p.succs, s)
-				s.preds = append(s.preds, p)
-				edgeDelta++
+	added := sc.added[:0]
+	for _, p := range n.preds {
+		reached := d.marksLocked(len(dr.nodes))
+		reached[v] = below // not through v
+		d.markBelowLocked(dr, p, reached, below, limit)
+		adj := sc.without(dr.nodes[p].succs, func(s int32) bool { return s == v })
+		for _, s := range n.succs {
+			if reached[s] == 0 {
+				adj = append(adj, s)
+				added = append(added, uint64(s)<<32|uint64(p))
 			}
 		}
-		if len(p.succs) == 0 {
-			g.leaves = append(g.leaves, p)
+		if sc.adj = adj; len(adj) == 0 {
+			dr.tally.leaves++
 		}
+		dr.setSuccs(p, adj)
 	}
-	for _, s := range succs {
-		if len(s.preds) == 0 {
+	slices.Sort(added)
+	sc.added = added
+	edgeDelta += len(added)
+	for _, s := range n.succs {
+		adj := sc.without(dr.nodes[s].preds, func(p int32) bool { return p == v })
+		at, _ := slices.BinarySearch(added, uint64(s)<<32)
+		for ; at < len(added) && int32(added[at]>>32) == s; at++ {
+			adj = append(adj, int32(uint32(added[at])))
+		}
+		if sc.adj = adj; len(adj) == 0 {
 			g.roots = append(g.roots, s)
 		}
+		dr.setPreds(s, adj)
 	}
-	g.dropSlot(v)
-	g.edges += edgeDelta
+	d.dropSlotLocked(g, v)
+	dr.tally.edges += int32(edgeDelta)
 	verticesGauge.Add(-1)
 	edgesGauge.Add(int64(edgeDelta))
-	if len(g.slots) == 0 {
+	if len(dr.nodes) == 0 {
 		gi := slices.Index(d.graphs, g)
 		d.graphs = slices.Delete(d.graphs, gi, gi+1)
 		graphsGauge.Add(-1)
 	}
+}
+
+// dropSlotLocked takes the node at slot v, already detached from its
+// neighbours, out of the walk order and the slot table of g's draft. The
+// last node moves into the freed slot, so whatever names it by slot is
+// corrected: its neighbours, the root list, the places of its entries.
+func (d *Directory) dropSlotLocked(g *graph, v int32) {
+	dr := g.draft
+	at := int(dr.pos[v])
+	dr.order = slices.Delete(dr.order, at, at+1)
+	dr.renumber(at)
+	last := int32(len(dr.nodes) - 1)
+	if v != last {
+		moved := dr.nodes[last]
+		dr.nodes[v] = moved
+		dr.pos[v] = dr.pos[last]
+		dr.order[dr.pos[last]] = v
+		renamed := func(list []int32) []int32 {
+			d.scratch.adj = append(d.scratch.adj[:0], list...)
+			d.scratch.adj[slices.Index(list, last)] = v
+			return d.scratch.adj
+		}
+		for _, p := range moved.preds {
+			dr.setSuccs(p, renamed(dr.nodes[p].succs))
+		}
+		for _, s := range moved.succs {
+			dr.setPreds(s, renamed(dr.nodes[s].preds))
+		}
+		if len(moved.preds) == 0 {
+			g.roots[slices.Index(g.roots, last)] = v
+		}
+		for _, e := range moved.entries {
+			entries := d.byService[e.Service].entries
+			for i := range entries {
+				if entries[i].Entry == e {
+					entries[i].slot = v
+				}
+			}
+		}
+	}
+	dr.nodes[last] = nil
+	dr.nodes = dr.nodes[:last]
+	dr.pos = dr.pos[:last]
 }
 
 // Query returns every advertisement matching the required capability,
@@ -972,7 +1011,7 @@ func (d *Directory) removeEntryLocked(e placed) {
 // roots are expanded, and only matching vertices are traversed.
 //
 // The read path is lock-free: it loads the current immutable snapshot
-// and walks compiled graphs with pooled scratch, so queries never block
+// and walks its graphs with pooled scratch, so queries never block
 // writers and scale with reader parallelism.
 func (d *Directory) Query(req *profile.Capability) []Result {
 	start := time.Now()
@@ -988,15 +1027,15 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 	uris := req.RequiredOntologies()
 	var results []Result
 	for _, g := range snap.candidateGraphs(uris) {
-		sp := scratchFor(len(g.vertices))
+		sp := scratchFor(len(g.nodes))
 		matched := *sp
 		rootProbes += d.walkGraph(g, enc, matched)
-		for i := range g.vertices {
+		for i, n := range g.nodes {
 			if !matched[i] {
 				continue
 			}
-			for _, e := range g.vertices[i].entries {
-				dist, ok := d.distance(e.enc, enc)
+			for _, e := range n.entries {
+				dist, ok := d.distance(&e.enc, enc)
 				if !ok {
 					continue
 				}
@@ -1026,29 +1065,28 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 
 // walkGraph marks the vertices of g matching req in the caller-supplied
 // scratch bitmap (indexed by slot) and returns the number of root probes.
-// Because the compiled walk order is topological, one pass along it
-// visits parents before children: a non-root vertex is probed exactly
-// when some predecessor matched, which performs the same match
-// operations as the paper's frontier expansion without allocating
-// traversal state.
+// Because the walk order is topological, one pass along it visits parents
+// before children: a non-root node is probed exactly when some
+// predecessor matched, which performs the same match operations as the
+// paper's frontier expansion without allocating traversal state.
 //
 //sdp:hotpath
 func (d *Directory) walkGraph(g *snapGraph, req *match.Encoded, matched []bool) int {
 	rootProbes := 0
-	for i := g.first; i >= 0; i = g.vertices[i].next {
-		v := &g.vertices[i]
-		probe := v.root
+	for _, i := range g.order {
+		n := g.nodes[i]
+		probe := len(n.preds) == 0
 		if probe {
 			rootProbes++
 		} else {
-			for _, p := range v.preds {
+			for _, p := range n.preds {
 				if matched[p] {
 					probe = true
 					break
 				}
 			}
 		}
-		matched[i] = probe && d.matches(v.rep, req)
+		matched[i] = probe && d.matches(n.rep, req)
 	}
 	return rootProbes
 }

@@ -1,35 +1,37 @@
-// Snapshot read path: the directory publishes an immutable, compiled
-// view of its graphs through an atomic pointer, so queries never take a
-// lock. Writers (Register/Deregister) serialize on Directory.mu, mutate
-// the builder-side graph structures, patch the compiled form of the
-// graphs they touched and publish a snapshot derived from the previous
-// one: untouched compiled graphs, ontology-index lists and the
-// ontology-key list are shared with it, and the structural counters are
-// adjusted by the touched graphs' difference. Inside a touched graph the
-// same holds one level down: a vertex keeps its slot in the compiled
-// vertex array, the walk order is a permutation threaded through that
-// array instead of being its layout, and the next compiled form is the
-// previous one with only the touched vertices (the one written, its
-// parents and children, a vertex a removal moved and its neighbours)
-// compiled afresh. A publish therefore costs what the write changed, plus
-// three terms that stay linear and cheap: a flat copy of the graph
-// pointer list (8 bytes per graph, one memmove), a copy of the ontology
-// index's map header (one slot per ontology URI), and, per touched graph,
-// a flat copy of its vertex array (one snapVertex per vertex, one
-// memmove) with the walk order threaded through it again (one 4-byte
-// store per vertex; the builder also shifts its own order and positions
-// past the splice point, 8 bytes per vertex). Nothing is sorted, looked up
-// in a map or allocated per service, per entry, per untouched graph or
-// per untouched vertex: the only maps are the two ontology indexes, keyed
-// by URI and consulted once per URI of a touched graph; a graph's own
-// ontology set, compiled or not, is a short sorted slice that covers
-// searches, and the builder's adjacency, root and leaf sets are slices too.
+// Snapshot read path: the directory publishes an immutable view of its
+// graphs through an atomic pointer, so queries never take a lock. A
+// capability DAG has one form, the published one: immutable nodes that name
+// their neighbours by slot, reached through a per-graph slot table, with the
+// topological walk order as a plain array of slots beside it. Writers
+// (Register/Deregister) serialize on Directory.mu and classify over those
+// same nodes. What a write changes it replaces: on its first touch of a
+// graph it copies the graph's two tables into a draft (8 + 4 bytes per
+// node, plus 4 for the writer's own inverse of the walk order), builds a
+// new node for each one whose entries or adjacency change — the one
+// written, its parents and children, a node a removal moved to another slot
+// and its neighbours — and stores it in the draft's slot table. Publishing
+// wraps each draft's tables, as they are, in the graph's next version and
+// derives the next snapshot from the previous one: untouched graphs,
+// ontology-index lists and the ontology-key list are shared with it, and
+// the structural counters are adjusted by the touched graphs' difference. A
+// publish therefore costs what the write changed, plus four terms that stay
+// linear and cheap: a flat copy of the graph pointer list (8 bytes per
+// graph), a copy of the ontology index's map header (one slot per URI), the
+// index's list of graphs under each URI of a touched graph (8 bytes per
+// graph listed) and the table copies above. Nothing is sorted, looked up in
+// a map or allocated per service, per entry or per untouched node: the only
+// maps are the two ontology indexes, consulted once per URI of a touched
+// graph, and a graph's own ontology set is a short sorted slice.
+//
+// The advertisement's document is the writer's: it sits in the service
+// table (Directory.byService) beside the places of the advertisement's
+// entries, and the names those entries hold are substrings of it.
 //
 // The publish invariant: every object reachable from a published
-// *snapshot is never written again — in particular a slice a snapshot
-// holds is never appended to, only replaced by a fresh one in the next
-// snapshot. The //sdp:immutable annotations below make the immutcheck
-// analyzer enforce that mechanically — any field write outside a
+// *snapshot is never written again — a node is replaced, never edited, and
+// a slice a snapshot holds is never appended to, only replaced by a fresh
+// one in the next snapshot. The //sdp:immutable annotations below make the
+// immutcheck analyzer enforce that mechanically — any field write outside a
 // new*/make*/clone* construction function is a lint error, so the
 // lock-free readers stay sound by construction.
 package registry
@@ -38,34 +40,38 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"sariadne/internal/match"
 )
 
-// snapVertex is the compiled form of one graph vertex. Predecessors and
-// successors are slots: indices into the owning snapGraph's vertex slice.
+// node is one vertex of a capability DAG: an equivalence class of
+// capabilities. Predecessors and successors are slots, indices into the
+// owning graph's slot table: unordered sets, two windows of one array.
 //
 //sdp:immutable
-type snapVertex struct {
+type node struct {
+	// rep is the representative capability used for graph navigation, in
+	// encoded form; all entries of the node match rep mutually.
 	rep     *match.Encoded
 	entries []*Entry
 	preds   []int32
 	succs   []int32
-	root    bool
-	leaf    bool
-	// next is the slot that follows this one in the walk order, -1 at its
-	// end.
-	next int32
 }
 
-// tally is the additive part of Stats: the counters a snapshot can
-// maintain by subtracting a touched graph's old compiled form and adding
-// its new one.
+// newNode builds a node of the given content. It copies the adjacency, so
+// callers hand in scratch or another node's; entries it keeps as they are.
+func newNode(rep *match.Encoded, entries []*Entry, preds, succs []int32) *node {
+	adjacent := append(append(make([]int32, 0, len(preds)+len(succs)), preds...), succs...)
+	n := len(preds)
+	return &node{rep: rep, entries: entries, preds: adjacent[:n:n], succs: adjacent[n:]}
+}
+
+// tally is the additive part of Stats: the counters a snapshot maintains
+// by subtracting a touched graph's old version and adding its new one.
 type tally struct {
-	vertices, edges, entries, roots, leaves int
+	vertices, edges, entries, roots, leaves int32
 }
 
 func (t tally) plus(o tally) tally {
@@ -76,35 +82,50 @@ func (t tally) minus(o tally) tally {
 	return tally{t.vertices - o.vertices, t.edges - o.edges, t.entries - o.entries, t.roots - o.roots, t.leaves - o.leaves}
 }
 
-// snapGraph is the compiled, immutable form of one capability DAG.
-//
-//sdp:immutable
-type snapGraph struct {
-	// vertices is indexed by slot: a vertex keeps its slot from one
-	// compiled form of the graph to the next (unless a removal moved it
-	// into the slot it freed), so the next form is this array copied flat
-	// with the touched slots rebuilt.
-	vertices []snapVertex
-	// first is where the walk order starts. The order is threaded through
-	// the vertices (snapVertex.next) and visits every slot once, every
-	// predecessor of a vertex before it, which is what lets the query walk
-	// see parents before children in one pass.
-	first int32
+// tables is the content of one version of a graph: a published version
+// (snapGraph) holds it immutable, the writer's draft of the next its own.
+type tables struct {
+	// nodes is the slot table. A node keeps its slot from one version of
+	// the graph to the next: a new node takes the next slot, a removed one
+	// hands its slot to the last (swap-delete), so the table stays dense.
+	nodes []*node
+	// order is the walk order, a topological permutation of the slots:
+	// every predecessor of a node comes before it, which is what lets the
+	// query walk see parents before children in one pass.
+	order []int32
 	// ontologies is the sorted union of ontology URIs used by member
-	// capabilities, which covers searches.
+	// capabilities, which covers searches. Each URI is the directory's own
+	// copy (ontoIndex.uri), not a piece of some advertisement.
 	ontologies []string
 	tally      tally
 }
 
 // covers reports whether the graph's ontology set contains every URI the
 // capability uses — the paper's graph pre-selection index.
-func (g *snapGraph) covers(uris []string) bool {
+func (t *tables) covers(uris []string) bool {
 	for _, u := range uris {
-		if _, ok := slices.BinarySearch(g.ontologies, u); !ok {
+		if _, ok := slices.BinarySearch(t.ontologies, u); !ok {
 			return false
 		}
 	}
 	return true
+}
+
+// snapGraph is one published version of a capability DAG.
+//
+//sdp:immutable
+type snapGraph struct {
+	tables
+}
+
+// newSnapGraph publishes a draft: its tables become the version's, clipped
+// so that nothing can be appended to them in place, and the writer makes
+// the next draft from copies. roots is the writer's count of root nodes.
+func newSnapGraph(dr *draft, roots int) *snapGraph {
+	t := dr.tables
+	t.nodes, t.order = slices.Clip(t.nodes), slices.Clip(t.order)
+	t.tally.vertices, t.tally.roots = int32(len(t.nodes)), int32(roots)
+	return &snapGraph{tables: t}
 }
 
 // snapshot is one published, immutable view of the whole directory.
@@ -112,7 +133,7 @@ func (g *snapGraph) covers(uris []string) bool {
 //
 //sdp:immutable
 type snapshot struct {
-	// graphs parallels the builder's graph list, in creation order.
+	// graphs parallels the writer's graph list, in creation order.
 	graphs []*snapGraph
 	// byOntology indexes graphs by the ontology URIs they contain, so
 	// query-time graph pre-selection does not scan every graph.
@@ -159,14 +180,14 @@ func (s *snapshot) candidateGraphs(uris []string) []*snapGraph {
 func (s *snapshot) stats() Stats {
 	st := Stats{
 		Graphs:   len(s.graphs),
-		Vertices: s.tally.vertices,
-		Edges:    s.tally.edges,
-		Entries:  s.tally.entries,
-		Roots:    s.tally.roots,
-		Leaves:   s.tally.leaves,
+		Vertices: int(s.tally.vertices),
+		Edges:    int(s.tally.edges),
+		Entries:  int(s.tally.entries),
+		Roots:    int(s.tally.roots),
+		Leaves:   int(s.tally.leaves),
 	}
 	for _, g := range s.graphs {
-		st.MaxGraphVertices = max(st.MaxGraphVertices, len(g.vertices))
+		st.MaxGraphVertices = max(st.MaxGraphVertices, len(g.nodes))
 	}
 	return st
 }
@@ -174,8 +195,8 @@ func (s *snapshot) stats() Stats {
 func (s *snapshot) services() []string {
 	seen := make(map[string]struct{})
 	for _, g := range s.graphs {
-		for i := range g.vertices {
-			for _, e := range g.vertices[i].entries {
+		for _, n := range g.nodes {
+			for _, e := range n.entries {
 				seen[e.Service] = struct{}{}
 			}
 		}
@@ -191,29 +212,25 @@ func (s *snapshot) dump() string {
 	var b strings.Builder
 	for i, g := range s.graphs {
 		fmt.Fprintf(&b, "graph %d (ontologies: %s)\n", i, strings.Join(g.ontologies, ", "))
-		order := make([]int, len(g.vertices))
-		for j := range order {
-			order[j] = j
-		}
-		sort.Slice(order, func(a, c int) bool {
-			return g.vertices[order[a]].rep.Capability().Name < g.vertices[order[c]].rep.Capability().Name
+		byName := slices.Clone(g.nodes)
+		slices.SortFunc(byName, func(a, c *node) int {
+			return strings.Compare(a.rep.Capability().Name, c.rep.Capability().Name)
 		})
-		for _, j := range order {
-			v := &g.vertices[j]
+		for _, v := range byName {
 			names := make([]string, 0, len(v.entries))
 			for _, e := range v.entries {
 				names = append(names, e.String())
 			}
 			succs := make([]string, 0, len(v.succs))
 			for _, s := range v.succs {
-				succs = append(succs, g.vertices[s].rep.Capability().Name)
+				succs = append(succs, g.nodes[s].rep.Capability().Name)
 			}
-			sort.Strings(succs)
+			slices.Sort(succs)
 			marker := ""
-			if v.root {
+			if len(v.preds) == 0 {
 				marker += " [root]"
 			}
-			if v.leaf {
+			if len(v.succs) == 0 {
 				marker += " [leaf]"
 			}
 			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Capability().Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
@@ -222,70 +239,8 @@ func (s *snapshot) dump() string {
 	return b.String()
 }
 
-// newSnapVertex compiles one builder vertex. Entries are copied: the
-// builder edits its entry list in place, and a published snapshot must
-// not share a backing array with anything the builder will mutate. Both
-// adjacency lists are windows of one array, sorted by slot.
-func newSnapVertex(v *vertex) snapVertex {
-	adjacent := make([]int32, 0, len(v.preds)+len(v.succs))
-	for _, p := range v.preds {
-		adjacent = append(adjacent, p.slot)
-	}
-	n := len(adjacent)
-	for _, s := range v.succs {
-		adjacent = append(adjacent, s.slot)
-	}
-	slices.Sort(adjacent[:n])
-	slices.Sort(adjacent[n:])
-	return snapVertex{
-		rep:     v.rep,
-		entries: slices.Clone(v.entries),
-		preds:   adjacent[:n:n],
-		succs:   adjacent[n:],
-		root:    len(v.preds) == 0,
-		leaf:    len(v.succs) == 0,
-	}
-}
-
-// clonePatched returns the compiled form of builder graph g: a flat copy
-// of prev, its previous compiled form, in which only the slots of the
-// vertices the write touched are compiled afresh, threaded in g's walk
-// order. prev is nil for a graph the write created, all of whose vertices
-// are touched. Every slot whose occupant or content differs from prev's
-// holds a touched vertex (see graph.touched), so the copy is right
-// everywhere else.
-func clonePatched(prev *snapGraph, g *graph) *snapGraph {
-	sg := &snapGraph{
-		vertices: make([]snapVertex, len(g.slots)),
-		first:    g.order[0],
-		tally:    tally{vertices: len(g.slots), edges: g.edges, entries: g.entries, roots: len(g.roots), leaves: len(g.leaves)},
-	}
-	if prev != nil {
-		copy(sg.vertices, prev.vertices)
-		sg.ontologies = prev.ontologies
-	}
-	if g.ontoStale {
-		sg.ontologies = make([]string, len(g.ontologies))
-		for i, o := range g.ontologies {
-			sg.ontologies[i] = o.uri
-		}
-	}
-	for _, v := range g.touched {
-		if v.slot >= 0 {
-			sg.vertices[v.slot] = newSnapVertex(v)
-		}
-	}
-	last := int32(-1)
-	for k := len(g.order) - 1; k >= 0; k-- {
-		sg.vertices[g.order[k]].next = last
-		last = g.order[k]
-	}
-	return sg
-}
-
-// graphChange is one touched graph's compiled form before and after a
-// write: old is nil for a graph the write created, new for one it
-// emptied.
+// graphChange is one touched graph's version before and after a write:
+// old is nil for a graph the write created, new for one it emptied.
 type graphChange struct {
 	old, new *snapGraph
 }
@@ -293,8 +248,8 @@ type graphChange struct {
 // newSnapshot derives the next publishable snapshot from prev and the
 // graphs the write touched; everything else is shared with prev. changes
 // lists created graphs in creation order (they go to the end of the
-// graph list, as in the builder's); index is the builder's ontology
-// index, whose graphs already carry their new compiled form; keys is the
+// graph list, as in the writer's); index is the writer's ontology
+// index, whose graphs already carry their new version; keys is the
 // ontology-key list to publish. Caller holds d.mu.
 func newSnapshot(prev *snapshot, changes []graphChange, index map[string]*ontoIndex, keys []string) *snapshot {
 	s := &snapshot{
@@ -335,7 +290,7 @@ func newSnapshot(prev *snapshot, changes []graphChange, index map[string]*ontoIn
 		}
 		sl := make([]*snapGraph, len(idx.graphs))
 		for i, g := range idx.graphs {
-			sl[i] = g.compiled
+			sl[i] = g.cur
 		}
 		s.byOntology[idx.uri] = sl
 	}

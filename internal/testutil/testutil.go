@@ -8,6 +8,8 @@ package testutil
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -87,4 +89,15 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
+}
+
+// LiveHeapBytes is what the heap holds once the collector has run: the
+// bytes of objects still reachable, which is what the byte-budget tests
+// hold a stored advertisement or a graph to.
+func LiveHeapBytes() int64 {
+	runtime.GC()
+	runtime.GC() // the first run may leave finalizers and pool victims behind
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return int64(sample[0].Value.Uint64())
 }
