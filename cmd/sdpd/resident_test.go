@@ -16,17 +16,19 @@ import (
 
 // The two directory shapes of the live benchmark (bench/e2e): sparse is
 // lookup-sparse's 22 ontologies of 40 concepts, over which most
-// advertisements are a graph of their own; dense is lookup-dense's 2 of 12,
-// over which they pile into a few large graphs.
-var residentShapes = []struct {
+// advertisements are related to no other and a graph is ~90 roots; dense is
+// lookup-dense's 2 of 12, over which they pile into two large graphs.
+var residentShapes = []residentShape{
+	{"sparse", 22, 40, 2000, 1},
+	{"dense", 2, 12, 1400, 2},
+}
+
+type residentShape struct {
 	name                string
 	ontologies, classes int
 	// live is the shape's directory size in the live benchmark and depth how
 	// far its requests specialize an advertisement's concepts.
 	live, depth int
-}{
-	{"sparse", 22, 40, 2000, 1},
-	{"dense", 2, 12, 1400, 2},
 }
 
 // residentFixture is an empty server with a shape's ontologies loaded, and
@@ -95,16 +97,18 @@ func (f *residentFixture) versionBytes() (total int64) {
 
 // residentOverhead is what a stored advertisement may cost on the heap
 // beyond its own document, per shape: the largest figure this tree measures
-// (sparse 1179 B, dense 974 B, durable 1238 B, all under the race detector,
+// (sparse 933 B, dense 927 B, durable 992 B, all under the race detector,
 // whose build adds about 30) plus 10 %. internal/gen's documents are 424
-// bytes, so an advertisement costs 1.55 KB and 1.36 KB. The tree that held
-// every capability DAG twice — the writer's vertices and a compiled copy —
-// and indexed the service name once for the document and once for the
-// entries measured 1511, 1220 and 1570 B; the one before an advertisement
-// was made to live once 3380 and 2608 B (3.8 KB and 3.0 KB each; on the
-// live benchmark's 704-byte documents 4.4 KB), and it kept every superseded
-// document: publishing each name five times more took it to 6.6 KB.
-var residentOverhead = map[string]int64{"sparse": 1300, "dense": 1070, "durable": 1360}
+// bytes, so an advertisement costs 1.33 KB and 1.35 KB. The tree that gave
+// every capability related to no other a graph of its own measured 1179, 974
+// and 1238 B; the one that held every capability DAG twice — the writer's
+// vertices and a compiled copy — and indexed the service name once for the
+// document and once for the entries 1511, 1220 and 1570 B; the one before an
+// advertisement was made to live once 3380 and 2608 B (3.8 KB and 3.0 KB
+// each; on the live benchmark's 704-byte documents 4.4 KB), and it kept
+// every superseded document: publishing each name five times more took it to
+// 6.6 KB.
+var residentOverhead = map[string]int64{"sparse": 1030, "dense": 1020, "durable": 1095}
 
 // residentWithdrawn is what a withdrawn name may leave on the heap: the
 // largest figure measured (421 B, with a store; 334-374 B without) plus

@@ -180,37 +180,37 @@ func TestNewKeyIsPushedBeforeRefreshSummaryReturns(t *testing.T) {
 
 // Publishes under a key the summary already has cost pushes per tick, not
 // per publish, and the peers' entry counts converge with no further
-// mutation.
+// mutation. The node's own timer never fires: the test ticks, so the number
+// of ticks is a count and not an estimate from the wall clock.
 func TestCountOnlyPublishesArePushedPerTick(t *testing.T) {
-	const (
-		tick      = 50 * time.Millisecond
-		publishes = 200
-	)
-	rec, nodes := backbone(t, 3, Config{TickInterval: tick, AnnounceInterval: never})
+	const publishes, ticks = 200, 10
+	rec, nodes := backbone(t, 3, Config{TickInterval: never, AnnounceInterval: never})
 	backend := nodes[0].Backend()
 	if _, err := backend.Register(workstationNamed(t, "ws-first")); err != nil {
 		t.Fatal(err)
 	}
 	nodes[0].RefreshSummary()
 
-	pushes, start := len(rec.sent()), time.Now()
+	pushes := len(rec.sent())
 	for i := 0; i < publishes; i++ {
 		if _, err := backend.Register(workstationNamed(t, fmt.Sprintf("ws%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 		nodes[0].RefreshSummary()
+		if (i+1)%(publishes/ticks) == 0 {
+			nodes[0].tick()
+		}
 	}
 	for _, peer := range nodes[1:] {
 		waitUntil(t, 2*time.Second, "entry count at "+string(peer.ID()), func() bool {
 			return peerView(peer, nodes[0]).entries == backend.Len()
 		})
 	}
-	// Every tick that began since start may have pushed to both peers, one
-	// more may have been under way, and the opening handshake may still
-	// have owed each peer two replies. Per publish it would be 400.
-	ticks := int(time.Since(start)/tick) + 2
-	if got, limit := len(rec.sent())-pushes, 2*ticks+4; got > limit {
-		t.Errorf("%d publishes under one key: %d summary pushes, want at most %d (%d ticks)", publishes, got, limit, ticks)
+	// Every tick found the count moved and pushed it to both peers; beyond
+	// that only the opening handshake may still have owed each peer two
+	// replies. Per publish it would be 400.
+	if got, least, most := len(rec.sent())-pushes, 2*ticks, 2*ticks+4; got < least || got > most {
+		t.Errorf("%d publishes under one key over %d ticks: %d summary pushes, want %d to %d", publishes, ticks, got, least, most)
 	}
 
 	// A mutation that moves neither bits nor count sends nothing at all.

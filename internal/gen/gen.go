@@ -131,6 +131,11 @@ type WorkloadConfig struct {
 	// InputsPerCapability and OutputsPerCapability default to 3 and 2.
 	InputsPerCapability  int
 	OutputsPerCapability int
+	// CrossOntologyInputs is the percentage of capabilities whose inputs are
+	// concepts of the pool's next ontology instead of the capability's own,
+	// so that their ontology set has two members. It defaults to 0, the
+	// paper's setting: every capability over one ontology.
+	CrossOntologyInputs int
 	// Seed drives all randomness.
 	Seed int64
 	// Rand, when non-nil, supplies randomness directly and takes
@@ -247,8 +252,12 @@ func (w *Workload) generateService(index int) (*profile.Service, *wsdl.Definitio
 			Name:     fmt.Sprintf("cap%d", ci),
 			Category: w.randomConcept(oi),
 		}
+		in := oi
+		if w.cfg.CrossOntologyInputs > 0 && w.rng.Intn(100) < w.cfg.CrossOntologyInputs {
+			in = (oi + 1) % len(w.Ontologies)
+		}
 		for i := 0; i < w.cfg.InputsPerCapability; i++ {
-			cap.Inputs = append(cap.Inputs, w.randomConcept(oi))
+			cap.Inputs = append(cap.Inputs, w.randomConcept(in))
 		}
 		for i := 0; i < w.cfg.OutputsPerCapability; i++ {
 			cap.Outputs = append(cap.Outputs, w.randomConcept(oi))

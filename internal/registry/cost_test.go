@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"testing"
 
@@ -18,9 +17,9 @@ import (
 // benchmark's two directory shapes and returns the directory with a few
 // further advertisements of the same shape, not registered. Sparse is one
 // ontology of 40 concepts per ~90 services (lookup-sparse: nearly every
-// capability is unrelated to every other, so graphs are singletons and
-// the graph list grows with the directory); dense is two ontologies of 12
-// concepts whatever the size (lookup-dense: a few large graphs).
+// capability is unrelated to every other, so a graph is ~90 roots and the
+// number of graphs grows with the directory); dense is two ontologies of 12
+// concepts whatever the size (lookup-dense: two large graphs).
 func sizedDirectory(tb testing.TB, services int, dense bool) (*Directory, []*profile.Service) {
 	tb.Helper()
 	return sizedDirectoryOver(tb, services, dense, func(m *match.CodeMatcher) match.ConceptMatcher { return m })
@@ -73,13 +72,12 @@ var flatSink any
 
 // flatCopyBytes is what the linear-by-design part of publishing fresh and
 // withdrawing it again allocates (see snapshot.go): twice the snapshot's
-// graph pointer list, twice the ontology index's map header (one slot per
-// ontology URI), twice the index's list of graphs under each URI of the
-// graph the advertisement lands in and, for that graph, twice the draft of
-// its next version — the copies of its slot table and walk order. It is
-// measured, not computed, so that it includes the allocator's rounding; the
-// draft is the directory's own newDraft. The second result is the draft's
-// share, once, and the third the number of nodes it copies.
+// graph pointer list, one pointer per ontology-set key, and twice the draft
+// of the next version of the graph the advertisement lands in — the copies
+// of its slot table and walk order. It is measured, not computed, so that it
+// includes the allocator's rounding; the draft is the directory's own
+// newDraft. The second result is the draft's share, once, and the third the
+// number of nodes it copies.
 func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) (total, draft float64, nodes int) {
 	if err := d.Register(fresh); err != nil {
 		tb.Fatal(err)
@@ -88,34 +86,22 @@ func flatCopyBytes(tb testing.TB, d *Directory, fresh *profile.Service) (total, 
 	cur := d.byService[fresh.Name].entries[0].g.cur
 	d.mu.Unlock()
 	graphs := d.NumGraphs()
-	index := d.snap.Load().byOntology
 	d.Deregister(fresh.Name)
-	lists := func() {
-		flatSink = make([]*snapGraph, graphs)
-		flatSink = maps.Clone(index)
-		for _, u := range cur.ontologies {
-			flatSink = make([]*snapGraph, len(index[u]))
-		}
-	}
-	if len(cur.nodes) == 1 {
-		// A graph of its own: nothing copied, all of it is the change.
-		return allocated(func() { lists(); lists() }), 0, 0
-	}
+	list := func() { flatSink = make([]*snapGraph, graphs) }
 	draft = allocated(func() { flatSink = newDraft(cur) })
-	return allocated(func() { lists(); lists() }) + 2*draft, draft, len(cur.nodes)
+	return allocated(func() { list(); list() }) + 2*draft, draft, len(cur.nodes)
 }
 
 // TestRegisterCostIndependentOfSize is the guard on the publish path that
 // does not depend on how fast the host is: what one Register plus one
 // Deregister allocates must not grow with the directory, in either of the
-// live benchmark's shapes — many small graphs, where the write replaces a
-// graph, and a few large ones, where it patches one. Ten times the
-// services may cost at most half as much again — in allocations outright,
-// and in bytes once the terms that are linear by design are set aside,
-// the flat copies of the snapshot's graph pointer list, of the ontology
-// index's map header, of the index's lists under the touched graph's URIs
-// and of the touched graph's slot table and walk order (see snapshot.go).
-// That last copy, the draft of the graph's next version, is held to 16
+// live benchmark's shapes — many graphs of unrelated roots, where the write
+// adds a root to one of them, and two large ones, where it patches one. Ten
+// times the services may cost at most half as much again — in allocations
+// outright, and in bytes once the terms that are linear by design are set
+// aside, the flat copies of the snapshot's graph pointer list (per key) and
+// of the touched graph's slot table and walk order (see snapshot.go). That
+// last copy, the draft of the graph's next version, is held to 16
 // bytes per node — 8 for the slot, 4 for the walk order, 4 for its inverse
 // — plus the allocator's rounding of three arrays and the draft itself.
 //
@@ -129,8 +115,8 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 	measure := func(services int, dense bool) cost {
 		d, fresh := sizedDirectory(t, services, dense)
 		st := d.Stats()
-		if !dense && st.Graphs < services*9/10 {
-			t.Fatalf("%d services made %d graphs; the sparse shape should be nearly all singletons", services, st.Graphs)
+		if !dense && (st.Roots < services*9/10 || st.Graphs != len(d.Ontologies())) {
+			t.Fatalf("%d services made %d roots in %d graphs; the sparse shape should be nearly all roots, in one graph per ontology", services, st.Roots, st.Graphs)
 		}
 		if dense && st.MaxGraphVertices < services/10 {
 			t.Fatalf("%d services made no graph larger than %d vertices; the dense shape should have a large one", services, st.MaxGraphVertices)
@@ -146,7 +132,7 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 		for _, svc := range fresh {
 			flat, draft, nodes := flatCopyBytes(t, d, svc)
 			c.flatBytes += flat / n
-			if budget := perNode*rounding*float64(nodes+1) + fixed; nodes > 0 && draft > budget {
+			if budget := perNode*rounding*float64(nodes+1) + fixed; draft > budget {
 				t.Errorf("%d services: the draft of a graph of %d nodes takes %.0f B, over %d B per node (%.0f B with rounding)", services, nodes, draft, perNode, budget)
 			}
 		}
@@ -192,18 +178,16 @@ func TestRegisterCostIndependentOfSize(t *testing.T) {
 	}
 }
 
-// TestSingletonGraphBytes is the byte budget of the lookup-sparse shape,
-// where nearly every capability is a graph of its own: such a graph — the
-// writer's graph object, the published version with its slot table, walk
-// order and ontology list, the node and its entry list, and the graph's
-// place in the directory's, the index's and the snapshot's lists — may cost
-// 360 bytes. It is what 2000 mutually unrelated capabilities leave on the
-// heap beyond what 2000 equivalent ones do, which share one node of one
-// graph and so cost the entry, the service record and 8 bytes of that
-// node's entry list each. The tree that held a graph in two forms measured
-// 622 B here.
-func TestSingletonGraphBytes(t *testing.T) {
-	const n, budget = 2000, 360
+// TestUnrelatedRootBytes is the byte budget of the lookup-sparse shape,
+// where nearly every capability is related to no other: what such a
+// capability costs as a root of its key's graph — its node with its entry
+// list, its slot, its place in the walk order and in the writer's root list
+// — beyond what an equivalent one costs, which shares one node and so costs
+// the entry, the service record and 8 bytes of that node's entry list. Both
+// directories hold one graph. When every unrelated capability had a graph of
+// its own the difference was 324 B, and 622 B when a graph had two forms.
+func TestUnrelatedRootBytes(t *testing.T) {
+	const n, budget = 2000, 110
 	resident := func(category func(i int) string) int64 {
 		d, h, _ := hubWorld(t, n)
 		var services []*profile.Service
@@ -222,13 +206,16 @@ func TestSingletonGraphBytes(t *testing.T) {
 		if err := d.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		if st := d.Stats(); st.Graphs != 1 {
+			t.Fatalf("capabilities of one ontology set are in %d graphs", st.Graphs)
+		}
 		return (after - before) / n
 	}
 	apart := resident(func(i int) string { return fmt.Sprintf("K%d", i) })
 	together := resident(func(int) string { return "K0" })
-	t.Logf("an advertisement costs %d B as a graph of its own and %d B in a node it shares: a singleton graph is %d B", apart, together, apart-together)
+	t.Logf("an advertisement costs %d B as a root of its own and %d B in a node it shares: a root is %d B", apart, together, apart-together)
 	if apart-together > budget {
-		t.Errorf("a singleton graph costs %d B, over the budget of %d", apart-together, budget)
+		t.Errorf("an unrelated root costs %d B, over the budget of %d", apart-together, budget)
 	}
 }
 

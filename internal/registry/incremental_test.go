@@ -26,57 +26,54 @@ type vertex struct {
 // newScratchSnapshot is the oracle the incremental publish is checked
 // against: a snapshot rebuilt from what the directory was told, sharing
 // nothing with any published one and reading no node's adjacency, no slot
-// table's layout and no walk order. Which entry sits in which graph and
-// node it takes from the service table; the edges it derives from the
-// match relation itself (scratchGraph).
+// table's layout and no walk order. Which entry sits in which graph it takes
+// from the entry's own ontology-set key; the graph's partition into vertices
+// it reads off the writer's nodes and holds to the match relation — a vertex's
+// entries are equivalent to its representative (graph.check), no two
+// vertices to each other (scratchGraph) — and the edges it derives from the
+// match relation itself.
 func newScratchSnapshot(d *Directory) (*snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	type place struct {
-		g    *graph
-		slot int32
-	}
-	members := make(map[place][]*Entry)
-	keySet := make(map[string]struct{})
+	members := make(map[string]map[*Entry]bool)
 	for _, ad := range d.byService {
 		for _, e := range ad.entries {
-			members[place{e.g, e.slot}] = append(members[place{e.g, e.slot}], e.Entry)
-			keySet[e.Capability.OntologyKey()] = struct{}{}
+			key := e.Capability.OntologyKey()
+			if members[key] == nil {
+				members[key] = make(map[*Entry]bool)
+			}
+			members[key][e.Entry] = true
 		}
 	}
-	s := &snapshot{byOntology: make(map[string][]*snapGraph, len(d.byOntology)), ontologyKeys: slices.Sorted(maps.Keys(keySet))}
-	rebuilt := make(map[*graph]*snapGraph, len(d.graphs))
-	for gi, g := range d.graphs {
+	s := &snapshot{byOntology: make(map[string][]int32)}
+	for at, key := range slices.Sorted(maps.Keys(members)) {
+		g, stored := d.graphs[key], members[key]
+		if g == nil {
+			return nil, fmt.Errorf("%d stored entries have key %q, which has no graph", len(stored), key)
+		}
 		var verts []*vertex
-		for slot, n := range g.cur.nodes {
+		for _, n := range g.cur.nodes {
 			// The entries of a vertex are a set to the oracle; it lists them
 			// in the published node's order so that dumps compare.
-			got := members[place{g, int32(slot)}]
-			delete(members, place{g, int32(slot)})
-			if len(got) != len(n.entries) {
-				return nil, fmt.Errorf("graph %d slot %d lists %d entries, the service table places %d there", gi, slot, len(n.entries), len(got))
-			}
-			for _, e := range got {
-				if !slices.Contains(n.entries, e) {
-					return nil, fmt.Errorf("graph %d slot %d does not list %s, which the service table places there", gi, slot, e)
+			for _, e := range n.entries {
+				if !stored[e] {
+					return nil, fmt.Errorf("the graph of key %q lists %s, which the service table does not hold under that key, or twice", key, e)
 				}
+				delete(stored, e)
 			}
 			verts = append(verts, &vertex{rep: n.rep, entries: n.entries})
 		}
+		if len(stored) > 0 {
+			return nil, fmt.Errorf("the graph of key %q lacks %d entries the service table holds under it", key, len(stored))
+		}
 		sg, err := scratchGraph(d.enc, verts)
 		if err != nil {
-			return nil, fmt.Errorf("graph %d: %w", gi, err)
+			return nil, fmt.Errorf("graph of key %q: %w", key, err)
 		}
-		rebuilt[g] = sg
 		s.graphs = append(s.graphs, sg)
 		s.tally = s.tally.plus(sg.tally)
-	}
-	if len(members) > 0 {
-		return nil, fmt.Errorf("the service table places entries in %d nodes no graph has", len(members))
-	}
-	for u, idx := range d.byOntology {
-		for _, g := range idx.graphs {
-			s.byOntology[u] = append(s.byOntology[u], rebuilt[g])
+		for _, u := range sg.ontologies {
+			s.byOntology[u] = append(s.byOntology[u], int32(at))
 		}
 	}
 	return s, nil
@@ -228,6 +225,7 @@ func scratchGraph(enc match.EncodedMatcher, verts []*vertex) (*snapGraph, error)
 		}
 	}
 	dr.ontologies = slices.Sorted(maps.Keys(uris))
+	dr.key = profile.OntologySetKey(dr.ontologies)
 	return newSnapGraph(dr, roots), nil
 }
 
@@ -270,16 +268,15 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 	if g, w := d.Ontologies(), want.ontologyURIs(); !slices.Equal(g, w) {
 		t.Fatalf("Ontologies() = %v, from scratch %v", g, w)
 	}
-	if g, w := d.OntologyKeys(), want.ontologyKeys; !slices.Equal(g, w) {
-		t.Fatalf("OntologyKeys() = %q, from scratch %q", g, w)
+	wantKeys := make([]string, len(want.graphs))
+	for i, g := range want.graphs {
+		wantKeys[i] = g.key
 	}
-	if len(got.byOntology) != len(want.byOntology) {
-		t.Fatalf("ontology index has %d URIs, from scratch %d", len(got.byOntology), len(want.byOntology))
+	if g := d.OntologyKeys(); !slices.Equal(g, wantKeys) {
+		t.Fatalf("OntologyKeys() = %q, from scratch %q", g, wantKeys)
 	}
-	for u, wl := range want.byOntology {
-		if g, w := graphPositions(got, got.byOntology[u]), graphPositions(want, wl); !slices.Equal(g, w) {
-			t.Fatalf("graphs listed under %s = %v, from scratch %v", u, g, w)
-		}
+	if !maps.EqualFunc(got.byOntology, want.byOntology, slices.Equal[[]int32]) {
+		t.Fatalf("ontology index = %v, from scratch %v", got.byOntology, want.byOntology)
 	}
 	for _, c := range probes {
 		uris := c.RequiredOntologies()
@@ -287,10 +284,7 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 			t.Fatalf("candidate graphs for %v = %v, from scratch %v", uris, g, w)
 		}
 	}
-	if err := d.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkSnapshotConsistent(got); err != nil {
+	if err := d.checkInvariants(); err != nil { // checkSnapshotConsistent included
 		t.Fatal(err)
 	}
 }
@@ -298,14 +292,15 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 // checkSnapshotConsistent verifies what a reader may assume of any single
 // snapshot it loads, without reference to the writer: the counters agree
 // with what the graphs enumerate, every walk order visits each slot once
-// and a node's predecessors before it, the key list is sorted and
-// duplicate-free, and the ontology index lists exactly the snapshot's own
-// graphs under exactly their URIs.
+// and a node's predecessors before it, the graphs are sorted by key without
+// duplicates, and the ontology index lists exactly the snapshot's own graphs
+// under exactly their URIs.
 func checkSnapshotConsistent(s *snapshot) error {
 	var sum tally
-	inList := make(map[*snapGraph]bool, len(s.graphs))
-	for _, g := range s.graphs {
-		inList[g] = true
+	for at, g := range s.graphs {
+		if at > 0 && s.graphs[at-1].key >= g.key {
+			return fmt.Errorf("graphs not sorted by key and duplicate-free: %q before %q", s.graphs[at-1].key, g.key)
+		}
 		pos, err := positions(&g.tables)
 		if err != nil {
 			return err
@@ -327,7 +322,7 @@ func checkSnapshotConsistent(s *snapshot) error {
 			}
 		}
 		for _, u := range g.ontologies {
-			if !slices.Contains(s.byOntology[u], g) {
+			if !slices.Contains(s.byOntology[u], int32(at)) {
 				return fmt.Errorf("graph using %s is not listed under it", u)
 			}
 		}
@@ -342,17 +337,14 @@ func checkSnapshotConsistent(s *snapshot) error {
 		if len(list) == 0 {
 			return fmt.Errorf("empty list under %s", u)
 		}
-		for _, g := range list {
-			if !inList[g] {
-				return fmt.Errorf("list under %s holds a graph the snapshot does not", u)
+		for i, at := range list {
+			if at < 0 || int(at) >= len(s.graphs) || i > 0 && list[i-1] >= at {
+				return fmt.Errorf("list under %s is not ascending positions of the snapshot's %d graphs: %v", u, len(s.graphs), list)
 			}
-			if !slices.Contains(g.ontologies, u) || !g.covers([]string{u}) {
+			if g := s.graphs[at]; !slices.Contains(g.ontologies, u) || !g.covers([]string{u}) {
 				return fmt.Errorf("list under %s holds a graph that does not use it", u)
 			}
 		}
-	}
-	if !slices.IsSorted(s.ontologyKeys) || len(slices.Compact(slices.Clone(s.ontologyKeys))) != len(s.ontologyKeys) {
-		return fmt.Errorf("ontology keys not sorted and duplicate-free: %q", s.ontologyKeys)
 	}
 	return nil
 }
@@ -367,9 +359,10 @@ type advertPool struct {
 
 // fixturePool draws advertisements over the Figure 1 ontologies: one to
 // three capabilities per service, exact duplicates of another service's
-// capability (a shared vertex), and capabilities that use the servers
-// ontology alone — so graphs gain a URI after they were created, and the
-// servers-only key has few holders that come and go.
+// capability (a shared vertex), and one capability in ten that uses the
+// servers ontology alone — a second key, whose few holders come and go and
+// whose graph a request over the servers ontology is offered beside the
+// other.
 func fixturePool(t *testing.T, rng *rand.Rand) advertPool {
 	categories := []string{"Server", "DigitalServer", "StreamingServer", "VideoServer", "SoundServer", "GameServer"}
 	inputs := []string{"Resource", "DigitalResource", "VideoResource", "SoundResource", "GameResource", "Movie"}
@@ -385,10 +378,10 @@ func fixturePool(t *testing.T, rng *rand.Rand) advertPool {
 			var caps []*profile.Capability
 			for c, n := 0, 1+rng.Intn(3); c < n; c++ {
 				shape := [3]string{pick(categories), pick(inputs), pick(outputs)}
-				switch rng.Intn(5) {
+				switch rng.Intn(10) {
 				case 0:
 					shape[1], shape[2] = "", "" // servers ontology only
-				case 1:
+				case 1, 2:
 					if len(shapes) > 0 {
 						shape = shapes[rng.Intn(len(shapes))] // equivalent to an earlier one
 					}
@@ -408,13 +401,13 @@ func fixturePool(t *testing.T, rng *rand.Rand) advertPool {
 }
 
 // generatedPool draws two-capability services over three small generated
-// ontologies, one ontology per capability: a handful of dense graphs per
-// URI, each key held by few services, graphs that empty while their URI
-// lives on in another.
+// ontologies, a capability's inputs from a second ontology four times in
+// ten: six keys of one or two URIs, each held by few services, graphs that
+// empty while their URIs live on in another.
 func generatedPool(t *testing.T, seed int64) advertPool {
 	const names = 16
 	w := gen.MustNewWorkload(gen.WorkloadConfig{
-		Ontologies: 3, ClassesPerOntology: 8, Services: 2 * names, CapabilitiesPerService: 2, Seed: seed,
+		Ontologies: 3, ClassesPerOntology: 8, Services: 2 * names, CapabilitiesPerService: 2, CrossOntologyInputs: 40, Seed: seed,
 	})
 	reg, err := w.Registry(codes.DefaultParams)
 	if err != nil {
@@ -443,13 +436,18 @@ func generatedPool(t *testing.T, seed int64) advertPool {
 // others: most of the directory is one graph that grows to a hundred
 // vertices and more, and a write lands inside a large graph instead of
 // beside it (the live benchmark's dense shape needs a thousand services to
-// get there).
+// get there). The first two services take their inputs from a second
+// ontology: a key beside the large one that few hold, so that it comes and
+// goes, and that a request over the first ontology alone is offered too.
 func densePool(t *testing.T, seed int64) advertPool {
 	const names = 120
 	w := gen.MustNewWorkload(gen.WorkloadConfig{
-		Ontologies: 1, ClassesPerOntology: 8, InputsPerCapability: 2, OutputsPerCapability: 1,
+		Ontologies: 2, ClassesPerOntology: 8, InputsPerCapability: 2, OutputsPerCapability: 1,
 		Services: 3 * names, CapabilitiesPerService: 2, Seed: seed,
 	})
+	// Both ontologies name their concepts alike, so a reference moves from
+	// one to the other by its URI.
+	first, second := w.Ontologies[0].URI, w.Ontologies[1].URI
 	reg, err := w.Registry(codes.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
@@ -463,13 +461,23 @@ func densePool(t *testing.T, seed int64) advertPool {
 			svc.Provided = svc.Provided[:1+(i+v)%2]
 			for c, cp := range svc.Provided {
 				cp.Name = fmt.Sprintf("%s.v%d.c%d", svc.Name, v, c)
+				cp.Category.Ontology = first
+				for k := range cp.Inputs {
+					cp.Inputs[k].Ontology = first
+					if i < 2 {
+						cp.Inputs[k].Ontology = second
+					}
+				}
+				for k := range cp.Outputs {
+					cp.Outputs[k].Ontology = first
+				}
 			}
 			vs = append(vs, svc)
 		}
 		p.variants = append(p.variants, vs)
 	}
 	for i := 0; i < 8; i++ {
-		p.probes = append(p.probes, w.Request(i*names/8, 1))
+		p.probes = append(p.probes, p.variants[i*names/8][0].Provided[0])
 	}
 	return p
 }
@@ -539,17 +547,18 @@ func (before layout) shapeOf(after layout) writeShape {
 }
 
 // TestIncrementalSnapshotEqualsFromScratch replays seeded random
-// histories — register, re-register with changed capabilities,
-// deregister, multi-capability services, shared vertices, graphs emptied
-// and their URIs re-used, keys whose last holder leaves and returns — and
-// after every step requires the published snapshot, which was derived
-// from its predecessor, to equal a whole-directory rebuild. Seeds past 6
-// run inside large graphs (densePool), where a write replaces a few nodes
-// of a large graph instead of a small graph whole: vertices removed from the
-// middle of the slot table, their slots taken again by the same write,
-// graphs created by the write that empties another.
+// histories over several ontology sets — register, re-register with changed
+// capabilities, deregister, multi-capability services, shared vertices, keys
+// whose last holder leaves, taking the key's graph and its place in the
+// ontology index along, and returns — and after every step requires the
+// published snapshot, which was derived from its predecessor, to equal a
+// whole-directory rebuild. Seeds past 6 run inside large graphs (densePool),
+// where a write replaces a few nodes of a large graph instead of a small
+// graph whole: vertices removed from the middle of the slot table, their
+// slots taken again by the same write, one key's graph created by the write
+// that empties another's.
 func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
-	swaps := 0 // writes, over all histories, that created one graph and emptied another
+	swaps := 0 // writes, over all histories, that created one key's graph and emptied another's
 	for seed := int64(1); seed <= 9; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -577,6 +586,9 @@ func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
 			keyFlips, largest := 0, 0
 			for step := 0; step < 250; step++ {
 				i := rng.Intn(len(pool.variants))
+				if dense && step%8 == 0 {
+					i = rng.Intn(2) // the two holders of the pool's second key
+				}
 				before, keysBefore := layoutOf(d), len(d.OntologyKeys())
 				// Deregistrations come in runs so the small directories drain
 				// to nothing now and then and refill; the dense one stays
@@ -600,8 +612,8 @@ func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
 				largest = max(largest, d.Stats().MaxGraphVertices)
 				checkAgainstScratch(t, d, pool.probes)
 			}
-			if total.emptied == 0 || !dense && keyFlips < 2 {
-				t.Fatalf("history too tame: %d graphs emptied, %d key-set changes", total.emptied, keyFlips)
+			if total.emptied < 2 || total.created < 2 || keyFlips < 4 {
+				t.Fatalf("history too tame: %d keys' graphs emptied, %d created, %d key-set changes", total.emptied, total.created, keyFlips)
 			}
 			if dense && (largest < 80 || total.moved < 10 || total.reused < 10) {
 				t.Fatalf("history too tame: largest graph %d vertices, %d vertices moved to a freed slot, %d slots reused", largest, total.moved, total.reused)
@@ -609,7 +621,7 @@ func TestIncrementalSnapshotEqualsFromScratch(t *testing.T) {
 		})
 	}
 	if swaps == 0 {
-		t.Fatal("histories too tame: no write created one graph and emptied another")
+		t.Fatal("histories too tame: no write created one key's graph and emptied another's")
 	}
 }
 

@@ -3,10 +3,10 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"sariadne/internal/match"
+	"sariadne/internal/profile"
 )
 
 // checkInvariants verifies structural invariants; tests call it after
@@ -15,58 +15,45 @@ func (d *Directory) checkInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Between writes no graph has a draft, and the snapshot lists exactly
-	// the writer's graphs, each by its published version.
+	// the writer's graphs, each by its published version under its key.
 	snap := d.snap.Load()
 	if len(d.dirty) > 0 || len(snap.graphs) != len(d.graphs) {
 		return fmt.Errorf("%d graphs queued for publishing; snapshot has %d graphs, the writer %d", len(d.dirty), len(snap.graphs), len(d.graphs))
 	}
-	for gi, g := range d.graphs {
-		if g.draft != nil || g.cur == nil || g.cur != snap.graphs[gi] {
-			return fmt.Errorf("graph %d: unpublished changes, or the snapshot holds another version", gi)
+	for gi, sg := range snap.graphs {
+		g := d.graphs[sg.key]
+		if g == nil || g.draft != nil || g.cur != sg {
+			return fmt.Errorf("graph %d: not the writer's graph of key %q, unpublished changes, or the snapshot holds another version", gi, sg.key)
 		}
 		if err := g.check(d.matcher); err != nil {
 			return fmt.Errorf("graph %d: %w", gi, err)
 		}
-		for _, u := range g.cur.ontologies {
-			if idx := d.byOntology[u]; idx == nil || !slices.Contains(idx.graphs, g) {
-				return fmt.Errorf("graph %d uses %s but is not listed under it", gi, u)
-			}
-		}
-		if !g.cur.covers(g.cur.ontologies) || g.cur.covers([]string{"http://no.such/ontology"}) {
-			return fmt.Errorf("graph %d lists ontologies %v but does not cover exactly those", gi, g.cur.ontologies)
+		if !sg.covers(sg.ontologies) || sg.covers([]string{"http://no.such/ontology"}) {
+			return fmt.Errorf("graph %d lists ontologies %v but does not cover exactly those", gi, sg.ontologies)
 		}
 	}
-	for u, idx := range d.byOntology {
-		if idx.uri != u || len(idx.graphs) == 0 {
-			return fmt.Errorf("index entry under %s is for %q and lists %d graphs", u, idx.uri, len(idx.graphs))
-		}
-		for i, g := range idx.graphs {
-			if !slices.Contains(d.graphs, g) || !g.cur.covers([]string{u}) || slices.Contains(idx.graphs[:i], g) {
-				return fmt.Errorf("list under %s holds a graph twice, a dead graph or one that does not use it", u)
-			}
-		}
-	}
-	// The service table places every entry where a published node lists
-	// it, and the snapshot counts as many entries as the table holds.
+	// The service table places every entry where a published node of its
+	// key's graph lists it, and the snapshot counts as many entries as the
+	// table holds.
 	wantEntries := 0
 	for name, ad := range d.byService {
 		wantEntries += len(ad.entries)
 		for _, e := range ad.entries {
-			if !slices.Contains(d.graphs, e.g) || e.slot < 0 || int(e.slot) >= len(e.g.cur.nodes) || !slices.Contains(e.g.cur.nodes[e.slot].entries, e.Entry) {
-				return fmt.Errorf("entry %s of %s is not in the node and graph it names", e, name)
+			if e.g != d.graphs[e.Capability.OntologyKey()] || e.slot < 0 || int(e.slot) >= len(e.g.cur.nodes) || !slices.Contains(e.g.cur.nodes[e.slot].entries, e.Entry) {
+				return fmt.Errorf("entry %s of %s is not in the node it names of the graph of its key", e, name)
 			}
 		}
 	}
 	if int(snap.tally.entries) != wantEntries {
 		return fmt.Errorf("snapshot has %d entries, the service table %d", snap.tally.entries, wantEntries)
 	}
-	return nil
+	return checkSnapshotConsistent(snap)
 }
 
 // check verifies one graph between writes: the published tables (slots,
 // walk order, counters, clipped so that nothing appends to them in place),
-// the writer's root list and ontology use counts against them, edges that
-// respect Match, and no edge that another path already implies.
+// the writer's root list against them, the key every member must have, edges
+// that respect Match, and no edge that another path already implies.
 func (g *graph) check(m match.ConceptMatcher) error {
 	t := &g.cur.tables
 	if len(t.order) != len(t.nodes) || cap(t.nodes) != len(t.nodes) || cap(t.order) != len(t.order) {
@@ -79,7 +66,9 @@ func (g *graph) check(m match.ConceptMatcher) error {
 	name := func(s int32) string { return t.nodes[s].rep.Capability().Name }
 	member := func(s int32) bool { return s >= 0 && int(s) < len(t.nodes) }
 	var sum tally
-	uses := make(map[string]int32)
+	if !slices.IsSorted(t.ontologies) || t.key != profile.OntologySetKey(t.ontologies) {
+		return fmt.Errorf("key %q is not that of the ontology list %v", t.key, t.ontologies)
+	}
 	for i, v := range t.nodes {
 		slot := int32(i)
 		if (len(v.preds) == 0) != slices.Contains(g.roots, slot) {
@@ -99,8 +88,8 @@ func (g *graph) check(m match.ConceptMatcher) error {
 			if c := v.rep.Capability(); c != e.Capability && !(match.Match(m, c, e.Capability) && match.Match(m, e.Capability, c)) {
 				return fmt.Errorf("entry %s is not equivalent to its node's representative %s", e, c.Name)
 			}
-			for _, u := range e.Capability.Ontologies() {
-				uses[u]++
+			if key := e.Capability.OntologyKey(); key != t.key {
+				return fmt.Errorf("entry %s has ontology-set key %q, its graph %q", e, key, t.key)
 			}
 		}
 		// With every edge running forward in the walk order the graph is
@@ -138,21 +127,6 @@ func (g *graph) check(m match.ConceptMatcher) error {
 	// per-node checks above it is exactly the roots.
 	if sum != t.tally || int(sum.roots) != len(g.roots) || duplicate(g.roots) >= 0 {
 		return fmt.Errorf("counts %+v and %d listed roots; nodes enumerate %+v", t.tally, len(g.roots), sum)
-	}
-	// The ontology list: sorted by URI without duplicates, and the use
-	// counts beside it counting what the entries enumerate.
-	if len(g.uses) != len(t.ontologies) {
-		return fmt.Errorf("%d ontologies, %d use counts", len(t.ontologies), len(g.uses))
-	}
-	listed := make(map[string]int32, len(t.ontologies))
-	for i, u := range t.ontologies {
-		if i > 0 && t.ontologies[i-1] >= u {
-			return fmt.Errorf("ontology list %v is not sorted and duplicate-free", t.ontologies)
-		}
-		listed[u] = g.uses[i]
-	}
-	if !maps.Equal(uses, listed) {
-		return fmt.Errorf("ontology use counts %v over %v, entries enumerate %v", g.uses, t.ontologies, uses)
 	}
 	return nil
 }

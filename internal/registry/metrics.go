@@ -16,7 +16,7 @@ var (
 	rootProbesTotal = telemetry.NewCounter("registry_root_probes_total",
 		"graph roots probed during queries (the paper's root-filtering work)")
 	graphsGauge = telemetry.NewGauge("registry_graphs",
-		"capability DAGs across all directories in the process")
+		"capability DAGs across all directories in the process, one per ontology set a directory stores")
 	verticesGauge = telemetry.NewGauge("registry_vertices",
 		"capability-graph vertices across all directories")
 	edgesGauge = telemetry.NewGauge("registry_edges",

@@ -14,7 +14,7 @@ import (
 // probes (a non-matching vertex is probed again from every matching
 // neighbour), and keeps its regions in maps, sharing no code or scratch
 // with classifyLocked.
-func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bool) {
+func (d *Directory) referenceClassify(g *graph, c *match.Encoded) placement {
 	pl := placement{join: -1}
 	nodes := g.view().nodes
 	m := make(map[int32]struct{})
@@ -65,13 +65,10 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 		}
 		frontier = next
 	}
-	if len(m) == 0 && len(sset) == 0 {
-		return pl, false
-	}
 	for v := range m {
 		if isIn(sset, v) {
 			pl.join = v
-			return pl, true
+			return pl
 		}
 	}
 	for v := range m {
@@ -98,7 +95,7 @@ func (d *Directory) referenceClassify(g *graph, c *match.Encoded) (placement, bo
 			pl.children = append(pl.children, v)
 		}
 	}
-	return pl, true
+	return pl
 }
 
 func isIn(set map[int32]struct{}, v int32) bool {

@@ -1,9 +1,12 @@
 // Package registry implements the directory-side classification of service
 // advertisements from Section 3.3 of the paper: capabilities of networked
-// services are organized into directed acyclic graphs of related
-// capabilities, indexed by the set of ontologies they use, so that a
-// request is matched against a handful of graph roots instead of every
-// advertisement in the directory.
+// services are organized into directed acyclic graphs, indexed by the set of
+// ontologies they use, so that a request is matched against a handful of
+// graph roots instead of every advertisement in the directory.
+//
+// There is one graph per ontology set (profile.OntologySetKey, the unit the
+// Section 4 Bloom summaries hash): a capability is classified among the
+// capabilities that use exactly the ontologies it uses.
 //
 // Graph structure (paper, Section 3.3):
 //
@@ -12,7 +15,12 @@
 //   - otherwise, when Match(C1, C2) holds, C1 and C2 are distinct vertices
 //     with a directed edge from the more generic C1 to C2;
 //   - Roots(G) are vertices without predecessors (the most generic
-//     capabilities), Leaves(G) those without successors.
+//     capabilities), Leaves(G) those without successors;
+//   - a capability related to no other of its ontology set is a vertex with
+//     neither: a graph is a forest, the transitive reduction of Match over
+//     what is stored under its key, whatever order it arrived in. (The paper
+//     starts a new graph for such a capability; a query probes it as a root
+//     either way.)
 //
 // The Match relation is transitive, which gives the two facts the paper's
 // algorithms rely on: if no root of a graph matches a request, nothing in
@@ -25,7 +33,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -86,19 +93,16 @@ type Result struct {
 	Distance int
 }
 
-// graph is the writer's side of one capability DAG. The DAG itself — nodes,
-// walk order, ontology set, counters — exists once, as the version the
-// snapshot holds; the writer classifies over those same nodes and keeps
-// here only what readers have no use for.
+// graph is the writer's side of the capability DAG of one ontology set. The
+// DAG itself — nodes, walk order, ontology set, counters — exists once, as
+// the version the snapshot holds; the writer classifies over those same
+// nodes and keeps here only what readers have no use for.
 type graph struct {
 	// cur is the published version, nil for a graph the write in progress
 	// made. draft is the version that write is building, nil between writes
 	// (so a graph is queued in Directory.dirty exactly while it has one).
 	cur   *snapGraph
 	draft *draft
-	// uses[i] counts the member entries that use the i-th URI of the
-	// graph's ontology list; a URI no entry uses any more leaves the list.
-	uses []int32
 	// roots holds the slots of the nodes without predecessors, unordered:
 	// where classification starts.
 	roots []int32
@@ -108,8 +112,8 @@ type graph struct {
 // the published version's two tables, made on the write's first touch of
 // the graph, in which the write replaces the nodes it changes — a published
 // node is never edited — and moves slots and walk positions as nodes come
-// and go. The ontology list is the published one until the set changes, and
-// then a new slice. Publishing wraps the tables as they are (newSnapGraph).
+// and go. The key and the ontology list are the graph's for life. Publishing
+// wraps the tables as they are (newSnapGraph).
 type draft struct {
 	tables
 	// pos is the inverse of the walk order: order[pos[s]] == s.
@@ -117,9 +121,6 @@ type draft struct {
 }
 
 func newDraft(cur *snapGraph) *draft {
-	if cur == nil {
-		return &draft{}
-	}
 	n := len(cur.nodes)
 	dr := &draft{tables: cur.tables, pos: make([]int32, n, n+1)}
 	dr.nodes = append(make([]*node, 0, n+1), cur.nodes...)
@@ -199,11 +200,10 @@ type Directory struct {
 	// of Query) and every match operation compares two encoded forms. Over
 	// code tables that resolves no name; over any other matcher the encoded
 	// form is the capability and enc matches it by name through matcher.
-	enc    match.EncodedMatcher
-	graphs []*graph // guarded by mu
-	// byOntology indexes graphs by the ontology URIs they contain, so
-	// query-time graph pre-selection does not scan every graph.
-	byOntology map[string]*ontoIndex // guarded by mu
+	enc match.EncodedMatcher
+	// graphs holds the graph of every ontology-set key some stored
+	// capability has, and during a write also those the write emptied.
+	graphs map[string]*graph // guarded by mu
 	// byService is the one table keyed by service name: each stored
 	// advertisement's document and where its capabilities were placed.
 	byService map[string]advert // guarded by mu
@@ -211,16 +211,12 @@ type Directory struct {
 	// publish — created, changed or emptied: those with a draft. The publish
 	// derives the next snapshot from the previous one and them alone.
 	dirty []*graph // guarded by mu
-	// keyRefs counts the stored entries under each ontology-set key;
-	// keysStale records that a key appeared or disappeared since the last
-	// publish, the only time the published key list is rebuilt.
-	keyRefs   map[string]int // guarded by mu
-	keysStale bool           // guarded by mu
 	// scratch is the writer's working memory, reused across writes.
 	scratch classifyScratch // guarded by mu
-	// classify places a capability in one graph: classifyLocked. Tests put
-	// the unbounded reference classifier here to compare the two.
-	classify func(*graph, *match.Encoded) (placement, bool)
+	// classify finds a capability's place in the graph of its key:
+	// classifyLocked. Tests put the unbounded reference classifier here to
+	// compare the two.
+	classify func(*graph, *match.Encoded) placement
 	// snap is the published immutable view served to readers.
 	snap atomic.Pointer[snapshot]
 	// matchOps counts capability-level match operations (monotonic).
@@ -230,24 +226,34 @@ type Directory struct {
 // NewDirectory returns an empty directory matching with m.
 func NewDirectory(m match.ConceptMatcher) *Directory {
 	d := &Directory{
-		matcher:    m,
-		enc:        match.EncoderFor(m),
-		byOntology: make(map[string]*ontoIndex),
-		byService:  make(map[string]advert),
-		keyRefs:    make(map[string]int),
+		matcher:   m,
+		enc:       match.EncoderFor(m),
+		graphs:    make(map[string]*graph),
+		byService: make(map[string]advert),
 	}
 	d.classify = d.classifyLocked
-	d.snap.Store(&snapshot{byOntology: map[string][]*snapGraph{}})
+	d.snap.Store(&snapshot{})
 	return d
 }
 
-// ontoIndex is the index entry of one ontology URI: the graphs that use
-// it, in the order they came to, under the directory's own copy of the URI.
-// Graphs name the ontology by that copy, so neither they nor the index pin
-// the document of whichever advertisement brought the URI first.
-type ontoIndex struct {
-	uri    string
-	graphs []*graph
+// graphLocked returns the graph of the ontology set uris, which is sorted,
+// starting an empty one, open for the write in progress, when no stored
+// capability uses exactly that set. The new graph names its ontologies by
+// the directory's own copies, so that it does not pin the document of the
+// advertisement that brought the set first.
+func (d *Directory) graphLocked(uris []string) *graph {
+	if g := d.graphs[profile.OntologySetKey(uris)]; g != nil {
+		return g
+	}
+	own := make([]string, len(uris))
+	for i, u := range uris {
+		own[i] = strings.Clone(u)
+	}
+	g := &graph{draft: &draft{tables: tables{key: profile.OntologySetKey(own), ontologies: own}}}
+	d.graphs[g.draft.key] = g
+	d.dirty = append(d.dirty, g)
+	graphsGauge.Add(1)
+	return g
 }
 
 // openLocked returns the draft of g's next version, starting it on the
@@ -261,16 +267,20 @@ func (d *Directory) openLocked(g *graph) *draft {
 }
 
 // publishLocked makes the draft of every graph written since the last
-// publish its published version and atomically publishes a snapshot derived
-// from the previous one and those graphs alone. Writers call it once per
-// Register/Deregister, so a service advertising many capabilities pays
-// for one snapshot, not one per capability.
+// publish its published version — a graph the write left empty goes, and its
+// key with it — and atomically publishes a snapshot derived from the previous
+// one and those graphs alone. Writers call it once per Register/Deregister,
+// so a service advertising many capabilities pays for one snapshot, not one
+// per capability.
 func (d *Directory) publishLocked() {
 	changes := make([]graphChange, 0, len(d.dirty))
 	for _, g := range d.dirty {
 		ch := graphChange{old: g.cur}
 		if len(g.draft.nodes) > 0 {
 			ch.new = newSnapGraph(g.draft, len(g.roots))
+		} else {
+			delete(d.graphs, g.draft.key)
+			graphsGauge.Add(-1)
 		}
 		g.cur, g.draft = ch.new, nil
 		if ch.old != nil || ch.new != nil { // else created and emptied by the same write
@@ -279,84 +289,7 @@ func (d *Directory) publishLocked() {
 	}
 	clear(d.dirty)
 	d.dirty = d.dirty[:0]
-	prev := d.snap.Load()
-	keys := prev.ontologyKeys
-	if d.keysStale {
-		keys = slices.Sorted(maps.Keys(d.keyRefs))
-		d.keysStale = false
-	}
-	d.snap.Store(newSnapshot(prev, changes, d.byOntology, keys))
-}
-
-// indexGraphLocked counts one more member entry of g, which the write has
-// open, under each of uris, and lists g under those it did not use before.
-func (d *Directory) indexGraphLocked(g *graph, uris []string) {
-	dr := g.draft
-	for _, u := range uris {
-		i, ok := slices.BinarySearch(dr.ontologies, u)
-		if ok {
-			g.uses[i]++
-			continue
-		}
-		idx := d.byOntology[u]
-		if idx == nil {
-			idx = &ontoIndex{uri: strings.Clone(u)}
-			d.byOntology[idx.uri] = idx
-		}
-		idx.graphs = append(idx.graphs, g)
-		// The list may be the published version's: clipped, the insert makes
-		// a new one.
-		dr.ontologies = slices.Insert(slices.Clip(dr.ontologies), i, idx.uri)
-		g.uses = slices.Insert(g.uses, i, 1)
-	}
-}
-
-// unindexGraphLocked counts one member entry of g less under each of
-// uris, and unlists g under those its last user just left — so neither
-// queries nor inserts over such a URI are offered the graph any longer.
-func (d *Directory) unindexGraphLocked(g *graph, uris []string) {
-	dr := g.draft
-	for _, u := range uris {
-		i, _ := slices.BinarySearch(dr.ontologies, u)
-		if g.uses[i]--; g.uses[i] > 0 {
-			continue
-		}
-		dr.ontologies = slices.Delete(slices.Clone(dr.ontologies), i, i+1)
-		g.uses = slices.Delete(g.uses, i, i+1)
-		idx := d.byOntology[u]
-		if len(idx.graphs) == 1 {
-			delete(d.byOntology, u)
-			continue
-		}
-		at := slices.Index(idx.graphs, g)
-		idx.graphs = slices.Delete(idx.graphs, at, at+1)
-	}
-}
-
-// candidateGraphsLocked returns the graphs whose ontology set covers uris,
-// using the index: it scans only the graphs listed under the rarest URI.
-// With no URI constraint every graph qualifies.
-func (d *Directory) candidateGraphsLocked(uris []string) []*graph {
-	if len(uris) == 0 {
-		return d.graphs
-	}
-	var smallest []*graph
-	for i, u := range uris {
-		idx := d.byOntology[u]
-		if idx == nil {
-			return nil
-		}
-		if i == 0 || len(idx.graphs) < len(smallest) {
-			smallest = idx.graphs
-		}
-	}
-	out := make([]*graph, 0, len(smallest))
-	for _, g := range smallest {
-		if g.view().covers(uris) {
-			out = append(out, g)
-		}
-	}
-	return out
+	d.snap.Store(newSnapshot(d.snap.Load(), changes))
 }
 
 // distance is the directory's match operation, SemanticDistance(c1, c2)
@@ -475,17 +408,13 @@ func (d *Directory) Reclassify(uri string) int {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	idx := d.byOntology[uri]
-	if idx == nil {
-		return 0
-	}
+	// Between writes the snapshot is the directory; every member of a graph
+	// listed under uri uses it.
 	var names []string
-	for _, g := range idx.graphs {
-		for _, n := range g.cur.nodes {
+	for _, g := range d.snap.Load().candidateGraphs([]string{uri}) {
+		for _, n := range g.nodes {
 			for _, e := range n.entries {
-				if slices.Contains(e.Capability.Ontologies(), uri) {
-					names = append(names, e.Service)
-				}
+				names = append(names, e.Service)
 			}
 		}
 	}
@@ -528,49 +457,21 @@ func (d *Directory) Documents() map[string]string {
 	return docs
 }
 
-// insert classifies one entry. Candidate graphs are those whose ontology
-// index covers the capability's ontologies; the first graph where the
-// capability relates to existing nodes receives it, otherwise a new
-// graph is created (capabilities unrelated to everything become singleton
-// graphs, preserving the "graphs contain related capabilities" invariant).
-//
-// The capability's ontology set is computed here, once, and handed to
-// every step that needs it.
+// insertLocked classifies one entry in the graph of its ontology set: beside
+// an equivalent capability, below the most specific ones that can stand in
+// for it and above the most generic ones it can stand in for — or, related to
+// none, as a node with neither parents nor children, one more root of the
+// forest.
 func (d *Directory) insertLocked(e *Entry) placed {
-	uris := e.Capability.Ontologies()
-	var g *graph
-	var slot int32
-	for _, cand := range d.candidateGraphsLocked(uris) {
-		if pl, related := d.classify(cand, &e.enc); related {
-			g, slot = cand, d.placeLocked(cand, e, pl)
-			break
-		}
-	}
-	if g == nil {
-		// No graph accepted the capability: start a new one, in which it
-		// has neither parents nor children.
-		g = &graph{}
-		d.graphs = append(d.graphs, g)
-		graphsGauge.Add(1)
-		slot = d.placeLocked(g, e, placement{join: -1})
-	}
-	d.indexGraphLocked(g, uris)
-	key := profile.OntologySetKey(uris)
-	if n := d.keyRefs[key]; n > 0 {
-		d.keyRefs[key] = n + 1
-	} else {
-		// The key of a single ontology is that URI as the advertisement
-		// spells it; the table keeps its own copy.
-		d.keyRefs[strings.Clone(key)] = 1
-		d.keysStale = true
-	}
-	return placed{Entry: e, g: g, slot: slot}
+	g := d.graphLocked(e.Capability.Ontologies())
+	return placed{Entry: e, g: g, slot: d.placeLocked(g, e, d.classify(g, &e.enc))}
 }
 
-// placement is where classification puts a capability in one graph, in
+// placement is where classification puts a capability in its graph, in
 // slots: in the existing node join when one is equivalent to it (-1 when
-// none is), otherwise in a new node below parents and above children. depth
-// is the number of levels below the roots the search for parents went.
+// none is), otherwise in a new node below parents and above children, of
+// which a capability related to nothing has none. depth is the number of
+// levels below the roots the search for parents went.
 type placement struct {
 	join              int32
 	parents, children []int32
@@ -626,8 +527,7 @@ func (d *Directory) marksLocked(n int) []uint8 {
 	return marks
 }
 
-// classifyLocked finds the place of capability c in g, or reports that c
-// is unrelated to every node of g.
+// classifyLocked finds the place of capability c in g.
 //
 // The matching region M = {V : Match(V, C)} is explored top-down from the
 // matching roots (M is downward-closed along edges into it); the region
@@ -642,7 +542,7 @@ func (d *Directory) marksLocked(n int) []uint8 {
 // regions, removal reconnects around the node it takes out). So only
 // the leaves below P are probed, not every leaf of the graph, and the
 // climb from them never leaves P's descendants.
-func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool) {
+func (d *Directory) classifyLocked(g *graph, c *match.Encoded) placement {
 	sc := &d.scratch
 	nodes := g.view().nodes
 	marks := d.marksLocked(len(nodes))
@@ -699,10 +599,9 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 			}
 		}
 	} else {
-		// A capability with parents is related to g, so the write is about
-		// to open g anyway; the walk positions are the draft's. Of several
-		// parents take the one latest in the walk order, which is likely to
-		// have the fewest descendants.
+		// The write is about to open g anyway, to place c; the walk positions
+		// are the draft's. Of several parents take the one latest in the walk
+		// order, which is likely to have the fewest descendants.
 		dr := d.openLocked(g)
 		top := pl.parents[0]
 		for _, p := range pl.parents[1:] {
@@ -723,7 +622,7 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 		if len(pl.parents) == 1 && len(leaves) < int(dr.tally.leaves) {
 			if probe(top); marks[top]&inS != 0 {
 				pl.join = top
-				return pl, true
+				return pl
 			}
 		}
 		for _, l := range leaves {
@@ -739,21 +638,18 @@ func (d *Directory) classifyLocked(g *graph, c *match.Encoded) (placement, bool)
 	}
 	sc.s = sset
 
-	if len(m) == 0 && len(sset) == 0 {
-		return pl, false
-	}
 	// Mutual match: join the existing equivalence node. Transitivity
 	// guarantees at most one node sits in both regions.
 	for _, v := range sset {
 		if marks[v]&inM != 0 {
 			pl.join = v
-			return pl, true
+			return pl
 		}
 	}
 	// Children: maximal frontier of S (no predecessor also in S).
 	pl.children = frontier(sc.children[:0], sset, marks, inS, func(v int32) []int32 { return nodes[v].preds })
 	sc.children = pl.children
-	return pl, true
+	return pl
 }
 
 // frontier appends to dst the slots of region that have no neighbour
@@ -803,8 +699,7 @@ func (d *Directory) markBelowLocked(dr *draft, from int32, marks []uint8, bit ui
 }
 
 // placeLocked puts the entry where classification said and returns the
-// slot of the node that holds it. The caller indexes g under the
-// capability's ontologies.
+// slot of the node that holds it.
 func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) int32 {
 	dr := d.openLocked(g)
 	dr.tally.entries++
@@ -883,19 +778,13 @@ func (d *Directory) Deregister(service string) bool {
 }
 
 // removeEntryLocked drops one entry; a node left without entries is
-// removed and its predecessors reconnected to its successors.
+// removed and its predecessors reconnected to its successors. A graph left
+// without nodes stays the graph of its key until the write is published.
 func (d *Directory) removeEntryLocked(e placed) {
-	uris := e.Capability.Ontologies()
-	key := profile.OntologySetKey(uris)
-	if d.keyRefs[key]--; d.keyRefs[key] == 0 {
-		delete(d.keyRefs, key)
-		d.keysStale = true
-	}
 	g, v := e.g, e.slot
 	dr := d.openLocked(g)
 	n := dr.nodes[v]
 	dr.tally.entries--
-	d.unindexGraphLocked(g, uris)
 	entriesGauge.Add(-1)
 	if len(n.entries) > 1 {
 		i := slices.Index(n.entries, e.Entry)
@@ -954,11 +843,6 @@ func (d *Directory) removeEntryLocked(e placed) {
 	dr.tally.edges += int32(edgeDelta)
 	verticesGauge.Add(-1)
 	edgesGauge.Add(int64(edgeDelta))
-	if len(dr.nodes) == 0 {
-		gi := slices.Index(d.graphs, g)
-		d.graphs = slices.Delete(d.graphs, gi, gi+1)
-		graphsGauge.Add(-1)
-	}
 }
 
 // dropSlotLocked takes the node at slot v, already detached from its
@@ -1109,12 +993,16 @@ func (d *Directory) Ontologies() []string {
 }
 
 // OntologyKeys returns the distinct capability ontology-set keys stored in
-// the directory, the unit hashed into Bloom filters by Section 4. The
-// writer keeps the list with the snapshot (rebuilding it only when a key
-// appears or disappears), so summary rebuilds on the read side are a
-// lock-free copy.
+// the directory, sorted: the unit hashed into Bloom filters by Section 4.
+// They are the keys of the snapshot's graphs, so summary rebuilds on the
+// read side take no lock.
 func (d *Directory) OntologyKeys() []string {
-	return append([]string(nil), d.snap.Load().ontologyKeys...)
+	graphs := d.snap.Load().graphs
+	keys := make([]string, len(graphs))
+	for i, g := range graphs {
+		keys[i] = g.key
+	}
+	return keys
 }
 
 // Snapshot returns a human-readable dump of the graph structure, mainly
@@ -1127,13 +1015,16 @@ func (d *Directory) Snapshot() string {
 // Stats summarizes the directory's graph structure for diagnostics and
 // capacity monitoring.
 type Stats struct {
+	// Graphs is the number of capability graphs: one per ontology-set key.
 	Graphs   int
 	Vertices int
 	Edges    int
 	Entries  int
-	// MaxGraphVertices is the size of the largest graph.
+	// MaxGraphVertices is the size of the largest graph: the most vertices
+	// any one ontology set holds, related or not.
 	MaxGraphVertices int
-	// Roots and Leaves count across all graphs.
+	// Roots and Leaves count across all graphs; a capability related to
+	// nothing is one of each.
 	Roots  int
 	Leaves int
 }

@@ -147,7 +147,10 @@ func TestEquivalentCapabilitiesShareVertex(t *testing.T) {
 	}
 }
 
-func TestUnrelatedCapabilitiesSeparateGraphs(t *testing.T) {
+// TestUnrelatedCapabilitiesShareTheirKeysGraph: unrelated capabilities of one
+// ontology set are two roots of one graph, which a query probes as it would
+// two graphs; capabilities of different ontology sets are in two graphs.
+func TestUnrelatedCapabilitiesShareTheirKeysGraph(t *testing.T) {
 	d, _ := newFixtureDirectory(t)
 	video := capability("ServeVideo", "VideoServer", "VideoResource", "Stream")
 	game := capability("ServeGame", "GameServer", "GameResource", "Stream")
@@ -157,9 +160,28 @@ func TestUnrelatedCapabilitiesSeparateGraphs(t *testing.T) {
 	if err := d.Register(service("sg", game)); err != nil {
 		t.Fatal(err)
 	}
-	// Same ontologies but unrelated capabilities: two graphs.
-	if d.NumGraphs() != 2 {
-		t.Fatalf("NumGraphs = %d, want 2\n%s", d.NumGraphs(), d.Snapshot())
+	// Same ontologies but unrelated capabilities: one graph, two roots that
+	// are leaves, no edge.
+	want := Stats{Graphs: 1, Vertices: 2, Entries: 2, MaxGraphVertices: 2, Roots: 2, Leaves: 2}
+	if got := d.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v\n%s", got, want, d.Snapshot())
+	}
+	before := d.MatchOps()
+	if hits := d.Query(capability("Req", "GameServer", "GameResource", "Stream")); len(hits) != 1 || hits[0].Entry.Service != "sg" {
+		t.Fatalf("Query = %v, want sg only", hits)
+	}
+	if ops := d.MatchOps() - before; ops != 3 {
+		t.Fatalf("the query took %d match operations, want one per root and one to rank the hit", ops)
+	}
+	// Another ontology set, another graph — related or not.
+	if err := d.Register(service("sp", capability("Serve", "Server", "", ""))); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats(); got.Graphs != 2 || got.Roots != 3 || got.Edges != 0 {
+		t.Fatalf("Stats() = %+v, want 2 graphs of 3 roots and no edge\n%s", got, d.Snapshot())
+	}
+	if err := d.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -344,8 +366,46 @@ func TestQueryPrunesMatchOps(t *testing.T) {
 	}
 }
 
-// TestPropertyInsertionOrderIrrelevant: any insertion order of the same
-// capability set yields a directory that answers queries identically.
+// canonicalDump renders what a snapshot holds with nothing that depends on
+// how it got there — no slot, no walk position, no representative, no order
+// of a node's entries: per key, every node as the sorted names of its
+// entries, marked when it is a root, with the nodes it points to.
+func canonicalDump(s *snapshot) string {
+	var b strings.Builder
+	for _, g := range s.graphs {
+		label := func(n *node) string {
+			names := make([]string, len(n.entries))
+			for i, e := range n.entries {
+				names[i] = e.String()
+			}
+			slices.Sort(names)
+			return strings.Join(names, "=")
+		}
+		lines := make([]string, len(g.nodes))
+		for i, n := range g.nodes {
+			succs := make([]string, len(n.succs))
+			for j, s := range n.succs {
+				succs[j] = label(g.nodes[s])
+			}
+			slices.Sort(succs)
+			line := label(n)
+			if len(n.preds) == 0 {
+				line += " [root]"
+			}
+			lines[i] = line + " -> {" + strings.Join(succs, ", ") + "}"
+		}
+		slices.Sort(lines)
+		fmt.Fprintf(&b, "key %q\n  %s\n", g.key, strings.Join(lines, "\n  "))
+	}
+	return b.String()
+}
+
+// TestPropertyInsertionOrderIrrelevant: the directory is a function of the
+// stored set. Any insertion order of the same advertisements, over two
+// ontology sets, and any detour on the way there — some withdrawn and
+// published again, one that came and went — yields the same counters, the
+// same graph per key (node partition, edge set, root set) and the same
+// answers.
 func TestPropertyInsertionOrderIrrelevant(t *testing.T) {
 	categories := []string{"Server", "DigitalServer", "StreamingServer", "VideoServer", "SoundServer", "GameServer"}
 	inputs := []string{"Resource", "DigitalResource", "VideoResource", "SoundResource", "GameResource", "Movie"}
@@ -353,28 +413,49 @@ func TestPropertyInsertionOrderIrrelevant(t *testing.T) {
 
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(8) + 3
-		caps := make([]*profile.Capability, n)
-		for i := range caps {
-			caps[i] = capability(
-				fmt.Sprintf("C%d", i),
+		draw := func(name string) *profile.Capability {
+			c := capability(name,
 				categories[rng.Intn(len(categories))],
 				inputs[rng.Intn(len(inputs))],
 				outputs[rng.Intn(len(outputs))],
 			)
+			if rng.Intn(4) == 0 {
+				c.Inputs, c.Outputs = nil, nil // the servers ontology alone
+			}
+			return c
 		}
-		req := capability("Req",
-			categories[rng.Intn(len(categories))],
-			inputs[rng.Intn(len(inputs))],
-			outputs[rng.Intn(len(outputs))],
-		)
+		n := rng.Intn(8) + 3
+		services := make([]*profile.Service, n)
+		for i := range services {
+			services[i] = service(fmt.Sprintf("s%d", i), draw(fmt.Sprintf("C%d", i)))
+		}
+		req, extra := draw("Req"), service("extra", draw("Extra"))
 
 		baseline := ""
-		for trial := 0; trial < 3; trial++ {
+		for trial := 0; trial < 4; trial++ {
 			d, _ := newFixtureDirectory(t)
-			perm := rng.Perm(n)
-			for _, i := range perm {
-				if err := d.Register(service(fmt.Sprintf("s%d", i), caps[i])); err != nil {
+			register := func(order []int) bool {
+				for _, i := range order {
+					if err := d.Register(services[i]); err != nil {
+						return false
+					}
+				}
+				return true
+			}
+			if !register(rng.Perm(n)) {
+				return false
+			}
+			if trial >= 2 {
+				if err := d.Register(extra); err != nil {
+					return false
+				}
+				gone := rng.Perm(n)[:1+rng.Intn(n)]
+				for _, i := range gone {
+					d.Deregister(services[i].Name)
+				}
+				d.Deregister(extra.Name)
+				rng.Shuffle(len(gone), func(i, j int) { gone[i], gone[j] = gone[j], gone[i] })
+				if !register(gone) {
 					return false
 				}
 			}
@@ -383,13 +464,14 @@ func TestPropertyInsertionOrderIrrelevant(t *testing.T) {
 				return false
 			}
 			var b strings.Builder
+			fmt.Fprintf(&b, "%+v\n%s", d.Stats(), canonicalDump(d.snap.Load()))
 			for _, r := range d.Query(req) {
 				fmt.Fprintf(&b, "%s@%d;", r.Entry.Capability.Name, r.Distance)
 			}
 			if trial == 0 {
 				baseline = b.String()
 			} else if b.String() != baseline {
-				t.Logf("seed %d: order dependence: %q vs %q", seed, baseline, b.String())
+				t.Logf("seed %d trial %d: order dependence:\n%s\nvs\n%s", seed, trial, baseline, b.String())
 				return false
 			}
 		}
@@ -513,23 +595,21 @@ func TestDirectoryStats(t *testing.T) {
 	}
 }
 
-// TestGraphUnlistedWhenOntologyWithdrawn: a graph is listed under an
-// ontology only while one of its members uses it. Once the last such
-// member is withdrawn, queries and inserts over that ontology are no
-// longer offered the graph and Ontologies() stops reporting it.
+// TestGraphUnlistedWhenOntologyWithdrawn: a graph is listed under the
+// ontologies of its key while it has members. Once the last member of the
+// one graph that uses an ontology is withdrawn, queries over that ontology
+// are offered no graph and Ontologies() stops reporting it.
 func TestGraphUnlistedWhenOntologyWithdrawn(t *testing.T) {
 	d, _ := newFixtureDirectory(t)
 	plain := service("plain", capability("Serve", "Server", "", ""))        // servers ontology only
 	media := service("media", capability("Stream", "Server", "", "Stream")) // servers and media; can stand in for Serve
-	// The wider capability first: a graph is offered a capability only if
-	// it already covers every ontology the capability uses.
 	for _, s := range []*profile.Service{media, plain} {
 		if err := d.Register(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.NumGraphs() != 1 {
-		t.Fatalf("the two capabilities should share a graph:\n%s", d.Snapshot())
+	if d.NumGraphs() != 2 {
+		t.Fatalf("capabilities of two ontology sets should be in two graphs:\n%s", d.Snapshot())
 	}
 	mediaRequest := capability("Req", "Server", "", "Stream")
 	listed := func() bool {
@@ -538,6 +618,11 @@ func TestGraphUnlistedWhenOntologyWithdrawn(t *testing.T) {
 	if !listed() || len(d.Ontologies()) != 2 || len(d.Query(mediaRequest)) != 1 {
 		t.Fatalf("with both members: listed under media %v, Ontologies %v, hits %v", listed(), d.Ontologies(), d.Query(mediaRequest))
 	}
+	// A request over the servers ontology alone is offered both graphs: the
+	// media capability can stand in for it.
+	if hits := d.Query(capability("Req", "Server", "", "")); len(hits) != 2 {
+		t.Fatalf("a servers-only query got %v, want both capabilities", hits)
+	}
 
 	d.Deregister("media")
 	if got := d.Ontologies(); !slices.Equal(got, []string{profile.ServersOntologyURI}) {
@@ -545,16 +630,16 @@ func TestGraphUnlistedWhenOntologyWithdrawn(t *testing.T) {
 	}
 	before := d.MatchOps()
 	if hits := d.Query(mediaRequest); len(hits) != 0 || d.MatchOps() != before {
-		t.Fatalf("a media query got %v for %d match operations; the graph should not have been offered", hits, d.MatchOps()-before)
+		t.Fatalf("a media query got %v for %d match operations; no graph should have been offered", hits, d.MatchOps()-before)
 	}
-	if listed() {
-		t.Fatal("graph still listed under the media ontology")
+	if listed() || d.NumGraphs() != 1 {
+		t.Fatalf("listed under the media ontology: %v; %d graphs, want the servers one alone", listed(), d.NumGraphs())
 	}
 	checkAgainstScratch(t, d, []*profile.Capability{mediaRequest})
 
 	// Back again, the media capability is classified as it would be in a
-	// directory that had never held it: no graph covers its ontologies, so
-	// it starts one, and that one is listed.
+	// directory that had never held it: its key has no graph, so it starts
+	// one, and that one is listed.
 	if err := d.Register(media); err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,25 @@
 // Snapshot read path: the directory publishes an immutable view of its
-// graphs through an atomic pointer, so queries never take a lock. A
-// capability DAG has one form, the published one: immutable nodes that name
-// their neighbours by slot, reached through a per-graph slot table, with the
-// topological walk order as a plain array of slots beside it. Writers
-// (Register/Deregister) serialize on Directory.mu and classify over those
-// same nodes. What a write changes it replaces: on its first touch of a
-// graph it copies the graph's two tables into a draft (8 + 4 bytes per
-// node, plus 4 for the writer's own inverse of the walk order), builds a
-// new node for each one whose entries or adjacency change — the one
-// written, its parents and children, a node a removal moved to another slot
-// and its neighbours — and stores it in the draft's slot table. Publishing
-// wraps each draft's tables, as they are, in the graph's next version and
-// derives the next snapshot from the previous one: untouched graphs,
-// ontology-index lists and the ontology-key list are shared with it, and
-// the structural counters are adjusted by the touched graphs' difference. A
-// publish therefore costs what the write changed, plus four terms that stay
-// linear and cheap: a flat copy of the graph pointer list (8 bytes per
-// graph), a copy of the ontology index's map header (one slot per URI), the
-// index's list of graphs under each URI of a touched graph (8 bytes per
-// graph listed) and the table copies above. Nothing is sorted, looked up in
-// a map or allocated per service, per entry or per untouched node: the only
-// maps are the two ontology indexes, consulted once per URI of a touched
-// graph, and a graph's own ontology set is a short sorted slice.
+// graphs through an atomic pointer, so queries never take a lock. There is
+// one graph per ontology-set key, and it has one form, the published one:
+// immutable nodes that name their neighbours by slot, reached through a
+// per-graph slot table, with the topological walk order as a plain array of
+// slots beside it. Writers (Register/Deregister) serialize on Directory.mu
+// and classify over those same nodes. What a write changes it replaces: on
+// its first touch of a graph it copies the graph's two tables into a draft
+// (8 + 4 bytes per node, plus 4 for the writer's own inverse of the walk
+// order), builds a new node for each one whose entries or adjacency change —
+// the one written, its parents and children, a node a removal moved to
+// another slot and its neighbours — and stores it in the draft's slot table.
+// Publishing wraps each draft's tables, as they are, in the graph's next
+// version and derives the next snapshot from the previous one: untouched
+// graphs are shared with it, the ontology index is too unless a key appeared
+// or disappeared, and the structural counters are adjusted by the touched
+// graphs' difference. A publish therefore costs what the write changed, plus
+// two terms that stay linear and cheap: a flat copy of the graph pointer list
+// (8 bytes per ontology-set key) and the table copies above (16 bytes per
+// node of a touched key's graph). Nothing is sorted or allocated per
+// service, per entry or per untouched node, and the one map is rebuilt, over
+// the keys, only by a write that changes the key set.
 //
 // The advertisement's document is the writer's: it sits in the service
 // table (Directory.byService) beside the places of the advertisement's
@@ -37,6 +35,7 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -93,15 +92,16 @@ type tables struct {
 	// every predecessor of a node comes before it, which is what lets the
 	// query walk see parents before children in one pass.
 	order []int32
-	// ontologies is the sorted union of ontology URIs used by member
-	// capabilities, which covers searches. Each URI is the directory's own
-	// copy (ontoIndex.uri), not a piece of some advertisement.
+	// key is the ontology-set key every member capability has and ontologies
+	// the sorted URIs it joins, which covers searches: the directory's own
+	// copies, not pieces of some advertisement, and the graph's for life.
+	key        string
 	ontologies []string
 	tally      tally
 }
 
-// covers reports whether the graph's ontology set contains every URI the
-// capability uses — the paper's graph pre-selection index.
+// covers reports whether the graph's ontology set contains every URI a
+// matching provider must use — the paper's graph pre-selection index.
 func (t *tables) covers(uris []string) bool {
 	for _, u := range uris {
 		if _, ok := slices.BinarySearch(t.ontologies, u); !ok {
@@ -111,7 +111,7 @@ func (t *tables) covers(uris []string) bool {
 	return true
 }
 
-// snapGraph is one published version of a capability DAG.
+// snapGraph is one published version of an ontology set's capability DAG.
 //
 //sdp:immutable
 type snapGraph struct {
@@ -133,17 +133,15 @@ func newSnapGraph(dr *draft, roots int) *snapGraph {
 //
 //sdp:immutable
 type snapshot struct {
-	// graphs parallels the writer's graph list, in creation order.
+	// graphs holds the graph of every stored ontology-set key, sorted by key.
 	graphs []*snapGraph
-	// byOntology indexes graphs by the ontology URIs they contain, so
-	// query-time graph pre-selection does not scan every graph.
-	byOntology map[string][]*snapGraph
-	// ontologyKeys is the sorted set of stored capabilities' ontology-set
-	// keys, the unit hashed into the Section 4 Bloom summaries. It is the
-	// previous snapshot's slice unless the write made a key appear or
-	// disappear.
-	ontologyKeys []string
-	tally        tally
+	// byOntology indexes graphs by the ontology URIs of their keys, as
+	// ascending positions in graphs, so query-time graph pre-selection does
+	// not scan every graph. Positions outlive the versions of the graphs at
+	// them: the index is the previous snapshot's unless the write made a key
+	// appear or disappear.
+	byOntology map[string][]int32
+	tally      tally
 }
 
 // candidateGraphs returns the graphs whose ontology set covers uris,
@@ -153,7 +151,7 @@ func (s *snapshot) candidateGraphs(uris []string) []*snapGraph {
 	if len(uris) == 0 {
 		return s.graphs
 	}
-	var smallest []*snapGraph
+	var smallest []int32
 	for i, u := range uris {
 		list, ok := s.byOntology[u]
 		if !ok {
@@ -164,8 +162,8 @@ func (s *snapshot) candidateGraphs(uris []string) []*snapGraph {
 		}
 	}
 	out := make([]*snapGraph, 0, len(smallest))
-	for _, g := range smallest {
-		if g.covers(uris) {
+	for _, at := range smallest {
+		if g := s.graphs[at]; g.covers(uris) {
 			out = append(out, g)
 		}
 	}
@@ -246,53 +244,42 @@ type graphChange struct {
 }
 
 // newSnapshot derives the next publishable snapshot from prev and the
-// graphs the write touched; everything else is shared with prev. changes
-// lists created graphs in creation order (they go to the end of the
-// graph list, as in the writer's); index is the writer's ontology
-// index, whose graphs already carry their new version; keys is the
-// ontology-key list to publish. Caller holds d.mu.
-func newSnapshot(prev *snapshot, changes []graphChange, index map[string]*ontoIndex, keys []string) *snapshot {
+// graphs the write touched, each of another key; everything else is shared
+// with prev. Caller holds d.mu.
+func newSnapshot(prev *snapshot, changes []graphChange) *snapshot {
 	s := &snapshot{
-		graphs:       make([]*snapGraph, len(prev.graphs), len(prev.graphs)+len(changes)),
-		byOntology:   maps.Clone(prev.byOntology),
-		ontologyKeys: keys,
-		tally:        prev.tally,
+		graphs:     make([]*snapGraph, len(prev.graphs), len(prev.graphs)+len(changes)),
+		byOntology: prev.byOntology,
+		tally:      prev.tally,
 	}
 	copy(s.graphs, prev.graphs)
-	var touched []string
+	keysChanged := false
 	for _, ch := range changes {
+		key := cmp.Or(ch.old, ch.new).key
+		at, _ := slices.BinarySearchFunc(s.graphs, key, func(g *snapGraph, key string) int { return strings.Compare(g.key, key) })
 		switch {
 		case ch.old == nil:
-			s.graphs = append(s.graphs, ch.new)
+			s.graphs = slices.Insert(s.graphs, at, ch.new)
 		case ch.new == nil:
-			i := slices.Index(s.graphs, ch.old)
-			s.graphs = slices.Delete(s.graphs, i, i+1)
+			s.graphs = slices.Delete(s.graphs, at, at+1)
 		default:
-			s.graphs[slices.Index(s.graphs, ch.old)] = ch.new
+			s.graphs[at] = ch.new
 		}
 		if ch.old != nil {
 			s.tally = s.tally.minus(ch.old.tally)
-			touched = append(touched, ch.old.ontologies...)
 		}
 		if ch.new != nil {
 			s.tally = s.tally.plus(ch.new.tally)
-			touched = append(touched, ch.new.ontologies...)
 		}
+		keysChanged = keysChanged || ch.old == nil || ch.new == nil
 	}
-	// Every list holding a touched graph is listed under one of that
-	// graph's URIs; the other lists hold only pointers that did not move.
-	slices.Sort(touched)
-	for _, u := range slices.Compact(touched) {
-		idx := index[u]
-		if idx == nil {
-			delete(s.byOntology, u)
-			continue
+	if keysChanged {
+		s.byOntology = make(map[string][]int32)
+		for at, g := range s.graphs {
+			for _, u := range g.ontologies {
+				s.byOntology[u] = append(s.byOntology[u], int32(at))
+			}
 		}
-		sl := make([]*snapGraph, len(idx.graphs))
-		for i, g := range idx.graphs {
-			sl[i] = g.cur
-		}
-		s.byOntology[idx.uri] = sl
 	}
 	return s
 }
