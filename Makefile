@@ -110,8 +110,11 @@ federation-smoke:
 soak-smoke:
 	$(GO) run ./cmd/soaksmoke
 
-# check is the full CI gate.
-check: build lint test race store-conformance match-fuzz profile-fuzz federation-smoke soak-smoke slo-check
+# check is the full CI gate: .github/workflows/ci.yml runs exactly these
+# targets, one step each (slo-check in a job of its own), plus bench-smoke
+# for the figure artifacts — so a green `make check` and a green CI run
+# mean the same thing.
+check: build lint test race chaos store-conformance match-fuzz profile-fuzz federation-smoke soak-smoke slo-check
 
 clean:
 	$(GO) clean ./...

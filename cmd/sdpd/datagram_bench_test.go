@@ -25,7 +25,7 @@ func datagramFixture(tb testing.TB, shape residentShape) (srv *server, publishes
 		}
 		return data
 	}
-	f := newResidentFixture(tb, shape.ontologies, shape.classes, shape.live+churn)
+	f := newResidentFixture(tb, bareConfig(), shape.ontologies, shape.classes, shape.live+churn)
 	f.publishAll(tb)
 	// The churn names are the last ones generated. A name's other
 	// advertisement is its neighbour's capability under its own name;

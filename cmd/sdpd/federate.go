@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -11,27 +10,6 @@ import (
 	"sariadne/internal/sdpapi"
 	"sariadne/internal/transport"
 )
-
-// federationOptions collects the backbone bootstrap flags.
-type federationOptions struct {
-	// Listen is the socket address for backbone traffic (distinct from
-	// the client-facing -listen port). Empty disables federation.
-	Listen string
-	// Transport picks the substrate: "udp" (default) or "tcp".
-	Transport string
-	// Advertise is the backbone address announced to peers; defaults to
-	// the bound address, which daemons behind NAT or binding 0.0.0.0 must
-	// override with something dialable.
-	Advertise string
-	// Peers are static seed addresses of other daemons' backbone ports.
-	Peers []string
-	// TraceSample traces every Nth query into the flight recorder; zero
-	// disables sampling (the -trace-sample flag, zero-is-off convention).
-	TraceSample int
-	// SlowQuery is the retention threshold for slow queries; zero keeps
-	// the discovery default (half the query timeout).
-	SlowQuery time.Duration
-}
 
 // federation is a daemon's membership in a directory backbone: a
 // discovery node over a socket transport, sharing the server's backend,
@@ -43,64 +21,57 @@ type federation struct {
 	log  *slog.Logger
 }
 
-// startFederation boots the backbone side of a daemon and rewires the
-// server: queries resolve through the federated node (forwarding to
-// peers whose Bloom summaries match, degrading to partial results when
-// peers die), and client-side mutations tell the node so remote views
-// keep up.
-func startFederation(srv *server, opts federationOptions, logger *slog.Logger) (*federation, error) {
+// newFederation boots the backbone side of a daemon over backend: a node
+// that forwards queries to peers whose Bloom summaries match, degrading to
+// partial results when peers die. -federate-transport picks the substrate;
+// -advertise defaults to the bound address, which daemons behind NAT or
+// binding 0.0.0.0 must override with something dialable.
+func newFederation(cfg config, backend *discovery.SemanticBackend, logger *slog.Logger) (*federation, error) {
 	var (
 		tr  transport.Transport
 		err error
 	)
-	switch opts.Transport {
-	case "", "udp":
-		tr, err = transport.NewUDP(transport.UDPConfig{
-			Listen:    opts.Listen,
-			Advertise: opts.Advertise,
-			Codec:     discovery.WireCodec{},
-			Seeds:     opts.Peers,
-		})
-	case "tcp":
+	if cfg.federateTransport == "tcp" {
 		tr, err = transport.NewTCP(transport.TCPConfig{
-			Listen:    opts.Listen,
-			Advertise: opts.Advertise,
+			Listen:    cfg.federate,
+			Advertise: cfg.advertise,
 			Codec:     discovery.WireCodec{},
-			Seeds:     opts.Peers,
+			Seeds:     cfg.peers,
 		})
-	default:
-		return nil, fmt.Errorf("unknown federation transport %q (want udp or tcp)", opts.Transport)
+	} else {
+		tr, err = transport.NewUDP(transport.UDPConfig{
+			Listen:    cfg.federate,
+			Advertise: cfg.advertise,
+			Codec:     discovery.WireCodec{},
+			Seeds:     cfg.peers,
+		})
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// The flag convention is zero-is-off; the discovery config's is
+	// -trace-sample is zero-is-off; the discovery config is
 	// zero-is-default, negative-is-off.
-	sampleEvery := opts.TraceSample
+	sampleEvery := cfg.traceSample
 	if sampleEvery == 0 {
 		sampleEvery = -1
 	}
-	node := discovery.NewNode(tr, srv.backend, discovery.Config{
+	node := discovery.NewNode(tr, backend, discovery.Config{
 		// Daemons never self-elect: the backbone is static infrastructure
 		// and election payloads are not wire-encodable anyway.
 		Election:           election.Config{ElectionTimeout: 24 * time.Hour},
 		TraceSampleEvery:   sampleEvery,
-		SlowQueryThreshold: opts.SlowQuery,
+		SlowQueryThreshold: cfg.slowQuery,
 	})
 	node.Start(context.Background())
 	node.BecomeDirectory()
+	// Store-recovered registrations happened before the backbone came up;
+	// fold them into the first summary push.
+	node.RefreshSummary()
 
 	f := &federation{node: node, tr: tr, log: logger.With("component", "federation")}
-	srv.mu.Lock()
-	srv.fed = f
-	srv.resolve = f.resolveFederated
-	srv.mu.Unlock()
-	// Journal-recovered registrations happened before the backbone came
-	// up; fold them into the first summary push.
-	node.RefreshSummary()
 	f.log.Info("joined directory backbone",
-		"transport", tr.ID(), "kind", opts.Transport, "seeds", len(opts.Peers))
+		"transport", tr.ID(), "kind", cfg.federateTransport, "seeds", len(cfg.peers))
 	return f, nil
 }
 
@@ -117,15 +88,6 @@ func (f *federation) resolveFederated(doc []byte, traced bool) (discovery.Result
 		return f.node.DiscoverTrace(ctx, doc)
 	}
 	return f.node.DiscoverResult(ctx, doc)
-}
-
-// refresh propagates an out-of-band backend mutation (client register or
-// deregister) to the backbone. When it returns, every peer has been sent
-// whatever the mutation changed in the Bloom summary's bits, so the
-// client's reply never precedes its discoverability; a mutation that
-// moved only the advertisement count is pushed by the node's next tick.
-func (f *federation) refresh() {
-	f.node.RefreshSummary()
 }
 
 // peers snapshots the backbone view, joining the protocol layer's per

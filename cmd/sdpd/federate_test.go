@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log/slog"
 	"testing"
 	"time"
 
@@ -11,21 +10,21 @@ import (
 	"sariadne/internal/testutil"
 )
 
-// newFederatedServer boots a daemon server with a backbone membership on
-// a fresh loopback port, exactly as `sdpd -federate :0 -peer ...` would.
+// federatedConfig is testConfig with a backbone membership on a fresh
+// loopback port: `sdpd -federate 127.0.0.1:0 -federate-transport kind
+// -peer ...`.
+func federatedConfig(t *testing.T, kind string, peers ...string) config {
+	t.Helper()
+	cfg := testConfig(t)
+	cfg.federate, cfg.federateTransport, cfg.peers = "127.0.0.1:0", kind, peers
+	return cfg
+}
+
+// newFederatedServer boots a daemon from federatedConfig.
 func newFederatedServer(t *testing.T, kind string, peers ...string) (*server, *federation) {
 	t.Helper()
-	s := newTestServer(t)
-	fed, err := startFederation(s, federationOptions{
-		Listen:    "127.0.0.1:0",
-		Transport: kind,
-		Peers:     peers,
-	}, slog.Default())
-	if err != nil {
-		t.Fatalf("startFederation: %v", err)
-	}
-	t.Cleanup(fed.close)
-	return s, fed
+	s := bootServer(t, federatedConfig(t, kind, peers...))
+	return s, s.fed
 }
 
 // TestFederatedDaemons drives two daemon servers federated over loopback

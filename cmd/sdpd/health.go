@@ -28,80 +28,47 @@ type healthState struct {
 	Probes  []probe   `json:"probes"`
 }
 
-// healthChecker periodically probes the daemon's components and caches
-// the result, so the /healthz and /readyz surfaces answer instantly and
-// a wedged component cannot hang the health endpoint itself.
+// healthChecker probes the daemon's components every -health-interval
+// and caches the result, so the /healthz and /readyz surfaces answer
+// instantly and a wedged component cannot hang the health endpoint itself.
 type healthChecker struct {
-	srv         *server
-	interval    time.Duration
-	peerRecency time.Duration
+	srv *server
+	// peerRecency bounds how long ago the freshest backbone peer may have
+	// been heard for the daemon to count as ready: ten probe intervals.
+	interval, peerRecency time.Duration
 
 	mu   sync.Mutex
 	last healthState
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// startHealthChecker probes once synchronously (so the surfaces never
-// serve a zero state) and then keeps probing every interval until closed.
-// peerRecency bounds how long ago the freshest backbone peer may have
-// been heard for the daemon to count as ready; zero defaults to ten probe
-// intervals.
-func startHealthChecker(srv *server, interval, peerRecency time.Duration) *healthChecker {
-	if interval <= 0 {
-		interval = time.Second
+// newHealthChecker probes once synchronously, so the surfaces never serve
+// a zero state; newServer keeps it probing.
+func newHealthChecker(srv *server) *healthChecker {
+	h := &healthChecker{srv: srv, interval: srv.cfg.healthInterval}
+	if h.interval <= 0 {
+		h.interval = time.Second
 	}
-	if peerRecency <= 0 {
-		peerRecency = 10 * interval
-	}
-	h := &healthChecker{
-		srv:         srv,
-		interval:    interval,
-		peerRecency: peerRecency,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
+	h.peerRecency = 10 * h.interval
 	h.probeNow()
-	go h.loop()
-	srv.mu.Lock()
-	srv.health = h
-	srv.mu.Unlock()
 	return h
-}
-
-func (h *healthChecker) loop() {
-	defer close(h.done)
-	t := time.NewTicker(h.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-t.C:
-			h.probeNow()
-		}
-	}
 }
 
 // probeNow runs every component check and caches the verdicts.
 func (h *healthChecker) probeNow() {
-	storeP := probe{Name: "store", OK: true}
+	// The wedged-serialisation probe: the one thing checked here that only
+	// the request mutex can tell.
 	h.srv.mu.Lock()
-	// Touching the backend under mu doubles as a check that request
-	// serialization is not wedged.
-	_ = h.srv.backend.Len()
-	st := h.srv.store
-	fed := h.srv.fed
 	h.srv.mu.Unlock()
-	if p, ok := st.(store.Prober); ok {
+	storeP := probe{Name: "store", OK: true}
+	fed := h.srv.fed
+	if p, ok := h.srv.store.(store.Prober); ok {
 		if err := p.Healthy(); err != nil {
 			storeP.OK = false
 			storeP.Err = err.Error()
 		}
 	}
 
-	httpP := probe{Name: "http", OK: !h.srv.httpOn.Load() || h.srv.httpLive.Load()}
+	httpP := probe{Name: "http", OK: h.srv.cfg.http == "" || h.srv.httpLive.Load()}
 	if !httpP.OK {
 		httpP.Err = "gateway configured but not serving"
 	}
@@ -152,14 +119,4 @@ func (h *healthChecker) state() healthState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.last
-}
-
-// close stops the probe loop and waits for it.
-func (h *healthChecker) close() {
-	select {
-	case <-h.stop:
-	default:
-		close(h.stop)
-	}
-	<-h.done
 }

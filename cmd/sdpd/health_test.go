@@ -117,9 +117,7 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 // configured is healthy and ready out of the box, and the endpoints say
 // so with 200s.
 func TestHealthzStandalone(t *testing.T) {
-	ts, srv := newGatewayServer(t)
-	hc := startHealthChecker(srv, 10*time.Millisecond, 0)
-	t.Cleanup(hc.close)
+	ts, _ := newGatewayServer(t)
 
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, body := do(t, "GET", ts.URL+path, "")
@@ -140,14 +138,17 @@ func TestHealthzStandalone(t *testing.T) {
 // health surface: kill a federated daemon's backbone transport and
 // /healthz flips unhealthy within one probe interval.
 func TestHealthzFlipsWhenBackboneCloses(t *testing.T) {
-	sa, fa := newFederatedServer(t, "udp")
+	// Ready wants a peer heard within ten probe intervals, and peers
+	// announce twice a second.
+	cfg := federatedConfig(t, "udp")
+	cfg.healthInterval = 100 * time.Millisecond
+	sa := bootServer(t, cfg)
+	fa, hc := sa.fed, sa.health
 	_, _ = newFederatedServer(t, "udp", string(fa.node.ID()))
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		return len(fa.node.Peers()) == 1
 	}, "backbone handshake")
 
-	hc := startHealthChecker(sa, 20*time.Millisecond, time.Minute)
-	t.Cleanup(hc.close)
 	testutil.WaitFor(t, 2*time.Second, func() bool {
 		st := hc.state()
 		return st.Healthy && st.Ready
@@ -179,9 +180,7 @@ func TestHealthzFlipsWhenBackboneCloses(t *testing.T) {
 // the federation).
 func TestReadyzRequiresRecentPeer(t *testing.T) {
 	sa, _ := newFederatedServer(t, "udp") // no peers at all
-	hc := startHealthChecker(sa, 10*time.Millisecond, 50*time.Millisecond)
-	t.Cleanup(hc.close)
-	st := hc.state()
+	st := sa.health.state()
 	if !st.Healthy || st.Ready {
 		t.Fatalf("peerless federated daemon: %+v, want healthy but not ready", st)
 	}

@@ -300,14 +300,7 @@ func (g *httpGateway) getEvents(w http.ResponseWriter, _ *http.Request) {
 // healthReport answers a health or readiness check from the prober's
 // cached state; ok picks which verdict gates the status code.
 func (g *httpGateway) healthReport(w http.ResponseWriter, ok func(healthState) bool) {
-	g.srv.mu.Lock()
-	h := g.srv.health
-	g.srv.mu.Unlock()
-	if h == nil {
-		http.Error(w, "health checker not running", http.StatusServiceUnavailable)
-		return
-	}
-	st := h.state()
+	st := g.srv.health.state()
 	status := http.StatusOK
 	if !ok(st) {
 		status = http.StatusServiceUnavailable
@@ -405,18 +398,18 @@ func (g *httpGateway) getDebugVars(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// serveHTTP runs the gateway; it blocks like serve. The server's
-// httpLive flag tracks the listener's lifetime for the health prober.
-func serveHTTP(addr string, srv *server, withPprof bool) error {
+// serveHTTP runs the gateway until it fails or is shut down; it blocks
+// like serve. The server's httpLive flag tracks the listener's lifetime
+// for the health prober.
+func serveHTTP(addr string, srv *server, gateway *http.Server) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("http gateway: %w", err)
 	}
 	srv.httpLive.Store(true)
 	defer srv.httpLive.Store(false)
-	s := &http.Server{Handler: newHTTPGateway(srv, withPprof)}
-	slog.Info("serving HTTP gateway", "component", "http", "addr", ln.Addr().String(), "pprof", withPprof)
-	if err := s.Serve(ln); err != nil && err != http.ErrServerClosed {
+	slog.Info("serving HTTP gateway", "component", "http", "addr", ln.Addr().String(), "pprof", srv.cfg.pprof)
+	if err := gateway.Serve(ln); err != nil && err != http.ErrServerClosed {
 		return fmt.Errorf("http gateway: %w", err)
 	}
 	return nil

@@ -12,19 +12,23 @@ import (
 	"time"
 
 	"sariadne/internal/codes"
-	"sariadne/internal/discovery"
 	"sariadne/internal/profile"
 	"sariadne/internal/sdpapi"
-	"sariadne/internal/telemetry"
 	"sariadne/internal/testutil"
 )
 
-func newGatewayServer(t *testing.T) (*httptest.Server, *server) {
+// serveGateway boots a daemon from cfg and serves its HTTP gateway.
+func serveGateway(t *testing.T, cfg config) (*httptest.Server, *server) {
 	t.Helper()
-	srv := newTestServer(t)
-	ts := httptest.NewServer(newHTTPGateway(srv, false))
+	srv := bootServer(t, cfg)
+	ts := httptest.NewServer(newHTTPGateway(srv, cfg.pprof))
 	t.Cleanup(ts.Close)
 	return ts, srv
+}
+
+func newGatewayServer(t *testing.T) (*httptest.Server, *server) {
+	t.Helper()
+	return serveGateway(t, testConfig(t))
 }
 
 func do(t *testing.T, method, url, body string) (*http.Response, string) {
@@ -96,19 +100,13 @@ func TestHTTPGatewayLifecycle(t *testing.T) {
 // completeness marker as the UDP one — a degraded backbone shows up in
 // the JSON body, not as an error status.
 func TestHTTPGatewayPartialQuery(t *testing.T) {
-	ts, srv := newGatewayServer(t)
+	cfg := testConfig(t)
+	cfg.wrapResolve = partialResolver("n7")
+	ts, _ := serveGateway(t, cfg)
 	resp, _ := do(t, "POST", ts.URL+"/services", mustDoc(t, profile.WorkstationService()))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /services = %d", resp.StatusCode)
 	}
-	srv.mu.Lock()
-	local := srv.resolve
-	srv.resolve = func(doc []byte, traced bool) (discovery.Result, error) {
-		res, err := local(doc, traced)
-		res.Unreachable = append(res.Unreachable, "n7")
-		return res, err
-	}
-	srv.mu.Unlock()
 
 	resp, body := do(t, "POST", ts.URL+"/query", mustDoc(t, profile.PDAService()))
 	if resp.StatusCode != http.StatusOK {
@@ -277,17 +275,16 @@ func TestHTTPGatewayOntologyUpload(t *testing.T) {
 // GET /timeseries returns windowed quantile curves for the latency
 // histograms — plus 404 when sampling is off.
 func TestGetTimeseries(t *testing.T) {
-	ts, srv := newGatewayServer(t)
-
 	// Sampling disabled: the endpoint must say so, not serve zeros.
-	resp, body := do(t, "GET", ts.URL+"/timeseries", "")
+	off, _ := newGatewayServer(t)
+	resp, body := do(t, "GET", off.URL+"/timeseries", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("disabled sampling: status %d body %q", resp.StatusCode, body)
 	}
 
-	srv.history, srv.historySource = telemetry.NewHistory(64), "ring"
-	sampler := telemetry.StartSampler(telemetry.Default(), 10*time.Millisecond, srv.history, telemetry.SamplerConfig{})
-	t.Cleanup(sampler.Stop)
+	cfg := testConfig(t)
+	cfg.sampleEvery = 10 * time.Millisecond
+	ts, srv := serveGateway(t, cfg)
 
 	// Drive real requests through the front end so sdpd_request_seconds
 	// accumulates observations for the history to window.

@@ -7,37 +7,33 @@
 // Usage:
 //
 //	sdpd -listen :7474 -ontology media.xml -ontology servers.xml
-//
-// Daemons federate into a directory backbone with -federate (plus
-// -peer seeds and optionally -advertise and -federate-transport): each
-// daemon becomes a backbone directory exchanging announcements, Bloom
-// summaries and forwarded queries over real UDP or TCP sockets, so a
-// query at any daemon is answered from the whole federation, degrading
-// to explicitly-partial results when peers die:
-//
-//	sdpd -listen :7474 -federate :8474
 //	sdpd -listen :7475 -federate :8475 -peer 127.0.0.1:8474
 //
-// The client protocol — request and reply formats, op names, error codes —
-// is defined once in internal/sdpapi; both front ends (the UDP loop here
-// and the HTTP gateway in http.go) hand a decoded sdpapi.Request to
-// server.handle.
+// A daemon is booted one way: flags → config (config.go) → newServer →
+// run until a front end fails or SIGINT/SIGTERM arrives → close. The
+// client protocol is defined once in internal/sdpapi; both front ends (the
+// UDP loop here and the HTTP gateway in http.go) hand a decoded
+// sdpapi.Request to server.handle.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
-
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"sariadne/internal/codes"
 	"sariadne/internal/discovery"
@@ -57,380 +53,137 @@ func denialResponse(err error) sdpapi.Response {
 	return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 }
 
-// stringList collects repeated string flags (-ontology, -peer).
-type stringList []string
-
-func (l *stringList) String() string { return strings.Join(*l, ",") }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
-// buildAuthenticator assembles the admission authenticator from the auth
-// flags: a static token table, an HMAC verifier, both chained (static
-// first, so operator tokens keep working alongside minted ones), or nil
-// for the open pre-tenancy mode.
-func buildAuthenticator(tokensPath, secret string) (tenant.Authenticator, error) {
-	var chain tenant.Chain
-	if tokensPath != "" {
-		static, err := tenant.LoadStaticFile(tokensPath)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, static)
-	}
-	if secret != "" {
-		h, err := tenant.NewHMAC([]byte(secret), nil)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, h)
-	}
-	switch len(chain) {
-	case 0:
-		return nil, nil
-	case 1:
-		return chain[0], nil
-	default:
-		return chain, nil
-	}
-}
-
-// setupLogging installs the process-wide slog handler at the requested
-// level and returns the root logger. Shared by sdpd's front ends; each
-// component derives a tagged child via With("component", ...).
-func setupLogging(level string) (*slog.Logger, error) {
-	var l slog.Level
-	if err := l.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: l}))
-	slog.SetDefault(logger)
-	return logger, nil
+func fatal(msg string, err error) {
+	slog.Error(msg, "err", err)
+	os.Exit(1)
 }
 
 func main() {
-	listen := flag.String("listen", ":7474", "UDP address to listen on")
-	httpAddr := flag.String("http", "", "also serve an HTTP gateway on this address (optional)")
-	state := flag.String("state", "", "store file for durable registrations (optional)")
-	storeKind := flag.String("store", "bolt", "storage engine: bolt (the durable log at -state) or mem (volatile, in memory)")
-	syncEvery := flag.Int("sync-every", 1, "fsync the store once every N appends (1 = per-entry, the safest)")
-	migrateTo := flag.String("migrate-store", "", "import the legacy JSON-lines journal at -state into a new store at this path, then exit")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the HTTP gateway")
-	federate := flag.String("federate", "", "socket address for directory backbone traffic; empty runs standalone")
-	fedTransport := flag.String("federate-transport", "udp", "backbone substrate: udp or tcp")
-	advertise := flag.String("advertise", "", "backbone address announced to peers (defaults to the bound -federate address)")
-	traceSample := flag.Int("trace-sample", 64, "trace every Nth query into the flight recorder (0 disables sampling)")
-	slowQuery := flag.Duration("slow-query", 0, "with -federate, retain queries at least this slow in the flight recorder (0 = half the query timeout); a standalone daemon retains none")
-	healthInterval := flag.Duration("health-interval", time.Second, "component health probe interval behind /healthz and /readyz")
-	sampleEvery := flag.Duration("sample-every", 5*time.Second, "telemetry time-series sampling cadence behind GET /timeseries (0 disables)")
-	telemetryJournal := flag.String("telemetry-journal", "", "directory for the durable telemetry journal: sampler ticks persist across restarts behind GET /timeseries (optional)")
-	watchEvery := flag.Duration("watch-every", 0, "drift-watchdog sweep cadence over the telemetry history (0 disables)")
-	watchWindow := flag.Duration("watch-window", 0, "sample window each watchdog sweep examines (default 10x -watch-every, or 5x -sample-every when that is longer)")
-	watchGoroutines := flag.Float64("watch-goroutine-growth", 0, "goroutine_growth threshold in goroutines/min (0 = default 30, negative disables)")
-	watchHeap := flag.Float64("watch-heap-growth-bytes", 0, "memory_growth threshold in heap bytes/min (0 = default 8MiB, negative disables)")
-	watchStale := flag.Duration("watch-summary-stale", 0, "summary_stale bound on summary-push stalls (0 = default 5m, negative disables)")
-	watchFlap := flag.Float64("watch-flap-per-min", 0, "election_flap threshold in role transitions/min (0 = default 6, negative disables)")
-	watchAppendFactor := flag.Float64("watch-append-p99-factor", 0, "append_latency_step factor over the baseline-half store append p99 (0 = default 8, negative disables)")
-	watchDenials := flag.Float64("watch-denial-per-min", 0, "denial_spike absolute floor in tenant denials/min (0 = default 30, negative disables)")
-	watchHeapProfile := flag.Bool("watch-heap-profile", false, "capture one pprof heap profile beside the journal on the first memory_growth alert")
-	chaosLeakGoroutines := flag.Int("chaos-leak-goroutines", 0, "FAULT INJECTION: leak this many goroutines per second so soak drills can watch the watchdog fire")
-	compactEvery := flag.Duration("compact-every", 0, "compact the store on this cadence, off the request path (0 disables)")
-	authTokens := flag.String("auth-tokens", "", "static bearer-token file (`token tenant [role]` per line); enables admission")
-	authSecret := flag.String("auth-secret", "", "shared HMAC secret (>= 16 bytes) accepting sdpctl-minted sdp1 tokens; enables admission")
-	anonReads := flag.Bool("anon-reads", false, "with admission enabled, serve token-less reads as the anonymous tenant")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant mutating-op rate limit in ops/sec (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 10, "per-tenant token-bucket burst on top of -tenant-rate")
-	tenantMaxServices := flag.Int("tenant-max-services", 0, "max live advertisements per tenant (0 = unlimited)")
-	tenantMaxPublishes := flag.Int("tenant-max-publishes-min", 0, "max admitted mutating ops per tenant per minute (0 = unlimited)")
-	var ontologies stringList
-	flag.Var(&ontologies, "ontology", "ontology XML file to load (repeatable)")
-	var peers stringList
-	flag.Var(&peers, "peer", "backbone address of another daemon to seed from (repeatable)")
+	var cfg config
+	cfg.bind(flag.CommandLine)
 	flag.Parse()
-
-	logger, err := setupLogging(*logLevel)
+	warnings, err := cfg.validate()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdpd: %v\n", err)
-		os.Exit(1)
-	}
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
-
-	if err := checkStoreKind(*storeKind); err != nil {
 		fatal("flags", err)
 	}
-	if *migrateTo != "" {
-		stats, err := migrateStore(*state, *migrateTo)
+	// The process-wide handler; each component derives a tagged child via
+	// With("component", ...).
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: cfg.level})))
+	for _, w := range warnings {
+		slog.Warn(w)
+	}
+	if cfg.migrateStore != "" {
+		stats, err := migrateStore(cfg.state, cfg.migrateStore)
 		if err != nil {
 			fatal("store migration", err)
 		}
-		logger.Info("store migrated", "component", "store",
-			"from", *state, "to", *migrateTo,
+		slog.Info("store migrated", "component", "store",
+			"from", cfg.state, "to", cfg.migrateStore,
 			"replayed", stats.Replayed, "skipped", stats.Skipped,
 			"torn_tail", stats.TornTail, "live", stats.Live)
 		return
 	}
-
-	srv, err := newServer(ontologies)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	srv, err := newServer(cfg)
 	if err != nil {
 		fatal("startup", err)
 	}
-	srv.sampleEvery = *traceSample
-	// The gate must exist before replay so recovered registrations rebuild
-	// per-tenant live-service counts (durable quotas).
-	auth, err := buildAuthenticator(*authTokens, *authSecret)
+	err = srv.run(ctx)
+	stop() // a second signal, during the close, ends the process the old way
+	srv.close()
 	if err != nil {
-		fatal("admission", err)
-	}
-	srv.gate = tenant.NewGatekeeper(tenant.Config{
-		Auth:                  auth,
-		AnonymousReads:        *anonReads,
-		Rate:                  *tenantRate,
-		Burst:                 *tenantBurst,
-		MaxLiveServices:       *tenantMaxServices,
-		MaxPublishesPerMinute: *tenantMaxPublishes,
-	})
-	if srv.gate.Enforcing() {
-		logger.Info("tenant admission enabled", "component", "tenant",
-			"auth", srv.gate.AuthName(), "anon_reads", *anonReads,
-			"rate", *tenantRate, "burst", *tenantBurst,
-			"max_services", *tenantMaxServices, "max_publishes_min", *tenantMaxPublishes)
-	}
-	if *state != "" || *storeKind == "mem" {
-		stLog := logger.With("component", "store")
-		st, err := openStore(*storeKind, *state, store.Options{SyncEvery: *syncEvery})
-		if err != nil {
-			fatal("store open", err)
-		}
-		defer func() {
-			if err := st.Close(); err != nil {
-				stLog.Error("store close", "err", err)
-			}
-		}()
-		applied, skipped, torn, err := replayStore(st, srv)
-		if err != nil {
-			fatal("store replay", err)
-		}
-		if applied+skipped > 0 || torn {
-			stLog.Info("recovered store records",
-				"applied", applied, "skipped", skipped, "torn_tail", torn)
-		}
-		srv.store = st
-		if *compactEvery > 0 {
-			cp := startCompactor(st, *compactEvery, stLog)
-			defer cp.close()
-		}
-	} else if *compactEvery > 0 {
-		logger.Warn("-compact-every has no effect without a store")
-	}
-	if *federate != "" {
-		fed, err := startFederation(srv, federationOptions{
-			Listen:      *federate,
-			Transport:   *fedTransport,
-			Advertise:   *advertise,
-			Peers:       peers,
-			TraceSample: *traceSample,
-			SlowQuery:   *slowQuery,
-		}, logger)
-		if err != nil {
-			fatal("federation", err)
-		}
-		defer fed.close()
-	} else if len(peers) > 0 || *advertise != "" || *slowQuery != 0 {
-		logger.Warn("-peer/-advertise/-slow-query have no effect without -federate")
-	}
-	srv.httpOn.Store(*httpAddr != "")
-	hc := startHealthChecker(srv, *healthInterval, 0)
-	defer hc.close()
-	// The soak pipeline: optional journal -> history -> sampler -> drift
-	// watchdog. The journal refills the history with what earlier
-	// processes sampled and then takes each new tick from the sampler.
-	sampling := telemetry.SamplerConfig{Collect: telemetry.SampleRuntime}
-	if *telemetryJournal != "" {
-		tjLog := logger.With("component", "telemetry")
-		srv.history, srv.historySource = telemetry.NewHistory(journalHistorySamples), "journal"
-		journal, err := telemetry.OpenJournal(*telemetryJournal, telemetry.JournalOptions{}, srv.history)
-		if err != nil {
-			fatal("telemetry journal", err)
-		}
-		defer func() {
-			if err := journal.Close(); err != nil {
-				tjLog.Error("journal close", "err", err)
-			}
-		}()
-		if journal.TornTail() {
-			tjLog.Warn("telemetry journal recovered from a torn tail", "dir", *telemetryJournal)
-		}
-		tjLog.Info("telemetry journal open", "dir", *telemetryJournal, "history", srv.history.Len())
-		sampling.OnSample = func(s telemetry.Sample) {
-			if err := journal.Append(s); err != nil {
-				tjLog.Error("journal append", "err", err)
-			}
-		}
-	} else if *sampleEvery > 0 {
-		srv.history, srv.historySource = telemetry.NewHistory(memoryHistorySamples), "ring"
-	}
-	if *sampleEvery > 0 {
-		defer telemetry.StartSampler(telemetry.Default(), *sampleEvery, srv.history, sampling).Stop()
-	} else if srv.history != nil || *watchEvery > 0 {
-		logger.Warn("-telemetry-journal/-watch-every have nothing new to read without -sample-every > 0")
-	}
-	if *watchEvery > 0 && srv.history != nil {
-		wdLog := logger.With("component", "watchdog")
-		if min := telemetry.MinWindow(*sampleEvery); *watchWindow > 0 && *watchWindow < min {
-			wdLog.Warn("-watch-window holds too few samples for the growth, step and spike detectors to ever fire",
-				"window", *watchWindow, "sample_every", *sampleEvery, "want_at_least", min)
-		}
-		detectors := telemetry.StandardDetectors(telemetry.Thresholds{
-			GoroutinesPerMin:  *watchGoroutines,
-			HeapBytesPerMin:   *watchHeap,
-			SummaryStaleAfter: *watchStale,
-			ElectionsPerMin:   *watchFlap,
-			AppendP99Factor:   *watchAppendFactor,
-			DenialsPerMin:     *watchDenials,
-		})
-		var heapProfileOnce sync.Once
-		wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-			History:   srv.history,
-			Detectors: detectors,
-			Interval:  *watchEvery,
-			Window:    *watchWindow,
-			Recorder:  telemetry.FlightRecorder(),
-			OnAlert: func(a telemetry.Alert) {
-				wdLog.Warn("drift alert fired", "code", a.Code, "severity", a.Severity,
-					"metric", a.Metric, "value", a.Value, "threshold", a.Threshold,
-					"evidence", a.Evidence)
-				if *watchHeapProfile && a.Code == telemetry.AlertMemoryGrowth {
-					// One capture per process: the first leak sighting is the
-					// interesting heap; later captures would just be bigger.
-					heapProfileOnce.Do(func() {
-						dir := *telemetryJournal
-						if dir == "" {
-							dir = os.TempDir()
-						}
-						path := filepath.Join(dir, "heap-"+a.At.UTC().Format("20060102T150405Z")+".pprof")
-						if err := telemetry.CaptureHeapProfile(path); err != nil {
-							wdLog.Error("heap profile capture", "err", err)
-							return
-						}
-						wdLog.Warn("heap profile captured", "path", path)
-					})
-				}
-			},
-		}, *sampleEvery)
-		wd.Start()
-		defer wd.Stop()
-		srv.watchdog = wd
-		wdLog.Info("drift watchdog running", "every", *watchEvery, "detectors", len(detectors))
-	}
-	if *chaosLeakGoroutines > 0 {
-		logger.Warn("fault injection active: leaking goroutines",
-			"component", "chaos", "per_sec", *chaosLeakGoroutines)
-		go func() {
-			t := time.NewTicker(time.Second)
-			defer t.Stop()
-			for range t.C {
-				for i := 0; i < *chaosLeakGoroutines; i++ {
-					go func() { select {} }()
-				}
-			}
-		}()
-	}
-	addr, err := net.ResolveUDPAddr("udp", *listen)
-	if err != nil {
-		fatal("resolve "+*listen, err)
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		fatal("listen", err)
-	}
-	defer conn.Close()
-	// Both front ends report termination on one channel so a failing HTTP
-	// gateway takes the process down instead of dying silently in a
-	// goroutine nothing joins.
-	errCh := make(chan error, 2)
-	if *httpAddr != "" {
-		go func() {
-			errCh <- serveHTTP(*httpAddr, srv, *pprofFlag)
-		}()
-	}
-	logger.Info("serving semantic discovery",
-		"component", "udp", "addr", conn.LocalAddr().String(), "ontologies", len(ontologies))
-	go func() {
-		srv.serve(conn)
-		errCh <- nil
-	}()
-	if err := <-errCh; err != nil {
 		fatal("front end failed", err)
+	}
+	slog.Info("shutdown complete")
+}
+
+// every calls fn on a goroutine of its own once per interval. stop ends
+// the loop and returns once a call in progress has.
+func every(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
-// server is the directory node state. Both front ends call handle with a
-// decoded sdpapi.Request, and one mutex serializes request processing. The
-// parts are each safe for concurrent use on their own — the code registry
-// is copy-on-write, the backend's directory serves reads from an immutable
-// snapshot and serializes its writers, the gatekeeper and the store lock
-// internally (which is what lets the background compactor run outside this
-// mutex). What mu adds is the advertisement ledger and the sampling
-// counter, which nothing else guards, and the order of a mutation — admit,
-// persist, apply, refresh — so that store, ledger, version sequence and
-// backend never disagree. Queries take it as well; they need not.
-type server struct {
-	mu sync.Mutex
-	// reg and backend are used under mu like everything else here, though
-	// each is safe for concurrent use.
-	reg     *codes.Registry            // guarded by mu
-	backend *discovery.SemanticBackend // guarded by mu
-	// store persists mutations when durability is enabled (-state); nil
-	// runs fully in-memory.
-	store store.Store // guarded by mu
-	// adverts is the advertisement version ledger: every version number
-	// published under each name, live or withdrawn, and the live names'
-	// current documents, behind GET /services.
-	adverts map[string]*advertLedger // guarded by mu
+// wiring is the part of a server that newServer assembles from the config
+// and nothing writes again, which is why requests, probes and handlers
+// read it without a lock. The parts are each safe for concurrent use: the
+// code registry is copy-on-write, the backend's directory serves reads
+// from an immutable snapshot and serializes its writers, the gatekeeper
+// and the store lock internally (which is what lets the background
+// compactor run outside the server mutex).
+//
+//sdp:immutable
+type wiring struct {
+	cfg     config
+	reg     *codes.Registry
+	backend *discovery.SemanticBackend
 	// gate is the tenant admission layer: every request authenticates
 	// through it, every mutation is admitted by it before touching the
-	// backend. newServer installs an open (non-enforcing) gate; main
-	// replaces it from the -auth-* flags before replay and the front ends.
-	// The Gatekeeper is internally synchronized, but process calls it under
-	// mu like everything else.
+	// backend; open (non-enforcing) without -auth-* flags.
 	gate *tenant.Gatekeeper
-	// resolve answers query requests. The default resolver consults the
-	// node-local backend only; a deployment embedding a backbone node (or a
-	// test exercising degradation) swaps in one that returns federated,
-	// possibly partial results. traced asks for a hop-level trace. Called
-	// with mu held.
-	resolve func(doc []byte, traced bool) (discovery.Result, error) // guarded by mu
-	// fed is the daemon's backbone membership; nil when standalone.
-	fed *federation // guarded by mu
-	// sampleEvery traces every Nth standalone query (federated sampling
-	// lives in the discovery node); sampleCount counts them.
-	sampleEvery int    // guarded by mu
-	sampleCount uint64 // guarded by mu
-	// health is the daemon's component prober; nil until started.
-	health *healthChecker // guarded by mu
+	// store persists mutations when durability is enabled (-state); nil
+	// runs fully in-memory. recovered is what replaying it at boot found.
+	store     store.Store
+	recovered replayStats
+	// resolve answers query requests: from the node-local backend, or
+	// through fed — the daemon's backbone membership, nil when standalone —
+	// with federated, possibly partial results.
+	resolve resolver
+	fed     *federation
+	health  *healthChecker
 	// history is the daemon's one telemetry time series: the sampler
 	// writes it, GET /timeseries and the watchdog read it; nil with neither
 	// -telemetry-journal nor -sample-every. historySource is its name on
 	// the wire: "journal" when a journal refilled it at start-up and takes
-	// every tick, "ring" when it lives in memory only. Set before the
-	// front ends start, read-only afterwards.
+	// every tick, "ring" when it lives in memory only.
 	history       *telemetry.History
 	historySource string
 	// watchdog sweeps drift detectors over history behind GET /alerts; nil
-	// when -watch-every is 0. Set before the front ends start, read-only
-	// afterwards.
+	// when -watch-every is 0.
 	watchdog *telemetry.Watchdog
-	// httpOn records that an HTTP gateway was configured; httpLive that it
-	// is currently bound and serving. Health probes compare the two.
-	httpOn   atomic.Bool
-	httpLive atomic.Bool
 	log      *slog.Logger
+	// closers undo, in order, what newServer built; close runs them last
+	// to first.
+	closers []func()
+}
+
+// server is the directory node state: the immutable wiring, and the
+// advertisement ledger behind one mutex. Both front ends call handle with
+// a decoded sdpapi.Request, and process runs every one under mu. What mu
+// adds to parts that synchronize themselves is the ledger and the order of
+// a mutation — admit, persist, apply, refresh — so that store, ledger,
+// version sequence and backend never disagree. Queries take it as well;
+// they need not.
+type server struct {
+	wiring
+	mu sync.Mutex
+	// adverts is the advertisement version ledger: every version number
+	// published under each name, live or withdrawn, and the live names'
+	// current documents, behind GET /services.
+	adverts map[string]*advertLedger // guarded by mu
+	// sampleCount numbers standalone queries: every -trace-sample'th is
+	// traced (federated sampling lives in the discovery node).
+	sampleCount atomic.Uint64
+	// httpLive records that the configured HTTP gateway is currently bound
+	// and serving; the health probe compares it with the configuration.
+	httpLive  atomic.Bool
+	closeOnce sync.Once
 }
 
 // Samples of history retained: about 5.5 hours at the default 5 s cadence
@@ -444,49 +197,27 @@ const (
 // federated daemons use their backbone transport address instead.
 const localNode = "local"
 
-func newServer(ontologyFiles []string) (*server, error) {
+// newServer boots a daemon from a validated config in the one legal
+// order: tables → gate → store open → replay → compactor → federation →
+// health → journal/history/sampler → watchdog. A step that fails closes,
+// last to first, what the steps before it built.
+func newServer(cfg config) (_ *server, err error) {
+	logger := slog.Default()
 	reg := codes.NewRegistry()
-	s := &server{
-		reg:         reg,
-		backend:     discovery.NewSemanticBackend(reg),
-		adverts:     make(map[string]*advertLedger),
-		gate:        tenant.NewGatekeeper(tenant.Config{}),
-		sampleEvery: 64,
-		log:         slog.With("component", "directory"),
-	}
-	s.resolve = func(doc []byte, traced bool) (discovery.Result, error) {
-		// A standalone directory has no backbone to lose peers on, so the
-		// local answer is complete by construction — but it still samples
-		// and traces so /traces works without federation.
-		sampled := false
-		s.sampleCount++
-		if !traced && s.sampleEvery > 0 && s.sampleCount%uint64(s.sampleEvery) == 0 {
-			traced, sampled = true, true
-		}
-		var trace uint64
-		var spans []telemetry.Span
-		if traced {
-			trace = telemetry.NextTraceID()
-			spans = append(spans, telemetry.NewSpan(trace, localNode, telemetry.EventReceived))
-		}
-		start := time.Now()
-		hits, err := s.backend.Query(doc)
+	s := &server{adverts: make(map[string]*advertLedger), wiring: wiring{
+		cfg:     cfg,
+		reg:     reg,
+		backend: discovery.NewSemanticBackend(reg),
+		log:     logger.With("component", "directory"),
+	}}
+	onClose := func(f func()) { s.closers = append(s.closers, f) }
+	defer func() {
 		if err != nil {
-			return discovery.Result{}, err
+			s.close()
 		}
-		if traced {
-			m := telemetry.NewSpan(trace, localNode, telemetry.EventLocalMatch)
-			m.Hits = len(hits)
-			m.Dur = time.Since(start)
-			spans = append(spans, m)
-			telemetry.FlightRecorder().RecordTrace(telemetry.TraceRecord{
-				ID: trace, Node: localNode, Start: start, Dur: time.Since(start),
-				Hits: len(hits), Sampled: sampled, Spans: spans,
-			})
-		}
-		return discovery.Result{Hits: hits, Trace: trace, Spans: spans}, nil
-	}
-	for _, path := range ontologyFiles {
+	}()
+
+	for _, path := range cfg.ontologies {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
@@ -498,7 +229,230 @@ func newServer(ontologyFiles []string) (*server, error) {
 		}
 		s.backend.AddTable(table)
 	}
+
+	// The gate exists before replay so recovered registrations rebuild
+	// per-tenant live-service counts (durable quotas).
+	if cfg.tenant.Auth == nil {
+		if cfg.tenant.Auth, err = cfg.authenticator(); err != nil {
+			return nil, fmt.Errorf("admission: %w", err)
+		}
+	}
+	s.gate = tenant.NewGatekeeper(cfg.tenant)
+	if s.gate.Enforcing() {
+		logger.Info("tenant admission enabled", "component", "tenant",
+			"auth", s.gate.AuthName(), "anon_reads", cfg.tenant.AnonymousReads,
+			"rate", cfg.tenant.Rate, "burst", cfg.tenant.Burst,
+			"max_services", cfg.tenant.MaxLiveServices, "max_publishes_min", cfg.tenant.MaxPublishesPerMinute)
+	}
+
+	if cfg.hasStore() {
+		stLog := logger.With("component", "store")
+		if s.store = cfg.store; s.store == nil {
+			if s.store, err = openStore(cfg.storeKind, cfg.state, store.Options{SyncEvery: cfg.syncEvery}); err != nil {
+				return nil, fmt.Errorf("store open: %w", err)
+			}
+		}
+		onClose(func() {
+			if err := s.store.Close(); err != nil {
+				stLog.Error("store close", "err", err)
+			}
+		})
+		if s.recovered, err = s.replayStore(); err != nil {
+			return nil, fmt.Errorf("store replay: %w", err)
+		}
+		if r := s.recovered; r.applied+r.skipped > 0 || r.torn {
+			stLog.Info("recovered store records", "applied", r.applied, "skipped", r.skipped, "torn_tail", r.torn)
+		}
+		if cfg.compactEvery > 0 {
+			onClose(every(cfg.compactEvery, func() { compact(s.store, stLog) }))
+		}
+	}
+
+	s.resolve = s.resolveLocal
+	if cfg.federate != "" {
+		if s.fed, err = newFederation(cfg, s.backend, logger); err != nil {
+			return nil, fmt.Errorf("federation: %w", err)
+		}
+		onClose(s.fed.close)
+		s.resolve = s.fed.resolveFederated
+	}
+	if cfg.wrapResolve != nil {
+		s.resolve = cfg.wrapResolve(s.resolve)
+	}
+
+	s.health = newHealthChecker(s)
+	onClose(every(s.health.interval, s.health.probeNow))
+
+	// The soak pipeline: optional journal -> history -> sampler -> drift
+	// watchdog. The journal refills the history with what earlier
+	// processes sampled and then takes each new tick from the sampler.
+	sampling := telemetry.SamplerConfig{Collect: telemetry.SampleRuntime}
+	switch {
+	case cfg.telemetryJournal != "":
+		tjLog := logger.With("component", "telemetry")
+		s.history, s.historySource = telemetry.NewHistory(journalHistorySamples), "journal"
+		journal, err := telemetry.OpenJournal(cfg.telemetryJournal, telemetry.JournalOptions{}, s.history)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry journal: %w", err)
+		}
+		onClose(func() {
+			if err := journal.Close(); err != nil {
+				tjLog.Error("journal close", "err", err)
+			}
+		})
+		if journal.TornTail() {
+			tjLog.Warn("telemetry journal recovered from a torn tail", "dir", cfg.telemetryJournal)
+		}
+		tjLog.Info("telemetry journal open", "dir", cfg.telemetryJournal, "history", s.history.Len())
+		sampling.OnSample = func(sample telemetry.Sample) {
+			if err := journal.Append(sample); err != nil {
+				tjLog.Error("journal append", "err", err)
+			}
+		}
+	case cfg.history != nil:
+		s.history, s.historySource = cfg.history, "ring"
+	case cfg.sampleEvery > 0:
+		s.history, s.historySource = telemetry.NewHistory(memoryHistorySamples), "ring"
+	}
+	if cfg.sampleEvery > 0 {
+		onClose(telemetry.StartSampler(telemetry.Default(), cfg.sampleEvery, s.history, sampling).Stop)
+	}
+	if cfg.watching() {
+		s.watchdog = newWatchdog(cfg, s.history, logger.With("component", "watchdog"))
+		s.watchdog.Start()
+		onClose(s.watchdog.Stop)
+	}
+	if n := cfg.chaosLeakGoroutines; n > 0 {
+		logger.Warn("fault injection active: leaking goroutines", "component", "chaos", "per_sec", n)
+		onClose(every(time.Second, func() {
+			for i := 0; i < n; i++ {
+				go func() { select {} }()
+			}
+		}))
+	}
 	return s, nil
+}
+
+// close tears down what newServer built, last to first: watchdog, sampler,
+// journal, health prober, backbone node and transport, compactor, and the
+// store last — its Close is what syncs grouped appends (-sync-every). The
+// front ends are run's to stop, before this.
+func (s *server) close() {
+	s.closeOnce.Do(func() {
+		for i := len(s.closers) - 1; i >= 0; i-- {
+			s.closers[i]()
+		}
+	})
+}
+
+// newWatchdog assembles the drift watchdog -watch-every asks for over the
+// daemon's history.
+func newWatchdog(cfg config, history *telemetry.History, wdLog *slog.Logger) *telemetry.Watchdog {
+	detectors := telemetry.StandardDetectors(cfg.watch)
+	var heapProfileOnce sync.Once
+	wdLog.Info("drift watchdog running", "every", cfg.watchEvery, "detectors", len(detectors))
+	return telemetry.NewWatchdog(telemetry.WatchdogConfig{
+		History:   history,
+		Detectors: detectors,
+		Interval:  cfg.watchEvery,
+		Window:    cfg.watchWindow,
+		Recorder:  telemetry.FlightRecorder(),
+		OnAlert: func(a telemetry.Alert) {
+			wdLog.Warn("drift alert fired", "code", a.Code, "severity", a.Severity,
+				"metric", a.Metric, "value", a.Value, "threshold", a.Threshold,
+				"evidence", a.Evidence)
+			if cfg.watchHeapProfile && a.Code == telemetry.AlertMemoryGrowth {
+				// One capture per process: the first leak sighting is the
+				// interesting heap; later captures would just be bigger.
+				heapProfileOnce.Do(func() {
+					dir := cfg.telemetryJournal
+					if dir == "" {
+						dir = os.TempDir()
+					}
+					path := filepath.Join(dir, "heap-"+a.At.UTC().Format("20060102T150405Z")+".pprof")
+					if err := telemetry.CaptureHeapProfile(path); err != nil {
+						wdLog.Error("heap profile capture", "err", err)
+						return
+					}
+					wdLog.Warn("heap profile captured", "path", path)
+				})
+			}
+		},
+	}, cfg.sampleEvery)
+}
+
+// resolveLocal answers a query from the node-local backend. A standalone
+// directory has no backbone to lose peers on, so the local answer is
+// complete by construction — but it still samples and traces so /traces
+// works without federation.
+func (s *server) resolveLocal(doc []byte, traced bool) (discovery.Result, error) {
+	sampled := false
+	if n := s.sampleCount.Add(1); !traced && s.cfg.traceSample > 0 && n%uint64(s.cfg.traceSample) == 0 {
+		traced, sampled = true, true
+	}
+	var trace uint64
+	var spans []telemetry.Span
+	if traced {
+		trace = telemetry.NextTraceID()
+		spans = append(spans, telemetry.NewSpan(trace, localNode, telemetry.EventReceived))
+	}
+	start := time.Now()
+	hits, err := s.backend.Query(doc)
+	if err != nil {
+		return discovery.Result{}, err
+	}
+	if traced {
+		m := telemetry.NewSpan(trace, localNode, telemetry.EventLocalMatch)
+		m.Hits = len(hits)
+		m.Dur = time.Since(start)
+		spans = append(spans, m)
+		telemetry.FlightRecorder().RecordTrace(telemetry.TraceRecord{
+			ID: trace, Node: localNode, Start: start, Dur: time.Since(start),
+			Hits: len(hits), Sampled: sampled, Spans: spans,
+		})
+	}
+	return discovery.Result{Hits: hits, Trace: trace, Spans: spans}, nil
+}
+
+// run serves both front ends until one fails or ctx is cancelled, and
+// returns with both stopped: the UDP socket closed and its loop out of its
+// last request, the gateway shut down. A failing HTTP gateway takes the
+// daemon down instead of dying silently in a goroutine nothing joins.
+func (s *server) run(ctx context.Context) error {
+	pc, err := net.ListenPacket("udp", s.cfg.listen)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+	conn := pc.(*net.UDPConn)
+	gateway := &http.Server{Handler: newHTTPGateway(s, s.cfg.pprof)}
+	ended, running := make(chan error, 2), 1
+	if s.cfg.http != "" {
+		running++
+		go func() { ended <- serveHTTP(s.cfg.http, s, gateway) }()
+	}
+	slog.Info("serving semantic discovery",
+		"component", "udp", "addr", conn.LocalAddr().String(), "ontologies", len(s.cfg.ontologies))
+	go func() {
+		s.serve(conn)
+		ended <- nil
+	}()
+	select {
+	case <-ctx.Done():
+	case err = <-ended:
+		running--
+	}
+	conn.Close()
+	grace, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if gateway.Shutdown(grace) != nil {
+		gateway.Close()
+	}
+	for ; running > 0; running-- {
+		if e := <-ended; err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // encodeOntology turns one ontology document into its code table. It
@@ -516,14 +470,17 @@ func encodeOntology(r io.Reader) (*codes.Table, error) {
 	return codes.Encode(cl, codes.DefaultParams)
 }
 
-// serve is the UDP front end: one datagram in, one datagram out.
+// serve is the UDP front end: one datagram in, one datagram out, until
+// the socket is closed.
 func (s *server) serve(conn *net.UDPConn) {
 	udpLog := slog.With("component", "udp")
 	buf := make([]byte, sdpapi.MaxDatagram)
 	for {
 		n, peer, err := conn.ReadFromUDP(buf)
 		if err != nil {
-			udpLog.Error("read", "err", err)
+			if !errors.Is(err, net.ErrClosed) {
+				udpLog.Error("read", "err", err)
+			}
 			return
 		}
 		data, err := encodeReply(s.handleDatagram(buf[:n]))
@@ -698,11 +655,15 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 	}
 }
 
-// refreshLocked tells the backbone node the backend changed, when
-// federated; standalone daemons have nobody to tell.
+// refreshLocked tells the backbone node, when federated, that a client's
+// register or deregister changed the backend. When it returns, every peer
+// has been sent whatever the mutation changed in the Bloom summary's bits,
+// so the client's reply never precedes its discoverability; a mutation
+// that moved only the advertisement count is pushed by the node's next
+// tick.
 func (s *server) refreshLocked() {
 	if s.fed != nil {
-		s.fed.refresh()
+		s.fed.node.RefreshSummary()
 	}
 }
 

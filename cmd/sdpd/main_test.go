@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,25 +15,64 @@ import (
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
 	"sariadne/internal/sdpapi"
+	"sariadne/internal/transport"
 )
 
-func newTestServer(t testing.TB) *server {
+// bareConfig is what `sdpd` with no flags boots from, sampling off: the
+// sampler snapshots the process-wide metric registry into a history, which
+// the tests that want one ask for.
+func bareConfig() config {
+	cfg, _ := boundFlags()
+	cfg.listen, cfg.sampleEvery = "127.0.0.1:0", 0
+	return *cfg
+}
+
+// testConfig is bareConfig plus the media and servers ontologies as
+// -ontology files.
+func testConfig(t testing.TB) config {
 	t.Helper()
-	s, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
+	cfg := bareConfig()
+	for i, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
 		data, err := ontology.Marshal(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := s.handle(sdpapi.Request{Op: "add-ontology", Doc: string(data)})
-		if !resp.OK {
-			t.Fatalf("add-ontology: %s", resp.Error)
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("ontology%d.xml", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg.ontologies = append(cfg.ontologies, path)
+	}
+	return cfg
+}
+
+// bootServer boots a daemon from cfg the way main does and closes it with
+// the test.
+func bootServer(t testing.TB, cfg config) *server {
+	t.Helper()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	return s
+}
+
+func newTestServer(t testing.TB) *server {
+	t.Helper()
+	return bootServer(t, testConfig(t))
+}
+
+// partialResolver makes every answer of the daemon's resolver report the
+// given peers unreachable.
+func partialResolver(unreachable ...transport.Addr) func(resolver) resolver {
+	return func(local resolver) resolver {
+		return func(doc []byte, traced bool) (discovery.Result, error) {
+			res, err := local(doc, traced)
+			res.Unreachable = append(res.Unreachable, unreachable...)
+			return res, err
 		}
 	}
-	return s
 }
 
 func mustDoc(t testing.TB, svc *profile.Service) string {
@@ -78,16 +120,12 @@ func TestHandleRegisterQueryDeregister(t *testing.T) {
 // backbone coverage, the UDP reply carries the completeness marker
 // alongside the usable hits instead of hiding the gap.
 func TestHandleQueryPartialMarker(t *testing.T) {
-	s := newTestServer(t)
+	cfg := testConfig(t)
+	cfg.wrapResolve = partialResolver("n4", "n9")
+	s := bootServer(t, cfg)
 	resp := s.handle(sdpapi.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})
 	if !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
-	}
-	local := s.resolve
-	s.resolve = func(doc []byte, traced bool) (discovery.Result, error) {
-		res, err := local(doc, traced)
-		res.Unreachable = append(res.Unreachable, "n4", "n9")
-		return res, err
 	}
 
 	resp = s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
@@ -126,7 +164,9 @@ func TestHandleErrors(t *testing.T) {
 }
 
 func TestNewServerBadFile(t *testing.T) {
-	if _, err := newServer([]string{"/nonexistent/ontology.xml"}); err == nil {
+	cfg := bareConfig()
+	cfg.ontologies = stringList{"/nonexistent/ontology.xml"}
+	if _, err := newServer(cfg); err == nil {
 		t.Fatal("accepted missing ontology file")
 	}
 }

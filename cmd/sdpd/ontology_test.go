@@ -12,6 +12,7 @@ import (
 	"sariadne/internal/profile"
 	"sariadne/internal/registry"
 	"sariadne/internal/sdpapi"
+	"sariadne/internal/store/memstore"
 )
 
 // TestAddOntologyReplacesTable: add-ontology registers a code table for a
@@ -36,13 +37,12 @@ func TestAddOntologyReplacesTable(t *testing.T) {
 
 	for _, kind := range []string{"bolt", "mem"} {
 		t.Run(kind, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "state")
-			st := openTestStore(t, kind, path)
-			s, err := newServer(nil)
-			if err != nil {
-				t.Fatal(err)
+			cfg := bareConfig()
+			cfg.storeKind, cfg.state = kind, filepath.Join(t.TempDir(), "state")
+			if kind == "mem" { // both lifetimes share the one medium there is
+				cfg.store = memstore.New()
 			}
-			s.store = st
+			s := bootServer(t, cfg)
 
 			// The oracle has its own registry and matches by name.
 			tables := codes.NewRegistry()
@@ -108,17 +108,11 @@ func TestAddOntologyReplacesTable(t *testing.T) {
 
 			// Restart: the second daemon sees only the store.
 			if kind != "mem" { // a closed memstore cannot be reopened; replay it as it is
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				st = openTestStore(t, kind, path)
+				s.close()
 			}
-			s2, err := newServer(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if applied, skipped, _, err := replayStore(st, s2); err != nil || skipped != 0 || applied != 4+services {
-				t.Fatalf("replay applied %d, skipped %d, err %v; want %d applied", applied, skipped, err, 4+services)
+			s2 := bootServer(t, cfg)
+			if want := (replayStats{applied: 4 + services}); s2.recovered != want {
+				t.Fatalf("replay found %+v, want %+v", s2.recovered, want)
 			}
 			if replayed := answers(s2, "replayed"); fmt.Sprint(replayed) != fmt.Sprint(second) {
 				t.Fatalf("after replay the daemon answers\n%v\nbefore the restart\n%v", replayed, second)

@@ -43,9 +43,9 @@ func (f *failingStore) Append(rec store.Record) error {
 // consumed.
 func TestFailedAppendChangesNothing(t *testing.T) {
 	st := &failingStore{Store: memstore.New()}
-	t.Cleanup(func() { _ = st.Close() })
-	s := enforcingServer(t, tenant.Config{})
-	s.store = st
+	cfg := enforcingConfig(t, tenant.Config{})
+	cfg.store = st
+	s := bootServer(t, cfg)
 	ts := httptest.NewServer(newHTTPGateway(s, false))
 	t.Cleanup(ts.Close)
 
@@ -192,10 +192,9 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 // same version ledger, the same number of capabilities and the same
 // per-tenant live counts.
 func TestLiveAndReplayAgree(t *testing.T) {
-	st := memstore.New()
-	t.Cleanup(func() { _ = st.Close() })
-	live := enforcingServer(t, tenant.Config{})
-	live.store = st
+	cfg := enforcingConfig(t, tenant.Config{})
+	cfg.state = filepath.Join(t.TempDir(), "state.bolt")
+	live := bootServer(t, cfg)
 
 	for i, step := range []struct {
 		op, name, token string
@@ -220,9 +219,10 @@ func TestLiveAndReplayAgree(t *testing.T) {
 		}
 	}
 
-	replayed := enforcingServer(t, tenant.Config{})
-	if applied, skipped, _, err := replayStore(st, replayed); err != nil || applied != 9 || skipped != 0 {
-		t.Fatalf("replay applied %d, skipped %d, err %v; want all 9 applied", applied, skipped, err)
+	live.close()
+	replayed := bootServer(t, cfg)
+	if want := (replayStats{applied: 9}); replayed.recovered != want {
+		t.Fatalf("replay found %+v, want all 9 applied", replayed.recovered)
 	}
 
 	liveCounts := func(s *server) map[string]int {
@@ -271,10 +271,9 @@ func ledgerOf(s *server) map[string]advertHistory {
 // current versions (store.Fold), and what it replays is the live ledger's
 // live names with their current number and document.
 func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state")
-	st := openTestStore(t, "bolt", path)
-	live := newTestServer(t)
-	live.store = st
+	cfg := testConfig(t)
+	cfg.state = filepath.Join(t.TempDir(), "state")
+	live := bootServer(t, cfg)
 
 	// Every publication is a different document, so a kept one would show.
 	docOf := func(name string, rev int) string {
@@ -313,25 +312,24 @@ func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
 		t.Fatal("the ledger and the backend hold separate copies of the current document")
 	}
 
-	restart := func(st store.Store) *server {
+	restart := func(old *server) *server {
 		t.Helper()
-		s := newTestServer(t)
-		if _, skipped, torn, err := replayStore(st, s); err != nil || skipped != 0 || torn {
-			t.Fatalf("replay: skipped %d, torn %v, err %v", skipped, torn, err)
+		old.close()
+		s := bootServer(t, cfg)
+		if s.recovered.skipped != 0 || s.recovered.torn {
+			t.Fatalf("replay: %+v", s.recovered)
 		}
 		return s
 	}
-	if got := ledgerOf(restart(st)); !reflect.DeepEqual(got, want) {
+	replayed := restart(live)
+	if got := ledgerOf(replayed); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed ledger:\n got  %+v\n want %+v", got, want)
 	}
 
-	if err := st.Compact(); err != nil {
+	if err := replayed.store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	compacted := ledgerOf(restart(openTestStore(t, "bolt", path)))
+	compacted := ledgerOf(restart(replayed))
 	for name, h := range want {
 		got, ok := compacted[name]
 		if !h.Live {

@@ -9,8 +9,6 @@ import (
 	"sariadne/internal/gen"
 	"sariadne/internal/ontology"
 	"sariadne/internal/sdpapi"
-	"sariadne/internal/store"
-	"sariadne/internal/store/boltlike"
 	"sariadne/internal/testutil"
 )
 
@@ -31,7 +29,8 @@ type residentShape struct {
 	live, depth int
 }
 
-// residentFixture is an empty server with a shape's ontologies loaded, and
+// residentFixture is an empty server booted from cfg with a shape's
+// ontologies uploaded, and
 // n advertisements to publish on it. The documents stay with the fixture:
 // publish hands the server a copy of its own each time, as a front end
 // decoding a request does, so what the server keeps shows in the heap.
@@ -42,16 +41,13 @@ type residentFixture struct {
 	docs  []string
 }
 
-func newResidentFixture(tb testing.TB, ontologies, classes, n int) *residentFixture {
+func newResidentFixture(tb testing.TB, cfg config, ontologies, classes, n int) *residentFixture {
 	tb.Helper()
 	w, err := gen.NewWorkload(gen.WorkloadConfig{Ontologies: ontologies, ClassesPerOntology: classes, Services: n, Seed: 2006})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := &residentFixture{w: w}
-	if f.srv, err = newServer(nil); err != nil {
-		tb.Fatal(err)
-	}
+	f := &residentFixture{w: w, srv: bootServer(tb, cfg)}
 	for _, o := range w.Ontologies {
 		data, err := ontology.Marshal(o)
 		if err != nil {
@@ -130,7 +126,7 @@ func TestResidentBytesPerAdvert(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			perAdvert := make(map[int]int64)
 			for _, n := range []int{500, 2000} {
-				f := newResidentFixture(t, shape.ontologies, shape.classes, n)
+				f := newResidentFixture(t, bareConfig(), shape.ontologies, shape.classes, n)
 				perAdvert[n] = f.checkResident(t, residentOverhead[shape.name])
 			}
 			if small, large := perAdvert[500], perAdvert[2000]; large > small+small/10 || small > large+large/10 {
@@ -142,13 +138,9 @@ func TestResidentBytesPerAdvert(t *testing.T) {
 	// key directory is one more table keyed by the advertisement's name that
 	// outlives each version of its document.
 	t.Run("durable", func(t *testing.T) {
-		f := newResidentFixture(t, residentShapes[0].ontologies, residentShapes[0].classes, 500)
-		st, err := boltlike.Open(filepath.Join(t.TempDir(), "state.bolt"), store.Options{SyncEvery: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = st.Close() }) // nothing is read back from the file
-		f.srv.store = st
+		cfg := bareConfig()
+		cfg.state, cfg.syncEvery = filepath.Join(t.TempDir(), "state.bolt"), 1<<20 // nothing is read back from the file
+		f := newResidentFixture(t, cfg, residentShapes[0].ontologies, residentShapes[0].classes, 500)
 		f.checkResident(t, residentOverhead["durable"])
 	})
 }
@@ -209,7 +201,7 @@ func BenchmarkPreloadResident(b *testing.B) {
 			var mallocs uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f := newResidentFixture(b, shape.ontologies, shape.classes, n)
+				f := newResidentFixture(b, bareConfig(), shape.ontologies, shape.classes, n)
 				empty := testutil.LiveHeapBytes()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

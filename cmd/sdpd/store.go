@@ -3,9 +3,11 @@ package main
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"sariadne/internal/discovery"
 	"sariadne/internal/store"
@@ -25,22 +27,11 @@ func advertOwner(name, hint string) string {
 	return owner
 }
 
-// checkStoreKind validates the -store flag.
-func checkStoreKind(kind string) error {
-	if kind != "bolt" && kind != "mem" {
-		return fmt.Errorf("unknown -store %q (want bolt or mem)", kind)
-	}
-	return nil
-}
-
 // openStore opens the store -store selects: the one durable engine over
 // the -state path, or the in-memory fake. A -state file that is not a
 // boltlike store (a JSON-lines journal from an earlier release, say) is
 // refused untouched with a store.CorruptError pointing at -migrate-store.
 func openStore(kind, path string, opts store.Options) (store.Store, error) {
-	if err := checkStoreKind(kind); err != nil {
-		return nil, err
-	}
 	if kind == "mem" {
 		return memstore.New(), nil
 	}
@@ -52,23 +43,16 @@ func openStore(kind, path string, opts store.Options) (store.Store, error) {
 // folded to canonical form: the operator path behind
 // `sdpd -state old.jsonl -migrate-store new`. src is only read.
 func migrateStore(src, dst string) (store.MigrateStats, error) {
-	var stats store.MigrateStats
-	if src == "" {
-		return stats, fmt.Errorf("-migrate-store needs a source: set -state")
-	}
-	if dst == "" || dst == src {
-		return stats, fmt.Errorf("-migrate-store needs a destination path different from -state")
-	}
 	from, err := os.Open(src)
 	if err != nil {
-		return stats, fmt.Errorf("opening source: %w", err)
+		return store.MigrateStats{}, fmt.Errorf("opening source: %w", err)
 	}
 	defer from.Close()
 	to, err := boltlike.Open(dst, store.Options{})
 	if err != nil {
-		return stats, fmt.Errorf("opening destination: %w", err)
+		return store.MigrateStats{}, fmt.Errorf("opening destination: %w", err)
 	}
-	stats, err = store.Import(from, to)
+	stats, err := store.Import(from, to)
 	if err != nil {
 		_ = to.Close() // the migration failure is the diagnosis
 		return stats, err
@@ -79,27 +63,49 @@ func migrateStore(src, dst string) (store.MigrateStats, error) {
 	return stats, nil
 }
 
+// replayStats is what replaying the store at boot found.
+type replayStats struct {
+	applied, skipped int
+	torn             bool
+}
+
 // replayStore feeds every persisted mutation back into the server:
 // records the directory rejects are skipped with a count, a torn tail
-// stops nothing, and a missing file is an empty history.
-func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, err error) {
-	// Replay happens before the front ends start, but applyLocked's
-	// contract is that the caller holds the server mutex, so hold it.
+// stops nothing, and a missing file is an empty history. newServer calls
+// it, once, between opening the store and everything that reads the
+// directory.
+func (s *server) replayStore() (r replayStats, err error) {
+	// No front end runs yet, but applyLocked's contract is that the caller
+	// holds the server mutex, so hold it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stats, err := st.Replay(func(rec store.Record) error {
+	stats, err := s.store.Replay(func(rec store.Record) error {
 		if err := s.applyLocked(rec, nil); err != nil {
-			skipped++
+			r.skipped++
 			return nil
 		}
-		applied++
+		r.applied++
 		return nil
 	})
-	skipped += stats.Skipped
-	if err != nil {
-		return applied, skipped, stats.TornTail, err
+	r.skipped += stats.Skipped
+	r.torn = stats.TornTail
+	return r, err
+}
+
+// compact rewrites the store to its canonical folded state, bounding
+// replay cost on long-lived daemons without waiting for a restart
+// (-compact-every). It runs off the request path: Store implementations
+// are internally synchronized, so Compact proceeds concurrently with
+// request handling and never takes the server mutex.
+func compact(st store.Store, log *slog.Logger) {
+	start := time.Now()
+	if err := st.Compact(); err != nil {
+		// The store outlives a failed compaction (Compact is atomic); log
+		// and try again next tick.
+		log.Error("background compaction", "err", err)
+		return
 	}
-	return applied, skipped, stats.TornTail, nil
+	log.Debug("compacted store", "took", time.Since(start))
 }
 
 // applyLocked executes a persisted record against the backend, the

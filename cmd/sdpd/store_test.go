@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,33 +17,17 @@ import (
 	"sariadne/internal/testutil"
 )
 
-// openTestStore opens the given backend over path, failing the test on
-// error and closing on cleanup.
-func openTestStore(t *testing.T, kind, path string) store.Store {
-	t.Helper()
-	st, err := openStore(kind, path, store.Options{})
-	if err != nil {
-		t.Fatalf("openStore(%s): %v", kind, err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	return st
-}
-
 // TestStorePersistAndReplay is the durability round trip, run against
 // every backend sdpd can select: mutations from one server lifetime
 // recover into a second one.
 func TestStorePersistAndReplay(t *testing.T) {
 	for _, kind := range []string{"bolt", "mem"} {
 		t.Run(kind, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "state")
-			st := openTestStore(t, kind, path)
+			cfg := bareConfig()
+			cfg.storeKind, cfg.state = kind, filepath.Join(t.TempDir(), "state")
 
 			// First server lifetime: persist ontologies and registrations.
-			s1, err := newServer(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s1.store = st
+			s1 := bootServer(t, cfg)
 			for _, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
 				data, err := ontology.Marshal(o)
 				if err != nil {
@@ -67,31 +50,20 @@ func TestStorePersistAndReplay(t *testing.T) {
 			if resp := s1.handle(sdpapi.Request{Op: "deregister", Name: "Transient"}); !resp.OK {
 				t.Fatalf("deregister: %s", resp.Error)
 			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+			s1.close()
 
-			// Second lifetime: recover from the store alone. The mem backend
-			// cannot reopen a closed medium through openStore, so it replays
-			// through a fresh handle onto the same history via Snapshot
-			// semantics — skip reopen there.
+			// Second lifetime: recover from the store alone. -store mem has
+			// no medium to reopen: every boot starts empty.
+			s2 := bootServer(t, cfg)
 			if kind == "mem" {
+				if s2.recovered != (replayStats{}) || s2.backend.Len() != 0 {
+					t.Fatalf("a second -store mem daemon recovered %+v", s2.recovered)
+				}
 				return
 			}
-			st2 := openTestStore(t, kind, path)
-			s2, err := newServer(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			applied, skipped, torn, err := replayStore(st2, s2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if skipped != 0 || torn {
-				t.Fatalf("skipped=%d torn=%v", skipped, torn)
-			}
-			if applied != 5 { // 2 ontologies + 2 registers + 1 deregister
-				t.Fatalf("applied = %d, want 5", applied)
+			// 2 ontologies + 2 registers + 1 deregister
+			if want := (replayStats{applied: 5}); s2.recovered != want {
+				t.Fatalf("replay found %+v, want %+v", s2.recovered, want)
 			}
 			resp := s2.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 			if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
@@ -163,16 +135,10 @@ not json at all
 	if after, err := os.ReadFile(path); err != nil || string(after) != content {
 		t.Fatalf("import modified the journal: %q", after)
 	}
-	s, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, skipped, torn, err := replayStore(openTestStore(t, "bolt", dst), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1 || skipped != 1 || torn {
-		t.Fatalf("applied=%d skipped=%d torn=%v, want 1/1/false", applied, skipped, torn)
+	cfg := bareConfig()
+	cfg.state = dst
+	if got, want := bootServer(t, cfg).recovered, (replayStats{applied: 1, skipped: 1}); got != want {
+		t.Fatalf("replay found %+v, want %+v", got, want)
 	}
 }
 
@@ -201,12 +167,11 @@ func TestOpenStoreRefusesLegacyJournal(t *testing.T) {
 	}
 	// The two values -store dropped fail validation, listing what is left.
 	for _, kind := range []string{"auto", "jsonl", "nope"} {
-		err := checkStoreKind(kind)
+		cfg := bareConfig()
+		cfg.storeKind = kind
+		_, err := cfg.validate()
 		if err == nil || !strings.Contains(err.Error(), "bolt") || !strings.Contains(err.Error(), "mem") {
 			t.Fatalf("-store %s: %v, want a refusal listing bolt and mem", kind, err)
-		}
-		if _, err := openStore(kind, filepath.Join(dir, "x"), store.Options{}); err == nil {
-			t.Fatalf("openStore accepted kind %q", kind)
 		}
 	}
 }
@@ -214,14 +179,10 @@ func TestOpenStoreRefusesLegacyJournal(t *testing.T) {
 // TestStoreReplayMissingFile: a missing state file is an empty history,
 // not an error — first boot works.
 func TestStoreReplayMissingFile(t *testing.T) {
-	st := openTestStore(t, "bolt", filepath.Join(t.TempDir(), "absent.bolt"))
-	s, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, skipped, torn, err := replayStore(st, s)
-	if err != nil || applied != 0 || skipped != 0 || torn {
-		t.Fatalf("missing file: %d/%d/%v/%v", applied, skipped, torn, err)
+	cfg := bareConfig()
+	cfg.state = filepath.Join(t.TempDir(), "absent.bolt")
+	if got := bootServer(t, cfg).recovered; got != (replayStats{}) {
+		t.Fatalf("missing file: %+v", got)
 	}
 }
 
@@ -332,14 +293,11 @@ func TestMigrateStoreCommand(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 
-	st2 := openTestStore(t, "bolt", dst)
-	s2, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, skipped, _, err := replayStore(st2, s2)
-	if err != nil || applied != 3 || skipped != 0 {
-		t.Fatalf("replay from migrated store: %d/%d/%v", applied, skipped, err)
+	cfg := bareConfig()
+	cfg.state = dst
+	s2 := bootServer(t, cfg)
+	if want := (replayStats{applied: 3}); s2.recovered != want {
+		t.Fatalf("replay from migrated store: %+v", s2.recovered)
 	}
 	resp := s2.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
@@ -413,15 +371,13 @@ func TestListServicesExactlyFullFinalPage(t *testing.T) {
 }
 
 // TestBackgroundCompactor exercises -compact-every's loop: a register +
-// deregister history folds to nothing, so after one tick the raw log is
-// empty — without any request-path involvement.
+// deregister history folds to nothing, so one tick after a daemon boots
+// onto it with the flag the raw log holds the ontologies only — without
+// any request-path involvement.
 func TestBackgroundCompactor(t *testing.T) {
-	st := openTestStore(t, "mem", "")
-	s, err := newServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.store = st
+	cfg := bareConfig()
+	cfg.state = filepath.Join(t.TempDir(), "state.bolt")
+	s := bootServer(t, cfg)
 	for _, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
 		data, err := ontology.Marshal(o)
 		if err != nil {
@@ -437,25 +393,26 @@ func TestBackgroundCompactor(t *testing.T) {
 	if resp := s.handle(sdpapi.Request{Op: "deregister", Name: "MediaWorkstation"}); !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
-	records := func() int {
+	records := func(s *server) int {
 		n := 0
-		stats, err := st.Replay(func(store.Record) error { n++; return nil })
+		stats, err := s.store.Replay(func(store.Record) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("replay: %v (stats %+v)", err, stats)
 		}
 		return n
 	}
 	// Raw history: 2 ontologies + register + deregister.
-	if n := records(); n != 4 {
+	if n := records(s); n != 4 {
 		t.Fatalf("pre-compaction records = %d, want 4", n)
 	}
+	s.close()
 
-	cp := startCompactor(st, 5*time.Millisecond, slog.Default())
-	defer cp.close()
+	cfg.compactEvery = 5 * time.Millisecond
+	s = bootServer(t, cfg)
 	// The two ontologies survive folding.
-	testutil.WaitFor(t, 5*time.Second, func() bool { return records() == 2 },
+	testutil.WaitFor(t, 5*time.Second, func() bool { return records(s) == 2 },
 		"compactor never folded the log")
 	// close joins the loop goroutine; a second close is a no-op.
-	cp.close()
-	cp.close()
+	s.close()
+	s.close()
 }

@@ -15,20 +15,25 @@ import (
 	"sariadne/internal/tenant"
 )
 
-// enforcingServer builds a test directory with static-token admission:
-// alice (publisher), bob (reader), root (admin).
-func enforcingServer(t *testing.T, cfg tenant.Config) *server {
+// enforcingConfig is testConfig with admission on under the given limits;
+// without an authenticator of their own, static tokens: alice (publisher),
+// bob (reader), root (admin).
+func enforcingConfig(t *testing.T, limits tenant.Config) config {
 	t.Helper()
-	s := newTestServer(t)
-	if cfg.Auth == nil {
+	cfg := testConfig(t)
+	if cfg.tenant = limits; limits.Auth == nil {
 		static, err := tenant.ParseStatic(strings.NewReader("ta alice\ntb bob reader\ntr root admin\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Auth = static
+		cfg.tenant.Auth = static
 	}
-	s.gate = tenant.NewGatekeeper(cfg)
-	return s
+	return cfg
+}
+
+func enforcingServer(t *testing.T, limits tenant.Config) *server {
+	t.Helper()
+	return bootServer(t, enforcingConfig(t, limits))
 }
 
 func namedDoc(t *testing.T, name string) string {
@@ -172,18 +177,9 @@ func TestAdmissionRateLimit(t *testing.T) {
 // daemon restart: a replayed store rebuilds them, so the max-live quota
 // binds immediately instead of resetting to zero.
 func TestAdmissionQuotaDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.bolt")
-	cfg := func() tenant.Config {
-		static, err := tenant.ParseStatic(strings.NewReader("ta alice\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tenant.Config{Auth: static, MaxLiveServices: 2}
-	}
-
-	st := openTestStore(t, "bolt", path)
-	s1 := enforcingServer(t, cfg())
-	s1.store = st
+	cfg := enforcingConfig(t, tenant.Config{MaxLiveServices: 2})
+	cfg.state = filepath.Join(t.TempDir(), "state.bolt")
+	s1 := bootServer(t, cfg)
 	for _, name := range []string{"alice/a", "alice/b"} {
 		if resp := s1.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, name), Token: "ta"}); !resp.OK {
 			t.Fatalf("register %s: %+v", name, resp)
@@ -192,18 +188,10 @@ func TestAdmissionQuotaDurable(t *testing.T) {
 	if resp := s1.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"}); resp.OK || resp.Code != tenant.CodeRateLimited {
 		t.Fatalf("over-quota publish: %+v", resp)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s1.close()
 
-	// Restart: the gate must exist before replay, exactly like main().
-	st2 := openTestStore(t, "bolt", path)
-	s2 := newTestServer(t)
-	s2.gate = tenant.NewGatekeeper(cfg())
-	if _, _, _, err := replayStore(st2, s2); err != nil {
-		t.Fatal(err)
-	}
-	s2.store = st2
+	// Restart: a second boot from the same flags, with a gate of its own.
+	s2 := bootServer(t, cfg)
 	resp := s2.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "alice/c"), Token: "ta"})
 	if resp.OK || resp.Code != tenant.CodeRateLimited {
 		t.Fatalf("quota not rebuilt by replay: %+v", resp)

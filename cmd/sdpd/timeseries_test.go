@@ -35,16 +35,24 @@ func requestTicks(end time.Time, offsets ...time.Duration) []telemetry.Sample {
 	return out
 }
 
+// scriptedHistory is an in-memory history holding samples, for a daemon to
+// serve in place of the ring its sampler would fill.
+func scriptedHistory(samples []telemetry.Sample) *telemetry.History {
+	h := telemetry.NewHistory(memoryHistorySamples)
+	for _, s := range samples {
+		h.Add(s)
+	}
+	return h
+}
+
 // historyServers returns two gateways over the same scripted samples: a
-// plain daemon whose sampler filled the history, and a journal-backed one
-// whose history was refilled from disk at start-up.
+// plain daemon with the samples in its in-memory history, and a
+// journal-backed one whose history was refilled from disk at start-up.
 func historyServers(t *testing.T, samples []telemetry.Sample) map[string]string {
 	t.Helper()
-	plainTS, plain := newGatewayServer(t)
-	plain.history, plain.historySource = telemetry.NewHistory(memoryHistorySamples), "ring"
-	for _, s := range samples {
-		plain.history.Add(s)
-	}
+	cfg := testConfig(t)
+	cfg.history = scriptedHistory(samples)
+	plainTS, _ := serveGateway(t, cfg)
 
 	dir := t.TempDir()
 	j, err := telemetry.OpenJournal(dir, telemetry.JournalOptions{}, telemetry.NewHistory(2))
@@ -59,13 +67,9 @@ func historyServers(t *testing.T, samples []telemetry.Sample) map[string]string 
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	durableTS, durable := newGatewayServer(t)
-	durable.history, durable.historySource = telemetry.NewHistory(journalHistorySamples), "journal"
-	j, err = telemetry.OpenJournal(dir, telemetry.JournalOptions{}, durable.history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = j.Close() })
+	cfg = testConfig(t)
+	cfg.telemetryJournal = dir
+	durableTS, _ := serveGateway(t, cfg)
 	return map[string]string{"ring": plainTS.URL, "journal": durableTS.URL}
 }
 
@@ -130,15 +134,13 @@ func TestTimeseriesSinceMeansOneThing(t *testing.T) {
 // smoke cannot drift apart. Rewrite with `go test ./cmd/sdpd -run
 // TestTimeseriesGolden -update`.
 func TestTimeseriesGolden(t *testing.T) {
-	ts, srv := newGatewayServer(t)
-	srv.history, srv.historySource = telemetry.NewHistory(memoryHistorySamples), "ring"
-	for _, s := range requestTicks(time.UnixMilli(1700000000000), 0, 5*time.Second, 10*time.Second+500*time.Millisecond) {
-		srv.history.Add(s)
-	}
+	samples := requestTicks(time.UnixMilli(1700000000000), 0, 5*time.Second, 10*time.Second+500*time.Millisecond)
 	// An idle window: the cumulative histogram did not move.
-	idle := srv.history.Samples()[2]
+	idle := samples[2]
 	idle.Time = idle.Time.Add(5 * time.Second)
-	srv.history.Add(idle)
+	cfg := testConfig(t)
+	cfg.history = scriptedHistory(append(samples, idle))
+	ts, _ := serveGateway(t, cfg)
 
 	resp, body := do(t, "GET", ts.URL+"/timeseries", "")
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
@@ -163,19 +165,10 @@ func TestTimeseriesGolden(t *testing.T) {
 // the race detector: the sampler writing the history, a watchdog sweeping
 // it and several GET /timeseries readers.
 func TestTimeseriesConcurrentReaders(t *testing.T) {
-	ts, srv := newGatewayServer(t)
-	srv.history, srv.historySource = telemetry.NewHistory(8), "ring" // wraps within the test
-	sampler := telemetry.StartSampler(telemetry.Default(), time.Millisecond, srv.history,
-		telemetry.SamplerConfig{Collect: telemetry.SampleRuntime})
-	defer sampler.Stop()
-	wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{
-		History:   srv.history,
-		Detectors: telemetry.StandardDetectors(telemetry.Thresholds{}),
-		Interval:  time.Millisecond,
-	}, time.Millisecond)
-	wd.Start()
-	defer wd.Stop()
-	srv.watchdog = wd
+	cfg := testConfig(t)
+	cfg.history = telemetry.NewHistory(8) // wraps within the test
+	cfg.sampleEvery, cfg.watchEvery = time.Millisecond, time.Millisecond
+	ts, _ := serveGateway(t, cfg)
 
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {

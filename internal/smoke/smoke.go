@@ -6,6 +6,7 @@
 package smoke
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"syscall"
 	"time"
 
 	"sariadne/internal/sdpapi"
@@ -80,6 +82,7 @@ type Daemon struct {
 	bin  string
 	args []string
 	cmd  *exec.Cmd
+	log  bytes.Buffer // what the running process has logged, for Terminate
 }
 
 // Boot starts one daemon loaded with the fixture ontologies; flags are
@@ -106,7 +109,8 @@ func Boot(bin, name string, flags []string, peers ...string) (*Daemon, error) {
 
 func (d *Daemon) start(extra ...string) error {
 	d.cmd = exec.Command(d.bin, append(append([]string(nil), d.args...), extra...)...)
-	d.cmd.Stdout, d.cmd.Stderr = os.Stderr, os.Stderr
+	d.log.Reset()
+	d.cmd.Stdout, d.cmd.Stderr = os.Stderr, io.MultiWriter(os.Stderr, &d.log)
 	if err := d.cmd.Start(); err != nil {
 		return fmt.Errorf("start sdpd %s: %w", d.Name, err)
 	}
@@ -117,6 +121,16 @@ func (d *Daemon) start(extra ...string) error {
 func (d *Daemon) Stop() {
 	_ = d.cmd.Process.Kill()
 	_ = d.cmd.Wait()
+}
+
+// Terminate asks the daemon to shut down (SIGTERM) and reaps it. It
+// returns what the process logged and how it exited: nil for status 0.
+func (d *Daemon) Terminate() (log string, err error) {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return "", err
+	}
+	err = d.cmd.Wait()
+	return d.log.String(), err
 }
 
 // Restart stops the daemon and starts it again on the same addresses and
