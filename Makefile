@@ -16,9 +16,11 @@ bench:
 
 # chaos replays the deterministic fault-injection suite (seeded
 # partitions, burst loss, directory crashes, hedged forwarding) under the
-# race detector. The seed matrix lives in the tests themselves.
+# race detector, with the two tests of a directory answering its own
+# clients beside a wedged or busy protocol loop. The seed matrix lives in
+# the tests themselves.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Hedge|Evicted|Fault|Churn|Partition' \
+	$(GO) test -race -count=1 -run 'Chaos|Hedge|Evicted|Fault|Churn|Partition|FullInbox|OriginQueriesBeside' \
 		./internal/discovery/ ./internal/simnet/ -v
 
 # lint runs go vet plus the ten project analyzers (lockcheck,

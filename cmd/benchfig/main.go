@@ -442,7 +442,7 @@ func fig10(maxServices, step, reps int) {
 			}
 		})
 		sariadneSamples := sampleIt(reps, func() {
-			hits, err := semantic.Query(semReq)
+			hits, _, _, err := semantic.Resolve(semReq)
 			if err != nil || len(hits) == 0 {
 				log.Fatalf("s-ariadne query: hits=%v err=%v", hits, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sariadne/internal/discovery"
+	"sariadne/internal/election"
 	"sariadne/internal/store"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
@@ -79,7 +80,7 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.federateTransport, "federate-transport", "udp", "backbone substrate: udp or tcp")
 	fs.StringVar(&c.advertise, "advertise", "", "backbone address announced to peers (defaults to the bound -federate address)")
 	fs.IntVar(&c.traceSample, "trace-sample", 64, "trace every Nth query into the flight recorder (0 disables sampling)")
-	fs.DurationVar(&c.slowQuery, "slow-query", 0, "with -federate, retain queries at least this slow in the flight recorder (0 = half the query timeout); a standalone daemon retains none")
+	fs.DurationVar(&c.slowQuery, "slow-query", 0, "retain queries at least this slow in the flight recorder and trace the next one (0 = half the query timeout)")
 	fs.DurationVar(&c.healthInterval, "health-interval", time.Second, "component health probe interval behind /healthz and /readyz")
 	fs.DurationVar(&c.sampleEvery, "sample-every", 5*time.Second, "telemetry time-series sampling cadence behind GET /timeseries (0 disables)")
 	fs.StringVar(&c.telemetryJournal, "telemetry-journal", "", "directory for the durable telemetry journal: sampler ticks persist across restarts behind GET /timeseries (optional)")
@@ -136,8 +137,8 @@ func (c *config) validate() (warnings []string, err error) {
 	if c.compactEvery > 0 && !c.hasStore() {
 		warn("-compact-every has no effect without a store")
 	}
-	if c.federate == "" && (len(c.peers) > 0 || c.advertise != "" || c.slowQuery != 0) {
-		warn("-peer/-advertise/-slow-query have no effect without -federate")
+	if c.federate == "" && (len(c.peers) > 0 || c.advertise != "") {
+		warn("-peer/-advertise have no effect without -federate")
 	}
 	if c.sampleEvery <= 0 && (c.telemetryJournal != "" || c.watchEvery > 0) {
 		warn("-telemetry-journal/-watch-every have nothing new to read without -sample-every > 0")
@@ -147,6 +148,23 @@ func (c *config) validate() (warnings []string, err error) {
 			c.watchWindow, c.sampleEvery, min)
 	}
 	return warnings, nil
+}
+
+// nodeConfig is the discovery node a daemon answers queries through,
+// standalone or federated. -trace-sample is zero-is-off; the discovery
+// config is zero-is-default, negative-is-off.
+func (c *config) nodeConfig() discovery.Config {
+	sampleEvery := c.traceSample
+	if sampleEvery == 0 {
+		sampleEvery = -1
+	}
+	return discovery.Config{
+		// Daemons never self-elect: the backbone is static infrastructure
+		// and election payloads are not wire-encodable anyway.
+		Election:           election.Config{ElectionTimeout: 24 * time.Hour},
+		TraceSampleEvery:   sampleEvery,
+		SlowQueryThreshold: c.slowQuery,
+	}
 }
 
 // watching reports whether a drift watchdog runs: it needs a cadence and a

@@ -99,6 +99,7 @@ func TestConfigValidate(t *testing.T) {
 			"-telemetry-journal", "tj", "-watch-every", "30s", "-watch-window", "1m"}},
 		{name: "compaction of the in-memory store", wantNothing: true, args: []string{"-store", "mem", "-compact-every", "1m"}},
 		{name: "an empty transport is udp", wantNothing: true, args: []string{"-federate", ":8474", "-federate-transport", ""}},
+		{name: "slow-query without federate", wantNothing: true, args: []string{"-slow-query", "1s"}},
 
 		{name: "unknown store", args: []string{"-store", "jsonl"}, refusal: `unknown -store "jsonl" (want bolt or mem)`},
 		{name: "unknown transport", args: []string{"-federate-transport", "quic"}, refusal: `unknown federation transport "quic" (want udp or tcp)`},
@@ -106,9 +107,8 @@ func TestConfigValidate(t *testing.T) {
 		{name: "migration without a source", args: []string{"-migrate-store", "new.bolt"}, refusal: "-migrate-store needs a source: set -state"},
 		{name: "migration onto its source", args: []string{"-state", "a", "-migrate-store", "a"}, refusal: "-migrate-store needs a destination path different from -state"},
 
-		{name: "peer without federate", args: []string{"-peer", "10.0.0.1:8474"}, warning: "-peer/-advertise/-slow-query have no effect without -federate"},
-		{name: "advertise without federate", args: []string{"-advertise", "10.0.0.1:8474"}, warning: "-peer/-advertise/-slow-query have no effect without -federate"},
-		{name: "slow-query without federate", args: []string{"-slow-query", "1s"}, warning: "-peer/-advertise/-slow-query have no effect without -federate"},
+		{name: "peer without federate", args: []string{"-peer", "10.0.0.1:8474"}, warning: "-peer/-advertise have no effect without -federate"},
+		{name: "advertise without federate", args: []string{"-advertise", "10.0.0.1:8474"}, warning: "-peer/-advertise have no effect without -federate"},
 		{name: "compaction without a store", args: []string{"-compact-every", "1m"}, warning: "-compact-every has no effect without a store"},
 		{name: "watchdog without a sampler", args: []string{"-sample-every", "0", "-watch-every", "1s"}, warning: "-telemetry-journal/-watch-every have nothing new to read without -sample-every > 0"},
 		{name: "journal without a sampler", args: []string{"-sample-every", "0", "-telemetry-journal", "tj"}, warning: "-telemetry-journal/-watch-every have nothing new to read without -sample-every > 0"},

@@ -2,14 +2,28 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
-	"time"
 
 	"sariadne/internal/discovery"
-	"sariadne/internal/election"
 	"sariadne/internal/sdpapi"
 	"sariadne/internal/transport"
 )
+
+// localNode is a standalone daemon's name in its spans and hits.
+const localNode = "local"
+
+// localEndpoint is a standalone daemon's endpoint: a backbone of one. Its
+// node answers every query on the client's goroutine and has no peer to
+// forward to, so nothing is ever sent or delivered and no loop runs.
+type localEndpoint struct{}
+
+func (localEndpoint) ID() transport.Addr              { return localNode }
+func (localEndpoint) Broadcast(int, any) (int, error) { return 0, nil }
+func (localEndpoint) Inbox() <-chan transport.Message { return nil }
+func (localEndpoint) Send(to transport.Addr, _ any) error {
+	return fmt.Errorf("standalone directory: no peer %s", to)
+}
 
 // federation is a daemon's membership in a directory backbone: a
 // discovery node over a socket transport, sharing the server's backend,
@@ -50,19 +64,7 @@ func newFederation(cfg config, backend *discovery.SemanticBackend, logger *slog.
 		return nil, err
 	}
 
-	// -trace-sample is zero-is-off; the discovery config is
-	// zero-is-default, negative-is-off.
-	sampleEvery := cfg.traceSample
-	if sampleEvery == 0 {
-		sampleEvery = -1
-	}
-	node := discovery.NewNode(tr, backend, discovery.Config{
-		// Daemons never self-elect: the backbone is static infrastructure
-		// and election payloads are not wire-encodable anyway.
-		Election:           election.Config{ElectionTimeout: 24 * time.Hour},
-		TraceSampleEvery:   sampleEvery,
-		SlowQueryThreshold: cfg.slowQuery,
-	})
+	node := discovery.NewNode(tr, backend, cfg.nodeConfig())
 	node.Start(context.Background())
 	node.BecomeDirectory()
 	// Store-recovered registrations happened before the backbone came up;
@@ -73,21 +75,6 @@ func newFederation(cfg config, backend *discovery.SemanticBackend, logger *slog.
 	f.log.Info("joined directory backbone",
 		"transport", tr.ID(), "kind", cfg.federateTransport, "seeds", len(cfg.peers))
 	return f, nil
-}
-
-// resolveFederated answers a client query through the backbone node:
-// local semantic match first, then Bloom-selected forwarding to peer
-// directories, with the retry/hedging machinery turning dead peers into
-// an explicit Unreachable marker instead of a hung request.
-func (f *federation) resolveFederated(doc []byte, traced bool) (discovery.Result, error) {
-	// The node bounds forwarding by its own QueryTimeout; the context is
-	// a safety net above it.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if traced {
-		return f.node.DiscoverTrace(ctx, doc)
-	}
-	return f.node.DiscoverResult(ctx, doc)
 }
 
 // peers snapshots the backbone view, joining the protocol layer's per

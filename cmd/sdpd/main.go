@@ -141,9 +141,10 @@ type wiring struct {
 	// runs fully in-memory. recovered is what replaying it at boot found.
 	store     store.Store
 	recovered replayStats
-	// resolve answers query requests: from the node-local backend, or
-	// through fed — the daemon's backbone membership, nil when standalone —
-	// with federated, possibly partial results.
+	// node answers every query: standalone, a directory with no peers;
+	// federated, fed's — the backbone membership, nil when standalone.
+	// resolve is its query, wrapped by tests that ask.
+	node    *discovery.Node
 	resolve resolver
 	fed     *federation
 	health  *healthChecker
@@ -177,9 +178,6 @@ type server struct {
 	// published under each name, live or withdrawn, and the live names'
 	// current documents, behind GET /services.
 	adverts map[string]*advertLedger // guarded by mu
-	// sampleCount numbers standalone queries: every -trace-sample'th is
-	// traced (federated sampling lives in the discovery node).
-	sampleCount atomic.Uint64
 	// httpLive records that the configured HTTP gateway is currently bound
 	// and serving; the health probe compares it with the configuration.
 	httpLive  atomic.Bool
@@ -193,13 +191,9 @@ const (
 	memoryHistorySamples  = 720
 )
 
-// localNode names the standalone daemon in spans it synthesizes itself;
-// federated daemons use their backbone transport address instead.
-const localNode = "local"
-
 // newServer boots a daemon from a validated config in the one legal
-// order: tables → gate → store open → replay → compactor → federation →
-// health → journal/history/sampler → watchdog. A step that fails closes,
+// order: tables → gate → store open → replay → compactor → discovery node
+// (and federation) → health → journal/history/sampler → watchdog. A step that fails closes,
 // last to first, what the steps before it built.
 func newServer(cfg config) (_ *server, err error) {
 	logger := slog.Default()
@@ -268,14 +262,19 @@ func newServer(cfg config) (_ *server, err error) {
 		}
 	}
 
-	s.resolve = s.resolveLocal
 	if cfg.federate != "" {
 		if s.fed, err = newFederation(cfg, s.backend, logger); err != nil {
 			return nil, fmt.Errorf("federation: %w", err)
 		}
 		onClose(s.fed.close)
-		s.resolve = s.fed.resolveFederated
+		s.node = s.fed.node
+	} else {
+		// Nothing can arrive at a standalone node, so it is promoted but
+		// never started.
+		s.node = discovery.NewNode(localEndpoint{}, s.backend, cfg.nodeConfig())
+		s.node.BecomeDirectory()
 	}
+	s.resolve = s.query
 	if cfg.wrapResolve != nil {
 		s.resolve = cfg.wrapResolve(s.resolve)
 	}
@@ -381,37 +380,17 @@ func newWatchdog(cfg config, history *telemetry.History, wdLog *slog.Logger) *te
 	}, cfg.sampleEvery)
 }
 
-// resolveLocal answers a query from the node-local backend. A standalone
-// directory has no backbone to lose peers on, so the local answer is
-// complete by construction — but it still samples and traces so /traces
-// works without federation.
-func (s *server) resolveLocal(doc []byte, traced bool) (discovery.Result, error) {
-	sampled := false
-	if n := s.sampleCount.Add(1); !traced && s.cfg.traceSample > 0 && n%uint64(s.cfg.traceSample) == 0 {
-		traced, sampled = true, true
-	}
-	var trace uint64
-	var spans []telemetry.Span
+// query answers a query document through the daemon's node: matched on
+// this goroutine, and forwarded to peers only when federated and some of
+// it is left. The node bounds forwarding by its own QueryTimeout; the
+// context is a safety net above it.
+func (s *server) query(doc []byte, traced bool) (discovery.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	if traced {
-		trace = telemetry.NextTraceID()
-		spans = append(spans, telemetry.NewSpan(trace, localNode, telemetry.EventReceived))
+		return s.node.DiscoverTrace(ctx, doc)
 	}
-	start := time.Now()
-	hits, err := s.backend.Query(doc)
-	if err != nil {
-		return discovery.Result{}, err
-	}
-	if traced {
-		m := telemetry.NewSpan(trace, localNode, telemetry.EventLocalMatch)
-		m.Hits = len(hits)
-		m.Dur = time.Since(start)
-		spans = append(spans, m)
-		telemetry.FlightRecorder().RecordTrace(telemetry.TraceRecord{
-			ID: trace, Node: localNode, Start: start, Dur: time.Since(start),
-			Hits: len(hits), Sampled: sampled, Spans: spans,
-		})
-	}
-	return discovery.Result{Hits: hits, Trace: trace, Spans: spans}, nil
+	return s.node.DiscoverResult(ctx, doc)
 }
 
 // run serves both front ends until one fails or ctx is cancelled, and

@@ -46,10 +46,14 @@ func testConfig(t testing.TB) config {
 	return cfg
 }
 
-// bootServer boots a daemon from cfg the way main does and closes it with
-// the test.
+// bootServer boots a daemon from cfg the way main does — validated first,
+// so a config main would refuse fails the test — and closes it with the
+// test.
 func bootServer(t testing.TB, cfg config) *server {
 	t.Helper()
+	if _, err := cfg.validate(); err != nil {
+		t.Fatalf("config refused: %v", err)
+	}
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -221,7 +221,9 @@ func (b *SemanticBackend) answer(doc []byte) (svc *profile.Service, hits []Hit, 
 }
 
 // Query returns the hits of Resolve, for callers with no peer to ask for
-// the rest.
+// the rest. Its one caller outside tests is bench/e2e's layer ladder
+// (ladder.go), which times it as a layer; a daemon, standalone or not,
+// answers through Node, and so through Resolve.
 func (b *SemanticBackend) Query(doc []byte) ([]Hit, error) {
 	_, hits, _, err := b.answer(doc)
 	return hits, err

@@ -251,6 +251,9 @@ type forwardState struct {
 type aggregation struct {
 	origin   transport.Addr
 	originID uint64
+	// reply, set when the query is this node's own client's, takes the
+	// final reply in place of a send to origin.
+	reply    chan QueryReply
 	trace    uint64
 	doc      []byte // the forwarded remainder, kept for retransmissions
 	deadline time.Time
@@ -792,51 +795,53 @@ func (n *Node) onSummary(s SummaryPush, hops int) {
 	}
 }
 
-// onQuery is the directory-side request path: local discovery first; what
-// of an origin query the local store left unanswered fans out to the peers
-// whose Bloom summaries pass (Section 4, Figure 6). The backend reads the
-// document, once; this shell only routes what it returns.
+// onQuery serves, on the loop, a query that arrived over the backbone: a
+// peer's forward or a member's origin query. A forward is acked first; the
+// rest is resolve's, and what it answers at once is sent from here.
 func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
-	var spans []telemetry.Span
-	if q.Trace != 0 {
-		s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventReceived)
-		s.Peer = string(from)
-		spans = append(spans, s)
-	}
 	if q.Forwarded {
 		// Ack first, before the possibly slow match: the aggregator needs
 		// a fast liveness signal to steer hedging and eviction.
 		_ = n.ep.Send(from, ForwardAck{ID: q.ID, From: n.ID()})
 	}
-	n.mu.Lock()
-	isDir := n.elect.Role() == election.Directory
-	n.mu.Unlock()
-	if !isDir {
+	if to, rep, pending := n.resolve(from, q, nil); !pending {
+		_ = n.ep.Send(to, rep)
+	}
+}
+
+// resolve is a directory's part in one query (Section 4, Figure 6): the
+// backend reads the document once and answers what it can; a forward gets
+// that alone, and what is left of an origin query goes to the peers whose
+// summaries pass. The reply for to comes back now unless pending, when the
+// aggregation delivers it: into reply if set, else to the origin. It runs
+// on the loop for backbone traffic and on the caller's goroutine for the
+// node's own client, so it touches node state only under mu.
+func (n *Node) resolve(from transport.Addr, q QueryRequest, reply chan QueryReply) (to transport.Addr, rep QueryReply, pending bool) {
+	var spans []telemetry.Span
+	if q.Trace != 0 {
+		spans = append(spans, n.span(q.Trace, telemetry.EventReceived, from))
+	}
+	if n.Role() != election.Directory {
 		if q.Forwarded {
 			// A demoted peer answers partial so the aggregator settles the
 			// forward instead of retrying into a node that cannot serve.
-			_ = n.ep.Send(from, QueryReply{ID: q.ID, From: n.ID(), Partial: true, Err: ErrNotDirectory.Error(), Spans: spans})
-			return
+			return from, QueryReply{ID: q.ID, From: n.ID(), Partial: true, Err: ErrNotDirectory.Error(), Spans: spans}, false
 		}
-		n.replyQuery(q, from, nil, ErrNotDirectory.Error(), spans)
-		return
+		return from, n.finalReply(q, from, nil, ErrNotDirectory.Error(), spans), false
 	}
-
 	matchStart := time.Now()
 	hits, rest, keys, err := n.backend.Resolve(q.Doc)
 	matchDur := time.Since(matchStart)
 	localMatchSeconds.Observe(matchDur)
 	if err != nil {
-		n.replyQuery(q, from, nil, err.Error(), spans)
-		return
+		return from, n.finalReply(q, from, nil, err.Error(), spans), false
 	}
 	for i := range hits {
 		hits[i].Directory = string(n.ID())
 	}
 	if q.Trace != 0 {
-		s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventLocalMatch)
-		s.Hits = len(hits)
-		s.Dur = matchDur
+		s := n.span(q.Trace, telemetry.EventLocalMatch, "")
+		s.Hits, s.Dur = len(hits), matchDur
 		spans = append(spans, s)
 	}
 	n.mu.Lock()
@@ -845,18 +850,12 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	queriesServedTotal.Inc()
 
 	if q.Forwarded {
-		if q.Trace != 0 {
-			s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventReply)
-			s.Peer = string(from)
-			s.Hits = len(hits)
-			spans = append(spans, s)
-		}
-		_ = n.ep.Send(from, QueryReply{ID: q.ID, From: n.ID(), Partial: true, Hits: hits, Spans: spans})
-		return
+		rep = n.finalReply(q, from, hits, "", spans)
+		rep.Partial = true
+		return from, rep, false
 	}
 	if rest == nil {
-		n.replyQuery(q, q.Origin, hits, "", spans)
-		return
+		return q.Origin, n.finalReply(q, q.Origin, hits, "", spans), false
 	}
 
 	// Figure 6, step 3: forward what the local store could not answer to
@@ -865,19 +864,14 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	updateBloomFPR()
 	if q.Trace != 0 {
 		for _, id := range pruned {
-			s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventBloomPrune)
-			s.Peer = string(id)
-			spans = append(spans, s)
+			spans = append(spans, n.span(q.Trace, telemetry.EventBloomPrune, id))
 		}
 		for _, id := range targets {
-			s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventForward)
-			s.Peer = string(id)
-			spans = append(spans, s)
+			spans = append(spans, n.span(q.Trace, telemetry.EventForward, id))
 		}
 	}
 	if len(targets) == 0 {
-		n.replyQuery(q, q.Origin, hits, "", spans)
-		return
+		return q.Origin, n.finalReply(q, q.Origin, hits, "", spans), false
 	}
 	now := time.Now()
 	n.mu.Lock()
@@ -886,6 +880,7 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	agg := &aggregation{
 		origin:   q.Origin,
 		originID: q.ID,
+		reply:    reply,
 		trace:    q.Trace,
 		doc:      rest,
 		deadline: now.Add(n.cfg.QueryTimeout),
@@ -911,6 +906,15 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	for _, id := range targets {
 		_ = n.ep.Send(id, QueryRequest{ID: fwdID, Origin: n.ID(), Forwarded: true, Trace: q.Trace, Doc: rest})
 	}
+	return "", QueryReply{}, true
+}
+
+// span starts a span of this node's in a traced query, naming the peer
+// involved (none for a local match).
+func (n *Node) span(trace uint64, event string, peer transport.Addr) telemetry.Span {
+	s := telemetry.NewSpan(trace, string(n.ID()), event)
+	s.Peer = string(peer)
+	return s
 }
 
 // selectForwardTargets picks peer directories for an unresolved query:
@@ -1079,9 +1083,7 @@ func (n *Node) maintainAggregationsLocked(now time.Time) (resends []outMsg, fini
 			n.stats.ForwardRetries++
 			forwardRetriesTotal.Inc()
 			if agg.trace != 0 {
-				s := telemetry.NewSpan(agg.trace, string(n.ID()), telemetry.EventRetry)
-				s.Peer = string(peer)
-				agg.spans = append(agg.spans, s)
+				agg.spans = append(agg.spans, n.span(agg.trace, telemetry.EventRetry, peer))
 			}
 			resends = append(resends, outMsg{to: peer, payload: QueryRequest{
 				ID: id, Origin: n.ID(), Forwarded: true, Trace: agg.trace, Doc: agg.doc,
@@ -1128,9 +1130,7 @@ func (n *Node) hedgeLocked(agg *aggregation, id uint64, now time.Time) *outMsg {
 		forwardHedgesTotal.Inc()
 		forwardsSentTotal.Inc()
 		if agg.trace != 0 {
-			s := telemetry.NewSpan(agg.trace, string(n.ID()), telemetry.EventHedge)
-			s.Peer = string(peer)
-			agg.spans = append(agg.spans, s)
+			agg.spans = append(agg.spans, n.span(agg.trace, telemetry.EventHedge, peer))
 		}
 		return &outMsg{to: peer, payload: QueryRequest{
 			ID: id, Origin: n.ID(), Forwarded: true, Trace: agg.trace, Doc: agg.doc,
@@ -1150,8 +1150,7 @@ func (n *Node) giveUpForwardLocked(agg *aggregation, peer transport.Addr, fs *fo
 	forwardGiveupsTotal.Inc()
 	agg.unreachable = append(agg.unreachable, peer)
 	if agg.trace != 0 {
-		s := telemetry.NewSpan(agg.trace, string(n.ID()), telemetry.EventUnreach)
-		s.Peer = string(peer)
+		s := n.span(agg.trace, telemetry.EventUnreach, peer)
 		s.Reason = reason
 		agg.spans = append(agg.spans, s)
 	}
@@ -1171,16 +1170,9 @@ func (n *Node) giveUpForwardLocked(agg *aggregation, peer transport.Addr, fs *fo
 	}
 }
 
-// finishAggregation sends the collected hits to the origin client,
+// finishAggregation delivers the collected hits to the origin client,
 // carrying the unreachable-peers marker when forwards were abandoned.
 func (n *Node) finishAggregation(agg *aggregation) {
-	spans := agg.spans
-	if agg.trace != 0 {
-		s := telemetry.NewSpan(agg.trace, string(n.ID()), telemetry.EventReply)
-		s.Peer = string(agg.origin)
-		s.Hits = len(agg.hits)
-		spans = append(spans, s)
-	}
 	sort.Slice(agg.unreachable, func(i, j int) bool { return agg.unreachable[i] < agg.unreachable[j] })
 	if len(agg.unreachable) > 0 {
 		n.mu.Lock()
@@ -1188,21 +1180,23 @@ func (n *Node) finishAggregation(agg *aggregation) {
 		n.mu.Unlock()
 		partialRepliesTotal.Inc()
 	}
-	_ = n.ep.Send(agg.origin, QueryReply{
-		ID: agg.originID, From: n.ID(), Hits: agg.hits,
-		Unreachable: agg.unreachable, Spans: spans,
-	})
+	rep := n.finalReply(QueryRequest{ID: agg.originID, Trace: agg.trace}, agg.origin, agg.hits, "", agg.spans)
+	rep.Unreachable = agg.unreachable
+	if agg.reply != nil {
+		agg.reply <- rep
+		return
+	}
+	_ = n.ep.Send(agg.origin, rep)
 }
 
-// replyQuery sends a final reply toward the origin.
-func (n *Node) replyQuery(q QueryRequest, to transport.Addr, hits []Hit, errStr string, spans []telemetry.Span) {
+// finalReply is the reply to q for to, its trace closed by a reply span.
+func (n *Node) finalReply(q QueryRequest, to transport.Addr, hits []Hit, errStr string, spans []telemetry.Span) QueryReply {
 	if q.Trace != 0 {
-		s := telemetry.NewSpan(q.Trace, string(n.ID()), telemetry.EventReply)
-		s.Peer = string(to)
+		s := n.span(q.Trace, telemetry.EventReply, to)
 		s.Hits = len(hits)
 		spans = append(spans, s)
 	}
-	_ = n.ep.Send(to, QueryReply{ID: q.ID, From: n.ID(), Hits: hits, Err: errStr, Spans: spans})
+	return QueryReply{ID: q.ID, From: n.ID(), Hits: hits, Err: errStr, Spans: spans}
 }
 
 // Publish registers a service advertisement document with this node's
@@ -1382,35 +1376,53 @@ func (n *Node) discover(ctx context.Context, doc []byte, trace uint64) (Result, 
 		}
 	}
 	n.nextID++
-	id := n.nextID
+	q := QueryRequest{ID: n.nextID, Origin: n.ID(), Trace: trace, Doc: doc}
 	ch := make(chan QueryReply, 1)
-	n.queryWait[id] = ch
+	if dir != q.Origin {
+		n.queryWait[q.ID] = ch
+	}
 	n.mu.Unlock()
 	if sampled {
 		tracesSampledTotal.Inc()
 	}
 
 	start := time.Now()
-	if err := n.ep.Send(dir, QueryRequest{ID: id, Origin: n.ID(), Trace: trace, Doc: doc}); err != nil {
-		n.mu.Lock()
-		delete(n.queryWait, id)
-		n.mu.Unlock()
+	rep, err := n.ask(ctx, dir, q, ch)
+	if err != nil {
 		return Result{}, err
+	}
+	telemetry.SortSpans(rep.Spans)
+	res := Result{Hits: rep.Hits, Trace: trace, Spans: rep.Spans, Unreachable: rep.Unreachable}
+	n.retainQuery(trace, sampled, start, res)
+	if rep.Err != "" {
+		return Result{Trace: trace, Spans: rep.Spans}, fmt.Errorf("discovery: query failed: %s", rep.Err)
+	}
+	return res, nil
+}
+
+// ask takes an origin query to its directory and returns the final reply.
+// A directory resolves its own client's query right here, so the inbox
+// never holds it; only a forward's answers come back through the loop. A
+// member sends to its directory. Whatever comes later arrives on ch.
+func (n *Node) ask(ctx context.Context, dir transport.Addr, q QueryRequest, ch chan QueryReply) (QueryReply, error) {
+	if dir == q.Origin {
+		if _, rep, pending := n.resolve(dir, q, ch); !pending {
+			return rep, nil
+		}
+	} else if err := n.ep.Send(dir, q); err != nil {
+		n.mu.Lock()
+		delete(n.queryWait, q.ID)
+		n.mu.Unlock()
+		return QueryReply{}, err
 	}
 	select {
 	case rep := <-ch:
-		telemetry.SortSpans(rep.Spans)
-		res := Result{Hits: rep.Hits, Trace: trace, Spans: rep.Spans, Unreachable: rep.Unreachable}
-		n.retainQuery(trace, sampled, start, res)
-		if rep.Err != "" {
-			return Result{Trace: trace, Spans: rep.Spans}, fmt.Errorf("discovery: query failed: %s", rep.Err)
-		}
-		return res, nil
+		return rep, nil
 	case <-ctx.Done():
 		n.mu.Lock()
-		delete(n.queryWait, id)
+		delete(n.queryWait, q.ID)
 		n.mu.Unlock()
-		return Result{}, ctx.Err()
+		return QueryReply{}, ctx.Err()
 	}
 }
 

@@ -217,7 +217,9 @@ func (t *TCP) deliverLocked(msg Message) {
 // Send implements Endpoint: the frame is queued for the peer's writer
 // goroutine, which dials on first use and reuses the connection after.
 // A full queue drops the frame — retries and leases up in discovery are
-// the recovery story, exactly as for datagram loss.
+// the recovery story, exactly as for datagram loss. A send to this node's
+// own address goes straight to the inbox, as over UDP: that is how a
+// directory's own Publish and Deregister reach it.
 func (t *TCP) Send(to Addr, payload any) error {
 	if to == t.self {
 		t.mu.Lock()

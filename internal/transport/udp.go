@@ -32,8 +32,9 @@ type UDPConfig struct {
 // wrapped in the frame.go envelope. Peers are the configured seeds plus
 // every address a valid frame ever arrived from, so the mesh fills in as
 // daemons announce themselves. Sends to this node's own address bypass
-// the socket and go straight to the inbox, which is how a federated
-// directory queries itself.
+// the socket and go straight to the inbox: that is how a directory's
+// Publish and Deregister reach its own directory. Its queries never take
+// that way.
 type UDP struct {
 	conn  *net.UDPConn
 	codec Codec
@@ -162,8 +163,8 @@ func (u *UDP) deliverLocked(msg Message) {
 }
 
 // Send implements Endpoint. Sending to this node's own address delivers
-// straight to the inbox (zero hops, no serialization), matching how a
-// directory node addresses itself through the protocol.
+// straight to the inbox (zero hops, no serialization), which is how a
+// directory's own Publish and Deregister reach it.
 func (u *UDP) Send(to Addr, payload any) error {
 	if to == u.self {
 		u.mu.Lock()
