@@ -429,7 +429,8 @@ func runServices(w io.Writer, addr, name, token string, limit int, timeout time.
 				Version uint64 `json:"version"`
 			} `json:"versions"`
 		}
-		if err := getJSON(addr, "/services/"+name, token, timeout, &hist); err != nil {
+		// A namespaced name (tenant/name) is one path segment: escaped.
+		if err := getJSON(addr, "/services/"+url.PathEscape(name), token, timeout, &hist); err != nil {
 			return err
 		}
 		state := "live"

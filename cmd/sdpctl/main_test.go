@@ -250,6 +250,10 @@ func TestRunServices(t *testing.T) {
 			w.Write([]byte(`{"services":[{"name":"PrinterService","version":1}],"next_cursor":"","total":3}`))
 		case r.URL.Path == "/services/MediaWorkstation":
 			w.Write([]byte(`{"name":"MediaWorkstation","live":true,"versions":[{"version":1},{"version":2},{"version":3}]}`))
+		case r.URL.EscapedPath() == "/services/alice%2Fws":
+			// A namespaced name is one path segment, its slash escaped; the
+			// daemon's mux answers the unescaped path with a 404.
+			w.Write([]byte(`{"name":"alice/ws","live":false,"versions":[{"version":1}]}`))
 		default:
 			http.NotFound(w, r)
 		}
@@ -275,6 +279,14 @@ func TestRunServices(t *testing.T) {
 	out = b.String()
 	if !strings.Contains(out, "live, 3 version(s)") || !strings.Contains(out, "v3  (current)") {
 		t.Fatalf("history view wrong:\n%s", out)
+	}
+
+	b.Reset()
+	if err := runServices(&b, addr, "alice/ws", "tok123", 0, time.Second); err != nil {
+		t.Fatalf("namespaced name: %v", err)
+	}
+	if out = b.String(); !strings.Contains(out, "alice/ws: withdrawn, 1 version(s)") {
+		t.Fatalf("namespaced history view wrong:\n%s", out)
 	}
 
 	if err := runServices(&b, addr, "NoSuchService", "tok123", 0, time.Second); err == nil || !strings.Contains(err.Error(), "404") {

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"sariadne/internal/profile"
 	"sariadne/internal/sdpapi"
+	"sariadne/internal/store/memstore"
 	"sariadne/internal/testutil"
 )
 
@@ -124,6 +127,49 @@ func TestPublishBurstAcrossThreeDaemons(t *testing.T) {
 			}
 			return false
 		}, "%s's view of A never reached %d entries", name, want)
+	}
+}
+
+// TestProtocolRegisterRacingAPublish: a federated daemon's node registers
+// what backbone nodes send it straight into the directory, without the
+// daemon's lock. One that lands while a client's re-publish of the same
+// name is parked in its append takes the version number the publish looked
+// up; the publish then fails loudly rather than list that number twice,
+// and the name keeps rising numbers and the registration that got in.
+func TestProtocolRegisterRacingAPublish(t *testing.T) {
+	st := &blockingStore{Store: memstore.New(), release: make(chan struct{})}
+	cfg := federatedConfig(t, "udp")
+	cfg.store = st
+	s := bootServer(t, cfg)
+	if resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "ws")}); !resp.OK || resp.Version != 1 {
+		t.Fatalf("register: %+v", resp)
+	}
+
+	entered := make(chan struct{})
+	st.entered = entered
+	published := make(chan sdpapi.Response, 1)
+	go func() { published <- s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "ws")}) }()
+	<-entered
+	svc := profile.WorkstationService()
+	svc.Name, svc.Provider = "ws", "backbone-host"
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := s.fed.node.Publish(ctx, []byte(mustDoc(t, svc)))
+	close(st.release)
+	if err != nil {
+		t.Fatalf("protocol register while the publish is parked: %v", err)
+	}
+	if resp := <-published; resp.OK || resp.Code != sdpapi.CodeInternal || !strings.Contains(resp.Error, "stale version") {
+		t.Fatalf("the publish whose number was taken answered %+v, want an internal stale-version error", resp)
+	}
+	h := historyOf(t, s, "", "ws")
+	if h == nil || !h.Live || len(h.Versions) != 2 || h.Versions[0].Version != 1 || h.Versions[1].Version != 2 ||
+		!strings.Contains(h.Versions[1].Doc, "backbone-host") {
+		t.Fatalf("history after the race: %+v, want versions 1 and 2, the protocol registration's current", h)
+	}
+	// The next publish takes the number after the protocol's.
+	if resp := s.handle(sdpapi.Request{Op: "register", Doc: namedDoc(t, "ws")}); !resp.OK || resp.Version != 3 {
+		t.Fatalf("publish after the race: %+v, want version 3", resp)
 	}
 }
 

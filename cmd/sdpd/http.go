@@ -41,6 +41,9 @@ import (
 //	GET  /debug/vars                                 -> 200 expvar-style JSON snapshot
 //	GET  /debug/pprof/*     (only with -pprof)       -> net/http/pprof
 //
+// {name} is one path segment: a namespaced name travels with its slash
+// escaped (/services/alice%2Fws is alice/ws).
+//
 // On a daemon with admission enabled (-auth-tokens / -auth-secret) every
 // endpoint reads the bearer credential from the Authorization header;
 // denials map onto 401 (unauthenticated), 403 (forbidden) and 429 (rate
@@ -120,7 +123,7 @@ func bearerToken(r *http.Request) string {
 	return ""
 }
 
-// authorize gates the handlers that read server state directly instead of
+// authorize gates the handlers that read the directory directly instead of
 // dispatching an op (the paginated listing, the version ledger): they
 // authenticate exactly like dispatched ops, so an enforcing daemon has no
 // anonymous side door.
@@ -164,10 +167,42 @@ func (g *httpGateway) postServices(w http.ResponseWriter, r *http.Request) {
 	g.dispatch(w, sdpapi.Request{Op: sdpapi.OpRegister, Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
 }
 
-// getServices pages through the live advertisements: GET
+// serviceEntry is one row of a GET /services page.
+type serviceEntry struct {
+	Name    string `json:"name"`
+	Version uint64 `json:"version"`
+}
+
+// servicesPage is the paginated live-advertisement listing.
+type servicesPage struct {
+	Services []serviceEntry `json:"services"`
+	// NextCursor is the value to pass as ?cursor= for the following page;
+	// empty when this page is the last.
+	NextCursor string `json:"next_cursor,omitempty"`
+	// Total is the full live-advertisement count, independent of paging.
+	Total int `json:"total"`
+}
+
+// advertVersion is one published version of an advertisement.
+type advertVersion struct {
+	Version uint64 `json:"version"`
+	Doc     string `json:"doc,omitempty"`
+}
+
+// advertHistory is one name's ledger as GET /services/{name} serves it:
+// every version number, with the document on the current version of a live
+// name and on no other.
+type advertHistory struct {
+	Name     string          `json:"name"`
+	Live     bool            `json:"live"`
+	Versions []advertVersion `json:"versions"`
+}
+
+// getServices pages through the live advertisements in name order: GET
 // /services?limit=N&cursor={last-name}. The cursor is the last name of
 // the previous page; an empty next_cursor in the reply means the listing
-// is complete.
+// is complete. It reads the directory, which locks for itself, and waits
+// for no request in progress.
 func (g *httpGateway) getServices(w http.ResponseWriter, r *http.Request) {
 	if !g.authorize(w, r) {
 		return
@@ -181,26 +216,40 @@ func (g *httpGateway) getServices(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, 500)
 	}
-	cursor := r.URL.Query().Get("cursor")
-	g.srv.mu.Lock()
-	page := g.srv.listServicesLocked(limit, cursor)
-	g.srv.mu.Unlock()
+	names, versions, total := g.srv.backend.Directory().Page(r.URL.Query().Get("cursor"), limit)
+	page := servicesPage{Services: make([]serviceEntry, len(names)), Total: total}
+	for i, name := range names {
+		page.Services[i] = serviceEntry{Name: name, Version: versions[i]}
+	}
+	// A full page always returns a cursor — even when it happens to be the
+	// final page. The client's next probe comes back empty and cursorless,
+	// which is the unambiguous end-of-listing signal; keying the cursor off
+	// the names left made an exactly-full final page indistinguishable from
+	// a truncated listing.
+	if len(names) == limit {
+		page.NextCursor = names[limit-1]
+	}
 	g.writeJSON(w, http.StatusOK, page)
 }
 
 // getService serves one advertisement's version ledger, withdrawn
-// versions included.
+// versions included, off the directory like getServices.
 func (g *httpGateway) getService(w http.ResponseWriter, r *http.Request) {
 	if !g.authorize(w, r) {
 		return
 	}
 	name := r.PathValue("name")
-	g.srv.mu.Lock()
-	h := g.srv.serviceHistoryLocked(name)
-	g.srv.mu.Unlock()
-	if h == nil {
+	versions, doc, live := g.srv.backend.Directory().History(name)
+	if versions == nil {
 		http.Error(w, fmt.Sprintf("service %q never registered", name), http.StatusNotFound)
 		return
+	}
+	h := advertHistory{Name: name, Live: live, Versions: make([]advertVersion, len(versions))}
+	for i, v := range versions {
+		h.Versions[i].Version = v
+	}
+	if live {
+		h.Versions[len(versions)-1].Doc = doc
 	}
 	g.writeJSON(w, http.StatusOK, h)
 }

@@ -14,6 +14,7 @@ import (
 	"sariadne/internal/codes"
 	"sariadne/internal/profile"
 	"sariadne/internal/sdpapi"
+	"sariadne/internal/tenant"
 	"sariadne/internal/testutil"
 )
 
@@ -29,6 +30,55 @@ func serveGateway(t *testing.T, cfg config) (*httptest.Server, *server) {
 func newGatewayServer(t *testing.T) (*httptest.Server, *server) {
 	t.Helper()
 	return serveGateway(t, testConfig(t))
+}
+
+// serveInProcess has s's HTTP gateway serve one request in process, with
+// token as the bearer credential when set.
+func serveInProcess(s *server, method, path, body, token string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	rec := httptest.NewRecorder()
+	newHTTPGateway(s, false).ServeHTTP(rec, req)
+	return rec
+}
+
+// gatewayGet serves GET path in process and decodes a 200 reply into v. It
+// reports false on a 404 and fails the test on any other status.
+func gatewayGet(tb testing.TB, s *server, token, path string, v any) bool {
+	tb.Helper()
+	rec := serveInProcess(s, http.MethodGet, path, "", token)
+	switch rec.Code {
+	case http.StatusOK:
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			tb.Fatalf("GET %s: %v", path, err)
+		}
+		return true
+	case http.StatusNotFound:
+		return false
+	}
+	tb.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
+	return false
+}
+
+// historyOf reads one name's version ledger off GET /services/{name}: nil
+// for a name never registered.
+func historyOf(tb testing.TB, s *server, token, name string) *advertHistory {
+	tb.Helper()
+	var h advertHistory
+	if !gatewayGet(tb, s, token, "/services/"+url.PathEscape(name), &h) {
+		return nil
+	}
+	return &h
+}
+
+// pageOf reads one page of GET /services.
+func pageOf(tb testing.TB, s *server, token string, limit int, cursor string) servicesPage {
+	tb.Helper()
+	var page servicesPage
+	gatewayGet(tb, s, token, fmt.Sprintf("/services?limit=%d&cursor=%s", limit, url.QueryEscape(cursor)), &page)
+	return page
 }
 
 func do(t *testing.T, method, url, body string) (*http.Response, string) {
@@ -234,6 +284,34 @@ func TestHTTPServicesListing(t *testing.T) {
 	}
 	if resp, _ := do(t, "GET", ts.URL+"/services?limit=zero", ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad limit = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPNamespacedServicePath: a tenant-namespaced name holds a slash, so
+// it rides the path escaped, as one segment. GET and DELETE of
+// /services/alice%2Fws act on alice/ws, where /services/alice/ws is no
+// route at all.
+func TestHTTPNamespacedServicePath(t *testing.T) {
+	s := enforcingServer(t, tenant.Config{})
+	authed := func(method, path, body string) (int, string) {
+		rec := serveInProcess(s, method, path, body, "ta")
+		return rec.Code, rec.Body.String()
+	}
+	if code, body := authed("POST", "/services", namedDoc(t, "alice/ws")); code != http.StatusCreated {
+		t.Fatalf("POST /services = %d: %s", code, body)
+	}
+	if code, _ := authed("GET", "/services/alice/ws", ""); code != http.StatusNotFound {
+		t.Fatalf("GET of the unescaped path = %d, want the mux's 404", code)
+	}
+	code, body := authed("GET", "/services/alice%2Fws", "")
+	if code != http.StatusOK || !strings.Contains(body, `"name":"alice/ws"`) || !strings.Contains(body, `"live":true`) {
+		t.Fatalf("GET /services/alice%%2Fws = %d: %s", code, body)
+	}
+	if code, body := authed("DELETE", "/services/alice%2Fws", ""); code != http.StatusOK {
+		t.Fatalf("DELETE /services/alice%%2Fws = %d: %s", code, body)
+	}
+	if code, body := authed("GET", "/services/alice%2Fws", ""); code != http.StatusOK || !strings.Contains(body, `"live":false`) {
+		t.Fatalf("GET after the withdrawal = %d: %s", code, body)
 	}
 }
 

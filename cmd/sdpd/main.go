@@ -164,20 +164,16 @@ type wiring struct {
 	closers []func()
 }
 
-// server is the directory node state: the immutable wiring, and the
-// advertisement ledger behind one mutex. Both front ends call handle with
-// a decoded sdpapi.Request, and process runs every one under mu. What mu
-// adds to parts that synchronize themselves is the ledger and the order of
-// a mutation — admit, persist, apply, refresh — so that store, ledger,
-// version sequence and backend never disagree. Queries take it as well;
-// they need not.
+// server is the directory node: the immutable wiring and one mutex. Both
+// front ends call handle with a decoded sdpapi.Request, and process runs
+// every one under mu. mu guards no field — the parts synchronize
+// themselves, and the version numbers live in the directory's record of
+// each name — but the order of a mutation: admit, persist, apply, refresh,
+// so that store, version sequence and backend never disagree. Queries take
+// it as well; they need not.
 type server struct {
 	wiring
 	mu sync.Mutex
-	// adverts is the advertisement version ledger: every version number
-	// published under each name, live or withdrawn, and the live names'
-	// current documents, behind GET /services.
-	adverts map[string]*advertLedger // guarded by mu
 	// httpLive records that the configured HTTP gateway is currently bound
 	// and serving; the health probe compares it with the configuration.
 	httpLive  atomic.Bool
@@ -198,7 +194,7 @@ const (
 func newServer(cfg config) (_ *server, err error) {
 	logger := slog.Default()
 	reg := codes.NewRegistry()
-	s := &server{adverts: make(map[string]*advertLedger), wiring: wiring{
+	s := &server{wiring: wiring{
 		cfg:     cfg,
 		reg:     reg,
 		backend: discovery.NewSemanticBackend(reg),
@@ -538,20 +534,20 @@ func (s *server) process(req sdpapi.Request) sdpapi.Response {
 			return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeBadRequest}
 		}
 		// The name leaves the request here — for the record, and through it
-		// the store's key directory, the ledger and the gate's tables, all
-		// of which outlive this version of the document — so it leaves in
-		// a string of its own: ad.Name() is a piece of req.Doc, and a table
-		// keyed by it would hold that document for as long as the key.
-		name := s.ownNameLocked(ad.Name())
-		if err := s.gate.AdmitPublish(id, name, !s.liveLocked(name)); err != nil {
+		// the store's key directory, the directory's record of the name and
+		// the gate's tables, all of which outlive this version of the
+		// document — so it leaves in a string of its own: ad.Name() is a
+		// piece of req.Doc, and a table keyed by it would hold that document
+		// for as long as the key. One lookup gives that string, whether the
+		// name is live, and the version the directory assigns: re-publishing
+		// a name supersedes the old version, which stays listable. The
+		// version is persisted with the record and returned to the publisher.
+		name, version, live := s.backend.Directory().Lookup(ad.Name())
+		if err := s.gate.AdmitPublish(id, name, !live); err != nil {
 			return denialResponse(err)
 		}
-		// The directory assigns the advertisement version: re-publishing a
-		// name supersedes the old version, which stays listable in the
-		// ledger. The assigned version is persisted with the record and
-		// returned to the publisher.
 		rec := store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name,
-			Version: s.nextVersionLocked(name), Tenant: advertOwner(name, "")}
+			Version: version, Tenant: advertOwner(name, "")}
 		if resp := s.commitLocked(rec, ad); !resp.OK {
 			return resp
 		}
@@ -648,14 +644,18 @@ func (s *server) refreshLocked() {
 
 // commitLocked makes one admitted publish or withdrawal durable, then
 // applies it the way replay will. Persist comes before every in-memory
-// change: a failed append leaves directory, ledger, version sequence and
-// tenant live count exactly as they were. ad is the advertisement already
-// prepared from rec.Doc (nil for a withdrawal): a publish stays one parse.
+// change: a failed append leaves the directory, version sequence included,
+// and the tenant live count exactly as they were. ad is the advertisement
+// already prepared from rec.Doc (nil for a withdrawal): a publish stays one
+// parse. A failed apply leaves a durable record that memory lacks until the
+// next replay: a federated node's registration took the version the
+// publish looked up, and Adopt refused it as a stale version.
 func (s *server) commitLocked(rec store.Record, ad *discovery.Advert) sdpapi.Response {
 	if err := s.persistLocked(rec); err != nil {
 		return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 	}
 	if err := s.applyLocked(rec, ad); err != nil {
+		s.log.Error("persisted record not applied", "op", rec.Op, "name", rec.Name, "version", rec.Version, "err", err)
 		return sdpapi.Response{Error: err.Error(), Code: sdpapi.CodeInternal}
 	}
 	s.refreshLocked()

@@ -78,9 +78,7 @@ func TestFailedAppendChangesNothing(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /services = %d, %v", resp.StatusCode, err)
 		}
-		s.mu.Lock()
-		h := s.serviceHistoryLocked("alice/ws")
-		s.mu.Unlock()
+		h := historyOf(t, s, "ta", "alice/ws")
 		live := 0
 		for _, row := range s.gate.Tenants() {
 			if row.Tenant == "alice" {
@@ -243,22 +241,34 @@ func TestLiveAndReplayAgree(t *testing.T) {
 	if got, want := replayed.backend.Len(), live.backend.Len(); got != want || want == 0 {
 		t.Fatalf("capabilities: replayed %d, live %d", got, want)
 	}
-	if !reflect.DeepEqual(replayed.adverts, live.adverts) {
-		t.Fatalf("ledgers differ:\n replayed %+v\n live     %+v", replayed.adverts, live.adverts)
+	names := []string{"alice/a", "alice/b", "alice/c", "root/d"}
+	ledger := ledgerOf(t, live, "tb", names...)
+	if got := ledgerOf(t, replayed, "tb", names...); !reflect.DeepEqual(got, ledger) {
+		t.Fatalf("ledgers differ:\n replayed %+v\n live     %+v", got, ledger)
 	}
-	if l := live.adverts["alice/a"]; !l.live || len(l.versions) != 3 || live.adverts["alice/b"].live {
-		t.Fatalf("ledger after the script: %+v", live.adverts)
+	if a := ledger["alice/a"]; !a.Live || len(a.Versions) != 3 || ledger["alice/b"].Live || len(ledger) != 4 {
+		t.Fatalf("ledger after the script: %+v", ledger)
+	}
+	// The listing is the whole live set, so a name live on one side only
+	// shows here. A withdrawn name outside the script would show in neither
+	// the listing nor the histories read above: the GET surface cannot
+	// enumerate withdrawn names, and replay applies only the store's records.
+	listing := pageOf(t, live, "tb", 500, "")
+	if got := pageOf(t, replayed, "tb", 500, ""); !reflect.DeepEqual(got, listing) || listing.Total != 2 {
+		t.Fatalf("listings differ:\n replayed %+v\n live     %+v", got, listing)
 	}
 }
 
-// ledgerOf renders a server's whole ledger as GET /services/{name} would
-// serve it, name by name.
-func ledgerOf(s *server) map[string]advertHistory {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]advertHistory, len(s.adverts))
-	for name := range s.adverts {
-		out[name] = *s.serviceHistoryLocked(name)
+// ledgerOf renders the ledger of the named names as GET /services/{name}
+// serves it, name by name, reading with token; a name never registered is
+// missing.
+func ledgerOf(t *testing.T, s *server, token string, names ...string) map[string]advertHistory {
+	t.Helper()
+	out := make(map[string]advertHistory)
+	for _, name := range names {
+		if h := historyOf(t, s, token, name); h != nil {
+			out[name] = *h
+		}
 	}
 	return out
 }
@@ -281,6 +291,7 @@ func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
 		svc.Name, svc.Provider = name, fmt.Sprintf("host-rev%d", rev)
 		return mustDoc(t, svc)
 	}
+	sent := make(map[string]string) // the document of each name's last publication
 	for i, step := range []struct {
 		op, name string
 	}{
@@ -291,6 +302,7 @@ func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
 		req := sdpapi.Request{Op: step.op, Name: step.name}
 		if step.op == "register" {
 			req.Doc = docOf(step.name, i)
+			sent[step.name] = req.Doc
 		}
 		if resp := live.handle(req); !resp.OK {
 			t.Fatalf("step %d %s %s: %+v", i, step.op, step.name, resp)
@@ -301,15 +313,19 @@ func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
 		"b": {Name: "b", Live: false, Versions: []advertVersion{{Version: 1}}},
 		"c": {Name: "c", Live: true, Versions: []advertVersion{{Version: 1}, {Version: 2, Doc: docOf("c", 7)}}},
 	}
-	if got := ledgerOf(live); !reflect.DeepEqual(got, want) {
+	if got := ledgerOf(t, live, "", "a", "b", "c"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("live ledger:\n got  %+v\n want %+v", got, want)
 	}
-	// The held document is the one the backend stores, not a second copy.
-	live.mu.Lock()
-	held, stored := live.adverts["a"].doc, live.backend.Documents()["a"]
-	live.mu.Unlock()
-	if held == "" || unsafe.StringData(held) != unsafe.StringData(stored) {
-		t.Fatal("the ledger and the backend hold separate copies of the current document")
+	// The listing names every live name, so one outside the script shows.
+	wantListing := servicesPage{Services: []serviceEntry{{Name: "a", Version: 3}, {Name: "c", Version: 2}}, Total: 2}
+	if got := pageOf(t, live, "", 500, ""); !reflect.DeepEqual(got, wantListing) {
+		t.Fatalf("live listing %+v, want %+v", got, wantListing)
+	}
+	// The held document is the one the request carried, held once: the
+	// history the listing serves and the backend's documents are that string.
+	_, held, _ := live.backend.Directory().History("a")
+	if stored := live.backend.Documents()["a"]; unsafe.StringData(held) != unsafe.StringData(sent["a"]) || unsafe.StringData(stored) != unsafe.StringData(sent["a"]) {
+		t.Fatal("the ledger or the backend holds a copy of the document the request carried")
 	}
 
 	restart := func(old *server) *server {
@@ -322,14 +338,21 @@ func TestLedgerKeepsNumbersNotDocuments(t *testing.T) {
 		return s
 	}
 	replayed := restart(live)
-	if got := ledgerOf(replayed); !reflect.DeepEqual(got, want) {
+	if got := ledgerOf(t, replayed, "", "a", "b", "c"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed ledger:\n got  %+v\n want %+v", got, want)
+	}
+	if got := pageOf(t, replayed, "", 500, ""); !reflect.DeepEqual(got, wantListing) {
+		t.Fatalf("replayed listing %+v, want %+v", got, wantListing)
 	}
 
 	if err := replayed.store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	compacted := ledgerOf(restart(replayed))
+	reborn := restart(replayed)
+	if got := pageOf(t, reborn, "", 500, ""); !reflect.DeepEqual(got, wantListing) {
+		t.Fatalf("listing replayed from the compacted store %+v, want %+v", got, wantListing)
+	}
+	compacted := ledgerOf(t, reborn, "", "a", "b", "c")
 	for name, h := range want {
 		got, ok := compacted[name]
 		if !h.Live {

@@ -80,23 +80,32 @@ func (f *residentFixture) docBytes() (total int) {
 	return total
 }
 
-// versionBytes is what the ledger's version numbers take: the one thing a
-// name is meant to keep of every publication, 8 bytes each.
+// versionBytes is what the directory's version numbers take: the one thing
+// a name is meant to keep of every publication, 8 bytes each, in a list
+// grown by one append per publication. It is the capacity such a list has,
+// not the directory's own list's, which a test outside the registry cannot
+// see: whatever the directory's lists hold beyond it stays in the heap
+// figure it is subtracted from, and counts against that figure's budget.
 func (f *residentFixture) versionBytes() (total int64) {
-	f.srv.mu.Lock()
-	defer f.srv.mu.Unlock()
-	for _, l := range f.srv.adverts {
-		total += 8 * int64(cap(l.versions))
+	for _, name := range f.names {
+		versions, _, _ := f.srv.backend.Directory().History(name)
+		var grown []uint64
+		for range versions {
+			grown = append(grown, 0)
+		}
+		total += 8 * int64(cap(grown))
 	}
 	return total
 }
 
 // residentOverhead is what a stored advertisement may cost on the heap
 // beyond its own document, per shape: the largest figure this tree measures
-// (sparse 933 B, dense 927 B, durable 992 B, all under the race detector,
-// whose build adds about 30) plus 10 %. internal/gen's documents are 424
-// bytes, so an advertisement costs 1.33 KB and 1.35 KB. The tree that gave
-// every capability related to no other a graph of its own measured 1179, 974
+// (sparse 818 B, dense 814 B, durable 854 B, all under the race detector,
+// whose build adds about 10) plus 10 %. internal/gen's documents are 424
+// bytes, so an advertisement costs 1.21 KB and 1.23 KB. The tree that kept
+// the version numbers in a second table of the daemon's, beside the
+// directory's record of the name, measured 933, 927 and 992 B; the one that
+// gave every capability related to no other a graph of its own 1179, 974
 // and 1238 B; the one that held every capability DAG twice — the writer's
 // vertices and a compiled copy — and indexed the service name once for the
 // document and once for the entries 1511, 1220 and 1570 B; the one before an
@@ -104,23 +113,24 @@ func (f *residentFixture) versionBytes() (total int64) {
 // each; on the live benchmark's 704-byte documents 4.4 KB), and it kept
 // every superseded document: publishing each name five times more took it to
 // 6.6 KB.
-var residentOverhead = map[string]int64{"sparse": 1030, "dense": 1020, "durable": 1095}
+var residentOverhead = map[string]int64{"sparse": 900, "dense": 895, "durable": 940}
 
 // residentWithdrawn is what a withdrawn name may leave on the heap: the
-// largest figure measured (421 B, with a store; 334-374 B without) plus
-// 10 %. About 200 B of it is the ledger's record of the name — its own copy
-// of the name, six version numbers, a slot in the adverts map — and the rest
-// the slots the name held in the directory's service table and the store's
-// key directory, which Go maps keep when they empty and the next
-// advertisements reuse. None of it scales with the document.
-const residentWithdrawn = 465
+// largest figure measured (272 B, with a store; 215-235 B without) plus
+// 10 %. Most of it is the directory's record of the name — the record, its
+// own copy of the name, six version numbers, a slot in the service table —
+// and the rest the slot the name held in the store's key directory, which Go
+// maps keep when they empty and the next advertisements reuse. None of it
+// scales with the document. With the numbers in a table of the daemon's
+// beside the directory's it was 421 B.
+const residentWithdrawn = 300
 
 // TestResidentBytesPerAdvert is the directory's byte budget, counted on the
 // heap and so independent of the host: what a published advertisement adds
 // to the live heap is its document, once, plus a fixed overhead; the figure
 // does not grow with the directory; publishing a name again replaces what
 // the name cost instead of adding to it; and withdrawing everything gives
-// the memory back, save the ledger's record of the name.
+// the memory back, save the directory's record of the name.
 func TestResidentBytesPerAdvert(t *testing.T) {
 	for _, shape := range residentShapes {
 		t.Run(shape.name, func(t *testing.T) {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -13,9 +16,10 @@ import (
 )
 
 // These tests characterise what server.mu serialises today: every op, a
-// query included, waits for the one in progress. They count completions
-// and read goroutine stacks, never the clock, so they say the same on any
-// host. A daemon that stops taking mu in its read ops flips them.
+// query included, waits for the one in progress, and the listing endpoints,
+// which read the directory, wait for none. They count completions and read
+// goroutine stacks, never the clock, so they say the same on any host. A
+// daemon that stops taking mu in its read ops flips the first two.
 
 // blockedOnMu counts the goroutines waiting for server.mu inside process.
 func blockedOnMu() int {
@@ -137,5 +141,93 @@ func TestQueryWaitsForAnAppend(t *testing.T) {
 	}
 	if resp := <-answered; !resp.OK || len(resp.Hits) != 1 {
 		t.Fatalf("query after the append: %+v", resp)
+	}
+}
+
+// waitingForALock reports whether a goroutine running fn waits for a mutex.
+func waitingForALock(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("SemacquireMutex")) && bytes.Contains(g, []byte(fn)) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestListingDoesNotWaitForAnAppend: the two listing endpoints read the
+// directory, not the daemon under mu. While a re-publish is parked in its
+// append, GET /services and GET /services/{name} complete and show the
+// version before it; once the publish is acknowledged both show its version.
+func TestListingDoesNotWaitForAnAppend(t *testing.T) {
+	st := &blockingStore{Store: memstore.New(), release: make(chan struct{})}
+	cfg := testConfig(t)
+	cfg.store = st
+	s := bootServer(t, cfg)
+	doc := namedDoc(t, "alice/ws")
+	if resp := s.handle(sdpapi.Request{Op: "register", Doc: doc}); !resp.OK || resp.Version != 1 {
+		t.Fatalf("register: %+v", resp)
+	}
+
+	entered := make(chan struct{})
+	st.entered = entered
+	done := make(chan string, 1)
+	handleAll(s, done, sdpapi.Request{Op: "register", Doc: doc})
+	<-entered
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(st.release)
+		}
+	}
+	defer release()
+
+	get := func(path string) <-chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() { out <- serveInProcess(s, http.MethodGet, path, "", "") }()
+		return out
+	}
+	listing, history := get("/services"), get("/services/alice%2Fws")
+	var page servicesPage
+	var h advertHistory
+	for completed := 0; completed < 2; {
+		select {
+		case rec := <-listing:
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+				t.Fatalf("GET /services = %d: %s", rec.Code, rec.Body)
+			}
+			completed++
+		case rec := <-history:
+			if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+				t.Fatalf("GET /services/alice%%2Fws = %d: %s", rec.Code, rec.Body)
+			}
+			completed++
+		default:
+			if waitingForALock("(*httpGateway).getService") {
+				release()
+				t.Fatal("a listing waited for the publish parked in its append")
+			}
+			runtime.Gosched()
+		}
+	}
+	if len(page.Services) != 1 || page.Services[0] != (serviceEntry{Name: "alice/ws", Version: 1}) ||
+		!h.Live || len(h.Versions) != 1 || h.Versions[0].Version != 1 {
+		t.Fatalf("while the re-publish is parked: listing %+v, history %+v; want version 1", page, h)
+	}
+	if len(done) != 0 {
+		t.Fatal("the re-publish completed while its append was blocked")
+	}
+
+	release()
+	if op := <-done; op != "register" {
+		t.Fatalf("completed %s, want the register", op)
+	}
+	if page := pageOf(t, s, "", 10, ""); len(page.Services) != 1 || page.Services[0].Version != 2 {
+		t.Fatalf("listing after the acknowledged re-publish: %+v", page)
+	}
+	if h := historyOf(t, s, "", "alice/ws"); h == nil || len(h.Versions) != 2 || h.Versions[1].Version != 2 {
+		t.Fatalf("history after the acknowledged re-publish: %+v", h)
 	}
 }

@@ -74,10 +74,7 @@ func TestStorePersistAndReplay(t *testing.T) {
 			}
 			// The version ledger recovered too: live workstation, withdrawn
 			// transient with its history intact.
-			s2.mu.Lock()
-			ws := s2.serviceHistoryLocked("MediaWorkstation")
-			tr := s2.serviceHistoryLocked("Transient")
-			s2.mu.Unlock()
+			ws, tr := historyOf(t, s2, "", "MediaWorkstation"), historyOf(t, s2, "", "Transient")
 			if ws == nil || !ws.Live || len(ws.Versions) != 1 || ws.Versions[0].Version != 1 {
 				t.Fatalf("workstation ledger after recovery: %+v", ws)
 			}
@@ -200,18 +197,14 @@ func TestAdvertisementVersioning(t *testing.T) {
 	if !resp.OK || resp.Version != 2 {
 		t.Fatalf("superseding register: %+v", resp)
 	}
-	s.mu.Lock()
-	h := s.serviceHistoryLocked("MediaWorkstation")
-	s.mu.Unlock()
+	h := historyOf(t, s, "", "MediaWorkstation")
 	if h == nil || !h.Live || len(h.Versions) != 2 || h.Versions[0].Version != 1 || h.Versions[1].Version != 2 {
 		t.Fatalf("ledger after supersede: %+v", h)
 	}
 	if resp := s.handle(sdpapi.Request{Op: "deregister", Name: "MediaWorkstation"}); !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
-	s.mu.Lock()
-	h = s.serviceHistoryLocked("MediaWorkstation")
-	s.mu.Unlock()
+	h = historyOf(t, s, "", "MediaWorkstation")
 	if h == nil || h.Live || len(h.Versions) != 2 {
 		t.Fatalf("ledger after withdraw: %+v", h)
 	}
@@ -233,13 +226,11 @@ func TestListServicesPagination(t *testing.T) {
 			t.Fatalf("register %d: %s", i, resp.Error)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var got []string
 	cursor := ""
 	pages := 0
 	for {
-		page := s.listServicesLocked(3, cursor)
+		page := pageOf(t, s, "", 3, cursor)
 		if page.Total != 7 {
 			t.Fatalf("total = %d, want 7", page.Total)
 		}
@@ -339,14 +330,11 @@ func TestListServicesExactlyFullFinalPage(t *testing.T) {
 			t.Fatalf("register %d: %s", i, resp.Error)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	page1 := s.listServicesLocked(3, "")
+	page1 := pageOf(t, s, "", 3, "")
 	if len(page1.Services) != 3 || page1.NextCursor != "svc-02" {
 		t.Fatalf("page 1 = %+v", page1)
 	}
-	page2 := s.listServicesLocked(3, page1.NextCursor)
+	page2 := pageOf(t, s, "", 3, page1.NextCursor)
 	if len(page2.Services) != 3 {
 		t.Fatalf("page 2 = %+v", page2)
 	}
@@ -354,17 +342,17 @@ func TestListServicesExactlyFullFinalPage(t *testing.T) {
 		t.Fatalf("exactly-full final page dropped its cursor: %+v", page2)
 	}
 	// The probe past the end terminates the listing unambiguously.
-	page3 := s.listServicesLocked(3, page2.NextCursor)
+	page3 := pageOf(t, s, "", 3, page2.NextCursor)
 	if len(page3.Services) != 0 || page3.NextCursor != "" {
 		t.Fatalf("end-of-listing probe = %+v", page3)
 	}
 	// A short (not full) final page still ends without a cursor.
-	short := s.listServicesLocked(4, "svc-03")
+	short := pageOf(t, s, "", 4, "svc-03")
 	if len(short.Services) != 2 || short.NextCursor != "" {
 		t.Fatalf("short final page = %+v", short)
 	}
 	// And a page larger than the listing never returns a cursor.
-	all := s.listServicesLocked(50, "")
+	all := pageOf(t, s, "", 50, "")
 	if len(all.Services) != 6 || all.NextCursor != "" {
 		t.Fatalf("single-page listing = %+v", all)
 	}

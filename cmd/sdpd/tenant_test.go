@@ -165,11 +165,8 @@ func TestAdmissionRateLimit(t *testing.T) {
 		t.Fatalf("drained bucket: %+v", resp)
 	}
 	// The denial did not supersede the advertisement: still version 3.
-	s.mu.Lock()
-	ver := s.adverts["alice/ws"].current()
-	s.mu.Unlock()
-	if ver != 3 {
-		t.Fatalf("rate-limited publish bumped the version to %d", ver)
+	if h := historyOf(t, s, "ta", "alice/ws"); h == nil || len(h.Versions) != 3 || h.Versions[2].Version != 3 {
+		t.Fatalf("rate-limited publish changed the ledger: %+v", h)
 	}
 }
 

@@ -85,10 +85,10 @@ var ErrNoRequiredCapability = errors.New("discovery: request has no required cap
 type SemanticBackend struct {
 	tables *codes.Registry
 	// dir holds the advertisements, each with its document — the string
-	// Prepare parsed, of which the name and everything else the directory
-	// keeps of the advertisement are substrings — in one table under its
-	// writer lock, so an advertisement is in Snapshot exactly while queries
-	// can return it.
+	// Prepare parsed, of which everything the directory keeps of the
+	// advertisement but its name is a substring — and its name's version
+	// numbers, in one table under its writer lock, so an advertisement is in
+	// Snapshot exactly while queries can return it.
 	dir     *registry.Directory
 	matcher *match.CodeMatcher
 }
@@ -148,24 +148,29 @@ func (b *SemanticBackend) Prepare(doc string) (*Advert, error) {
 }
 
 // Insert is the other half: classify a prepared advertisement's provided
-// capabilities into the directory and keep its document. The directory
-// adopts the parsed service, so the advertisement is spent. It does not
-// fail on an advertisement Prepare returned.
-func (b *SemanticBackend) Insert(a *Advert) error {
-	return b.dir.Adopt(a.svc, a.doc)
+// capabilities into the directory as the given version of its name (0: the
+// next one) and keep its document. name is a.Name() in the string the
+// directory may key the name's record by for good, which must not be a
+// piece of the document: Directory.Lookup's. The directory adopts the
+// parsed service, so the advertisement is spent. It does not fail on an
+// advertisement Prepare returned.
+func (b *SemanticBackend) Insert(a *Advert, name string, version uint64) error {
+	a.svc.Name = name
+	return b.dir.Adopt(a.svc, a.doc, version)
 }
 
 // Register implements Backend: Prepare on a copy of doc, which the caller
-// may reuse, then Insert.
+// may reuse, then Insert as the name's next version.
 func (b *SemanticBackend) Register(doc []byte) (string, error) {
 	a, err := b.Prepare(string(doc))
 	if err != nil {
 		return "", err
 	}
-	if err := b.Insert(a); err != nil {
+	name, _, _ := b.dir.Lookup(a.Name())
+	if err := b.Insert(a, name, 0); err != nil {
 		return "", err
 	}
-	return a.Name(), nil
+	return name, nil
 }
 
 // Has reports whether an advertisement is stored under the service name.

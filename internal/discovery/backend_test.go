@@ -135,12 +135,20 @@ func TestSemanticBackendDeregister(t *testing.T) {
 	}
 }
 
+// within reports whether s is a piece of doc: whether its bytes are some of
+// doc's.
+func within(s, doc string) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	return len(s) > 0 && p >= lo && p < lo+uintptr(len(doc))
+}
+
 // TestSemanticBackendHoldsOneDocument: an advertisement inserted from a
-// string is stored as that string, not a copy, under a name that is part of
-// it; bytes handed to Register are copied once on the way in, so the caller
-// may reuse them; and the read side lends the stored strings (Documents) or
-// converts them (Snapshot) without the two ever sharing bytes a caller
-// could write.
+// string is stored as that string, not a copy, under a name of its own —
+// the key of the name's record, which outlives every document and so is a
+// piece of none; bytes handed to Register are copied once on the way in, so
+// the caller may reuse them; and the read side lends the stored strings
+// (Documents) or converts them (Snapshot) without the two ever sharing bytes
+// a caller could write.
 func TestSemanticBackendHoldsOneDocument(t *testing.T) {
 	b := NewSemanticBackend(fixtureRegistry(t))
 	want := string(workstationDoc(t))
@@ -149,19 +157,23 @@ func TestSemanticBackendHoldsOneDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Insert(ad); err != nil {
+	key, next, live := b.Directory().Lookup(ad.Name())
+	if key != ad.Name() || within(key, doc) || next != 1 || live {
+		t.Fatalf("Lookup of a name never published = %q (a piece of the document: %v), %d, %v", key, within(key, doc), next, live)
+	}
+	if err := b.Insert(ad, key, next); err != nil {
 		t.Fatal(err)
 	}
 	for name, stored := range b.Documents() {
 		if unsafe.StringData(stored) != unsafe.StringData(doc) {
 			t.Error("Insert stored a copy of the document Prepare parsed")
 		}
-		if at := strings.Index(doc, name); unsafe.StringData(name) != unsafe.StringData(doc[at:]) {
-			t.Error("the stored name is not a piece of the stored document")
+		if unsafe.StringData(name) != unsafe.StringData(key) {
+			t.Error("the name's record is not keyed by the string Lookup gave")
 		}
 	}
 
-	// Publishing the name again replaces document and key together.
+	// Publishing the name again replaces the document and keeps the key.
 	raw := []byte(want)
 	if _, err := b.Register(raw); err != nil {
 		t.Fatal(err)
@@ -177,9 +189,12 @@ func TestSemanticBackendHoldsOneDocument(t *testing.T) {
 		if unsafe.StringData(stored) == unsafe.StringData(doc) {
 			t.Error("the superseded document is still the stored one")
 		}
-		if at := strings.Index(stored, name); unsafe.StringData(name) != unsafe.StringData(stored[at:]) {
-			t.Error("the name of a superseded advertisement still keys the new one")
+		if unsafe.StringData(name) != unsafe.StringData(key) || within(name, stored) {
+			t.Error("publishing the name again changed the key of its record")
 		}
+	}
+	if versions, _, _ := b.Directory().History("MediaWorkstation"); len(versions) != 2 || versions[1] != 2 {
+		t.Fatalf("versions after two publications: %v", versions)
 	}
 	snap := b.Snapshot()
 	if len(snap) != 1 || string(snap["MediaWorkstation"]) != want {

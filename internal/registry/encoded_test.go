@@ -165,7 +165,7 @@ func TestHubHistoryEqualsLinearScan(t *testing.T) {
 	const fanout = 2000
 	d, h := hubDirectory(t, fanout)
 	w := &tableWorld{d: d, lin: NewLinearDirectory(d.matcher)}
-	for _, name := range d.Services() {
+	for _, name := range liveNames(d) {
 		if err := w.lin.Register(h.service(name)); err != nil {
 			t.Fatal(err)
 		}
@@ -279,6 +279,15 @@ func TestQueryDuringRegisterAndTableReplacement(t *testing.T) {
 					}
 				}
 				w.d.Stats()
+				// A page is read after the lock is released, while the
+				// writers go on.
+				names, _, _ := w.d.Page("", 3)
+				for j := 1; j < len(names); j++ {
+					if versions, _, _ := w.d.History(names[j]); names[j] <= names[j-1] || versions == nil {
+						t.Errorf("page %v out of order, or %s has no history", names, names[j])
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -308,7 +317,7 @@ func TestQueryDuringRegisterAndTableReplacement(t *testing.T) {
 
 	// Bring the oracle to the directory's final state, then compare.
 	live := make(map[string]bool)
-	for _, name := range w.d.Services() {
+	for _, name := range liveNames(w.d) {
 		live[name] = true
 	}
 	for _, vs := range w.variants {

@@ -260,10 +260,15 @@ func checkAgainstScratch(t *testing.T, d *Directory, probes []*profile.Capabilit
 		t.Fatalf("NumGraphs() = %d, from scratch %d", g, w)
 	}
 	d.mu.Lock()
-	wantServices := slices.Sorted(maps.Keys(d.byService))
+	var wantServices []string
+	for name, ad := range d.byService {
+		if ad.live() {
+			wantServices = append(wantServices, name)
+		}
+	}
 	d.mu.Unlock()
-	if g := d.Services(); !slices.Equal(g, wantServices) {
-		t.Fatalf("Services() = %v, the service table holds %v", g, wantServices)
+	if g := liveNames(d); !slices.Equal(g, slices.Sorted(slices.Values(wantServices))) {
+		t.Fatalf("the listing is %v, the service table holds %v live", g, wantServices)
 	}
 	if g, w := d.Ontologies(), want.ontologyURIs(); !slices.Equal(g, w) {
 		t.Fatalf("Ontologies() = %v, from scratch %v", g, w)

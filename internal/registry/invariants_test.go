@@ -3,7 +3,9 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"sariadne/internal/match"
 	"sariadne/internal/profile"
@@ -47,7 +49,52 @@ func (d *Directory) checkInvariants() error {
 	if int(snap.tally.entries) != wantEntries {
 		return fmt.Errorf("snapshot has %d entries, the service table %d", snap.tally.entries, wantEntries)
 	}
+	// Every record holds the string that keys it and its version numbers,
+	// rising, and a withdrawn one nothing else. A key outlives every
+	// document stored under it, so it is a piece of none.
+	var docs []string
+	for name, ad := range d.byService {
+		switch {
+		case unsafe.StringData(ad.name) != unsafe.StringData(name) || len(ad.versions) == 0 || !rising(ad.versions):
+			return fmt.Errorf("record of %s holds name %q and versions %v", name, ad.name, ad.versions)
+		case ad.live():
+			docs = append(docs, ad.doc)
+		case ad.entries != nil || ad.doc != "":
+			return fmt.Errorf("withdrawn %s keeps %d entries and a document of %d bytes", name, len(ad.entries), len(ad.doc))
+		}
+	}
+	for name := range d.byService {
+		for _, doc := range docs {
+			if within(name, doc) {
+				return fmt.Errorf("the key of %s is a piece of a stored document", name)
+			}
+		}
+	}
 	return checkSnapshotConsistent(snap)
+}
+
+// rising reports whether every number in vs is above the one before it.
+func rising(vs []uint64) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i] <= vs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// liveNames is the directory's whole listing: its live names in ascending
+// order, one page.
+func liveNames(d *Directory) []string {
+	names, _, _ := d.Page("", math.MaxInt)
+	return names
+}
+
+// within reports whether s is a piece of doc: whether its bytes are some of
+// doc's.
+func within(s, doc string) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+	return len(s) > 0 && p >= lo && p < lo+uintptr(len(doc))
 }
 
 // check verifies one graph between writes: the published tables (slots,

@@ -49,6 +49,9 @@ var (
 	// ErrInvalidCapability is returned when registering a capability that
 	// fails validation.
 	ErrInvalidCapability = errors.New("registry: invalid capability")
+	// errStaleVersion is returned when adopting an advertisement as a
+	// version of its name that is not after the newest one published.
+	errStaleVersion = errors.New("registry: stale version")
 )
 
 // Entry is one advertised capability with its provenance.
@@ -74,11 +77,32 @@ type placed struct {
 	slot int32
 }
 
-// advert is what the directory keeps under a service name: the document it
-// arrived as (empty when it arrived parsed) and its classified capabilities.
+// advert is what the directory keeps under a service name from its first
+// publication on: the name, in the string that keys it; the number of every
+// version published under it, oldest first; and while the name is live the
+// document its current version arrived as (empty when it arrived parsed) and
+// its classified capabilities. Withdrawing the name lets go of those two and
+// keeps the numbers, so numbering continues when the name comes back.
 type advert struct {
-	doc     string
-	entries []placed
+	name     string
+	doc      string
+	entries  []placed
+	versions []uint64
+}
+
+// live reports whether the name is advertised: storeLocked gives every
+// advertisement it stores an entry list, an empty one to a service that
+// provides nothing, and a withdrawal takes it away. A name never published
+// has no record, and a nil one is not live.
+func (a *advert) live() bool { return a != nil && a.entries != nil }
+
+// current is the newest version number, 0 for a name never published; a
+// publication whose publisher names no version takes the one after it.
+func (a *advert) current() uint64 {
+	if a == nil || len(a.versions) == 0 {
+		return 0
+	}
+	return a.versions[len(a.versions)-1]
 }
 
 // String renders the entry as service/capability.
@@ -204,9 +228,11 @@ type Directory struct {
 	// graphs holds the graph of every ontology-set key some stored
 	// capability has, and during a write also those the write emptied.
 	graphs map[string]*graph // guarded by mu
-	// byService is the one table keyed by service name: each stored
-	// advertisement's document and where its capabilities were placed.
-	byService map[string]advert // guarded by mu
+	// byService is the one table keyed by service name: every name ever
+	// published, with its version numbers, and for a live one its document
+	// and where its capabilities were placed. A key is kept for the life of
+	// the directory, so none may be a piece of a document (see Lookup).
+	byService map[string]*advert // guarded by mu
 	// dirty lists, in first-touch order, the graphs written since the last
 	// publish — created, changed or emptied: those with a draft. The publish
 	// derives the next snapshot from the previous one and them alone.
@@ -229,7 +255,7 @@ func NewDirectory(m match.ConceptMatcher) *Directory {
 		matcher:   m,
 		enc:       match.EncoderFor(m),
 		graphs:    make(map[string]*graph),
-		byService: make(map[string]advert),
+		byService: make(map[string]*advert),
 	}
 	d.classify = d.classifyLocked
 	d.snap.Store(&snapshot{})
@@ -319,9 +345,59 @@ func (d *Directory) NumCapabilities() int {
 	return int(d.snap.Load().tally.entries)
 }
 
-// Services returns the sorted names of registered services.
-func (d *Directory) Services() []string {
-	return d.snap.Load().services()
+// Page returns at most limit live names, in ascending order from the first
+// after cursor ("" starts from the top), the current version of each, and
+// how many names are live. It collects and sorts the live names under the
+// writer lock on every call.
+func (d *Directory) Page(cursor string, limit int) (names []string, versions []uint64, live int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	all := make([]string, 0, len(d.byService))
+	for name, ad := range d.byService {
+		if ad.live() {
+			all = append(all, name)
+		}
+	}
+	slices.Sort(all)
+	start, found := slices.BinarySearch(all, cursor)
+	if found {
+		start++ // resume strictly after the cursor name
+	}
+	names = all[start : start+min(max(limit, 0), len(all)-start)]
+	versions = make([]uint64, len(names))
+	for i, name := range names {
+		versions[i] = d.byService[name].current()
+	}
+	return names, versions, len(all)
+}
+
+// History returns the number of every version published under name, oldest
+// first — nil for a name never published — whether the name is live, and
+// while it is the document of its current version: every number, the
+// current document only.
+func (d *Directory) History(name string) (versions []uint64, doc string, live bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ad := d.byService[name]
+	if ad == nil {
+		return nil, "", false
+	}
+	return slices.Clone(ad.versions), ad.doc, ad.live()
+}
+
+// Lookup returns what a publisher settles before it publishes under name:
+// the name in a string the directory keeps as the key of the name's record
+// (the record's own, or a copy of name when there is none — never name
+// itself, which may be a piece of the document about to be published), the
+// version the next publication takes, and whether the name is live.
+func (d *Directory) Lookup(name string) (own string, next uint64, live bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ad := d.byService[name]
+	if ad == nil {
+		return strings.Clone(name), 1, false
+	}
+	return ad.name, ad.current() + 1, ad.live()
 }
 
 // Register classifies every provided capability of the service into the
@@ -336,17 +412,24 @@ func (d *Directory) Register(s *profile.Service) error {
 	for i, c := range s.Provided {
 		owned.Provided[i] = c.Clone()
 	}
-	return d.Adopt(&owned, "")
+	return d.Adopt(&owned, "", 0)
 }
 
 // Adopt is Register for a caller that hands s over, with the document it
-// was parsed from: the directory keeps s's provided capabilities
-// themselves, with every string they hold, and the caller must not change
-// them afterwards. A directory fed parsed documents stores each
-// advertisement's names this way as the substrings of doc that
-// profile.UnmarshalString made them, and doc beside them in the one table
-// keyed by service name: what queries can return, Has and Documents report.
-func (d *Directory) Adopt(s *profile.Service, doc string) error {
+// was parsed from, as the given version of the name (0: the next one): the
+// directory keeps s's provided capabilities themselves, with every string
+// they hold, and the caller must not change them afterwards. A directory
+// fed parsed documents stores each advertisement's names this way as the
+// substrings of doc that profile.UnmarshalString made them, and doc beside
+// them in the one table keyed by service name: what queries can return, Has
+// and Documents report. The exception is s.Name, which keys the name's
+// record for good the first time the name is published, and so must then be
+// a string of its own (Lookup gives one).
+//
+// A version that is not after the name's newest — another publication
+// took the number between the caller's Lookup and this call — is refused
+// with an error and changes nothing: a name's numbers only rise.
+func (d *Directory) Adopt(s *profile.Service, doc string, version uint64) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidCapability, err)
 	}
@@ -354,43 +437,46 @@ func (d *Directory) Adopt(s *profile.Service, doc string) error {
 	opsBefore := d.matchOps.Load()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.storeLocked(s.Name, s.Provider, doc, s.Provided)
+	ad := d.byService[s.Name]
+	if version == 0 {
+		version = ad.current() + 1
+	} else if version <= ad.current() {
+		return fmt.Errorf("%w: %q is at version %d, not before %d", errStaleVersion, s.Name, ad.current(), version)
+	}
+	if ad == nil {
+		ad = &advert{name: s.Name}
+		d.byService[s.Name] = ad
+	}
+	ad.doc, ad.versions = doc, append(ad.versions, version)
+	d.storeLocked(ad, s.Provider, s.Provided)
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
 	insertSeconds.ObserveSince(start)
 	return nil
 }
 
-// storeLocked makes caps, which the directory owns, the advertisement of
-// the named service in place of whatever it advertised before. Each
+// storeLocked makes caps, which the directory owns, the capabilities of the
+// advertisement ad records, in place of whatever it advertised before. Each
 // capability is encoded here, under mu: a writer that re-encodes after a
-// code table changed (Reclassify) can then never be overtaken by an
-// insert that resolved its names against the table before.
-func (d *Directory) storeLocked(service, provider, doc string, caps []*profile.Capability) {
-	// The old record goes first, key and all: assigning over it would keep
-	// its key, a substring of the document being replaced.
-	d.withdrawLocked(service)
+// code table changed (Reclassify) can then never be overtaken by an insert
+// that resolved its names against the table before.
+func (d *Directory) storeLocked(ad *advert, provider string, caps []*profile.Capability) {
+	d.unplaceLocked(ad)
 	entries := make([]placed, len(caps))
 	for i, c := range caps {
-		entries[i] = d.insertLocked(&Entry{Capability: c, Service: service, Provider: provider, enc: *d.enc.Encode(c)})
+		entries[i] = d.insertLocked(&Entry{Capability: c, Service: ad.name, Provider: provider, enc: *d.enc.Encode(c)})
 	}
-	d.byService[service] = advert{doc: doc, entries: entries}
+	ad.entries = entries
 }
 
-// withdrawLocked takes the named service's advertisement out of the graphs
-// and the service table, and reports whether there was one.
-func (d *Directory) withdrawLocked(service string) bool {
-	ad, ok := d.byService[service]
-	if !ok {
-		return false
-	}
-	// By index, with the record still in the table: a removal that moves a
+// unplaceLocked takes the capabilities ad advertises out of the graphs.
+func (d *Directory) unplaceLocked(ad *advert) {
+	// By index, with the entries still in the record: a removal that moves a
 	// node to another slot corrects the places of the entries yet to go.
 	for i := range ad.entries {
 		d.removeEntryLocked(ad.entries[i])
 	}
-	delete(d.byService, service)
-	return true
+	ad.entries = nil
 }
 
 // Reclassify brings the directory up to date with a code table that was
@@ -424,12 +510,12 @@ func (d *Directory) Reclassify(uri string) int {
 	slices.Sort(names)
 	names = slices.Compact(names)
 	for _, name := range names {
-		old := d.byService[name]
-		caps := make([]*profile.Capability, len(old.entries))
-		for i, e := range old.entries {
+		ad := d.byService[name]
+		caps := make([]*profile.Capability, len(ad.entries))
+		for i, e := range ad.entries {
 			caps[i] = e.Capability
 		}
-		d.storeLocked(name, old.entries[0].Provider, old.doc, caps)
+		d.storeLocked(ad, ad.entries[0].Provider, caps)
 	}
 	d.publishLocked()
 	match.CountOps(d.matcher, d.matchOps.Load()-opsBefore)
@@ -440,8 +526,7 @@ func (d *Directory) Reclassify(uri string) int {
 func (d *Directory) Has(service string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.byService[service]
-	return ok
+	return d.byService[service].live()
 }
 
 // Documents returns the documents the stored advertisements were adopted
@@ -450,9 +535,11 @@ func (d *Directory) Has(service string) bool {
 func (d *Directory) Documents() map[string]string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	docs := make(map[string]string, len(d.byService))
+	docs := make(map[string]string)
 	for name, ad := range d.byService {
-		docs[name] = ad.doc
+		if ad.live() {
+			docs[name] = ad.doc
+		}
 	}
 	return docs
 }
@@ -765,14 +852,18 @@ func (d *Directory) placeLocked(g *graph, e *Entry, pl placement) int32 {
 	return slot
 }
 
-// Deregister removes every capability advertised by the named service.
-// It reports whether the service was present.
+// Deregister removes every capability advertised by the named service and
+// lets go of its document; the name keeps its version numbers. It reports
+// whether the service was present.
 func (d *Directory) Deregister(service string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.withdrawLocked(service) {
+	ad := d.byService[service]
+	if !ad.live() {
 		return false
 	}
+	d.unplaceLocked(ad)
+	ad.doc = ""
 	d.publishLocked()
 	return true
 }

@@ -314,9 +314,9 @@ func TestServicesAndOntologies(t *testing.T) {
 	if err := d.Register(profile.WorkstationService()); err != nil {
 		t.Fatal(err)
 	}
-	svcs := d.Services()
-	if len(svcs) != 1 || svcs[0] != "MediaWorkstation" {
-		t.Fatalf("Services = %v", svcs)
+	svcs, versions, live := d.Page("", 10)
+	if len(svcs) != 1 || svcs[0] != "MediaWorkstation" || versions[0] != 1 || live != 1 {
+		t.Fatalf("Page = %v, %v, %d", svcs, versions, live)
 	}
 	uris := d.Ontologies()
 	if len(uris) != 2 {

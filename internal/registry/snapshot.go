@@ -23,7 +23,8 @@
 //
 // The advertisement's document is the writer's: it sits in the service
 // table (Directory.byService) beside the places of the advertisement's
-// entries, and the names those entries hold are substrings of it.
+// entries and the name's version numbers, and the names those entries hold
+// are substrings of it, but for the service's own, which the table keeps.
 //
 // The publish invariant: every object reachable from a published
 // *snapshot is never written again — a node is replaced, never edited, and
@@ -170,10 +171,10 @@ func (s *snapshot) candidateGraphs(uris []string) []*snapGraph {
 	return out
 }
 
-// stats, services, ontologyURIs and dump derive the diagnostic views on
-// read. Only diagnostics, the daemon's stats op and tests ask for them,
-// so they walk the snapshot when called instead of every publish paying
-// to keep them precomputed.
+// stats, ontologyURIs and dump derive the diagnostic views on read. Only
+// diagnostics, the daemon's stats op and tests ask for them, so they walk
+// the snapshot when called instead of every publish paying to keep them
+// precomputed.
 
 func (s *snapshot) stats() Stats {
 	st := Stats{
@@ -188,18 +189,6 @@ func (s *snapshot) stats() Stats {
 		st.MaxGraphVertices = max(st.MaxGraphVertices, len(g.nodes))
 	}
 	return st
-}
-
-func (s *snapshot) services() []string {
-	seen := make(map[string]struct{})
-	for _, g := range s.graphs {
-		for _, n := range g.nodes {
-			for _, e := range n.entries {
-				seen[e.Service] = struct{}{}
-			}
-		}
-	}
-	return slices.Sorted(maps.Keys(seen))
 }
 
 func (s *snapshot) ontologyURIs() []string {
