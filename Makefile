@@ -23,10 +23,10 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Hedge|Evicted|Fault|Churn|Partition|FullInbox|OriginQueriesBeside' \
 		./internal/discovery/ ./internal/simnet/ -v
 
-# lint runs go vet plus the ten project analyzers (lockcheck,
-# goroutinecheck, detrand, sleeptest, metricnames, simnetimport,
-# atomicmix, immutcheck, hotalloc, errdrop). Exit status 1 means
-# findings; `make lint-json` emits them machine-readable.
+# lint runs go vet plus the nine project analyzers (lockcheck,
+# goroutinecheck, detrand, sleeptest, metricnames, atomicmix, immutcheck,
+# hotalloc, errdrop). Exit status 1 means findings; `make lint-json`
+# emits them machine-readable.
 lint:
 	$(GO) run ./cmd/sdplint ./...
 

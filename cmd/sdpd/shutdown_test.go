@@ -105,8 +105,8 @@ func TestShutdownClosesTheStoreOnce(t *testing.T) {
 	if got, want := st.seen(), []string{"append", "append", "close"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the store saw %v, want %v", got, want)
 	}
-	if err := s.fed.tr.Send(s.fed.node.ID(), nil); err == nil {
-		t.Error("the backbone transport still sends after close")
+	if err := s.fed.tr.(interface{ Healthy() error }).Healthy(); err == nil {
+		t.Error("the backbone transport is still open after close")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command sdplint is the repo's multichecker: it runs the standard `go
-// vet` passes plus the ten codebase-specific analyzers from
+// vet` passes plus the nine codebase-specific analyzers from
 // internal/analysis (lockcheck, goroutinecheck, detrand, sleeptest,
-// metricnames, simnetimport, atomicmix, immutcheck, hotalloc, errdrop)
-// over a set of package patterns.
+// metricnames, atomicmix, immutcheck, hotalloc, errdrop) over a set of
+// package patterns.
 //
 // Usage:
 //
@@ -49,7 +49,6 @@ import (
 	"sariadne/internal/analysis/load"
 	"sariadne/internal/analysis/lockcheck"
 	"sariadne/internal/analysis/metricnames"
-	"sariadne/internal/analysis/simnetimport"
 	"sariadne/internal/analysis/sleeptest"
 )
 
@@ -59,7 +58,6 @@ var analyzers = []*analysis.Analyzer{
 	detrand.Analyzer,
 	sleeptest.Analyzer,
 	metricnames.Analyzer,
-	simnetimport.Analyzer,
 	atomicmix.Analyzer,
 	immutcheck.Analyzer,
 	hotalloc.Analyzer,

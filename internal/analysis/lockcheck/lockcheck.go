@@ -5,7 +5,9 @@
 // mutex field. A struct field whose doc or line comment contains
 // "guarded by <mutex>" declares that every method access to it must
 // happen while <mutex> (a sync.Mutex or sync.RWMutex field of the same
-// struct) is held. lockcheck verifies the convention intraprocedurally:
+// struct, or of a struct it embeds) is held. A struct that embeds another
+// inherits its guarded fields. lockcheck verifies the convention
+// intraprocedurally:
 //
 //   - it tracks Lock/RLock/Unlock/RUnlock calls on the receiver's mutex
 //     through straight-line code, if/else, for, switch and select, using
@@ -47,8 +49,10 @@ var guardRe = regexp.MustCompile(`guarded by (\w+)`)
 
 // structGuards records the lock discipline declared by one struct type.
 type structGuards struct {
-	mutexes map[string]bool   // mutex-typed field names
+	mutexes map[string]bool   // mutex-typed field names, promoted ones included
 	guarded map[string]string // guarded field name → mutex field name
+	fields  map[string]bool   // names of the struct's own fields (while collecting)
+	embeds  []*types.TypeName // embedded struct types (while collecting)
 }
 
 type lockState int
@@ -99,9 +103,12 @@ func run(pass *analysis.Pass) error {
 }
 
 // collectGuards finds struct types with mutex fields and "guarded by"
-// annotations, reporting annotations that name a non-mutex field.
+// annotations, reporting annotations that name a non-mutex field. An
+// embedded struct's mutexes are promoted, so a field may be guarded by
+// one; so are its guarded fields, when the embedding struct shadows
+// neither the field nor its mutex.
 func collectGuards(pass *analysis.Pass) map[*types.TypeName]*structGuards {
-	out := make(map[*types.TypeName]*structGuards)
+	all := make(map[*types.TypeName]*structGuards)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -116,18 +123,32 @@ func collectGuards(pass *analysis.Pass) map[*types.TypeName]*structGuards {
 			if !ok {
 				return true
 			}
-			sg := &structGuards{mutexes: map[string]bool{}, guarded: map[string]string{}}
+			sg := &structGuards{mutexes: map[string]bool{}, guarded: map[string]string{}, fields: map[string]bool{}}
 			type pendingGuard struct {
 				field *ast.Field
 				mu    string
 			}
 			var pending []pendingGuard
 			for _, field := range st.Fields.List {
-				if isMutexType(pass.TypesInfo.Types[field.Type].Type) {
+				ft := pass.TypesInfo.Types[field.Type].Type
+				for _, name := range field.Names {
+					sg.fields[name.Name] = true
+				}
+				if isMutexType(ft) {
 					for _, name := range field.Names {
 						sg.mutexes[name.Name] = true
 					}
 					continue
+				}
+				if et := baseTypeName(ft); et != nil && len(field.Names) == 0 {
+					if s, ok := et.Type().Underlying().(*types.Struct); ok {
+						for i := 0; i < s.NumFields(); i++ {
+							if isMutexType(s.Field(i).Type()) {
+								sg.mutexes[s.Field(i).Name()] = true
+							}
+						}
+						sg.embeds = append(sg.embeds, et)
+					}
 				}
 				comment := ""
 				if field.Doc != nil {
@@ -157,11 +178,28 @@ func collectGuards(pass *analysis.Pass) map[*types.TypeName]*structGuards {
 					sg.guarded[name.Name] = p.mu
 				}
 			}
-			if len(sg.guarded) > 0 {
-				out[tn] = sg
-			}
+			all[tn] = sg
 			return true
 		})
+	}
+	out := make(map[*types.TypeName]*structGuards)
+	for tn, sg := range all {
+		guarded := make(map[string]string, len(sg.guarded))
+		for field, mu := range sg.guarded {
+			guarded[field] = mu
+		}
+		for _, e := range sg.embeds {
+			if inner, ok := all[e]; ok {
+				for field, mu := range inner.guarded {
+					if !sg.fields[field] && !sg.fields[mu] {
+						guarded[field] = mu
+					}
+				}
+			}
+		}
+		if len(guarded) > 0 {
+			out[tn] = &structGuards{mutexes: sg.mutexes, guarded: guarded}
+		}
 	}
 	return out
 }

@@ -114,6 +114,38 @@ func (t *Table) ReadBad() int {
 	return t.v // want `access to t\.v without holding mu`
 }
 
+// Outer embeds Counter: its own field may be guarded by Counter's mu, and
+// Counter's guarded fields stay guarded when reached through Outer.
+type Outer struct {
+	Counter
+	conns map[int]bool // guarded by mu
+}
+
+func (o *Outer) Good() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.conns[1] = true
+	o.n++
+}
+
+func (o *Outer) BadOwn() bool {
+	return o.conns[1] // want `access to o\.conns without holding mu`
+}
+
+func (o *Outer) BadPromoted() int {
+	return o.n // want `access to o\.n without holding mu`
+}
+
+// Shadow declares its own n, which is not Counter's guarded one.
+type Shadow struct {
+	Counter
+	n int
+}
+
+func (s *Shadow) OwnN() int {
+	return s.n
+}
+
 // Misannotated names a guard that is not a mutex field.
 type Misannotated struct {
 	x int // guarded by lock // want `not a sync\.Mutex or sync\.RWMutex field`

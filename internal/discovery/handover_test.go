@@ -63,3 +63,22 @@ func TestStepDownRequiresDirectoryRole(t *testing.T) {
 		t.Fatalf("StepDown on member = %v, want ErrNotDirectory", err)
 	}
 }
+
+// TestStepDownToItselfRefused: handing the content to itself would
+// register it and then withdraw it, so a directory refuses and keeps both
+// its role and its store.
+func TestStepDownToItselfRefused(t *testing.T) {
+	_, nodes := testCluster(t, 1)
+	nodes[0].BecomeDirectory()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := nodes[0].Publish(ctx, workstationDoc(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].StepDown(nodes[0].ID()); err == nil {
+		t.Fatal("StepDown to itself accepted")
+	}
+	if nodes[0].Role() != election.Directory || nodes[0].Backend().Len() == 0 {
+		t.Fatalf("after a refused StepDown: role %v, %d entries", nodes[0].Role(), nodes[0].Backend().Len())
+	}
+}

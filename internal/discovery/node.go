@@ -179,9 +179,16 @@ type Stats struct {
 // Node is one participant of the discovery protocol: always a potential
 // client (Publish/Discover), sometimes an elected or static directory.
 type Node struct {
-	ep      transport.Transport
+	ep      transport.Endpoint
 	backend Backend
 	cfg     Config
+
+	// writeMu makes a backend mutation and its lease one step: a
+	// registration, a withdrawal and a lease sweep. They arrive on the
+	// loop and, for the node's own publish and withdrawal, on the caller's
+	// goroutine, so without it a sweep could withdraw what a publish had
+	// just stored. Taken before mu.
+	writeMu sync.Mutex
 
 	mu    sync.Mutex
 	elect *election.Machine // guarded by mu
@@ -284,13 +291,13 @@ type outMsg struct {
 }
 
 // NewNode creates a discovery node over an endpoint and backend. The
-// endpoint may be a bare *simnet.Endpoint (simulations, tests) or any
-// transport.Transport (UDP/TCP federation); either way the node speaks
-// only the transport interface.
+// endpoint may be a *simnet.Endpoint (simulations, tests) or a socket
+// transport (UDP/TCP federation), whose lifetime stays its owner's;
+// either way the node speaks only the transport interface.
 func NewNode(ep transport.Endpoint, backend Backend, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
-		ep:         transport.Wrap(ep),
+		ep:         ep,
 		backend:    backend,
 		cfg:        cfg,
 		elect:      election.NewMachine(ep.ID(), cfg.Election, time.Now()),
@@ -494,6 +501,7 @@ func (n *Node) sweepLeases(now time.Time) {
 	if n.cfg.LeaseTTL <= 0 {
 		return
 	}
+	n.writeMu.Lock()
 	n.mu.Lock()
 	var stale []string
 	for svc, at := range n.leases {
@@ -503,13 +511,13 @@ func (n *Node) sweepLeases(now time.Time) {
 		}
 	}
 	n.mu.Unlock()
-	if len(stale) == 0 {
-		return
-	}
 	for _, svc := range stale {
 		n.backend.Deregister(svc)
 	}
-	n.summaryChanged()
+	n.writeMu.Unlock()
+	if len(stale) > 0 {
+		n.summaryChanged()
+	}
 }
 
 // refreshOwnLeases re-publishes this node's services so their leases stay
@@ -546,11 +554,25 @@ func (n *Node) republishLocked(dir transport.Addr) []outMsg {
 	return msgs
 }
 
-// send puts staged messages on the wire, best effort.
+// send delivers staged messages, best effort.
 func (n *Node) send(msgs []outMsg) {
 	for _, m := range msgs {
-		_ = n.ep.Send(m.to, m.payload)
+		_ = n.sendTo(m.to, m.payload)
 	}
+}
+
+// sendTo is the one way a payload leaves this node. One addressed to the
+// node itself — a directory's own publish, withdrawal, lease refresh or
+// republish, and the reply to each — is handled right here, on the
+// caller's goroutine, so no frame is ever addressed to the sender's own
+// ID and a wedged loop or a full inbox cannot swallow it. Anything else
+// goes to the endpoint. No caller holds n.mu.
+func (n *Node) sendTo(to transport.Addr, payload any) error {
+	if to == n.ID() {
+		n.handleMessage(transport.Message{From: to, To: to, Payload: payload})
+		return nil
+	}
+	return n.ep.Send(to, payload)
 }
 
 // handleMessage dispatches one inbound message.
@@ -567,16 +589,18 @@ func (n *Node) handleMessage(msg transport.Message) {
 			ch <- p
 		}
 	case DeregisterRequest:
+		n.writeMu.Lock()
 		found := n.backend.Deregister(p.Service)
 		n.mu.Lock()
 		delete(n.leases, p.Service)
 		n.mu.Unlock()
+		n.writeMu.Unlock()
 		n.summaryChanged()
 		errStr := ""
 		if !found {
 			errStr = fmt.Sprintf("service %q not registered", p.Service)
 		}
-		_ = n.ep.Send(msg.From, RegisterReply{ID: p.ID, Err: errStr})
+		_ = n.sendTo(msg.From, RegisterReply{ID: p.ID, Err: errStr})
 	case QueryRequest:
 		n.onQuery(msg.From, p)
 	case QueryReply:
@@ -615,7 +639,7 @@ func (n *Node) runElectionActions(actions []any) {
 	for _, a := range actions {
 		switch act := a.(type) {
 		case election.SendAction:
-			_ = n.ep.Send(act.To, act.Payload)
+			_ = n.sendTo(act.To, act.Payload)
 		case election.BroadcastAction:
 			_, _ = n.ep.Broadcast(act.TTL, act.Payload)
 		case election.RoleChange:
@@ -678,18 +702,23 @@ func (n *Node) allocID() uint64 {
 // onRegister stores an advertisement (directory side).
 func (n *Node) onRegister(from transport.Addr, req RegisterRequest) {
 	rep := RegisterReply{ID: req.ID}
-	if name, err := n.backend.Register(req.Doc); err != nil {
-		rep.Err = err.Error()
-	} else {
-		rep.Service = name
+	n.writeMu.Lock()
+	name, err := n.backend.Register(req.Doc)
+	if err == nil {
 		n.mu.Lock()
 		n.leases[name] = time.Now()
 		n.stats.Registrations++
 		registrationsTotal.Inc()
 		n.mu.Unlock()
+	}
+	n.writeMu.Unlock()
+	if err != nil {
+		rep.Err = err.Error()
+	} else {
+		rep.Service = name
 		n.summaryChanged()
 	}
-	_ = n.ep.Send(from, rep)
+	_ = n.sendTo(from, rep)
 }
 
 // summaryChanged is the one path from a backend mutation — a publish or
@@ -744,7 +773,7 @@ func (n *Node) sendSummary(to ...transport.Addr) {
 	n.mu.Unlock()
 	summaryPushesTotal.Add(uint64(len(to)))
 	for _, id := range to {
-		_ = n.ep.Send(id, push)
+		_ = n.sendTo(id, push)
 	}
 }
 
@@ -802,10 +831,10 @@ func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	if q.Forwarded {
 		// Ack first, before the possibly slow match: the aggregator needs
 		// a fast liveness signal to steer hedging and eviction.
-		_ = n.ep.Send(from, ForwardAck{ID: q.ID, From: n.ID()})
+		_ = n.sendTo(from, ForwardAck{ID: q.ID, From: n.ID()})
 	}
 	if to, rep, pending := n.resolve(from, q, nil); !pending {
-		_ = n.ep.Send(to, rep)
+		_ = n.sendTo(to, rep)
 	}
 }
 
@@ -904,7 +933,7 @@ func (n *Node) resolve(from transport.Addr, q QueryRequest, reply chan QueryRepl
 	forwardsSentTotal.Add(uint64(len(targets)))
 
 	for _, id := range targets {
-		_ = n.ep.Send(id, QueryRequest{ID: fwdID, Origin: n.ID(), Forwarded: true, Trace: q.Trace, Doc: rest})
+		_ = n.sendTo(id, QueryRequest{ID: fwdID, Origin: n.ID(), Forwarded: true, Trace: q.Trace, Doc: rest})
 	}
 	return "", QueryReply{}, true
 }
@@ -1027,7 +1056,7 @@ func (n *Node) onQueryReply(r QueryReply) {
 		}
 		if askRefresh {
 			summaryRefreshesTotal.Inc()
-			_ = n.ep.Send(r.From, SummaryRequest{From: n.ID()})
+			_ = n.sendTo(r.From, SummaryRequest{From: n.ID()})
 		}
 		if done {
 			n.finishAggregation(agg)
@@ -1186,7 +1215,7 @@ func (n *Node) finishAggregation(agg *aggregation) {
 		agg.reply <- rep
 		return
 	}
-	_ = n.ep.Send(agg.origin, rep)
+	_ = n.sendTo(agg.origin, rep)
 }
 
 // finalReply is the reply to q for to, its trace closed by a reply span.
@@ -1214,7 +1243,7 @@ func (n *Node) Publish(ctx context.Context, doc []byte) error {
 	n.regWait[id] = ch
 	n.mu.Unlock()
 
-	if err := n.ep.Send(dir, RegisterRequest{ID: id, Doc: doc}); err != nil {
+	if err := n.sendTo(dir, RegisterRequest{ID: id, Doc: doc}); err != nil {
 		n.mu.Lock()
 		delete(n.regWait, id)
 		n.mu.Unlock()
@@ -1250,6 +1279,11 @@ func (n *Node) Publish(ctx context.Context, doc []byte) error {
 // Member role. The transfer is best-effort: lost registrations are
 // repaired later by lease refreshes from the publishers.
 func (n *Node) StepDown(successor transport.Addr) error {
+	if successor == n.ID() {
+		// Handing the content to itself would register it and then
+		// withdraw it.
+		return fmt.Errorf("discovery: %s cannot step down to itself", successor)
+	}
 	n.mu.Lock()
 	if n.elect.Role() != election.Directory {
 		n.mu.Unlock()
@@ -1260,7 +1294,7 @@ func (n *Node) StepDown(successor transport.Addr) error {
 	docs := n.backend.Snapshot()
 	for name, doc := range docs {
 		id := n.allocID()
-		if err := n.ep.Send(successor, RegisterRequest{ID: id, Doc: doc}); err != nil {
+		if err := n.sendTo(successor, RegisterRequest{ID: id, Doc: doc}); err != nil {
 			return fmt.Errorf("discovery: handover of %q: %w", name, err)
 		}
 		n.backend.Deregister(name)
@@ -1292,7 +1326,7 @@ func (n *Node) Deregister(ctx context.Context, service string) error {
 	n.regWait[id] = ch
 	n.mu.Unlock()
 
-	if err := n.ep.Send(dir, DeregisterRequest{ID: id, Service: service}); err != nil {
+	if err := n.sendTo(dir, DeregisterRequest{ID: id, Service: service}); err != nil {
 		n.mu.Lock()
 		delete(n.regWait, id)
 		n.mu.Unlock()
@@ -1409,7 +1443,7 @@ func (n *Node) ask(ctx context.Context, dir transport.Addr, q QueryRequest, ch c
 		if _, rep, pending := n.resolve(dir, q, ch); !pending {
 			return rep, nil
 		}
-	} else if err := n.ep.Send(dir, q); err != nil {
+	} else if err := n.sendTo(dir, q); err != nil {
 		n.mu.Lock()
 		delete(n.queryWait, q.ID)
 		n.mu.Unlock()

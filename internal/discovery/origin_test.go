@@ -17,20 +17,17 @@ import (
 	"sariadne/internal/transport"
 )
 
-// selfSends is an endpoint that counts the query frames its node
-// addresses to itself. A directory answers its own client on the
-// caller's goroutine, so there must be none.
+// selfSends is an endpoint that counts the frames its node addresses to
+// itself. A node delivers to itself on the caller's goroutine, so there
+// must be none, of any payload type.
 type selfSends struct {
 	transport.Endpoint
 	n atomic.Int64
 }
 
 func (r *selfSends) Send(to transport.Addr, payload any) error {
-	switch payload.(type) {
-	case QueryRequest, QueryReply:
-		if to == r.ID() {
-			r.n.Add(1)
-		}
+	if to == r.ID() {
+		r.n.Add(1)
 	}
 	return r.Endpoint.Send(to, payload)
 }
@@ -59,7 +56,7 @@ func (w *wedge) Resolve(doc []byte) ([]Hit, []byte, []string, error) {
 // selfSends endpoints, with d0's backend passed through wrap. d0 holds
 // VideoBox and d1 GameBox, and each holds the other's summary before it
 // returns.
-func directoryPair(t *testing.T, cfg Config, wrap func(Backend) Backend) ([]*Node, []*selfSends, []*simnet.Endpoint) {
+func directoryPair(t *testing.T, cfg Config, wrap func(Backend) Backend) ([]*Node, []*selfSends, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(simnet.Config{})
 	t.Cleanup(net.Close)
@@ -97,7 +94,7 @@ func directoryPair(t *testing.T, cfg Config, wrap func(Backend) Backend) ([]*Nod
 	waitUntil(t, 2*time.Second, "each directory's summary at the other", func() bool {
 		return sees(nodes[0], nodes[1], key) && sees(nodes[1], nodes[0], key)
 	})
-	return nodes, recs, eps
+	return nodes, recs, net
 }
 
 // videoRequest asks for the PDA's video capability under a requester name
@@ -106,12 +103,19 @@ func videoRequest(t *testing.T) []byte {
 	return requestOf(t, profile.PDAService().Required[0])
 }
 
-// TestNoQueryFrameAddressedToSelf runs the three queries of
+// holds reports whether n's backend stores an advertisement named service.
+func holds(n *Node, service string) bool {
+	_, ok := n.Backend().Snapshot()[service]
+	return ok
+}
+
+// TestNoFrameAddressedToSelf counts the frames any node addresses to
+// itself, of any payload type, while it runs the three queries of
 // TestRequestParsedOncePerDirectory — answered locally, forwarded whole,
-// forwarded in part — and counts the query frames either directory
-// addressed to itself: none.
-func TestNoQueryFrameAddressedToSelf(t *testing.T) {
-	nodes, recs, _ := directoryPair(t, Config{QueryTimeout: 2 * time.Second}, nil)
+// forwarded in part — then a directory's own publish and withdrawal, its
+// lease refresh, and a member's republish once it is promoted: none.
+func TestNoFrameAddressedToSelf(t *testing.T) {
+	nodes, recs, net := directoryPair(t, Config{QueryTimeout: 2 * time.Second, RefreshInterval: 20 * time.Millisecond}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	game := twoCapRequest(t).Required[1]
@@ -129,20 +133,56 @@ func TestNoQueryFrameAddressedToSelf(t *testing.T) {
 			t.Fatalf("%s: %v, %v; want %d hits", q.name, res, err, q.hits)
 		}
 	}
-	for i, r := range recs {
+
+	if err := nodes[0].Publish(ctx, serversOnlyDoc(t, "rack")); err != nil || !holds(nodes[0], "rack") {
+		t.Fatalf("own publish: %v, stored %v", err, holds(nodes[0], "rack"))
+	}
+	if err := nodes[0].Deregister(ctx, "rack"); err != nil || holds(nodes[0], "rack") {
+		t.Fatalf("own withdrawal: %v, stored %v", err, holds(nodes[0], "rack"))
+	}
+	regs := nodes[0].Stats().Registrations
+	waitUntil(t, 2*time.Second, "d0 refreshes VideoBox's lease with itself", func() bool {
+		return nodes[0].Stats().Registrations > regs
+	})
+
+	// m publishes at d1, then is promoted: it re-registers its service
+	// with itself.
+	ep, err := net.AddNode("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Connect("m", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	rec := &selfSends{Endpoint: ep}
+	recs = append(recs, rec)
+	m := NewNode(rec, NewSemanticBackend(fixtureRegistry(t)),
+		Config{StaticDirectory: "d1", Election: election.Config{ElectionTimeout: time.Hour}})
+	m.Start(context.Background())
+	t.Cleanup(m.Stop)
+	if err := m.Publish(ctx, workstationDoc(t)); err != nil {
+		t.Fatal(err)
+	}
+	m.BecomeDirectory()
+	waitUntil(t, 2*time.Second, "m republishes to itself", func() bool {
+		return m.Backend().Len() > 0
+	})
+
+	for _, r := range recs {
 		if n := r.n.Load(); n != 0 {
-			t.Errorf("d%d addressed %d query frames to itself", i, n)
+			t.Errorf("%s addressed %d frames to itself", r.ID(), n)
 		}
 	}
 }
 
 // TestFullInboxCannotSwallowAClientQuery: d0's loop is stuck serving a
 // forward from d1 and its inbox is full of d1's frames. A query d0 answers
-// locally, and one no peer's summary passes, still come back answered:
-// neither needs the loop, so neither waits out the caller's deadline.
+// locally, one no peer's summary passes, and d0's own publish and
+// withdrawal still come back answered: none of them needs the loop, so
+// none waits out the caller's deadline.
 func TestFullInboxCannotSwallowAClientQuery(t *testing.T) {
 	w := &wedge{doc: videoRequest(t), entered: make(chan struct{}), release: make(chan struct{})}
-	nodes, _, eps := directoryPair(t, Config{QueryTimeout: 500 * time.Millisecond}, func(b Backend) Backend {
+	nodes, recs, _ := directoryPair(t, Config{QueryTimeout: 500 * time.Millisecond}, func(b Backend) Backend {
 		w.Backend = b
 		return w
 	})
@@ -160,9 +200,9 @@ func TestFullInboxCannotSwallowAClientQuery(t *testing.T) {
 		<-forwarded
 	})
 	<-w.entered
-	inbox := eps[0].Inbox()
+	inbox := recs[0].Inbox()
 	for len(inbox) < cap(inbox) {
-		if err := eps[1].Send("d0", SummaryRequest{From: "d1"}); err != nil {
+		if err := recs[1].Endpoint.Send("d0", SummaryRequest{From: "d1"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,6 +232,90 @@ func TestFullInboxCannotSwallowAClientQuery(t *testing.T) {
 		if !reflect.DeepEqual(got, q.want) || res.Partial() {
 			t.Fatalf("%s: hits %v, unreachable %v; want %v", q.name, got, res.Unreachable, q.want)
 		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := nodes[0].Publish(ctx, serversOnlyDoc(t, "rack")); err != nil || !holds(nodes[0], "rack") {
+		t.Fatalf("own publish: %v, stored %v", err, holds(nodes[0], "rack"))
+	}
+	if err := nodes[0].Deregister(ctx, "rack"); err != nil || holds(nodes[0], "rack") {
+		t.Fatalf("own withdrawal: %v, stored %v", err, holds(nodes[0], "rack"))
+	}
+}
+
+// parkedSweep is a backend whose first Deregister of name — the lease
+// sweep's — blocks until release is closed, and closes swept once done.
+type parkedSweep struct {
+	Backend
+	name                    string
+	once                    sync.Once
+	entered, release, swept chan struct{}
+}
+
+func (p *parkedSweep) Deregister(name string) bool {
+	first := false
+	if name == p.name {
+		p.once.Do(func() {
+			first = true
+			close(p.entered)
+			<-p.release
+		})
+	}
+	found := p.Backend.Deregister(name)
+	if first {
+		close(p.swept)
+	}
+	return found
+}
+
+// TestOwnPublishDuringALeaseSweep: a directory's lease on its own
+// advertisement runs out, and while the sweep is in its withdrawal the
+// directory publishes the name again. The publish is stored after the
+// sweep, not withdrawn by it.
+func TestOwnPublishDuringALeaseSweep(t *testing.T) {
+	p := &parkedSweep{Backend: NewSemanticBackend(fixtureRegistry(t)), name: "rack",
+		entered: make(chan struct{}), release: make(chan struct{}), swept: make(chan struct{})}
+	net := simnet.New(simnet.Config{})
+	t.Cleanup(net.Close)
+	ep, err := net.AddNode("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0 := NewNode(ep, p, Config{TickInterval: 5 * time.Millisecond, LeaseTTL: 300 * time.Millisecond,
+		RefreshInterval: never, Election: election.Config{ElectionTimeout: time.Hour}})
+	d0.Start(context.Background())
+	t.Cleanup(d0.Stop)
+	d0.BecomeDirectory()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := d0.Publish(ctx, serversOnlyDoc(t, "rack")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.entered:
+	case <-ctx.Done():
+		t.Fatal("the lease never expired")
+	}
+
+	published := make(chan error, 1)
+	go func() { published <- d0.Publish(ctx, serversOnlyDoc(t, "rack")) }()
+	// A publish that does not wait for the sweep gets this long to finish
+	// first: the interleaving in which the sweep withdraws it. One that
+	// waits makes the test pay the grace once.
+	early := false
+	select {
+	case err = <-published:
+		early = true
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(p.release)
+	if !early {
+		err = <-published
+	}
+	<-p.swept
+	if err != nil || !holds(d0, "rack") {
+		t.Fatalf("publish during the sweep: %v, stored %v; want it stored", err, holds(d0, "rack"))
 	}
 }
 

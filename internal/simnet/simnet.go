@@ -20,6 +20,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sariadne/internal/transport"
 )
 
 // Common errors.
@@ -34,22 +36,12 @@ var (
 	ErrDuplicateNode = errors.New("simnet: duplicate node")
 )
 
-// NodeID identifies a node in the network.
-type NodeID string
+// NodeID identifies a node in the network. It is the protocol's address
+// type, so a *Endpoint satisfies transport.Endpoint as it is.
+type NodeID = transport.Addr
 
 // Message is a delivered payload with routing metadata.
-type Message struct {
-	// From is the originating node.
-	From NodeID
-	// To is the destination (the receiving node for broadcasts).
-	To NodeID
-	// Hops is the number of links the message traversed.
-	Hops int
-	// Broadcast marks messages delivered by hop-limited flooding.
-	Broadcast bool
-	// Payload is the protocol-level content.
-	Payload any
-}
+type Message = transport.Message
 
 // Config parameterizes the simulation.
 type Config struct {
@@ -270,14 +262,20 @@ func (n *Network) Close() {
 // is silently lost (the network is unreliable by design) but counted in
 // Stats. Messages from or to a crashed node are silently lost too — a
 // dead radio, not an error the sender can observe. Send fails only when
-// the network is closed, the nodes are unknown, or no usable route
-// exists (including routes cut by an active partition).
+// the network is closed, the target is the sender itself (a node delivers
+// to itself; like the socket transports, the network carries frames
+// between different nodes only), the nodes are unknown, or no usable
+// route exists (including routes cut by an active partition).
 func (e *Endpoint) Send(to NodeID, payload any) error {
 	n := e.net
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
+	}
+	if to == e.id {
+		n.mu.Unlock()
+		return fmt.Errorf("simnet: %s: send to own address", to)
 	}
 	if _, ok := n.nodes[e.id]; !ok {
 		n.mu.Unlock()

@@ -89,13 +89,13 @@ func TestUnicastNoRoute(t *testing.T) {
 	if err := a.Send("missing", 1); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Send = %v, want ErrUnknownNode", err)
 	}
-	// Self-send is hop 0 and always deliverable.
-	if err := a.Send("a", "self"); err != nil {
-		t.Fatal(err)
+	// A node delivers to itself: a send to its own ID is refused and
+	// counts as no traffic.
+	if err := a.Send("a", "self"); err == nil {
+		t.Fatal("self Send succeeded")
 	}
-	msg, err := a.Recv(context.Background())
-	if err != nil || msg.Hops != 0 {
-		t.Fatalf("self recv = %+v, %v", msg, err)
+	if st := n.Stats(); st.UnicastsSent != 0 || len(a.inbox) != 0 {
+		t.Fatalf("self Send left stats %+v, %d queued", st, len(a.inbox))
 	}
 }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -34,29 +33,18 @@ type TCPConfig struct {
 // dead peer backpressures into drops on its own queue instead of
 // stalling the protocol loop. Inbound connections get their own reader
 // until the remote closes; peer identity comes from the envelope's
-// advertised address, never the socket's source address.
+// advertised address, never the socket's source address. Only frames
+// between different nodes cross it: a send to this node's own address
+// is refused, because a node delivers to itself.
 type TCP struct {
+	mesh
 	ln    net.Listener
-	codec Codec
-	self  Addr
-	inbox chan Message
-	queue int
 	dialT time.Duration
-
-	mu     sync.Mutex
-	peers  map[Addr]*tcpPeer // guarded by mu
-	conns  map[net.Conn]bool // guarded by mu; every live conn, for Close
-	closed bool              // guarded by mu
+	// conns is every live connection, for Close. Guarded by the mesh's
+	// mu, so no connection is tracked once the mesh is closed.
+	conns map[net.Conn]bool // guarded by mu
 
 	wg sync.WaitGroup
-}
-
-// tcpPeer holds the outbound side of one peer: the write queue its
-// writer goroutine drains (nil until first send) and the diagnostics
-// snapshot.
-type tcpPeer struct {
-	sendq chan []byte
-	stat  Peer
 }
 
 // NewTCP binds a TCP transport and starts its acceptor.
@@ -72,40 +60,16 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if self == "" {
 		self = ln.Addr().String()
 	}
-	queue := cfg.QueueSize
-	if queue <= 0 {
-		queue = 128
-	}
 	dialT := cfg.DialTimeout
 	if dialT <= 0 {
 		dialT = 2 * time.Second
 	}
-	t := &TCP{
-		ln:    ln,
-		codec: cfg.Codec,
-		self:  Addr(self),
-		inbox: make(chan Message, queue),
-		queue: queue,
-		dialT: dialT,
-		peers: make(map[Addr]*tcpPeer),
-		conns: make(map[net.Conn]bool),
-	}
-	for _, s := range cfg.Seeds {
-		if Addr(s) == t.self || s == "" {
-			continue
-		}
-		t.peers[Addr(s)] = &tcpPeer{}
-	}
+	t := &TCP{ln: ln, dialT: dialT, conns: make(map[net.Conn]bool)}
+	t.init("tcp", Addr(self), cfg.Codec, cfg.Seeds, cfg.QueueSize, t.write)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
-
-// ID implements Endpoint.
-func (t *TCP) ID() Addr { return t.self }
-
-// Inbox implements Endpoint.
-func (t *TCP) Inbox() <-chan Message { return t.inbox }
 
 // acceptLoop takes inbound connections and spawns a reader per
 // connection. It exits when Close shuts the listener down.
@@ -146,115 +110,42 @@ func (t *TCP) untrack(conn net.Conn) {
 
 // readLoop drains frames from one connection (inbound or outbound —
 // peers may reply down a connection we dialed) until it fails or the
-// transport closes.
+// transport closes. A foreign frame version is fatal for the connection:
+// the stream cannot be resynchronized past an envelope we cannot parse.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
 	defer conn.Close()
 	for {
-		from, body, n, err := t.readOne(conn)
+		from, body, n, err := ReadFrame(conn)
 		if err != nil {
+			framesDroppedTotal.Inc()
 			return
 		}
-		if from == t.self {
-			framesDroppedTotal.Inc()
-			continue
-		}
-		payload, err := t.codec.Decode(body)
-		if err != nil {
-			framesDroppedTotal.Inc()
-			continue
-		}
-		bytesReceivedTotal.Add(uint64(n))
-		framesReceivedTotal.Inc()
-		t.mu.Lock()
-		p := t.peerLocked(from)
-		p.stat.FramesReceived++
-		p.stat.BytesReceived += uint64(n)
-		p.stat.LastSeen = time.Now()
-		t.deliverLocked(Message{From: from, To: t.self, Hops: 1, Payload: payload})
-		t.mu.Unlock()
+		t.receive(from, body, n)
 	}
 }
 
-// readOne reads a single envelope, treating a foreign frame version as
-// fatal for the connection (the stream cannot be resynchronized past an
-// envelope we cannot parse).
-func (t *TCP) readOne(conn net.Conn) (Addr, []byte, int, error) {
-	from, body, n, err := ReadFrame(conn)
-	if err != nil {
-		framesDroppedTotal.Inc()
-		return "", nil, n, err
-	}
-	return from, body, n, nil
-}
-
-// peerLocked returns the peer record for addr, creating it on first
-// contact. Callers hold t.mu.
-func (t *TCP) peerLocked(addr Addr) *tcpPeer {
-	p, ok := t.peers[addr]
-	if !ok {
-		p = &tcpPeer{}
-		t.peers[addr] = p
-	}
-	return p
-}
-
-// deliverLocked hands a message to the inbox, dropping (and counting)
-// when full or closed; it never blocks. Callers hold t.mu.
-func (t *TCP) deliverLocked(msg Message) {
-	if t.closed {
-		framesDroppedTotal.Inc()
-		return
-	}
-	select {
-	case t.inbox <- msg:
-	default:
-		framesDroppedTotal.Inc()
-	}
-}
-
-// Send implements Endpoint: the frame is queued for the peer's writer
-// goroutine, which dials on first use and reuses the connection after.
-// A full queue drops the frame — retries and leases up in discovery are
-// the recovery story, exactly as for datagram loss. A send to this node's
-// own address goes straight to the inbox, as over UDP: that is how a
-// directory's own Publish and Deregister reach it.
-func (t *TCP) Send(to Addr, payload any) error {
-	if to == t.self {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.closed {
-			return fmt.Errorf("transport: tcp: closed")
-		}
-		t.deliverLocked(Message{From: t.self, To: t.self, Hops: 0, Payload: payload})
-		return nil
-	}
-	body, err := t.codec.Encode(payload)
-	if err != nil {
-		return err
-	}
-	frame, err := EncodeFrame(t.self, body)
-	if err != nil {
-		return err
-	}
+// write queues a frame for the peer's writer goroutine, which dials on
+// first use and reuses the connection after. A full queue drops the
+// frame — retries and leases up in discovery are the recovery story,
+// exactly as for datagram loss.
+func (t *TCP) write(to Addr, frame []byte) error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
-		return fmt.Errorf("transport: tcp: closed")
+		return t.errClosed()
 	}
 	p := t.peerLocked(to)
 	if p.sendq == nil {
-		p.sendq = make(chan []byte, t.queue)
+		p.sendq = make(chan []byte, cap(t.inbox))
 		t.wg.Add(1)
 		go t.writeLoop(to, p.sendq)
 	}
 	select {
 	case p.sendq <- frame:
-		t.mu.Unlock()
 		return nil
 	default:
-		t.mu.Unlock()
 		framesDroppedTotal.Inc()
 		return fmt.Errorf("transport: tcp send to %s: queue full", to)
 	}
@@ -283,23 +174,11 @@ func (t *TCP) writeLoop(to Addr, sendq chan []byte) {
 		}
 		start := time.Now()
 		n, err := conn.Write(frame)
-		sendSeconds.ObserveSince(start)
-		if err != nil {
-			framesDroppedTotal.Inc()
+		if t.wrote(to, n, start, err) != nil {
 			t.untrack(conn)
 			_ = conn.Close()
 			conn = nil
-			continue
 		}
-		bytesSentTotal.Add(uint64(n))
-		framesSentTotal.Inc()
-		t.mu.Lock()
-		st := &t.peerLocked(to).stat
-		st.FramesSent++
-		st.BytesSent += uint64(n)
-		st.SendCount++
-		st.SendNanos += int64(time.Since(start))
-		t.mu.Unlock()
 	}
 }
 
@@ -319,7 +198,7 @@ func (t *TCP) dial(to Addr) (net.Conn, error) {
 	}
 	if !t.track(conn) {
 		_ = conn.Close()
-		return nil, fmt.Errorf("transport: tcp: closed")
+		return nil, t.errClosed()
 	}
 	// Read replies arriving on the dialed connection too: some peers
 	// answer on the socket the request came in on.
@@ -328,61 +207,13 @@ func (t *TCP) dial(to Addr) (net.Conn, error) {
 	return conn, nil
 }
 
-// Broadcast implements Endpoint: one frame to every known peer (the
-// overlay backbone is fully meshed, so ttl is accepted but unused).
-func (t *TCP) Broadcast(_ int, payload any) (int, error) {
-	if _, err := t.codec.Encode(payload); err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	targets := make([]Addr, 0, len(t.peers))
-	for addr := range t.peers {
-		targets = append(targets, addr)
-	}
-	t.mu.Unlock()
-	sent := 0
-	for _, to := range targets {
-		if t.Send(to, payload) == nil {
-			sent++
-		}
-	}
-	return sent, nil
-}
-
-// Peers implements PeerLister.
-func (t *TCP) Peers() []Peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Peer, 0, len(t.peers))
-	for addr, p := range t.peers {
-		st := p.stat
-		st.Addr = addr
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// Healthy implements the optional liveness probe health surfaces use: a
-// closed transport cannot carry backbone traffic.
-func (t *TCP) Healthy() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("transport: tcp: closed")
-	}
-	return nil
-}
-
 // Close implements Transport: stop the listener, close send queues and
 // live connections, join every goroutine, then close the inbox.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.shut() {
 		return nil
 	}
-	t.closed = true
+	t.mu.Lock()
 	for _, p := range t.peers {
 		if p.sendq != nil {
 			close(p.sendq)
@@ -399,7 +230,7 @@ func (t *TCP) Close() error {
 		_ = c.Close()
 	}
 	t.wg.Wait()
-	// closed is set, so no deliverLocked can race this close.
+	// The mesh is closed, so no receive can race this close.
 	close(t.inbox)
 	return err
 }

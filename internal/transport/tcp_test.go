@@ -82,16 +82,6 @@ func TestTCPConnectionReuse(t *testing.T) {
 	}
 }
 
-func TestTCPSelfSendLoopsBack(t *testing.T) {
-	a := newTestTCP(t)
-	if err := a.Send(a.ID(), testPayload{Seq: 7}); err != nil {
-		t.Fatalf("self Send: %v", err)
-	}
-	if from, p := recvPayload(t, a); from != a.ID() || p.Seq != 7 {
-		t.Fatalf("got from=%q payload=%+v", from, p)
-	}
-}
-
 func TestTCPBroadcastReachesAllPeers(t *testing.T) {
 	a := newTestTCP(t)
 	b := newTestTCP(t)

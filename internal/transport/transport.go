@@ -3,9 +3,9 @@
 // channel, and shutdown. The discovery and election layers speak only
 // this interface, so the same protocol code runs over three substrates:
 //
-//   - the in-memory simulator (internal/simnet), whose *Endpoint already
-//     satisfies Endpoint and is adapted by Wrap — every simulation and
-//     test keeps its deterministic hop-limited semantics;
+//   - the in-memory simulator (internal/simnet), whose *Endpoint
+//     satisfies Endpoint — every simulation and test keeps its
+//     deterministic hop-limited semantics;
 //   - UDP datagrams (NewUDP), one message per datagram, for real
 //     federation of sdpd directories over loopback or a LAN;
 //   - TCP streams (NewTCP), with connection reuse and per-peer write
@@ -15,29 +15,40 @@
 // The socket transports serialize payloads through a Codec — supplied by
 // the protocol layer, so transport stays ignorant of message types and
 // the discovery package stays ignorant of sockets — and wrap the encoded
-// bytes in the version/length envelope of frame.go.
+// bytes in the version/length envelope of frame.go. Both keep one peer
+// table (mesh.go). Every substrate carries only frames between different
+// nodes: a node delivers to itself, and a send to an endpoint's own
+// address is refused.
 //
-// Addr and Message alias the simulator's NodeID and Message types rather
-// than redefining them: the fields (From, To, Hops, Broadcast, Payload)
-// are substrate-agnostic, and sharing one address namespace is what lets
-// the protocol packages migrate without touching every test. Over socket
-// transports an Addr is a dialable "host:port" string.
+// Addr and Message are defined here and aliased by the simulator
+// (simnet.NodeID, simnet.Message): the fields (From, To, Hops, Broadcast,
+// Payload) are substrate-agnostic, and the simulator depends on the
+// protocol's vocabulary, never the reverse, so a daemon links no
+// simulator. Over socket transports an Addr is a dialable "host:port"
+// string.
 package transport
 
-import (
-	"time"
-
-	"sariadne/internal/simnet"
-)
+import "time"
 
 // Addr identifies a protocol participant: a node name on the simulator,
 // a dialable host:port on the socket transports.
-type Addr = simnet.NodeID
+type Addr string
 
 // Message is one delivered payload with routing metadata. Socket
 // transports deliver every frame with Hops 1 (the backbone mesh is one
 // overlay hop wide); the simulator reports real path lengths.
-type Message = simnet.Message
+type Message struct {
+	// From is the originating node.
+	From Addr
+	// To is the destination (the receiving node for broadcasts).
+	To Addr
+	// Hops is the number of links the message traversed.
+	Hops int
+	// Broadcast marks messages delivered by hop-limited flooding.
+	Broadcast bool
+	// Payload is the protocol-level content.
+	Payload any
+}
 
 // Codec serializes protocol payloads for the socket transports. The
 // discovery package's wire codec implements it; injecting the codec here
@@ -56,7 +67,7 @@ type Endpoint interface {
 	ID() Addr
 	// Send unicasts a payload. Delivery is best-effort: losses are the
 	// protocol's problem (retries, leases), only addressing and shutdown
-	// errors are reported.
+	// errors are reported. A send to the endpoint's own ID is refused.
 	Send(to Addr, payload any) error
 	// Broadcast floods a payload to the vicinity, up to ttl hops on the
 	// simulator; socket transports send to every known peer (the overlay
@@ -73,25 +84,6 @@ type Transport interface {
 	Endpoint
 	// Close releases sockets and goroutines and closes the inbox.
 	Close() error
-}
-
-// endpointTransport adapts a bare Endpoint (typically *simnet.Endpoint,
-// whose lifecycle the owning simnet.Network manages) into a Transport
-// with a no-op Close.
-type endpointTransport struct {
-	Endpoint
-}
-
-func (endpointTransport) Close() error { return nil }
-
-// Wrap adapts an Endpoint into a Transport. Values that already are
-// Transports (the socket transports) pass through unchanged; simulator
-// endpoints get a no-op Close, since simnet.Network owns their lifetime.
-func Wrap(ep Endpoint) Transport {
-	if t, ok := ep.(Transport); ok {
-		return t
-	}
-	return endpointTransport{ep}
 }
 
 // Peer is a snapshot of one live peer of a socket transport, for

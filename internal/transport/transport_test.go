@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sariadne/internal/simnet"
 	"sariadne/internal/testutil"
 )
 
@@ -56,58 +55,38 @@ func recvPayload(t *testing.T, tr Transport) (Addr, testPayload) {
 	panic("unreachable")
 }
 
-func TestWrapAdaptsSimnetEndpoint(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	a, err := net.AddNode("a")
-	if err != nil {
-		t.Fatal(err)
+// TestSendToOwnAddressRefused: a node delivers to itself, so a socket
+// transport carries no frame addressed to its own ID. The send is
+// refused, nothing arrives, and no peer entry is made for it.
+func TestSendToOwnAddressRefused(t *testing.T) {
+	type socket interface {
+		Transport
+		PeerLister
 	}
-	b, err := net.AddNode("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Connect("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-
-	ta := Wrap(a)
-	tb := Wrap(b)
-	if ta.ID() != "a" || tb.ID() != "b" {
-		t.Fatalf("IDs = %q, %q", ta.ID(), tb.ID())
-	}
-	if err := ta.Send("b", "hello"); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	select {
-	case msg := <-tb.Inbox():
-		if msg.From != "a" || msg.Payload != "hello" {
-			t.Fatalf("got %+v", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no delivery through adapter")
-	}
-	// Close must be a no-op: the network owns the endpoint's lifetime.
-	if err := ta.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := ta.Send("b", "still alive"); err != nil {
-		t.Fatalf("Send after adapter Close: %v", err)
-	}
-}
-
-func TestWrapPassesTransportsThrough(t *testing.T) {
-	u, err := NewUDP(UDPConfig{Listen: "127.0.0.1:0", Codec: testCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := u.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
-	if Wrap(u) != Transport(u) {
-		t.Fatal("Wrap re-wrapped a Transport")
+	for _, tc := range []struct {
+		name string
+		open func(*testing.T) socket
+	}{
+		{"udp", func(t *testing.T) socket { return newTestUDP(t) }},
+		{"tcp", func(t *testing.T) socket { return newTestTCP(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.open(t)
+			if err := a.Send(a.ID(), testPayload{Seq: 7}); err == nil {
+				t.Fatal("send to own address accepted")
+			}
+			if n, err := a.Broadcast(3, testPayload{Seq: 8}); err != nil || n != 0 {
+				t.Fatalf("Broadcast with no peers = %d, %v", n, err)
+			}
+			if peers := a.Peers(); len(peers) != 0 {
+				t.Fatalf("send to own address created a peer: %+v", peers)
+			}
+			select {
+			case msg := <-a.Inbox():
+				t.Fatalf("delivered %+v", msg)
+			default:
+			}
+		})
 	}
 }
 

@@ -70,20 +70,6 @@ func TestUDPExchange(t *testing.T) {
 	}, "a never recorded b's frame")
 }
 
-func TestUDPSelfSendLoopsBack(t *testing.T) {
-	a := newTestUDP(t)
-	if err := a.Send(a.ID(), testPayload{Seq: 7}); err != nil {
-		t.Fatalf("self Send: %v", err)
-	}
-	from, p := recvPayload(t, a)
-	if from != a.ID() || p.Seq != 7 {
-		t.Fatalf("got from=%q payload=%+v", from, p)
-	}
-	if len(a.Peers()) != 0 {
-		t.Fatalf("self-send created a peer: %+v", a.Peers())
-	}
-}
-
 func TestUDPBroadcastReachesAllPeers(t *testing.T) {
 	a := newTestUDP(t)
 	b := newTestUDP(t, string(a.ID()))
@@ -138,9 +124,6 @@ func TestUDPCloseClosesInboxAndRefusesSends(t *testing.T) {
 	}
 	if err := a.Send(b.ID(), testPayload{}); err == nil {
 		t.Fatal("Send succeeded after Close")
-	}
-	if err := a.Send(a.ID(), testPayload{}); err == nil {
-		t.Fatal("self Send succeeded after Close")
 	}
 }
 
