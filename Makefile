@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance match-fuzz profile-fuzz check clean
+.PHONY: build test race bench bench-smoke chaos lint lint-json federation-smoke soak-smoke slo-check store-conformance match-fuzz api-fuzz profile-fuzz check clean
 
 build:
 	$(GO) build ./...
@@ -88,9 +88,16 @@ store-conformance:
 
 # match-fuzz is a short run of the differential fuzzer that holds the
 # directory's match operation — over capabilities encoded once — to the
-# by-name SemanticDistance it replaced there.
+# by-name SemanticDistance it replaced there, and the signature filter in
+# front of it to never ruling out a pair that matches.
 match-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEncodedDistance -fuzztime 10s ./internal/match/
+
+# api-fuzz is a short run of the differential fuzzer that holds the UDP
+# request scanner to encoding/json: whatever it does not decline it reads
+# exactly as json.Unmarshal does.
+api-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequestEqualsJSON -fuzztime 10s ./internal/sdpapi/
 
 # profile-fuzz is a short run of the differential fuzzer that holds the
 # Amigo-S scanner to encoding/xml: whatever it does not decline it reads
@@ -116,7 +123,7 @@ soak-smoke:
 # targets, one step each (slo-check in a job of its own), plus bench-smoke
 # for the figure artifacts — so a green `make check` and a green CI run
 # mean the same thing.
-check: build lint test race chaos store-conformance match-fuzz profile-fuzz federation-smoke soak-smoke slo-check
+check: build lint test race chaos store-conformance match-fuzz api-fuzz profile-fuzz federation-smoke soak-smoke slo-check
 
 clean:
 	$(GO) clean ./...

@@ -488,8 +488,8 @@ func encodeReply(resp sdpapi.Response) ([]byte, error) {
 // counted, and answered with bad_request.
 func (s *server) handleDatagram(datagram []byte) sdpapi.Response {
 	start := time.Now()
-	var req sdpapi.Request
-	if err := json.Unmarshal(datagram, &req); err != nil {
+	req, err := sdpapi.DecodeRequest(datagram)
+	if err != nil {
 		return account(start, sdpapi.Response{Error: "malformed request: " + err.Error(), Code: sdpapi.CodeBadRequest})
 	}
 	return account(start, s.process(req))

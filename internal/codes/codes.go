@@ -35,6 +35,7 @@ package codes
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"math/big"
@@ -211,9 +212,48 @@ type Table struct {
 	// count of a subsuming pair is a search in a short sorted row, with
 	// nothing to hash inside a match operation.
 	ancestors [][]ancestorLevels
+	// sigs[i] is concept i's Signature, derived from the ancestors rows.
+	sigs []Signature
 }
 
 type ancestorLevels struct{ ancestor, levels int }
+
+// Signature summarises where a concept sits in its hierarchy as three bit
+// masks, so that a match can be ruled out with a few AND-NOTs before any
+// code is compared. Every concept of a table owns one of 32 bits: Self is
+// that bit, Up the OR over the concept's ancestors and itself, Down the OR
+// over its descendants and itself. Whenever a subsumes b — DistanceAt(a, b)
+// succeeds — a's Self bit is in b's Up and b's Self bit is in a's Down.
+// The masks are read from the ancestor rows that DistanceAt itself
+// consults, never from the intervals, so that holds for a table read back
+// by UnmarshalTable too. The converse is not promised: a table of more than
+// 32 concepts reuses bits, as do two tables, which only makes the masks
+// rule out less.
+type Signature struct {
+	Self, Up, Down uint32
+}
+
+// signatures derives every concept's Signature from the ancestor rows.
+// Concept i owns bit (i + h) mod 32, where h is a hash of the ontology URI,
+// so that the bits are distinct within a table of up to 32 concepts and
+// the first concepts of two ontologies do not share them.
+func signatures(uri string, ancestors [][]ancestorLevels) []Signature {
+	h := fnv.New32a()
+	h.Write([]byte(uri))
+	offset := h.Sum32()
+	bit := func(i int) uint32 { return 1 << ((uint32(i) + offset) & 31) }
+	sigs := make([]Signature, len(ancestors))
+	for i := range sigs {
+		sigs[i].Self = bit(i)
+		sigs[i].Up |= bit(i)
+		sigs[i].Down |= bit(i)
+		for _, a := range ancestors[i] {
+			sigs[i].Up |= bit(a.ancestor)
+			sigs[a.ancestor].Down |= bit(i)
+		}
+	}
+	return sigs
+}
 
 // sortedAncestors lays a concept's ancestor closure out as a row of
 // Table.ancestors.
@@ -337,6 +377,7 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 		}
 		t.codes[i].Covers = minimizeCover(ivs)
 	}
+	t.sigs = signatures(t.uri, t.ancestors)
 	return t, nil
 }
 
@@ -400,6 +441,15 @@ func (t *Table) Code(name string) (Code, bool) {
 func (t *Table) Index(name string) (int, bool) {
 	i, ok := t.names[name]
 	return i, ok
+}
+
+// SignatureAt returns the Signature of the concept at index i (see Index),
+// and the zero Signature for an index outside the table.
+func (t *Table) SignatureAt(i int) Signature {
+	if uint(i) >= uint(len(t.sigs)) {
+		return Signature{}
+	}
+	return t.sigs[i]
 }
 
 // Subsumes reports whether class a subsumes class b, by numeric interval

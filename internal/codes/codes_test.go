@@ -494,3 +494,56 @@ func TestWideFanoutEncodable(t *testing.T) {
 		t.Fatal("siblings must not subsume each other")
 	}
 }
+
+// TestPropertySignatureNecessary: whenever DistanceAt(a, b) finds a
+// distance, a's Self bit is in b's Up and b's is in a's Down — on tables
+// of up to 32 concepts, where every concept owns a bit of its own, and on
+// larger ones, where bits are shared — and a table read back by
+// UnmarshalTable carries the same signatures.
+func TestPropertySignatureNecessary(t *testing.T) {
+	prop := func(seed int64, sz uint8) bool {
+		n := int(sz%80) + 2
+		rng := rand.New(rand.NewSource(seed))
+		cl, err := ontology.Classify(randomHierarchy(rng, n))
+		if err != nil {
+			return false
+		}
+		tbl, err := Encode(cl, DefaultParams)
+		if err != nil {
+			return false
+		}
+		data, err := MarshalTable(tbl)
+		if err != nil {
+			return false
+		}
+		back, err := UnmarshalTable(data)
+		if err != nil {
+			return false
+		}
+		concepts := tbl.NumConcepts()
+		var owned uint32
+		for a := 0; a < concepts; a++ {
+			sa := tbl.SignatureAt(a)
+			if back.SignatureAt(a) != sa {
+				t.Logf("seed=%d n=%d: concept %d has signature %+v, read back %+v", seed, n, a, sa, back.SignatureAt(a))
+				return false
+			}
+			if concepts <= 32 && owned&sa.Self != 0 {
+				t.Logf("seed=%d n=%d: concept %d shares its bit in a table of %d concepts", seed, n, a, concepts)
+				return false
+			}
+			owned |= sa.Self
+			for b := 0; b < concepts; b++ {
+				sb := tbl.SignatureAt(b)
+				if _, ok := tbl.DistanceAt(a, b); ok && (sa.Self&^sb.Up != 0 || sb.Self&^sa.Down != 0) {
+					t.Logf("seed=%d n=%d: %d subsumes %d but the signatures %+v, %+v rule it out", seed, n, a, b, sa, sb)
+					return false
+				}
+			}
+		}
+		return tbl.SignatureAt(-1) == Signature{} && tbl.SignatureAt(concepts) == Signature{}
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

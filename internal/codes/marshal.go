@@ -114,5 +114,6 @@ func UnmarshalTable(data []byte) (*Table, error) {
 		}
 		t.ancestors[i] = sortedAncestors(closure)
 	}
+	t.sigs = signatures(t.uri, t.ancestors)
 	return t, nil
 }

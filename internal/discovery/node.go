@@ -211,8 +211,13 @@ type Node struct {
 	// last (re)registered; stale ones are swept when LeaseTTL is set.
 	leases       map[string]time.Time // guarded by mu
 	lastAnnounce time.Time            // guarded by mu
-	lastRefresh  time.Time            // guarded by mu
-	stats        Stats                // guarded by mu
+	// announceGap is, while a transport peer has sent no summary yet, the
+	// number of ticks between two announcements (see announceDueLocked),
+	// and sinceAnnounce the ticks since the last one.
+	announceGap   int       // guarded by mu
+	sinceAnnounce int       // guarded by mu
+	lastRefresh   time.Time // guarded by mu
+	stats         Stats     // guarded by mu
 	// sampleCount counts origin queries for the 1-in-N trace sampler;
 	// traceNext is the slow-query latch: set when an untraced query came
 	// back slow, so the next query is traced regardless of the sampler.
@@ -297,17 +302,18 @@ type outMsg struct {
 func NewNode(ep transport.Endpoint, backend Backend, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	n := &Node{
-		ep:         ep,
-		backend:    backend,
-		cfg:        cfg,
-		elect:      election.NewMachine(ep.ID(), cfg.Election, time.Now()),
-		filter:     bloom.MustNew(cfg.BloomBits, cfg.BloomHashes),
-		peers:      make(map[transport.Addr]*peerState),
-		published:  make(map[string][]byte),
-		queryWait:  make(map[uint64]chan QueryReply),
-		regWait:    make(map[uint64]chan RegisterReply),
-		aggregates: make(map[uint64]*aggregation),
-		leases:     make(map[string]time.Time),
+		ep:          ep,
+		backend:     backend,
+		cfg:         cfg,
+		elect:       election.NewMachine(ep.ID(), cfg.Election, time.Now()),
+		filter:      bloom.MustNew(cfg.BloomBits, cfg.BloomHashes),
+		peers:       make(map[transport.Addr]*peerState),
+		published:   make(map[string][]byte),
+		queryWait:   make(map[uint64]chan QueryReply),
+		regWait:     make(map[uint64]chan RegisterReply),
+		aggregates:  make(map[uint64]*aggregation),
+		leases:      make(map[string]time.Time),
+		announceGap: 1,
 	}
 	return n
 }
@@ -463,17 +469,14 @@ func (n *Node) loop(ctx context.Context, done chan struct{}) {
 func (n *Node) tick() {
 	now := time.Now()
 	var electionActions []any
-	announce := false
+	peers := n.transportPeers()
 	n.mu.Lock()
 	if n.cfg.StaticDirectory == "" {
 		electionActions = n.elect.Tick(now)
 	} else if n.elect.Role() == election.Directory {
 		electionActions = n.elect.Tick(now) // keep advertising
 	}
-	if n.elect.Role() == election.Directory && now.Sub(n.lastAnnounce) >= n.cfg.AnnounceInterval {
-		n.lastAnnounce = now
-		announce = true
-	}
+	announce := n.announceDueLocked(now, peers)
 	resends, finished := n.maintainAggregationsLocked(now)
 	pushCount := n.backend.Len() != n.sentCount
 	n.mu.Unlock()
@@ -493,6 +496,49 @@ func (n *Node) tick() {
 	n.sweepLeases(now)
 	n.refreshOwnLeases(now)
 	n.republishIfMoved()
+}
+
+// transportPeers returns the peers the transport knows of, when it keeps
+// a table of them (transport.PeerLister): the seeds it was configured
+// with and whoever has sent it a frame.
+func (n *Node) transportPeers() []transport.Peer {
+	if l, ok := n.ep.(transport.PeerLister); ok {
+		return l.Peers()
+	}
+	return nil
+}
+
+// announceDueLocked reports whether a directory announces itself on this
+// tick: every AnnounceInterval, and more often while one of the transport's
+// peers has sent no summary yet. An announcement to a seed that has not
+// bound its socket is lost without a trace, and the backbone would wait a
+// whole interval for the next; instead the directory announces on the
+// next tick, then doubles the gap in ticks until it reaches the interval.
+func (n *Node) announceDueLocked(now time.Time, peers []transport.Peer) bool {
+	if n.elect.Role() != election.Directory {
+		return false
+	}
+	waiting := false
+	for _, p := range peers {
+		if ps := n.peers[p.Addr]; ps == nil || ps.filter == nil {
+			waiting = true
+			break
+		}
+	}
+	n.sinceAnnounce++
+	due := now.Sub(n.lastAnnounce) >= n.cfg.AnnounceInterval
+	if !waiting {
+		n.announceGap = 1
+	} else if !due && n.sinceAnnounce >= n.announceGap {
+		due = true
+		if time.Duration(n.announceGap)*n.cfg.TickInterval < n.cfg.AnnounceInterval {
+			n.announceGap *= 2
+		}
+	}
+	if due {
+		n.lastAnnounce, n.sinceAnnounce = now, 0
+	}
+	return due
 }
 
 // sweepLeases expires advertisements whose lease ran out (soft state:

@@ -62,10 +62,39 @@ type Encoded struct {
 	// handles holds the capability's resolved references in one array:
 	// category and properties (the property set of the matching relation),
 	// then inputs from inputsAt, then outputs from outputsAt. Nil when the
-	// matcher works by name. The two offsets are 32-bit so that an Encoded is
-	// 40 bytes, and a directory entry that embeds one 80.
+	// matcher works by name. The offsets and the masks are 32-bit so that an
+	// Encoded is 64 bytes, and a directory entry that embeds one 104.
 	handles             []handle
 	inputsAt, outputsAt int32
+	sig                 signature
+}
+
+// signature is the OR of the codes.Signature of every reference of one
+// role, in the two masks MayMatch reads of it: Self, and the closure the
+// other side of a match is looked for in. The zero signature — a
+// capability matched by name, or one none of whose references resolved —
+// rules nothing out.
+type signature struct {
+	propSelf, propDown uint32 // category and properties
+	inSelf, inUp       uint32
+	outSelf, outDown   uint32
+}
+
+// MayMatch is a necessary condition of EncodedDistance(c1, c2) finding a
+// distance, answered from the two signatures in three AND-NOTs, one per
+// loop of EncodedDistance: every input c1 expects needs one of c2's
+// inputs below it, every output c2 expects one of c1's outputs above it,
+// every property c2 requires one of c1's properties above it. A concept
+// that subsumes another has its Self bit in the other's Up, and the other's
+// in its Down (codes.Signature), so a missing bit proves the comparison
+// would fail; false is always right, true only means the codes must be
+// compared. Over capabilities encoded by name it is always true.
+//
+//sdp:hotpath
+func MayMatch(c1, c2 *Encoded) bool {
+	return c1.sig.inSelf&^c2.sig.inUp|
+		c2.sig.outSelf&^c1.sig.outDown|
+		c2.sig.propSelf&^c1.sig.propDown == 0
 }
 
 // Capability returns the capability e was made from.
@@ -99,24 +128,40 @@ func newEncoded(ts *codes.Tables, c *profile.Capability) *Encoded {
 		table  *codes.Table
 		number uint32
 	)
-	resolve := func(r ontology.Ref) {
+	resolve := func(r ontology.Ref) codes.Signature {
 		if r.Ontology != uri || table == nil {
 			uri = r.Ontology
 			table, number, _ = ts.Resolve(uri)
 		}
-		var h handle
+		var (
+			h   handle
+			sig codes.Signature
+		)
 		if table != nil {
 			if i, ok := table.Index(r.Name); ok {
 				h = handle{table: number, index: uint32(i)}
+				sig = table.SignatureAt(i)
 			}
 		}
 		e.handles = append(e.handles, h)
+		return sig
 	}
-	resolve(c.Category)
-	for _, refs := range [][]ontology.Ref{c.Properties, c.Inputs, c.Outputs} {
-		for _, r := range refs {
-			resolve(r)
-		}
+	sig := resolve(c.Category)
+	e.sig.propSelf, e.sig.propDown = sig.Self, sig.Down
+	for _, r := range c.Properties {
+		sig := resolve(r)
+		e.sig.propSelf |= sig.Self
+		e.sig.propDown |= sig.Down
+	}
+	for _, r := range c.Inputs {
+		sig := resolve(r)
+		e.sig.inSelf |= sig.Self
+		e.sig.inUp |= sig.Up
+	}
+	for _, r := range c.Outputs {
+		sig := resolve(r)
+		e.sig.outSelf |= sig.Self
+		e.sig.outDown |= sig.Down
 	}
 	return e
 }

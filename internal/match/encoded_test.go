@@ -26,10 +26,34 @@ type encodedWorld struct {
 }
 
 func newEncodedWorld(tb testing.TB, seed int64) *encodedWorld {
+	return newWorldOf(tb, seed, worldShapes[0])
+}
+
+// worldShape varies a world where the signatures could go wrong: a first
+// ontology too large for every concept to own a bit of the 32, or one whose
+// table was replaced by another version — another hierarchy over the same
+// names — before any capability was drawn.
+type worldShape struct {
+	name          string
+	firstClasses  int
+	replacedFirst bool
+}
+
+var worldShapes = []worldShape{
+	{name: "small", firstClasses: 14},
+	{name: "shared-bits", firstClasses: 90},
+	{name: "replaced", firstClasses: 14, replacedFirst: true},
+}
+
+func newWorldOf(tb testing.TB, seed int64, shape worldShape) *encodedWorld {
 	tb.Helper()
 	w := &encodedWorld{reg: codes.NewRegistry()}
 	for i := 0; i < 3; i++ {
-		o := worldOntology(i, "1", seed)
+		classes := 14
+		if i == 0 {
+			classes = shape.firstClasses
+		}
+		o := worldOntology(i, "1", seed, classes)
 		t, err := codes.Encode(ontology.MustClassify(o), codes.DefaultParams)
 		if err != nil {
 			tb.Fatal(err)
@@ -43,19 +67,24 @@ func newEncodedWorld(tb testing.TB, seed int64) *encodedWorld {
 		}
 		w.refs = append(w.refs, ontology.Ref{Ontology: o.URI, Name: "NoSuchClass"})
 	}
+	if shape.replacedFirst {
+		t := codes.MustEncode(ontology.MustClassify(worldOntology(0, "2", seed+99, shape.firstClasses)), codes.DefaultParams)
+		w.reg.Register(t)
+		w.tables[0] = t
+	}
 	w.refs = append(w.refs, ontology.Ref{Ontology: "http://example.org/undeclared", Name: "C001"})
 	w.cm = NewCodeMatcher(w.reg)
 	return w
 }
 
-// worldOntology generates the i-th ontology of a world: 14 classes, four
-// extra parents, and three more classes each declared equivalent to one of
-// those, so that two names resolve to one concept.
-func worldOntology(i int, version string, seed int64) *ontology.Ontology {
+// worldOntology generates the i-th ontology of a world: the given number
+// of classes, four extra parents, and three more classes each declared
+// equivalent to one of those, so that two names resolve to one concept.
+func worldOntology(i int, version string, seed int64, classes int) *ontology.Ontology {
 	o := gen.Ontology(gen.OntologyConfig{
 		URI:          fmt.Sprintf("http://example.org/world/%d", i),
 		Version:      version,
-		Classes:      14,
+		Classes:      classes,
 		ExtraParents: 4,
 		Seed:         seed*31 + int64(i),
 	})
@@ -81,17 +110,26 @@ func (w *encodedWorld) capability(name string, pick func(n int) int) *profile.Ca
 
 // checkEncodedEqualsByName requires the encoded distance of (c1, c2) to be
 // the by-name SemanticDistance, through the code matcher and through the
-// by-name seam a directory over any other matcher uses.
-func checkEncodedEqualsByName(t *testing.T, w *encodedWorld, c1, c2 *profile.Capability) (matched bool) {
+// by-name seam a directory over any other matcher uses, and MayMatch to
+// let every pair through that matches by name: over code tables that is
+// the signatures' soundness, over the by-name seam MayMatch is always true.
+// It reports whether the pair matches, and whether MayMatch ruled it out.
+func checkEncodedEqualsByName(t *testing.T, w *encodedWorld, c1, c2 *profile.Capability) (matched, ruledOut bool) {
 	t.Helper()
 	wantD, wantOK := SemanticDistance(w.cm, c1, c2)
 	for name, em := range map[string]EncodedMatcher{"codes": w.cm, "by-name": EncoderFor(struct{ ConceptMatcher }{w.cm})} {
-		gotD, gotOK := em.EncodedDistance(em.Encode(c1), em.Encode(c2))
+		e1, e2 := em.Encode(c1), em.Encode(c2)
+		gotD, gotOK := em.EncodedDistance(e1, e2)
 		if gotD != wantD || gotOK != wantOK {
 			t.Fatalf("%s: encoded distance (%d, %v), by name (%d, %v)\n c1 %+v\n c2 %+v", name, gotD, gotOK, wantD, wantOK, c1, c2)
 		}
+		may := MayMatch(e1, e2)
+		if !may && (wantOK || name == "by-name") {
+			t.Fatalf("%s: MayMatch rules out a pair that matches by name at (%d, %v)\n c1 %+v\n c2 %+v", name, wantD, wantOK, c1, c2)
+		}
+		ruledOut = ruledOut || !may
 	}
-	return wantOK
+	return wantOK, ruledOut
 }
 
 // TestEncodedDistanceEqualsSemanticDistance is the differential property:
@@ -99,13 +137,27 @@ func checkEncodedEqualsByName(t *testing.T, w *encodedWorld, c1, c2 *profile.Cap
 // that a good share of them match — the encoded distance is the by-name
 // distance, found or not.
 func TestEncodedDistanceEqualsSemanticDistance(t *testing.T) {
+	for _, shape := range worldShapes {
+		t.Run(shape.name, func(t *testing.T) { checkWorld(t, shape) })
+	}
+}
+
+func checkWorld(t *testing.T, shape worldShape) {
 	for seed := int64(1); seed <= 4; seed++ {
-		w := newEncodedWorld(t, seed)
+		w := newWorldOf(t, seed, shape)
 		rng := rand.New(rand.NewSource(seed))
 		if _, ok := EncoderFor(w.cm).(*CodeMatcher); !ok {
 			t.Fatal("EncoderFor(CodeMatcher) does not return the code matcher's own encoded matching")
 		}
-		matched := 0
+		matched, ruledOut := 0, 0
+		count := func(m, r bool) {
+			if m {
+				matched++
+			}
+			if r {
+				ruledOut++
+			}
+		}
 		for i := 0; i < 3000; i++ {
 			c1 := w.capability("c1", rng.Intn)
 			c2 := w.capability("c2", rng.Intn)
@@ -123,13 +175,11 @@ func TestEncodedDistanceEqualsSemanticDistance(t *testing.T) {
 				redraw(c2.Outputs)
 				redraw(c2.Properties)
 			}
-			if checkEncodedEqualsByName(t, w, c1, c2) {
-				matched++
-			}
-			checkEncodedEqualsByName(t, w, c2, c1)
+			count(checkEncodedEqualsByName(t, w, c1, c2))
+			count(checkEncodedEqualsByName(t, w, c2, c1))
 		}
-		if matched < 100 {
-			t.Errorf("seed %d: only %d of 3000 pairs matched; the property is checked on misses alone", seed, matched)
+		if matched < 100 || ruledOut < 1000 {
+			t.Errorf("seed %d: of 6000 pairs %d matched and MayMatch ruled out %d; the property is checked on one kind alone", seed, matched, ruledOut)
 		}
 	}
 }
@@ -163,7 +213,7 @@ func TestEncodedStaleTableNeverCompared(t *testing.T) {
 		t.Fatalf("before the replacement c matches itself at (%d, %v)", d, ok)
 	}
 	// Version 2 of the ontology: another hierarchy over the same names.
-	w.reg.Register(codes.MustEncode(ontology.MustClassify(worldOntology(0, "2", 99)), codes.DefaultParams))
+	w.reg.Register(codes.MustEncode(ontology.MustClassify(worldOntology(0, "2", 99, 14)), codes.DefaultParams))
 	fresh := w.cm.Encode(c)
 	for name, pair := range map[string][2]*Encoded{"stale/fresh": {stale, fresh}, "fresh/stale": {fresh, stale}, "stale/stale": {stale, stale}} {
 		if _, ok := w.cm.EncodedDistance(pair[0], pair[1]); ok {
@@ -197,5 +247,37 @@ func FuzzEncodedDistance(f *testing.F) {
 		c2 := w.capability("c2", pick)
 		checkEncodedEqualsByName(t, w, c1, c2)
 		checkEncodedEqualsByName(t, w, c2, c1)
+	})
+}
+
+// BenchmarkRuledOutPair is what a match operation that finds nothing
+// costs with the codes alone and with the signatures: pairs drawn from the
+// world that MayMatch rules out, compared by EncodedDistance and by
+// MayMatch.
+func BenchmarkRuledOutPair(b *testing.B) {
+	w := newEncodedWorld(b, 1)
+	rng := rand.New(rand.NewSource(1))
+	var pairs [][2]*Encoded
+	for len(pairs) < 1024 {
+		c1, c2 := w.cm.Encode(w.capability("c1", rng.Intn)), w.cm.Encode(w.capability("c2", rng.Intn))
+		if !MayMatch(c1, c2) {
+			pairs = append(pairs, [2]*Encoded{c1, c2})
+		}
+	}
+	b.Run("codes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if _, ok := w.cm.EncodedDistance(p[0], p[1]); ok {
+				b.Fatal("a pair MayMatch ruled out matched")
+			}
+		}
+	})
+	b.Run("signatures", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if MayMatch(p[0], p[1]) {
+				b.Fatal("MayMatch changed its mind")
+			}
+		}
 	})
 }

@@ -149,6 +149,13 @@ func TestDenseCorporaEqualLinearScan(t *testing.T) {
 			probes := findMetric(t, "registry_root_probes_total").Value - probesBefore
 			t.Logf("%+v; %.1f match operations per insert; per query %.1f hits, %.1f root probes, %.1f match operations (linear scan %d)",
 				d.Stats(), float64(insertOps)/services, float64(hits)/requests, probes/requests, float64(d.MatchOps()-insertOps)/requests, services)
+			// Most probes find nothing, and the signatures say so without
+			// comparing a code.
+			share := float64(d.Comparisons()) / float64(d.MatchOps())
+			t.Logf("%.1f %% of the match operations compared codes (%d of %d)", 100*share, d.Comparisons(), d.MatchOps())
+			if share > 0.15 {
+				t.Errorf("%.1f %% of the match operations compared codes, want at most 15 %%", 100*share)
+			}
 		})
 	}
 }

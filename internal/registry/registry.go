@@ -245,8 +245,10 @@ type Directory struct {
 	classify func(*graph, *match.Encoded) placement
 	// snap is the published immutable view served to readers.
 	snap atomic.Pointer[snapshot]
-	// matchOps counts capability-level match operations (monotonic).
-	matchOps atomic.Uint64
+	// matchOps counts capability-level match operations (monotonic), and
+	// comparisons those of them MayMatch did not rule out.
+	matchOps    atomic.Uint64
+	comparisons atomic.Uint64
 }
 
 // NewDirectory returns an empty directory matching with m.
@@ -320,9 +322,16 @@ func (d *Directory) publishLocked() {
 
 // distance is the directory's match operation, SemanticDistance(c1, c2)
 // over encoded capabilities; it counts them, the quantity the paper's
-// directory optimization minimizes.
+// directory optimization minimizes. A pair the signatures rule out
+// (match.MayMatch) is still one match operation — the paper's unit is the
+// capability comparison — but compares no code; the pairs that do are
+// counted apart.
 func (d *Directory) distance(c1, c2 *match.Encoded) (int, bool) {
 	d.matchOps.Add(1)
+	if !match.MayMatch(c1, c2) {
+		return 0, false
+	}
+	d.comparisons.Add(1)
 	return d.enc.EncodedDistance(c1, c2)
 }
 
@@ -334,6 +343,10 @@ func (d *Directory) matches(c1, c2 *match.Encoded) bool {
 // MatchOps returns the cumulative number of capability-level semantic
 // match operations performed by the directory (insertions and queries).
 func (d *Directory) MatchOps() uint64 { return d.matchOps.Load() }
+
+// Comparisons returns how many of those match operations got past the
+// signatures to compare codes (or names, for a matcher without codes).
+func (d *Directory) Comparisons() uint64 { return d.comparisons.Load() }
 
 // NumGraphs returns the number of capability graphs.
 func (d *Directory) NumGraphs() int {
