@@ -79,8 +79,8 @@ slo-check:
 # failed-write rollback), then both store implementations (boltlike and
 # the memstore fake) against the shared storetest contract — ordered
 # replay, idempotent reopen, concurrent append/replay, crash-recovery by
-# injected truncation — plus the sdpd replay/import integration tests and
-# short runs of the frame-scan and record-codec fuzzers.
+# injected truncation — plus the sdpd replay integration tests and short
+# runs of the frame-scan and record-codec fuzzers.
 store-conformance:
 	$(GO) test -race -count=1 ./internal/framelog/ ./internal/store/... ./cmd/sdpd/
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 10s ./internal/framelog/
@@ -114,8 +114,9 @@ federation-smoke:
 
 # soak-smoke is the 90-second miniature of an overnight soak: a
 # three-daemon federation with durable telemetry journals and drift
-# watchdogs must stay silent while healthy, serve pre-restart history
-# after a restart, and fire goroutine_growth on an injected leak.
+# watchdogs must stay silent while healthy and serve pre-restart history
+# after a restart. That goroutine_growth fires on a leak is a cmd/sdpd
+# test (TestWatchdogFiresOnGoroutineLeak).
 soak-smoke:
 	$(GO) run ./cmd/soaksmoke
 

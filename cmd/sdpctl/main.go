@@ -38,7 +38,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -540,7 +539,7 @@ func renderHealth(w io.Writer, addr string, healthy, ready bool, probes func(fun
 	})
 }
 
-// topColumns are the /metrics series rendered by top, in column order.
+// topColumns are the /debug/vars entries rendered by top, in column order.
 // The short header keeps a three-daemon federation on one screen.
 var topColumns = []struct{ header, metric string }{
 	{"REQS", "sdpd_requests_total"},
@@ -556,7 +555,7 @@ var topColumns = []struct{ header, metric string }{
 	{"HEALTHY", "sdpd_healthy"},
 }
 
-// runTop scrapes every daemon's /metrics once and renders the shared
+// runTop reads every daemon's /debug/vars once and renders the shared
 // counters side by side — a federation-wide glance at load, pruning
 // effectiveness and degradation. Unreachable daemons get a "down" row
 // instead of failing the whole table.
@@ -569,60 +568,23 @@ func runTop(w io.Writer, addrs []string, timeout time.Duration) {
 	fmt.Fprintln(w)
 	for _, addr := range addrs {
 		fmt.Fprintf(w, "%-22s", addr)
-		metrics, err := scrapeWithRetry(func() (map[string]float64, error) {
-			return scrapeMetrics(client, addr)
+		vars, err := scrapeWithRetry(func() (map[string]telemetry.MetricSnapshot, error) {
+			return scrapeVars(client, addr)
 		})
 		if err != nil {
 			fmt.Fprintf(w, " down: %v\n", err)
 			continue
 		}
 		for _, c := range topColumns {
-			v, ok := metrics[c.metric]
+			s, ok := vars[c.metric]
 			if !ok {
 				fmt.Fprintf(w, " %8s", "-")
 				continue
 			}
-			fmt.Fprintf(w, " %8s", strconv.FormatFloat(v, 'f', -1, 64))
+			fmt.Fprintf(w, " %8s", strconv.FormatFloat(s.Value, 'f', -1, 64))
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// scrapeMetrics fetches one daemon's Prometheus exposition and parses
-// the plain (label-free) series into a name->value map.
-func scrapeMetrics(client *http.Client, addr string) (map[string]float64, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	return parseMetrics(resp.Body)
-}
-
-// parseMetrics reads Prometheus text exposition, keeping label-free
-// series ("name value") and skipping comments and histogram buckets.
-func parseMetrics(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 || strings.Contains(fields[0], "{") {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		out[fields[0]] = v
-	}
-	return out, sc.Err()
 }
 
 // runLogin mints a self-describing HMAC token entirely client-side; a
@@ -730,7 +692,7 @@ commands:
                             list live advertisements (paginated GET /services), or
                             one advertisement's version history with -name
   top [-watch 2s] [-count N] <http-addr>...
-                            scrape several daemons' /metrics into one table,
+                            read several daemons' /debug/vars into one table,
                             optionally re-rendered at an interval
   watch [-metric discovery_query_seconds] [-interval 1s] [-count N] [-since 30m] <http-addr>
                             stream windowed p50/p95/p99/p999 of one histogram

@@ -146,22 +146,24 @@ func TestRenderTraceEmpty(t *testing.T) {
 	}
 }
 
+// TestParseMetrics reads plain counters and gauges through scrapeVars,
+// the decoder top uses, and checks a labeled series stays out of the
+// plain names.
 func TestParseMetrics(t *testing.T) {
-	in := `# HELP sdpd_requests_total requests handled
-# TYPE sdpd_requests_total counter
-sdpd_requests_total 42
-sdpd_request_seconds_bucket{le="0.001"} 7
-sdpd_healthy 1
-garbage line with three fields
-`
-	m, err := parseMetrics(strings.NewReader(in))
+	reg := telemetry.NewRegistry()
+	reg.NewCounter("sdpd_requests_total", "requests handled").Add(42)
+	reg.NewBoolGauge("sdpd_healthy", "").Set(true)
+	reg.NewLabeledCounter("sdpd_denied_total", "denials", "tenant").With("alice").Add(7)
+	ts := varsServer(t, reg, nil)
+
+	m, err := scrapeVars(&http.Client{Timeout: time.Second}, ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["sdpd_requests_total"] != 42 || m["sdpd_healthy"] != 1 {
+	if m["sdpd_requests_total"].Value != 42 || m["sdpd_healthy"].Value != 1 {
 		t.Fatalf("parsed = %v", m)
 	}
-	if _, ok := m[`sdpd_request_seconds_bucket{le="0.001"}`]; ok {
+	if _, ok := m["sdpd_denied_total"]; ok {
 		t.Fatal("labeled series leaked into the plain map")
 	}
 }
@@ -207,10 +209,11 @@ func TestRunHealth(t *testing.T) {
 // TestRunTop scrapes two fake daemons — one serving metrics, one dead —
 // and checks both land in the table without aborting it.
 func TestRunTop(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("sdpd_requests_total 9\ndiscovery_forwards_sent_total 4\nsdpd_healthy 1\n"))
-	}))
-	t.Cleanup(ts.Close)
+	reg := telemetry.NewRegistry()
+	reg.NewCounter("sdpd_requests_total", "").Add(9)
+	reg.NewCounter("discovery_forwards_sent_total", "").Add(4)
+	reg.NewBoolGauge("sdpd_healthy", "").Set(true)
+	ts := varsServer(t, reg, nil)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadAddr := dead.Listener.Addr().String()
 	dead.Close()

@@ -1,14 +1,13 @@
 package main
 
-// Live time-series rendering over daemon /metrics endpoints: `sdpctl top
-// -watch` re-renders the federation table at an interval, and `sdpctl
+// Live time-series rendering over daemon /debug/vars endpoints: `sdpctl
+// top -watch` re-renders the federation table at an interval, and `sdpctl
 // watch` turns one daemon's histogram into a windowed quantile stream —
 // each row is the latency distribution of the ops that happened since
 // the previous scrape (cumulative bucket subtraction via
 // telemetry.DeltaSnapshot), not the since-boot aggregate.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,7 +93,7 @@ func runWatch(w io.Writer, addr, metric string, timeout, interval time.Duration,
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		snaps, err := scrapeWithRetry(func() (map[string]telemetry.MetricSnapshot, error) {
-			return scrapeSnapshots(client, addr)
+			return scrapeVars(client, addr)
 		})
 		if err != nil {
 			fmt.Fprintf(w, "%-10s down: %v\n", elapsed, err)
@@ -123,120 +122,18 @@ func runWatch(w io.Writer, addr, metric string, timeout, interval time.Duration,
 	}
 }
 
-// scrapeSnapshots fetches one daemon's /metrics and reassembles the
-// exposition into telemetry snapshots, histograms included.
-func scrapeSnapshots(client *http.Client, addr string) (map[string]telemetry.MetricSnapshot, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
+// scrapeVars fetches one daemon's GET /debug/vars (Registry.WriteJSON)
+// into snapshots by name: the one read behind top and watch.
+func scrapeVars(client *http.Client, addr string) (map[string]telemetry.MetricSnapshot, error) {
+	resp, err := client.Get("http://" + addr + "/debug/vars")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
+		return nil, fmt.Errorf("GET /debug/vars: %s", resp.Status)
 	}
-	return parseMetricSnapshots(resp.Body)
-}
-
-// parseMetricSnapshots is the inverse of Registry.WritePrometheus: it
-// rebuilds MetricSnapshot values (kind from TYPE comments, histogram
-// buckets from le-labelled samples, _sum/_count suffixes) so client-side
-// tooling can reuse DeltaSnapshot and Quantile on scraped data.
-func parseMetricSnapshots(r io.Reader) (map[string]telemetry.MetricSnapshot, error) {
-	out := make(map[string]telemetry.MetricSnapshot)
-	get := func(name string) telemetry.MetricSnapshot {
-		if s, ok := out[name]; ok {
-			return s
-		}
-		return telemetry.MetricSnapshot{Name: name}
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			fields := strings.Fields(rest)
-			if len(fields) != 2 {
-				continue
-			}
-			s := get(fields[0])
-			switch fields[1] {
-			case "counter":
-				s.Kind = telemetry.KindCounter
-			case "gauge":
-				s.Kind = telemetry.KindGauge
-			case "histogram":
-				s.Kind = telemetry.KindHistogram
-			}
-			out[fields[0]] = s
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		name, label := fields[0], ""
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name, label = name[:i], name[i:]
-		}
-		val, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		switch {
-		case label != "":
-			base, ok := strings.CutSuffix(name, "_bucket")
-			if !ok {
-				continue // only le-labelled buckets are understood
-			}
-			le, ok := strings.CutPrefix(label, `{le="`)
-			if !ok {
-				continue
-			}
-			le, ok = strings.CutSuffix(le, `"}`)
-			if !ok || le == "+Inf" {
-				continue // the +Inf edge is implied by _count
-			}
-			ub, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue
-			}
-			s := get(base)
-			s.Kind = telemetry.KindHistogram
-			s.Buckets = append(s.Buckets, telemetry.BucketCount{UpperBound: ub, Count: uint64(val)})
-			out[base] = s
-		case strings.HasSuffix(name, "_sum"):
-			base := strings.TrimSuffix(name, "_sum")
-			if s, ok := out[base]; ok && s.Kind == telemetry.KindHistogram {
-				s.Sum = val
-				out[base] = s
-				continue
-			}
-			s := get(name)
-			s.Value = val
-			out[name] = s
-		case strings.HasSuffix(name, "_count"):
-			base := strings.TrimSuffix(name, "_count")
-			if s, ok := out[base]; ok && s.Kind == telemetry.KindHistogram {
-				s.Count = uint64(val)
-				out[base] = s
-				continue
-			}
-			s := get(name)
-			s.Value = val
-			out[name] = s
-		default:
-			s := get(name)
-			s.Value = val
-			out[name] = s
-		}
-	}
-	return out, sc.Err()
+	return telemetry.ReadJSON(io.LimitReader(resp.Body, 8<<20))
 }
 
 // runWatchHistory prints the daemon's persisted windows for one metric

@@ -14,26 +14,52 @@ import (
 	"sariadne/internal/telemetry"
 )
 
+// varsServer serves reg as a daemon serves GET /debug/vars, calling
+// before (when set) ahead of each reply.
+func varsServer(t *testing.T, reg *telemetry.Registry, before func()) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/debug/vars" {
+			http.NotFound(w, r)
+			return
+		}
+		if before != nil {
+			before()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := reg.WriteJSON(w); err != nil {
+			t.Errorf("WriteJSON: %v", err)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // TestRunTopGolden pins the exact table layout: column order is the
 // topColumns slice, not map iteration, so two runs against identical
 // daemons are byte-identical. The daemon address is substituted out
 // because httptest picks the port.
 func TestRunTopGolden(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "sdpd_requests_total 9\n"+
-			"sdpd_request_errors_total 1\n"+
-			"discovery_queries_served_total 7\n"+
-			"discovery_forwards_sent_total 4\n"+
-			"discovery_forwards_pruned_total 2\n"+
-			"discovery_forward_giveups_total 0\n"+
-			"discovery_partial_replies_total 0\n"+
-			"telemetry_recorder_traces_total 3\n"+
-			"transport_bytes_sent_total 1024\n"+
-			"transport_bytes_received_total 2048\n"+
-			"sdpd_healthy 1\n")
-	}))
-	t.Cleanup(ts.Close)
-	addr := ts.Listener.Addr().String()
+	reg := telemetry.NewRegistry()
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"sdpd_requests_total", 9},
+		{"sdpd_request_errors_total", 1},
+		{"discovery_queries_served_total", 7},
+		{"discovery_forwards_sent_total", 4},
+		{"discovery_forwards_pruned_total", 2},
+		{"discovery_forward_giveups_total", 0},
+		{"discovery_partial_replies_total", 0},
+		{"telemetry_recorder_traces_total", 3},
+		{"transport_bytes_sent_total", 1024},
+		{"transport_bytes_received_total", 2048},
+	} {
+		reg.NewCounter(c.name, "").Add(c.n)
+	}
+	reg.NewBoolGauge("sdpd_healthy", "").Set(true)
+	addr := varsServer(t, reg, nil).Listener.Addr().String()
 
 	render := func() string {
 		var b strings.Builder
@@ -55,10 +81,9 @@ func TestRunTopGolden(t *testing.T) {
 // TestRunTopWatchRefreshes renders the table -count times at the -watch
 // interval, separated by blank lines.
 func TestRunTopWatchRefreshes(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "sdpd_requests_total 5\n")
-	}))
-	t.Cleanup(ts.Close)
+	reg := telemetry.NewRegistry()
+	reg.NewCounter("sdpd_requests_total", "").Add(5)
+	ts := varsServer(t, reg, nil)
 
 	var b strings.Builder
 	runTopWatch(&b, []string{ts.Listener.Addr().String()}, time.Second, time.Millisecond, 3)
@@ -75,25 +100,19 @@ func TestRunTopWatchRefreshes(t *testing.T) {
 // windowed delta (3 new observations in the le=4 bucket => all quantiles
 // at its upper bound), not the cumulative total.
 func TestRunWatchWindows(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	depth := reg.NewSizeHistogram("demo_depth", "")
+	for i := 0; i < 50; i++ {
+		depth.ObserveInt(1000) // the le=1024 bucket
+	}
 	var scrapes atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := scrapes.Add(1)
-		if n == 1 {
-			fmt.Fprint(w, "# TYPE demo_depth histogram\n"+
-				"demo_depth_bucket{le=\"1024\"} 50\n"+
-				"demo_depth_bucket{le=\"+Inf\"} 50\n"+
-				"demo_depth_sum 51200\n"+
-				"demo_depth_count 50\n")
-			return
+	ts := varsServer(t, reg, func() {
+		if scrapes.Add(1) == 2 {
+			for i := 0; i < 3; i++ {
+				depth.ObserveInt(3) // the le=4 bucket
+			}
 		}
-		fmt.Fprint(w, "# TYPE demo_depth histogram\n"+
-			"demo_depth_bucket{le=\"4\"} 3\n"+
-			"demo_depth_bucket{le=\"1024\"} 53\n"+
-			"demo_depth_bucket{le=\"+Inf\"} 53\n"+
-			"demo_depth_sum 51209\n"+
-			"demo_depth_count 53\n")
-	}))
-	t.Cleanup(ts.Close)
+	})
 
 	var b strings.Builder
 	runWatch(&b, ts.Listener.Addr().String(), "demo_depth", time.Second, time.Millisecond, 2)
@@ -146,35 +165,19 @@ func TestRunWatchHistory(t *testing.T) {
 	}
 }
 
-// TestRunWatchMissingMetric keeps the failure modes readable.
-func TestRunWatchMissingMetric(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "sdpd_requests_total 5\n")
-	}))
-	t.Cleanup(ts.Close)
-	var b strings.Builder
-	runWatch(&b, ts.Listener.Addr().String(), "no_such_seconds", time.Second, time.Millisecond, 1)
-	if !strings.Contains(b.String(), `no histogram "no_such_seconds"`) {
-		t.Fatalf("missing metric not reported:\n%s", b.String())
-	}
-}
-
-// TestParseMetricSnapshots round-trips a real registry exposition back
-// into snapshots and checks quantiles survive the trip.
+// TestParseMetricSnapshots round-trips a real registry's WriteJSON
+// output through scrapeVars, the decoder watch uses, and checks
+// quantiles survive the trip.
 func TestParseMetricSnapshots(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.NewHistogram("roundtrip_query_seconds", "latency")
 	h.Observe(3 * time.Millisecond)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(40 * time.Millisecond)
-	c := reg.NewCounter("roundtrip_ops_total", "ops")
-	c.Add(7)
+	reg.NewCounter("roundtrip_ops_total", "ops").Add(7)
+	ts := varsServer(t, reg, nil)
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := parseMetricSnapshots(strings.NewReader(b.String()))
+	snaps, err := scrapeVars(&http.Client{Timeout: time.Second}, ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +188,80 @@ func TestParseMetricSnapshots(t *testing.T) {
 	if hs.Count != 3 || len(hs.Buckets) == 0 {
 		t.Fatalf("histogram state wrong: %+v", hs)
 	}
-	want := reg.Snapshot()
 	var orig telemetry.MetricSnapshot
-	for _, s := range want {
+	for _, s := range reg.Snapshot() {
 		if s.Name == "roundtrip_query_seconds" {
 			orig = s
 		}
 	}
 	for _, q := range []float64{0.5, 0.99} {
-		if got, w := hs.Quantile(q), orig.Quantile(q); got != w {
-			t.Fatalf("q%v = %v after round trip, want %v", q, got, w)
+		if got, want := hs.Quantile(q), orig.Quantile(q); got != want {
+			t.Fatalf("q%v = %v after round trip, want %v", q, got, want)
 		}
 	}
-	if cs := snaps["roundtrip_ops_total"]; cs.Kind != telemetry.KindCounter || cs.Value != 7 {
-		t.Fatalf("counter lost: %+v", snaps["roundtrip_ops_total"])
+	if cs := snaps["roundtrip_ops_total"]; cs.Kind == telemetry.KindHistogram || cs.Value != 7 {
+		t.Fatalf("counter lost: %+v", cs)
+	}
+}
+
+// TestRunWatchMissingMetric keeps the failure modes readable.
+func TestRunWatchMissingMetric(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.NewCounter("sdpd_requests_total", "").Add(5)
+	ts := varsServer(t, reg, nil)
+	var b strings.Builder
+	runWatch(&b, ts.Listener.Addr().String(), "no_such_seconds", time.Second, time.Millisecond, 1)
+	if !strings.Contains(b.String(), `no histogram "no_such_seconds"`) {
+		t.Fatalf("missing metric not reported:\n%s", b.String())
+	}
+}
+
+// TestRunAlerts renders GET /alerts and reports quiet or not: a quiet
+// watchdog and a daemon without one are quiet, active alerts are not and
+// print their rows.
+func TestRunAlerts(t *testing.T) {
+	at := "2026-01-02T03:04:05Z"
+	for _, tc := range []struct {
+		name, body string
+		quiet      bool
+		want       []string
+	}{
+		{name: "quiet", body: `{"watching":true,"active":[],"fired":[]}`, quiet: true,
+			want: []string{"watchdog running, 0 active, 0 fired since boot"}},
+		{name: "active", quiet: false,
+			body: `{"watching":true,"active":[{"code":"goroutine_growth","severity":"critical","metric":"runtime_goroutines","at":"` + at +
+				`","value":9000,"threshold":600,"evidence":"runtime_goroutines grew 20 -> 920"}],` +
+				`"fired":[{"code":"goroutine_growth","severity":"critical","at":"` + at + `","evidence":"runtime_goroutines grew 20 -> 920"}]}`,
+			want: []string{"1 active, 1 fired", "ACTIVE", "goroutine_growth critical runtime_goroutines",
+				"runtime_goroutines grew 20 -> 920", "fired (newest first):", at + " goroutine_growth critical"}},
+		{name: "not watching", body: `{"watching":false,"active":[],"fired":[]}`, quiet: true,
+			want: []string{"no drift watchdog"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/alerts" {
+					http.NotFound(w, r)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprint(w, tc.body)
+			}))
+			t.Cleanup(ts.Close)
+			var b strings.Builder
+			quiet, err := runAlerts(&b, ts.Listener.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if quiet != tc.quiet {
+				t.Fatalf("quiet = %v, want %v:\n%s", quiet, tc.quiet, b.String())
+			}
+			// Collapse the column padding so the checks read the words.
+			out := strings.Join(strings.Fields(b.String()), " ")
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Fatalf("output lacks %q:\n%s", w, b.String())
+				}
+			}
+		})
 	}
 }

@@ -35,7 +35,6 @@ type config struct {
 	listen, http            string
 	state, storeKind        string
 	syncEvery               int
-	migrateStore            string
 	logLevel                string
 	level                   slog.Level // what validate read out of logLevel
 	pprof                   bool
@@ -49,8 +48,6 @@ type config struct {
 	telemetryJournal        string
 	watchEvery, watchWindow time.Duration
 	watch                   telemetry.Thresholds
-	watchHeapProfile        bool
-	chaosLeakGoroutines     int
 	compactEvery            time.Duration
 	authTokens, authSecret  string
 	tenant                  tenant.Config
@@ -73,7 +70,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.state, "state", "", "store file for durable registrations (optional)")
 	fs.StringVar(&c.storeKind, "store", "bolt", "storage engine: bolt (the durable log at -state) or mem (volatile, in memory)")
 	fs.IntVar(&c.syncEvery, "sync-every", 1, "fsync the store once every N appends (1 = per-entry, the safest)")
-	fs.StringVar(&c.migrateStore, "migrate-store", "", "import the legacy JSON-lines journal at -state into a new store at this path, then exit")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof on the HTTP gateway")
 	fs.StringVar(&c.federate, "federate", "", "socket address for directory backbone traffic; empty runs standalone")
@@ -92,8 +88,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.Float64Var(&c.watch.ElectionsPerMin, "watch-flap-per-min", 0, "election_flap threshold in role transitions/min (0 = default 6, negative disables)")
 	fs.Float64Var(&c.watch.AppendP99Factor, "watch-append-p99-factor", 0, "append_latency_step factor over the baseline-half store append p99 (0 = default 8, negative disables)")
 	fs.Float64Var(&c.watch.DenialsPerMin, "watch-denial-per-min", 0, "denial_spike absolute floor in tenant denials/min (0 = default 30, negative disables)")
-	fs.BoolVar(&c.watchHeapProfile, "watch-heap-profile", false, "capture one pprof heap profile beside the journal on the first memory_growth alert")
-	fs.IntVar(&c.chaosLeakGoroutines, "chaos-leak-goroutines", 0, "FAULT INJECTION: leak this many goroutines per second so soak drills can watch the watchdog fire")
 	fs.DurationVar(&c.compactEvery, "compact-every", 0, "compact the store on this cadence, off the request path (0 disables)")
 	fs.StringVar(&c.authTokens, "auth-tokens", "", "static bearer-token file (`token tenant [role]` per line); enables admission")
 	fs.StringVar(&c.authSecret, "auth-secret", "", "shared HMAC secret (>= 16 bytes) accepting sdpctl-minted sdp1 tokens; enables admission")
@@ -123,15 +117,6 @@ func (c *config) validate() (warnings []string, err error) {
 	}
 	if t := c.federateTransport; t != "" && t != "udp" && t != "tcp" {
 		return nil, fmt.Errorf("unknown federation transport %q (want udp or tcp)", c.federateTransport)
-	}
-	if c.migrateStore != "" {
-		if c.state == "" {
-			return nil, fmt.Errorf("-migrate-store needs a source: set -state")
-		}
-		if c.migrateStore == c.state {
-			return nil, fmt.Errorf("-migrate-store needs a destination path different from -state")
-		}
-		return nil, nil
 	}
 	warn := func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
 	if c.compactEvery > 0 && !c.hasStore() {

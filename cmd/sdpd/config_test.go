@@ -63,8 +63,8 @@ func TestEveryFlagReachesConfig(t *testing.T) {
 			t.Errorf("-%s is accepted and leaves the config as it was", f.Name)
 		}
 	})
-	if flags != 36 {
-		t.Errorf("%d flags registered, want 36", flags)
+	if flags != 33 {
+		t.Errorf("%d flags registered, want 33", flags)
 	}
 }
 
@@ -104,8 +104,6 @@ func TestConfigValidate(t *testing.T) {
 		{name: "unknown store", args: []string{"-store", "jsonl"}, refusal: `unknown -store "jsonl" (want bolt or mem)`},
 		{name: "unknown transport", args: []string{"-federate-transport", "quic"}, refusal: `unknown federation transport "quic" (want udp or tcp)`},
 		{name: "bad log level", args: []string{"-log-level", "loud"}, refusal: `bad -log-level "loud"`},
-		{name: "migration without a source", args: []string{"-migrate-store", "new.bolt"}, refusal: "-migrate-store needs a source: set -state"},
-		{name: "migration onto its source", args: []string{"-state", "a", "-migrate-store", "a"}, refusal: "-migrate-store needs a destination path different from -state"},
 
 		{name: "peer without federate", args: []string{"-peer", "10.0.0.1:8474"}, warning: "-peer/-advertise have no effect without -federate"},
 		{name: "advertise without federate", args: []string{"-advertise", "10.0.0.1:8474"}, warning: "-peer/-advertise have no effect without -federate"},

@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,17 +70,6 @@ func main() {
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: cfg.level})))
 	for _, w := range warnings {
 		slog.Warn(w)
-	}
-	if cfg.migrateStore != "" {
-		stats, err := migrateStore(cfg.state, cfg.migrateStore)
-		if err != nil {
-			fatal("store migration", err)
-		}
-		slog.Info("store migrated", "component", "store",
-			"from", cfg.state, "to", cfg.migrateStore,
-			"replayed", stats.Replayed, "skipped", stats.Skipped,
-			"torn_tail", stats.TornTail, "live", stats.Live)
-		return
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	srv, err := newServer(cfg)
@@ -317,14 +305,6 @@ func newServer(cfg config) (_ *server, err error) {
 		s.watchdog.Start()
 		onClose(s.watchdog.Stop)
 	}
-	if n := cfg.chaosLeakGoroutines; n > 0 {
-		logger.Warn("fault injection active: leaking goroutines", "component", "chaos", "per_sec", n)
-		onClose(every(time.Second, func() {
-			for i := 0; i < n; i++ {
-				go func() { select {} }()
-			}
-		}))
-	}
 	return s, nil
 }
 
@@ -344,7 +324,6 @@ func (s *server) close() {
 // daemon's history.
 func newWatchdog(cfg config, history *telemetry.History, wdLog *slog.Logger) *telemetry.Watchdog {
 	detectors := telemetry.StandardDetectors(cfg.watch)
-	var heapProfileOnce sync.Once
 	wdLog.Info("drift watchdog running", "every", cfg.watchEvery, "detectors", len(detectors))
 	return telemetry.NewWatchdog(telemetry.WatchdogConfig{
 		History:   history,
@@ -356,22 +335,6 @@ func newWatchdog(cfg config, history *telemetry.History, wdLog *slog.Logger) *te
 			wdLog.Warn("drift alert fired", "code", a.Code, "severity", a.Severity,
 				"metric", a.Metric, "value", a.Value, "threshold", a.Threshold,
 				"evidence", a.Evidence)
-			if cfg.watchHeapProfile && a.Code == telemetry.AlertMemoryGrowth {
-				// One capture per process: the first leak sighting is the
-				// interesting heap; later captures would just be bigger.
-				heapProfileOnce.Do(func() {
-					dir := cfg.telemetryJournal
-					if dir == "" {
-						dir = os.TempDir()
-					}
-					path := filepath.Join(dir, "heap-"+a.At.UTC().Format("20060102T150405Z")+".pprof")
-					if err := telemetry.CaptureHeapProfile(path); err != nil {
-						wdLog.Error("heap profile capture", "err", err)
-						return
-					}
-					wdLog.Warn("heap profile captured", "path", path)
-				})
-			}
 		},
 	}, cfg.sampleEvery)
 }

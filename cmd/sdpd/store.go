@@ -2,9 +2,7 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
-	"os"
 	"strings"
 	"time"
 
@@ -29,37 +27,12 @@ func advertOwner(name, hint string) string {
 // openStore opens the store -store selects: the one durable engine over
 // the -state path, or the in-memory fake. A -state file that is not a
 // boltlike store (a JSON-lines journal from an earlier release, say) is
-// refused untouched with a store.CorruptError pointing at -migrate-store.
+// refused untouched with a store.CorruptError.
 func openStore(kind, path string, opts store.Options) (store.Store, error) {
 	if kind == "mem" {
 		return memstore.New(), nil
 	}
 	return boltlike.Open(path, opts)
-}
-
-// migrateStore imports the legacy JSON-lines journal at src (a headerless
-// v1 journal or a headered v2 file) into a fresh boltlike store at dst,
-// folded to canonical form: the operator path behind
-// `sdpd -state old.jsonl -migrate-store new`. src is only read.
-func migrateStore(src, dst string) (store.MigrateStats, error) {
-	from, err := os.Open(src)
-	if err != nil {
-		return store.MigrateStats{}, fmt.Errorf("opening source: %w", err)
-	}
-	defer from.Close()
-	to, err := boltlike.Open(dst, store.Options{})
-	if err != nil {
-		return store.MigrateStats{}, fmt.Errorf("opening destination: %w", err)
-	}
-	stats, err := store.Import(from, to)
-	if err != nil {
-		_ = to.Close() // the migration failure is the diagnosis
-		return stats, err
-	}
-	if err := to.Close(); err != nil {
-		return stats, fmt.Errorf("closing destination: %w", err)
-	}
-	return stats, nil
 }
 
 // replayStats is what replaying the store at boot found.
@@ -86,7 +59,6 @@ func (s *server) replayStore() (r replayStats, err error) {
 		r.applied++
 		return nil
 	})
-	r.skipped += stats.Skipped
 	r.torn = stats.TornTail
 	return r, err
 }
@@ -114,7 +86,7 @@ func compact(st store.Store, log *slog.Logger) {
 // advertisement it already prepared from rec.Doc), replay with ad nil for
 // every record the store holds — which is what makes tenant quotas durable
 // across restarts. A record's version of 0 (a v1 record) takes the name's
-// next, so replaying a v1 journal numbers as the daemon did.
+// next, so replaying v1 records numbers them as the daemon did.
 func (s *server) applyLocked(rec store.Record, ad *discovery.Advert) error {
 	switch rec.Op {
 	case store.OpRegister:

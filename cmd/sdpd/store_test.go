@@ -104,45 +104,67 @@ func legacyJournal(t *testing.T, recs ...store.Record) []byte {
 	return out
 }
 
-// TestStoreReplayTolerance carries the v1 journal contract forward onto
-// the import path: junk lines are skipped with a count, a torn final
-// line is reported, records the directory rejects are skipped at replay
-// — and the journal itself is never modified.
+// TestStoreReplayTolerance: replay applies what the directory accepts
+// and skips, with a count, what it rejects — a register whose document
+// does not parse, an op this binary does not know — instead of refusing
+// to boot.
 func TestStoreReplayTolerance(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.jsonl")
-	content := `{"op":"add-ontology","doc":"<ontology uri=\"u\"><class name=\"A\"/></ontology>"}
-not json at all
-{"op":"register","doc":"garbage that will not parse"}
-{"op":"unknown-op"}
-{"op":"register","doc":"<service name=\"torn`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(dir, "state.bolt")
-	stats, err := migrateStore(path, dst)
+	cfg := bareConfig()
+	cfg.state = filepath.Join(t.TempDir(), "state.bolt")
+	st, err := openStore(cfg.storeKind, cfg.state, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The nameless register folds away; the ontology and the unknown op
-	// are carried over.
-	if want := (store.MigrateStats{Replayed: 3, Skipped: 1, TornTail: true, Live: 2}); stats != want {
-		t.Fatalf("import stats = %+v, want %+v", stats, want)
+	for _, rec := range []store.Record{
+		{Op: store.OpAddOntology, Doc: `<ontology uri="u"><class name="A"/></ontology>`},
+		{Op: store.OpRegister, Name: "g", Doc: "garbage that will not parse", Version: 1},
+		{Op: "unknown-op"},
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after, err := os.ReadFile(path); err != nil || string(after) != content {
-		t.Fatalf("import modified the journal: %q", after)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bootServer(t, cfg).recovered, (replayStats{applied: 1, skipped: 2}); got != want {
+		t.Fatalf("replay found %+v, want %+v", got, want)
+	}
+}
+
+// TestStoreReplayGoldenFile boots onto a copy of the store package's
+// golden file, whose register record carries neither a name nor a
+// version: the daemon names the advertisement from its document and
+// numbers it 1, and the query answers as it did when the record was
+// written.
+func TestStoreReplayGoldenFile(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "v2_migrated.golden.bolt"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := bareConfig()
-	cfg.state = dst
-	if got, want := bootServer(t, cfg).recovered, (replayStats{applied: 1, skipped: 1}); got != want {
-		t.Fatalf("replay found %+v, want %+v", got, want)
+	cfg.state = filepath.Join(t.TempDir(), "state.bolt")
+	if err := os.WriteFile(cfg.state, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := bootServer(t, cfg)
+	if want := (replayStats{applied: 3}); s.recovered != want {
+		t.Fatalf("replay found %+v, want %+v", s.recovered, want)
+	}
+	h := historyOf(t, s, "", "MediaWorkstation")
+	if h == nil || !h.Live || len(h.Versions) != 1 || h.Versions[0].Version != 1 {
+		t.Fatalf("nameless record's advertisement: %+v", h)
+	}
+	resp := s.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
+	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
+		t.Fatalf("query after replay: %+v", resp)
 	}
 }
 
 // TestOpenStoreRefusesLegacyJournal is the safety of dropping the
 // JSON-lines backend: a daemon pointed at an old journal must not start
-// over it, must say how to import it, and must leave it byte-for-byte
-// alone — no header rewrite, no truncation of a torn last line.
+// over it and must leave it byte-for-byte alone — no header rewrite, no
+// truncation of a torn last line.
 func TestOpenStoreRefusesLegacyJournal(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
@@ -155,8 +177,8 @@ func TestOpenStoreRefusesLegacyJournal(t *testing.T) {
 		}
 		_, err := openStore("bolt", path, store.Options{})
 		var corrupt *store.CorruptError
-		if !errors.As(err, &corrupt) || !strings.Contains(err.Error(), "-migrate-store") {
-			t.Fatalf("%s: openStore = %v, want a CorruptError naming -migrate-store", name, err)
+		if !errors.As(err, &corrupt) {
+			t.Fatalf("%s: openStore = %v, want a CorruptError", name, err)
 		}
 		if after, err := os.ReadFile(path); err != nil || string(after) != content {
 			t.Fatalf("%s: refused journal was modified: %q", name, after)
@@ -252,65 +274,6 @@ func TestListServicesPagination(t *testing.T) {
 	for i, name := range got {
 		if want := fmt.Sprintf("svc-%02d", i); name != want {
 			t.Fatalf("entry %d = %s, want %s (sorted, no duplicates)", i, name, want)
-		}
-	}
-}
-
-// TestMigrateStoreCommand is the operator path end to end: a v1 journal
-// written by the old daemon imports into a bolt store, and a daemon
-// booting from the new store serves the same answers.
-func TestMigrateStoreCommand(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "v1.jsonl")
-	var recs []store.Record
-	for _, o := range []*ontology.Ontology{profile.MediaOntology(), profile.ServersOntology()} {
-		data, err := ontology.Marshal(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, store.Record{Op: store.OpAddOntology, Doc: string(data)})
-	}
-	recs = append(recs, store.Record{Op: store.OpRegister, Doc: mustDoc(t, profile.WorkstationService())})
-	if err := os.WriteFile(src, legacyJournal(t, recs...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := filepath.Join(dir, "v2.bolt")
-	stats, err := migrateStore(src, dst)
-	if err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if stats.Replayed != 3 || stats.Live != 3 {
-		t.Fatalf("stats = %+v", stats)
-	}
-
-	cfg := bareConfig()
-	cfg.state = dst
-	s2 := bootServer(t, cfg)
-	if want := (replayStats{applied: 3}); s2.recovered != want {
-		t.Fatalf("replay from migrated store: %+v", s2.recovered)
-	}
-	resp := s2.handle(sdpapi.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
-	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
-		t.Fatalf("query after migration: %+v", resp)
-	}
-
-	// Guard rails: migrating onto a non-empty destination refuses.
-	if _, err := migrateStore(src, dst); !errors.Is(err, store.ErrDestinationNotEmpty) {
-		t.Fatalf("migration onto a non-empty destination = %v", err)
-	}
-	// A store that is already framed is not an import source.
-	if _, err := migrateStore(dst, filepath.Join(dir, "again.bolt")); !errors.Is(err, store.ErrNotLegacy) {
-		t.Fatalf("migration from a bolt store = %v", err)
-	}
-	// A missing source is an error, and creates neither file.
-	absent, out := filepath.Join(dir, "absent.jsonl"), filepath.Join(dir, "out.bolt")
-	if _, err := migrateStore(absent, out); err == nil {
-		t.Fatal("migration from a missing journal succeeded")
-	}
-	for _, path := range []string{absent, out} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("failed migration left %s behind", path)
 		}
 	}
 }

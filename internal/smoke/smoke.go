@@ -107,8 +107,8 @@ func Boot(bin, name string, flags []string, peers ...string) (*Daemon, error) {
 	return d, nil
 }
 
-func (d *Daemon) start(extra ...string) error {
-	d.cmd = exec.Command(d.bin, append(append([]string(nil), d.args...), extra...)...)
+func (d *Daemon) start() error {
+	d.cmd = exec.Command(d.bin, d.args...)
 	d.log.Reset()
 	d.cmd.Stdout, d.cmd.Stderr = os.Stderr, io.MultiWriter(os.Stderr, &d.log)
 	if err := d.cmd.Start(); err != nil {
@@ -134,10 +134,10 @@ func (d *Daemon) Terminate() (log string, err error) {
 }
 
 // Restart stops the daemon and starts it again on the same addresses and
-// flags, plus one-off extra flags (a restart's fault injection).
-func (d *Daemon) Restart(extra ...string) error {
+// flags.
+func (d *Daemon) Restart() error {
 	d.Stop()
-	return d.start(extra...)
+	return d.start()
 }
 
 // Federation is three daemons on loopback: a is the seed, b peers with

@@ -25,8 +25,11 @@ import (
 	"sariadne/internal/store"
 )
 
+// magic opens every store file.
+const magic = "SDPBOLT\x01"
+
 // header opens every store file: magic + record schema version.
-var header = binary.LittleEndian.AppendUint32(append([]byte(nil), store.BoltMagic...), store.RecordVersion)
+var header = binary.LittleEndian.AppendUint32([]byte(magic), store.RecordVersion)
 
 // Store is a boltlike store over one file.
 type Store struct {
@@ -78,13 +81,12 @@ func visitRecords(apply func(rec store.Record) error) func(payload []byte) error
 // headerError types the refusal of a file that does not open with this
 // build's header.
 func headerError(e *framelog.HeaderError) error {
-	if len(e.Got) == len(header) && bytes.HasPrefix(e.Got, store.BoltMagic) {
-		if v := binary.LittleEndian.Uint32(e.Got[len(store.BoltMagic):]); v > store.RecordVersion {
+	if len(e.Got) == len(header) && bytes.HasPrefix(e.Got, []byte(magic)) {
+		if v := binary.LittleEndian.Uint32(e.Got[len(magic):]); v > store.RecordVersion {
 			return &store.VersionError{Got: int(v), Max: store.RecordVersion}
 		}
 	}
-	return &store.CorruptError{Path: e.Path, Offset: 0, Reason: "not a boltlike store (bad header); " +
-		"a legacy JSON-lines journal is imported with sdpd -state <journal> -migrate-store <new store>"}
+	return &store.CorruptError{Path: e.Path, Offset: 0, Reason: "not a boltlike store (bad header)"}
 }
 
 // wrapErr maps the log's errors onto the store contract.

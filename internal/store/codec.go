@@ -1,8 +1,8 @@
 // The on-disk record codec. Two schema versions exist:
 //
-//	v1 — the original sdpd journal line: {"op":...,"doc":...,"name":...}
-//	     with no version marker. Still decoded forever, so any journal
-//	     written by an older daemon replays unchanged.
+//	v1 — the original record: {"op":...,"doc":...,"name":...} with no
+//	     version marker. Still decoded, so a record without "v" reads
+//	     as it always did.
 //	v2 — the current record: {"v":2,"op":...,...,"ver":N}. The leading
 //	     "v" field names the schema; "ver" is the advertisement version
 //	     the directory assigned.
@@ -11,8 +11,9 @@
 // version up to the current one and fails newer ones with a typed
 // VersionError, so a rollback cannot silently misread records. The
 // encoder goes through encoding/json with a fixed field order, making
-// encoded bytes deterministic — the property the golden migration test
-// and byte-stable canonical snapshots rest on.
+// encoded bytes deterministic — the property the golden store file
+// (testdata/v2_migrated.golden.bolt) and byte-stable canonical snapshots
+// rest on.
 package store
 
 import (
@@ -33,8 +34,8 @@ type wireRecord struct {
 	Name string `json:"name,omitempty"`
 	Ver  uint64 `json:"ver,omitempty"`
 	// Tenant rides at the end with omitempty, so tenant-less records
-	// encode byte-identically to pre-tenancy daemons (golden migration
-	// files stay valid) and old daemons decoding a tenant-stamped record
+	// encode byte-identically to pre-tenancy daemons (the golden store
+	// file stays valid) and old daemons decoding a tenant-stamped record
 	// simply drop the field.
 	Tenant string `json:"tenant,omitempty"`
 }
@@ -62,8 +63,8 @@ func EncodeRecord(rec Record) ([]byte, error) {
 
 // DecodeRecord parses one serialized record of any supported schema
 // version. A record from a newer schema fails with *VersionError; any
-// other malformed input fails with a plain error (backends decide
-// whether that is a skippable legacy line or corruption).
+// other malformed input fails with a plain error, which every backend
+// treats as damage.
 func DecodeRecord(data []byte) (Record, error) {
 	var w wireRecord
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -81,28 +82,4 @@ func DecodeRecord(data []byte) (Record, error) {
 		return Record{}, fmt.Errorf("store: decode: record has no op")
 	}
 	return Record{Op: w.Op, Doc: w.Doc, Name: w.Name, Version: w.Ver, Tenant: w.Tenant}, nil
-}
-
-// fileHeader is the first line of a v2 JSON-lines store file, as earlier
-// releases wrote it: the format tag identifies the line, the version
-// gates decoding.
-type fileHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"v"`
-}
-
-// FileFormat is the format tag in the JSON-lines store header.
-const FileFormat = "sdp-store"
-
-// DecodeFileHeader reports whether line is a store file header and, if
-// so, whether its version is supported.
-func DecodeFileHeader(line []byte) (isHeader bool, err error) {
-	var h fileHeader
-	if json.Unmarshal(line, &h) != nil || h.Format != FileFormat {
-		return false, nil
-	}
-	if h.Version > RecordVersion {
-		return true, &VersionError{Got: h.Version, Max: RecordVersion}
-	}
-	return true, nil
 }

@@ -53,8 +53,8 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestEncodeTenantlessUnchanged pins the compatibility contract of the
 // tenant field: a record without one encodes byte-identically to what
-// pre-tenancy daemons wrote (no "tenant" key at all), so golden migration
-// files and byte-stable snapshots survive the schema growth; a record
+// pre-tenancy daemons wrote (no "tenant" key at all), so the golden store
+// file and byte-stable snapshots survive the schema growth; a record
 // with one carries it at the end of the line.
 func TestEncodeTenantlessUnchanged(t *testing.T) {
 	legacy, err := store.EncodeRecord(store.Record{Op: store.OpRegister, Doc: `<service name="a"/>`, Name: "a", Version: 2})
@@ -138,29 +138,5 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if _, err := store.DecodeRecord([]byte(bad)); err == nil {
 			t.Errorf("decoding %q succeeded", bad)
 		}
-	}
-}
-
-func TestFileHeader(t *testing.T) {
-	header := []byte(`{"format":"sdp-store","v":2}`) // what earlier releases wrote
-	isHeader, err := store.DecodeFileHeader(header)
-	if err != nil || !isHeader {
-		t.Fatalf("own header not recognized: %v, %v", isHeader, err)
-	}
-	// A record line is not a header.
-	isHeader, err = store.DecodeFileHeader([]byte(`{"v":2,"op":"register","doc":"x"}`))
-	if err != nil || isHeader {
-		t.Fatalf("record line recognized as header")
-	}
-	// A v1 journal line is not a header.
-	isHeader, err = store.DecodeFileHeader([]byte(`{"op":"register","doc":"x"}`))
-	if err != nil || isHeader {
-		t.Fatalf("v1 line recognized as header")
-	}
-	// A future header is recognized but unsupported.
-	isHeader, err = store.DecodeFileHeader([]byte(`{"format":"sdp-store","v":99}`))
-	var ver *store.VersionError
-	if !isHeader || !errors.As(err, &ver) {
-		t.Fatalf("future header: isHeader=%v err=%v", isHeader, err)
 	}
 }

@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -72,59 +71,5 @@ func TestCrossBackendReplayEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(snap, want) {
 			t.Fatalf("%s snapshot diverged:\n got %+v\nwant %+v", name, snap, want)
 		}
-	}
-}
-
-// TestMigrateBetweenBackends imports a headered v2 JSON-lines history
-// (the v1 dialect is the golden test's) into each backend: the
-// destination must hold exactly the folded source state.
-func TestMigrateBetweenBackends(t *testing.T) {
-	history := []store.Record{
-		{Op: store.OpAddOntology, Doc: `<ontology uri="u1"/>`},
-		{Op: store.OpRegister, Name: "alpha", Doc: `<service name="alpha"/>`, Version: 1},
-		{Op: store.OpRegister, Name: "gone", Doc: `<service name="gone"/>`, Version: 1},
-		{Op: store.OpDeregister, Name: "gone"},
-	}
-	want := store.Fold(history)
-	journal := []byte(`{"format":"sdp-store","v":2}` + "\n")
-	for _, rec := range history {
-		line, err := store.EncodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journal = append(append(journal, line...), '\n')
-	}
-	for _, dstKind := range []string{"mem", "bolt"} {
-		t.Run("jsonl_to_"+dstKind, func(t *testing.T) {
-			dst := openAll(t)[dstKind]
-			stats, err := store.Import(bytes.NewReader(journal), dst)
-			if err != nil {
-				t.Fatalf("import: %v", err)
-			}
-			if stats.Replayed != len(history) || stats.Live != len(want) {
-				t.Fatalf("stats = %+v, want %d replayed / %d live", stats, len(history), len(want))
-			}
-			var got []store.Record
-			if _, err := dst.Replay(func(rec store.Record) error {
-				got = append(got, rec)
-				return nil
-			}); err != nil {
-				t.Fatalf("destination replay: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("destination holds %+v, want %+v", got, want)
-			}
-		})
-	}
-}
-
-func TestMigrateRefusesNonEmptyDestination(t *testing.T) {
-	dst := openAll(t)["bolt"]
-	if err := dst.Append(store.Record{Op: store.OpRegister, Name: "b", Doc: `<service name="b"/>`, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	src := []byte(`{"op":"register","doc":"<service name=\"a\"/>"}` + "\n")
-	if _, err := store.Import(bytes.NewReader(src), dst); err != store.ErrDestinationNotEmpty {
-		t.Fatalf("import into non-empty destination = %v, want ErrDestinationNotEmpty", err)
 	}
 }

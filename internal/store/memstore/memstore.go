@@ -1,5 +1,5 @@
-// Package memstore is the in-memory storage backend: a JSON-lines log
-// (one codec-encoded record per line) kept in a byte buffer. It exists
+// Package memstore is the in-memory storage backend: a log of one
+// codec-encoded record per line kept in a byte buffer. It exists
 // for tests, sdpsim and ephemeral daemons (sdpd -store mem) — and because
 // it shares the real codec and a truncatable medium, it passes the full
 // conformance suite including the injected-truncation crash cases, so
@@ -120,7 +120,8 @@ func (s *Store) Replay(apply func(rec store.Record) error) (store.ReplayStats, e
 	if err != nil {
 		return store.ReplayStats{}, err
 	}
-	stats, err := store.ReadLines(bytes.NewReader(buf), apply)
+	var stats store.ReplayStats
+	stats.Records, err = readLines(buf, apply)
 	s.mu.Lock()
 	stats.TornTail = s.tornTail
 	s.mu.Unlock()
@@ -129,6 +130,29 @@ func (s *Store) Replay(apply func(rec store.Record) error) (store.ReplayStats, e
 	}
 	store.CountReplayRecords(stats.Records)
 	return stats, nil
+}
+
+// readLines decodes buf, one record a line, into apply and counts the
+// records delivered. Every complete line was written by this package, so
+// one that does not decode is damage and ends the read with its error;
+// bytes after the last newline are a tear, which Open drops. An error
+// from apply is returned verbatim.
+func readLines(buf []byte, apply func(rec store.Record) error) (records int, err error) {
+	for {
+		line, rest, ok := bytes.Cut(buf, []byte{'\n'})
+		if !ok {
+			return records, nil
+		}
+		rec, err := store.DecodeRecord(line)
+		if err != nil {
+			return records, err
+		}
+		if err := apply(rec); err != nil {
+			return records, err
+		}
+		records++
+		buf = rest
+	}
 }
 
 // Snapshot implements store.Store.
@@ -156,7 +180,7 @@ func (s *Store) Compact() error {
 		s.med.mu.Lock()
 		defer s.med.mu.Unlock()
 		var history []store.Record
-		if _, err := store.ReadLines(bytes.NewReader(s.med.buf), func(rec store.Record) error {
+		if _, err := readLines(s.med.buf, func(rec store.Record) error {
 			history = append(history, rec)
 			return nil
 		}); err != nil {

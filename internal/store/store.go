@@ -13,8 +13,7 @@
 //     daemons (sdpd -store mem).
 //
 // Both pass the same conformance suite (internal/store/storetest),
-// including crash recovery via injected write truncation. JSON-lines
-// journals written by earlier releases are import-only (jsonl.go).
+// including crash recovery via injected write truncation.
 package store
 
 import (
@@ -24,7 +23,7 @@ import (
 )
 
 // Op names one kind of persisted registry mutation. The values are the
-// wire strings of the v1 journal, so v1 histories replay unchanged.
+// wire strings of v1 records, so those still decode.
 type Op string
 
 // The mutations a directory persists.
@@ -55,9 +54,6 @@ type Record struct {
 type ReplayStats struct {
 	// Records is the number of decoded records delivered to the callback.
 	Records int
-	// Skipped counts complete but undecodable entries tolerated by the
-	// lenient line readers (legacy JSON-lines histories may contain junk).
-	Skipped int
 	// TornTail reports that the history ended in an incomplete record — a
 	// crash mid-append — which the backend dropped on open. All complete
 	// records before the tear were recovered.
@@ -121,9 +117,8 @@ func (e *CorruptError) Error() string {
 }
 
 // VersionError reports a record or header written by a newer schema
-// version than this binary understands. Downgrades are explicit — the
-// operator migrates with sdpd -migrate-store instead of a silent
-// misparse.
+// version than this binary understands: a rollback is refused rather
+// than silently misread.
 type VersionError struct {
 	Got, Max int
 }
@@ -152,7 +147,7 @@ func (o Options) Interval() int {
 }
 
 // Fold collapses a replayed history into its canonical live state — the
-// shared compaction rule every backend and the migration path apply:
+// shared compaction rule every backend applies:
 //
 //   - add-ontology records come first, deduplicated by document, in
 //     first-appearance order (advertisements need their code tables
@@ -213,10 +208,10 @@ func Fold(history []Record) []Record {
 }
 
 // registerName extracts the service name a register record advertises.
-// v2 records carry it explicitly; v1 journal lines only carried the
-// document, so supersession falls back to the name="..." attribute of
-// the document's root element — how every Amigo-S advertisement this
-// repo produces names itself. Records whose document has no discernible
+// v2 records carry it explicitly; v1 records only carried the document,
+// so supersession falls back to the name="..." attribute of the
+// document's root element — how every Amigo-S advertisement this repo
+// produces names itself. Records whose document has no discernible
 // name fold away (they cannot replay anyway).
 func registerName(rec Record) (string, bool) {
 	if rec.Name != "" {

@@ -1,8 +1,6 @@
 package store_test
 
 import (
-	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -80,44 +78,6 @@ func TestOptionsInterval(t *testing.T) {
 		if got := (store.Options{SyncEvery: tc.in}).Interval(); got != tc.want {
 			t.Errorf("Interval(%d) = %d, want %d", tc.in, got, tc.want)
 		}
-	}
-}
-
-// TestDetect pins what the import reader makes of each kind of file an
-// operator can hand to -migrate-store: both JSON-lines dialects are
-// recognized (the v2 header is not a record), degenerate files are empty
-// histories, and a store that is already framed is refused.
-func TestDetect(t *testing.T) {
-	const v2Header = `{"format":"sdp-store","v":2}` + "\n"
-	const rec = `{"op":"register","doc":"x"}` + "\n"
-	cases := []struct {
-		name    string
-		content []byte
-		want    store.ReplayStats
-		wantErr error
-	}{
-		{"empty file", nil, store.ReplayStats{}, nil},
-		{"bolt store", append(append([]byte(nil), store.BoltMagic...), 0, 0, 0, 2), store.ReplayStats{}, store.ErrNotLegacy},
-		{"v2 jsonl", []byte(v2Header + rec), store.ReplayStats{Records: 1}, nil},
-		{"v1 journal", []byte(rec), store.ReplayStats{Records: 1}, nil},
-		{"short non-magic", []byte("hi"), store.ReplayStats{TornTail: true}, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := store.ReadLines(bytes.NewReader(tc.content), func(store.Record) error { return nil })
-			if err != tc.wantErr {
-				t.Fatalf("ReadLines error = %v, want %v", err, tc.wantErr)
-			}
-			if got != tc.want {
-				t.Fatalf("ReadLines = %+v, want %+v", got, tc.want)
-			}
-		})
-	}
-	// A header from a newer schema is refused, not misread as a record.
-	_, err := store.ReadLines(bytes.NewReader([]byte(`{"format":"sdp-store","v":99}`+"\n"+rec)), func(store.Record) error { return nil })
-	var ver *store.VersionError
-	if !errors.As(err, &ver) {
-		t.Fatalf("future-version header = %v, want VersionError", err)
 	}
 }
 

@@ -119,7 +119,7 @@ func testEmptyReplay(t *testing.T, m Medium) {
 	s := open(t, m)
 	defer closeStore(t, s)
 	recs, stats := replayAll(t, s)
-	if len(recs) != 0 || stats.Records != 0 || stats.Skipped != 0 || stats.TornTail {
+	if len(recs) != 0 || stats.Records != 0 || stats.TornTail {
 		t.Fatalf("fresh store replayed %d records, stats %+v", len(recs), stats)
 	}
 	snap, err := s.Snapshot()
@@ -139,7 +139,7 @@ func testAppendReplayOrder(t *testing.T, m Medium) {
 	if !equalRecords(recs, history) {
 		t.Fatalf("replay order diverged:\n got %v\nwant %v", recs, history)
 	}
-	if stats.Records != len(history) || stats.Skipped != 0 {
+	if stats.Records != len(history) {
 		t.Fatalf("stats = %+v, want %d records", stats, len(history))
 	}
 	closeStore(t, s)
@@ -302,8 +302,8 @@ func testConcurrentAppendReplay(t *testing.T, m Medium) {
 		return
 	}
 	recs, stats := replayAll(t, s)
-	if len(recs) != writers*perWriter || stats.Skipped != 0 {
-		t.Fatalf("final replay = %d records (%d skipped), want %d", len(recs), stats.Skipped, writers*perWriter)
+	if len(recs) != writers*perWriter || stats.Records != len(recs) {
+		t.Fatalf("final replay = %d records (%d counted), want %d", len(recs), stats.Records, writers*perWriter)
 	}
 	// Per-writer order: versions of each writer's records must ascend.
 	lastVer := make(map[string]uint64)

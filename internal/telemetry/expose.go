@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -97,6 +98,42 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(obj)
+}
+
+// ReadJSON is WriteJSON's inverse: it reads the object back into
+// snapshots by name. A histogram comes back with its buckets sorted by
+// bound, ready for Quantile and DeltaSnapshot; any other entry is a
+// number and lands in Value, its Kind unset (the JSON does not say
+// whether it counted or gauged). A labeled child keeps its rendered
+// name{label="value"} key.
+func ReadJSON(r io.Reader) (map[string]MetricSnapshot, error) {
+	var obj map[string]json.RawMessage
+	if err := json.NewDecoder(r).Decode(&obj); err != nil {
+		return nil, fmt.Errorf("telemetry: reading JSON snapshot: %w", err)
+	}
+	out := make(map[string]MetricSnapshot, len(obj))
+	for name, raw := range obj {
+		s := MetricSnapshot{Name: name}
+		if json.Unmarshal(raw, &s.Value) == nil {
+			out[name] = s
+			continue
+		}
+		var h jsonHistogram
+		if err := json.Unmarshal(raw, &h); err != nil {
+			return nil, fmt.Errorf("telemetry: reading JSON snapshot of %s: %w", name, err)
+		}
+		s.Kind, s.Count, s.Sum = KindHistogram, h.Count, h.Sum
+		for le, n := range h.Buckets {
+			bound, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				return nil, fmt.Errorf("telemetry: reading JSON snapshot of %s: bucket %q: %w", name, le, err)
+			}
+			s.Buckets = append(s.Buckets, BucketCount{UpperBound: bound, Count: n})
+		}
+		sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].UpperBound < s.Buckets[j].UpperBound })
+		out[name] = s
+	}
+	return out, nil
 }
 
 // WriteSummary writes a compact human-readable snapshot — the end-of-run

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testRegistry() *Registry {
@@ -77,6 +78,58 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if h["count"] != 2.0 {
 		t.Errorf("histogram count = %v, want 2", h["count"])
+	}
+}
+
+// TestReadJSONRoundTrip reads a registry's WriteJSON output back:
+// histogram quantiles survive the trip, a counter keeps its value, and a
+// labeled child stays under its own key.
+func TestReadJSONRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.NewHistogram("roundtrip_query_seconds", "latency")
+	h.Observe(3 * time.Millisecond)
+	h.Observe(3 * time.Millisecond)
+	h.Observe(40 * time.Millisecond)
+	reg.NewCounter("roundtrip_ops_total", "ops").Add(7)
+	reg.NewLabeledCounter("roundtrip_denied_total", "denials", "tenant").With("alice").Add(2)
+
+	var b strings.Builder
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := ReadJSON(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, ok := snaps["roundtrip_query_seconds"]
+	if !ok || hs.Kind != KindHistogram {
+		t.Fatalf("histogram lost: %+v", snaps)
+	}
+	if hs.Count != 3 || len(hs.Buckets) != 2 || hs.Buckets[0].UpperBound >= hs.Buckets[1].UpperBound {
+		t.Fatalf("histogram state wrong (buckets must rise): %+v", hs)
+	}
+	var orig MetricSnapshot
+	for _, s := range reg.Snapshot() {
+		if s.Name == "roundtrip_query_seconds" {
+			orig = s
+		}
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if got, w := hs.Quantile(q), orig.Quantile(q); got != w {
+			t.Fatalf("q%v = %v after round trip, want %v", q, got, w)
+		}
+	}
+	if cs := snaps["roundtrip_ops_total"]; cs.Kind == KindHistogram || cs.Value != 7 {
+		t.Fatalf("counter lost: %+v", cs)
+	}
+	if _, ok := snaps["roundtrip_denied_total"]; ok {
+		t.Fatal("a labeled child leaked into its family's plain name")
+	}
+	if ls := snaps[`roundtrip_denied_total{tenant="alice"}`]; ls.Value != 2 {
+		t.Fatalf("labeled child lost: %+v", snaps)
+	}
+	if _, err := ReadJSON(strings.NewReader("sdpd_requests_total 5\n")); err == nil {
+		t.Fatal("Prometheus text read as a JSON snapshot")
 	}
 }
 

@@ -13,9 +13,7 @@ package telemetry
 
 import (
 	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sync"
 	"time"
 )
@@ -95,25 +93,4 @@ func countOpenFds() int64 {
 		n = 0
 	}
 	return n
-}
-
-// CaptureHeapProfile writes a pprof heap profile to path — the watchdog's
-// first-memory-alert hook, so an operator finds the allocation evidence
-// for a creep alert next to the telemetry journal. The write is atomic
-// (temp file + rename): a crash mid-capture never leaves a torn profile.
-func CaptureHeapProfile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".heap-*")
-	if err != nil {
-		return err
-	}
-	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }

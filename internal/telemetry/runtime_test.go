@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -91,28 +90,6 @@ func TestCountOpenFds(t *testing.T) {
 	defer f.Close()
 	if n2 := countOpenFds(); n2 < n+1 {
 		t.Fatalf("countOpenFds after extra open = %d, want >= %d", n2, n+1)
-	}
-}
-
-func TestCaptureHeapProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heap.pprof")
-	if err := CaptureHeapProfile(path); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() == 0 {
-		t.Fatal("heap profile is empty")
-	}
-	// No temp litter left behind.
-	ents, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("profile dir holds %d entries, want 1", len(ents))
 	}
 }
 
