@@ -15,12 +15,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # chaos replays the deterministic fault-injection suite (seeded
-# partitions, burst loss, directory crashes, hedged forwarding) under the
-# race detector, with the two tests of a directory answering its own
-# clients beside a wedged or busy protocol loop. The seed matrix lives in
-# the tests themselves.
+# partitions, burst loss, directory crashes and re-election, silent and
+# acked-but-mute forwarding peers) under the race detector, with the two
+# tests of a directory answering its own clients beside a wedged or busy
+# protocol loop. The seed matrix lives in the tests themselves.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Hedge|Evicted|Fault|Churn|Partition|FullInbox|OriginQueriesBeside' \
+	$(GO) test -race -count=1 -run 'Chaos|SilentPeer|Reelection|Evicted|Fault|Churn|Partition|FullInbox|OriginQueriesBeside' \
 		./internal/discovery/ ./internal/simnet/ -v
 
 # lint runs go vet plus the nine project analyzers (lockcheck,

@@ -319,7 +319,7 @@ func joinAddrs(addrs []transport.Addr) string {
 // renderTrace prints the hop tree of a traced query: spans in recorded
 // order, indented by forwarding depth so the cross-daemon fan-out reads
 // like a call tree. The origin daemon sits at depth zero; every forward
-// or hedge span pushes its target one level deeper.
+// span pushes its target one level deeper.
 func renderTrace(w io.Writer, resp *sdpapi.Response) {
 	if resp.TraceID == 0 || len(resp.Spans) == 0 {
 		fmt.Fprintln(w, "no trace returned (daemon predates tracing?)")
@@ -329,13 +329,13 @@ func renderTrace(w io.Writer, resp *sdpapi.Response) {
 	copy(spans, resp.Spans)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
 
-	// Depths come from forward/hedge edges alone, iterated to a fixpoint:
+	// Depths come from forward edges alone, iterated to a fixpoint:
 	// Seq counters are per-process, so a remote daemon's spans can sort
 	// before the origin's forward span and a single ordered pass would
 	// misfile them at the root. The root is the node no one forwarded to.
 	forwarded := map[string]bool{}
 	for _, s := range spans {
-		if s.Event == telemetry.EventForward || s.Event == telemetry.EventHedge {
+		if s.Event == telemetry.EventForward {
 			forwarded[s.Peer] = true
 		}
 	}
@@ -350,7 +350,7 @@ func renderTrace(w io.Writer, resp *sdpapi.Response) {
 	for changed := true; changed; {
 		changed = false
 		for _, s := range spans {
-			if s.Event != telemetry.EventForward && s.Event != telemetry.EventHedge {
+			if s.Event != telemetry.EventForward {
 				continue
 			}
 			d, ok := depth[s.Node]

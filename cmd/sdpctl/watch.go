@@ -179,27 +179,12 @@ func runWatchHistory(w io.Writer, addr, metric string, timeout, since time.Durat
 	return nil
 }
 
-// alertRow mirrors telemetry.Alert's wire form.
-type alertRow struct {
-	Code      string    `json:"code"`
-	Severity  string    `json:"severity"`
-	Metric    string    `json:"metric"`
-	At        time.Time `json:"at"`
-	Value     float64   `json:"value"`
-	Threshold float64   `json:"threshold"`
-	Evidence  string    `json:"evidence"`
-}
-
 // runAlerts fetches a daemon's GET /alerts and renders the drift
 // watchdog's view. It reports whether the daemon is quiet (no active
 // alerts) so main can exit non-zero for soak scripts, mirroring
 // `sdpctl health`; a daemon without a watchdog counts as quiet.
 func runAlerts(w io.Writer, addr string, timeout time.Duration) (bool, error) {
-	var view struct {
-		Watching bool       `json:"watching"`
-		Active   []alertRow `json:"active"`
-		Fired    []alertRow `json:"fired"`
-	}
+	var view telemetry.AlertReport
 	if err := getJSON(addr, "/alerts", "", timeout, &view); err != nil {
 		return false, err
 	}

@@ -423,20 +423,14 @@ func (g *httpGateway) getTimeseries(w http.ResponseWriter, r *http.Request) {
 // watchdog is running at all (a daemon without -watch-every answers
 // "watching":false rather than 404, so pollers need no special case).
 func (g *httpGateway) getAlerts(w http.ResponseWriter, _ *http.Request) {
-	active := []telemetry.Alert{}
-	watching := g.srv.watchdog != nil
-	if watching {
-		active = g.srv.watchdog.Active()
+	reply := telemetry.AlertReport{Watching: g.srv.watchdog != nil, Active: []telemetry.Alert{}}
+	if reply.Watching {
+		reply.Active = g.srv.watchdog.Active()
 	}
-	fired := telemetry.FlightRecorder().Alerts()
-	if fired == nil {
-		fired = []telemetry.Alert{}
+	if reply.Fired = telemetry.FlightRecorder().Alerts(); reply.Fired == nil {
+		reply.Fired = []telemetry.Alert{}
 	}
-	g.writeJSON(w, http.StatusOK, map[string]any{
-		"watching": watching,
-		"active":   active,
-		"fired":    fired,
-	})
+	g.writeJSON(w, http.StatusOK, reply)
 }
 
 // getDebugVars serves the same snapshot as an expvar-style JSON object.

@@ -159,6 +159,22 @@ func TestTimeseriesGolden(t *testing.T) {
 	if body != string(want) {
 		t.Fatalf("GET /timeseries drifted from %s:\n got %s want %s", golden, body, want)
 	}
+
+	// GET /alerts is one telemetry.AlertReport: a daemon without
+	// -watch-every says so, with empty lists rather than null.
+	wantAlerts := `{"watching":false,"active":[],"fired":[]}`
+	if prior := telemetry.FlightRecorder().Alerts(); len(prior) > 0 {
+		// The recorder is process-wide: under -count=2 it still holds
+		// what an earlier test's watchdog fired.
+		fired, err := json.Marshal(prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAlerts = `{"watching":false,"active":[],"fired":` + string(fired) + `}`
+	}
+	if _, body := do(t, "GET", ts.URL+"/alerts", ""); body != wantAlerts+"\n" {
+		t.Fatalf("GET /alerts = %s, want %s", body, wantAlerts)
+	}
 }
 
 // TestTimeseriesConcurrentReaders runs the whole pipeline at once under

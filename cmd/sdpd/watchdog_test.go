@@ -33,10 +33,7 @@ func TestWatchdogFiresOnGoroutineLeak(t *testing.T) {
 	s := bootServer(t, cfg)
 
 	active := func() []string {
-		var view struct {
-			Watching bool              `json:"watching"`
-			Active   []telemetry.Alert `json:"active"`
-		}
+		var view telemetry.AlertReport
 		gatewayGet(t, s, "", "/alerts", &view)
 		if !view.Watching {
 			t.Fatal("GET /alerts reports no watchdog")

@@ -13,24 +13,12 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"sariadne/internal/telemetry"
 )
 
-// gateAlert is the slice of telemetry.Alert's wire form the gate reads.
-type gateAlert struct {
-	Code     string `json:"code"`
-	Severity string `json:"severity"`
-	Evidence string `json:"evidence"`
-}
-
-// gateView mirrors sdpd's GET /alerts reply.
-type gateView struct {
-	Watching bool        `json:"watching"`
-	Active   []gateAlert `json:"active"`
-	Fired    []gateAlert `json:"fired"`
-}
-
-func fetchAlerts(addr string, timeout time.Duration) (gateView, error) {
-	var v gateView
+func fetchAlerts(addr string, timeout time.Duration) (telemetry.AlertReport, error) {
+	var v telemetry.AlertReport
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get("http://" + addr + "/alerts")
 	if err != nil {

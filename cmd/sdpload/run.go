@@ -205,9 +205,8 @@ func (e *engine) runOpen() {
 }
 
 // runOpenTimed is soak mode: cycle the plan at the open-loop rate until
-// the deadline, so a 90-second smoke and an overnight soak share one
-// seeded plan. Only the first pass carries warmup ops; repeats are all
-// measured.
+// the deadline, so a run of any length replays one seeded plan. Only the
+// first pass carries warmup ops; repeats are all measured.
 func (e *engine) runOpenTimed(d time.Duration) {
 	interval := time.Duration(float64(time.Second) / e.cfg.ratePerSec)
 	if interval <= 0 {

@@ -68,19 +68,6 @@ func main() {
 	fmt.Println("soaksmoke: ok")
 }
 
-// alertsView mirrors sdpd's GET /alerts reply.
-type alertsView struct {
-	Watching bool        `json:"watching"`
-	Active   []alertLine `json:"active"`
-	Fired    []alertLine `json:"fired"`
-}
-
-type alertLine struct {
-	Code     string `json:"code"`
-	Severity string `json:"severity"`
-	Evidence string `json:"evidence"`
-}
-
 func run() error {
 	tmp, err := os.MkdirTemp("", "soaksmoke")
 	if err != nil {
@@ -217,7 +204,7 @@ func awaitSweeps(d *smoke.Daemon, deadline time.Time, n float64) error {
 
 // expectSilent fails unless the daemon is watching and has never fired.
 func expectSilent(d *smoke.Daemon) error {
-	var v alertsView
+	var v telemetry.AlertReport
 	if err := getJSON(d, "/alerts", &v); err != nil {
 		return err
 	}

@@ -1,12 +1,12 @@
 // Package lockcheck enforces the repo's "guarded by mu" convention.
 //
-// The concurrency core (discovery.Node, election.Runner, simnet.Network,
-// the registry and gist directories) keeps mutable state behind a named
-// mutex field. A struct field whose doc or line comment contains
-// "guarded by <mutex>" declares that every method access to it must
-// happen while <mutex> (a sync.Mutex or sync.RWMutex field of the same
-// struct, or of a struct it embeds) is held. A struct that embeds another
-// inherits its guarded fields. lockcheck verifies the convention
+// The concurrency core (discovery.Node, simnet.Network, the registry and
+// gist directories) keeps mutable state behind a named mutex field. A
+// struct field whose doc or line comment contains "guarded by <mutex>"
+// declares that every method access to it must happen while <mutex> (a
+// sync.Mutex or sync.RWMutex field of the same struct, or of a struct it
+// embeds) is held. A struct that embeds another inherits its guarded
+// fields. lockcheck verifies the convention
 // intraprocedurally:
 //
 //   - it tracks Lock/RLock/Unlock/RUnlock calls on the receiver's mutex
@@ -14,7 +14,7 @@
 //     a three-valued state (held, unheld, unknown) merged at join points;
 //   - methods whose name ends in "Locked" are assumed to be called with
 //     the lock held (the convention this codebase already uses for
-//     helpers like deliverLocked and directoryLocked);
+//     helpers like deliverLocked and announceDueLocked);
 //   - a `go func` body starts unheld (the launcher's lock does not
 //     transfer); a deferred closure starts unknown; other function
 //     literals inherit the current state (they run synchronously in the

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,8 +92,6 @@ func TestQueryToNonDirectoryFails(t *testing.T) {
 	cfg := Config{
 		QueryTimeout: 200 * time.Millisecond,
 		TickInterval: 2 * time.Millisecond,
-		// Pin n1 as the (wrong) static directory: it never promotes.
-		StaticDirectory: "n1",
 		Election: election.Config{
 			AdvertiseInterval: 10 * time.Millisecond,
 			ElectionTimeout:   time.Hour,
@@ -108,10 +107,13 @@ func TestQueryToNonDirectoryFails(t *testing.T) {
 			n.Stop()
 		}
 	})
+	// n0 takes n1 for its directory, though n1 never promotes.
+	adoptDirectory(t, eps[1], nodes[0])
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := nodes[0].Discover(ctx, pdaRequestDoc(t)); err == nil {
-		t.Fatal("query to a non-directory should fail explicitly")
+	_, err = nodes[0].Discover(ctx, pdaRequestDoc(t))
+	if err == nil || !strings.Contains(err.Error(), ErrNotDirectory.Error()) {
+		t.Fatalf("query to a non-directory: err = %v, want n1's explicit %q", err, ErrNotDirectory)
 	}
 }
 
@@ -166,4 +168,67 @@ func TestOntologyEvolution(t *testing.T) {
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("post-evolution query: hits=%v err=%v", hits, err)
 	}
+}
+
+// TestReelectionAfterDirectoryDeath: on a line of four nodes n0 is
+// promoted and every member adopts it. When n0 dies, the survivors hear
+// no advertisement for ElectionTimeout, elect a directory among
+// themselves, and each of them adopts one other than n0.
+func TestReelectionAfterDirectoryDeath(t *testing.T) {
+	leakCheck(t)
+	net := simnet.New(simnet.Config{})
+	t.Cleanup(net.Close)
+	eps, err := simnet.BuildLine(net, "n", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		TickInterval: 2 * time.Millisecond,
+		Election: election.Config{
+			AdvertiseInterval: 20 * time.Millisecond,
+			AdvertiseTTL:      4,
+			ElectionTimeout:   100 * time.Millisecond,
+			CandidacyWait:     20 * time.Millisecond,
+		},
+	}
+	nodes := make([]*Node, len(eps))
+	for i, ep := range eps {
+		nodes[i] = NewNode(ep, NewSemanticBackend(fixtureRegistry(t)), cfg)
+		nodes[i].Start(context.Background())
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	// On failure, log each node's view so a divergence is diagnosable.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		for _, n := range nodes {
+			d, ok := n.DirectoryID()
+			t.Logf("%s: role=%v directory=%s ok=%v", n.ID(), n.Role(), d, ok)
+		}
+	})
+	nodes[0].BecomeDirectory()
+	waitUntil(t, 2*time.Second, "every member on n0", func() bool {
+		for _, n := range nodes[1:] {
+			if d, ok := n.DirectoryID(); !ok || d != "n0" {
+				return false
+			}
+		}
+		return true
+	})
+
+	nodes[0].Stop()
+	net.RemoveNode("n0")
+	waitUntil(t, 3*time.Second, "every survivor on a directory other than n0", func() bool {
+		for _, n := range nodes[1:] {
+			if d, ok := n.DirectoryID(); !ok || d == "n0" {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 
 // TestSelectForwardTargetsDeterministic: with identical hop counts and no
 // Bloom filters to discriminate, the ranking must fall back to NodeID
-// order — retries, hedging and seeded chaos runs all assume the target
-// list does not depend on map iteration order.
+// order — retries and seeded chaos runs assume the target list does not
+// depend on map iteration order.
 func TestSelectForwardTargetsDeterministic(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	t.Cleanup(net.Close)
@@ -30,31 +31,23 @@ func TestSelectForwardTargetsDeterministic(t *testing.T) {
 
 	keys := []string{probeKey(t, node.backend, pdaRequestDoc(t))}
 	wantTargets := []simnet.NodeID{"pa", "pc"}
-	wantSpares := []simnet.NodeID{"pm", "pq", "pz"}
 	for run := 0; run < 25; run++ {
-		targets, spares, pruned := node.selectForwardTargets(keys)
+		targets, pruned := node.selectForwardTargets(keys)
 		if len(pruned) != 0 {
 			t.Fatalf("run %d: pruned %v with no filters set", run, pruned)
 		}
-		for i, id := range wantTargets {
-			if targets[i] != id {
-				t.Fatalf("run %d: targets = %v, want %v", run, targets, wantTargets)
-			}
-		}
-		for i, id := range wantSpares {
-			if spares[i] != id {
-				t.Fatalf("run %d: spares = %v, want %v", run, spares, wantSpares)
-			}
+		if !slices.Equal(targets, wantTargets) {
+			t.Fatalf("run %d: targets = %v, want %v", run, targets, wantTargets)
 		}
 	}
 }
 
-// hedgeHarness wires the entry directory n0 against three leaves on a
+// forwardHarness wires the entry directory n0 against three leaves on a
 // star: n1 (controlled by the test, never a real node), and real
 // directories n2 and n3, both holding the workstation advertisement.
 // With equal hop counts the deterministic NodeID ranking makes n1 and n2
-// the two MaxForwardPeers targets and n3 the hedge spare.
-func hedgeHarness(t *testing.T, cfg Config) (*simnet.Network, *simnet.Endpoint, []*Node) {
+// the two MaxForwardPeers targets; n3 is cut off and never contacted.
+func forwardHarness(t *testing.T, cfg Config) (*simnet.Network, *simnet.Endpoint, []*Node) {
 	t.Helper()
 	leakCheck(t)
 	net := simnet.New(simnet.Config{})
@@ -125,12 +118,11 @@ func drainSilently(t *testing.T, ep *simnet.Endpoint, react func(simnet.Message)
 	})
 }
 
-func hedgeConfig() Config {
+func forwardConfig() Config {
 	return Config{
 		QueryTimeout:    300 * time.Millisecond,
 		TickInterval:    2 * time.Millisecond,
 		MaxForwardPeers: 2,
-		HedgeSpares:     1,
 		ForwardRetries:  2,
 		RetryBackoff:    10 * time.Millisecond,
 		RetryBackoffMax: 40 * time.Millisecond,
@@ -142,12 +134,13 @@ func hedgeConfig() Config {
 	}
 }
 
-// TestHedgeRecoversFromSilentPeer: the best-ranked peer n1 stays
-// completely silent, so after the first unacknowledged retransmission n0
-// hedges the query to spare n3 — which holds the answer. The final reply
-// has the hit AND the unreachable marker for n1.
-func TestHedgeRecoversFromSilentPeer(t *testing.T) {
-	_, fakeEp, nodes := hedgeHarness(t, hedgeConfig())
+// TestSilentPeerMarkedUnreachable: the best-ranked peer n1 stays
+// completely silent while n2 answers. n0 retransmits to n1 until its
+// retries run out, then gives up: the final reply has n2's hit AND the
+// unreachable marker for n1, and n3, cut off by MaxForwardPeers, is
+// never asked.
+func TestSilentPeerMarkedUnreachable(t *testing.T) {
+	_, fakeEp, nodes := forwardHarness(t, forwardConfig())
 	// Drain the fake peer's inbox so forwarded queries vanish silently.
 	drainSilently(t, fakeEp, nil)
 
@@ -157,33 +150,36 @@ func TestHedgeRecoversFromSilentPeer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DiscoverResult: %v", err)
 	}
-	hedged := false
+	fromN2 := false
 	for _, h := range res.Hits {
-		if h.Directory == "n3" {
-			hedged = true
+		switch h.Directory {
+		case "n2":
+			fromN2 = true
+		case "n3":
+			t.Fatalf("hits = %v, n3 answered though MaxForwardPeers cut it off", res.Hits)
 		}
 	}
-	if !hedged {
-		t.Fatalf("hits = %v, want a hedged hit from n3", res.Hits)
+	if !fromN2 {
+		t.Fatalf("hits = %v, want a hit from n2", res.Hits)
 	}
 	if !res.Partial() || len(res.Unreachable) != 1 || res.Unreachable[0] != "n1" {
 		t.Fatalf("unreachable = %v, want [n1]", res.Unreachable)
 	}
 	st := nodes[0].Stats()
-	if st.ForwardHedges != 1 {
-		t.Fatalf("stats = %+v, want exactly one hedge", st)
+	if st.ForwardsSent != 2 {
+		t.Fatalf("stats = %+v, want forwards to n1 and n2 only", st)
 	}
 	if st.ForwardRetries == 0 || st.ForwardGiveups == 0 {
 		t.Fatalf("stats = %+v, want retries and a give-up on n1", st)
 	}
 }
 
-// TestAckSuppressesHedge: n1 acknowledges every forward but never
-// replies. The ack proves it alive, so no hedge fires and n1 is not
-// pushed toward eviction — but the reply still times out and the result
-// carries the completeness marker.
-func TestAckSuppressesHedge(t *testing.T) {
-	_, fakeEp, nodes := hedgeHarness(t, hedgeConfig())
+// TestAckedPeerNotEvicted: n1 acknowledges every forward but never
+// replies. The ack proves it alive, so n1 is not pushed toward eviction —
+// but the reply still times out and the result carries the completeness
+// marker.
+func TestAckedPeerNotEvicted(t *testing.T) {
+	_, fakeEp, nodes := forwardHarness(t, forwardConfig())
 	drainSilently(t, fakeEp, func(msg simnet.Message) {
 		if q, ok := msg.Payload.(QueryRequest); ok && q.Forwarded {
 			_ = fakeEp.Send(msg.From, ForwardAck{ID: q.ID, From: "n1"})
@@ -200,9 +196,6 @@ func TestAckSuppressesHedge(t *testing.T) {
 		t.Fatalf("unreachable = %v, want [n1]", res.Unreachable)
 	}
 	st := nodes[0].Stats()
-	if st.ForwardHedges != 0 {
-		t.Fatalf("stats = %+v, hedge fired despite the ack", st)
-	}
 	if st.ForwardAcks == 0 {
 		t.Fatalf("stats = %+v, want acks recorded", st)
 	}
@@ -218,10 +211,9 @@ func TestAckSuppressesHedge(t *testing.T) {
 // cross PeerFailureLimit and the peer disappears from the backbone view,
 // so later queries stop wasting their deadline on it.
 func TestSilentPeerEventuallyEvicted(t *testing.T) {
-	cfg := hedgeConfig()
-	cfg.HedgeSpares = 0
+	cfg := forwardConfig()
 	cfg.PeerFailureLimit = 2
-	_, fakeEp, nodes := hedgeHarness(t, cfg)
+	_, fakeEp, nodes := forwardHarness(t, cfg)
 	drainSilently(t, fakeEp, nil)
 
 	for i := 0; i < 2; i++ {

@@ -69,7 +69,7 @@ type QueryReply struct {
 
 // ForwardAck is sent immediately by a directory receiving a forwarded
 // query, before the (possibly slow) match runs. It tells the aggregator
-// the peer is alive — suppressing hedges and unreachable marking — but
+// the peer is alive — keeping it off the eviction count — but
 // does not stop retransmissions: only a QueryReply does, so a lost reply
 // is recovered by the duplicate request provoking a re-answer.
 type ForwardAck struct {

@@ -25,8 +25,6 @@ var (
 		"forwarded queries retransmitted after a silent backoff window")
 	forwardAcksTotal = telemetry.NewCounter("discovery_forward_acks_total",
 		"forward acknowledgements received from peer directories")
-	forwardHedgesTotal = telemetry.NewCounter("discovery_forward_hedges_total",
-		"queries hedged to a spare peer after a forward went unacknowledged")
 	forwardGiveupsTotal = telemetry.NewCounter("discovery_forward_giveups_total",
 		"forwards abandoned after exhausting retries or the query deadline")
 	peersEvictedTotal = telemetry.NewCounter("discovery_peers_evicted_total",

@@ -29,9 +29,6 @@ type Config struct {
 	// Election configures directory self-deployment. Zero values get the
 	// election package defaults.
 	Election election.Config
-	// StaticDirectory pins the node to a fixed directory and disables the
-	// election timeout machinery (infrastructure mode).
-	StaticDirectory transport.Addr
 	// QueryTimeout bounds the wait for remote directories when a query is
 	// forwarded. Defaults to 2s.
 	QueryTimeout time.Duration
@@ -53,8 +50,8 @@ type Config struct {
 	// ForwardRetries bounds retransmissions per forward after the first
 	// attempt; a forward is abandoned (and the peer marked unreachable in
 	// the reply) once they are exhausted. Defaults to 2; negative disables
-	// retries and hedging entirely, restoring fire-and-forget forwarding
-	// where pending forwards wait out the full QueryTimeout.
+	// retries, restoring fire-and-forget forwarding where pending forwards
+	// wait out the full QueryTimeout.
 	ForwardRetries int
 	// RetryBackoff is the delay before the first retransmission of a
 	// forward with no reply; it doubles per attempt up to RetryBackoffMax.
@@ -63,14 +60,9 @@ type Config struct {
 	// RetryBackoffMax caps the exponential retransmission backoff.
 	// Defaults to QueryTimeout/2.
 	RetryBackoffMax time.Duration
-	// HedgeSpares allows dispatching the query to up to this many
-	// next-best peers that MaxForwardPeers cut off, when a forward reaches
-	// its first retransmission without even an ack. Zero disables hedging.
-	HedgeSpares int
 	// PeerFailureLimit evicts a peer from the backbone view after this
 	// many consecutive forwards that were abandoned without any sign of
-	// life (no ack, no reply); a reply resets the count. Defaults to 3;
-	// negative disables eviction.
+	// life (no ack, no reply); a reply resets the count. Defaults to 3.
 	PeerFailureLimit int
 	// StaleRatio triggers a reactive summary refresh: when more than this
 	// fraction of a peer's Bloom-selected forwards come back empty (false
@@ -133,10 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoffMax <= 0 {
 		c.RetryBackoffMax = c.QueryTimeout / 2
 	}
-	if c.PeerFailureLimit == 0 {
+	if c.PeerFailureLimit <= 0 {
 		c.PeerFailureLimit = 3
-	} else if c.PeerFailureLimit < 0 {
-		c.PeerFailureLimit = 0
 	}
 	if c.LeaseTTL > 0 && c.RefreshInterval <= 0 {
 		c.RefreshInterval = c.LeaseTTL / 3
@@ -170,14 +160,13 @@ type Stats struct {
 	RemoteHits       uint64 // hits contributed by peers
 	ForwardRetries   uint64 // forwards retransmitted after a silent backoff
 	ForwardAcks      uint64 // forward acknowledgements received
-	ForwardHedges    uint64 // queries hedged to a spare peer
 	ForwardGiveups   uint64 // forwards abandoned after exhausting retries
 	PeersEvicted     uint64 // peers dropped after consecutive give-ups
 	PartialReplies   uint64 // final replies sent with an unreachable marker
 }
 
 // Node is one participant of the discovery protocol: always a potential
-// client (Publish/Discover), sometimes an elected or static directory.
+// client (Publish/Discover), sometimes an elected or promoted directory.
 type Node struct {
 	ep      transport.Endpoint
 	backend Backend
@@ -246,8 +235,8 @@ type peerState struct {
 // forwardState is the per-peer retransmission state machine for one
 // forwarded query: attempt counting with capped exponential backoff until
 // a reply arrives (done), the retries are exhausted, or the aggregation
-// deadline passes (failed). An ack proves the peer alive — it suppresses
-// hedging and the eviction counter — but does not stop retransmissions,
+// deadline passes (failed). An ack proves the peer alive — it keeps the
+// peer off the eviction counter — but does not stop retransmissions,
 // because a lost reply is only recovered by the duplicate request
 // provoking a re-answer.
 type forwardState struct {
@@ -265,15 +254,11 @@ type aggregation struct {
 	originID uint64
 	// reply, set when the query is this node's own client's, takes the
 	// final reply in place of a send to origin.
-	reply    chan QueryReply
-	trace    uint64
-	doc      []byte // the forwarded remainder, kept for retransmissions
-	deadline time.Time
-	forwards map[transport.Addr]*forwardState
-	// spares are ranked peers MaxForwardPeers cut off, available for
-	// hedged re-dispatch when a forward goes silent.
-	spares      []transport.Addr
-	hedges      int
+	reply       chan QueryReply
+	trace       uint64
+	doc         []byte // the forwarded remainder, kept for retransmissions
+	deadline    time.Time
+	forwards    map[transport.Addr]*forwardState
 	hits        []Hit
 	unreachable []transport.Addr
 	spans       []telemetry.Span // mutated under the owning node's mu
@@ -342,13 +327,6 @@ func (n *Node) Role() election.Role {
 func (n *Node) DirectoryID() (transport.Addr, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.directoryLocked()
-}
-
-func (n *Node) directoryLocked() (transport.Addr, bool) {
-	if n.cfg.StaticDirectory != "" && n.elect.Role() != election.Directory {
-		return n.cfg.StaticDirectory, true
-	}
 	return n.elect.Directory()
 }
 
@@ -464,18 +442,12 @@ func (n *Node) loop(ctx context.Context, done chan struct{}) {
 	}
 }
 
-// tick drives election timers (unless statically configured), aggregation
-// deadlines and re-publication.
+// tick drives election timers, aggregation deadlines and re-publication.
 func (n *Node) tick() {
 	now := time.Now()
-	var electionActions []any
 	peers := n.transportPeers()
 	n.mu.Lock()
-	if n.cfg.StaticDirectory == "" {
-		electionActions = n.elect.Tick(now)
-	} else if n.elect.Role() == election.Directory {
-		electionActions = n.elect.Tick(now) // keep advertising
-	}
+	electionActions := n.elect.Tick(now)
 	announce := n.announceDueLocked(now, peers)
 	resends, finished := n.maintainAggregationsLocked(now)
 	pushCount := n.backend.Len() != n.sentCount
@@ -578,7 +550,7 @@ func (n *Node) refreshOwnLeases(now time.Time) {
 		return
 	}
 	n.lastRefresh = now
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok {
 		n.mu.Unlock()
 		return
@@ -709,7 +681,7 @@ func (n *Node) runElectionActions(actions []any) {
 // available in its vicinity".
 func (n *Node) republishIfMoved() {
 	n.mu.Lock()
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok || dir == n.publishedAt || len(n.published) == 0 {
 		n.mu.Unlock()
 		return
@@ -727,7 +699,7 @@ func (n *Node) republishIfMoved() {
 // the publishers believe themselves registered.
 func (n *Node) onSolicit(s RepublishSolicit) {
 	n.mu.Lock()
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok || dir != s.From || len(n.published) == 0 {
 		n.mu.Unlock()
 		return
@@ -876,7 +848,7 @@ func (n *Node) onSummary(s SummaryPush, hops int) {
 func (n *Node) onQuery(from transport.Addr, q QueryRequest) {
 	if q.Forwarded {
 		// Ack first, before the possibly slow match: the aggregator needs
-		// a fast liveness signal to steer hedging and eviction.
+		// a fast liveness signal to steer eviction.
 		_ = n.sendTo(from, ForwardAck{ID: q.ID, From: n.ID()})
 	}
 	if to, rep, pending := n.resolve(from, q, nil); !pending {
@@ -935,7 +907,7 @@ func (n *Node) resolve(from transport.Addr, q QueryRequest, reply chan QueryRepl
 
 	// Figure 6, step 3: forward what the local store could not answer to
 	// the peers whose summaries may hold it.
-	targets, spares, pruned := n.selectForwardTargets(keys)
+	targets, pruned := n.selectForwardTargets(keys)
 	updateBloomFPR()
 	if q.Trace != 0 {
 		for _, id := range pruned {
@@ -960,7 +932,6 @@ func (n *Node) resolve(from transport.Addr, q QueryRequest, reply chan QueryRepl
 		doc:      rest,
 		deadline: now.Add(n.cfg.QueryTimeout),
 		forwards: make(map[transport.Addr]*forwardState, len(targets)),
-		spares:   spares,
 		hits:     hits, // local answers ride along with the remote ones
 		spans:    spans,
 	}
@@ -1000,10 +971,10 @@ func (n *Node) span(trace uint64, event string, peer transport.Addr) telemetry.S
 // peer whose summary passes none of them cannot hold an answer and is
 // pruned and counted; one whose summary passes any, or that has sent no
 // summary yet, is a candidate. The ranking breaks hop-count ties by NodeID
-// so the order is deterministic regardless of map iteration, which retries,
-// hedging, and seeded tests all depend on. Candidates the bound cut off
-// come back as spares, in rank order, for hedged re-dispatch.
-func (n *Node) selectForwardTargets(keys []string) (targets, spares, pruned []transport.Addr) {
+// so the order is deterministic regardless of map iteration, which retries
+// and seeded tests depend on. Candidates the bound cuts off are not
+// contacted.
+func (n *Node) selectForwardTargets(keys []string) (targets, pruned []transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	type cand struct {
@@ -1027,9 +998,6 @@ func (n *Node) selectForwardTargets(keys []string) (targets, spares, pruned []tr
 		return cands[i].id < cands[j].id
 	})
 	if n.cfg.MaxForwardPeers > 0 && len(cands) > n.cfg.MaxForwardPeers {
-		for _, c := range cands[n.cfg.MaxForwardPeers:] {
-			spares = append(spares, c.id)
-		}
 		cands = cands[:n.cfg.MaxForwardPeers]
 	}
 	targets = make([]transport.Addr, 0, len(cands))
@@ -1038,7 +1006,7 @@ func (n *Node) selectForwardTargets(keys []string) (targets, spares, pruned []tr
 		targets = append(targets, c.id)
 	}
 	sort.Slice(pruned, func(i, j int) bool { return pruned[i] < pruned[j] })
-	return targets, spares, pruned
+	return targets, pruned
 }
 
 // onQueryReply routes replies: partial ones feed an aggregation, final
@@ -1119,10 +1087,9 @@ func (n *Node) onQueryReply(r QueryReply) {
 }
 
 // maintainAggregationsLocked drives every pending forward's state machine
-// one step: retransmit forwards whose backoff window elapsed, hedge to a
-// spare peer when a forward reaches its first retransmission without an
-// ack, abandon forwards out of retries, and collect aggregations that are
-// complete (all forwards answered or abandoned) or past their deadline.
+// one step: retransmit forwards whose backoff window elapsed, abandon
+// forwards out of retries, and collect aggregations that are complete
+// (all forwards answered or abandoned) or past their deadline.
 // Messages are staged and sent by the caller after releasing n.mu.
 func (n *Node) maintainAggregationsLocked(now time.Time) (resends []outMsg, finished []*aggregation) {
 	for id, agg := range n.aggregates {
@@ -1163,13 +1130,6 @@ func (n *Node) maintainAggregationsLocked(now time.Time) (resends []outMsg, fini
 			resends = append(resends, outMsg{to: peer, payload: QueryRequest{
 				ID: id, Origin: n.ID(), Forwarded: true, Trace: agg.trace, Doc: agg.doc,
 			}})
-			// First retransmission with no ack: the peer may be gone, so
-			// hedge the query to the next-best spare in parallel.
-			if fs.attempts == 2 && !fs.acked {
-				if m := n.hedgeLocked(agg, id, now); m != nil {
-					resends = append(resends, *m)
-				}
-			}
 		}
 		if !agg.pending() {
 			delete(n.aggregates, id)
@@ -1177,41 +1137,6 @@ func (n *Node) maintainAggregationsLocked(now time.Time) (resends []outMsg, fini
 		}
 	}
 	return resends, finished
-}
-
-// hedgeLocked dispatches the aggregation's query to the next spare peer,
-// if the hedge budget allows, returning the staged message.
-func (n *Node) hedgeLocked(agg *aggregation, id uint64, now time.Time) *outMsg {
-	if n.cfg.HedgeSpares <= 0 || agg.hedges >= n.cfg.HedgeSpares {
-		return nil
-	}
-	for len(agg.spares) > 0 {
-		peer := agg.spares[0]
-		agg.spares = agg.spares[1:]
-		if _, dup := agg.forwards[peer]; dup {
-			continue
-		}
-		if ps, known := n.peers[peer]; known {
-			ps.forwards++
-		}
-		agg.hedges++
-		agg.forwards[peer] = &forwardState{
-			attempts:  1,
-			backoff:   n.cfg.RetryBackoff,
-			nextRetry: now.Add(n.cfg.RetryBackoff),
-		}
-		n.stats.ForwardHedges++
-		n.stats.ForwardsSent++
-		forwardHedgesTotal.Inc()
-		forwardsSentTotal.Inc()
-		if agg.trace != 0 {
-			agg.spans = append(agg.spans, n.span(agg.trace, telemetry.EventHedge, peer))
-		}
-		return &outMsg{to: peer, payload: QueryRequest{
-			ID: id, Origin: n.ID(), Forwarded: true, Trace: agg.trace, Doc: agg.doc,
-		}}
-	}
-	return nil
 }
 
 // giveUpForwardLocked abandons a forward that never produced a reply: the
@@ -1235,7 +1160,7 @@ func (n *Node) giveUpForwardLocked(agg *aggregation, peer transport.Addr, fs *fo
 	}
 	if ps, known := n.peers[peer]; known {
 		ps.failures++
-		if n.cfg.PeerFailureLimit > 0 && ps.failures >= n.cfg.PeerFailureLimit {
+		if ps.failures >= n.cfg.PeerFailureLimit {
 			delete(n.peers, peer)
 			n.stats.PeersEvicted++
 			peersEvictedTotal.Inc()
@@ -1278,7 +1203,7 @@ func (n *Node) finalReply(q QueryRequest, to transport.Addr, hits []Hit, errStr 
 // directory (possibly itself) and waits for the acknowledgement.
 func (n *Node) Publish(ctx context.Context, doc []byte) error {
 	n.mu.Lock()
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok {
 		n.mu.Unlock()
 		return ErrNoDirectory
@@ -1360,7 +1285,7 @@ func (n *Node) StepDown(successor transport.Addr) error {
 // directory and stops refreshing its lease.
 func (n *Node) Deregister(ctx context.Context, service string) error {
 	n.mu.Lock()
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok {
 		n.mu.Unlock()
 		return ErrNoDirectory
@@ -1430,7 +1355,7 @@ func (n *Node) DiscoverResult(ctx context.Context, doc []byte) (Result, error) {
 
 // DiscoverTrace resolves a request like DiscoverResult while recording
 // the hop-level trace: every directory that touches the query appends
-// spans (received, local-match, Bloom prunes, forwards, retries, hedges,
+// spans (received, local-match, Bloom prunes, forwards, retries,
 // reply) which come back inside the Result, ordered by recording
 // sequence.
 func (n *Node) DiscoverTrace(ctx context.Context, doc []byte) (Result, error) {
@@ -1440,7 +1365,7 @@ func (n *Node) DiscoverTrace(ctx context.Context, doc []byte) (Result, error) {
 func (n *Node) discover(ctx context.Context, doc []byte, trace uint64) (Result, error) {
 	sampled := false
 	n.mu.Lock()
-	dir, ok := n.directoryLocked()
+	dir, ok := n.elect.Directory()
 	if !ok {
 		n.mu.Unlock()
 		return Result{}, ErrNoDirectory

@@ -11,6 +11,7 @@ import (
 	"sariadne/internal/profile"
 	"sariadne/internal/simnet"
 	"sariadne/internal/testutil"
+	"sariadne/internal/transport"
 )
 
 // testCluster wires count nodes on a line topology with semantic backends.
@@ -52,6 +53,20 @@ func testCluster(t *testing.T, count int) (*simnet.Network, []*Node) {
 func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	testutil.WaitFor(t, timeout, cond, "%s", what)
+}
+
+// adoptDirectory has dir, a stand-in directory's endpoint, send member
+// one election advertisement, and waits until member uses dir. Under a
+// one-hour ElectionTimeout nothing else moves the member.
+func adoptDirectory(t *testing.T, dir transport.Endpoint, member *Node) {
+	t.Helper()
+	if err := dir.Send(member.ID(), election.Advertisement{Directory: dir.ID()}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, "member adopts the advertised directory", func() bool {
+		got, ok := member.DirectoryID()
+		return ok && got == dir.ID()
+	})
 }
 
 func TestPublishDiscoverSingleDirectory(t *testing.T) {
@@ -151,12 +166,12 @@ func TestPublishFilesUnderTheDirectorysName(t *testing.T) {
 		}
 	})
 	node := NewNode(eps[0], NewSemanticBackend(fixtureRegistry(t)), Config{
-		StaticDirectory: "n1",
-		TickInterval:    2 * time.Millisecond,
-		Election:        election.Config{ElectionTimeout: time.Hour},
+		TickInterval: 2 * time.Millisecond,
+		Election:     election.Config{ElectionTimeout: time.Hour},
 	})
 	node.Start(context.Background())
 	t.Cleanup(node.Stop)
+	adoptDirectory(t, eps[1], node)
 	published := func() map[string]string {
 		node.mu.Lock()
 		defer node.mu.Unlock()

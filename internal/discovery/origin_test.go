@@ -157,9 +157,10 @@ func TestNoFrameAddressedToSelf(t *testing.T) {
 	rec := &selfSends{Endpoint: ep}
 	recs = append(recs, rec)
 	m := NewNode(rec, NewSemanticBackend(fixtureRegistry(t)),
-		Config{StaticDirectory: "d1", Election: election.Config{ElectionTimeout: time.Hour}})
+		Config{Election: election.Config{ElectionTimeout: time.Hour}})
 	m.Start(context.Background())
 	t.Cleanup(m.Stop)
+	adoptDirectory(t, recs[1], m)
 	if err := m.Publish(ctx, workstationDoc(t)); err != nil {
 		t.Fatal(err)
 	}

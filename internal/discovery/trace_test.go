@@ -268,10 +268,9 @@ func TestSlowQueryLatchTracesNextQuery(t *testing.T) {
 // give-up lands in the flight recorder's protocol-event ring.
 func TestGiveUpReasonRetriesExhausted(t *testing.T) {
 	rec := telemetry.NewRecorder(8, 64)
-	cfg := hedgeConfig()
-	cfg.HedgeSpares = 0
+	cfg := forwardConfig()
 	cfg.Recorder = rec
-	_, fakeEp, nodes := hedgeHarness(t, cfg)
+	_, fakeEp, nodes := forwardHarness(t, cfg)
 	drainSilently(t, fakeEp, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -289,11 +288,10 @@ func TestGiveUpReasonRetriesExhausted(t *testing.T) {
 // unreachable span must carry the timeout reason.
 func TestGiveUpReasonTimeout(t *testing.T) {
 	rec := telemetry.NewRecorder(8, 64)
-	cfg := hedgeConfig()
-	cfg.HedgeSpares = 0
+	cfg := forwardConfig()
 	cfg.ForwardRetries = -1 // fire-and-forget: only the deadline gives up
 	cfg.Recorder = rec
-	_, fakeEp, nodes := hedgeHarness(t, cfg)
+	_, fakeEp, nodes := forwardHarness(t, cfg)
 	drainSilently(t, fakeEp, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

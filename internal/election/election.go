@@ -9,7 +9,7 @@
 // The protocol logic lives in Machine, a pure state machine: messages and
 // clock ticks go in, actions (sends, broadcasts, role changes) come out.
 // That keeps every protocol decision deterministic and unit-testable.
-// Runner (runner.go) drives a Machine over a transport endpoint (the
+// discovery.Node drives a Machine over a transport endpoint (the
 // simulator or a real socket) with real timers.
 package election
 
@@ -153,7 +153,7 @@ type RoleChange struct {
 }
 
 // Machine is the deterministic election state machine for one node. It is
-// not safe for concurrent use; Runner serializes access.
+// not safe for concurrent use; discovery.Node serializes access.
 type Machine struct {
 	self transport.Addr
 	cfg  Config

@@ -1,12 +1,8 @@
 package election
 
 import (
-	"context"
 	"testing"
 	"time"
-
-	"sariadne/internal/simnet"
-	"sariadne/internal/testutil"
 )
 
 // testConfig returns a config with fast, deterministic-friendly timers.
@@ -251,119 +247,4 @@ func TestCallSuppressesCompetingInitiator(t *testing.T) {
 	if len(acts) != 1 {
 		t.Fatalf("actions = %v", acts)
 	}
-}
-
-// TestRunnerConvergence is the integration test: a 9-node grid with no
-// directory converges to at least one elected directory, and every node
-// learns one.
-func TestRunnerConvergence(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	eps, err := simnet.BuildGrid(net, "n", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		AdvertiseInterval: 10 * time.Millisecond,
-		AdvertiseTTL:      4,
-		ElectionTimeout:   30 * time.Millisecond,
-		CandidacyWait:     15 * time.Millisecond,
-	}
-	ctx := context.Background()
-	runners := make([]*Runner, len(eps))
-	for i, ep := range eps {
-		i := i
-		c := cfg
-		c.Score = func() Score {
-			return Score{Coverage: len(net.Neighbors(eps[i].ID())), Resources: 0.5, Willing: true}
-		}
-		runners[i] = NewRunner(ep, c)
-		runners[i].Start(ctx)
-	}
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-
-	// On failure, dump each runner's view so divergence is diagnosable.
-	t.Cleanup(func() {
-		if !t.Failed() {
-			return
-		}
-		for i, r := range runners {
-			dir, ok := r.Directory()
-			t.Logf("node %d: role=%v directory=%s ok=%v", i, r.Role(), dir, ok)
-		}
-	})
-	waitFor(t, 3*time.Second, func() bool {
-		directories := 0
-		covered := 0
-		for _, r := range runners {
-			if r.Role() == Directory {
-				directories++
-			}
-			if _, ok := r.Directory(); ok {
-				covered++
-			}
-		}
-		return directories >= 1 && covered == len(runners)
-	}, "election convergence")
-}
-
-// TestRunnerReelection: when the only directory dies, members elect a new
-// one.
-func TestRunnerReelection(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	eps, err := simnet.BuildLine(net, "n", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		AdvertiseInterval: 10 * time.Millisecond,
-		AdvertiseTTL:      4,
-		ElectionTimeout:   40 * time.Millisecond,
-		CandidacyWait:     15 * time.Millisecond,
-	}
-	ctx := context.Background()
-	runners := make([]*Runner, len(eps))
-	for i, ep := range eps {
-		runners[i] = NewRunner(ep, cfg)
-		runners[i].Start(ctx)
-	}
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
-	runners[0].BecomeDirectory()
-
-	// Wait until everyone sees n0.
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range runners[1:] {
-			if dir, ok := r.Directory(); !ok || dir != "n0" {
-				return false
-			}
-		}
-		return true
-	}, "initial advertisement")
-
-	// Kill the directory.
-	runners[0].Stop()
-	net.RemoveNode("n0")
-
-	waitFor(t, 3*time.Second, func() bool {
-		for _, r := range runners[1:] {
-			if r.Role() == Directory {
-				return true
-			}
-		}
-		return false
-	}, "re-election after directory death")
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
-	t.Helper()
-	testutil.WaitFor(t, timeout, cond, "%s", what)
 }

@@ -19,7 +19,6 @@ const (
 	EventForward    = "forward"     // query forwarded to a peer directory
 	EventReply      = "reply"       // reply (full or partial) sent back
 	EventRetry      = "retry"       // forward retransmitted after a silent timeout
-	EventHedge      = "hedge"       // query hedged to a spare peer directory
 	EventUnreach    = "unreachable" // forward abandoned; peer marked unreachable
 )
 

@@ -60,6 +60,14 @@ type Alert struct {
 	Evidence string `json:"evidence,omitempty"`
 }
 
+// AlertReport is the whole GET /alerts reply: whether a watchdog runs at
+// all, the alerts firing now, and the fired-alert history newest first.
+type AlertReport struct {
+	Watching bool    `json:"watching"`
+	Active   []Alert `json:"active"`
+	Fired    []Alert `json:"fired"`
+}
+
 // Detector examines one window of samples (oldest first) and reports
 // whether its failure mode is present.
 type Detector interface {
@@ -502,7 +510,7 @@ type WatchdogConfig struct {
 	// Recorder receives fired alerts; nil records nowhere.
 	Recorder *Recorder
 	// OnAlert, when set, runs once per firing transition (not per
-	// sweep) outside the watchdog lock — the pprof heap capture hook.
+	// sweep) outside the watchdog lock; sdpd logs the alert.
 	OnAlert func(Alert)
 }
 
